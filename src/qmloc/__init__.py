@@ -8,9 +8,9 @@ coefficient-robust quasi-interpolation operators, closed-form
 counterexample problems, and an experiment harness with a CLI.
 """
 
-from .bestapprox import (LocalizationReport, SpdSystem, global_best_error,
-                         local_element_error, local_region_error,
-                         reaction_diffusion_errors, solve_spd)
+from .bestapprox import (LocalizationReport, SpdSystem, element_tables,
+                         global_best_error, local_element_error,
+                         reaction_diffusion_errors, ritz, solve_spd)
 from .coeff import (Coefficient, MonotonePath, QmReport, attach_coefficient,
                     build_omega_hat, check_quasi_monotonicity,
                     find_monotone_path, select_fz, select_kmax)
@@ -20,10 +20,9 @@ from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
 from .errors import QmlocError
 from .fespace import LagrangeSpace, build_space
 from .fields import SingularPoint, TargetField, smooth_target
-from .harness import (ExperimentConfig, emit_report,
-                      estimate_inequality_constants, run_alpha_robustness,
-                      run_hexagon_sweep, run_reaction_diffusion,
-                      run_star_sweep)
+from .harness import (emit_report, estimate_inequality_constants,
+                      run_alpha_robustness, run_hexagon_sweep,
+                      run_reaction_diffusion, run_star_sweep)
 from .interp import (InterpolantResult, l2_quasi_interpolate, operator_report,
                      quasi_interpolate)
 from .mesh import (Triangulation, build_triangulation, load_mesh, save_mesh,
@@ -33,17 +32,17 @@ from .quadrature import QuadraturePlan, make_quadrature_plan
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coefficient", "ExperimentConfig", "InterpolantResult", "LagrangeSpace",
+    "Coefficient", "InterpolantResult", "LagrangeSpace",
     "LocalizationReport", "MonotonePath", "QmReport", "QmlocError",
     "QuadraturePlan", "SingularPoint", "SpdSystem", "TargetField",
     "Triangulation", "analytic_energy_reference", "attach_coefficient",
     "build_omega_hat", "build_space", "build_triangulation",
     "check_quasi_monotonicity", "checkerboard_mesh", "checkerboard_target",
-    "emit_report", "estimate_inequality_constants", "fig1_left_pattern",
+    "element_tables", "emit_report", "estimate_inequality_constants", "fig1_left_pattern",
     "fig1_meshes", "find_monotone_path", "global_best_error", "hexagon_mesh",
     "hexagon_target", "l2_quasi_interpolate", "load_mesh",
-    "local_element_error", "local_region_error", "make_quadrature_plan",
-    "operator_report", "quasi_interpolate", "reaction_diffusion_errors",
+    "local_element_error", "make_quadrature_plan",
+    "operator_report", "quasi_interpolate", "reaction_diffusion_errors", "ritz",
     "run_alpha_robustness", "run_hexagon_sweep", "run_reaction_diffusion",
     "run_star_sweep", "save_mesh", "select_fz", "select_kmax",
     "smooth_target", "solve_spd", "uniform_refine",

@@ -1,5 +1,5 @@
-"""Best-approximation errors: per-element polynomial fits, local Ritz solves
-on pairs/stars, global Ritz projections, and the SPD solver.
+"""Best-approximation errors: one table of element matrices and target
+moments, one Ritz kernel over any element set, and the SPD solver.
 
 All error values are squared energies.  Pure-seminorm problems are gauged by
 pinning one node; the reported error is invariant under that choice.
@@ -12,88 +12,65 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coeff import Coefficient
-from .errors import PlanMismatch, QuadratureFailure, SolverFailure
-from .fespace import LagrangeSpace, element_affine, eval_basis, reference_basis
+from .errors import SolverFailure
+from .fespace import LagrangeSpace, eval_basis, reference_basis
 from .quadrature import QuadraturePlan, reference_triangle_rule
-
-_CLIP = 1e-13  # squared errors may round slightly negative
 
 
 # ---------------------------------------------------------------------------
-# assembly
+# element tables
 
 
-def element_stiffness(space: LagrangeSpace, k: int) -> np.ndarray:
+@dataclass(frozen=True)
+class ElementTables:
+    """Per-element matrices of a space and moments of one target.
+
+    stiffness, mass: (nt, nloc, nloc) unweighted element matrices in the
+    local lattice order of ``space.element_nodes``.  grad_moments (nt, nloc):
+    int_K grad u . grad phi_i; grad_sq (nt,): int_K |grad u|^2;
+    value_moments (nt, nloc): int_K u phi_i; value_sq (nt,): int_K u^2.
+    """
+
+    space: LagrangeSpace
+    stiffness: np.ndarray
+    mass: np.ndarray
+    grad_moments: np.ndarray
+    grad_sq: np.ndarray
+    value_moments: np.ndarray
+    value_sq: np.ndarray
+
+
+def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> ElementTables:
+    """Element matrices from the reference basis and each affine map, and
+    the target's moments from one pass over the plan's nodes."""
+    tri = space.tri
     pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
-    _, B = element_affine(space.tri, k)
+    vals, gref = reference_basis(space.degree, pts_ref)
+    v = tri.vertices[tri.triangles]
+    B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)  # columns
+    det = np.abs(np.linalg.det(B))
     Binv = np.linalg.inv(B)
-    detB = abs(np.linalg.det(B))
-    _, gref = reference_basis(space.degree, pts_ref)
-    g = gref @ Binv  # (nq, nloc, 2)
-    return np.einsum("q,qid,qjd->ij", w_ref * detB, g, g)
+    # grad phi = gref @ Binv, so S_K = |det B_K| sum_ab (Binv Binv^T)_ab R_ab
+    R = np.einsum("q,qia,qjb->abij", w_ref, gref, gref)
+    G = det[:, None, None] * (Binv @ Binv.transpose(0, 2, 1))
+    stiffness = np.einsum("kab,abij->kij", G, R)
+    mass = det[:, None, None] * ((vals.T * w_ref) @ vals)
 
-
-def element_mass(space: LagrangeSpace, k: int) -> np.ndarray:
-    pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
-    _, B = element_affine(space.tri, k)
-    detB = abs(np.linalg.det(B))
-    vals, _ = reference_basis(space.degree, pts_ref)
-    return (vals.T * (w_ref * detB)) @ vals
-
-
-def assemble_stiffness(space: LagrangeSpace, coeff: Coefficient | None = None) -> sp.csr_matrix:
-    """Weighted stiffness matrix; elements accumulated in ascending id order."""
-    n = space.n_nodes
-    rows, cols, vals = [], [], []
-    weights = coeff.values if coeff is not None else np.ones(space.tri.n_elements)
-    for k in range(space.tri.n_elements):
-        S = weights[k] * element_stiffness(space, k)
-        ids = space.element_nodes[k]
-        rows.append(np.repeat(ids, len(ids)))
-        cols.append(np.tile(ids, len(ids)))
-        vals.append(S.ravel())
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return A.tocsr()
-
-
-def assemble_mass(space: LagrangeSpace) -> sp.csr_matrix:
-    n = space.n_nodes
-    rows, cols, vals = [], [], []
-    for k in range(space.tri.n_elements):
-        M = element_mass(space, k)
-        ids = space.element_nodes[k]
-        rows.append(np.repeat(ids, len(ids)))
-        cols.append(np.tile(ids, len(ids)))
-        vals.append(M.ravel())
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return A.tocsr()
-
-
-def energy_rhs(space: LagrangeSpace, coeff: Coefficient, target, plan: QuadraturePlan) -> np.ndarray:
-    """b_i = int a grad(u) . grad(phi_i), via the target's quadrature plan."""
-    b = np.zeros(space.n_nodes)
-    for k in range(space.tri.n_elements):
+    nt, nloc = space.element_nodes.shape
+    grad_moments, value_moments = np.empty((nt, nloc)), np.empty((nt, nloc))
+    grad_sq, value_sq = np.empty(nt), np.empty(nt)
+    for k in range(nt):
         pts, wts = plan.element_rule(k)
+        phi, dphi = eval_basis(space, k, pts)
         gu = target.gradient(pts)
-        _, gphi = eval_basis(space, k, pts)
-        contrib = coeff.values[k] * np.einsum("q,qd,qid->i", wts, gu, gphi)
-        np.add.at(b, space.element_nodes[k], contrib)
-    return b
-
-
-def mass_rhs(space: LagrangeSpace, target, plan: QuadraturePlan) -> np.ndarray:
-    """b_i = int u phi_i."""
-    b = np.zeros(space.n_nodes)
-    for k in range(space.tri.n_elements):
-        pts, wts = plan.element_rule(k)
         u = target.value(pts)
-        vphi, _ = eval_basis(space, k, pts)
-        np.add.at(b, space.element_nodes[k], np.einsum("q,qi->i", wts * u, vphi))
-    return b
+        grad_moments[k] = np.einsum("q,qd,qid->i", wts, gu, dphi)
+        grad_sq[k] = float(wts @ np.einsum("qd,qd->q", gu, gu))
+        value_moments[k] = (wts * u) @ phi
+        value_sq[k] = float(wts @ (u * u))
+    return ElementTables(space=space, stiffness=stiffness, mass=mass,
+                         grad_moments=grad_moments, grad_sq=grad_sq,
+                         value_moments=value_moments, value_sq=value_sq)
 
 
 def energy_norm_sq(target, coeff: Coefficient, plan: QuadraturePlan, region=None) -> float:
@@ -123,39 +100,24 @@ def l2_norm_sq(target, plan: QuadraturePlan, region=None) -> float:
 
 @dataclass
 class SpdSystem:
-    """Sparse SPD system with a gauge.
-
-    gauge: ('dirichlet', bool-mask of constrained nodes), ('pin', node-id)
-    for pure-seminorm problems, or None when already definite.
-    """
+    """Sparse SPD system; ``fixed`` marks the nodes held at zero (the gauge
+    of pure-seminorm problems, or a Dirichlet mask), None when definite."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    gauge: tuple | None = None
+    fixed: np.ndarray | None = None
 
     def free_mask(self) -> np.ndarray:
-        n = self.matrix.shape[0]
-        free = np.ones(n, dtype=bool)
-        if self.gauge is None:
-            return free
-        kind, data = self.gauge
-        if kind == "dirichlet":
-            free &= ~np.asarray(data, dtype=bool)
-        elif kind == "pin":
-            free[int(data)] = False
-        else:
-            raise ValueError(f"unknown gauge {kind!r}")
-        return free
+        if self.fixed is None:
+            return np.ones(self.matrix.shape[0], dtype=bool)
+        return ~np.asarray(self.fixed, dtype=bool)
 
 
-def solve_spd(system: SpdSystem, rtol: float = 1e-12, max_iter: int | None = None,
-              cross_check: bool = False) -> np.ndarray:
+def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
     """Jacobi-preconditioned CG on the gauged system.
 
     Converged when the preconditioned relative residual drops below rtol.
-    Returns the full coefficient vector (constrained entries zero).  With
-    cross_check, systems of size <= 2000 are verified against a dense
-    factorization to 1e-8 relative in energy.
+    Returns the full coefficient vector (constrained entries zero).
     """
     free = system.free_mask()
     A = system.matrix[free][:, free].tocsr()
@@ -175,7 +137,7 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12, max_iter: int | None = Non
     rz = float(r @ z)
     bz = float(b @ (minv * b))
     if bz > 0:
-        limit = max_iter if max_iter is not None else 50 * n
+        limit = 50 * n
         it = 0
         while np.sqrt(rz / bz) > rtol:
             if it >= limit:
@@ -192,229 +154,114 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12, max_iter: int | None = Non
             p = z + (rz_new / rz) * p
             rz = rz_new
             it += 1
-    if cross_check and n <= 2000:
-        xd = np.linalg.solve(A.toarray(), b)
-        e_cg = float(xf @ (A @ xf))
-        e_dn = float(xd @ (A @ xd))
-        if abs(e_cg - e_dn) > 1e-8 * max(abs(e_dn), 1e-300):
-            raise SolverFailure("CG and dense factorization disagree in energy")
     x[free] = xf
     return x
 
 
 # ---------------------------------------------------------------------------
-# local and global best errors
+# the Ritz kernel and the best errors built on it
 
 
-def _poly_gradient_basis(degree: int, center, h: float):
-    """Scaled monomials (x-c)/h of degree 1..degree (gradient basis of P_l)."""
-    expo = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a) if a + b >= 1]
+def ritz(tables: ElementTables, a, beta: float = 0.0, region=None, fixed=None):
+    """Best approximation of the tables' target in the restricted space.
 
-    def grads(pts):
-        xi = (np.atleast_2d(pts) - center) / h
-        g = np.empty((len(xi), len(expo), 2))
-        for m, (a, b) in enumerate(expo):
-            g[:, m, 0] = (a / h) * xi[:, 0] ** max(a - 1, 0) * xi[:, 1] ** b if a else 0.0
-            g[:, m, 1] = (b / h) * xi[:, 0] ** a * xi[:, 1] ** max(b - 1, 0) if b else 0.0
-        return g
+    Minimizes sum_K a_K ||grad(u - V)||^2_K + beta ||u - V||^2 over the
+    continuous space restricted to the elements of `region` (default: the
+    whole mesh), with V = 0 at the nodes of the bool mask `fixed`.  With no
+    node fixed and beta = 0 the lowest-id node is pinned.  The whole mesh is
+    solved by CG, a proper region by one dense solve.
 
-    def vals(pts):
-        xi = (np.atleast_2d(pts) - center) / h
-        v = np.empty((len(xi), len(expo)))
-        for m, (a, b) in enumerate(expo):
-            v[:, m] = xi[:, 0] ** a * xi[:, 1] ** b
-        return v
-
-    return expo, vals, grads
-
-
-@dataclass(frozen=True)
-class ElementBestFit:
-    error_sq: float
-    coefficients: np.ndarray  # scaled-monomial coefficients, constant first
-    center: np.ndarray
-    h: float
-    degree: int
-
-    def __call__(self, pts):
-        xi = (np.atleast_2d(pts) - self.center) / self.h
-        expo = [(a, b) for a in range(self.degree + 1) for b in range(self.degree + 1 - a)]
-        out = np.zeros(len(xi))
-        for c, (a, b) in zip(self.coefficients, expo):
-            out += c * xi[:, 0] ** a * xi[:, 1] ** b
-        return out
-
-
-def local_element_error(target, plan: QuadraturePlan, coeff: Coefficient, k: int,
-                        degree: int, mean_match: bool = True) -> ElementBestFit:
-    """a_K * min over P_degree(K) of ||grad(u - P)||^2_K, with the best
-    polynomial's constant fixed by matching the element mean of u."""
-    tri = coeff.tri
-    pts, wts = plan.element_rule(k)
-    center = tri.vertices[tri.triangles[k]].mean(axis=0)
-    h = float(tri.diameters[k])
-    expo, vals_fn, grads_fn = _poly_gradient_basis(degree, center, h)
-    g = grads_fn(pts)
-    gu = target.gradient(pts)
-    G = np.einsum("q,qid,qjd->ij", wts, g, g)
-    rhs = np.einsum("q,qd,qid->i", wts, gu, g)
-    try:
-        c = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise QuadratureFailure(f"singular gradient Gram matrix on element {k}") from exc
-    uu = float(wts @ np.einsum("qd,qd->q", gu, gu))
-    err = coeff.values[k] * max(uu - float(rhs @ c), 0.0)
-    area = float(tri.areas[k])
-    if mean_match:
-        mean_u = float(wts @ target.value(pts)) / area
-        mean_m = (wts @ vals_fn(pts)) / area
-        c0 = mean_u - float(mean_m @ c)
-    else:
-        c0 = 0.0
-    coeffs = np.concatenate([[c0], c])
-    return ElementBestFit(error_sq=err, coefficients=coeffs, center=center, h=h, degree=degree)
-
-
-def _region_nodes(space: LagrangeSpace, region):
-    ids = sorted({int(g) for k in region for g in space.element_nodes[k]})
-    return ids, {g: i for i, g in enumerate(ids)}
-
-
-def local_region_error(target, plan: QuadraturePlan, space: LagrangeSpace,
-                       coeff: Coefficient, region, boundary: str = "none") -> float:
-    """min over the restricted continuous space of ||a^(1/2) grad(u-V)||^2.
-
-    boundary='dirichlet' constrains nodes on the domain boundary to zero
-    (V in H^1_0); 'none' leaves all nodes free and pins one for the gauge.
+    Returns (error_sq, nodes, x): the energy of u - V, the region's global
+    node ids in ascending order, and the coefficients of V on them.
     """
-    region = sorted(int(k) for k in region)
-    ids, local = _region_nodes(space, region)
-    n = len(ids)
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    for k in region:
-        loc = [local[int(g)] for g in space.element_nodes[k]]
-        A[np.ix_(loc, loc)] += coeff.values[k] * element_stiffness(space, k)
-        pts, wts = plan.element_rule(k)
-        gu = target.gradient(pts)
-        _, gphi = eval_basis(space, k, pts)
-        b[loc] += coeff.values[k] * np.einsum("q,qd,qid->i", wts, gu, gphi)
-    if boundary == "dirichlet":
-        free = np.array([not space.boundary_nodes[g] for g in ids])
-        if free.all():
-            free[0] = False  # seminorm gauge
-    elif boundary == "none":
-        free = np.ones(n, dtype=bool)
-        free[0] = False
+    space = tables.space
+    whole = region is None
+    elems = (np.arange(space.tri.n_elements) if whole
+             else np.unique(np.asarray(region, dtype=np.int64)))
+    w = np.asarray(a, dtype=float)[elems]
+    en = space.element_nodes[elems]
+    if whole:
+        nodes, loc = np.arange(space.n_nodes), en
     else:
-        raise ValueError(f"unknown boundary option {boundary!r}")
-    uu = energy_norm_sq(target, coeff, plan, region)
-    if not free.any():
-        return uu
-    c = np.linalg.solve(A[np.ix_(free, free)], b[free])
-    return max(uu - float(b[free] @ c), 0.0)
+        nodes, inv = np.unique(en, return_inverse=True)
+        loc = inv.reshape(en.shape)
+    m, nloc = len(nodes), en.shape[1]
+    K = w[:, None, None] * tables.stiffness[elems] + beta * tables.mass[elems]
+    f = w[:, None] * tables.grad_moments[elems] + beta * tables.value_moments[elems]
+    uu = float(w @ tables.grad_sq[elems]) + beta * float(tables.value_sq[elems].sum())
+    b = np.bincount(loc.ravel(), weights=f.ravel(), minlength=m)
+    free = np.ones(m, dtype=bool) if fixed is None else ~np.asarray(fixed, dtype=bool)[nodes]
+    if free.all() and beta == 0.0:
+        free[0] = False
+    # element order, row-major within each element matrix
+    rows = np.repeat(loc, nloc, axis=1).ravel()
+    cols = np.tile(loc, (1, nloc)).ravel()
+    if whole:
+        A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()
+        x = solve_spd(SpdSystem(matrix=A, rhs=b, fixed=~free))
+    else:
+        A = np.bincount(rows * m + cols, weights=K.ravel(), minlength=m * m).reshape(m, m)
+        x = np.zeros(m)
+        try:
+            x[free] = np.linalg.solve(A[np.ix_(free, free)], b[free])
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"singular local system on elements {elems.tolist()}") from exc
+    # the energy of the computed approximant: an error in x enters only to second order
+    err = uu - 2.0 * float(b @ x) + float(x @ (A @ x))
+    return max(err, 0.0), nodes, x
 
 
-def global_best_error(target, plan: QuadraturePlan, space: LagrangeSpace,
-                      coeff: Coefficient, gauge: str = "dirichlet",
-                      rtol: float = 1e-12, cross_check: bool = False):
+def local_element_error(tables: ElementTables, coeff: Coefficient, k: int) -> float:
+    """a_K * min over P_degree(K) of ||grad(u - P)||^2_K."""
+    return ritz(tables, coeff.values, region=[k])[0]
+
+
+def global_best_error(tables: ElementTables, coeff: Coefficient, gauge: str):
     """Global Ritz projection; returns (error_sq, coefficient vector).
 
-    gauge='dirichlet' uses the space's Dirichlet mask; 'meanzero' minimizes
-    the pure seminorm over all of S (one node pinned, constant
-    post-corrected so the projection matches the mean of u).
+    gauge='dirichlet' holds the space's Dirichlet nodes at zero; 'meanzero'
+    minimizes the pure seminorm over all of S and shifts the constant so the
+    projection matches the mean of u.
     """
-    A = assemble_stiffness(space, coeff)
-    b = energy_rhs(space, coeff, target, plan)
+    space = tables.space
     if gauge == "dirichlet":
         if not space.dirichlet.any():
             raise ValueError("dirichlet gauge requested but the space has no Dirichlet mask")
-        system = SpdSystem(matrix=A, rhs=b, gauge=("dirichlet", space.dirichlet))
-    elif gauge == "meanzero":
-        system = SpdSystem(matrix=A, rhs=b, gauge=("pin", 0))
-    else:
+        err, _, x = ritz(tables, coeff.values, fixed=space.dirichlet)
+        return err, x
+    if gauge != "meanzero":
         raise ValueError(f"unknown gauge {gauge!r}")
-    x = solve_spd(system, rtol=rtol, cross_check=cross_check)
-    free = system.free_mask()
-    err = max(energy_norm_sq(target, coeff, plan) - float(b[free] @ x[free]), 0.0)
-    if gauge == "meanzero":
-        # shift so the projection and u share the domain mean
-        M = assemble_mass(space)
-        vol = float(space.tri.areas.sum())
-        mean_u = l2_mean(target, plan)
-        mean_v = float(np.asarray(M.sum(axis=0)).ravel() @ x) / vol
-        x = x + (mean_u - mean_v)
-    return err, x
+    err, _, x = ritz(tables, coeff.values)
+    vol = float(space.tri.areas.sum())
+    mean_u = float(tables.value_moments.sum()) / vol
+    mean_v = float(np.sum(x[space.element_nodes] * tables.mass.sum(axis=2))) / vol
+    return err, x + (mean_u - mean_v)
 
 
-def l2_mean(target, plan: QuadraturePlan) -> float:
-    vol = float(plan.tri.areas.sum())
-    total = 0.0
-    for k in range(plan.tri.n_elements):
-        pts, wts = plan.element_rule(k)
-        total += float(wts @ target.value(pts))
-    return total / vol
+def reaction_diffusion_errors(tables: ElementTables, coeff: Coefficient, betas):
+    """Combined-norm global best errors, one per beta, and their localized
+    companions.
 
-
-def pair_l2_error(target, plan: QuadraturePlan, space: LagrangeSpace, e: int) -> float:
-    """min over S restricted to the pair omega_F of ||u - V||^2."""
-    region = [int(k) for k in space.tri.edge_elements[e]]
-    ids, local = _region_nodes(space, region)
-    n = len(ids)
-    M = np.zeros((n, n))
-    b = np.zeros(n)
-    uu = 0.0
-    for k in region:
-        loc = [local[int(g)] for g in space.element_nodes[k]]
-        M[np.ix_(loc, loc)] += element_mass(space, k)
-        pts, wts = plan.element_rule(k)
-        u = target.value(pts)
-        vphi, _ = eval_basis(space, k, pts)
-        b[loc] += np.einsum("q,qi->i", wts * u, vphi)
-        uu += float(wts @ (u * u))
-    c = np.linalg.solve(M, b)
-    return max(uu - float(b @ c), 0.0)
-
-
-def reaction_diffusion_errors(target, plan: QuadraturePlan, space: LagrangeSpace,
-                              coeff: Coefficient, beta: float, gauge: str = "meanzero",
-                              rtol: float = 1e-12):
-    """Combined-norm global best error and its localized companions.
-
-    Returns a dict with combined/gradient/l2 global squared errors, the
-    per-element gradient locals and per-interior-edge L2 pair locals.
+    Returns a dict with the combined errors (aligned with `betas`), the
+    gradient and L2 global squared errors, the per-element gradient locals
+    and the per-interior-edge L2 pair locals.
     """
-    if beta < 0:
+    betas = [float(beta) for beta in betas]
+    if any(beta < 0 for beta in betas):
         raise ValueError("beta must be >= 0")
-    grad_global, _ = global_best_error(target, plan, space, coeff, gauge=gauge, rtol=rtol)
-    M = assemble_mass(space)
-    b_m = mass_rhs(space, target, plan)
-    uu_l2 = l2_norm_sq(target, plan)
-    x = solve_spd(SpdSystem(matrix=M, rhs=b_m, gauge=None), rtol=rtol)
-    l2_global = max(uu_l2 - float(b_m @ x), 0.0)
-    if beta == 0.0:
-        combined = grad_global
-    else:
-        A = assemble_stiffness(space, coeff)
-        b = energy_rhs(space, coeff, target, plan) + beta * b_m
-        gauge_t = ("dirichlet", space.dirichlet) if gauge == "dirichlet" else None
-        x = solve_spd(SpdSystem(matrix=A + beta * M, rhs=b, gauge=gauge_t), rtol=rtol)
-        free = np.ones(space.n_nodes, dtype=bool) if gauge_t is None else ~space.dirichlet
-        uu = energy_norm_sq(target, coeff, plan) + beta * uu_l2
-        combined = max(uu - float(b[free] @ x[free]), 0.0)
-    element_locals = [
-        local_element_error(target, plan, coeff, k, space.degree).error_sq
-        for k in range(space.tri.n_elements)
-    ]
-    pair_locals = [
-        pair_l2_error(target, plan, space, e) for e in space.tri.interior_edges()
-    ]
+    tri = tables.space.tri
+    zero = np.zeros(tri.n_elements)
     return {
-        "combined_global_sq": combined,
-        "gradient_global_sq": grad_global,
-        "l2_global_sq": l2_global,
-        "element_gradient_locals": element_locals,
-        "pair_l2_locals": pair_locals,
+        "combined_global_sq": [ritz(tables, coeff.values, beta)[0] for beta in betas],
+        "gradient_global_sq": ritz(tables, coeff.values)[0],
+        "l2_global_sq": ritz(tables, zero, 1.0)[0],
+        "element_gradient_locals": [
+            local_element_error(tables, coeff, k) for k in range(tri.n_elements)
+        ],
+        "pair_l2_locals": [
+            ritz(tables, zero, 1.0, region=tri.edge_elements[e])[0]
+            for e in tri.interior_edges()
+        ],
     }
 
 

@@ -70,6 +70,8 @@ class LagrangeSpace:
     node_entity: tuple           # owning vertex/edge/element id
     boundary_nodes: np.ndarray   # (n,) bool: node on the domain boundary
     dirichlet: np.ndarray        # (n,) bool mask (all False unless requested)
+    vertex_nodes: np.ndarray     # (nv,) global node id of each mesh vertex
+    edge_interior_nodes: np.ndarray  # (ne, degree-1) ids from the lower-id endpoint on
 
     @property
     def n_nodes(self) -> int:
@@ -83,14 +85,8 @@ class LagrangeSpace:
         """Global ids of the degree+1 nodes on edge e, ordered from the
         lower-id endpoint."""
         a, b = self.tri.edges[e]
-        ids = [int(self._vertex_node[a])]
-        ids.extend(self._edge_interior[e])
-        ids.append(int(self._vertex_node[b]))
-        return tuple(ids)
-
-    # populated by build_space via object.__setattr__
-    _vertex_node: np.ndarray = None
-    _edge_interior: tuple = None
+        return (int(self.vertex_nodes[a]), *map(int, self.edge_interior_nodes[e]),
+                int(self.vertex_nodes[b]))
 
 
 def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = False) -> LagrangeSpace:
@@ -105,6 +101,8 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
     entities: list[int] = []
     keymap: dict = {}
     elem_nodes = np.empty((tri.n_elements, nloc), dtype=np.int64)
+    vertex_nodes = np.full(tri.n_vertices, -1, dtype=np.int64)
+    edge_interior = np.full((tri.n_edges, degree - 1), -1, dtype=np.int64)
 
     def intern(key, xy, kind, entity):
         gid = keymap.get(key)
@@ -114,6 +112,11 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
             coords.append(xy)
             kinds.append(kind)
             entities.append(entity)
+            if kind == VERTEX:
+                vertex_nodes[entity] = gid
+            elif kind == EDGE:
+                # lower-endpoint weights degree-1 .. 1, walking away from it
+                edge_interior[entity, degree - 1 - key[2]] = gid
         return gid
 
     for k, (a, b, c) in enumerate(tri.triangles):
@@ -149,7 +152,7 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
             boundary[gid] = tri.boundary_edges[ent]
     dirichlet = boundary.copy() if dirichlet_on_boundary else np.zeros(len(nodes), dtype=bool)
 
-    space = LagrangeSpace(
+    return LagrangeSpace(
         tri=tri,
         degree=degree,
         nodes=nodes,
@@ -158,23 +161,9 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
         node_entity=tuple(entities),
         boundary_nodes=boundary,
         dirichlet=dirichlet,
+        vertex_nodes=vertex_nodes,
+        edge_interior_nodes=edge_interior,
     )
-    vertex_node = np.full(tri.n_vertices, -1, dtype=np.int64)
-    edge_interior: list[list[int]] = [[] for _ in range(tri.n_edges)]
-    for gid, (kind, ent) in enumerate(zip(kinds, entities)):
-        if kind == VERTEX:
-            vertex_node[ent] = gid
-    for e in range(tri.n_edges):
-        # weights degree-1 .. 1 of the lower endpoint, i.e. walking away from it
-        found = [
-            (key[2], gid)
-            for key, gid in keymap.items()
-            if key[0] == EDGE and key[1] == e
-        ]
-        edge_interior[e] = [gid for _, gid in sorted(found, reverse=True)]
-    object.__setattr__(space, "_vertex_node", vertex_node)
-    object.__setattr__(space, "_edge_interior", tuple(tuple(v) for v in edge_interior))
-    return space
 
 
 def element_affine(tri: Triangulation, k: int):

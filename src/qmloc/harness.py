@@ -5,20 +5,17 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, element_mass, energy_norm_sq,
-                         global_best_error, local_element_error,
-                         local_region_error, pair_l2_error,
-                         reaction_diffusion_errors)
+from .bestapprox import (LocalizationReport, element_tables, global_best_error,
+                         local_element_error, reaction_diffusion_errors, ritz)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_pattern,
                               hexagon_mesh, hexagon_target)
 from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
-from .fespace import build_space, element_dual_basis, eval_basis
+from .fespace import build_space, element_dual_basis, element_mass_matrix
 from .fields import smooth_target
 from .interp import interpolation_error_sq, quasi_interpolate
 from .mesh import Triangulation, build_triangulation, uniform_refine, vertex_patch
@@ -34,30 +31,6 @@ def quadrature_rtol() -> float:
     """Singular-quadrature tolerance; QMLOC_RTOL overrides the default."""
     raw = os.environ.get("QMLOC_RTOL")
     return float(raw) if raw else 1e-8
-
-
-@dataclass
-class ExperimentConfig:
-    """Parameters of one experiment run."""
-
-    kind: str  # hexagon | stars | alpha | rd | qm-check | constants
-    eps_values: tuple = DEFAULT_EPS
-    n_values: tuple = DEFAULT_N
-    alpha_values: tuple = DEFAULT_ALPHA
-    beta_values: tuple = DEFAULT_BETA
-    degree: int = 1
-    pattern: str = "fig1-left"
-    output_format: str = "csv"
-    output_path: str | None = None
-    extra: dict = field(default_factory=dict)
-
-    def validate(self):
-        if self.kind not in ("hexagon", "stars", "alpha", "rd", "qm-check", "constants"):
-            raise ParameterOutOfRange(f"unknown experiment kind {self.kind!r}")
-        for name, vals in (("eps", self.eps_values), ("n", self.n_values),
-                           ("alpha", self.alpha_values), ("beta", self.beta_values)):
-            if len(vals) == 0:
-                raise ParameterOutOfRange(f"{name} value list is empty")
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +65,6 @@ def default_smooth_targets() -> dict:
 # sweeps
 
 
-def _star_region(tri: Triangulation, z: int):
-    return sorted(vertex_patch(tri, z))
-
-
 def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
     """Per contrast: global best error (Dirichlet gauge) against element,
     pair, and vertex-star localized errors."""
@@ -106,19 +75,17 @@ def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
         target = hexagon_target(eps)
         plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6, rtol=rtol)
         space = build_space(tri, degree, dirichlet_on_boundary=True)
-        global_sq, _ = global_best_error(target, plan, space, coeff, gauge="dirichlet")
-        elements = [
-            (k, local_element_error(target, plan, coeff, k, degree).error_sq)
-            for k in range(tri.n_elements)
-        ]
+        tables = element_tables(target, plan, space)
+        global_sq, _ = global_best_error(tables, coeff, "dirichlet")
+        elements = [(k, local_element_error(tables, coeff, k)) for k in range(tri.n_elements)]
         pairs = [
-            (e, local_region_error(target, plan, space, coeff,
-                                   tri.edge_elements[e], boundary="dirichlet"))
+            (e, ritz(tables, coeff.values, region=tri.edge_elements[e],
+                     fixed=space.dirichlet)[0])
             for e in tri.interior_edges()
         ]
         stars = [
-            (z, local_region_error(target, plan, space, coeff,
-                                   _star_region(tri, z), boundary="dirichlet"))
+            (z, ritz(tables, coeff.values, region=vertex_patch(tri, z),
+                     fixed=space.dirichlet)[0])
             for z in range(tri.n_vertices)
         ]
         qm = check_quasi_monotonicity(tri, coeff)
@@ -148,28 +115,15 @@ def _classify_checkerboard_vertex(v, N: int) -> str:
     return "edge-midpoint"
 
 
-def _star_candidate_error(target, plan, space, coeff, z, values: dict) -> float:
+def _star_candidate_error(tables, coeff, z, values: dict) -> float:
     """Energy of an explicit star candidate given its nonzero nodal values."""
-    tri = space.tri
-    region = _star_region(tri, z)
-    from .bestapprox import element_stiffness
-
-    uu = energy_norm_sq(target, coeff, plan, region)
-    lin = 0.0
-    quad = 0.0
-    for k in region:
-        ids = space.element_nodes[k]
-        v = np.array([values.get(int(g), 0.0) for g in ids])
-        if not v.any():
-            continue
-        S = coeff.values[k] * element_stiffness(space, k)
-        quad += float(v @ S @ v)
-        pts, wts = plan.element_rule(k)
-        gu = target.gradient(pts)
-        _, gphi = eval_basis(space, k, pts)
-        lin += coeff.values[k] * float(
-            np.einsum("q,qd,qid,i->", wts, gu, gphi, v)
-        )
+    region = list(vertex_patch(tables.space.tri, z))
+    v = np.array([[values.get(int(g), 0.0) for g in tables.space.element_nodes[k]]
+                  for k in region])
+    w = coeff.values[region]
+    uu = float(w @ tables.grad_sq[region])
+    lin = float(np.einsum("k,ki,ki->", w, tables.grad_moments[region], v))
+    quad = float(np.einsum("k,ki,kij,kj->", w, v, tables.stiffness[region], v))
     return max(uu - 2.0 * lin + quad, 0.0)
 
 
@@ -214,15 +168,16 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
         target = checkerboard_target(N)
         plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6, rtol=rtol)
         space = build_space(tri, degree, dirichlet_on_boundary=True)
-        global_sq, _ = global_best_error(target, plan, space, coeff, gauge="dirichlet")
+        tables = element_tables(target, plan, space)
+        global_sq, _ = global_best_error(tables, coeff, "dirichlet")
         stars, kinds, candidates = [], {}, {}
         for z in tri.interior_vertices():
-            err = local_region_error(target, plan, space, coeff,
-                                     _star_region(tri, z), boundary="dirichlet")
+            err, _, _ = ritz(tables, coeff.values, region=vertex_patch(tri, z),
+                             fixed=space.dirichlet)
             stars.append((z, err))
             kinds[int(z)] = _classify_checkerboard_vertex(tri.vertices[z], N)
             vals = _star_candidate_values(tri, coeff, z, N)
-            candidates[int(z)] = _star_candidate_error(target, plan, space, coeff, z, vals)
+            candidates[int(z)] = _star_candidate_error(tables, coeff, z, vals)
         qm = check_quasi_monotonicity(tri, coeff)
         reports.append(LocalizationReport(
             global_error_sq=global_sq,
@@ -264,11 +219,10 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
         space = build_space(tri, degree)
         for name, target in targets.items():
             plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6, rtol=rtol)
-            global_sq, _ = global_best_error(target, plan, space, coeff, gauge="meanzero")
-            elements = [
-                (k, local_element_error(target, plan, coeff, k, degree).error_sq)
-                for k in range(tri.n_elements)
-            ]
+            tables = element_tables(target, plan, space)
+            global_sq, _ = global_best_error(tables, coeff, "meanzero")
+            elements = [(k, local_element_error(tables, coeff, k))
+                        for k in range(tri.n_elements)]
             itp = quasi_interpolate(target, space, coeff, plan)
             interp_sq = interpolation_error_sq(target, itp, coeff, plan)
             reports.append(LocalizationReport(
@@ -301,13 +255,12 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
         space = build_space(tri, degree)
         for name, target in targets.items():
             plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6, rtol=rtol)
-            for beta in beta_values:
-                rd = reaction_diffusion_errors(target, plan, space, coeff, beta,
-                                               gauge="meanzero")
-                grad_sum = float(sum(rd["element_gradient_locals"]))
-                pair_sum = float(sum(rd["pair_l2_locals"]))
+            rd = reaction_diffusion_errors(element_tables(target, plan, space), coeff,
+                                           beta_values)
+            grad_sum = float(sum(rd["element_gradient_locals"]))
+            pair_sum = float(sum(rd["pair_l2_locals"]))
+            for beta, combined in zip(beta_values, rd["combined_global_sq"]):
                 localized = grad_sum + beta * pair_sum
-                combined = rd["combined_global_sq"]
                 split_floor = rd["gradient_global_sq"] + beta * rd["l2_global_sq"]
                 reports.append(LocalizationReport(
                     global_error_sq=combined,
@@ -346,7 +299,7 @@ def estimate_inequality_constants(refine_levels: int = 4, degree: int = 1) -> di
         # nodal and dual-basis scalings on element 0
         k = 0
         area = float(tri.areas[k])
-        M = element_mass(space, k)
+        M = element_mass_matrix(space, k)
         D = element_dual_basis(space, k)
         phi_scale = float(np.sqrt(M[0, 0]) / np.sqrt(area))
         psi_scale = float(np.sqrt((D @ M @ D.T)[0, 0]) * np.sqrt(area))

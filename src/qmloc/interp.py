@@ -2,7 +2,8 @@
 
 ``quasi_interpolate`` assigns skeleton nodes face-dual moments taken on a
 face of the maximal-coefficient element of the node's star, and
-element-interior nodes the value of the per-element best polynomial fit.
+element-interior nodes the value of the per-element best polynomial fit
+(a one-element Ritz solve, its constant matched to the element mean).
 ``l2_quasi_interpolate`` assigns every node an element-dual moment on the
 maximal-coefficient element.  Both reproduce members of the space and are
 robust with respect to the coefficient contrast.
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestapprox import energy_norm_sq, l2_norm_sq, local_element_error
+from .bestapprox import (element_tables, energy_norm_sq, l2_norm_sq,
+                         local_element_error, ritz)
 from .coeff import Coefficient, build_omega_hat, select_fz, select_kmax_of_node
 from .errors import QuadratureFailure
 from .fespace import (LagrangeSpace, element_dual_basis, eval_basis, face_dual_basis)
@@ -95,6 +97,16 @@ def _edge_moment_values(space: LagrangeSpace, target, e: int):
     return dict(zip(ids, vals))
 
 
+def _element_fit(tables, coeff: Coefficient, k: int) -> dict:
+    """Node values of the best P_degree(K) fit of u in the energy on K, with
+    its constant shifted so the fit and u share the element mean."""
+    _, nodes, x = ritz(tables, coeff.values, region=[k])
+    local = x[np.searchsorted(nodes, tables.space.element_nodes[k])]
+    fit_mass = float(local @ tables.mass[k].sum(axis=1))
+    shift = (float(tables.value_moments[k].sum()) - fit_mass) / float(tables.space.tri.areas[k])
+    return dict(zip(nodes.tolist(), x + shift))
+
+
 def quasi_interpolate(target, space: LagrangeSpace, coeff: Coefficient,
                       plan: QuadraturePlan) -> InterpolantResult:
     """Skeleton nodes: face-dual moments on a face of the star's maximal
@@ -105,7 +117,9 @@ def quasi_interpolate(target, space: LagrangeSpace, coeff: Coefficient,
     prov = [None] * n
     sel = [None] * n
     edge_cache: dict[int, dict] = {}
-    fit_cache: dict[int, object] = {}
+    fit_cache: dict[int, dict] = {}
+    # element-interior nodes exist from degree 3 on
+    tables = element_tables(target, plan, space) if space.degree >= 3 else None
     for z in range(n):
         if space.dirichlet[z]:
             prov[z] = "boundary-zero"
@@ -115,10 +129,8 @@ def quasi_interpolate(target, space: LagrangeSpace, coeff: Coefficient,
         if kind == "interior":
             k = int(space.node_entity[z])
             if k not in fit_cache:
-                fit_cache[k] = local_element_error(
-                    target, plan, coeff, k, space.degree, mean_match=True
-                )
-            x[z] = float(fit_cache[k](space.nodes[z][None, :])[0])
+                fit_cache[k] = _element_fit(tables, coeff, k)
+            x[z] = fit_cache[k][z]
             prov[z] = "interior-best-fit"
             sel[z] = ("element", k)
         else:
@@ -190,10 +202,8 @@ def operator_report(target, space: LagrangeSpace, coeff: Coefficient,
     tri = space.tri
     if which == "skeleton":
         itp = quasi_interpolate(target, space, coeff, plan)
-        locals_sq = [
-            local_element_error(target, plan, coeff, k, space.degree).error_sq
-            for k in range(tri.n_elements)
-        ]
+        tables = element_tables(target, plan, space)
+        locals_sq = [local_element_error(tables, coeff, k) for k in range(tri.n_elements)]
         per_element = []
         for k in range(tri.n_elements):
             err_k = interpolation_error_sq(target, itp, coeff, plan, region=[k])

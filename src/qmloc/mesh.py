@@ -213,16 +213,6 @@ def shape_parameter(tri: Triangulation) -> float:
     return tri.shape_parameter
 
 
-def adjacent_elements(tri: Triangulation, k: int):
-    """Elements sharing a mesh edge (codimension-1 face) with K."""
-    out = []
-    for e in tri.triangle_edges[k]:
-        for other in tri.edge_elements[int(e)]:
-            if other != k:
-                out.append(other)
-    return tuple(sorted(out))
-
-
 def uniform_refine(tri: Triangulation) -> Triangulation:
     """Red refinement: each triangle into 4 similar children via edge midpoints.
 

@@ -218,20 +218,6 @@ class QuadraturePlan:
     def element_rule(self, k: int):
         return self.points[k], self.weights[k]
 
-    def to_json_dict(self):
-        return {
-            "exactness": self.exactness,
-            "rtol": self.rtol,
-            "elements": [
-                {
-                    "kind": "polar" if k in self.singular_elements else "plain",
-                    "points": self.points[k].tolist(),
-                    "weights": self.weights[k].tolist(),
-                }
-                for k in range(self.tri.n_elements)
-            ],
-        }
-
 
 def _point_in_triangle(v0, v1, v2, p, tol):
     B = np.column_stack([v1 - v0, v2 - v0])

@@ -1,0 +1,122 @@
+"""Per-element loop references for the element tables and the Ritz kernel.
+
+These are the plain loops that the batched tables and the one kernel
+replace: each element matrix from its own quadrature, each right-hand side
+from the target's plan, a dense regional Ritz solve, and the scaled-monomial
+best fit on a single element.  Tests compare the fast path against them.
+"""
+import numpy as np
+
+from qmloc.fespace import element_affine, element_mass_matrix, eval_basis, reference_basis
+from qmloc.quadrature import reference_triangle_rule
+
+
+def element_stiffness(space, k):
+    pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
+    _, B = element_affine(space.tri, k)
+    Binv = np.linalg.inv(B)
+    detB = abs(np.linalg.det(B))
+    _, gref = reference_basis(space.degree, pts_ref)
+    g = gref @ Binv  # (nq, nloc, 2)
+    return np.einsum("q,qid,qjd->ij", w_ref * detB, g, g)
+
+
+def assemble(space, weights, beta=0.0, region=None):
+    """Dense sum_K weights_K * stiffness_K + beta * mass_K over a region."""
+    region = range(space.tri.n_elements) if region is None else sorted(region)
+    A = np.zeros((space.n_nodes, space.n_nodes))
+    for k in region:
+        ids = space.element_nodes[k]
+        A[np.ix_(ids, ids)] += (weights[k] * element_stiffness(space, k)
+                                + beta * element_mass_matrix(space, k))
+    return A
+
+
+def energy_rhs(space, weights, target, plan, region=None):
+    """b_i = int a grad(u) . grad(phi_i), via the target's quadrature plan."""
+    region = range(space.tri.n_elements) if region is None else sorted(region)
+    b = np.zeros(space.n_nodes)
+    for k in region:
+        pts, wts = plan.element_rule(k)
+        gu = target.gradient(pts)
+        _, gphi = eval_basis(space, k, pts)
+        np.add.at(b, space.element_nodes[k],
+                  weights[k] * np.einsum("q,qd,qid->i", wts, gu, gphi))
+    return b
+
+
+def mass_rhs(space, target, plan, region=None):
+    """b_i = int u phi_i."""
+    region = range(space.tri.n_elements) if region is None else sorted(region)
+    b = np.zeros(space.n_nodes)
+    for k in region:
+        pts, wts = plan.element_rule(k)
+        u = target.value(pts)
+        vphi, _ = eval_basis(space, k, pts)
+        np.add.at(b, space.element_nodes[k], np.einsum("q,qi->i", wts * u, vphi))
+    return b
+
+
+def dense_ritz_error(space, weights, target, plan, region=None, fixed=None, beta=0.0):
+    """Ritz error from dense loop assembly: the nodes of `region` minus the
+    `fixed` ones are free, and the first node is pinned when none is fixed
+    and beta = 0.  Returns (error_sq, full coefficient vector)."""
+    elems = range(space.tri.n_elements) if region is None else sorted(region)
+    ids = sorted({int(g) for k in elems for g in space.element_nodes[k]})
+    A = assemble(space, weights, beta, elems)
+    b = energy_rhs(space, weights, target, plan, elems)
+    if beta:
+        b = b + beta * mass_rhs(space, target, plan, elems)
+    free = np.zeros(space.n_nodes, dtype=bool)
+    free[ids] = True
+    if fixed is not None:
+        free &= ~fixed
+    if free[ids].all() and beta == 0.0:
+        free[ids[0]] = False
+    x = np.zeros(space.n_nodes)
+    x[free] = np.linalg.solve(A[np.ix_(free, free)], b[free])
+    uu = 0.0
+    for k in elems:
+        pts, wts = plan.element_rule(k)
+        gu, u = target.gradient(pts), target.value(pts)
+        uu += (weights[k] * float(wts @ np.einsum("qd,qd->q", gu, gu))
+               + beta * float(wts @ (u * u)))
+    return uu - float(b[free] @ x[free]), x
+
+
+def monomial_element_fit(target, plan, k, degree):
+    """min over P_degree(K) of ||grad(u - P)||^2_K in scaled monomials about
+    the centroid, the constant matched to the element mean of u.
+
+    Returns (error_sq, fit) with fit evaluable at (n, 2) points.
+    """
+    tri = plan.tri
+    pts, wts = plan.element_rule(k)
+    center = tri.vertices[tri.triangles[k]].mean(axis=0)
+    h = float(tri.diameters[k])
+    expo = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+
+    def basis(p):
+        xi = (np.atleast_2d(p) - center) / h
+        v = np.stack([xi[:, 0] ** a * xi[:, 1] ** b for a, b in expo], axis=1)
+        gx = np.stack([(a / h) * xi[:, 0] ** max(a - 1, 0) * xi[:, 1] ** b
+                       for a, b in expo], axis=1)
+        gy = np.stack([(b / h) * xi[:, 0] ** a * xi[:, 1] ** max(b - 1, 0)
+                       for a, b in expo], axis=1)
+        return v, np.stack([gx, gy], axis=-1)
+
+    vals, grads = basis(pts)
+    g = grads[:, 1:]  # the constant has no gradient
+    gu = target.gradient(pts)
+    G = np.einsum("q,qid,qjd->ij", wts, g, g)
+    rhs = np.einsum("q,qd,qid->i", wts, gu, g)
+    c = np.linalg.solve(G, rhs)
+    err = float(wts @ np.einsum("qd,qd->q", gu, gu)) - float(rhs @ c)
+    area = float(tri.areas[k])
+    c0 = (float(wts @ target.value(pts)) - float(wts @ (vals[:, 1:] @ c))) / area
+    coeffs = np.concatenate([[c0], c])
+
+    def fit(p):
+        return basis(p)[0] @ coeffs
+
+    return max(err, 0.0), fit

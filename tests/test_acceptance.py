@@ -8,9 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from qmloc.bestapprox import (assemble_stiffness, energy_norm_sq, energy_rhs,
-                              global_best_error, local_element_error,
-                              local_region_error)
+from qmloc.bestapprox import (element_tables, energy_norm_sq,
+                              global_best_error, local_element_error, ritz)
 from qmloc.coeff import attach_coefficient, check_quasi_monotonicity
 from qmloc.counterexamples import (analytic_energy_reference,
                                    checkerboard_mesh, fig1_meshes,
@@ -30,6 +29,7 @@ from qmloc.mesh import build_triangulation, uniform_refine
 from qmloc.quadrature import (make_quadrature_plan, polar_triangle_rule,
                               radial_rule)
 
+from ritz_reference import assemble, dense_ritz_error, energy_rhs
 from test_coeff import brute_force_quasi_monotone
 from test_interp import fe_target
 
@@ -156,8 +156,8 @@ def test_criterion_04_local_best_error_oracle():
         lambda p: np.column_stack([2 * p[:, 0], np.zeros(len(p))]),
     )
     plan = make_quadrature_plan(tri, target, exactness=10)
-    fit = local_element_error(target, plan, coeff, 0, 1)
-    assert abs(fit.error_sq - 1.0 / 9.0) < 1e-10
+    tables = element_tables(target, plan, build_space(tri, 1))
+    assert abs(local_element_error(tables, coeff, 0) - 1.0 / 9.0) < 1e-10
 
     tri = square_mesh()  # 8 elements
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
@@ -171,19 +171,19 @@ def test_criterion_04_local_best_error_oracle():
     for ell in (1, 2):
         space = build_space(tri, ell, dirichlet_on_boundary=True)
         plan = make_quadrature_plan(tri, target, exactness=12)
-        err, _ = global_best_error(target, plan, space, coeff, gauge="dirichlet")
-        A = assemble_stiffness(space, coeff).toarray()
-        b = energy_rhs(space, coeff, target, plan)
+        tables = element_tables(target, plan, space)
+        err, _ = global_best_error(tables, coeff, gauge="dirichlet")
+        A = assemble(space, coeff.values)
+        b = energy_rhs(space, coeff.values, target, plan)
         free = ~space.dirichlet
         x = np.linalg.solve(A[np.ix_(free, free)], b[free])
         dense = energy_norm_sq(target, coeff, plan) - b[free] @ x
         assert abs(err - dense) < 1e-8 * max(1.0, dense)
         for k in range(tri.n_elements):
             region = [k, (k + 1) % tri.n_elements]
-            r1 = local_region_error(target, plan, space, coeff, region)
+            r1 = ritz(tables, coeff.values, region=region)[0]
             # dense reference: same constrained minimization assembled densely
-            r2 = local_region_error(target, plan, space, coeff, region,
-                                    boundary="none")
+            r2, _ = dense_ritz_error(space, coeff.values, target, plan, region)
             assert abs(r1 - r2) < 1e-8 * max(1.0, r1)
     _log(4, "x^2 best error = 1/9 on the reference triangle; all Ritz "
             "energies match dense solves to 1e-8")
@@ -195,7 +195,8 @@ def test_criterion_05_zero_ritz_symmetry():
         target = hexagon_target(eps)
         space = build_space(tri, 1, dirichlet_on_boundary=True)
         plan = make_quadrature_plan(tri, target)
-        err, x = global_best_error(target, plan, space, coeff, gauge="dirichlet")
+        err, x = global_best_error(element_tables(target, plan, space), coeff,
+                                   gauge="dirichlet")
         assert np.max(np.abs(x)) <= 1e-8
         uu = energy_norm_sq(target, coeff, plan)
         assert abs(err - uu) < 1e-6 * uu

@@ -1,21 +1,28 @@
-"""Best-approximation errors: local, regional, global, and combined norms."""
+"""Best-approximation errors: element tables, the Ritz kernel, and the
+local, regional, global and combined-norm errors built on them."""
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmloc.bestapprox import (LocalizationReport, SpdSystem, assemble_mass,
-                              assemble_stiffness, element_stiffness,
-                              energy_norm_sq, energy_rhs, global_best_error,
-                              l2_norm_sq, local_element_error,
-                              local_region_error, pair_l2_error,
-                              reaction_diffusion_errors, solve_spd)
+from qmloc.bestapprox import (LocalizationReport, SpdSystem, element_tables,
+                              energy_norm_sq, global_best_error, l2_norm_sq,
+                              local_element_error, reaction_diffusion_errors,
+                              ritz, solve_spd)
 from qmloc.coeff import attach_coefficient
-from qmloc.fespace import build_space
+from qmloc.counterexamples import hexagon_mesh, hexagon_target
+from qmloc.errors import SolverFailure
+from qmloc.fespace import build_space, element_mass_matrix
 from qmloc.fields import smooth_target
+from qmloc.interp import _element_fit
 from qmloc.mesh import build_triangulation, uniform_refine
 from qmloc.quadrature import make_quadrature_plan
+
+from ritz_reference import (assemble, dense_ritz_error, element_stiffness,
+                            energy_rhs, mass_rhs, monomial_element_fit)
 
 
 def reference_element():
@@ -39,11 +46,26 @@ def quadratic_target():
     )
 
 
+def sine_target():
+    return smooth_target(
+        lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
+        lambda p: np.pi * np.column_stack([
+            np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
+            np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]),
+        ]),
+    )
+
+
+def tables_of(target, tri, degree, exactness, dirichlet=False):
+    plan = make_quadrature_plan(tri, target, exactness=exactness)
+    space = build_space(tri, degree, dirichlet_on_boundary=dirichlet)
+    return element_tables(target, plan, space), plan, space
+
+
 def test_element_error_x_squared():
     tri, coeff = reference_element()
-    plan = make_quadrature_plan(tri, quadratic_target(), exactness=10)
-    fit = local_element_error(quadratic_target(), plan, coeff, 0, degree=1)
-    assert abs(fit.error_sq - 1.0 / 9.0) < 1e-10
+    tables, _, _ = tables_of(quadratic_target(), tri, 1, 10)
+    assert abs(local_element_error(tables, coeff, 0) - 1.0 / 9.0) < 1e-10
 
 
 def test_element_error_x2_plus_y2():
@@ -52,9 +74,8 @@ def test_element_error_x2_plus_y2():
         lambda p: p[:, 0] ** 2 + p[:, 1] ** 2,
         lambda p: 2.0 * p,
     )
-    plan = make_quadrature_plan(tri, target, exactness=10)
-    fit = local_element_error(target, plan, coeff, 0, degree=1)
-    assert abs(fit.error_sq - 2.0 / 9.0) < 1e-10
+    tables, _, _ = tables_of(target, tri, 1, 10)
+    assert abs(local_element_error(tables, coeff, 0) - 2.0 / 9.0) < 1e-10
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -77,39 +98,32 @@ def test_polynomial_targets_have_zero_error(ell):
     tri = square_mesh()
     coeff = attach_coefficient(tri, 1.0 + np.arange(tri.n_elements))
     target = smooth_target(value, gradient)
-    plan = make_quadrature_plan(tri, target, exactness=2 * ell + 2)
-    space = build_space(tri, ell)
+    tables, _, space = tables_of(target, tri, ell, 2 * ell + 2)
     for k in range(tri.n_elements):
-        assert local_element_error(target, plan, coeff, k, ell).error_sq < 1e-10
-    assert local_region_error(target, plan, space, coeff, range(tri.n_elements)) < 1e-10
-    err, _ = global_best_error(target, plan, space, coeff, gauge="meanzero")
+        assert local_element_error(tables, coeff, k) < 1e-10
+    assert ritz(tables, coeff.values, region=range(tri.n_elements))[0] < 1e-10
+    err, x = global_best_error(tables, coeff, gauge="meanzero")
     assert err < 1e-10
+    # the mean-zero shift makes the projection of a member the member itself
+    assert np.max(np.abs(x - value(space.nodes))) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
 def test_global_error_matches_dense_brute_force():
     tri = square_mesh()
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
-    target = smooth_target(
-        lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-        lambda p: np.pi * np.column_stack([
-            np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-            np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]),
-        ]),
-    )
+    target = sine_target()
     for ell in (1, 2):
-        space = build_space(tri, ell, dirichlet_on_boundary=True)
-        plan = make_quadrature_plan(tri, target, exactness=12)
-        err, _ = global_best_error(target, plan, space, coeff, gauge="dirichlet")
-        A = assemble_stiffness(space, coeff).toarray()
-        b = energy_rhs(space, coeff, target, plan)
+        tables, plan, space = tables_of(target, tri, ell, 12, dirichlet=True)
+        err, _ = global_best_error(tables, coeff, gauge="dirichlet")
+        A = assemble(space, coeff.values)
+        b = energy_rhs(space, coeff.values, target, plan)
         free = ~space.dirichlet
         x = np.linalg.solve(A[np.ix_(free, free)], b[free])
         dense_err = energy_norm_sq(target, coeff, plan) - b[free] @ x
         assert abs(err - dense_err) < 1e-8 * max(1.0, dense_err)
         # the constrained regional solve over the whole mesh is the same problem
-        region_err = local_region_error(
-            target, plan, space, coeff, range(tri.n_elements), boundary="dirichlet"
-        )
+        region_err = ritz(tables, coeff.values, region=range(tri.n_elements),
+                          fixed=space.dirichlet)[0]
         assert abs(region_err - err) < 1e-8 * max(1.0, err)
 
 
@@ -118,7 +132,7 @@ def test_solver_matches_dense_on_random_spd():
     B = rng.standard_normal((50, 50))
     A = B @ B.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
-    x = solve_spd(SpdSystem(matrix=sp.csr_matrix(A), rhs=b, gauge=None), rtol=1e-14)
+    x = solve_spd(SpdSystem(matrix=sp.csr_matrix(A), rhs=b), rtol=1e-14)
     assert np.linalg.norm(x - np.linalg.solve(A, b)) < 1e-10 * np.linalg.norm(b)
 
 
@@ -126,15 +140,13 @@ def test_coefficient_scale_equivariance():
     tri = square_mesh()
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
     scaled = attach_coefficient(tri, 13.0 * coeff.values)
-    target = quadratic_target()
-    plan = make_quadrature_plan(tri, target, exactness=10)
-    space = build_space(tri, 1)
-    e1, _ = global_best_error(target, plan, space, coeff, gauge="meanzero")
-    e2, _ = global_best_error(target, plan, space, scaled, gauge="meanzero")
+    tables, _, _ = tables_of(quadratic_target(), tri, 1, 10)
+    e1, _ = global_best_error(tables, coeff, gauge="meanzero")
+    e2, _ = global_best_error(tables, scaled, gauge="meanzero")
     assert abs(e2 - 13.0 * e1) < 1e-10 * max(1.0, e2)
     for k in range(tri.n_elements):
-        f1 = local_element_error(target, plan, coeff, k, 1).error_sq
-        f2 = local_element_error(target, plan, scaled, k, 1).error_sq
+        f1 = local_element_error(tables, coeff, k)
+        f2 = local_element_error(tables, scaled, k)
         assert abs(f2 - 13.0 * f1) < 1e-12
 
 
@@ -146,22 +158,21 @@ def test_element_sum_is_lower_bound():
         lambda p: np.column_stack([np.exp(p[:, 0] + 0.5 * p[:, 1]),
                                    0.5 * np.exp(p[:, 0] + 0.5 * p[:, 1])]),
     )
-    plan = make_quadrature_plan(tri, target, exactness=12)
-    space = build_space(tri, 2)
-    err, _ = global_best_error(target, plan, space, coeff, gauge="meanzero")
-    total = sum(local_element_error(target, plan, coeff, k, 2).error_sq
-                for k in range(tri.n_elements))
+    tables, _, _ = tables_of(target, tri, 2, 12)
+    err, _ = global_best_error(tables, coeff, gauge="meanzero")
+    total = sum(local_element_error(tables, coeff, k) for k in range(tri.n_elements))
     assert total <= err + 1e-12
 
 
 def test_best_fit_matches_element_mean():
     tri, coeff = reference_element()
     target = quadratic_target()
-    plan = make_quadrature_plan(tri, target, exactness=10)
-    fit = local_element_error(target, plan, coeff, 0, 1, mean_match=True)
+    tables, plan, space = tables_of(target, tri, 1, 10)
+    fit = _element_fit(tables, coeff, 0)
+    values = np.array([fit[int(g)] for g in space.element_nodes[0]])
     pts, wts = plan.element_rule(0)
     mean_u = wts @ target.value(pts) / tri.areas[0]
-    mean_p = wts @ fit(pts) / tri.areas[0]
+    mean_p = values @ element_mass_matrix(space, 0).sum(axis=1) / tri.areas[0]
     assert abs(mean_u - mean_p) < 1e-12
 
 
@@ -171,37 +182,28 @@ def test_pair_error_zero_for_member_of_space():
         lambda p: 2.0 * p[:, 0] - p[:, 1] + 0.5,
         lambda p: np.broadcast_to([2.0, -1.0], (len(p), 2)).copy(),
     )
-    plan = make_quadrature_plan(tri, target, exactness=8)
-    space = build_space(tri, 1)
+    tables, _, _ = tables_of(target, tri, 1, 8)
+    zero = np.zeros(tri.n_elements)
     for e in tri.interior_edges():
-        assert pair_l2_error(target, plan, space, e) < 1e-12
+        assert ritz(tables, zero, 1.0, region=tri.edge_elements[e])[0] < 1e-12
 
 
 def test_reaction_diffusion_consistency():
     tri = square_mesh()
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
-    target = smooth_target(
-        lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-        lambda p: np.pi * np.column_stack([
-            np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-            np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1]),
-        ]),
-    )
-    plan = make_quadrature_plan(tri, target, exactness=12)
-    space = build_space(tri, 1)
-    zero = reaction_diffusion_errors(target, plan, space, coeff, beta=0.0)
-    assert zero["combined_global_sq"] == zero["gradient_global_sq"]
-    for beta in (1e-4, 1.0, 1e4):
-        out = reaction_diffusion_errors(target, plan, space, coeff, beta=beta)
-        combined = out["combined_global_sq"]
+    tables, _, _ = tables_of(sine_target(), tri, 1, 12)
+    betas = (0.0, 1e-4, 1.0, 1e4)
+    out = reaction_diffusion_errors(tables, coeff, betas)
+    assert out["combined_global_sq"][0] == out["gradient_global_sq"]
+    for beta, combined in zip(betas, out["combined_global_sq"]):
         # splitting lower bound: the combined minimum dominates the sum of
         # the separately minimized gradient and L2 parts
         floor = out["gradient_global_sq"] + beta * out["l2_global_sq"]
         assert combined >= floor - 1e-10 * combined
-        assert len(out["element_gradient_locals"]) == tri.n_elements
-        assert len(out["pair_l2_locals"]) == len(tri.interior_edges())
+    assert len(out["element_gradient_locals"]) == tri.n_elements
+    assert len(out["pair_l2_locals"]) == len(tri.interior_edges())
     with pytest.raises(ValueError):
-        reaction_diffusion_errors(target, plan, space, coeff, beta=-1.0)
+        reaction_diffusion_errors(tables, coeff, (1.0, -1.0))
 
 
 def test_localization_report_serializes():
@@ -214,3 +216,119 @@ def test_localization_report_serializes():
     assert d["sums"]["element"] == 1.0
     assert d["ratios"]["element"] == 2.0
     json.dumps(d)  # must be serializable as-is
+
+
+# ---------------------------------------------------------------------------
+# the batched tables and the kernel against the per-element loops
+
+
+def _rel(a, b):
+    return np.max(np.abs(np.asarray(a) - np.asarray(b))) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("case,degree", [("hexagon", 1), ("hexagon", 2), ("smooth", 3)])
+def test_tables_match_element_loops(case, degree):
+    if case == "hexagon":
+        tri, _ = hexagon_mesh(0.1)
+        target = hexagon_target(0.1)
+        plan = make_quadrature_plan(tri, target)  # polar rules at the center
+        assert plan.singular_elements
+    else:
+        tri = square_mesh()
+        target = sine_target()
+        plan = make_quadrature_plan(tri, target, exactness=2 * degree + 4)
+    space = build_space(tri, degree)
+    tables = element_tables(target, plan, space)
+    ones = attach_coefficient(tri, np.ones(tri.n_elements))
+    n = tri.n_elements
+    assert _rel(tables.stiffness, [element_stiffness(space, k) for k in range(n)]) < 1e-12
+    assert _rel(tables.mass, [element_mass_matrix(space, k) for k in range(n)]) < 1e-12
+    nodes = space.element_nodes.ravel()
+    b_grad = np.bincount(nodes, tables.grad_moments.ravel(), minlength=space.n_nodes)
+    b_mass = np.bincount(nodes, tables.value_moments.ravel(), minlength=space.n_nodes)
+    assert _rel(b_grad, energy_rhs(space, ones.values, target, plan)) < 1e-12
+    assert _rel(b_mass, mass_rhs(space, target, plan)) < 1e-12
+    assert _rel(tables.grad_sq,
+                [energy_norm_sq(target, ones, plan, [k]) for k in range(n)]) < 1e-12
+    assert _rel(tables.value_sq, [l2_norm_sq(target, plan, [k]) for k in range(n)]) < 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_ritz_element_matches_monomial_fit(degree):
+    tri = square_mesh()
+    coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
+    target = sine_target()
+    tables, plan, space = tables_of(target, tri, degree, 12)
+    for k in range(tri.n_elements):
+        err, fit = monomial_element_fit(target, plan, k, degree)
+        assert abs(local_element_error(tables, coeff, k) - coeff.values[k] * err) < 1e-10
+        ids = space.element_nodes[k]
+        values = np.array([_element_fit(tables, coeff, k)[int(g)] for g in ids])
+        assert np.max(np.abs(values - fit(space.nodes[ids]))) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "pinned", "reaction", "star"])
+def test_ritz_matches_dense_solve(kind):
+    tri = square_mesh()
+    coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
+    target = sine_target()
+    tables, plan, space = tables_of(target, tri, 2, 12, dirichlet=(kind == "dirichlet"))
+    fixed = space.dirichlet if kind == "dirichlet" else None
+    beta = 1.0 if kind == "reaction" else 0.0
+    region = tri.vertex_elements[4] if kind == "star" else None
+    err, nodes, x = ritz(tables, coeff.values, beta, region=region, fixed=fixed)
+    dense_err, dense_x = dense_ritz_error(space, coeff.values, target, plan,
+                                          region=region, fixed=fixed, beta=beta)
+    assert abs(err - dense_err) < 1e-10 * max(1.0, dense_err)
+    assert np.max(np.abs(x - dense_x[nodes])) < 1e-8 * max(1.0, np.max(np.abs(dense_x)))
+
+
+def test_singular_local_solve_raises_solver_failure():
+    tri, _ = reference_element()
+    tables, _, _ = tables_of(quadratic_target(), tri, 2, 10)
+    with pytest.raises(SolverFailure):
+        ritz(tables, np.zeros(1), region=[0])
+
+
+def _perturbed_grid(n, rng):
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    inner = (verts > 0).all(axis=1) & (verts < 1).all(axis=1)
+    verts[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / n
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            c, d = b + 1, a + 1
+            tris += [(a, b, c), (a, c, d)] if (i + j) % 2 else [(a, b, d), (b, c, d)]
+    return build_triangulation(verts, tris)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), degree=st.sampled_from([1, 2]),
+       scale=st.floats(1e-3, 1e3))
+def test_ritz_properties_on_perturbed_grids(seed, n, degree, scale):
+    rng = np.random.default_rng(seed)
+    tri = _perturbed_grid(n, rng)
+    a = 10.0 ** rng.uniform(-3.0, 3.0, tri.n_elements)
+    target = smooth_target(
+        lambda p: np.sin(2.0 * p[:, 0] + 3.0 * p[:, 1]) + p[:, 0] ** 3,
+        lambda p: np.column_stack([
+            2.0 * np.cos(2.0 * p[:, 0] + 3.0 * p[:, 1]) + 3.0 * p[:, 0] ** 2,
+            3.0 * np.cos(2.0 * p[:, 0] + 3.0 * p[:, 1])]),
+    )
+    tables, _, _ = tables_of(target, tri, degree, 2 * degree + 4)
+    regions = ([[k] for k in range(tri.n_elements)]
+               + [tri.edge_elements[e] for e in tri.interior_edges()]
+               + [tri.vertex_elements[z] for z in range(tri.n_vertices)])
+    for region in regions:
+        assert ritz(tables, a, region=region)[0] >= 0.0
+        assert ritz(tables, np.zeros_like(a), 1.0, region=region)[0] >= 0.0
+    global_sq = ritz(tables, a)[0]
+    elements = sum(ritz(tables, a, region=[k])[0] for k in range(tri.n_elements))
+    assert elements <= global_sq * (1.0 + 1e-10) + 1e-14
+    for region in (None, tri.vertex_elements[n + 2]):
+        base = ritz(tables, a, region=region)[0]
+        scaled = ritz(tables, scale * a, region=region)[0]
+        assert abs(scaled - scale * base) <= 1e-9 * scale * base + 1e-14

@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from qmloc.counterexamples import checkerboard_mesh, fig1_left_pattern, hexagon_mesh
 from qmloc.errors import PointOutsideElement, UnsupportedDegree
-from qmloc.fespace import (build_space, edge_basis_1d, element_dual_basis,
-                           element_mass_matrix, eval_basis, face_dual_basis,
-                           reference_basis)
+from qmloc.fespace import (_lattice, build_space, edge_basis_1d,
+                           element_dual_basis, element_mass_matrix, eval_basis,
+                           face_dual_basis, reference_basis)
 from qmloc.mesh import build_triangulation
 
 V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -139,3 +140,52 @@ def test_dirichlet_mask(tri):
     assert free.sum() == 1
     mid = space.nodes[np.flatnonzero(free)[0]]
     assert np.allclose(mid, [0.5, 0.5])
+
+
+def _rescan_numbering(tri, degree):
+    """Node numbering by canonical keys, with each edge's interior nodes
+    found by rescanning the whole key map: the quadratic reference for
+    build_space.  Returns (nodes, element_nodes, per-edge node tuples)."""
+    multi, _, _ = _lattice(degree)
+    coords, keymap = [], {}
+    elem_nodes = np.empty((tri.n_elements, len(multi)), dtype=np.int64)
+    vertex_node = {}
+    for k, (a, b, c) in enumerate(tri.triangles):
+        gverts = (int(a), int(b), int(c))
+        pts = tri.vertices[list(gverts)]
+        for loc, w in enumerate(multi):
+            nz = [t for t in range(3) if w[t] > 0]
+            if len(nz) == 1:
+                key = ("vertex", gverts[nz[0]])
+            elif len(nz) == 2:
+                eid = int(tri.triangle_edges[k, 3 - nz[0] - nz[1]])
+                lo = nz[0] if gverts[nz[0]] < gverts[nz[1]] else nz[1]
+                key = ("edge", eid, w[lo])
+            else:
+                key = ("interior", k, loc)
+            if key not in keymap:
+                keymap[key] = len(coords)
+                coords.append((w[0] * pts[0] + w[1] * pts[1] + w[2] * pts[2]) / degree)
+                if key[0] == "vertex":
+                    vertex_node[key[1]] = keymap[key]
+            elem_nodes[k, loc] = keymap[key]
+    edges = []
+    for e, (a, b) in enumerate(tri.edges):
+        found = [(key[2], gid) for key, gid in keymap.items()
+                 if key[0] == "edge" and key[1] == e]
+        inner = [gid for _, gid in sorted(found, reverse=True)]
+        edges.append((vertex_node[int(a)], *inner, vertex_node[int(b)]))
+    return np.array(coords), elem_nodes, edges
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+@pytest.mark.parametrize("mesh", ["hexagon", "checkerboard", "fig1-left"])
+def test_numbering_matches_rescan(mesh, degree):
+    tri = {"hexagon": lambda: hexagon_mesh(0.1)[0],
+           "checkerboard": lambda: checkerboard_mesh(2)[0],
+           "fig1-left": lambda: fig1_left_pattern(0.25, refines=2)[0]}[mesh]()
+    space = build_space(tri, degree)
+    nodes, elem_nodes, edges = _rescan_numbering(tri, degree)
+    assert np.array_equal(space.nodes, nodes)
+    assert np.array_equal(space.element_nodes, elem_nodes)
+    assert [space.edge_nodes(e) for e in range(tri.n_edges)] == edges

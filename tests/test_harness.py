@@ -6,18 +6,10 @@ import pytest
 
 import qmloc.harness as harness
 from qmloc.errors import ParameterOutOfRange, RefusesNonQM
-from qmloc.harness import (ExperimentConfig, emit_report,
-                           estimate_inequality_constants, render_report,
-                           run_alpha_robustness, run_hexagon_sweep,
-                           run_reaction_diffusion, run_star_sweep)
-
-
-def test_config_validation():
-    ExperimentConfig("hexagon").validate()
-    with pytest.raises(ParameterOutOfRange):
-        ExperimentConfig("bogus").validate()
-    with pytest.raises(ParameterOutOfRange):
-        ExperimentConfig("hexagon", eps_values=()).validate()
+from qmloc.harness import (emit_report, estimate_inequality_constants,
+                           render_report, run_alpha_robustness,
+                           run_hexagon_sweep, run_reaction_diffusion,
+                           run_star_sweep)
 
 
 def test_quadrature_rtol_env(monkeypatch):
@@ -112,6 +104,15 @@ def test_reaction_diffusion_sweep():
         assert rep.metadata["equivalence_ratio"] > 0
         assert rep.locus_sum("element") > 0
         assert rep.locus_sum("pair") > 0
+
+
+def test_splitting_ratio_at_high_contrast():
+    # the combined system's diagonal spans ~1e11 here; an error read off as
+    # uu - b.x instead of the approximant's energy misses this bound
+    reports = run_reaction_diffusion(alpha_values=(1e-4,), refines=3)
+    assert len(reports) == 9
+    for rep in reports:
+        assert rep.metadata["splitting_ratio"] >= 1.0 - 1e-12, rep.metadata
 
 
 def test_inequality_constants():
