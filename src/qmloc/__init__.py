@@ -9,7 +9,7 @@ counterexample problems, and an experiment harness with a CLI.
 """
 
 from .bestapprox import (LocalizationReport, SpdSystem, element_tables,
-                         global_best_error, local_element_error,
+                         global_best_error, local_element_errors,
                          reaction_diffusion_errors, ritz, solve_spd)
 from .coeff import (Coefficient, MonotonePath, QmReport, attach_coefficient,
                     build_omega_hat, check_quasi_monotonicity,
@@ -41,7 +41,7 @@ __all__ = [
     "element_tables", "emit_report", "estimate_inequality_constants", "fig1_left_pattern",
     "fig1_meshes", "find_monotone_path", "global_best_error", "hexagon_mesh",
     "hexagon_target", "l2_quasi_interpolate", "load_mesh",
-    "local_element_error", "make_quadrature_plan",
+    "local_element_errors", "make_quadrature_plan",
     "operator_report", "quasi_interpolate", "reaction_diffusion_errors", "ritz",
     "run_alpha_robustness", "run_hexagon_sweep", "run_reaction_diffusion",
     "run_star_sweep", "save_mesh", "select_fz", "select_kmax",

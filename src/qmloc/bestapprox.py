@@ -12,8 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coeff import Coefficient
-from .errors import SolverFailure
-from .fespace import LagrangeSpace, eval_basis, reference_basis
+from .errors import PlanMismatch, SolverFailure
+from .fespace import LagrangeSpace, element_basis, reference_basis
 from .quadrature import QuadraturePlan, reference_triangle_rule
 
 
@@ -42,7 +42,14 @@ class ElementTables:
 
 def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> ElementTables:
     """Element matrices from the reference basis and each affine map, and
-    the target's moments from one pass over the plan's nodes."""
+    the target's moments from one pass over the plan's nodes.
+
+    The plan is read in the stacked blocks of `QuadraturePlan.blocks`; each
+    block makes one basis, one gradient and one value evaluation.  Raises
+    PlanMismatch when the plan has another element count and
+    PointOutsideElement when a plan node lies outside its element (a plan
+    built on another mesh).
+    """
     tri = space.tri
     pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
     vals, gref = reference_basis(space.degree, pts_ref)
@@ -57,17 +64,20 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
     mass = det[:, None, None] * ((vals.T * w_ref) @ vals)
 
     nt, nloc = space.element_nodes.shape
+    if len(plan.weights) != nt:
+        raise PlanMismatch(f"plan covers {len(plan.weights)} elements, the space {nt}")
     grad_moments, value_moments = np.empty((nt, nloc)), np.empty((nt, nloc))
     grad_sq, value_sq = np.empty(nt), np.empty(nt)
-    for k in range(nt):
-        pts, wts = plan.element_rule(k)
-        phi, dphi = eval_basis(space, k, pts)
-        gu = target.gradient(pts)
-        u = target.value(pts)
-        grad_moments[k] = np.einsum("q,qd,qid->i", wts, gu, dphi)
-        grad_sq[k] = float(wts @ np.einsum("qd,qd->q", gu, gu))
-        value_moments[k] = (wts * u) @ phi
-        value_sq[k] = float(wts @ (u * u))
+    for ks, pts, wts in plan.blocks():
+        phi, dphi = element_basis(space, ks, pts)
+        flat = pts.reshape(-1, 2)
+        gu = target.gradient(flat).reshape(dphi.shape[0], -1, 2)
+        u = target.value(flat).reshape(wts.shape)
+        w = wts[:, None, :]
+        grad_moments[ks] = np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)
+        grad_sq[ks] = (w @ np.einsum("kqd,kqd->kq", gu, gu)[..., None])[:, 0, 0]
+        value_moments[ks] = ((wts * u)[:, None, :] @ phi)[:, 0]
+        value_sq[ks] = (w @ (u * u)[..., None])[:, 0, 0]
     return ElementTables(space=space, stiffness=stiffness, mass=mass,
                          grad_moments=grad_moments, grad_sq=grad_sq,
                          value_moments=value_moments, value_sq=value_sq)
@@ -211,9 +221,34 @@ def ritz(tables: ElementTables, a, beta: float = 0.0, region=None, fixed=None):
     return max(err, 0.0), nodes, x
 
 
-def local_element_error(tables: ElementTables, coeff: Coefficient, k: int) -> float:
-    """a_K * min over P_degree(K) of ||grad(u - P)||^2_K."""
-    return ritz(tables, coeff.values, region=[k])[0]
+def element_ritz(tables: ElementTables):
+    """Best P_degree(K) fit of u in the energy on every element K.
+
+    One batched solve over the element stiffness blocks, each with its
+    lowest-id node pinned at zero as in `ritz`.  Returns the local
+    coefficients (nt, nloc) of the fits and the unweighted errors
+    int_K |grad(u - fit)|^2 (nt,).
+    """
+    en = tables.space.element_nodes
+    free = np.argsort(en, axis=1)[:, 1:]  # local indices, lowest global id dropped
+    S = np.take_along_axis(np.take_along_axis(tables.stiffness, free[:, :, None], 1),
+                           free[:, None, :], 2)
+    g = np.take_along_axis(tables.grad_moments, free, 1)
+    try:
+        y = np.linalg.solve(S, g[..., None])
+    except np.linalg.LinAlgError as exc:
+        raise SolverFailure("singular element stiffness block") from exc
+    quad = (y.transpose(0, 2, 1) @ S @ y)[:, 0, 0]
+    err = tables.grad_sq - 2.0 * (g[:, None, :] @ y)[:, 0, 0] + quad
+    x = np.zeros(en.shape)
+    np.put_along_axis(x, free, y[..., 0], 1)
+    return x, err
+
+
+def local_element_errors(tables: ElementTables, coeff: Coefficient) -> np.ndarray:
+    """a_K * min over P_degree(K) of ||grad(u - P)||^2_K for every element K,
+    from `element_ritz`; returns an (nt,) array."""
+    return np.maximum(coeff.values * element_ritz(tables)[1], 0.0)
 
 
 def global_best_error(tables: ElementTables, coeff: Coefficient, gauge: str):
@@ -255,9 +290,7 @@ def reaction_diffusion_errors(tables: ElementTables, coeff: Coefficient, betas):
         "combined_global_sq": [ritz(tables, coeff.values, beta)[0] for beta in betas],
         "gradient_global_sq": ritz(tables, coeff.values)[0],
         "l2_global_sq": ritz(tables, zero, 1.0)[0],
-        "element_gradient_locals": [
-            local_element_error(tables, coeff, k) for k in range(tri.n_elements)
-        ],
+        "element_gradient_locals": local_element_errors(tables, coeff).tolist(),
         "pair_l2_locals": [
             ritz(tables, zero, 1.0, region=tri.edge_elements[e])[0]
             for e in tri.interior_edges()

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import PointOutsideElement, SingularMassMatrix, UnsupportedDegree
 from .mesh import Triangulation
-from .quadrature import reference_triangle_rule
+from .quadrature import _leggauss01, reference_triangle_rule
 
 VERTEX, EDGE, INTERIOR = "vertex", "edge", "interior"
 
@@ -178,21 +178,36 @@ def to_reference(tri: Triangulation, k: int, pts):
     return np.atleast_2d(pts - v0) @ np.linalg.inv(B).T
 
 
-def eval_basis(space: LagrangeSpace, k: int, pts, tol: float = 1e-10):
-    """Values and physical gradients of the local nodal basis at pts in K.
+def element_basis(space: LagrangeSpace, ks, pts):
+    """Values and physical gradients of the local nodal bases of the elements
+    ks at stacked points pts (K, n, 2), pts[i] lying in element ks[i].
 
-    Returns (values (n, nloc), gradients (n, nloc, 2)).
+    Returns (values (K, n, nloc), gradients (K, n, nloc, 2)).  Raises
+    PointOutsideElement for a point more than 1e-10 outside its element in
+    reference coordinates.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    v0, B = element_affine(space.tri, k)
+    ks = np.asarray(ks)
+    pts = np.asarray(pts, dtype=float)
+    v = space.tri.vertices[space.tri.triangles[ks]]
+    B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)  # columns
     Binv = np.linalg.inv(B)
-    ref = (pts - v0) @ Binv.T
-    lam0 = 1.0 - ref[:, 0] - ref[:, 1]
-    if np.any(ref < -tol) or np.any(lam0 < -tol):
-        raise PointOutsideElement(f"point outside element {k}")
-    vals, grads_ref = reference_basis(space.degree, ref)
-    grads = grads_ref @ Binv
-    return vals, grads
+    ref = (pts - v[:, :1]) @ Binv.transpose(0, 2, 1)
+    tol = 1e-10
+    outside = (ref < -tol).any(axis=(1, 2)) | ((1.0 - ref[..., 0] - ref[..., 1]) < -tol).any(axis=1)
+    if outside.any():
+        raise PointOutsideElement(f"point outside element {ks[outside][0]}")
+    K, n = pts.shape[:2]
+    vals, grads_ref = reference_basis(space.degree, ref.reshape(-1, 2))
+    nloc = vals.shape[1]
+    grads = (grads_ref.reshape(K, -1, 2) @ Binv).reshape(K, n, nloc, 2)
+    return vals.reshape(K, n, nloc), grads
+
+
+def eval_basis(space: LagrangeSpace, k: int, pts):
+    """`element_basis` of the single element k at pts (n, 2): returns
+    (values (n, nloc), gradients (n, nloc, 2))."""
+    vals, grads = element_basis(space, [k], np.atleast_2d(np.asarray(pts, dtype=float))[None])
+    return vals[0], grads[0]
 
 
 def element_mass_matrix(space: LagrangeSpace, k: int):
@@ -233,6 +248,19 @@ def edge_basis_1d(degree: int, t):
     return V @ C
 
 
+@lru_cache(maxsize=None)
+def _reference_face_dual(degree: int):
+    """Inverse mass matrix of the edge-restricted nodal basis on [0, 1]."""
+    t, wt = _leggauss01(degree + 2)  # exact for degree 2*degree
+    Phi = edge_basis_1d(degree, t)
+    try:
+        D = np.linalg.inv((Phi.T * wt) @ Phi)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise SingularMassMatrix(str(exc)) from exc
+    D.setflags(write=False)
+    return D
+
+
 def face_dual_basis(space: LagrangeSpace, e: int):
     """L2(F)-dual basis on edge e.
 
@@ -242,15 +270,4 @@ def face_dual_basis(space: LagrangeSpace, e: int):
     """
     a, b = space.tri.edges[e]
     L = float(np.linalg.norm(space.tri.vertices[b] - space.tri.vertices[a]))
-    deg = space.degree
-    # Gauss rule exact for degree 2*deg on [0, 1]
-    x, w = np.polynomial.legendre.leggauss(deg + 2)
-    t = 0.5 * (x + 1.0)
-    wt = 0.5 * w
-    Phi = edge_basis_1d(deg, t)
-    M = L * (Phi.T * wt) @ Phi
-    try:
-        D = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularMassMatrix(str(exc)) from exc
-    return space.edge_nodes(e), D
+    return space.edge_nodes(e), _reference_face_dual(space.degree) / L

@@ -9,7 +9,7 @@ import os
 import numpy as np
 
 from .bestapprox import (LocalizationReport, element_tables, global_best_error,
-                         local_element_error, reaction_diffusion_errors, ritz)
+                         local_element_errors, reaction_diffusion_errors, ritz)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_pattern,
@@ -19,7 +19,7 @@ from .fespace import build_space, element_dual_basis, element_mass_matrix
 from .fields import smooth_target
 from .interp import interpolation_error_sq, quasi_interpolate
 from .mesh import Triangulation, build_triangulation, uniform_refine, vertex_patch
-from .quadrature import make_quadrature_plan
+from .quadrature import make_quadrature_plan, plan_key
 
 DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125)
 DEFAULT_N = (2, 4, 8)
@@ -28,9 +28,18 @@ DEFAULT_BETA = (1e-4, 1.0, 1e4)
 
 
 def quadrature_rtol() -> float:
-    """Singular-quadrature tolerance; QMLOC_RTOL overrides the default."""
+    """Singular-quadrature tolerance; QMLOC_RTOL overrides the default and
+    must be a finite float in (0, 1)."""
     raw = os.environ.get("QMLOC_RTOL")
-    return float(raw) if raw else 1e-8
+    if not raw:
+        return 1e-8
+    try:
+        rtol = float(raw)
+    except ValueError:
+        rtol = None
+    if rtol is None or not 0.0 < rtol < 1.0:
+        raise ParameterOutOfRange(f"QMLOC_RTOL={raw!r} is not a finite float in (0, 1)")
+    return rtol
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +86,7 @@ def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
         space = build_space(tri, degree, dirichlet_on_boundary=True)
         tables = element_tables(target, plan, space)
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
-        elements = [(k, local_element_error(tables, coeff, k)) for k in range(tri.n_elements)]
+        elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
         pairs = [
             (e, ritz(tables, coeff.values, region=tri.edge_elements[e],
                      fixed=space.dirichlet)[0])
@@ -194,6 +203,19 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     return reports
 
 
+def _shared_plans(tri: Triangulation, targets: dict, exactness: int, rtol: float) -> dict:
+    """One quadrature plan per target name; targets with equal `plan_key`
+    share a plan."""
+    by_points: dict = {}
+    plans = {}
+    for name, target in targets.items():
+        key = plan_key(target)
+        if key not in by_points:
+            by_points[key] = make_quadrature_plan(tri, target, exactness=exactness, rtol=rtol)
+        plans[name] = by_points[key]
+    return plans
+
+
 def _pattern_mesh(pattern: str, alpha: float, refines: int = 2):
     if pattern == "fig1-left":
         return fig1_left_pattern(alpha, refines=refines)
@@ -217,14 +239,14 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
                 f"witness {qm.witnesses[:1]}"
             )
         space = build_space(tri, degree)
+        plans = _shared_plans(tri, targets, 2 * degree + 6, rtol)
         for name, target in targets.items():
-            plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6, rtol=rtol)
+            plan = plans[name]
             tables = element_tables(target, plan, space)
             global_sq, _ = global_best_error(tables, coeff, "meanzero")
-            elements = [(k, local_element_error(tables, coeff, k))
-                        for k in range(tri.n_elements)]
+            elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
             itp = quasi_interpolate(target, space, coeff, plan)
-            interp_sq = interpolation_error_sq(target, itp, coeff, plan)
+            interp_sq = float(interpolation_error_sq(target, itp, coeff, plan).sum())
             reports.append(LocalizationReport(
                 global_error_sq=global_sq,
                 loci={"element": elements},
@@ -253,9 +275,9 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
         if not qm.quasi_monotone:
             raise RefusesNonQM(f"pattern {pattern!r} at alpha={alpha} is not quasi-monotone")
         space = build_space(tri, degree)
+        plans = _shared_plans(tri, targets, 2 * degree + 6, rtol)
         for name, target in targets.items():
-            plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6, rtol=rtol)
-            rd = reaction_diffusion_errors(element_tables(target, plan, space), coeff,
+            rd = reaction_diffusion_errors(element_tables(target, plans[name], space), coeff,
                                            beta_values)
             grad_sum = float(sum(rd["element_gradient_locals"]))
             pair_sum = float(sum(rd["pair_l2_locals"]))

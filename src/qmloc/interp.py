@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestapprox import (element_tables, energy_norm_sq, l2_norm_sq,
-                         local_element_error, ritz)
+from .bestapprox import (ElementTables, element_ritz, element_tables, energy_norm_sq,
+                         l2_norm_sq, local_element_errors)
 from .coeff import Coefficient, build_omega_hat, select_fz, select_kmax_of_node
-from .errors import QuadratureFailure
-from .fespace import (LagrangeSpace, element_dual_basis, eval_basis, face_dual_basis)
-from .quadrature import QuadraturePlan, radial_rule
+from .errors import PlanMismatch, QuadratureFailure
+from .fespace import (LagrangeSpace, edge_basis_1d, element_basis, element_dual_basis,
+                      eval_basis, face_dual_basis)
+from .quadrature import QuadraturePlan, _leggauss01, radial_rule
 from .mesh import element_patch
 
 _GAUSS_1D = 12
@@ -69,10 +70,8 @@ def _edge_quadrature(space: LagrangeSpace, target, e: int):
                 f"singular point strictly inside edge {e}; refine the mesh instead"
             )
     if sing is None:
-        x, w = np.polynomial.legendre.leggauss(_GAUSS_1D)
-        t = 0.5 * (x + 1.0) * L
-        pts = p0 + np.outer(t / L, p1 - p0)
-        return pts, 0.5 * L * w
+        t, w = _leggauss01(_GAUSS_1D)
+        return p0 + np.outer(t, p1 - p0), L * w
     origin, other, s = sing
     r, w = radial_rule(L, s.exponent, tuple(s.radial_breakpoints))
     pts = origin + np.outer(r / L, other - origin)
@@ -89,22 +88,20 @@ def _edge_moment_values(space: LagrangeSpace, target, e: int):
     p0, p1 = tri.vertices[i], tri.vertices[j]
     L = float(np.linalg.norm(p1 - p0))
     t = np.linalg.norm(pts - p0, axis=1) / L
-    from .fespace import edge_basis_1d
-
     phi = edge_basis_1d(space.degree, t)
     moments = phi.T @ (wts * target.value(pts))  # int u phi_y ds
     vals = D @ moments
     return dict(zip(ids, vals))
 
 
-def _element_fit(tables, coeff: Coefficient, k: int) -> dict:
-    """Node values of the best P_degree(K) fit of u in the energy on K, with
-    its constant shifted so the fit and u share the element mean."""
-    _, nodes, x = ritz(tables, coeff.values, region=[k])
-    local = x[np.searchsorted(nodes, tables.space.element_nodes[k])]
-    fit_mass = float(local @ tables.mass[k].sum(axis=1))
-    shift = (float(tables.value_moments[k].sum()) - fit_mass) / float(tables.space.tri.areas[k])
-    return dict(zip(nodes.tolist(), x + shift))
+def _element_fits(tables: ElementTables) -> np.ndarray:
+    """Local node values (nt, nloc) of the best P_degree(K) fit of u in the
+    energy on every element K, its constant shifted so the fit and u share
+    the element mean."""
+    x, _ = element_ritz(tables)
+    fit_mass = np.einsum("ki,ki->k", x, tables.mass.sum(axis=2))
+    shift = (tables.value_moments.sum(axis=1) - fit_mass) / tables.space.tri.areas
+    return x + shift[:, None]
 
 
 def quasi_interpolate(target, space: LagrangeSpace, coeff: Coefficient,
@@ -117,9 +114,8 @@ def quasi_interpolate(target, space: LagrangeSpace, coeff: Coefficient,
     prov = [None] * n
     sel = [None] * n
     edge_cache: dict[int, dict] = {}
-    fit_cache: dict[int, dict] = {}
     # element-interior nodes exist from degree 3 on
-    tables = element_tables(target, plan, space) if space.degree >= 3 else None
+    fits = _element_fits(element_tables(target, plan, space)) if space.degree >= 3 else None
     for z in range(n):
         if space.dirichlet[z]:
             prov[z] = "boundary-zero"
@@ -128,9 +124,7 @@ def quasi_interpolate(target, space: LagrangeSpace, coeff: Coefficient,
         kind = space.node_kind[z]
         if kind == "interior":
             k = int(space.node_entity[z])
-            if k not in fit_cache:
-                fit_cache[k] = _element_fit(tables, coeff, k)
-            x[z] = fit_cache[k][z]
+            x[z] = fits[k, int(np.flatnonzero(space.element_nodes[k] == z)[0])]
             prov[z] = "interior-best-fit"
             sel[z] = ("element", k)
         else:
@@ -167,16 +161,20 @@ def l2_quasi_interpolate(target, space: LagrangeSpace, coeff: Coefficient,
 
 
 def interpolation_error_sq(target, interp: InterpolantResult, coeff: Coefficient,
-                           plan: QuadraturePlan, region=None) -> float:
-    """||a^(1/2) grad(u - Iu)||^2 over a region (default: whole mesh)."""
-    tri = interp.space.tri
-    region = range(tri.n_elements) if region is None else sorted(region)
-    total = 0.0
-    for k in region:
-        pts, wts = plan.element_rule(k)
-        d = target.gradient(pts) - interp.gradient(k, pts)
-        total += coeff.values[k] * float(wts @ np.einsum("qd,qd->q", d, d))
-    return total
+                           plan: QuadraturePlan) -> np.ndarray:
+    """||a^(1/2) grad(u - Iu)||^2_K for every element K, an (nt,) array, by
+    quadrature of the difference in the stacked blocks of the plan."""
+    space = interp.space
+    nt = space.tri.n_elements
+    if len(plan.weights) != nt:
+        raise PlanMismatch(f"plan covers {len(plan.weights)} elements, the space {nt}")
+    err = np.empty(nt)
+    for ks, pts, wts in plan.blocks():
+        _, dphi = element_basis(space, ks, pts)
+        giu = np.einsum("kqid,ki->kqd", dphi, interp.coefficients[space.element_nodes[ks]])
+        d = target.gradient(pts.reshape(-1, 2)).reshape(giu.shape) - giu
+        err[ks] = (wts[:, None, :] @ np.einsum("kqd,kqd->kq", d, d)[..., None])[:, 0, 0]
+    return coeff.values * err
 
 
 def interpolant_l2_norm_sq(interp: InterpolantResult, plan: QuadraturePlan) -> float:
@@ -203,12 +201,12 @@ def operator_report(target, space: LagrangeSpace, coeff: Coefficient,
     if which == "skeleton":
         itp = quasi_interpolate(target, space, coeff, plan)
         tables = element_tables(target, plan, space)
-        locals_sq = [local_element_error(tables, coeff, k) for k in range(tri.n_elements)]
+        locals_sq = local_element_errors(tables, coeff).tolist()
+        errs = interpolation_error_sq(target, itp, coeff, plan).tolist()
         per_element = []
         for k in range(tri.n_elements):
-            err_k = interpolation_error_sq(target, itp, coeff, plan, region=[k])
             patch_sum = float(sum(locals_sq[kk] for kk in element_patch(tri, k)))
-            per_element.append((err_k, patch_sum))
+            per_element.append((errs[k], patch_sum))
         total_err = float(sum(e for e, _ in per_element))
         total_loc = float(sum(locals_sq))
         ratio = 0.0 if total_err <= 1e-28 else (

@@ -248,20 +248,39 @@ def save_mesh(tri: Triangulation, path, coefficient=None) -> None:
         json.dump(doc, fh)
 
 
+def _numeric(doc: dict, key: str) -> np.ndarray:
+    """The numbers under `key` as an array; ValueError when the entry is
+    missing or holds anything but (nested lists of) numbers."""
+    if key not in doc:
+        raise ValueError(f"mesh file has no {key!r} entry")
+    arr = np.asarray(doc[key])
+    if arr.size and arr.dtype.kind not in "iuf":
+        raise ValueError(f"mesh file entry {key!r} must hold numbers only")
+    return arr
+
+
 def load_mesh(path):
     """Read the mesh JSON schema; returns (Triangulation, coefficient-or-None).
 
-    Rejects NaN/Inf coordinates.
+    Raises ValueError for a document that is not an object, a missing entry,
+    non-numeric or NaN/Inf coordinates, and non-integer vertex ids.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    verts = np.asarray(doc["vertices"], dtype=float)
+    if not isinstance(doc, dict):
+        raise ValueError("mesh file must hold a JSON object")
+    verts = _numeric(doc, "vertices").astype(float)
     if verts.size and not np.all(np.isfinite(verts)):
         raise ValueError("mesh file contains non-finite coordinates")
-    tri = build_triangulation(verts, np.asarray(doc["triangles"], dtype=np.int64))
+    tris = _numeric(doc, "triangles")
+    if tris.dtype.kind == "f" and tris.size:
+        # NaN and +-inf fail both tests; the bound keeps the cast exact
+        if not np.all((tris == np.round(tris)) & (np.abs(tris) < 2.0**63)):
+            raise ValueError("triangle vertex ids must be integers")
+    tri = build_triangulation(verts, tris.astype(np.int64))
     coeff = doc.get("coefficient")
     if coeff is not None:
-        coeff = np.asarray(coeff, dtype=float)
-        if len(coeff) != tri.n_elements:
+        coeff = _numeric(doc, "coefficient").astype(float)
+        if coeff.shape != (tri.n_elements,):
             raise ValueError("coefficient length does not match element count")
     return tri, coeff

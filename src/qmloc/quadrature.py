@@ -218,6 +218,20 @@ class QuadraturePlan:
     def element_rule(self, k: int):
         return self.points[k], self.weights[k]
 
+    def blocks(self, max_nodes: int = 4096):
+        """Elements with equal rule sizes stacked in blocks of at most
+        max_nodes nodes (one element at least): yields (element ids (K,),
+        points (K, n, 2), weights (K, n)).  Larger blocks raise peak memory
+        and gain little."""
+        counts = np.array([len(w) for w in self.weights])
+        for n in np.unique(counts):
+            group = np.flatnonzero(counts == n)
+            per = max(1, max_nodes // int(n))
+            for start in range(0, len(group), per):
+                ks = group[start:start + per]
+                yield (ks, np.stack([self.points[k] for k in ks]),
+                       np.stack([self.weights[k] for k in ks]))
+
 
 def _point_in_triangle(v0, v1, v2, p, tol):
     B = np.column_stack([v1 - v0, v2 - v0])
@@ -225,13 +239,21 @@ def _point_in_triangle(v0, v1, v2, p, tol):
     return xi[0] >= -tol and xi[1] >= -tol and xi[0] + xi[1] <= 1.0 + tol
 
 
+def plan_key(target) -> tuple:
+    """The singular points of `target` (possibly none): all that
+    `make_quadrature_plan` reads from it, so targets with equal keys can
+    share a plan."""
+    return tuple(getattr(target, "singular_points", ()) or ())
+
+
 def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8,
                          rtol: float = _DEFAULT_RTOL) -> QuadraturePlan:
     """Plain rules away from singular points, polar rules where one is present.
 
-    `target` only needs a `singular_points` attribute (possibly empty).
+    `target` only needs a `singular_points` attribute (possibly empty); see
+    `plan_key`.
     """
-    singular = tuple(getattr(target, "singular_points", ()) or ())
+    singular = plan_key(target)
     level_cache = {sp: graded_levels(sp.exponent, rtol=rtol) for sp in set(singular)}
     pts_all, wts_all, polar_ids = [], [], []
     for k in range(tri.n_elements):

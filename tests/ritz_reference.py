@@ -3,7 +3,8 @@
 These are the plain loops that the batched tables and the one kernel
 replace: each element matrix from its own quadrature, each right-hand side
 from the target's plan, a dense regional Ritz solve, and the scaled-monomial
-best fit on a single element.  Tests compare the fast path against them.
+best fit on a single element, and the interpolation error by quadrature of
+grad(u - Iu).  Tests compare the fast path against them.
 """
 import numpy as np
 
@@ -120,3 +121,15 @@ def monomial_element_fit(target, plan, k, degree):
         return basis(p)[0] @ coeffs
 
     return max(err, 0.0), fit
+
+
+def interpolation_error_loop(target, interp, coeff, plan, region=None):
+    """||a^(1/2) grad(u - Iu)||^2 over a region by quadrature of the
+    difference at the plan's nodes, one element at a time."""
+    region = range(interp.space.tri.n_elements) if region is None else sorted(region)
+    total = 0.0
+    for k in region:
+        pts, wts = plan.element_rule(k)
+        d = target.gradient(pts) - interp.gradient(k, pts)
+        total += coeff.values[k] * float(wts @ np.einsum("qd,qd->q", d, d))
+    return total

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qmloc.bestapprox import (element_tables, energy_norm_sq,
-                              global_best_error, local_element_error, ritz)
+                              global_best_error, local_element_errors, ritz)
 from qmloc.coeff import attach_coefficient, check_quasi_monotonicity
 from qmloc.counterexamples import (analytic_energy_reference,
                                    checkerboard_mesh, fig1_meshes,
@@ -157,7 +157,7 @@ def test_criterion_04_local_best_error_oracle():
     )
     plan = make_quadrature_plan(tri, target, exactness=10)
     tables = element_tables(target, plan, build_space(tri, 1))
-    assert abs(local_element_error(tables, coeff, 0) - 1.0 / 9.0) < 1e-10
+    assert abs(local_element_errors(tables, coeff)[0] - 1.0 / 9.0) < 1e-10
 
     tri = square_mesh()  # 8 elements
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from qmloc.bestapprox import (LocalizationReport, SpdSystem, element_tables,
                               energy_norm_sq, global_best_error, l2_norm_sq,
-                              local_element_error, reaction_diffusion_errors,
+                              local_element_errors, reaction_diffusion_errors,
                               ritz, solve_spd)
 from qmloc.coeff import attach_coefficient
-from qmloc.counterexamples import hexagon_mesh, hexagon_target
-from qmloc.errors import SolverFailure
+from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
+                                   fig1_left_pattern, hexagon_mesh, hexagon_target)
+from qmloc.errors import PointOutsideElement, SolverFailure
 from qmloc.fespace import build_space, element_mass_matrix
 from qmloc.fields import smooth_target
-from qmloc.interp import _element_fit
+from qmloc.interp import _element_fits
 from qmloc.mesh import build_triangulation, uniform_refine
 from qmloc.quadrature import make_quadrature_plan
 
@@ -65,7 +66,7 @@ def tables_of(target, tri, degree, exactness, dirichlet=False):
 def test_element_error_x_squared():
     tri, coeff = reference_element()
     tables, _, _ = tables_of(quadratic_target(), tri, 1, 10)
-    assert abs(local_element_error(tables, coeff, 0) - 1.0 / 9.0) < 1e-10
+    assert abs(local_element_errors(tables, coeff)[0] - 1.0 / 9.0) < 1e-10
 
 
 def test_element_error_x2_plus_y2():
@@ -75,7 +76,7 @@ def test_element_error_x2_plus_y2():
         lambda p: 2.0 * p,
     )
     tables, _, _ = tables_of(target, tri, 1, 10)
-    assert abs(local_element_error(tables, coeff, 0) - 2.0 / 9.0) < 1e-10
+    assert abs(local_element_errors(tables, coeff)[0] - 2.0 / 9.0) < 1e-10
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -100,7 +101,7 @@ def test_polynomial_targets_have_zero_error(ell):
     target = smooth_target(value, gradient)
     tables, _, space = tables_of(target, tri, ell, 2 * ell + 2)
     for k in range(tri.n_elements):
-        assert local_element_error(tables, coeff, k) < 1e-10
+        assert local_element_errors(tables, coeff)[k] < 1e-10
     assert ritz(tables, coeff.values, region=range(tri.n_elements))[0] < 1e-10
     err, x = global_best_error(tables, coeff, gauge="meanzero")
     assert err < 1e-10
@@ -145,8 +146,8 @@ def test_coefficient_scale_equivariance():
     e2, _ = global_best_error(tables, scaled, gauge="meanzero")
     assert abs(e2 - 13.0 * e1) < 1e-10 * max(1.0, e2)
     for k in range(tri.n_elements):
-        f1 = local_element_error(tables, coeff, k)
-        f2 = local_element_error(tables, scaled, k)
+        f1 = local_element_errors(tables, coeff)[k]
+        f2 = local_element_errors(tables, scaled)[k]
         assert abs(f2 - 13.0 * f1) < 1e-12
 
 
@@ -160,7 +161,7 @@ def test_element_sum_is_lower_bound():
     )
     tables, _, _ = tables_of(target, tri, 2, 12)
     err, _ = global_best_error(tables, coeff, gauge="meanzero")
-    total = sum(local_element_error(tables, coeff, k) for k in range(tri.n_elements))
+    total = sum(local_element_errors(tables, coeff)[k] for k in range(tri.n_elements))
     assert total <= err + 1e-12
 
 
@@ -168,8 +169,7 @@ def test_best_fit_matches_element_mean():
     tri, coeff = reference_element()
     target = quadratic_target()
     tables, plan, space = tables_of(target, tri, 1, 10)
-    fit = _element_fit(tables, coeff, 0)
-    values = np.array([fit[int(g)] for g in space.element_nodes[0]])
+    values = _element_fits(tables)[0]
     pts, wts = plan.element_rule(0)
     mean_u = wts @ target.value(pts) / tri.areas[0]
     mean_p = values @ element_mass_matrix(space, 0).sum(axis=1) / tri.areas[0]
@@ -226,13 +226,25 @@ def _rel(a, b):
     return np.max(np.abs(np.asarray(a) - np.asarray(b))) / max(np.max(np.abs(b)), 1e-300)
 
 
-@pytest.mark.parametrize("case,degree", [("hexagon", 1), ("hexagon", 2), ("smooth", 3)])
+@pytest.mark.parametrize("case,degree", [("hexagon", 1), ("hexagon", 2), ("smooth", 3),
+                                         ("checkerboard", 1), ("fig1", 1)])
 def test_tables_match_element_loops(case, degree):
     if case == "hexagon":
         tri, _ = hexagon_mesh(0.1)
         target = hexagon_target(0.1)
         plan = make_quadrature_plan(tri, target)  # polar rules at the center
         assert plan.singular_elements
+    elif case == "checkerboard":
+        tri, _ = checkerboard_mesh(2)
+        target = checkerboard_target(2)
+        plan = make_quadrature_plan(tri, target)  # polar and plain elements mix
+        assert 0 < len(plan.singular_elements) < tri.n_elements
+    elif case == "fig1":
+        tri, _ = fig1_left_pattern(1e-4, refines=3)
+        target = sine_target()
+        plan = make_quadrature_plan(tri, target)
+        # a rule size spans several blocks
+        assert sum(1 for _ in plan.blocks()) > len({len(w) for w in plan.weights})
     else:
         tri = square_mesh()
         target = sine_target()
@@ -261,9 +273,9 @@ def test_ritz_element_matches_monomial_fit(degree):
     tables, plan, space = tables_of(target, tri, degree, 12)
     for k in range(tri.n_elements):
         err, fit = monomial_element_fit(target, plan, k, degree)
-        assert abs(local_element_error(tables, coeff, k) - coeff.values[k] * err) < 1e-10
+        assert abs(local_element_errors(tables, coeff)[k] - coeff.values[k] * err) < 1e-10
         ids = space.element_nodes[k]
-        values = np.array([_element_fit(tables, coeff, k)[int(g)] for g in ids])
+        values = _element_fits(tables)[k]
         assert np.max(np.abs(values - fit(space.nodes[ids]))) < 1e-10
 
 
@@ -281,6 +293,25 @@ def test_ritz_matches_dense_solve(kind):
                                           region=region, fixed=fixed, beta=beta)
     assert abs(err - dense_err) < 1e-10 * max(1.0, dense_err)
     assert np.max(np.abs(x - dense_x[nodes])) < 1e-8 * max(1.0, np.max(np.abs(dense_x)))
+
+
+def test_element_tables_reject_a_plan_of_another_mesh():
+    tri = square_mesh()
+    shifted = build_triangulation(tri.vertices + 0.25, tri.triangles)
+    plan = make_quadrature_plan(shifted, sine_target())
+    with pytest.raises(PointOutsideElement):
+        element_tables(sine_target(), plan, build_space(tri, 1))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_local_element_errors_match_ritz(degree):
+    tri = square_mesh()
+    coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
+    tables, _, _ = tables_of(sine_target(), tri, degree, 12)
+    fast = local_element_errors(tables, coeff)
+    assert fast.shape == (tri.n_elements,)
+    slow = [ritz(tables, coeff.values, region=[k])[0] for k in range(tri.n_elements)]
+    assert _rel(fast, slow) < 1e-12
 
 
 def test_singular_local_solve_raises_solver_failure():

@@ -46,6 +46,46 @@ def test_qm_check_requires_coefficient(tmp_path):
     assert main(["qm-check", str(path)]) == EXIT_INVALID
 
 
+def _write_json(tmp_path, doc):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+MESH = {"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]],
+        "coefficient": [1.0]}
+
+
+@pytest.mark.parametrize("key", ["vertices", "triangles"])
+def test_qm_check_missing_entry_is_invalid(tmp_path, capsys, key):
+    doc = {k: v for k, v in MESH.items() if k != key}
+    assert main(["qm-check", _write_json(tmp_path, doc)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+
+
+def test_qm_check_top_level_array_is_invalid(tmp_path, capsys):
+    assert main(["qm-check", _write_json(tmp_path, [MESH])]) == EXIT_INVALID
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_qm_check_non_integer_vertex_id_is_invalid(tmp_path, capsys):
+    doc = dict(MESH, vertices=[[0, 0], [1, 0], [0, 1], [1, 1]],
+               triangles=[[0, 1, 2], [1, 3, 2.5]], coefficient=[1.0, 1.0])
+    assert main(["qm-check", _write_json(tmp_path, doc)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "integer" in err
+
+
+@pytest.mark.parametrize("doc", [
+    dict(MESH, vertices=[[0, 0], [1, "0"], [0, 1]]),  # a string coordinate
+    dict(MESH, coefficient=[[1.0]]),                   # a 2-D coefficient
+])
+def test_qm_check_malformed_entry_is_invalid(tmp_path, capsys, doc):
+    assert main(["qm-check", _write_json(tmp_path, doc)]) == EXIT_INVALID
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_bad_usage_is_invalid(capsys):
     assert main(["no-such-command"]) == EXIT_INVALID
     assert main([]) == EXIT_INVALID

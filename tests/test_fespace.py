@@ -5,7 +5,7 @@ import pytest
 from qmloc.counterexamples import checkerboard_mesh, fig1_left_pattern, hexagon_mesh
 from qmloc.errors import PointOutsideElement, UnsupportedDegree
 from qmloc.fespace import (_lattice, build_space, edge_basis_1d,
-                           element_dual_basis, element_mass_matrix, eval_basis,
+                           element_basis, element_dual_basis, element_mass_matrix, eval_basis,
                            face_dual_basis, reference_basis)
 from qmloc.mesh import build_triangulation
 
@@ -56,6 +56,18 @@ def test_point_outside_element(tri):
     space = build_space(tri, 1)
     with pytest.raises(PointOutsideElement):
         eval_basis(space, 0, np.array([[0.05, 0.9]]))  # belongs to element 1
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_element_basis_stacks_eval_basis(tri, degree):
+    space = build_space(tri, degree)
+    pts = np.stack([space.nodes[space.element_nodes[k]] for k in range(2)])
+    vals, grads = element_basis(space, [0, 1], pts)
+    for k in range(2):
+        v, g = eval_basis(space, k, pts[k])
+        assert np.array_equal(vals[k], v) and np.array_equal(grads[k], g)
+    with pytest.raises(PointOutsideElement, match="element 1"):
+        element_basis(space, [0, 1], pts[[0, 0]])  # row 1 holds the nodes of element 0
 
 
 def test_element_dual_basis_linear(tri):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qmloc.harness as harness
+from qmloc.cli import EXIT_INVALID, main
 from qmloc.errors import ParameterOutOfRange, RefusesNonQM
 from qmloc.harness import (emit_report, estimate_inequality_constants,
                            render_report, run_alpha_robustness,
@@ -19,6 +20,14 @@ def test_quadrature_rtol_env(monkeypatch):
     assert harness.quadrature_rtol() == 1e-6
     monkeypatch.delenv("QMLOC_RTOL")
     assert harness.quadrature_rtol() == default
+
+
+@pytest.mark.parametrize("raw", ["0", "-1e-8", "1", "2.5", "nan", "inf", "abc"])
+def test_quadrature_rtol_rejects_out_of_range(monkeypatch, raw):
+    monkeypatch.setenv("QMLOC_RTOL", raw)
+    with pytest.raises(ParameterOutOfRange):
+        harness.quadrature_rtol()
+    assert main(["hexagon", "--eps", "0.1"]) == EXIT_INVALID
 
 
 def test_hexagon_sweep_structure_and_determinism():

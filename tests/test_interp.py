@@ -12,6 +12,8 @@ from qmloc.interp import (interpolation_error_sq, l2_quasi_interpolate,
 from qmloc.mesh import build_triangulation, uniform_refine
 from qmloc.quadrature import make_quadrature_plan
 
+from ritz_reference import interpolation_error_loop
+
 
 def square_mesh(refines=1):
     tri = build_triangulation(
@@ -201,6 +203,42 @@ def test_skeleton_report_bounds_error_by_patch_sums():
     plan = make_quadrature_plan(tri, target, exactness=12)
     rec = operator_report(target, space, coeff, plan, which="skeleton")
     itp = quasi_interpolate(target, space, coeff, plan)
-    direct = interpolation_error_sq(target, itp, coeff, plan)
+    direct = interpolation_error_loop(target, itp, coeff, plan)
     assert abs(rec["error_sq"] - direct) < 1e-12 * max(1.0, direct)
     assert rec["near_best_ratio"] >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_interpolation_error_matches_quadrature_loop(ell):
+    tri = square_mesh()
+    coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
+    target = smooth_target(
+        lambda p: np.exp(p[:, 0]) * np.sin(2.0 * p[:, 1]),
+        lambda p: np.column_stack([np.exp(p[:, 0]) * np.sin(2.0 * p[:, 1]),
+                                   2.0 * np.exp(p[:, 0]) * np.cos(2.0 * p[:, 1])]),
+    )
+    space = build_space(tri, ell)
+    plan = make_quadrature_plan(tri, target, exactness=2 * ell + 6)
+    for op in (quasi_interpolate, l2_quasi_interpolate):
+        itp = op(target, space, coeff, plan)
+        fast = interpolation_error_sq(target, itp, coeff, plan)
+        loop = np.array([interpolation_error_loop(target, itp, coeff, plan, [k])
+                         for k in range(tri.n_elements)])
+        assert fast.shape == (tri.n_elements,)
+        assert np.max(np.abs(fast - loop) / loop) < 1e-12
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_skeleton_report_of_a_member_is_zero(ell):
+    tri = square_mesh()
+    coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
+    target = smooth_target(
+        lambda p: p[:, 0] ** ell + 3.0 * p[:, 0] * p[:, 1] ** (ell - 1) - 0.3,
+        lambda p: np.column_stack([ell * p[:, 0] ** (ell - 1) + 3.0 * p[:, 1] ** (ell - 1),
+                                   3.0 * (ell - 1) * p[:, 0] * p[:, 1] ** max(ell - 2, 0)]),
+    )
+    space = build_space(tri, ell)
+    plan = make_quadrature_plan(tri, target, exactness=2 * ell + 6)
+    rec = operator_report(target, space, coeff, plan, which="skeleton")
+    # rounding level: the energy of the target is of order one
+    assert rec["error_sq"] < 1e-24
