@@ -217,6 +217,8 @@ def fig1_left_pattern(alpha: float, refines: int = 0) -> tuple[Triangulation, Co
     """
     if not 0.0 < alpha <= 1.0:
         raise ParameterOutOfRange(f"alpha must lie in (0, 1], got {alpha}")
+    if refines < 0:
+        raise ParameterOutOfRange(f"refines must be >= 0, got {refines}")
     if alpha == 1.0:
         tri = build_triangulation(_FIG1_VERTICES, _FIG1_TRIANGLES)
         coeff = attach_coefficient(tri, np.ones(4))

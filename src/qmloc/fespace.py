@@ -2,7 +2,8 @@
 
 Node bookkeeping uses the barycentric lattice: a local node is a multi-index
 (i, j, k) with i+j+k = degree, placed at (i*v0 + j*v1 + k*v2)/degree.  Nodes
-on shared edges are deduplicated across elements via canonical keys.
+shared by elements are numbered once, by integer codes of their vertex,
+edge or element (see `build_space`).
 """
 from __future__ import annotations
 
@@ -93,63 +94,63 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
     """Number the global nodes of the degree-`degree` Lagrange space."""
     if not 1 <= degree <= 4:
         raise UnsupportedDegree(f"degree {degree} not in 1..4")
-    multi, ref, _ = _lattice(degree)
-    nloc = len(multi)
+    multi, _, _ = _lattice(degree)
+    nloc, nt, nv = len(multi), tri.n_elements, tri.n_vertices
+    per_edge = degree - 1
+    tris = tri.triangles
 
-    coords: list[np.ndarray] = []
-    kinds: list[str] = []
-    entities: list[int] = []
-    keymap: dict = {}
-    elem_nodes = np.empty((tri.n_elements, nloc), dtype=np.int64)
-    vertex_nodes = np.full(tri.n_vertices, -1, dtype=np.int64)
-    edge_interior = np.full((tri.n_edges, degree - 1), -1, dtype=np.int64)
+    # one integer code per (element, lattice node): the vertex id; past nv,
+    # per edge its interior nodes by the lattice weight of the lower-id
+    # endpoint; past those, per element its interior nodes
+    codes = np.empty((nt, nloc), dtype=np.int64)
+    kinds = []
+    n_interior = 0
+    for loc, w in enumerate(multi):
+        nz = [t for t in range(3) if w[t] > 0]
+        if len(nz) == 1:
+            codes[:, loc] = tris[:, nz[0]]
+            kinds.append(VERTEX)
+        elif len(nz) == 2:
+            u, v = nz
+            eid = tri.triangle_edges[:, 3 - u - v]  # the edge opposite the zero entry
+            w_lo = np.where(tris[:, u] < tris[:, v], w[u], w[v])
+            codes[:, loc] = nv + eid * per_edge + w_lo - 1
+            kinds.append(EDGE)
+        else:
+            codes[:, loc] = n_interior
+            n_interior += 1
+            kinds.append(INTERIOR)
+    interior = np.array(kinds) == INTERIOR
+    first_interior = nv + tri.n_edges * per_edge
+    codes[:, interior] += first_interior + n_interior * np.arange(nt)[:, None]
 
-    def intern(key, xy, kind, entity):
-        gid = keymap.get(key)
-        if gid is None:
-            gid = len(coords)
-            keymap[key] = gid
-            coords.append(xy)
-            kinds.append(kind)
-            entities.append(entity)
-            if kind == VERTEX:
-                vertex_nodes[entity] = gid
-            elif kind == EDGE:
-                # lower-endpoint weights degree-1 .. 1, walking away from it
-                edge_interior[entity, degree - 1 - key[2]] = gid
-        return gid
+    # global ids by first occurrence in element order
+    uniq, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+    by_first = np.argsort(first, kind="stable")
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[by_first] = np.arange(len(uniq))
+    elem_nodes = rank[inverse].reshape(nt, nloc)
+    code, first = uniq[by_first], first[by_first]
+    k, loc = first // nloc, first % nloc
+    w = np.array(multi)[loc]
+    pts = tri.vertices[tris[k]]
+    nodes = (w[:, :1] * pts[:, 0] + w[:, 1:2] * pts[:, 1] + w[:, 2:] * pts[:, 2]) / degree
 
-    for k, (a, b, c) in enumerate(tri.triangles):
-        gverts = (int(a), int(b), int(c))
-        pts = tri.vertices[list(gverts)]
-        for loc, (i, j, m) in enumerate(multi):
-            w = (i, j, m)
-            xy = (i * pts[0] + j * pts[1] + m * pts[2]) / degree
-            nz = [t for t in range(3) if w[t] > 0]
-            if len(nz) == 1:
-                key = (VERTEX, gverts[nz[0]])
-                gid = intern(key, xy, VERTEX, gverts[nz[0]])
-            elif len(nz) == 2:
-                # node interior to the edge opposite the zero entry
-                zero = 3 - nz[0] - nz[1]
-                eid = int(tri.triangle_edges[k, zero])
-                u, v = nz
-                gu, gv = gverts[u], gverts[v]
-                lo = u if gu < gv else v
-                key = (EDGE, eid, w[lo])  # lattice weight of the lower-id endpoint
-                gid = intern(key, xy, EDGE, eid)
-            else:
-                key = (INTERIOR, k, loc)
-                gid = intern(key, xy, INTERIOR, k)
-            elem_nodes[k, loc] = gid
-
-    nodes = np.array(coords)
-    boundary = np.zeros(len(nodes), dtype=bool)
-    for gid, (kind, ent) in enumerate(zip(kinds, entities)):
-        if kind == VERTEX:
-            boundary[gid] = tri.boundary_vertices[ent]
-        elif kind == EDGE:
-            boundary[gid] = tri.boundary_edges[ent]
+    is_vertex, is_edge = code < nv, (code >= nv) & (code < first_interior)
+    eid, w_lo = np.divmod(code[is_edge] - nv, max(per_edge, 1))
+    w_lo += 1
+    entity = k.copy()
+    entity[is_vertex] = code[is_vertex]
+    entity[is_edge] = eid
+    ids = np.arange(len(code))
+    vertex_nodes = np.empty(nv, dtype=np.int64)
+    vertex_nodes[code[is_vertex]] = ids[is_vertex]
+    edge_interior = np.empty((tri.n_edges, per_edge), dtype=np.int64)
+    # lower-endpoint weights degree-1 .. 1, walking away from it
+    edge_interior[eid, degree - 1 - w_lo] = ids[is_edge]
+    boundary = np.zeros(len(code), dtype=bool)
+    boundary[is_vertex] = tri.boundary_vertices[code[is_vertex]]
+    boundary[is_edge] = tri.boundary_edges[eid]
     dirichlet = boundary.copy() if dirichlet_on_boundary else np.zeros(len(nodes), dtype=bool)
 
     return LagrangeSpace(
@@ -157,8 +158,8 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
         degree=degree,
         nodes=nodes,
         element_nodes=elem_nodes,
-        node_kind=tuple(kinds),
-        node_entity=tuple(entities),
+        node_kind=tuple(kinds[i] for i in loc.tolist()),
+        node_entity=tuple(entity.tolist()),
         boundary_nodes=boundary,
         dirichlet=dirichlet,
         vertex_nodes=vertex_nodes,

@@ -311,7 +311,9 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
 
 def estimate_inequality_constants(refine_levels: int = 4, degree: int = 1) -> dict:
     """Measure basis scalings and trace/Poincare constants on a family of
-    uniform refinements of the 2-triangle square."""
+    uniform refinements of the 2-triangle square (refine_levels >= 1 meshes)."""
+    if refine_levels < 1:
+        raise ParameterOutOfRange(f"levels must be >= 1, got {refine_levels}")
     V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     T = np.array([[0, 1, 2], [0, 2, 3]])
     tri = build_triangulation(V, T)
@@ -347,7 +349,8 @@ def estimate_inequality_constants(refine_levels: int = 4, degree: int = 1) -> di
             "poincare": float(np.sqrt(norm_sq / grad_sq) / h),
             "trace": float(np.sqrt(trace_sq) / np.sqrt(norm_sq / h + h * grad_sq)),
         })
-        tri = uniform_refine(tri)
+        if level + 1 < refine_levels:
+            tri = uniform_refine(tri)
     record = {"degree": degree, "levels": per_level}
     for key in ("phi_over_sqrt_area", "psi_times_sqrt_area", "poincare", "trace"):
         vals = [lv[key] for lv in per_level]

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DegenerateElement, NonConforming, UnknownLocus
 
 _AREA_TOL = 1e-14
+_PAIR_BLOCK = 1 << 14  # candidate pairs per block of `box_point_pairs`
 
 
 @dataclass(frozen=True)
@@ -95,31 +96,28 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
             f"triangles with non-positive area: {np.flatnonzero(areas <= _AREA_TOL * scale**2).tolist()}"
         )
 
-    # edge table
-    edge_map: dict[tuple[int, int], list[int]] = {}
-    for k, (a, b, c) in enumerate(tris):
-        for u, v in ((b, c), (c, a), (a, b)):
-            key = (int(min(u, v)), int(max(u, v)))
-            edge_map.setdefault(key, []).append(k)
-    for key, els in edge_map.items():
-        if len(els) > 2:
-            raise NonConforming(f"edge {key} shared by {len(els)} triangles")
-    edge_keys = sorted(edge_map)
-    edge_ids = {key: i for i, key in enumerate(edge_keys)}
-    edges = np.array(edge_keys, dtype=np.int64)
-    edge_elements = tuple(tuple(sorted(edge_map[key])) for key in edge_keys)
-    boundary_edges = np.array([len(edge_map[key]) == 1 for key in edge_keys])
+    # edge table: one integer key lo*nv + hi per (element, local edge i), the
+    # edge opposite local vertex i; sorted keys are the sorted vertex pairs
+    nv = len(verts)
+    first, second = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
+    keys = (np.minimum(first, second) * nv + np.maximum(first, second)).ravel()
+    uniq, where, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True)
+    over = np.flatnonzero(counts > 2)
+    if len(over):
+        e = int(over[np.argmin(where[over])])  # first edge met in element order
+        key = (int(uniq[e] // nv), int(uniq[e] % nv))
+        raise NonConforming(f"edge {key} shared by {int(counts[e])} triangles")
+    edges = np.stack([uniq // nv, uniq % nv], axis=1)
+    # a stable sort keeps the element ids of each edge ascending
+    edge_elements = _group(np.argsort(inverse, kind="stable") // 3, counts)
+    boundary_edges = counts == 1
+    tri_edges = inverse.reshape(len(tris), 3)
 
-    tri_edges = np.empty((len(tris), 3), dtype=np.int64)
-    for k, (a, b, c) in enumerate(tris):
-        for i, (u, v) in enumerate(((b, c), (c, a), (a, b))):
-            tri_edges[k, i] = edge_ids[(int(min(u, v)), int(max(u, v)))]
+    boundary_vertices = np.zeros(nv, dtype=bool)
+    boundary_vertices[edges[boundary_edges].ravel()] = True
 
-    boundary_vertices = np.zeros(len(verts), dtype=bool)
-    for e in np.flatnonzero(boundary_edges):
-        boundary_vertices[edges[e]] = True
-
-    _check_hanging_vertices(verts, edges, tris, scale)
+    _check_hanging_vertices(verts, edges, scale)
 
     side = np.stack(
         [
@@ -133,11 +131,9 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     semiper = 0.5 * side.sum(axis=1)
     rho = 2.0 * areas / semiper  # twice the inradius
 
-    vertex_elements: list[list[int]] = [[] for _ in range(len(verts))]
-    for k, tri in enumerate(tris):
-        for v in tri:
-            vertex_elements[int(v)].append(k)
-    vertex_elements_t = tuple(tuple(sorted(v)) for v in vertex_elements)
+    flat = tris.ravel()
+    vertex_elements = _group(np.argsort(flat, kind="stable") // 3,
+                             np.bincount(flat, minlength=nv))
 
     return Triangulation(
         vertices=verts,
@@ -150,26 +146,97 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
         areas=areas,
         diameters=diameters,
         inball_diameters=rho,
-        vertex_elements=vertex_elements_t,
+        vertex_elements=vertex_elements,
         parents=None if parents is None else np.asarray(parents, dtype=np.int64),
     )
 
 
-def _check_hanging_vertices(verts, edges, tris, scale):
-    """A vertex strictly inside another triangle's edge breaks conformity."""
+def _group(ids, counts):
+    """Consecutive runs of `ids` with the given lengths, as a tuple of tuples."""
+    ids = ids.tolist()
+    ends = np.cumsum(counts).tolist()
+    return tuple(tuple(ids[s:e]) for s, e in zip([0] + ends[:-1], ends))
+
+
+def _ranges(starts, counts):
+    """The ranges [starts[i], starts[i] + counts[i]) concatenated."""
+    before = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(before - starts, counts)
+
+
+def box_point_pairs(points, lo, hi, cell):
+    """Candidate (box, point) pairs for the boxes [lo[i], hi[i]] and points.
+
+    The points are bucketed on a uniform grid of the given cell size,
+    coarsened to at most about 3 * len(points) cells; each box is paired
+    with every point in the grid cells it overlaps, so every point inside a
+    box (as float comparisons see it) is among that box's pairs.  Yields
+    (box ids, point ids) in blocks of consecutive boxes, in ascending box
+    order, each block holding about `_PAIR_BLOCK` pairs or one box, so the
+    temporaries of a caller's test stay bounded.
+    """
+    points = np.asarray(points, dtype=float)
+    origin = points.min(axis=0)
+    extent = points.max(axis=0) - origin
+    n = len(points)
+    cell = max(float(cell), math.sqrt(extent[0] * extent[1] / n), float(extent.max()) / n)
+    if not cell > 0:
+        cell = 1.0  # all points coincide
+    shape = np.floor(extent / cell).astype(np.int64) + 1
+
+    def index(xy):  # grid cell of each coordinate, clipped one past the grid
+        return np.clip(np.floor((xy - origin) / cell), -1, shape).astype(np.int64)
+
+    pix = index(points)
+    flat = pix[:, 0] * shape[1] + pix[:, 1]
+    order = np.argsort(flat, kind="stable")
+    # cell c holds the points order[starts[c]:starts[c + 1]], row by row
+    starts = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=shape.prod()))])
+    table = np.zeros((shape[0] + 1, shape[1] + 1), dtype=np.int64)
+    table[1:, 1:] = np.diff(starts).reshape(shape).cumsum(0).cumsum(1)
+
+    blo = np.maximum(index(np.asarray(lo, dtype=float)), 0)
+    bhi = np.minimum(index(np.asarray(hi, dtype=float)), shape - 1)
+    rows = np.maximum(bhi[:, 0] - blo[:, 0] + 1, 0) * (bhi[:, 1] >= blo[:, 1])
+    x0, y0 = blo[:, 0], blo[:, 1]
+    x1, y1 = np.maximum(bhi[:, 0] + 1, x0), np.maximum(bhi[:, 1] + 1, y0)
+    found = table[x1, y1] - table[x0, y1] - table[x1, y0] + table[x0, y0]
+    weight = found + rows
+    block = (np.cumsum(weight) - weight) // _PAIR_BLOCK
+    bounds = np.concatenate([[0], np.flatnonzero(np.diff(block)) + 1, [len(block)]])
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        box = np.repeat(np.arange(b0, b1), rows[b0:b1])
+        row = _ranges(x0[b0:b1], rows[b0:b1])
+        first = starts[row * shape[1] + y0[box]]
+        count = starts[row * shape[1] + bhi[box, 1] + 1] - first
+        yield np.repeat(box, count), order[_ranges(first, count)]
+
+
+def _check_hanging_vertices(verts, edges, scale):
+    """A vertex strictly inside another triangle's edge breaks conformity.
+
+    Tests only the vertices near each edge, found by `box_point_pairs` on
+    the edge's bounding box padded by the tolerance, and reports the
+    lowest edge id, then the lowest vertex id, that hangs.
+    """
     tol = 1e-12 * scale
-    for a, b in edges:
-        pa, pb = verts[a], verts[b]
-        d = pb - pa
-        L2 = float(d @ d)
-        rel = verts - pa
-        cross = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
-        t = (rel @ d) / L2
-        on = (cross <= tol * math.sqrt(L2)) & (t > 1e-12) & (t < 1 - 1e-12)
-        on[[a, b]] = False
-        if np.any(on):
+    pa, pb = verts[edges[:, 0]], verts[edges[:, 1]]
+    d = pb - pa
+    L2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    pad = 2.0 * tol  # twice the tolerance also covers rounding of the test
+    lo, hi = np.minimum(pa, pb) - pad, np.maximum(pa, pb) + pad
+    for e, v in box_point_pairs(verts, lo, hi, np.sqrt(L2).mean()):
+        rel = verts[v] - pa[e]
+        de = d[e]
+        cross = np.abs(rel[:, 0] * de[:, 1] - rel[:, 1] * de[:, 0])
+        t = (rel[:, 0] * de[:, 0] + rel[:, 1] * de[:, 1]) / L2[e]
+        on = ((cross <= tol * np.sqrt(L2[e])) & (t > 1e-12) & (t < 1 - 1e-12)
+              & (v != edges[e, 0]) & (v != edges[e, 1]))
+        if on.any():
+            first = np.argmin(e[on] * len(verts) + v[on])
+            a, b = edges[e[on][first]]
             raise NonConforming(
-                f"vertex {int(np.flatnonzero(on)[0])} hangs on edge ({int(a)}, {int(b)})"
+                f"vertex {int(v[on][first])} hangs on edge ({int(a)}, {int(b)})"
             )
 
 
@@ -222,18 +289,12 @@ def uniform_refine(tri: Triangulation) -> Triangulation:
     nv = tri.n_vertices
     midpoints = 0.5 * (tri.vertices[tri.edges[:, 0]] + tri.vertices[tri.edges[:, 1]])
     verts = np.vstack([tri.vertices, midpoints])
-    new_tris = []
-    parents = []
-    for k, (a, b, c) in enumerate(tri.triangles):
-        # edge opposite local vertex i
-        mbc = nv + tri.triangle_edges[k, 0]
-        mca = nv + tri.triangle_edges[k, 1]
-        mab = nv + tri.triangle_edges[k, 2]
-        new_tris.extend(
-            [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
-        )
-        parents.extend([k] * 4)
-    return build_triangulation(verts, np.array(new_tris), parents=np.array(parents))
+    a, b, c = tri.triangles.T
+    mbc, mca, mab = (nv + tri.triangle_edges).T  # midpoint of the edge opposite a, b, c
+    children = np.stack([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)],
+                        axis=0).transpose(2, 0, 1).reshape(-1, 3)
+    parents = np.repeat(np.arange(tri.n_elements), 4)
+    return build_triangulation(verts, children, parents=parents)
 
 
 def save_mesh(tri: Triangulation, path, coefficient=None) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import PlanMismatch, QuadratureFailure, SingularPointOnQuadratureNode
-from .mesh import Triangulation
+from .mesh import Triangulation, box_point_pairs
 
 _GAUSS_ORDER = 10          # panels of the regular radial/angular parts
 _THETA_PANEL = math.pi / 4  # maximum angular panel width
@@ -233,10 +233,27 @@ class QuadraturePlan:
                        np.stack([self.weights[k] for k in ks]))
 
 
-def _point_in_triangle(v0, v1, v2, p, tol):
-    B = np.column_stack([v1 - v0, v2 - v0])
-    xi = np.linalg.solve(B, p - v0)
-    return xi[0] >= -tol and xi[1] >= -tol and xi[0] + xi[1] <= 1.0 + tol
+def _locate(tri: Triangulation, xy):
+    """Per element, the index of the first point of `xy` lying in it
+    (reference coordinates xi >= -1e-10, xi0 + xi1 <= 1 + 1e-10), or -1.
+
+    Candidates come from `mesh.box_point_pairs` on the element bounding
+    boxes, padded to cover the tolerance; each is decided by one 2x2 solve.
+    """
+    tol = 1e-10
+    v = tri.vertices[tri.triangles]
+    # the triangle enlarged by tol in reference coordinates lies within
+    # 3 * tol * diameter of it
+    pad = 4.0 * tol * tri.diameters[:, None]
+    first = [len(xy)] * tri.n_elements
+    for k, i in box_point_pairs(xy, v.min(axis=1) - pad, v.max(axis=1) + pad,
+                                tri.diameters.mean()):
+        B = np.stack([v[k, 1] - v[k, 0], v[k, 2] - v[k, 0]], axis=-1)
+        xi = np.linalg.solve(B, (xy[i] - v[k, 0])[:, :, None])[:, :, 0]
+        inside = (xi[:, 0] >= -tol) & (xi[:, 1] >= -tol) & (xi[:, 0] + xi[:, 1] <= 1.0 + tol)
+        for kk, ii in zip(k[inside].tolist(), i[inside].tolist()):
+            first[kk] = min(first[kk], ii)
+    return [-1 if f == len(xy) else f for f in first]
 
 
 def plan_key(target) -> tuple:
@@ -256,19 +273,17 @@ def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8,
     singular = plan_key(target)
     level_cache = {sp: graded_levels(sp.exponent, rtol=rtol) for sp in set(singular)}
     pts_all, wts_all, polar_ids = [], [], []
-    for k in range(tri.n_elements):
+    hits = (_locate(tri, np.array([sp.xy for sp in singular], dtype=float))
+            if singular else [-1] * tri.n_elements)
+    for k, hit in enumerate(hits):
         v0, v1, v2 = tri.vertices[tri.triangles[k]]
-        hit = None
-        for sp in singular:
-            if _point_in_triangle(v0, v1, v2, sp.xy, 1e-10):
-                hit = sp
-                break
-        if hit is None:
+        if hit < 0:
             p, w = triangle_rule(exactness, v0, v1, v2)
         else:
+            sp = singular[hit]
             p, w = polar_triangle_rule(
-                v0, v1, v2, hit.xy, hit.exponent, hit.radial_breakpoints,
-                rtol=rtol, levels=level_cache[hit],
+                v0, v1, v2, sp.xy, sp.exponent, sp.radial_breakpoints,
+                rtol=rtol, levels=level_cache[sp],
             )
             polar_ids.append(k)
         pts_all.append(p)

@@ -121,3 +121,18 @@ def test_constants_json(capsys):
     record = json.loads(capsys.readouterr().out)
     assert np.isclose(record["levels"][0]["phi_over_sqrt_area"],
                       1.0 / np.sqrt(6.0))
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_constants_rejects_levels_below_one(capsys, levels):
+    assert main(["constants", "--levels", levels]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "levels must be >= 1" in err
+
+
+@pytest.mark.parametrize("command", ["alpha", "rd"])
+def test_sweeps_reject_negative_refines(capsys, command):
+    assert main([command, "--refines", "-1"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "refines must be >= 0" in captured.err

@@ -3,11 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmloc.errors import DegenerateElement, NonConforming
-from qmloc.mesh import (build_triangulation, edge_pair, element_patch,
-                        load_mesh, patch_of, save_mesh, uniform_refine,
-                        vertex_patch)
+from qmloc.mesh import (box_point_pairs, build_triangulation, edge_pair,
+                        element_patch, load_mesh, patch_of, save_mesh,
+                        uniform_refine, vertex_patch)
+
+import mesh_reference
 
 SQUARE_V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SQUARE_T = np.array([[0, 1, 2], [0, 2, 3]])
@@ -109,3 +113,86 @@ def test_load_rejects_non_finite(tmp_path):
     path.write_text(json.dumps(doc).replace("null", "NaN"))
     with pytest.raises(ValueError):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("name", list(mesh_reference.catalog()))
+def test_triangulation_matches_reference(name):
+    verts, tris, refines = mesh_reference.catalog()[name]
+    fast = build_triangulation(verts, tris)
+    ref = mesh_reference.build_triangulation(verts, tris)
+    mesh_reference.assert_same_fields(fast, ref)
+    for _ in range(refines):
+        fast, ref = uniform_refine(fast), mesh_reference.uniform_refine(ref)
+        mesh_reference.assert_same_fields(fast, ref)
+
+
+def _outcome(build, verts, tris):
+    try:
+        return build(verts, tris)
+    except (ValueError, DegenerateElement, NonConforming) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+       defect=st.sampled_from(["none", "hanging", "moved", "third"]))
+def test_conformity_checks_match_reference(seed, n, defect):
+    """On perturbed grids with a hanging vertex, a vertex moved onto an
+    edge, or a third triangle on one edge: the array build raises what the
+    loop reference raises, or both accept and agree field by field."""
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    inner = (verts > 0).all(axis=1) & (verts < 1).all(axis=1)
+    verts[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / n
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            c, d = b + 1, a + 1
+            tris += [(a, b, c), (a, c, d)] if rng.random() < 0.5 else [(a, b, d), (b, c, d)]
+    tris = [t[::-1] if rng.random() < 0.5 else t for t in tris]  # mixed orientation
+    k = int(rng.integers(len(tris)))
+    a, b, c = tris[k]
+    if defect == "hanging":  # split one triangle at the midpoint of one of its edges
+        m = len(verts)
+        verts = np.vstack([verts, 0.5 * (verts[a] + verts[b])])
+        tris[k:k + 1] = [(a, m, c), (m, b, c)]
+    elif defect == "moved":  # some vertex onto the edge (a, b)
+        v = int(rng.integers(len(verts)))
+        verts[v] = verts[a] + rng.uniform(0.2, 0.8) * (verts[b] - verts[a])
+    elif defect == "third":  # another triangle on the edge (a, b)
+        verts = np.vstack([verts, verts[c] + rng.uniform(-0.5, 0.5, 2)])
+        tris.append((a, b, len(verts) - 1))
+    tris = np.array(tris)
+    fast = _outcome(build_triangulation, verts, tris)
+    ref = _outcome(mesh_reference.build_triangulation, verts, tris)
+    if isinstance(ref, tuple):
+        assert fast == ref
+    else:
+        assert not isinstance(fast, tuple), fast
+        mesh_reference.assert_same_fields(fast, ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 25))
+def test_box_point_pairs_find_every_point_in_a_box(seed, m):
+    """Lattice points on a grid of cell size 1 and boxes with integer or
+    half-integer corners: the pairs hold every point inside a box,
+    boundaries included, once, boxes in ascending order; for integer
+    corners they hold nothing else."""
+    rng = np.random.default_rng(seed)
+    X, Y = np.meshgrid(np.arange(m + 1.0), np.arange(m + 1.0), indexing="ij")
+    points = rng.permutation(np.column_stack([X.ravel(), Y.ravel()]))
+    lo = rng.integers(-2, 2 * m + 3, (500, 2)) / 2.0
+    hi = lo + rng.integers(-1, m + 1, (500, 2))  # some boxes empty
+    box, pt = (np.concatenate(a) for a in zip(*box_point_pairs(points, lo, hi, 1.0)))
+    assert np.all(np.diff(box) >= 0)
+    assert len(set(zip(box.tolist(), pt.tolist()))) == len(box)
+    inside = ((points[None] >= lo[:, None]) & (points[None] <= hi[:, None])).all(axis=2)
+    found = np.zeros_like(inside)
+    found[box, pt] = True
+    assert not (inside & ~found).any()
+    whole = (lo == np.round(lo)).all(axis=1)
+    assert inside[box, pt][whole[box]].all()

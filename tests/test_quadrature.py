@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from qmloc.counterexamples import (analytic_energy_reference, hexagon_mesh,
-                                   hexagon_target, radial_profile,
+from qmloc.counterexamples import (analytic_energy_reference, checkerboard_mesh,
+                                   hexagon_mesh, hexagon_target, radial_profile,
                                    radial_profile_derivative)
 from qmloc.errors import PlanMismatch
 from qmloc.fields import SingularPoint, TargetField, smooth_target
 from qmloc.mesh import build_triangulation
-from qmloc.quadrature import (make_quadrature_plan, polar_triangle_rule,
+from qmloc.quadrature import (_locate, make_quadrature_plan, polar_triangle_rule,
                               radial_rule, reference_triangle_rule,
                               triangle_rule)
 
@@ -122,3 +122,35 @@ def test_plan_is_deterministic():
         a, wa = p1.element_rule(k)
         b, wb = p2.element_rule(k)
         assert np.array_equal(a, b) and np.array_equal(wa, wb)
+
+
+def _locate_loop(tri, xy, tol=1e-10):
+    """One 2x2 solve per (element, point) pair; first hit in point order."""
+    hits = []
+    for k in range(tri.n_elements):
+        v0, v1, v2 = tri.vertices[tri.triangles[k]]
+        B = np.column_stack([v1 - v0, v2 - v0])
+        hit = -1
+        for i, p in enumerate(xy):
+            xi = np.linalg.solve(B, p - v0)
+            if xi[0] >= -tol and xi[1] >= -tol and xi[0] + xi[1] <= 1.0 + tol:
+                hit = i
+                break
+        hits.append(hit)
+    return hits
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_point_location_matches_per_element_solves(n):
+    tri, _ = checkerboard_mesh(n)
+    rng = np.random.default_rng(n)
+    v = tri.vertices[tri.triangles]
+    mids = 0.5 * (tri.vertices[tri.edges[:, 0]] + tri.vertices[tri.edges[:, 1]])
+    xy = np.vstack([
+        rng.permutation(tri.vertices)[:5], rng.permutation(mids)[:5],
+        v.mean(axis=1)[:3],
+        # just inside and just outside the tolerance, across an edge
+        mids[:4] + np.array([0.5e-10, 0.0]), mids[:4] - np.array([0.0, 3e-10]),
+        rng.uniform(-0.1, 1.1, (10, 2)), tri.vertices[:2],  # repeats
+    ])
+    assert _locate(tri, xy) == _locate_loop(tri, xy)
