@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LocusMismatch, NoMonotonePath, NonPositiveValue, UnknownLocus
+from .errors import (LocusMismatch, NoMonotonePath, NonPositiveValue, UnknownLocus,
+                     UnsupportedDegree)
 from .fespace import EDGE, INTERIOR, VERTEX, LagrangeSpace
 from .mesh import Triangulation, edge_pair, vertex_patch
 
@@ -150,6 +151,8 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
     pairs and single elements for degree >= 2, which are checked directly
     even though vertex stars already imply them).
     """
+    if not 1 <= degree <= 4:
+        raise UnsupportedDegree(f"degree {degree} not in 1..4")
     a = coeff.values
     if node_set is None:
         loci = [("vertex", z) for z in range(tri.n_vertices)]

@@ -174,11 +174,6 @@ def element_affine(tri: Triangulation, k: int):
     return v[0], B
 
 
-def to_reference(tri: Triangulation, k: int, pts):
-    v0, B = element_affine(tri, k)
-    return np.atleast_2d(pts - v0) @ np.linalg.inv(B).T
-
-
 def element_basis(space: LagrangeSpace, ks, pts):
     """Values and physical gradients of the local nodal bases of the elements
     ks at stacked points pts (K, n, 2), pts[i] lying in element ks[i].

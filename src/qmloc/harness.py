@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import json
-import os
 
 import numpy as np
 
@@ -19,27 +18,12 @@ from .fespace import build_space, element_dual_basis, element_mass_matrix
 from .fields import smooth_target
 from .interp import interpolation_error_sq, quasi_interpolate
 from .mesh import Triangulation, build_triangulation, uniform_refine, vertex_patch
-from .quadrature import make_quadrature_plan, plan_key
+from .quadrature import _leggauss01, make_quadrature_plan, plan_key, triangle_rule
 
 DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125)
 DEFAULT_N = (2, 4, 8)
 DEFAULT_ALPHA = (1.0, 1e-2, 1e-4, 1e-6)
 DEFAULT_BETA = (1e-4, 1.0, 1e4)
-
-
-def quadrature_rtol() -> float:
-    """Singular-quadrature tolerance; QMLOC_RTOL overrides the default and
-    must be a finite float in (0, 1)."""
-    raw = os.environ.get("QMLOC_RTOL")
-    if not raw:
-        return 1e-8
-    try:
-        rtol = float(raw)
-    except ValueError:
-        rtol = None
-    if rtol is None or not 0.0 < rtol < 1.0:
-        raise ParameterOutOfRange(f"QMLOC_RTOL={raw!r} is not a finite float in (0, 1)")
-    return rtol
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +62,10 @@ def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
     """Per contrast: global best error (Dirichlet gauge) against element,
     pair, and vertex-star localized errors."""
     reports = []
-    rtol = quadrature_rtol()
     for eps in eps_values:
         tri, coeff = hexagon_mesh(eps)
         target = hexagon_target(eps)
-        plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6, rtol=rtol)
+        plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6)
         space = build_space(tri, degree, dirichlet_on_boundary=True)
         tables = element_tables(target, plan, space)
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
@@ -105,7 +88,6 @@ def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
                 "experiment": "hexagon", "eps": eps, "degree": degree,
                 "alpha": coeff.alpha, "n_elements": tri.n_elements,
                 "quasi_monotone": qm.quasi_monotone,
-                "quadrature_rtol": rtol,
                 "analytic": analytic_energy_reference(eps),
             },
         ))
@@ -171,11 +153,10 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     vertex star errors, with patch classification and explicit candidate
     upper bounds."""
     reports = []
-    rtol = quadrature_rtol()
     for N in n_values:
         tri, coeff = checkerboard_mesh(N)
         target = checkerboard_target(N)
-        plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6, rtol=rtol)
+        plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6)
         space = build_space(tri, degree, dirichlet_on_boundary=True)
         tables = element_tables(target, plan, space)
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
@@ -195,7 +176,6 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
                 "experiment": "stars", "N": N, "degree": degree,
                 "alpha": coeff.alpha, "n_elements": tri.n_elements,
                 "quasi_monotone": qm.quasi_monotone,
-                "quadrature_rtol": rtol,
                 "star_kinds": kinds,
                 "candidate_upper_bounds": candidates,
             },
@@ -203,7 +183,7 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     return reports
 
 
-def _shared_plans(tri: Triangulation, targets: dict, exactness: int, rtol: float) -> dict:
+def _shared_plans(tri: Triangulation, targets: dict, exactness: int) -> dict:
     """One quadrature plan per target name; targets with equal `plan_key`
     share a plan."""
     by_points: dict = {}
@@ -211,7 +191,7 @@ def _shared_plans(tri: Triangulation, targets: dict, exactness: int, rtol: float
     for name, target in targets.items():
         key = plan_key(target)
         if key not in by_points:
-            by_points[key] = make_quadrature_plan(tri, target, exactness=exactness, rtol=rtol)
+            by_points[key] = make_quadrature_plan(tri, target, exactness=exactness)
         plans[name] = by_points[key]
     return plans
 
@@ -229,7 +209,6 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
     quasi-monotone tiling; refuses non-quasi-monotone configurations."""
     targets = default_smooth_targets() if targets is None else targets
     reports = []
-    rtol = quadrature_rtol()
     for alpha in alpha_values:
         tri, coeff = _pattern_mesh(pattern, alpha, refines)
         qm = check_quasi_monotonicity(tri, coeff)
@@ -239,7 +218,7 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
                 f"witness {qm.witnesses[:1]}"
             )
         space = build_space(tri, degree)
-        plans = _shared_plans(tri, targets, 2 * degree + 6, rtol)
+        plans = _shared_plans(tri, targets, 2 * degree + 6)
         for name, target in targets.items():
             plan = plans[name]
             tables = element_tables(target, plan, space)
@@ -255,7 +234,6 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
                     "target": name, "degree": degree, "refines": refines,
                     "n_elements": tri.n_elements,
                     "quasi_monotone": True,
-                    "quadrature_rtol": rtol,
                     "interp_error_sq": interp_sq,
                 },
             ))
@@ -268,14 +246,13 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
     """Combined-norm equivalence sweep on a quasi-monotone tiling."""
     targets = default_smooth_targets() if targets is None else targets
     reports = []
-    rtol = quadrature_rtol()
     for alpha in alpha_values:
         tri, coeff = _pattern_mesh(pattern, alpha, refines)
         qm = check_quasi_monotonicity(tri, coeff)
         if not qm.quasi_monotone:
             raise RefusesNonQM(f"pattern {pattern!r} at alpha={alpha} is not quasi-monotone")
         space = build_space(tri, degree)
-        plans = _shared_plans(tri, targets, 2 * degree + 6, rtol)
+        plans = _shared_plans(tri, targets, 2 * degree + 6)
         for name, target in targets.items():
             rd = reaction_diffusion_errors(element_tables(target, plans[name], space), coeff,
                                            beta_values)
@@ -294,7 +271,6 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
                         "experiment": "rd", "pattern": pattern, "alpha": alpha,
                         "beta": beta, "target": name, "degree": degree,
                         "refines": refines, "quasi_monotone": True,
-                        "quadrature_rtol": rtol,
                         "gradient_global_sq": rd["gradient_global_sq"],
                         "l2_global_sq": rd["l2_global_sq"],
                         "localized_sum_sq": localized,
@@ -330,18 +306,16 @@ def estimate_inequality_constants(refine_levels: int = 4, degree: int = 1) -> di
         # single-sample trace and Poincare constants for v = x - mean on K
         p = tri.vertices[tri.triangles[k]]
         h = float(tri.diameters[k])
-        from .quadrature import triangle_rule
         qp, qw = triangle_rule(4, p[0], p[1], p[2])
         vals = qp[:, 0] - float(qw @ qp[:, 0]) / area
         norm_sq = float(qw @ vals**2)
         grad_sq = area  # |grad v| = 1
         edge = p[1] - p[0]
         L = float(np.linalg.norm(edge))
-        x1d, w1d = np.polynomial.legendre.leggauss(6)
-        t = 0.5 * (x1d + 1.0)
+        t, w1d = _leggauss01(6)
         ep = p[0] + np.outer(t, edge)
         evals = ep[:, 0] - float(qw @ qp[:, 0]) / area
-        trace_sq = float((0.5 * L * w1d) @ evals**2)
+        trace_sq = float((L * w1d) @ evals**2)
         per_level.append({
             "h": h,
             "phi_over_sqrt_area": phi_scale,

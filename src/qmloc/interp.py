@@ -55,23 +55,25 @@ def _edge_quadrature(space: LagrangeSpace, target, e: int):
     tri = space.tri
     i, j = tri.edges[e]
     p0, p1 = tri.vertices[i], tri.vertices[j]
-    L = float(np.linalg.norm(p1 - p0))
+    d = p1 - p0
+    L = float(np.linalg.norm(d))
     sing = None
     for s in getattr(target, "singular_points", ()) or ():
         loc = np.asarray(s.location, float)
+        u = float(d @ (loc - p0)) / (L * L)  # edge parameter of the projection
         if np.linalg.norm(loc - p0) <= 1e-12 * max(L, 1.0):
             sing = (p0, p1, s)
         elif np.linalg.norm(loc - p1) <= 1e-12 * max(L, 1.0):
             sing = (p1, p0, s)
-        elif np.linalg.norm(loc - p0) < L - 1e-12 and abs(
-            (p1[0] - p0[0]) * (loc[1] - p0[1]) - (p1[1] - p0[1]) * (loc[0] - p0[0])
+        elif 1e-12 < u < 1.0 - 1e-12 and abs(
+            d[0] * (loc[1] - p0[1]) - d[1] * (loc[0] - p0[0])
         ) <= 1e-12 * L:
             raise QuadratureFailure(
                 f"singular point strictly inside edge {e}; refine the mesh instead"
             )
     if sing is None:
         t, w = _leggauss01(_GAUSS_1D)
-        return p0 + np.outer(t, p1 - p0), L * w
+        return p0 + np.outer(t, d), L * w
     origin, other, s = sing
     r, w = radial_rule(L, s.exponent, tuple(s.radial_breakpoints))
     pts = origin + np.outer(r / L, other - origin)

@@ -276,10 +276,6 @@ def patch_of(tri: Triangulation, locus):
     raise UnknownLocus(f"unknown locus kind {kind!r}")
 
 
-def shape_parameter(tri: Triangulation) -> float:
-    return tri.shape_parameter
-
-
 def uniform_refine(tri: Triangulation) -> Triangulation:
     """Red refinement: each triangle into 4 similar children via edge midpoints.
 

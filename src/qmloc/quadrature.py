@@ -3,9 +3,9 @@
 The plain rule is a collapsed (Duffy) Gauss--Jacobi x Gauss--Legendre product
 with all weights positive and verified polynomial exactness.  Elements whose
 closure contains a declared singular point get a polar sector rule centered
-there: composite Gauss in the angle, and in the radius a geometrically graded
-composite rule (ratio q) above a weighted Gauss--Jacobi cell that absorbs the
-r**(2*mu - 1) behaviour of energy integrands.
+there: composite Gauss in the angle, and in the radius 21 fixed geometric
+levels (ratio 1/2) above a Gauss--Jacobi cell weighted by r**(2*mu - 1), the
+behaviour of energy integrands, followed by dyadic regular panels.
 """
 from __future__ import annotations
 
@@ -16,13 +16,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import PlanMismatch, QuadratureFailure, SingularPointOnQuadratureNode
+from .errors import QuadratureFailure, SingularPointOnQuadratureNode
 from .mesh import Triangulation, box_point_pairs
 
 _GAUSS_ORDER = 10          # panels of the regular radial/angular parts
 _THETA_PANEL = math.pi / 4  # maximum angular panel width
 _GRADING_RATIO = 0.5
-_DEFAULT_RTOL = 1e-8
 
 
 @lru_cache(maxsize=None)
@@ -68,69 +67,56 @@ def _panels(a: float, b: float, n_panels: int, order: int):
     return np.concatenate(nodes), np.concatenate(wts)
 
 
+# Geometric levels above the Gauss--Jacobi cell, a floor rather than a
+# convergence result: 0.5**21 puts the weighted innermost cell below 1e-6 of
+# the singular radius, so integrands that deviate from the model power
+# r**(2*mu-1) contribute only a negligible residual there.  (The cell
+# integrates the model power itself exactly at any level count.)
+_LEVELS = 21
+
+
 @lru_cache(maxsize=None)
-def _jacobi_cell(n: int, mu: float):
-    """Nodes/weights on [0, 1] for int r**(2*mu-1) g(r) dr, returned as a
-    plain rule (weights already divided by the r**(2*mu-1) factor)."""
-    beta = 2.0 * mu - 1.0
-    x, w = roots_jacobi(n, 0.0, beta)
-    r = 0.5 * (x + 1.0)
-    scale = 0.5 ** (2.0 * mu)
-    wr = scale * w / r**beta
-    return r, wr
+def _unit_singular_rule(mu: float):
+    """Rule for int_0^1 f(r) dr with f ~ r**(2*mu-1) near 0.
 
-
-def graded_levels(mu: float, q: float = _GRADING_RATIO, rtol: float = _DEFAULT_RTOL) -> int:
-    """Grading levels so successive estimates of the model integrand
-    r**(2*mu-1) agree to rtol (the innermost Jacobi cell makes this fast)."""
-    # floor of 20 levels: pushes the weighted innermost cell below 1e-6 of
-    # the singular radius, so integrands that deviate from the model power
-    # contribute only a negligible residual there
-    prev = None
-    for L in range(20, 80):
-        r, w = _radial_singular_rule(1.0, mu, q, L)
-        est = float(w @ r ** (2.0 * mu - 1.0))
-        if prev is not None and abs(est - prev) <= 0.1 * rtol * abs(est):
-            return L
-        prev = est
-    raise QuadratureFailure(f"graded rule did not settle for mu={mu}")
-
-
-def _radial_singular_rule(c: float, mu: float, q: float, L: int):
-    """Rule for int_0^c f(r) dr with f ~ r**(2*mu-1) near 0.
-
-    Geometric cells [c*q^(k+1), c*q^k] for k < L, plus a Gauss--Jacobi cell
-    on [0, c*q^L] weighted by r**(2*mu-1).
+    Geometric cells [q^(k+1), q^k] for k < _LEVELS (q = _GRADING_RATIO),
+    plus a Gauss--Jacobi cell on [0, q^_LEVELS] weighted by r**(2*mu-1)
+    whose weights are divided back by that factor.  The rule is scale
+    invariant: int_0^c f dr takes nodes c*r and weights c*w.
     """
     x, w = _leggauss01(8)
     nodes, wts = [], []
-    hi = c
-    for _ in range(L):
-        lo = hi * q
+    hi = 1.0
+    for _ in range(_LEVELS):
+        lo = hi * _GRADING_RATIO
         nodes.append(lo + (hi - lo) * x)
         wts.append((hi - lo) * w)
         hi = lo
-    rj, wj = _jacobi_cell(8, round(mu, 12))
+    mu = round(mu, 12)
+    beta = 2.0 * mu - 1.0
+    xj, wj = roots_jacobi(8, 0.0, beta)
+    rj = 0.5 * (xj + 1.0)
     nodes.append(hi * rj)
-    wts.append(hi * wj)  # int_0^hi f(r) dr = hi * int_0^1 f(hi s) ds
-    return np.concatenate(nodes), np.concatenate(wts)
+    # int_0^hi f(r) dr = hi * int_0^1 f(hi s) ds
+    wts.append(hi * (0.5 ** (2.0 * mu) * wj / rj**beta))
+    r, w = np.concatenate(nodes), np.concatenate(wts)
+    r.flags.writeable = w.flags.writeable = False
+    return r, w
 
 
-def radial_rule(R: float, mu: float, breakpoints=(), q: float = _GRADING_RATIO,
-                rtol: float = _DEFAULT_RTOL, levels: int | None = None):
+def radial_rule(R: float, mu: float, breakpoints=()):
     """Composite rule for int_0^R f(r) dr with an r**mu profile kink list.
 
-    The first breakpoint (or R) bounds the singular part; further
-    breakpoints split the regular part so that profile kinks sit on cell
-    boundaries.
+    The first breakpoint (or R) bounds the singular part, the scaled
+    `_unit_singular_rule`; further breakpoints split the regular part so
+    that profile kinks sit on cell boundaries.
     """
     if R <= 0:
         raise QuadratureFailure("radial extent must be positive")
     cuts = sorted(b for b in breakpoints if 0.0 < b < R)
     c0 = cuts[0] if cuts else R
-    L = levels if levels is not None else graded_levels(mu, q, rtol)
-    nodes, wts = _radial_singular_rule(c0, mu, q, L)
-    parts_n, parts_w = [nodes], [wts]
+    r1, w1 = _unit_singular_rule(mu)
+    parts_n, parts_w = [c0 * r1], [c0 * w1]
     edges = [c0] + cuts[1:] + [R]
     x01, w01 = _leggauss01(_GAUSS_ORDER)
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -146,7 +132,7 @@ def radial_rule(R: float, mu: float, breakpoints=(), q: float = _GRADING_RATIO,
     return np.concatenate(parts_n), np.concatenate(parts_w)
 
 
-def _sector_rule(s, p, p2, mu, breakpoints, rtol, levels):
+def _sector_rule(s, p, p2, mu, breakpoints):
     """Polar rule (weight includes the r Jacobian) on triangle (s, p, p2)
     with the singular point at vertex s."""
     s = np.asarray(s, float)
@@ -167,14 +153,13 @@ def _sector_rule(s, p, p2, mu, breakpoints, rtol, levels):
         dirv = np.array([math.cos(th), math.sin(th)])
         denom = float(nrm @ dirv)
         Rth = d0 / denom
-        rr, wr = radial_rule(Rth, mu, breakpoints, rtol=rtol, levels=levels)
+        rr, wr = radial_rule(Rth, mu, breakpoints)
         pts.append(s + rr[:, None] * dirv)
         wts.append(w_t * wr * rr)  # polar Jacobian r
     return np.vstack(pts), np.concatenate(wts)
 
 
-def polar_triangle_rule(v0, v1, v2, singular_xy, mu, breakpoints=(),
-                        rtol: float = _DEFAULT_RTOL, levels: int | None = None):
+def polar_triangle_rule(v0, v1, v2, singular_xy, mu, breakpoints=()):
     """Polar composite rule on a triangle containing a singular point.
 
     The point may be a vertex (single sector) or lie on an edge / inside
@@ -186,7 +171,7 @@ def polar_triangle_rule(v0, v1, v2, singular_xy, mu, breakpoints=(),
     for i in range(3):
         if np.linalg.norm(verts[i] - s) <= 1e-12 * h:
             others = [verts[j] for j in range(3) if j != i]
-            pts, wts = _sector_rule(s, others[0], others[1], mu, breakpoints, rtol, levels)
+            pts, wts = _sector_rule(s, others[0], others[1], mu, breakpoints)
             break
     else:
         pts_l, wts_l = [], []
@@ -195,7 +180,7 @@ def polar_triangle_rule(v0, v1, v2, singular_xy, mu, breakpoints=(),
             area2 = abs((p[0] - s[0]) * (p2[1] - s[1]) - (p[1] - s[1]) * (p2[0] - s[0]))
             if area2 <= 1e-14 * h * h:
                 continue
-            sp, sw = _sector_rule(s, p, p2, mu, breakpoints, rtol, levels)
+            sp, sw = _sector_rule(s, p, p2, mu, breakpoints)
             pts_l.append(sp)
             wts_l.append(sw)
         pts, wts = np.vstack(pts_l), np.concatenate(wts_l)
@@ -212,7 +197,6 @@ class QuadraturePlan:
     points: tuple      # per element: (n_k, 2)
     weights: tuple     # per element: (n_k,)
     exactness: int
-    rtol: float
     singular_elements: tuple
 
     def element_rule(self, k: int):
@@ -263,15 +247,13 @@ def plan_key(target) -> tuple:
     return tuple(getattr(target, "singular_points", ()) or ())
 
 
-def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8,
-                         rtol: float = _DEFAULT_RTOL) -> QuadraturePlan:
+def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8) -> QuadraturePlan:
     """Plain rules away from singular points, polar rules where one is present.
 
     `target` only needs a `singular_points` attribute (possibly empty); see
     `plan_key`.
     """
     singular = plan_key(target)
-    level_cache = {sp: graded_levels(sp.exponent, rtol=rtol) for sp in set(singular)}
     pts_all, wts_all, polar_ids = [], [], []
     hits = (_locate(tri, np.array([sp.xy for sp in singular], dtype=float))
             if singular else [-1] * tri.n_elements)
@@ -281,10 +263,7 @@ def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8,
             p, w = triangle_rule(exactness, v0, v1, v2)
         else:
             sp = singular[hit]
-            p, w = polar_triangle_rule(
-                v0, v1, v2, sp.xy, sp.exponent, sp.radial_breakpoints,
-                rtol=rtol, levels=level_cache[sp],
-            )
+            p, w = polar_triangle_rule(v0, v1, v2, sp.xy, sp.exponent, sp.radial_breakpoints)
             polar_ids.append(k)
         pts_all.append(p)
         wts_all.append(w)
@@ -293,21 +272,6 @@ def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8,
         points=tuple(pts_all),
         weights=tuple(wts_all),
         exactness=exactness,
-        rtol=rtol,
         singular_elements=tuple(polar_ids),
     )
 
-
-def integrate(f, region, plan: QuadraturePlan) -> float:
-    """Sum of per-element quadrature of f over the element set `region`.
-
-    Deterministic: elements in ascending id order, nodes in rule order.
-    f maps an (n, 2) array to (n,) values.
-    """
-    total = 0.0
-    for k in sorted(int(k) for k in region):
-        if k < 0 or k >= plan.tri.n_elements:
-            raise PlanMismatch(f"element {k} not covered by the plan")
-        pts, wts = plan.element_rule(k)
-        total += float(wts @ np.asarray(f(pts), dtype=float))
-    return total

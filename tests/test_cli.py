@@ -1,10 +1,12 @@
 """Command-line entry point: exit codes, output formats, determinism."""
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmloc.cli import EXIT_INVALID, EXIT_NOT_QM, EXIT_OK, main
+from qmloc.cli import EXIT_INVALID, EXIT_NOT_QM, EXIT_OK, build_parser, main
 from qmloc.counterexamples import fig1_meshes, hexagon_mesh
 from qmloc.mesh import save_mesh
 
@@ -33,6 +35,14 @@ def test_qm_check_exit_codes(hexagon_file, qm_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["quasi_monotone"] is False
     assert out["witnesses"]
+
+
+@pytest.mark.parametrize("ell", ["0", "-2", "7"])
+def test_qm_check_rejects_unsupported_degree(qm_file, capsys, ell):
+    assert main(["qm-check", qm_file, "--ell", ell]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: degree {ell} not in 1..4\n"
 
 
 def test_qm_check_missing_file(tmp_path):
@@ -136,3 +146,27 @@ def test_sweeps_reject_negative_refines(capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "refines must be >= 0" in captured.err
+
+
+def _readme_commands():
+    """The `qmloc ...` lines of the README's "Command line" block as argv
+    lists: comments and optional-argument brackets dropped, the first of
+    `a|b` alternatives taken."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].replace("[", "").replace("]", "")
+        tokens = [tok.split("|", 1)[0] for tok in line.split()]
+        if tokens and tokens[0] == "qmloc":
+            commands.append(tokens[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    # every subcommand is documented: the usage line lists them as {a,b,...}
+    listed = re.search(r"\{([\w,-]+)\}", build_parser().format_usage()).group(1)
+    assert sorted(argv[0] for argv in commands) == sorted(listed.split(","))
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qmloc.harness as harness
-from qmloc.cli import EXIT_INVALID, main
+from qmloc.cli import EXIT_OK, main
 from qmloc.errors import ParameterOutOfRange, RefusesNonQM
 from qmloc.harness import (emit_report, estimate_inequality_constants,
                            render_report, run_alpha_robustness,
@@ -13,21 +13,17 @@ from qmloc.harness import (emit_report, estimate_inequality_constants,
                            run_star_sweep)
 
 
-def test_quadrature_rtol_env(monkeypatch):
+def test_report_ignores_qmloc_rtol(monkeypatch, capsys):
+    # the singular quadrature has no tolerance setting, so QMLOC_RTOL is
+    # not read
     monkeypatch.delenv("QMLOC_RTOL", raising=False)
-    default = harness.quadrature_rtol()
-    monkeypatch.setenv("QMLOC_RTOL", "1e-6")
-    assert harness.quadrature_rtol() == 1e-6
-    monkeypatch.delenv("QMLOC_RTOL")
-    assert harness.quadrature_rtol() == default
-
-
-@pytest.mark.parametrize("raw", ["0", "-1e-8", "1", "2.5", "nan", "inf", "abc"])
-def test_quadrature_rtol_rejects_out_of_range(monkeypatch, raw):
-    monkeypatch.setenv("QMLOC_RTOL", raw)
-    with pytest.raises(ParameterOutOfRange):
-        harness.quadrature_rtol()
-    assert main(["hexagon", "--eps", "0.1"]) == EXIT_INVALID
+    argv = ["hexagon", "--eps", "0.1", "--format", "json"]
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("QMLOC_RTOL", "abc")
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == plain
+    assert "quadrature_rtol" not in plain
 
 
 def test_hexagon_sweep_structure_and_determinism():

@@ -4,11 +4,11 @@ import pytest
 
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import fig1_meshes, hexagon_mesh, hexagon_target
-from qmloc.errors import NoMonotonePath
+from qmloc.errors import NoMonotonePath, QuadratureFailure
 from qmloc.fespace import build_space, eval_basis
-from qmloc.fields import smooth_target
-from qmloc.interp import (interpolation_error_sq, l2_quasi_interpolate,
-                          operator_report, quasi_interpolate)
+from qmloc.fields import SingularPoint, TargetField, smooth_target
+from qmloc.interp import (_edge_quadrature, interpolation_error_sq,
+                          l2_quasi_interpolate, operator_report, quasi_interpolate)
 from qmloc.mesh import build_triangulation, uniform_refine
 from qmloc.quadrature import make_quadrature_plan
 
@@ -242,3 +242,27 @@ def test_skeleton_report_of_a_member_is_zero(ell):
     rec = operator_report(target, space, coeff, plan, which="skeleton")
     # rounding level: the energy of the target is of order one
     assert rec["error_sq"] < 1e-24
+
+
+def test_edge_quadrature_only_refuses_a_singular_point_inside_the_edge():
+    # a fan about (0.25, 0): the edge (0.25, 0)-(1, 0) lies on a line
+    # through the origin but does not contain it
+    tri = build_triangulation(
+        [[0, 0], [0.25, 0], [1, 0], [0, 1], [0.25, -1]],
+        [[0, 1, 3], [1, 2, 3], [0, 4, 1], [1, 4, 2]],
+    )
+    space = build_space(tri, 1)
+    e = [tuple(ed) for ed in tri.edges.tolist()].index((1, 2))
+
+    def singular_at(xy):
+        return TargetField(value_fn=lambda p: np.ones(len(p)),
+                           gradient_fn=lambda p: np.zeros_like(p),
+                           singular_points=(SingularPoint(xy, 0.25),))
+
+    plain = _edge_quadrature(space, smooth_target(None, None), e)
+    pts, wts = _edge_quadrature(space, singular_at((0.0, 0.0)), e)
+    assert len(wts) == 12
+    np.testing.assert_array_equal(pts, plain[0])
+    np.testing.assert_array_equal(wts, plain[1])
+    with pytest.raises(QuadratureFailure, match="strictly inside edge"):
+        _edge_quadrature(space, singular_at((0.5, 0.0)), e)

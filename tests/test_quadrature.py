@@ -5,12 +5,11 @@ import pytest
 from qmloc.counterexamples import (analytic_energy_reference, checkerboard_mesh,
                                    hexagon_mesh, hexagon_target, radial_profile,
                                    radial_profile_derivative)
-from qmloc.errors import PlanMismatch
 from qmloc.fields import SingularPoint, TargetField, smooth_target
 from qmloc.mesh import build_triangulation
-from qmloc.quadrature import (_locate, make_quadrature_plan, polar_triangle_rule,
-                              radial_rule, reference_triangle_rule,
-                              triangle_rule)
+from qmloc.quadrature import (_locate, _unit_singular_rule, make_quadrature_plan,
+                              polar_triangle_rule, radial_rule,
+                              reference_triangle_rule, triangle_rule)
 
 
 def test_reference_rule_exactness():
@@ -49,6 +48,27 @@ def test_radial_rule_closed_form(eps):
     exact = analytic_energy_reference(eps)["profile_sq_over_r"]
     assert val == pytest.approx(exact, rel=1e-8)
     assert val <= 1.0 / (2.0 * eps) - np.log(eps)
+
+
+@pytest.mark.parametrize("mu", [1e-3, 1 / 12, 1 / 6, 1 / 4, 1 / 2, 1.0])
+def test_unit_singular_rule_integrates_the_model_power(mu):
+    r, w = _unit_singular_rule(mu)
+    assert np.all(r > 0) and np.all(r < 1) and np.all(w > 0)
+    assert float(w @ r ** (2.0 * mu - 1.0)) == pytest.approx(1.0 / (2.0 * mu), rel=1e-12)
+
+
+@pytest.mark.parametrize("R, b", [(1.0, 0.1), (0.3, 0.3), (2.0, 5.0)])
+def test_radial_rule_scales_the_unit_rule(R, b):
+    # the singular part ends at the first breakpoint inside (0, R), else at R
+    c = b if b < R else R
+    r1, w1 = _unit_singular_rule(0.25)
+    r, w = radial_rule(R, 0.25, (b,))
+    n = len(r1)
+    np.testing.assert_array_equal(r[:n], c * r1)
+    np.testing.assert_array_equal(w[:n], c * w1)
+    assert np.all(r[n:] >= c) and r.max() <= R
+    # the model power over [0, R]: exact in the Jacobi cell, smooth beyond it
+    assert float(w @ r**-0.5) == pytest.approx(2.0 * np.sqrt(R), rel=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
@@ -98,19 +118,6 @@ def test_plan_smooth_target_matches_area():
     for k in range(2):
         _, wts = plan.element_rule(k)
         assert wts.sum() == pytest.approx(0.5, rel=1e-14)
-
-
-def test_plan_mismatch_detected():
-    from qmloc.quadrature import integrate
-
-    V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    T = np.array([[0, 1, 2], [0, 2, 3]])
-    tri = build_triangulation(V, T)
-    target = smooth_target(lambda p: np.ones(len(p)), lambda p: np.zeros_like(p))
-    plan = make_quadrature_plan(tri, target, exactness=4)
-    assert integrate(lambda p: np.ones(len(p)), range(2), plan) == pytest.approx(1.0)
-    with pytest.raises(PlanMismatch):
-        integrate(lambda p: np.ones(len(p)), range(5), plan)
 
 
 def test_plan_is_deterministic():
