@@ -13,7 +13,7 @@ from .bestapprox import (LocalizationReport, SpdSystem, element_tables,
                          reaction_diffusion_errors, ritz, solve_spd)
 from .coeff import (Coefficient, MonotonePath, QmReport, attach_coefficient,
                     build_omega_hat, check_quasi_monotonicity,
-                    find_monotone_path, select_fz, select_kmax)
+                    find_monotone_path, select_kmax, select_kmax_fz)
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_pattern,
                               fig1_meshes, hexagon_mesh, hexagon_target)
@@ -44,6 +44,6 @@ __all__ = [
     "local_element_errors", "make_quadrature_plan",
     "operator_report", "quasi_interpolate", "reaction_diffusion_errors", "ritz",
     "run_alpha_robustness", "run_hexagon_sweep", "run_reaction_diffusion",
-    "run_star_sweep", "save_mesh", "select_fz", "select_kmax",
+    "run_star_sweep", "save_mesh", "select_kmax", "select_kmax_fz",
     "smooth_target", "solve_spd", "uniform_refine",
 ]

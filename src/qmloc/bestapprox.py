@@ -83,27 +83,6 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
                          value_moments=value_moments, value_sq=value_sq)
 
 
-def energy_norm_sq(target, coeff: Coefficient, plan: QuadraturePlan, region=None) -> float:
-    """||a^(1/2) grad u||^2 over a region (default: all elements)."""
-    region = range(coeff.tri.n_elements) if region is None else sorted(region)
-    total = 0.0
-    for k in region:
-        pts, wts = plan.element_rule(k)
-        gu = target.gradient(pts)
-        total += coeff.values[k] * float(wts @ np.einsum("qd,qd->q", gu, gu))
-    return total
-
-
-def l2_norm_sq(target, plan: QuadraturePlan, region=None) -> float:
-    region = range(plan.tri.n_elements) if region is None else sorted(region)
-    total = 0.0
-    for k in region:
-        pts, wts = plan.element_rule(k)
-        u = target.value(pts)
-        total += float(wts @ (u * u))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # SPD solver
 
@@ -282,8 +261,9 @@ def reaction_diffusion_errors(tables: ElementTables, coeff: Coefficient, betas):
     and the per-interior-edge L2 pair locals.
     """
     betas = [float(beta) for beta in betas]
-    if any(beta < 0 for beta in betas):
-        raise ValueError("beta must be >= 0")
+    for beta in betas:
+        if not (np.isfinite(beta) and beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {beta}")
     tri = tables.space.tri
     zero = np.zeros(tri.n_elements)
     return {

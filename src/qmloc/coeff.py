@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (LocusMismatch, NoMonotonePath, NonPositiveValue, UnknownLocus,
                      UnsupportedDegree)
-from .fespace import EDGE, INTERIOR, VERTEX, LagrangeSpace
+from .fespace import EDGE, VERTEX, LagrangeSpace, _lattice
 from .mesh import Triangulation, edge_pair, vertex_patch
 
 
@@ -196,28 +196,27 @@ def select_kmax(tri: Triangulation, coeff: Coefficient, star) -> int:
     return int(best)
 
 
-def select_kmax_of_node(space: LagrangeSpace, coeff: Coefficient, node: int) -> int:
-    return select_kmax(space.tri, coeff, space_star(space, node))
+def select_kmax_fz(space: LagrangeSpace, coeff: Coefficient):
+    """K_max(z), the local index of z in it and F_z for every node z.
 
-
-def select_fz(space: LagrangeSpace, coeff: Coefficient, node: int):
-    """Edge F_z of K_max(z) containing the node; None for element-interior
-    nodes (flagged by the caller)."""
-    if space.node_kind[node] == INTERIOR:
-        return None
-    kmax = select_kmax_of_node(space, coeff, node)
-    tri = space.tri
-    xy = space.nodes[node]
-    h = tri.diameters[kmax]
-    for e in sorted(int(e) for e in tri.triangle_edges[kmax]):
-        va, vb = tri.vertices[tri.edges[e]]
-        d = vb - va
-        t = float(np.dot(xy - va, d) / np.dot(d, d))
-        r = xy - va
-        dist = abs(float(d[0] * r[1] - d[1] * r[0])) / float(np.linalg.norm(d))
-        if -1e-12 <= t <= 1 + 1e-12 and dist <= 1e-12 * h:
-            return e
-    raise UnknownLocus(f"node {node} lies on no edge of element {kmax}")
+    The support of phi_z is the set of elements listing z, so one lexsort of
+    (node, -a_K, K) over `space.element_nodes` puts K_max(z) first among the
+    entries of z, ties to the smallest id.  F_z is the smallest edge of
+    K_max(z) through z: an edge opposite a zero lattice weight of z; -1 for
+    element-interior nodes.  Returns three (n,) int arrays.
+    """
+    en = space.element_nodes
+    nt, nloc = en.shape
+    elem = np.repeat(np.arange(nt), nloc)
+    flat = en.ravel()
+    order = np.lexsort((elem, -coeff.values[elem], flat))
+    first = order[np.searchsorted(flat[order], np.arange(space.n_nodes))]
+    kmax, loc = np.divmod(first, nloc)
+    on_edge = np.array(_lattice(space.degree)[0])[loc] == 0  # (n, 3): edge opposite vertex t
+    n_edges = space.tri.n_edges
+    fz = np.where(on_edge, space.tri.triangle_edges[kmax], n_edges).min(axis=1)
+    fz[fz == n_edges] = -1
+    return kmax, loc, fz
 
 
 def build_omega_hat(tri: Triangulation, coeff: Coefficient, k: int, degree: int = 1,

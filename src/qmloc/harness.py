@@ -224,7 +224,7 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
             tables = element_tables(target, plan, space)
             global_sq, _ = global_best_error(tables, coeff, "meanzero")
             elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
-            itp = quasi_interpolate(target, space, coeff, plan)
+            itp = quasi_interpolate(target, tables, coeff)
             interp_sq = float(interpolation_error_sq(target, itp, coeff, plan).sum())
             reports.append(LocalizationReport(
                 global_error_sq=global_sq,

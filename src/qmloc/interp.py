@@ -1,99 +1,95 @@
-"""Two quasi-interpolation operators onto the continuous Lagrange space.
+"""Two quasi-interpolation operators onto the continuous Lagrange space,
+both gathers from element tables and one array selection of K_max(z) and
+F_z (`coeff.select_kmax_fz`).
 
-``quasi_interpolate`` assigns skeleton nodes face-dual moments taken on a
-face of the maximal-coefficient element of the node's star, and
-element-interior nodes the value of the per-element best polynomial fit
-(a one-element Ritz solve, its constant matched to the element mean).
-``l2_quasi_interpolate`` assigns every node an element-dual moment on the
-maximal-coefficient element.  Both reproduce members of the space and are
-robust with respect to the coefficient contrast.
+``quasi_interpolate`` assigns skeleton nodes face-dual moments on F_z, a
+face of the maximal-coefficient element of the node's star, all chosen
+edges integrated in one stacked edge rule; element-interior nodes take the
+value of the per-element best polynomial fit (`_element_fits`).
+``l2_quasi_interpolate`` assigns every node its value in the element L2 fit
+on K_max(z), i.e. an element-dual moment.  Both reproduce members of the
+space and are robust with respect to the coefficient contrast.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .bestapprox import (ElementTables, element_ritz, element_tables, energy_norm_sq,
-                         l2_norm_sq, local_element_errors)
-from .coeff import Coefficient, build_omega_hat, select_fz, select_kmax_of_node
+from .bestapprox import ElementTables, element_ritz, element_tables, local_element_errors
+from .coeff import Coefficient, build_omega_hat, select_kmax_fz
 from .errors import PlanMismatch, QuadratureFailure
-from .fespace import (LagrangeSpace, edge_basis_1d, element_basis, element_dual_basis,
-                      eval_basis, face_dual_basis)
+from .fespace import LagrangeSpace, _reference_face_dual, edge_basis_1d, element_basis
 from .quadrature import QuadraturePlan, _leggauss01, radial_rule
-from .mesh import element_patch
 
 _GAUSS_1D = 12
 
 
 @dataclass(frozen=True)
 class InterpolantResult:
-    """Coefficient vector of an interpolant plus per-node provenance.
-
+    """Coefficient vector of an interpolant plus per-node provenance:
     provenance[i] is one of 'face-dual', 'interior-best-fit',
-    'boundary-zero' or 'element-dual'; selections[i] records the element
-    (and face, when applicable) the node value was read from.
-    """
+    'boundary-zero' or 'element-dual'."""
 
     space: LagrangeSpace
     coefficients: np.ndarray
-    provenance: tuple
-    selections: tuple
-
-    def value(self, k: int, pts) -> np.ndarray:
-        vals, _ = eval_basis(self.space, k, pts)
-        return vals @ self.coefficients[self.space.element_nodes[k]]
-
-    def gradient(self, k: int, pts) -> np.ndarray:
-        _, grads = eval_basis(self.space, k, pts)
-        return np.einsum("qid,i->qd", grads, self.coefficients[self.space.element_nodes[k]])
+    provenance: np.ndarray
 
 
-def _edge_quadrature(space: LagrangeSpace, target, e: int):
-    """1D rule along edge e: points (n,2) and weights, graded toward a
-    singular point sitting at an endpoint of the edge."""
+def _edge_quadrature(space: LagrangeSpace, target, edges):
+    """Rules on the edge parameter t in [0, 1] (from the lower-id endpoint)
+    of the edges `edges`, graded toward a singular point at an endpoint.
+
+    Returns flat arrays (owner, t, w): owner indexes `edges`, w includes the
+    edge length.  Raises QuadratureFailure for a singular point strictly
+    inside one of the edges.
+    """
     tri = space.tri
-    i, j = tri.edges[e]
-    p0, p1 = tri.vertices[i], tri.vertices[j]
-    d = p1 - p0
-    L = float(np.linalg.norm(d))
-    sing = None
-    for s in getattr(target, "singular_points", ()) or ():
-        loc = np.asarray(s.location, float)
-        u = float(d @ (loc - p0)) / (L * L)  # edge parameter of the projection
-        if np.linalg.norm(loc - p0) <= 1e-12 * max(L, 1.0):
-            sing = (p0, p1, s)
-        elif np.linalg.norm(loc - p1) <= 1e-12 * max(L, 1.0):
-            sing = (p1, p0, s)
-        elif 1e-12 < u < 1.0 - 1e-12 and abs(
-            d[0] * (loc[1] - p0[1]) - d[1] * (loc[0] - p0[0])
-        ) <= 1e-12 * L:
-            raise QuadratureFailure(
-                f"singular point strictly inside edge {e}; refine the mesh instead"
-            )
-    if sing is None:
-        t, w = _leggauss01(_GAUSS_1D)
-        return p0 + np.outer(t, d), L * w
-    origin, other, s = sing
-    r, w = radial_rule(L, s.exponent, tuple(s.radial_breakpoints))
-    pts = origin + np.outer(r / L, other - origin)
-    return pts, w
+    p0 = tri.vertices[tri.edges[edges, 0]]
+    d = tri.vertices[tri.edges[edges, 1]] - p0
+    L = np.linalg.norm(d, axis=1)
+    tol = 1e-12 * np.maximum(L, 1.0)
+    points = tuple(getattr(target, "singular_points", ()) or ())
+    sing = np.full(len(edges), -1)    # the singular point at an endpoint
+    far = np.zeros(len(edges), dtype=bool)  # ... at the higher-id endpoint
+    for i, s in enumerate(points):
+        r = np.asarray(s.location, float) - p0
+        at0 = np.linalg.norm(r, axis=1) <= tol
+        at1 = ~at0 & (np.linalg.norm(r - d, axis=1) <= tol)
+        u = np.einsum("ed,ed->e", d, r) / (L * L)  # edge parameter of the projection
+        inside = (~at0 & ~at1 & (1e-12 < u) & (u < 1.0 - 1e-12)
+                  & (np.abs(d[:, 0] * r[:, 1] - d[:, 1] * r[:, 0]) <= 1e-12 * L))
+        if inside.any():
+            raise QuadratureFailure(f"singular point strictly inside edge "
+                                    f"{edges[inside][0]}; refine the mesh instead")
+        hit = at0 | at1
+        sing[hit], far[hit] = i, at1[hit]
+    t, w = _leggauss01(_GAUSS_1D)
+    plain = np.flatnonzero(sing < 0)
+    owner, ts = [np.repeat(plain, len(t))], [np.tile(t, len(plain))]
+    ws = [np.outer(L[plain], w).ravel()]
+    for e in np.flatnonzero(sing >= 0):
+        s = points[sing[e]]
+        r, wr = radial_rule(L[e], s.exponent, tuple(s.radial_breakpoints))
+        owner.append(np.full(len(r), e))
+        ts.append(1.0 - r / L[e] if far[e] else r / L[e])
+        ws.append(wr)
+    return np.concatenate(owner), np.concatenate(ts), np.concatenate(ws)
 
 
-def _edge_moment_values(space: LagrangeSpace, target, e: int):
-    """Face-dual node values on edge e: for every edge node z,
-    int_e u psi_z ds, returned as {node-id: value}."""
-    ids, D = face_dual_basis(space, e)
-    pts, wts = _edge_quadrature(space, target, e)
+def _face_dual_values(space: LagrangeSpace, target, edges) -> np.ndarray:
+    """Face-dual node values (m, degree+1) on the edges `edges`, nodes in
+    the order of `LagrangeSpace.edge_nodes`: int_F u psi_z for each."""
     tri = space.tri
-    i, j = tri.edges[e]
-    p0, p1 = tri.vertices[i], tri.vertices[j]
-    L = float(np.linalg.norm(p1 - p0))
-    t = np.linalg.norm(pts - p0, axis=1) / L
-    phi = edge_basis_1d(space.degree, t)
-    moments = phi.T @ (wts * target.value(pts))  # int u phi_y ds
-    vals = D @ moments
-    return dict(zip(ids, vals))
+    owner, t, w = _edge_quadrature(space, target, edges)
+    p0 = tri.vertices[tri.edges[edges, 0]]
+    d = tri.vertices[tri.edges[edges, 1]] - p0
+    u = target.value(p0[owner] + t[:, None] * d[owner])
+    moments = np.zeros((len(edges), space.degree + 1))  # int_F u phi_y ds
+    np.add.at(moments, owner, (w * u)[:, None] * edge_basis_1d(space.degree, t))
+    D = _reference_face_dual(space.degree)
+    return moments @ D.T / np.linalg.norm(d, axis=1)[:, None]
 
 
 def _element_fits(tables: ElementTables) -> np.ndarray:
@@ -106,60 +102,38 @@ def _element_fits(tables: ElementTables) -> np.ndarray:
     return x + shift[:, None]
 
 
-def quasi_interpolate(target, space: LagrangeSpace, coeff: Coefficient,
-                      plan: QuadraturePlan) -> InterpolantResult:
-    """Skeleton nodes: face-dual moments on a face of the star's maximal
-    element; element-interior nodes: best-fit polynomial values; nodes under
-    a Dirichlet mask: zero."""
-    n = space.n_nodes
-    x = np.zeros(n)
-    prov = [None] * n
-    sel = [None] * n
-    edge_cache: dict[int, dict] = {}
-    # element-interior nodes exist from degree 3 on
-    fits = _element_fits(element_tables(target, plan, space)) if space.degree >= 3 else None
-    for z in range(n):
-        if space.dirichlet[z]:
-            prov[z] = "boundary-zero"
-            sel[z] = None
-            continue
-        kind = space.node_kind[z]
-        if kind == "interior":
-            k = int(space.node_entity[z])
-            x[z] = fits[k, int(np.flatnonzero(space.element_nodes[k] == z)[0])]
-            prov[z] = "interior-best-fit"
-            sel[z] = ("element", k)
-        else:
-            e = select_fz(space, coeff, z)
-            if e not in edge_cache:
-                edge_cache[e] = _edge_moment_values(space, target, e)
-            x[z] = edge_cache[e][z]
-            prov[z] = "face-dual"
-            sel[z] = ("edge", e, select_kmax_of_node(space, coeff, z))
-    return InterpolantResult(space=space, coefficients=x,
-                             provenance=tuple(prov), selections=tuple(sel))
+def quasi_interpolate(target, tables: ElementTables, coeff: Coefficient) -> InterpolantResult:
+    """Skeleton nodes: face-dual moments on F_z; element-interior nodes:
+    best-fit polynomial values; nodes under a Dirichlet mask: zero.  The
+    tables are those of `target` on the space of the interpolant."""
+    space = tables.space
+    kmax, loc, fz = select_kmax_fz(space, coeff)
+    x = np.zeros(space.n_nodes)
+    prov = np.where(fz < 0, "interior-best-fit", "face-dual")
+    prov[space.dirichlet] = "boundary-zero"
+    interior = (fz < 0) & ~space.dirichlet
+    if interior.any():
+        x[interior] = _element_fits(tables)[kmax[interior], loc[interior]]
+    face = np.flatnonzero((fz >= 0) & ~space.dirichlet)
+    if len(face):
+        edges, row = np.unique(fz[face], return_inverse=True)
+        ends = space.tri.edges[edges]
+        edge_nodes = np.column_stack([space.vertex_nodes[ends[:, 0]],
+                                      space.edge_interior_nodes[edges],
+                                      space.vertex_nodes[ends[:, 1]]])
+        pos = np.argmax(edge_nodes[row] == face[:, None], axis=1)
+        x[face] = _face_dual_values(space, target, edges)[row, pos]
+    return InterpolantResult(space=space, coefficients=x, provenance=prov)
 
 
-def l2_quasi_interpolate(target, space: LagrangeSpace, coeff: Coefficient,
-                         plan: QuadraturePlan) -> InterpolantResult:
-    """Every node value is an element-dual moment int_Kmax u psi_z."""
-    n = space.n_nodes
-    x = np.zeros(n)
-    sel = [None] * n
-    moment_cache: dict[int, np.ndarray] = {}
-    dual_cache: dict[int, np.ndarray] = {}
-    for z in range(n):
-        k = select_kmax_of_node(space, coeff, z)
-        if k not in moment_cache:
-            pts, wts = plan.element_rule(k)
-            vphi, _ = eval_basis(space, k, pts)
-            moment_cache[k] = vphi.T @ (wts * target.value(pts))
-            dual_cache[k] = element_dual_basis(space, k)
-        loc = int(np.nonzero(space.element_nodes[k] == z)[0][0])
-        x[z] = float(dual_cache[k][loc] @ moment_cache[k])
-        sel[z] = ("element", k)
-    return InterpolantResult(space=space, coefficients=x,
-                             provenance=("element-dual",) * n, selections=tuple(sel))
+def l2_quasi_interpolate(tables: ElementTables, coeff: Coefficient) -> InterpolantResult:
+    """Every node value is the element-dual moment int_Kmax u psi_z: the
+    value at z of the L2(K_max) fit of u, all fits in one batched solve."""
+    kmax, loc, _ = select_kmax_fz(tables.space, coeff)
+    fits = np.linalg.solve(tables.mass, tables.value_moments[..., None])[..., 0]
+    n = tables.space.n_nodes
+    return InterpolantResult(space=tables.space, coefficients=fits[kmax, loc],
+                             provenance=np.full(n, "element-dual"))
 
 
 def interpolation_error_sq(target, interp: InterpolantResult, coeff: Coefficient,
@@ -179,38 +153,34 @@ def interpolation_error_sq(target, interp: InterpolantResult, coeff: Coefficient
     return coeff.values * err
 
 
-def interpolant_l2_norm_sq(interp: InterpolantResult, plan: QuadraturePlan) -> float:
-    total = 0.0
-    for k in range(interp.space.tri.n_elements):
-        pts, wts = plan.element_rule(k)
-        v = interp.value(k, pts)
-        total += float(wts @ (v * v))
-    return total
-
-
 def operator_report(target, space: LagrangeSpace, coeff: Coefficient,
                     plan: QuadraturePlan, which: str = "skeleton",
                     energy_diagnostic: bool = False) -> dict:
-    """Stability / near-best record for one of the two operators.
+    """Stability / near-best record for one of the two operators, from one
+    element-table pass.
 
     which='skeleton': per-element weighted error of the face-dual operator
     against the patch-local best-error sums.  which='l2': L2-stability ratio
-    of the element-dual operator; with energy_diagnostic the energy
-    stability ratio is added, which requires monotone paths and therefore
-    raises NoMonotonePath on non-quasi-monotone coefficients.
+    of the element-dual operator, the norms of Iu exact from the element
+    mass matrices; with energy_diagnostic the energy stability ratio is
+    added, which requires monotone paths and therefore raises
+    NoMonotonePath on non-quasi-monotone coefficients.
     """
+    if which not in ("skeleton", "l2"):
+        raise ValueError(f"unknown operator {which!r}")
     tri = space.tri
+    tables = element_tables(target, plan, space)
     if which == "skeleton":
-        itp = quasi_interpolate(target, space, coeff, plan)
-        tables = element_tables(target, plan, space)
-        locals_sq = local_element_errors(tables, coeff).tolist()
-        errs = interpolation_error_sq(target, itp, coeff, plan).tolist()
-        per_element = []
-        for k in range(tri.n_elements):
-            patch_sum = float(sum(locals_sq[kk] for kk in element_patch(tri, k)))
-            per_element.append((errs[k], patch_sum))
-        total_err = float(sum(e for e, _ in per_element))
-        total_loc = float(sum(locals_sq))
+        itp = quasi_interpolate(target, tables, coeff)
+        locals_sq = local_element_errors(tables, coeff)
+        errs = interpolation_error_sq(target, itp, coeff, plan)
+        # omega_K: the elements sharing a vertex with K
+        incidence = sp.csr_matrix((np.ones(3 * tri.n_elements), tri.triangles.ravel(),
+                                   np.arange(0, 3 * tri.n_elements + 1, 3)),
+                                  shape=(tri.n_elements, tri.n_vertices))
+        patch = (incidence @ incidence.T).astype(bool).astype(float)
+        patch_sums = patch @ locals_sq
+        total_err, total_loc = float(errs.sum()), float(locals_sq.sum())
         ratio = 0.0 if total_err <= 1e-28 else (
             float("inf") if total_loc == 0 else total_err / total_loc
         )
@@ -221,31 +191,26 @@ def operator_report(target, space: LagrangeSpace, coeff: Coefficient,
             "near_best_ratio": ratio,
             "per_element": [
                 {"element": k, "error_sq": e, "patch_local_sum_sq": s}
-                for k, (e, s) in enumerate(per_element)
+                for k, (e, s) in enumerate(zip(errs.tolist(), patch_sums.tolist()))
             ],
         }
-    if which == "l2":
-        itp = l2_quasi_interpolate(target, space, coeff, plan)
-        uu = l2_norm_sq(target, plan)
-        vv = interpolant_l2_norm_sq(itp, plan)
-        rec = {
-            "operator": "l2",
-            "l2_norm_sq_target": uu,
-            "l2_norm_sq_interpolant": vv,
-            "l2_stability_ratio": 0.0 if uu == 0 else np.sqrt(vv / uu),
+    itp = l2_quasi_interpolate(tables, coeff)
+    xe = itp.coefficients[space.element_nodes]
+    uu = float(tables.value_sq.sum())
+    vv = float(np.einsum("ki,kij,kj->", xe, tables.mass, xe))
+    rec = {
+        "operator": "l2",
+        "l2_norm_sq_target": uu,
+        "l2_norm_sq_interpolant": vv,
+        "l2_stability_ratio": 0.0 if uu == 0 else np.sqrt(vv / uu),
+    }
+    if energy_diagnostic:
+        omega_hats = {
+            k: build_omega_hat(tri, coeff, k, degree=space.degree, space=space)
+            for k in range(tri.n_elements)
         }
-        if energy_diagnostic:
-            omega_hats = {
-                k: build_omega_hat(tri, coeff, k, degree=space.degree, space=space)
-                for k in range(tri.n_elements)
-            }
-            eu = energy_norm_sq(target, coeff, plan)
-            ev = 0.0
-            for k in range(tri.n_elements):
-                pts, wts = plan.element_rule(k)
-                g = itp.gradient(k, pts)
-                ev += coeff.values[k] * float(wts @ np.einsum("qd,qd->q", g, g))
-            rec["energy_stability_ratio"] = 0.0 if eu == 0 else np.sqrt(ev / eu)
-            rec["omega_hat_sizes"] = {int(k): len(v) for k, v in omega_hats.items()}
-        return rec
-    raise ValueError(f"unknown operator {which!r}")
+        eu = float(coeff.values @ tables.grad_sq)
+        ev = float(coeff.values @ np.einsum("ki,kij,kj->k", xe, tables.stiffness, xe))
+        rec["energy_stability_ratio"] = 0.0 if eu == 0 else np.sqrt(ev / eu)
+        rec["omega_hat_sizes"] = {int(k): len(v) for k, v in omega_hats.items()}
+    return rec

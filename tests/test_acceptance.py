@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from qmloc.bestapprox import (element_tables, energy_norm_sq,
+from qmloc.bestapprox import (element_tables,
                               global_best_error, local_element_errors, ritz)
 from qmloc.coeff import attach_coefficient, check_quasi_monotonicity
 from qmloc.counterexamples import (analytic_energy_reference,
@@ -29,6 +29,7 @@ from qmloc.mesh import build_triangulation, uniform_refine
 from qmloc.quadrature import (make_quadrature_plan, polar_triangle_rule,
                               radial_rule)
 
+from interp_reference import energy_norm_sq
 from ritz_reference import assemble, dense_ritz_error, energy_rhs
 from test_coeff import brute_force_quasi_monotone
 from test_interp import fe_target
@@ -257,9 +258,10 @@ def test_criterion_09_operator_identities():
             x = rng.standard_normal(space.n_nodes)
             target = fe_target(space, x)
             plan = make_quadrature_plan(tri, target, exactness=2 * ell + 4)
-            skel = quasi_interpolate(target, space, coeff, plan)
+            tables = element_tables(target, plan, space)
+            skel = quasi_interpolate(target, tables, coeff)
             assert np.max(np.abs(skel.coefficients - x)) < 1e-10
-            l2 = l2_quasi_interpolate(target, space, coeff, plan)
+            l2 = l2_quasi_interpolate(tables, coeff)
             assert np.max(np.abs(l2.coefficients - x)) < 1e-10
             done += 1
     assert done == 20

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmloc.bestapprox import (LocalizationReport, SpdSystem, element_tables,
-                              energy_norm_sq, global_best_error, l2_norm_sq,
-                              local_element_errors, reaction_diffusion_errors,
+                              global_best_error, local_element_errors, reaction_diffusion_errors,
                               ritz, solve_spd)
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
@@ -22,6 +21,7 @@ from qmloc.interp import _element_fits
 from qmloc.mesh import build_triangulation, uniform_refine
 from qmloc.quadrature import make_quadrature_plan
 
+from interp_reference import energy_norm_sq, l2_norm_sq
 from ritz_reference import (assemble, dense_ritz_error, element_stiffness,
                             energy_rhs, mass_rhs, monomial_element_fit)
 
@@ -202,8 +202,9 @@ def test_reaction_diffusion_consistency():
         assert combined >= floor - 1e-10 * combined
     assert len(out["element_gradient_locals"]) == tri.n_elements
     assert len(out["pair_l2_locals"]) == len(tri.interior_edges())
-    with pytest.raises(ValueError):
-        reaction_diffusion_errors(tables, coeff, (1.0, -1.0))
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match=f"beta must be finite and >= 0, got {bad}"):
+            reaction_diffusion_errors(tables, coeff, (1.0, bad))
 
 
 def test_localization_report_serializes():

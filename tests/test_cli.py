@@ -148,6 +148,14 @@ def test_sweeps_reject_negative_refines(capsys, command):
     assert captured.err.count("\n") == 1 and "refines must be >= 0" in captured.err
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf"])
+def test_rd_rejects_non_finite_beta(capsys, beta):
+    assert main(["rd", f"--betas=1,{beta}"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: beta must be finite and >= 0, got {beta}\n"
+
+
 def _readme_commands():
     """The `qmloc ...` lines of the README's "Command line" block as argv
     lists: comments and optional-argument brackets dropped, the first of

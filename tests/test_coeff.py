@@ -6,7 +6,7 @@ import pytest
 
 from qmloc.coeff import (attach_coefficient, build_omega_hat,
                          check_quasi_monotonicity, find_monotone_path,
-                         select_fz, select_kmax, select_kmax_of_node)
+                         select_kmax, select_kmax_fz)
 from qmloc.counterexamples import (checkerboard_mesh, fig1_meshes,
                                    hexagon_mesh)
 from qmloc.errors import NoMonotonePath, NonPositiveValue
@@ -126,9 +126,8 @@ def test_kmax_tie_break_smallest_id():
 def test_select_fz_is_edge_of_kmax():
     tri, coeff = hexagon_mesh(0.1)
     space = build_space(tri, 1)
-    for z in range(space.n_nodes):
-        e = select_fz(space, coeff, z)
-        kmax = select_kmax_of_node(space, coeff, z)
+    kmaxs, _, fzs = select_kmax_fz(space, coeff)
+    for z, (kmax, e) in enumerate(zip(kmaxs.tolist(), fzs.tolist())):
         assert e in tuple(int(x) for x in tri.triangle_edges[kmax])
         assert z in tuple(int(v) for v in tri.edges[e])
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qmloc.bestapprox import element_tables, energy_norm_sq
+from qmloc.bestapprox import element_tables
 from qmloc.coeff import check_quasi_monotonicity
 from qmloc.counterexamples import (analytic_energy_reference,
                                    checkerboard_mesh, checkerboard_target,
@@ -12,6 +12,8 @@ from qmloc.counterexamples import (analytic_energy_reference,
 from qmloc.errors import ParameterOutOfRange
 from qmloc.fespace import build_space
 from qmloc.quadrature import make_quadrature_plan
+
+from interp_reference import energy_norm_sq
 
 
 def test_hexagon_mesh_shape():

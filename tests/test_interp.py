@@ -1,18 +1,26 @@
 """Quasi-interpolation operators: projection, locality, stability."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmloc.coeff import attach_coefficient
-from qmloc.counterexamples import fig1_meshes, hexagon_mesh, hexagon_target
+from qmloc.bestapprox import element_tables, local_element_errors
+from qmloc.coeff import attach_coefficient, select_kmax_fz
+from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
+                                   fig1_left_pattern, fig1_meshes, hexagon_mesh,
+                                   hexagon_target)
 from qmloc.errors import NoMonotonePath, QuadratureFailure
 from qmloc.fespace import build_space, eval_basis
 from qmloc.fields import SingularPoint, TargetField, smooth_target
+from qmloc.harness import default_smooth_targets
 from qmloc.interp import (_edge_quadrature, interpolation_error_sq,
                           l2_quasi_interpolate, operator_report, quasi_interpolate)
-from qmloc.mesh import build_triangulation, uniform_refine
+from qmloc.mesh import build_triangulation, element_patch, uniform_refine
 from qmloc.quadrature import make_quadrature_plan
 
+import interp_reference as ref
 from ritz_reference import interpolation_error_loop
+from test_bestapprox import _perturbed_grid
 
 
 def square_mesh(refines=1):
@@ -27,20 +35,16 @@ def square_mesh(refines=1):
 def fe_target(space, x):
     """A finite element function as a globally evaluable target."""
     tri = space.tri
+    v = tri.vertices[tri.triangles]
+    Binv = np.linalg.inv(np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1))
 
     def locate(pts):
-        out = np.empty(len(pts), dtype=int)
-        for i, p in enumerate(pts):
-            for k in range(tri.n_elements):
-                v0, v1, v2 = tri.vertices[tri.triangles[k]]
-                B = np.column_stack([v1 - v0, v2 - v0])
-                xi = np.linalg.solve(B, p - v0)
-                if xi[0] >= -1e-12 and xi[1] >= -1e-12 and xi.sum() <= 1 + 1e-12:
-                    out[i] = k
-                    break
-            else:
-                raise ValueError(f"point {p} outside mesh")
-        return out
+        """The first element containing each point."""
+        xi = np.einsum("kij,pkj->pki", Binv, pts[:, None, :] - v[None, :, 0])
+        inside = (xi >= -1e-12).all(axis=2) & (xi.sum(axis=2) <= 1 + 1e-12)
+        if not inside.any(axis=1).all():
+            raise ValueError(f"point {pts[~inside.any(axis=1)][0]} outside mesh")
+        return inside.argmax(axis=1)
 
     def value(pts):
         pts = np.atleast_2d(pts)
@@ -65,6 +69,12 @@ def fe_target(space, x):
     return smooth_target(value, gradient)
 
 
+def both_operators(target, space, coeff, plan):
+    """The skeleton and the L2 interpolant of the target, from one table."""
+    tables = element_tables(target, plan, space)
+    return quasi_interpolate(target, tables, coeff), l2_quasi_interpolate(tables, coeff)
+
+
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_both_operators_reproduce_the_space(ell):
     tri = square_mesh()
@@ -75,9 +85,8 @@ def test_both_operators_reproduce_the_space(ell):
         x = rng.standard_normal(space.n_nodes)
         target = fe_target(space, x)
         plan = make_quadrature_plan(tri, target, exactness=2 * ell + 4)
-        skel = quasi_interpolate(target, space, coeff, plan)
+        skel, l2 = both_operators(target, space, coeff, plan)
         assert np.max(np.abs(skel.coefficients - x)) < 1e-10
-        l2 = l2_quasi_interpolate(target, space, coeff, plan)
         assert np.max(np.abs(l2.coefficients - x)) < 1e-10
 
 
@@ -91,8 +100,7 @@ def test_constants_are_reproduced():
     for ell in (1, 2, 3):
         space = build_space(tri, ell)
         plan = make_quadrature_plan(tri, target, exactness=2 * ell + 2)
-        for op in (quasi_interpolate, l2_quasi_interpolate):
-            itp = op(target, space, coeff, plan)
+        for itp in both_operators(target, space, coeff, plan):
             assert np.max(np.abs(itp.coefficients - 3.25)) < 1e-12
 
 
@@ -105,7 +113,7 @@ def test_dirichlet_nodes_are_zeroed():
         lambda p: np.broadcast_to([1.0, 0.0], (len(p), 2)).copy(),
     )
     plan = make_quadrature_plan(tri, target, exactness=8)
-    itp = quasi_interpolate(target, space, coeff, plan)
+    itp = quasi_interpolate(target, element_tables(target, plan, space), coeff)
     for z in range(space.n_nodes):
         if space.dirichlet[z]:
             assert itp.coefficients[z] == 0.0
@@ -155,8 +163,8 @@ def test_skeleton_operator_is_local():
         lambda p: base.gradient(p) + 50.0 * bump_grad(p),
     )
     plan = make_quadrature_plan(tri, base, exactness=14)
-    i0 = quasi_interpolate(base, space, coeff, plan)
-    i1 = quasi_interpolate(perturbed, space, coeff, plan)
+    i0 = quasi_interpolate(base, element_tables(base, plan, space), coeff)
+    i1 = quasi_interpolate(perturbed, element_tables(perturbed, plan, space), coeff)
     moved = np.nonzero(np.abs(i1.coefficients - i0.coefficients) > 1e-9)[0]
     for z in moved:
         assert space.node_kind[z] == "interior"
@@ -202,10 +210,14 @@ def test_skeleton_report_bounds_error_by_patch_sums():
     space = build_space(tri, 2)
     plan = make_quadrature_plan(tri, target, exactness=12)
     rec = operator_report(target, space, coeff, plan, which="skeleton")
-    itp = quasi_interpolate(target, space, coeff, plan)
+    itp = quasi_interpolate(target, element_tables(target, plan, space), coeff)
     direct = interpolation_error_loop(target, itp, coeff, plan)
     assert abs(rec["error_sq"] - direct) < 1e-12 * max(1.0, direct)
     assert rec["near_best_ratio"] >= 1.0 - 1e-12
+    locals_sq = local_element_errors(element_tables(target, plan, space), coeff)
+    for k, entry in enumerate(rec["per_element"]):
+        patch_sum = sum(locals_sq[kk] for kk in element_patch(tri, k))
+        assert abs(entry["patch_local_sum_sq"] - patch_sum) <= 1e-12 * patch_sum
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -219,8 +231,7 @@ def test_interpolation_error_matches_quadrature_loop(ell):
     )
     space = build_space(tri, ell)
     plan = make_quadrature_plan(tri, target, exactness=2 * ell + 6)
-    for op in (quasi_interpolate, l2_quasi_interpolate):
-        itp = op(target, space, coeff, plan)
+    for itp in both_operators(target, space, coeff, plan):
         fast = interpolation_error_sq(target, itp, coeff, plan)
         loop = np.array([interpolation_error_loop(target, itp, coeff, plan, [k])
                          for k in range(tri.n_elements)])
@@ -259,10 +270,90 @@ def test_edge_quadrature_only_refuses_a_singular_point_inside_the_edge():
                            gradient_fn=lambda p: np.zeros_like(p),
                            singular_points=(SingularPoint(xy, 0.25),))
 
-    plain = _edge_quadrature(space, smooth_target(None, None), e)
-    pts, wts = _edge_quadrature(space, singular_at((0.0, 0.0)), e)
+    edges = np.array([e])
+    plain = _edge_quadrature(space, smooth_target(None, None), edges)
+    owner, t, wts = _edge_quadrature(space, singular_at((0.0, 0.0)), edges)
     assert len(wts) == 12
-    np.testing.assert_array_equal(pts, plain[0])
-    np.testing.assert_array_equal(wts, plain[1])
+    np.testing.assert_array_equal(t, plain[1])
+    np.testing.assert_array_equal(wts, plain[2])
     with pytest.raises(QuadratureFailure, match="strictly inside edge"):
-        _edge_quadrature(space, singular_at((0.5, 0.0)), e)
+        _edge_quadrature(space, singular_at((0.5, 0.0)), edges)
+
+
+def _assert_selection_matches_loops(space, coeff):
+    kmax, loc, fz = select_kmax_fz(space, coeff)
+    for z in range(space.n_nodes):
+        e = ref.select_fz(space, coeff, z)
+        assert kmax[z] == ref.select_kmax_of_node(space, coeff, z)
+        assert space.element_nodes[kmax[z], loc[z]] == z
+        assert fz[z] == (-1 if e is None else e)
+
+
+def _assert_operators_match_loops(target, space, coeff, plan):
+    skel, l2 = both_operators(target, space, coeff, plan)
+    loop_skel, _ = ref.quasi_interpolate(target, space, coeff, plan)
+    loop_l2 = ref.l2_quasi_interpolate(target, space, coeff, plan)
+    for fast, loop in ((skel, loop_skel), (l2, loop_l2)):
+        scale = np.max(np.abs(loop.coefficients))
+        assert np.max(np.abs(fast.coefficients - loop.coefficients)) <= 1e-12 * scale
+        assert fast.provenance.tolist() == list(loop.provenance)
+
+
+def _loop_reference_cases(ell):
+    """(target, space, coefficient): the hexagon with a Dirichlet mask and
+    singular edges, the checkerboard, and fig1-left at two contrasts with
+    the three smooth targets."""
+    tri, coeff = hexagon_mesh(0.1)
+    yield hexagon_target(0.1), build_space(tri, ell, dirichlet_on_boundary=True), coeff
+    tri, coeff = checkerboard_mesh(2)
+    yield checkerboard_target(2), build_space(tri, ell), coeff
+    for alpha in (1.0, 1e-6):
+        tri, coeff = fig1_left_pattern(alpha, refines=3)
+        space = build_space(tri, ell)
+        for target in default_smooth_targets().values():
+            yield target, space, coeff
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_interpolants_match_loop_reference(ell):
+    checked = set()
+    for target, space, coeff in _loop_reference_cases(ell):
+        if id(space) not in checked:
+            _assert_selection_matches_loops(space, coeff)
+            checked.add(id(space))
+        plan = make_quadrature_plan(space.tri, target, exactness=2 * ell + 6)
+        _assert_operators_match_loops(target, space, coeff, plan)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), ell=st.integers(1, 4))
+def test_operators_reproduce_members_under_kmax_ties(seed, n, ell):
+    rng = np.random.default_rng(seed)
+    tri = _perturbed_grid(n, rng)
+    coeff = attach_coefficient(tri, rng.integers(1, 4, tri.n_elements).astype(float))
+    space = build_space(tri, ell)
+    _assert_selection_matches_loops(space, coeff)
+    x = rng.standard_normal(space.n_nodes)
+    target = fe_target(space, x)
+    plan = make_quadrature_plan(tri, target, exactness=2 * ell + 2)
+    for itp in both_operators(target, space, coeff, plan):
+        assert np.max(np.abs(itp.coefficients - x)) < 1e-10
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_l2_report_matches_quadrature_loops(ell):
+    tri, coeff = fig1_left_pattern(1e-4, refines=2)
+    space = build_space(tri, ell)
+    for target in default_smooth_targets().values():
+        plan = make_quadrature_plan(tri, target, exactness=2 * ell + 6)
+        rec = operator_report(target, space, coeff, plan, which="l2",
+                              energy_diagnostic=True)
+        uu = ref.l2_norm_sq(target, plan)
+        vv, ev = ref.interpolant_norms_sq(
+            ref.l2_quasi_interpolate(target, space, coeff, plan), coeff, plan)
+        eu = ref.energy_norm_sq(target, coeff, plan)
+        assert abs(rec["l2_norm_sq_target"] - uu) <= 1e-12 * uu
+        assert abs(rec["l2_norm_sq_interpolant"] - vv) <= 1e-12 * vv
+        assert abs(rec["l2_stability_ratio"] - np.sqrt(vv / uu)) <= 1e-12 * np.sqrt(vv / uu)
+        ratio = np.sqrt(ev / eu)
+        assert abs(rec["energy_stability_ratio"] - ratio) <= 1e-12 * ratio
