@@ -9,11 +9,11 @@ counterexample problems, and an experiment harness with a CLI.
 """
 
 from .bestapprox import (LocalizationReport, SpdSystem, element_tables,
-                         global_best_error, local_element_errors,
+                         global_best_error, local_element_errors, local_ritz,
                          reaction_diffusion_errors, ritz, solve_spd)
 from .coeff import (Coefficient, MonotonePath, QmReport, attach_coefficient,
                     build_omega_hat, check_quasi_monotonicity,
-                    find_monotone_path, select_kmax, select_kmax_fz)
+                    find_monotone_path, select_kmax_fz)
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_pattern,
                               fig1_meshes, hexagon_mesh, hexagon_target)
@@ -41,9 +41,9 @@ __all__ = [
     "element_tables", "emit_report", "estimate_inequality_constants", "fig1_left_pattern",
     "fig1_meshes", "find_monotone_path", "global_best_error", "hexagon_mesh",
     "hexagon_target", "l2_quasi_interpolate", "load_mesh",
-    "local_element_errors", "make_quadrature_plan",
+    "local_element_errors", "local_ritz", "make_quadrature_plan",
     "operator_report", "quasi_interpolate", "reaction_diffusion_errors", "ritz",
     "run_alpha_robustness", "run_hexagon_sweep", "run_reaction_diffusion",
-    "run_star_sweep", "save_mesh", "select_kmax", "select_kmax_fz",
+    "run_star_sweep", "save_mesh", "select_kmax_fz",
     "smooth_target", "solve_spd", "uniform_refine",
 ]

@@ -1,5 +1,7 @@
 """Best-approximation errors: one table of element matrices and target
-moments, one Ritz kernel over any element set, and the SPD solver.
+moments, the global Ritz solve by CG, and one batched local Ritz kernel
+(`local_ritz`) for every element, pair and star, whose errors come from one
+element-layout energy (`_energy`) that also rates explicit candidates.
 
 All error values are squared energies.  Pure-seminorm problems are gauged by
 pinning one node; the reported error is invariant under that choice.
@@ -151,83 +153,102 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
 # the Ritz kernel and the best errors built on it
 
 
-def ritz(tables: ElementTables, a, beta: float = 0.0, region=None, fixed=None):
-    """Best approximation of the tables' target in the restricted space.
+def ritz(tables: ElementTables, a, beta: float = 0.0, fixed=None):
+    """Global best approximation of the tables' target, by CG.
 
     Minimizes sum_K a_K ||grad(u - V)||^2_K + beta ||u - V||^2 over the
-    continuous space restricted to the elements of `region` (default: the
-    whole mesh), with V = 0 at the nodes of the bool mask `fixed`.  With no
-    node fixed and beta = 0 the lowest-id node is pinned.  The whole mesh is
-    solved by CG, a proper region by one dense solve.
+    whole continuous space, with V = 0 at the nodes of the bool mask
+    `fixed`.  With no node fixed and beta = 0 the lowest-id node is pinned.
 
-    Returns (error_sq, nodes, x): the energy of u - V, the region's global
-    node ids in ascending order, and the coefficients of V on them.
+    Returns (error_sq, x): the energy of u - V and the coefficients of V.
     """
-    space = tables.space
-    whole = region is None
-    elems = (np.arange(space.tri.n_elements) if whole
-             else np.unique(np.asarray(region, dtype=np.int64)))
-    w = np.asarray(a, dtype=float)[elems]
-    en = space.element_nodes[elems]
-    if whole:
-        nodes, loc = np.arange(space.n_nodes), en
-    else:
-        nodes, inv = np.unique(en, return_inverse=True)
-        loc = inv.reshape(en.shape)
-    m, nloc = len(nodes), en.shape[1]
-    K = w[:, None, None] * tables.stiffness[elems] + beta * tables.mass[elems]
-    f = w[:, None] * tables.grad_moments[elems] + beta * tables.value_moments[elems]
-    uu = float(w @ tables.grad_sq[elems]) + beta * float(tables.value_sq[elems].sum())
-    b = np.bincount(loc.ravel(), weights=f.ravel(), minlength=m)
-    free = np.ones(m, dtype=bool) if fixed is None else ~np.asarray(fixed, dtype=bool)[nodes]
+    w = np.asarray(a, dtype=float)
+    en, m = tables.space.element_nodes, tables.space.n_nodes
+    K, f, _ = _element_forms(tables, w, beta, slice(None))
+    uu = float(w @ tables.grad_sq) + beta * float(tables.value_sq.sum())
+    b = np.bincount(en.ravel(), weights=f.ravel(), minlength=m)
+    free = np.ones(m, dtype=bool) if fixed is None else ~np.asarray(fixed, dtype=bool)
     if free.all() and beta == 0.0:
         free[0] = False
     # element order, row-major within each element matrix
-    rows = np.repeat(loc, nloc, axis=1).ravel()
-    cols = np.tile(loc, (1, nloc)).ravel()
-    if whole:
-        A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()
-        x = solve_spd(SpdSystem(matrix=A, rhs=b, fixed=~free))
-    else:
-        A = np.bincount(rows * m + cols, weights=K.ravel(), minlength=m * m).reshape(m, m)
-        x = np.zeros(m)
-        try:
-            x[free] = np.linalg.solve(A[np.ix_(free, free)], b[free])
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure(f"singular local system on elements {elems.tolist()}") from exc
+    rows = np.repeat(en, en.shape[1], axis=1).ravel()
+    cols = np.tile(en, (1, en.shape[1])).ravel()
+    A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()
+    x = solve_spd(SpdSystem(matrix=A, rhs=b, fixed=~free))
     # the energy of the computed approximant: an error in x enters only to second order
     err = uu - 2.0 * float(b @ x) + float(x @ (A @ x))
-    return max(err, 0.0), nodes, x
+    return max(err, 0.0), x
 
 
-def element_ritz(tables: ElementTables):
-    """Best P_degree(K) fit of u in the energy on every element K.
+def _element_forms(tables: ElementTables, a, beta: float, elems):
+    """a_K S_K + beta M_K, the load vectors and the target energies of the
+    elements `elems` (a slice or an int array of any shape)."""
+    w = a[elems]
+    K = w[..., None, None] * tables.stiffness[elems] + beta * tables.mass[elems]
+    f = w[..., None] * tables.grad_moments[elems] + beta * tables.value_moments[elems]
+    return K, f, w * tables.grad_sq[elems] + beta * tables.value_sq[elems]
 
-    One batched solve over the element stiffness blocks, each with its
-    lowest-id node pinned at zero as in `ritz`.  Returns the local
-    coefficients (nt, nloc) of the fits and the unweighted errors
-    int_K |grad(u - fit)|^2 (nt,).
+
+def _energy(K, f, uu, v):
+    """uu - 2 f.v + v^T K v per element, summed over the element axis, >= 0."""
+    quad = np.einsum("...i,...ij,...j->...", v, K, v)
+    return np.maximum((uu - 2.0 * np.einsum("...i,...i->...", f, v) + quad).sum(axis=-1), 0.0)
+
+
+def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None):
+    """Best approximation of the tables' target on each region by itself.
+
+    A region is a sequence of distinct element ids; a 2-D int array holds
+    equal-size regions.  Each minimizes the energy of `ritz` on its elements,
+    with V = 0 on `fixed` and the lowest-id node pinned as there.  Regions of
+    equal element and node count share one scatter and one batched dense
+    solve, fixed nodes as identity rows.  Returns the (P,) errors and V at
+    the local nodes of each region's elements (P, E, nloc), zero-padded to
+    the largest region.  Raises SolverFailure naming a singular region.
     """
-    en = tables.space.element_nodes
-    free = np.argsort(en, axis=1)[:, 1:]  # local indices, lowest global id dropped
-    S = np.take_along_axis(np.take_along_axis(tables.stiffness, free[:, :, None], 1),
-                           free[:, None, :], 2)
-    g = np.take_along_axis(tables.grad_moments, free, 1)
-    try:
-        y = np.linalg.solve(S, g[..., None])
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure("singular element stiffness block") from exc
-    quad = (y.transpose(0, 2, 1) @ S @ y)[:, 0, 0]
-    err = tables.grad_sq - 2.0 * (g[:, None, :] @ y)[:, 0, 0] + quad
-    x = np.zeros(en.shape)
-    np.put_along_axis(x, free, y[..., 0], 1)
-    return x, err
+    a = np.asarray(a, dtype=float)
+    en_all, n = tables.space.element_nodes, tables.space.n_nodes
+    stacked = isinstance(regions, np.ndarray)
+    sizes = (np.full(len(regions), regions.shape[1]) if stacked
+             else np.fromiter(map(len, regions), np.int64, len(regions)))
+    err, x = np.zeros(len(sizes)), np.zeros((len(sizes), sizes.max(initial=0), en_all.shape[1]))
+    for E in np.unique(sizes):
+        ids = np.flatnonzero(sizes == E)
+        elems = regions[ids] if stacked else np.array([regions[i] for i in ids]).reshape(-1, E)
+        en = en_all[elems].reshape(len(ids), -1)
+        s = np.sort(en, axis=1)
+        new = np.diff(s, axis=1, prepend=-1) != 0  # first of each node id
+        counts = new.sum(axis=1)
+        for m in np.unique(counts):
+            sub, P = counts == m, ids[counts == m]
+            G = len(P)
+            nodes = s[sub][new[sub]].reshape(G, m)  # ascending per region
+            # index into the stacked (G * m) nodes: search each region's own
+            off = np.arange(G)[:, None] * n
+            loc = np.searchsorted((nodes + off).ravel(), (en[sub] + off).ravel()).reshape(G, E, -1)
+            K, f, uu = _element_forms(tables, a, beta, elems[sub])
+            flat = loc[..., :, None] * m + loc[..., None, :] % m
+            A = np.bincount(flat.ravel(), K.ravel(), G * m * m).reshape(G, m, m)
+            b = np.bincount(loc.ravel(), f.ravel(), G * m).reshape(G, m)
+            free = (np.ones((G, m), dtype=bool) if fixed is None
+                    else ~np.asarray(fixed, dtype=bool)[nodes])
+            if beta == 0.0:
+                free[free.all(axis=1), 0] = False
+            A *= free[:, :, None] & free[:, None, :]
+            A[:, np.arange(m), np.arange(m)] += ~free
+            try:
+                x[P, :E] = np.linalg.solve(A, (free * b)[..., None]).ravel()[loc]
+            except np.linalg.LinAlgError:  # singular: slogdet sign 0 (det may underflow)
+                bad = elems[sub][np.argmin(np.abs(np.linalg.slogdet(A)[0]))].tolist()
+                raise SolverFailure(f"singular local system on elements {bad}") from None
+            err[P] = _energy(K, f, uu, x[P, :E])
+    return err, x
 
 
 def local_element_errors(tables: ElementTables, coeff: Coefficient) -> np.ndarray:
-    """a_K * min over P_degree(K) of ||grad(u - P)||^2_K for every element K,
-    from `element_ritz`; returns an (nt,) array."""
-    return np.maximum(coeff.values * element_ritz(tables)[1], 0.0)
+    """a_K * min over P_degree(K) of ||grad(u - P)||^2_K for every element K;
+    returns an (nt,) array."""
+    return local_ritz(tables, coeff.values, np.arange(tables.space.tri.n_elements)[:, None])[0]
 
 
 def global_best_error(tables: ElementTables, coeff: Coefficient, gauge: str):
@@ -241,11 +262,10 @@ def global_best_error(tables: ElementTables, coeff: Coefficient, gauge: str):
     if gauge == "dirichlet":
         if not space.dirichlet.any():
             raise ValueError("dirichlet gauge requested but the space has no Dirichlet mask")
-        err, _, x = ritz(tables, coeff.values, fixed=space.dirichlet)
-        return err, x
+        return ritz(tables, coeff.values, fixed=space.dirichlet)
     if gauge != "meanzero":
         raise ValueError(f"unknown gauge {gauge!r}")
-    err, _, x = ritz(tables, coeff.values)
+    err, x = ritz(tables, coeff.values)
     vol = float(space.tri.areas.sum())
     mean_u = float(tables.value_moments.sum()) / vol
     mean_v = float(np.sum(x[space.element_nodes] * tables.mass.sum(axis=2))) / vol
@@ -271,10 +291,8 @@ def reaction_diffusion_errors(tables: ElementTables, coeff: Coefficient, betas):
         "gradient_global_sq": ritz(tables, coeff.values)[0],
         "l2_global_sq": ritz(tables, zero, 1.0)[0],
         "element_gradient_locals": local_element_errors(tables, coeff).tolist(),
-        "pair_l2_locals": [
-            ritz(tables, zero, 1.0, region=tri.edge_elements[e])[0]
-            for e in tri.interior_edges()
-        ],
+        "pair_l2_locals": local_ritz(
+            tables, zero, [tri.edge_elements[e] for e in tri.interior_edges()], 1.0)[0].tolist(),
     }
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (LocusMismatch, NoMonotonePath, NonPositiveValue, UnknownLocus,
                      UnsupportedDegree)
-from .fespace import EDGE, VERTEX, LagrangeSpace, _lattice
+from .fespace import EDGE, VERTEX, LagrangeSpace, _lattice, build_space
 from .mesh import Triangulation, edge_pair, vertex_patch
 
 
@@ -185,17 +185,6 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
     )
 
 
-def select_kmax(tri: Triangulation, coeff: Coefficient, star) -> int:
-    """Element of maximal coefficient in the star, smallest id on ties."""
-    star = tuple(star)
-    a = coeff.values
-    best = star[0]
-    for k in star[1:]:
-        if a[k] > a[best]:
-            best = k
-    return int(best)
-
-
 def select_kmax_fz(space: LagrangeSpace, coeff: Coefficient):
     """K_max(z), the local index of z in it and F_z for every node z.
 
@@ -226,15 +215,13 @@ def build_omega_hat(tri: Triangulation, coeff: Coefficient, k: int, degree: int 
     Raises NoMonotonePath (with the failing node) when the coefficient is
     not quasi-monotone on some star of K.
     """
-    from .fespace import build_space  # local import to avoid cycles at import time
-
     sp = space if space is not None else build_space(tri, degree)
     out = {int(k)}
     a = coeff.values
     for node in sorted(int(n) for n in sp.element_nodes[k]):
         star = space_star(sp, node)
-        kmax = select_kmax(tri, coeff, star)
-        path = _bfs_path(tri, a, star, int(k), kmax)
+        kmax = min(star, key=lambda j: (-a[j], j))  # the rule of select_kmax_fz
+        path = _bfs_path(tri, a, star, int(k), int(kmax))
         if path is None:
             raise NoMonotonePath(f"no monotone path from element {k} to K_max at node {node}")
         out.update(path.elements)

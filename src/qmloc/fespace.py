@@ -78,10 +78,6 @@ class LagrangeSpace:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def local_size(self) -> int:
-        return (self.degree + 1) * (self.degree + 2) // 2
-
     def edge_nodes(self, e: int):
         """Global ids of the degree+1 nodes on edge e, ordered from the
         lower-id endpoint."""

@@ -7,8 +7,9 @@ import json
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, element_tables, global_best_error,
-                         local_element_errors, reaction_diffusion_errors, ritz)
+from .bestapprox import (LocalizationReport, _element_forms, _energy, element_tables,
+                         global_best_error, local_element_errors, local_ritz,
+                         reaction_diffusion_errors)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_pattern,
@@ -70,16 +71,12 @@ def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
         tables = element_tables(target, plan, space)
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
         elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
-        pairs = [
-            (e, ritz(tables, coeff.values, region=tri.edge_elements[e],
-                     fixed=space.dirichlet)[0])
-            for e in tri.interior_edges()
-        ]
-        stars = [
-            (z, ritz(tables, coeff.values, region=vertex_patch(tri, z),
-                     fixed=space.dirichlet)[0])
-            for z in range(tri.n_vertices)
-        ]
+        edges = tri.interior_edges()
+        pair_sq = local_ritz(tables, coeff.values, [tri.edge_elements[e] for e in edges],
+                             fixed=space.dirichlet)[0]
+        star_sq = local_ritz(tables, coeff.values, tri.vertex_elements, fixed=space.dirichlet)[0]
+        pairs = list(zip(edges, pair_sq.tolist()))
+        stars = list(enumerate(star_sq.tolist()))
         qm = check_quasi_monotonicity(tri, coeff)
         reports.append(LocalizationReport(
             global_error_sq=global_sq,
@@ -108,14 +105,10 @@ def _classify_checkerboard_vertex(v, N: int) -> str:
 
 def _star_candidate_error(tables, coeff, z, values: dict) -> float:
     """Energy of an explicit star candidate given its nonzero nodal values."""
-    region = list(vertex_patch(tables.space.tri, z))
+    region = np.asarray(vertex_patch(tables.space.tri, z))
     v = np.array([[values.get(int(g), 0.0) for g in tables.space.element_nodes[k]]
                   for k in region])
-    w = coeff.values[region]
-    uu = float(w @ tables.grad_sq[region])
-    lin = float(np.einsum("k,ki,ki->", w, tables.grad_moments[region], v))
-    quad = float(np.einsum("k,ki,kij,kj->", w, v, tables.stiffness[region], v))
-    return max(uu - 2.0 * lin + quad, 0.0)
+    return float(_energy(*_element_forms(tables, coeff.values, 0.0, region), v))
 
 
 def _star_candidate_values(tri: Triangulation, coeff: Coefficient, z: int, N: int) -> dict:
@@ -160,14 +153,14 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
         space = build_space(tri, degree, dirichlet_on_boundary=True)
         tables = element_tables(target, plan, space)
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
-        stars, kinds, candidates = [], {}, {}
-        for z in tri.interior_vertices():
-            err, _, _ = ritz(tables, coeff.values, region=vertex_patch(tri, z),
-                             fixed=space.dirichlet)
-            stars.append((z, err))
-            kinds[int(z)] = _classify_checkerboard_vertex(tri.vertices[z], N)
-            vals = _star_candidate_values(tri, coeff, z, N)
-            candidates[int(z)] = _star_candidate_error(tables, coeff, z, vals)
+        inner = tri.interior_vertices()
+        star_sq = local_ritz(tables, coeff.values, [vertex_patch(tri, z) for z in inner],
+                             fixed=space.dirichlet)[0]
+        stars = list(zip(inner, star_sq.tolist()))
+        kinds = {z: _classify_checkerboard_vertex(tri.vertices[z], N) for z in inner}
+        candidates = {z: _star_candidate_error(tables, coeff, z,
+                                               _star_candidate_values(tri, coeff, z, N))
+                      for z in inner}
         qm = check_quasi_monotonicity(tri, coeff)
         reports.append(LocalizationReport(
             global_error_sq=global_sq,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .bestapprox import ElementTables, element_ritz, element_tables, local_element_errors
+from .bestapprox import ElementTables, element_tables, local_element_errors, local_ritz
 from .coeff import Coefficient, build_omega_hat, select_kmax_fz
 from .errors import PlanMismatch, QuadratureFailure
 from .fespace import LagrangeSpace, _reference_face_dual, edge_basis_1d, element_basis
@@ -96,7 +96,8 @@ def _element_fits(tables: ElementTables) -> np.ndarray:
     """Local node values (nt, nloc) of the best P_degree(K) fit of u in the
     energy on every element K, its constant shifted so the fit and u share
     the element mean."""
-    x, _ = element_ritz(tables)
+    nt = tables.space.tri.n_elements
+    x = local_ritz(tables, np.ones(nt), np.arange(nt)[:, None])[1][:, 0]
     fit_mass = np.einsum("ki,ki->k", x, tables.mass.sum(axis=2))
     shift = (tables.value_moments.sum(axis=1) - fit_mass) / tables.space.tri.areas
     return x + shift[:, None]

@@ -10,12 +10,23 @@ the fast path against them.
 import numpy as np
 
 from qmloc.bestapprox import element_tables
-from qmloc.coeff import select_kmax, space_star
+from qmloc.coeff import space_star
 from qmloc.errors import QuadratureFailure, UnknownLocus
 from qmloc.fespace import (INTERIOR, edge_basis_1d, element_dual_basis, eval_basis,
                            face_dual_basis)
 from qmloc.interp import InterpolantResult, _element_fits
 from qmloc.quadrature import _leggauss01, radial_rule
+
+
+def select_kmax(tri, coeff, star):
+    """Element of maximal coefficient in the star, smallest id on ties."""
+    star = tuple(star)
+    a = coeff.values
+    best = star[0]
+    for k in star[1:]:
+        if a[k] > a[best]:
+            best = k
+    return int(best)
 
 
 def select_kmax_of_node(space, coeff, node):

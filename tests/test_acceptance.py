@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qmloc.bestapprox import (element_tables,
-                              global_best_error, local_element_errors, ritz)
+                              global_best_error, local_element_errors, local_ritz)
 from qmloc.coeff import attach_coefficient, check_quasi_monotonicity
 from qmloc.counterexamples import (analytic_energy_reference,
                                    checkerboard_mesh, fig1_meshes,
@@ -182,7 +182,7 @@ def test_criterion_04_local_best_error_oracle():
         assert abs(err - dense) < 1e-8 * max(1.0, dense)
         for k in range(tri.n_elements):
             region = [k, (k + 1) % tri.n_elements]
-            r1 = ritz(tables, coeff.values, region=region)[0]
+            r1 = local_ritz(tables, coeff.values, [region])[0][0]
             # dense reference: same constrained minimization assembled densely
             r2, _ = dense_ritz_error(space, coeff.values, target, plan, region)
             assert abs(r1 - r2) < 1e-8 * max(1.0, r1)

@@ -1,5 +1,6 @@
-"""Best-approximation errors: element tables, the Ritz kernel, and the
-local, regional, global and combined-norm errors built on them."""
+"""Best-approximation errors: element tables, the global Ritz solve, the
+batched local Ritz kernel, and the local, regional, global and
+combined-norm errors built on them."""
 import json
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmloc.bestapprox import (LocalizationReport, SpdSystem, element_tables,
-                              global_best_error, local_element_errors, reaction_diffusion_errors,
-                              ritz, solve_spd)
+                              global_best_error, local_element_errors, local_ritz,
+                              reaction_diffusion_errors, ritz, solve_spd)
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
                                    fig1_left_pattern, hexagon_mesh, hexagon_target)
@@ -102,7 +103,7 @@ def test_polynomial_targets_have_zero_error(ell):
     tables, _, space = tables_of(target, tri, ell, 2 * ell + 2)
     for k in range(tri.n_elements):
         assert local_element_errors(tables, coeff)[k] < 1e-10
-    assert ritz(tables, coeff.values, region=range(tri.n_elements))[0] < 1e-10
+    assert local_ritz(tables, coeff.values, [range(tri.n_elements)])[0][0] < 1e-10
     err, x = global_best_error(tables, coeff, gauge="meanzero")
     assert err < 1e-10
     # the mean-zero shift makes the projection of a member the member itself
@@ -123,8 +124,8 @@ def test_global_error_matches_dense_brute_force():
         dense_err = energy_norm_sq(target, coeff, plan) - b[free] @ x
         assert abs(err - dense_err) < 1e-8 * max(1.0, dense_err)
         # the constrained regional solve over the whole mesh is the same problem
-        region_err = ritz(tables, coeff.values, region=range(tri.n_elements),
-                          fixed=space.dirichlet)[0]
+        region_err = local_ritz(tables, coeff.values, [range(tri.n_elements)],
+                                fixed=space.dirichlet)[0][0]
         assert abs(region_err - err) < 1e-8 * max(1.0, err)
 
 
@@ -184,8 +185,9 @@ def test_pair_error_zero_for_member_of_space():
     )
     tables, _, _ = tables_of(target, tri, 1, 8)
     zero = np.zeros(tri.n_elements)
-    for e in tri.interior_edges():
-        assert ritz(tables, zero, 1.0, region=tri.edge_elements[e])[0] < 1e-12
+    pairs = [tri.edge_elements[e] for e in tri.interior_edges()]
+    for err in local_ritz(tables, zero, pairs, 1.0)[0]:
+        assert err < 1e-12
 
 
 def test_reaction_diffusion_consistency():
@@ -280,20 +282,55 @@ def test_ritz_element_matches_monomial_fit(degree):
         assert np.max(np.abs(values - fit(space.nodes[ids]))) < 1e-10
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "pinned", "reaction", "star"])
+@pytest.mark.parametrize("kind", ["dirichlet", "pinned", "reaction", "star", "mixed"])
 def test_ritz_matches_dense_solve(kind):
     tri = square_mesh()
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
     target = sine_target()
+    if kind == "mixed":
+        _check_mixed_regions(tri, coeff.values, target)
+        return
     tables, plan, space = tables_of(target, tri, 2, 12, dirichlet=(kind == "dirichlet"))
     fixed = space.dirichlet if kind == "dirichlet" else None
     beta = 1.0 if kind == "reaction" else 0.0
-    region = tri.vertex_elements[4] if kind == "star" else None
-    err, nodes, x = ritz(tables, coeff.values, beta, region=region, fixed=fixed)
+    if kind == "star":
+        region = tri.vertex_elements[4]
+        err, x = local_ritz(tables, coeff.values, [region], beta, fixed)
+        err, x, nodes = err[0], x[0], space.element_nodes[list(region)]
+    else:
+        region = None
+        err, x = ritz(tables, coeff.values, beta, fixed=fixed)
+        nodes = slice(None)
     dense_err, dense_x = dense_ritz_error(space, coeff.values, target, plan,
                                           region=region, fixed=fixed, beta=beta)
     assert abs(err - dense_err) < 1e-10 * max(1.0, dense_err)
     assert np.max(np.abs(x - dense_x[nodes])) < 1e-8 * max(1.0, np.max(np.abs(dense_x)))
+
+
+def _check_mixed_regions(tri, a, target):
+    """One `local_ritz` call over every element, interior pair and vertex
+    star, at P1-P3: pinned, Dirichlet, beta = 1 with a = 0, and beta > 0
+    with a > 0.  Each error within 1e-12 of its region's energy of the dense
+    solve, the element-node values within 1e-8, and the padding zero."""
+    regions = ([[k] for k in range(tri.n_elements)]
+               + [tri.edge_elements[e] for e in tri.interior_edges()]
+               + list(tri.vertex_elements))
+    cases = [(False, a, 0.0), (True, a, 0.0), (False, np.zeros_like(a), 1.0), (False, a, 0.5)]
+    for degree in (1, 2, 3):
+        for dirichlet, w, beta in cases:
+            tables, plan, space = tables_of(target, tri, degree, 12, dirichlet)
+            fixed = space.dirichlet if dirichlet else None
+            err, x = local_ritz(tables, w, regions, beta, fixed)
+            assert x.shape == (len(regions), 6, space.element_nodes.shape[1])
+            for p, region in enumerate(regions):
+                r = list(region)
+                energy = w[r] @ tables.grad_sq[r] + beta * tables.value_sq[r].sum()
+                dense_err, dense_x = dense_ritz_error(space, w, target, plan, r, fixed, beta)
+                assert abs(err[p] - dense_err) <= 1e-12 * energy
+                scale = max(1.0, np.max(np.abs(dense_x)))
+                gap = np.abs(x[p, :len(r)] - dense_x[space.element_nodes[r]])
+                assert np.max(gap) < 1e-8 * scale
+                assert not x[p, len(r):].any()
 
 
 def test_element_tables_reject_a_plan_of_another_mesh():
@@ -308,18 +345,33 @@ def test_element_tables_reject_a_plan_of_another_mesh():
 def test_local_element_errors_match_ritz(degree):
     tri = square_mesh()
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
-    tables, _, _ = tables_of(sine_target(), tri, degree, 12)
+    target = sine_target()
+    tables, plan, space = tables_of(target, tri, degree, 12)
     fast = local_element_errors(tables, coeff)
     assert fast.shape == (tri.n_elements,)
-    slow = [ritz(tables, coeff.values, region=[k])[0] for k in range(tri.n_elements)]
-    assert _rel(fast, slow) < 1e-12
+    for k in range(tri.n_elements):
+        slow, _ = dense_ritz_error(space, coeff.values, target, plan, [k])
+        assert abs(fast[k] - slow) <= 1e-12 * coeff.values[k] * tables.grad_sq[k]
 
 
 def test_singular_local_solve_raises_solver_failure():
     tri, _ = reference_element()
     tables, _, _ = tables_of(quadratic_target(), tri, 2, 10)
     with pytest.raises(SolverFailure):
-        ritz(tables, np.zeros(1), region=[0])
+        local_ritz(tables, np.zeros(1), [[0]])
+
+
+def test_singular_region_in_a_batch_is_named():
+    tri = square_mesh()
+    tables, _, _ = tables_of(sine_target(), tri, 2, 12)
+    regions = [[k] for k in range(tri.n_elements)] + [(0, 1), (2, 3)]
+    # at scale 1e-70 the determinants of the regular regions underflow to 0
+    for scale in (1.0, 1e-70):
+        a = np.full(tri.n_elements, scale)
+        a[5] = 0.0  # only the region [5] has no energy
+        with pytest.raises(SolverFailure, match=r"singular local system on elements \[5\]$"):
+            local_ritz(tables, a, regions)
+    local_ritz(tables, a, regions, beta=1.0)  # the mass term makes it definite
 
 
 def _perturbed_grid(n, rng):
@@ -351,16 +403,20 @@ def test_ritz_properties_on_perturbed_grids(seed, n, degree, scale):
             3.0 * np.cos(2.0 * p[:, 0] + 3.0 * p[:, 1])]),
     )
     tables, _, _ = tables_of(target, tri, degree, 2 * degree + 4)
-    regions = ([[k] for k in range(tri.n_elements)]
-               + [tri.edge_elements[e] for e in tri.interior_edges()]
-               + [tri.vertex_elements[z] for z in range(tri.n_vertices)])
-    for region in regions:
-        assert ritz(tables, a, region=region)[0] >= 0.0
-        assert ritz(tables, np.zeros_like(a), 1.0, region=region)[0] >= 0.0
+    kinds = (np.arange(tri.n_elements)[:, None],
+             [tri.edge_elements[e] for e in tri.interior_edges()],
+             tri.vertex_elements)
+    for regions in kinds:
+        assert (local_ritz(tables, a, regions)[0] >= 0.0).all()
+        assert (local_ritz(tables, np.zeros_like(a), regions, 1.0)[0] >= 0.0).all()
     global_sq = ritz(tables, a)[0]
-    elements = sum(ritz(tables, a, region=[k])[0] for k in range(tri.n_elements))
+    elements = local_ritz(tables, a, kinds[0])[0].sum()
     assert elements <= global_sq * (1.0 + 1e-10) + 1e-14
+
+    def energy(w, region):
+        return ritz(tables, w)[0] if region is None else local_ritz(tables, w, [region])[0][0]
+
     for region in (None, tri.vertex_elements[n + 2]):
-        base = ritz(tables, a, region=region)[0]
-        scaled = ritz(tables, scale * a, region=region)[0]
+        base = energy(a, region)
+        scaled = energy(scale * a, region)
         assert abs(scaled - scale * base) <= 1e-9 * scale * base + 1e-14

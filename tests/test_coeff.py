@@ -6,12 +6,14 @@ import pytest
 
 from qmloc.coeff import (attach_coefficient, build_omega_hat,
                          check_quasi_monotonicity, find_monotone_path,
-                         select_kmax, select_kmax_fz)
+                         select_kmax_fz)
 from qmloc.counterexamples import (checkerboard_mesh, fig1_meshes,
                                    hexagon_mesh)
 from qmloc.errors import NoMonotonePath, NonPositiveValue
 from qmloc.fespace import build_space
 from qmloc.mesh import build_triangulation, vertex_patch
+
+from interp_reference import select_kmax as loop_select_kmax
 
 
 def brute_force_quasi_monotone(tri, coeff):
@@ -106,6 +108,16 @@ def test_path_properties():
     assert path.elements == (0, 1, 2, 3)
 
 
+def select_kmax(tri, coeff, star):
+    """K_max of the vertex whose star is `star`, read from `select_kmax_fz`
+    and checked against the per-star loop."""
+    z = next(z for z in range(tri.n_vertices) if set(vertex_patch(tri, z)) == set(star))
+    space = build_space(tri, 1)
+    fast = int(select_kmax_fz(space, coeff)[0][space.vertex_nodes[z]])
+    assert fast == loop_select_kmax(tri, coeff, star)
+    return fast
+
+
 def test_scale_invariance():
     tri, coeff = hexagon_mesh(0.1)
     scaled = attach_coefficient(tri, 17.0 * coeff.values)
@@ -140,6 +152,18 @@ def test_omega_hat_constant_coefficient():
         assert k in omega
         patch = {kk for z in tri.triangles[k] for kk in vertex_patch(tri, int(z))}
         assert set(omega) <= patch
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_omega_hat_reaches_kmax_of_every_node(degree):
+    tri, _ = hexagon_mesh(0.1)
+    meshes = [(tri, attach_coefficient(tri, np.ones(6))), fig1_meshes(4, "left")]
+    for tri, coeff in meshes:  # all ties, then a quasi-monotone contrast
+        space = build_space(tri, degree)
+        kmax = select_kmax_fz(space, coeff)[0]
+        for k in range(tri.n_elements):
+            omega = build_omega_hat(tri, coeff, k, degree=degree, space=space)
+            assert set(kmax[space.element_nodes[k]].tolist()) <= set(omega)
 
 
 def test_omega_hat_refuses_non_qm():

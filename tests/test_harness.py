@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 import qmloc.harness as harness
+from qmloc.bestapprox import element_tables, local_ritz
 from qmloc.cli import EXIT_OK, main
+from qmloc.counterexamples import checkerboard_mesh, checkerboard_target
 from qmloc.errors import ParameterOutOfRange, RefusesNonQM
+from qmloc.fespace import build_space
 from qmloc.harness import (emit_report, estimate_inequality_constants,
                            render_report, run_alpha_robustness,
                            run_hexagon_sweep, run_reaction_diffusion,
                            run_star_sweep)
+from qmloc.quadrature import make_quadrature_plan
 
 
 def test_report_ignores_qmloc_rtol(monkeypatch, capsys):
@@ -77,6 +81,25 @@ def test_star_sweep_candidates_bound_star_errors():
     for err in star.values():
         assert err <= rep.global_error_sq + 1e-12
     assert rep.locus_sum("star") >= rep.global_error_sq - 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 4])
+def test_star_candidate_energy_matches_the_kernel(N):
+    tri, coeff = checkerboard_mesh(N)
+    target = checkerboard_target(N)
+    space = build_space(tri, 1, dirichlet_on_boundary=True)
+    tables = element_tables(target, make_quadrature_plan(tri, target, exactness=8), space)
+    inner = tri.interior_vertices()
+    stars = [tri.vertex_elements[z] for z in inner]
+    err, x = local_ritz(tables, coeff.values, stars, fixed=space.dirichlet)
+    for p, z in enumerate(inner):
+        r = list(stars[p])
+        energy = coeff.values[r] @ tables.grad_sq[r]
+        # the star's own minimizer, as nodal values
+        own = dict(zip(space.element_nodes[r].ravel().tolist(), x[p, :len(r)].ravel().tolist()))
+        assert abs(harness._star_candidate_error(tables, coeff, z, own) - err[p]) <= 1e-12 * energy
+        empty = harness._star_candidate_error(tables, coeff, z, {})
+        assert empty == pytest.approx(energy, rel=1e-14)
 
 
 def test_alpha_robustness_on_constant_pattern():
