@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from .coeff import Coefficient
 from .errors import PlanMismatch, SolverFailure
 from .fespace import LagrangeSpace, element_basis, reference_basis
+from .mesh import _region_groups, region_rows
 from .quadrature import QuadraturePlan, reference_triangle_rule
 
 
@@ -198,23 +199,20 @@ def _energy(K, f, uu, v):
 def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None):
     """Best approximation of the tables' target on each region by itself.
 
-    A region is a sequence of distinct element ids; a 2-D int array holds
-    equal-size regions.  Each minimizes the energy of `ritz` on its elements,
-    with V = 0 on `fixed` and the lowest-id node pinned as there.  Regions of
-    equal element and node count share one scatter and one batched dense
-    solve, fixed nodes as identity rows.  Returns the (P,) errors and V at
-    the local nodes of each region's elements (P, E, nloc), zero-padded to
-    the largest region.  Raises SolverFailure naming a singular region.
+    `regions` holds distinct element ids per region, as CSR (`qmloc.mesh`).
+    Each minimizes the energy of `ritz` on its elements, with V = 0 on
+    `fixed` and the lowest-id node pinned as there.  Regions of equal
+    element and node count share one scatter and one batched dense solve,
+    fixed nodes as identity rows.  Returns the (P,) errors and V at the local
+    nodes of each region's elements (P, E, nloc), zero-padded to the largest
+    region.  Raises SolverFailure naming a singular region.
     """
     a = np.asarray(a, dtype=float)
     en_all, n = tables.space.element_nodes, tables.space.n_nodes
-    stacked = isinstance(regions, np.ndarray)
-    sizes = (np.full(len(regions), regions.shape[1]) if stacked
-             else np.fromiter(map(len, regions), np.int64, len(regions)))
+    sizes = np.diff(regions[0])
     err, x = np.zeros(len(sizes)), np.zeros((len(sizes), sizes.max(initial=0), en_all.shape[1]))
-    for E in np.unique(sizes):
-        ids = np.flatnonzero(sizes == E)
-        elems = regions[ids] if stacked else np.array([regions[i] for i in ids]).reshape(-1, E)
+    for ids, elems in _region_groups(regions):
+        E = elems.shape[1]
         en = en_all[elems].reshape(len(ids), -1)
         s = np.sort(en, axis=1)
         new = np.diff(s, axis=1, prepend=-1) != 0  # first of each node id
@@ -248,7 +246,8 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None)
 def local_element_errors(tables: ElementTables, coeff: Coefficient) -> np.ndarray:
     """a_K * min over P_degree(K) of ||grad(u - P)||^2_K for every element K;
     returns an (nt,) array."""
-    return local_ritz(tables, coeff.values, np.arange(tables.space.tri.n_elements)[:, None])[0]
+    nt = tables.space.tri.n_elements
+    return local_ritz(tables, coeff.values, (np.arange(nt + 1), np.arange(nt)))[0]
 
 
 def global_best_error(tables: ElementTables, coeff: Coefficient, gauge: str):
@@ -292,7 +291,7 @@ def reaction_diffusion_errors(tables: ElementTables, coeff: Coefficient, betas):
         "l2_global_sq": ritz(tables, zero, 1.0)[0],
         "element_gradient_locals": local_element_errors(tables, coeff).tolist(),
         "pair_l2_locals": local_ritz(
-            tables, zero, [tri.edge_elements[e] for e in tri.interior_edges()], 1.0)[0].tolist(),
+            tables, zero, region_rows(tri.edge_elements, tri.interior_edges()), 1.0)[0].tolist(),
     }
 
 

@@ -8,7 +8,6 @@ path) go to the smallest index so results are reproducible run to run.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .errors import (LocusMismatch, NoMonotonePath, NonPositiveValue, UnknownLocus,
                      UnsupportedDegree)
 from .fespace import EDGE, VERTEX, LagrangeSpace, _lattice, build_space
-from .mesh import Triangulation, edge_pair, vertex_patch
+from .mesh import Triangulation, _region_groups, edge_pair, region_rows, vertex_patch
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,10 @@ def _star_graph(tri: Triangulation, a: np.ndarray, star):
     star_set = set(star)
     adj: dict[int, list[tuple[int, int]]] = {k: [] for k in star}
     for k in star:
-        for e in tri.triangle_edges[k]:
-            for other in tri.edge_elements[int(e)]:
+        for e in tri.triangle_edges[k].tolist():
+            for other in edge_pair(tri, e).tolist():
                 if other != k and other in star_set and a[k] <= a[other]:
-                    adj[k].append((other, int(e)))
+                    adj[k].append((other, e))
     for k in adj:
         adj[k].sort()
     return adj
@@ -112,25 +111,6 @@ def _bfs_path(tri, a, star, k, k_tilde):
     return None
 
 
-def _star_quasi_monotone(tri, a, star):
-    """Check all ordered pairs in one star; returns (ok, witness-or-None)."""
-    adj = _star_graph(tri, a, star)
-    for k in star:
-        # reachability from k
-        seen = {k}
-        queue = deque([k])
-        while queue:
-            n = queue.popleft()
-            for other, _ in adj[n]:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        for k_tilde in star:
-            if a[k] <= a[k_tilde] and k_tilde not in seen:
-                return False, (k, k_tilde)
-    return True, None
-
-
 def space_star(space: LagrangeSpace, node: int):
     """Elements of omega_z for a global node of the space (supp of phi_z)."""
     kind = space.node_kind[node]
@@ -153,36 +133,59 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
     """
     if not 1 <= degree <= 4:
         raise UnsupportedDegree(f"degree {degree} not in 1..4")
-    a = coeff.values
     if node_set is None:
         loci = [("vertex", z) for z in range(tri.n_vertices)]
         if degree >= 2:
-            loci += [("edge", int(e)) for e in tri.interior_edges()]
+            loci += [("edge", e) for e in tri.interior_edges()]
         if degree >= 3:
             loci += [("element", k) for k in range(tri.n_elements)]
     else:
         loci = [tuple(l) for l in node_set]
-    verdicts = []
-    witnesses = []
-    for locus in loci:
-        kind, ident = locus
-        if kind == "vertex":
-            star = vertex_patch(tri, ident)
-        elif kind == "edge":
-            star = edge_pair(tri, ident)
-        elif kind == "element":
-            star = (ident,)
-        else:
-            raise UnknownLocus(f"unknown locus kind {kind!r}")
-        ok, witness = _star_quasi_monotone(tri, a, star)
-        verdicts.append((locus, ok))
-        if not ok:
-            witnesses.append((locus, witness[0], witness[1]))
+    witness = _witnesses(tri, coeff.values, _locus_regions(tri, loci)).tolist()
     return QmReport(
-        quasi_monotone=all(ok for _, ok in verdicts),
-        verdicts=tuple(verdicts),
-        witnesses=tuple(witnesses),
+        quasi_monotone=all(k < 0 for k, _ in witness),
+        verdicts=tuple((locus, k < 0) for locus, (k, _) in zip(loci, witness)),
+        witnesses=tuple((locus, k, kk) for locus, (k, kk) in zip(loci, witness) if k >= 0),
     )
+
+
+def _locus_regions(tri: Triangulation, loci):
+    """The elements of each locus as CSR regions: its vertex star, its edge
+    pair or the element itself.  Raises UnknownLocus for a bad kind or id."""
+    count = {"vertex": tri.n_vertices, "edge": tri.n_edges, "element": tri.n_elements}
+    for kind, ident in loci:
+        if kind not in count:
+            raise UnknownLocus(f"unknown locus kind {kind!r}")
+        if not 0 <= ident < count[kind]:
+            raise UnknownLocus(f"{kind} {ident}")
+    # the vertex stars, then the edge pairs, then the single elements
+    (vo, vi), (eo, ei), nt = tri.vertex_elements, tri.edge_elements, tri.n_elements
+    stacked = (np.concatenate([vo, vo[-1] + eo[1:], vo[-1] + eo[-1] + np.arange(1, nt + 1)]),
+               np.concatenate([vi, ei, np.arange(nt)]))
+    first = {"vertex": 0, "edge": tri.n_vertices, "element": tri.n_vertices + tri.n_edges}
+    return region_rows(stacked, np.array([first[k] + i for k, i in loci], dtype=np.int64))
+
+
+def _witnesses(tri: Triangulation, a: np.ndarray, regions):
+    """Quasi-monotonicity of each CSR region: a (P, 2) witness, -1 if none.
+
+    Regions of one size E are decided at once: K -> K' when they share an
+    edge (K = K' too) and a_K <= a_K', and repeated squaring of these (E, E)
+    0/1 matrices gives reachability.  The witness is the first (K, K~) in
+    row-major order with a_K <= a_K~ and K~ unreachable from K."""
+    witness = np.full((len(regions[0]) - 1, 2), -1, dtype=np.int64)
+    for rows, elems in _region_groups(regions):
+        E, te = elems.shape[1], tri.triangle_edges[elems]
+        up = a[elems][:, :, None] <= a[elems][:, None, :]
+        shared = (te[:, :, None, :, None] == te[:, None, :, None, :]).any(axis=(3, 4))
+        reach = np.where(shared & up, 1.0, 0.0)
+        for _ in range(max(E - 2, 0).bit_length()):  # paths of up to 2, 4, ... edges
+            reach = np.minimum(reach @ reach, 1.0)  # exact: the products count paths
+        fail = (up & (reach == 0.0)).reshape(len(rows), E * E)
+        bad = fail.any(axis=1)
+        pair = np.stack(np.divmod(fail[bad].argmax(axis=1), E), axis=1)
+        witness[rows[bad]] = np.take_along_axis(elems[bad], pair, axis=1)
+    return witness
 
 
 def select_kmax_fz(space: LagrangeSpace, coeff: Coefficient):
@@ -226,20 +229,7 @@ def build_omega_hat(tri: Triangulation, coeff: Coefficient, k: int, degree: int 
             raise NoMonotonePath(f"no monotone path from element {k} to K_max at node {node}")
         out.update(path.elements)
     result = tuple(sorted(out))
-    if not _connected(tri, result):
+    region = (np.array([0, len(result)]), np.array(result))
+    if _witnesses(tri, np.zeros(tri.n_elements), region)[0, 0] >= 0:  # not edge-connected
         raise NoMonotonePath(f"omega_hat of element {k} is disconnected")
     return result
-
-
-def _connected(tri: Triangulation, elements) -> bool:
-    elems = set(elements)
-    seen = {next(iter(elems))}
-    queue = deque(seen)
-    while queue:
-        k = queue.popleft()
-        for e in tri.triangle_edges[k]:
-            for other in tri.edge_elements[int(e)]:
-                if other in elems and other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-    return seen == elems

@@ -152,8 +152,6 @@ def hexagon_target(eps: float) -> TargetField:
         value_fn=value,
         gradient_fn=gradient,
         singular_points=(SingularPoint((0.0, 0.0), eps, (eps, 1.0)),),
-        antisymmetry=(((0.0, 0.0), np.inf),),
-        parameters={"eps": eps},
     )
 
 
@@ -305,11 +303,4 @@ def checkerboard_target(N: int) -> TargetField:
         for j in range(N)
         for i in range(N)
     )
-    anti = tuple((((i + 0.5) / N, (j + 0.5) / N), 0.5 / N) for j in range(N) for i in range(N))
-    return TargetField(
-        value_fn=value,
-        gradient_fn=gradient,
-        singular_points=sing,
-        antisymmetry=anti,
-        parameters={"N": N, "eps": eps},
-    )
+    return TargetField(value_fn=value, gradient_fn=gradient, singular_points=sing)

@@ -1,7 +1,7 @@
 """Target-field protocol: pointwise values, gradients, singularity markers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +27,14 @@ class SingularPoint:
 
 @dataclass(frozen=True)
 class TargetField:
-    """Region-tagged closed-form target: value and gradient evaluators.
+    """Closed-form target: value and gradient evaluators.
 
     value_fn / gradient_fn accept an (n, 2) array and return (n,) / (n, 2).
-    antisymmetry_centers: points c with u(c + d) = -u(c - d) within the
-    declared validity radius (metadata used by symmetry tests).
     """
 
     value_fn: object
     gradient_fn: object
     singular_points: tuple = ()
-    antisymmetry: tuple = ()  # tuples (center(2,), validity_radius)
-    parameters: dict = field(default_factory=dict)
 
     def value(self, pts):
         return np.asarray(self.value_fn(np.atleast_2d(np.asarray(pts, dtype=float))))
@@ -47,6 +43,6 @@ class TargetField:
         return np.asarray(self.gradient_fn(np.atleast_2d(np.asarray(pts, dtype=float))))
 
 
-def smooth_target(value_fn, gradient_fn, **params) -> TargetField:
+def smooth_target(value_fn, gradient_fn) -> TargetField:
     """Target with no singular points (plain rules everywhere)."""
-    return TargetField(value_fn=value_fn, gradient_fn=gradient_fn, parameters=params)
+    return TargetField(value_fn=value_fn, gradient_fn=gradient_fn)

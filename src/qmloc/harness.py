@@ -18,7 +18,7 @@ from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
 from .fespace import build_space, element_dual_basis, element_mass_matrix
 from .fields import smooth_target
 from .interp import interpolation_error_sq, quasi_interpolate
-from .mesh import Triangulation, build_triangulation, uniform_refine, vertex_patch
+from .mesh import Triangulation, build_triangulation, region_rows, uniform_refine, vertex_patch
 from .quadrature import _leggauss01, make_quadrature_plan, plan_key, triangle_rule
 
 DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125)
@@ -72,7 +72,7 @@ def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
         elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
         edges = tri.interior_edges()
-        pair_sq = local_ritz(tables, coeff.values, [tri.edge_elements[e] for e in edges],
+        pair_sq = local_ritz(tables, coeff.values, region_rows(tri.edge_elements, edges),
                              fixed=space.dirichlet)[0]
         star_sq = local_ritz(tables, coeff.values, tri.vertex_elements, fixed=space.dirichlet)[0]
         pairs = list(zip(edges, pair_sq.tolist()))
@@ -105,7 +105,7 @@ def _classify_checkerboard_vertex(v, N: int) -> str:
 
 def _star_candidate_error(tables, coeff, z, values: dict) -> float:
     """Energy of an explicit star candidate given its nonzero nodal values."""
-    region = np.asarray(vertex_patch(tables.space.tri, z))
+    region = vertex_patch(tables.space.tri, z)
     v = np.array([[values.get(int(g), 0.0) for g in tables.space.element_nodes[k]]
                   for k in region])
     return float(_energy(*_element_forms(tables, coeff.values, 0.0, region), v))
@@ -154,7 +154,7 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
         tables = element_tables(target, plan, space)
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
         inner = tri.interior_vertices()
-        star_sq = local_ritz(tables, coeff.values, [vertex_patch(tri, z) for z in inner],
+        star_sq = local_ritz(tables, coeff.values, region_rows(tri.vertex_elements, inner),
                              fixed=space.dirichlet)[0]
         stars = list(zip(inner, star_sq.tolist()))
         kinds = {z: _classify_checkerboard_vertex(tri.vertices[z], N) for z in inner}

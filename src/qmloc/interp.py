@@ -97,7 +97,7 @@ def _element_fits(tables: ElementTables) -> np.ndarray:
     energy on every element K, its constant shifted so the fit and u share
     the element mean."""
     nt = tables.space.tri.n_elements
-    x = local_ritz(tables, np.ones(nt), np.arange(nt)[:, None])[1][:, 0]
+    x = local_ritz(tables, np.ones(nt), (np.arange(nt + 1), np.arange(nt)))[1][:, 0]
     fit_mass = np.einsum("ki,ki->k", x, tables.mass.sum(axis=2))
     shift = (tables.value_moments.sum(axis=1) - fit_mass) / tables.space.tri.areas
     return x + shift[:, None]

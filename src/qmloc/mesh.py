@@ -1,13 +1,13 @@
 """Conforming 2D triangulations: topology, patches, quality measures, refinement.
 
-Element, vertex and edge ids are dense 0-based indices.  All set-valued
-queries return sorted tuples so that downstream tie-breaks are deterministic.
+Element, vertex and edge ids are dense 0-based indices.  Lists of element
+sets are CSR int64 pairs (offsets, ids), set i being ids[offsets[i]:offsets[i + 1]].
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +24,20 @@ class Triangulation:
     vertices: (nv, 2) coordinates.
     triangles: (nt, 3) vertex ids, counter-clockwise.
     edges: (ne, 2) vertex-id pairs, each pair sorted ascending.
-    edge_elements: tuple of tuples, 1 (boundary) or 2 (interior) element ids.
+    edge_elements: CSR, per edge 1 (boundary) or 2 (interior) element ids.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     edges: np.ndarray
-    edge_elements: tuple
+    edge_elements: tuple              # CSR (offsets, ids)
     triangle_edges: np.ndarray        # (nt, 3) edge id opposite local vertex i
     boundary_vertices: np.ndarray     # (nv,) bool
     boundary_edges: np.ndarray        # (ne,) bool
     areas: np.ndarray                 # (nt,)
     diameters: np.ndarray             # h_K
     inball_diameters: np.ndarray      # rho_K = twice the inradius
-    vertex_elements: tuple = field(repr=False, default=())  # per vertex: sorted element ids
+    vertex_elements: tuple            # CSR: the star of each vertex, ascending
     parents: np.ndarray | None = None  # child-to-parent map after refinement
 
     @property
@@ -68,7 +68,7 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
 
     Triangle orientation is normalized to counter-clockwise.  Raises
     DegenerateElement for zero-area triangles and NonConforming for
-    over-shared edges or hanging vertices.
+    over-shared edges, overlapping triangles on an edge or hanging vertices.
     """
     verts = np.asarray(vertices, dtype=float)
     tris = np.asarray(triangles, dtype=np.int64)
@@ -110,7 +110,18 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
         raise NonConforming(f"edge {key} shared by {int(counts[e])} triangles")
     edges = np.stack([uniq // nv, uniq % nv], axis=1)
     # a stable sort keeps the element ids of each edge ascending
-    edge_elements = _group(np.argsort(inverse, kind="stable") // 3, counts)
+    order = np.argsort(inverse, kind="stable")
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    edge_elements = (offsets, order // 3)
+    # counter-clockwise neighbours traverse their shared edge in opposite
+    # directions; the same direction means the two triangles overlap
+    ascending = (first < second).ravel()[order]
+    pairs = np.flatnonzero(counts == 2)
+    same = pairs[ascending[offsets[pairs]] == ascending[offsets[pairs] + 1]]
+    if len(same):
+        k0, k1 = edge_elements[1][offsets[same[0]]:offsets[same[0]] + 2].tolist()
+        a, b = edges[same[0]].tolist()
+        raise NonConforming(f"triangles {k0} and {k1} overlap on edge ({a}, {b})")
     boundary_edges = counts == 1
     tri_edges = inverse.reshape(len(tris), 3)
 
@@ -132,8 +143,8 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     rho = 2.0 * areas / semiper  # twice the inradius
 
     flat = tris.ravel()
-    vertex_elements = _group(np.argsort(flat, kind="stable") // 3,
-                             np.bincount(flat, minlength=nv))
+    vertex_elements = (np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nv))]),
+                       np.argsort(flat, kind="stable") // 3)
 
     return Triangulation(
         vertices=verts,
@@ -151,11 +162,22 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     )
 
 
-def _group(ids, counts):
-    """Consecutive runs of `ids` with the given lengths, as a tuple of tuples."""
-    ids = ids.tolist()
-    ends = np.cumsum(counts).tolist()
-    return tuple(tuple(ids[s:e]) for s, e in zip([0] + ends[:-1], ends))
+def region_rows(regions, rows):
+    """The CSR regions `rows` (an int array) of the CSR `regions`."""
+    offsets, ids = regions
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = offsets[rows + 1] - offsets[rows]
+    return np.concatenate([[0], np.cumsum(counts)]), ids[_ranges(offsets[rows], counts)]
+
+
+def _region_groups(regions):
+    """Walk CSR regions by size: yields (rows (G,), elements (G, E)) for
+    each region size E in ascending order, rows ascending."""
+    offsets, ids = regions
+    sizes = np.diff(offsets)
+    for E in np.unique(sizes):
+        rows = np.flatnonzero(sizes == E)
+        yield rows, ids[offsets[rows][:, None] + np.arange(E)]
 
 
 def _ranges(starts, counts):
@@ -241,39 +263,26 @@ def _check_hanging_vertices(verts, edges, scale):
 
 
 def vertex_patch(tri: Triangulation, z: int):
-    """omega_z: all elements containing vertex z."""
+    """omega_z: all elements containing vertex z, ascending."""
     if not 0 <= z < tri.n_vertices:
         raise UnknownLocus(f"vertex {z}")
-    return tri.vertex_elements[z]
+    offsets, ids = tri.vertex_elements
+    return ids[offsets[z]:offsets[z + 1]]
 
 
 def element_patch(tri: Triangulation, k: int):
-    """omega_K: all elements sharing at least one vertex with K."""
+    """omega_K: all elements sharing at least one vertex with K, ascending."""
     if not 0 <= k < tri.n_elements:
         raise UnknownLocus(f"element {k}")
-    out: set[int] = set()
-    for v in tri.triangles[k]:
-        out.update(tri.vertex_elements[int(v)])
-    return tuple(sorted(out))
+    return np.unique(region_rows(tri.vertex_elements, tri.triangles[k])[1])
 
 
 def edge_pair(tri: Triangulation, e: int):
-    """omega_F: the one or two elements containing edge F."""
+    """omega_F: the one or two elements containing edge F, ascending."""
     if not 0 <= e < tri.n_edges:
         raise UnknownLocus(f"edge {e}")
-    return tri.edge_elements[e]
-
-
-def patch_of(tri: Triangulation, locus):
-    """Generic patch query; locus is ('vertex'|'element'|'edge', id)."""
-    kind, ident = locus
-    if kind == "vertex":
-        return vertex_patch(tri, ident)
-    if kind == "element":
-        return element_patch(tri, ident)
-    if kind == "edge":
-        return edge_pair(tri, ident)
-    raise UnknownLocus(f"unknown locus kind {kind!r}")
+    offsets, ids = tri.edge_elements
+    return ids[offsets[e]:offsets[e + 1]]
 
 
 def uniform_refine(tri: Triangulation) -> Triangulation:

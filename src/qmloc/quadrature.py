@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import QuadratureFailure, SingularPointOnQuadratureNode
 from .mesh import Triangulation, box_point_pairs
@@ -30,11 +29,25 @@ def _leggauss01(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _gauss_jacobi(n: int, a: float, b: float):
+    """Gauss--Jacobi rule for the weight (1 - x)**a (1 + x)**b on [-1, 1],
+    a, b > -1 and a + b > -1, by Golub--Welsch: nodes from the eigenvalues of
+    the Jacobi matrix, weights the zeroth moment times the squared first
+    eigenvector components."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + a + b
+    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    moment = math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
+    return x, 2.0 ** (a + b + 1.0) * moment * v[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def reference_triangle_rule(p: int):
     """Positive-weight rule on conv{(0,0),(1,0),(0,1)} exact to total degree p."""
     n = max(1, (p + 2) // 2)
-    xj, wj = roots_jacobi(n, 1.0, 0.0)       # weight (1 - x) on [-1, 1]
+    xj, wj = _gauss_jacobi(n, 1.0, 0.0)      # weight (1 - x) on [-1, 1]
     u = 0.5 * (xj + 1.0)
     wu = 0.25 * wj                            # absorbs the (1 - u) Jacobian
     v, wv = _leggauss01(n)
@@ -94,7 +107,7 @@ def _unit_singular_rule(mu: float):
         hi = lo
     mu = round(mu, 12)
     beta = 2.0 * mu - 1.0
-    xj, wj = roots_jacobi(8, 0.0, beta)
+    xj, wj = _gauss_jacobi(8, 0.0, beta)
     rj = 0.5 * (xj + 1.0)
     nodes.append(hi * rj)
     # int_0^hi f(r) dr = hi * int_0^1 f(hi s) ds

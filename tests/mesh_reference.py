@@ -7,6 +7,7 @@ numbering by interning canonical keys.  Tests require the array passes to
 reproduce them field by field (`assert_same_fields`).
 """
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -17,14 +18,26 @@ from qmloc.fespace import EDGE, INTERIOR, VERTEX, LagrangeSpace, _lattice
 from qmloc.mesh import _AREA_TOL, Triangulation
 
 
+def _same(a, b):
+    if isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(b, tuple) and b and isinstance(b[0], np.ndarray):  # CSR regions
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 def assert_same_fields(fast, ref):
-    """Every dataclass field equal: arrays in dtype and values, the rest by ==."""
+    """Every dataclass field equal: arrays (also the two of a CSR pair) in
+    dtype and values, the rest by ==."""
     for f in dataclasses.fields(ref):
-        a, b = getattr(fast, f.name), getattr(ref, f.name)
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
-        else:
-            assert a == b, f.name
+        assert _same(getattr(fast, f.name), getattr(ref, f.name)), f.name
+
+
+def csr(regions):
+    """CSR (offsets, ids) of a list of element-id sequences."""
+    sizes = [len(r) for r in regions]
+    return (np.array([0] + list(itertools.accumulate(sizes)), dtype=np.int64),
+            np.array([int(k) for r in regions for k in r], dtype=np.int64))
 
 
 def catalog():
@@ -74,17 +87,23 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
         )
 
     edge_map: dict[tuple[int, int], list[int]] = {}
+    ascending: dict[tuple[int, int], list[bool]] = {}
     for k, (a, b, c) in enumerate(tris):
         for u, v in ((b, c), (c, a), (a, b)):
             key = (int(min(u, v)), int(max(u, v)))
             edge_map.setdefault(key, []).append(k)
+            ascending.setdefault(key, []).append(bool(u < v))
     for key, els in edge_map.items():
         if len(els) > 2:
             raise NonConforming(f"edge {key} shared by {len(els)} triangles")
     edge_keys = sorted(edge_map)
+    for key in edge_keys:  # counter-clockwise neighbours traverse an edge both ways
+        if len(edge_map[key]) == 2 and ascending[key][0] == ascending[key][1]:
+            k0, k1 = edge_map[key]
+            raise NonConforming(f"triangles {k0} and {k1} overlap on edge {key}")
     edge_ids = {key: i for i, key in enumerate(edge_keys)}
     edges = np.array(edge_keys, dtype=np.int64)
-    edge_elements = tuple(tuple(sorted(edge_map[key])) for key in edge_keys)
+    edge_elements = csr([sorted(edge_map[key]) for key in edge_keys])
     boundary_edges = np.array([len(edge_map[key]) == 1 for key in edge_keys])
 
     tri_edges = np.empty((len(tris), 3), dtype=np.int64)
@@ -114,7 +133,7 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     for k, tri in enumerate(tris):
         for v in tri:
             vertex_elements[int(v)].append(k)
-    vertex_elements_t = tuple(tuple(sorted(v)) for v in vertex_elements)
+    vertex_elements_t = csr([sorted(v) for v in vertex_elements])
 
     return Triangulation(
         vertices=verts,

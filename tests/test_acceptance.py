@@ -30,6 +30,7 @@ from qmloc.quadrature import (make_quadrature_plan, polar_triangle_rule,
                               radial_rule)
 
 from interp_reference import energy_norm_sq
+from mesh_reference import csr
 from ritz_reference import assemble, dense_ritz_error, energy_rhs
 from test_coeff import brute_force_quasi_monotone
 from test_interp import fe_target
@@ -182,7 +183,7 @@ def test_criterion_04_local_best_error_oracle():
         assert abs(err - dense) < 1e-8 * max(1.0, dense)
         for k in range(tri.n_elements):
             region = [k, (k + 1) % tri.n_elements]
-            r1 = local_ritz(tables, coeff.values, [region])[0][0]
+            r1 = local_ritz(tables, coeff.values, csr([region]))[0][0]
             # dense reference: same constrained minimization assembled densely
             r2, _ = dense_ritz_error(space, coeff.values, target, plan, region)
             assert abs(r1 - r2) < 1e-8 * max(1.0, r1)

@@ -19,10 +19,11 @@ from qmloc.errors import PointOutsideElement, SolverFailure
 from qmloc.fespace import build_space, element_mass_matrix
 from qmloc.fields import smooth_target
 from qmloc.interp import _element_fits
-from qmloc.mesh import build_triangulation, uniform_refine
+from qmloc.mesh import build_triangulation, edge_pair, region_rows, uniform_refine, vertex_patch
 from qmloc.quadrature import make_quadrature_plan
 
 from interp_reference import energy_norm_sq, l2_norm_sq
+from mesh_reference import csr
 from ritz_reference import (assemble, dense_ritz_error, element_stiffness,
                             energy_rhs, mass_rhs, monomial_element_fit)
 
@@ -103,7 +104,7 @@ def test_polynomial_targets_have_zero_error(ell):
     tables, _, space = tables_of(target, tri, ell, 2 * ell + 2)
     for k in range(tri.n_elements):
         assert local_element_errors(tables, coeff)[k] < 1e-10
-    assert local_ritz(tables, coeff.values, [range(tri.n_elements)])[0][0] < 1e-10
+    assert local_ritz(tables, coeff.values, csr([range(tri.n_elements)]))[0][0] < 1e-10
     err, x = global_best_error(tables, coeff, gauge="meanzero")
     assert err < 1e-10
     # the mean-zero shift makes the projection of a member the member itself
@@ -124,7 +125,7 @@ def test_global_error_matches_dense_brute_force():
         dense_err = energy_norm_sq(target, coeff, plan) - b[free] @ x
         assert abs(err - dense_err) < 1e-8 * max(1.0, dense_err)
         # the constrained regional solve over the whole mesh is the same problem
-        region_err = local_ritz(tables, coeff.values, [range(tri.n_elements)],
+        region_err = local_ritz(tables, coeff.values, csr([range(tri.n_elements)]),
                                 fixed=space.dirichlet)[0][0]
         assert abs(region_err - err) < 1e-8 * max(1.0, err)
 
@@ -185,7 +186,7 @@ def test_pair_error_zero_for_member_of_space():
     )
     tables, _, _ = tables_of(target, tri, 1, 8)
     zero = np.zeros(tri.n_elements)
-    pairs = [tri.edge_elements[e] for e in tri.interior_edges()]
+    pairs = region_rows(tri.edge_elements, tri.interior_edges())
     for err in local_ritz(tables, zero, pairs, 1.0)[0]:
         assert err < 1e-12
 
@@ -294,9 +295,9 @@ def test_ritz_matches_dense_solve(kind):
     fixed = space.dirichlet if kind == "dirichlet" else None
     beta = 1.0 if kind == "reaction" else 0.0
     if kind == "star":
-        region = tri.vertex_elements[4]
-        err, x = local_ritz(tables, coeff.values, [region], beta, fixed)
-        err, x, nodes = err[0], x[0], space.element_nodes[list(region)]
+        region = vertex_patch(tri, 4)
+        err, x = local_ritz(tables, coeff.values, csr([region]), beta, fixed)
+        err, x, nodes = err[0], x[0], space.element_nodes[region]
     else:
         region = None
         err, x = ritz(tables, coeff.values, beta, fixed=fixed)
@@ -313,14 +314,14 @@ def _check_mixed_regions(tri, a, target):
     with a > 0.  Each error within 1e-12 of its region's energy of the dense
     solve, the element-node values within 1e-8, and the padding zero."""
     regions = ([[k] for k in range(tri.n_elements)]
-               + [tri.edge_elements[e] for e in tri.interior_edges()]
-               + list(tri.vertex_elements))
+               + [edge_pair(tri, e) for e in tri.interior_edges()]
+               + [vertex_patch(tri, z) for z in range(tri.n_vertices)])
     cases = [(False, a, 0.0), (True, a, 0.0), (False, np.zeros_like(a), 1.0), (False, a, 0.5)]
     for degree in (1, 2, 3):
         for dirichlet, w, beta in cases:
             tables, plan, space = tables_of(target, tri, degree, 12, dirichlet)
             fixed = space.dirichlet if dirichlet else None
-            err, x = local_ritz(tables, w, regions, beta, fixed)
+            err, x = local_ritz(tables, w, csr(regions), beta, fixed)
             assert x.shape == (len(regions), 6, space.element_nodes.shape[1])
             for p, region in enumerate(regions):
                 r = list(region)
@@ -358,13 +359,13 @@ def test_singular_local_solve_raises_solver_failure():
     tri, _ = reference_element()
     tables, _, _ = tables_of(quadratic_target(), tri, 2, 10)
     with pytest.raises(SolverFailure):
-        local_ritz(tables, np.zeros(1), [[0]])
+        local_ritz(tables, np.zeros(1), csr([[0]]))
 
 
 def test_singular_region_in_a_batch_is_named():
     tri = square_mesh()
     tables, _, _ = tables_of(sine_target(), tri, 2, 12)
-    regions = [[k] for k in range(tri.n_elements)] + [(0, 1), (2, 3)]
+    regions = csr([[k] for k in range(tri.n_elements)] + [(0, 1), (2, 3)])
     # at scale 1e-70 the determinants of the regular regions underflow to 0
     for scale in (1.0, 1e-70):
         a = np.full(tri.n_elements, scale)
@@ -403,8 +404,8 @@ def test_ritz_properties_on_perturbed_grids(seed, n, degree, scale):
             3.0 * np.cos(2.0 * p[:, 0] + 3.0 * p[:, 1])]),
     )
     tables, _, _ = tables_of(target, tri, degree, 2 * degree + 4)
-    kinds = (np.arange(tri.n_elements)[:, None],
-             [tri.edge_elements[e] for e in tri.interior_edges()],
+    kinds = (csr([[k] for k in range(tri.n_elements)]),
+             region_rows(tri.edge_elements, tri.interior_edges()),
              tri.vertex_elements)
     for regions in kinds:
         assert (local_ritz(tables, a, regions)[0] >= 0.0).all()
@@ -414,9 +415,9 @@ def test_ritz_properties_on_perturbed_grids(seed, n, degree, scale):
     assert elements <= global_sq * (1.0 + 1e-10) + 1e-14
 
     def energy(w, region):
-        return ritz(tables, w)[0] if region is None else local_ritz(tables, w, [region])[0][0]
+        return ritz(tables, w)[0] if region is None else local_ritz(tables, w, csr([region]))[0][0]
 
-    for region in (None, tri.vertex_elements[n + 2]):
+    for region in (None, vertex_patch(tri, n + 2)):
         base = energy(a, region)
         scaled = energy(scale * a, region)
         assert abs(scaled - scale * base) <= 1e-9 * scale * base + 1e-14

@@ -1,14 +1,20 @@
 """Command-line entry point: exit codes, output formats, determinism."""
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qmloc.cli import EXIT_INVALID, EXIT_NOT_QM, EXIT_OK, build_parser, main
-from qmloc.counterexamples import fig1_meshes, hexagon_mesh
-from qmloc.mesh import save_mesh
+from qmloc.coeff import attach_coefficient
+from qmloc.counterexamples import checkerboard_mesh, fig1_meshes, hexagon_mesh
+from qmloc.mesh import load_mesh, save_mesh
+
+import coeff_reference
 
 
 @pytest.fixture
@@ -35,6 +41,26 @@ def test_qm_check_exit_codes(hexagon_file, qm_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["quasi_monotone"] is False
     assert out["witnesses"]
+
+
+@pytest.mark.parametrize("mesh", ["hexagon", "checkerboard2", "fig1-left", "fig1-right"])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_qm_check_output_matches_the_loop_oracle(tmp_path, capsys, mesh, ell):
+    """stdout and exit code of `qm-check --ell` are the loop oracle's report,
+    byte for byte."""
+    tri, coeff = {"hexagon": lambda: hexagon_mesh(0.1),
+                  "checkerboard2": lambda: checkerboard_mesh(2),
+                  "fig1-left": lambda: fig1_meshes(4, "left"),
+                  "fig1-right": lambda: fig1_meshes(10, "right")}[mesh]()
+    path = tmp_path / "mesh.json"
+    save_mesh(tri, str(path), coefficient=coeff.values)
+    code = main(["qm-check", str(path), "--ell", str(ell)])
+    tri, values = load_mesh(path)
+    ref = coeff_reference.check_quasi_monotonicity(tri, attach_coefficient(tri, values),
+                                                   degree=ell)
+    assert capsys.readouterr().out == json.dumps(ref.to_json_dict(), sort_keys=True,
+                                                 indent=2) + "\n"
+    assert code == (EXIT_OK if ref.quasi_monotone else EXIT_NOT_QM)
 
 
 @pytest.mark.parametrize("ell", ["0", "-2", "7"])
@@ -94,6 +120,33 @@ def test_qm_check_non_integer_vertex_id_is_invalid(tmp_path, capsys):
 def test_qm_check_malformed_entry_is_invalid(tmp_path, capsys, doc):
     assert main(["qm-check", _write_json(tmp_path, doc)]) == EXIT_INVALID
     assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    dict(MESH, triangles=[[0, 1, 2], [0, 1, 2]], coefficient=[1.0, 2.0]),  # duplicated
+    {"vertices": [[0, 0], [1, 0], [0, 1], [0.2, 0.3]],                    # folded
+     "triangles": [[0, 1, 2], [0, 1, 3]], "coefficient": [1.0, 2.0]},
+])
+def test_qm_check_overlapping_triangles_are_invalid(tmp_path, capsys, doc):
+    assert main(["qm-check", _write_json(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: triangles 0 and 1 overlap on edge (0, 1)\n"
+
+
+def test_cli_calls_import_neither_scipy_special_nor_scipy_linalg():
+    """A fresh interpreter runs `constants` and `hexagon` with scipy.sparse
+    as the only scipy subpackage in use."""
+    code = ("import sys\n"
+            "from qmloc.cli import main\n"
+            "assert main(['constants', '--levels', '2']) == 0\n"
+            "assert main(['hexagon', '--eps', '0.1', '--format', 'json']) == 0\n"
+            "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_bad_usage_is_invalid(capsys):

@@ -1,18 +1,22 @@
 """Quasi-monotonicity classifier, monotone paths, and derived selections."""
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmloc.coeff import (attach_coefficient, build_omega_hat,
                          check_quasi_monotonicity, find_monotone_path,
                          select_kmax_fz)
 from qmloc.counterexamples import (checkerboard_mesh, fig1_meshes,
                                    hexagon_mesh)
-from qmloc.errors import NoMonotonePath, NonPositiveValue
+from qmloc.errors import NoMonotonePath, NonPositiveValue, UnknownLocus
 from qmloc.fespace import build_space
-from qmloc.mesh import build_triangulation, vertex_patch
+from qmloc.mesh import build_triangulation, edge_pair, vertex_patch
 
+import coeff_reference
 from interp_reference import select_kmax as loop_select_kmax
 
 
@@ -24,7 +28,7 @@ def brute_force_quasi_monotone(tri, coeff):
         adj = {
             (k, kk)
             for k, kk in itertools.permutations(star, 2)
-            if any(set(tri.edge_elements[e]) == {k, kk} for e in range(tri.n_edges))
+            if any(set(edge_pair(tri, e).tolist()) == {k, kk} for e in range(tri.n_edges))
         }
         for k, kk in itertools.permutations(star, 2):
             if a[k] > a[kk]:
@@ -45,6 +49,56 @@ def brute_force_quasi_monotone(tri, coeff):
             if not found:
                 return False
     return True
+
+
+def perturbed_grid(n, rng):
+    """The unit square in n x n cells with random diagonals (vertex stars of
+    4 to 8 elements), interior vertices moved by up to a quarter cell."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    inner = (verts > 0).all(axis=1) & (verts < 1).all(axis=1)
+    verts[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / n
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            c, d = b + 1, a + 1
+            tris += [(a, b, c), (a, c, d)] if rng.random() < 0.5 else [(a, b, d), (b, c, d)]
+    return build_triangulation(verts, tris)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), levels=st.integers(1, 4),
+       degree=st.sampled_from([1, 2, 3]))
+def test_classifier_matches_the_loop_oracle(seed, n, levels, degree):
+    """Random integer coefficients (so ties occur) on perturbed grids: every
+    verdict and witness equals the per-star loop's, for the loci of the
+    degree and for a shuffled node set of all kinds; up to n = 3 the verdict
+    equals the exhaustive path search (edge pairs and single elements never
+    fail, so the vertex stars decide every degree)."""
+    rng = np.random.default_rng(seed)
+    tri = perturbed_grid(n, rng)
+    coeff = attach_coefficient(tri, rng.integers(1, levels + 1, tri.n_elements).astype(float))
+    report = check_quasi_monotonicity(tri, coeff, degree=degree)
+    assert report == coeff_reference.check_quasi_monotonicity(tri, coeff, degree=degree)
+    loci = ([("vertex", z) for z in range(tri.n_vertices)]
+            + [("edge", e) for e in range(tri.n_edges)]
+            + [("element", k) for k in range(tri.n_elements)])
+    node_set = [loci[i] for i in rng.permutation(len(loci))[:rng.integers(len(loci) + 1)]]
+    assert (check_quasi_monotonicity(tri, coeff, node_set=node_set)
+            == coeff_reference.check_quasi_monotonicity(tri, coeff, node_set=node_set))
+    if n <= 3:
+        assert report.quasi_monotone is brute_force_quasi_monotone(tri, coeff)
+
+
+def test_unknown_locus_rejected():
+    tri, coeff = hexagon_mesh(0.1)
+    for locus, message in [(("face", 0), "unknown locus kind 'face'"),
+                           (("vertex", 7), "vertex 7"), (("edge", -1), "edge -1"),
+                           (("element", 6), "element 6")]:
+        with pytest.raises(UnknownLocus, match=f"^{re.escape(message)}$"):
+            check_quasi_monotonicity(tri, coeff, node_set=[("vertex", 0), locus])
 
 
 def test_non_positive_coefficient_rejected():
@@ -103,7 +157,7 @@ def test_path_properties():
     assert np.all(np.diff(vals) >= 0)
     assert len(path.shared_edges) == len(path.elements) - 1
     for e, (k, kk) in zip(path.shared_edges, zip(path.elements, path.elements[1:])):
-        assert set(tri.edge_elements[e]) == {k, kk}
+        assert set(edge_pair(tri, e).tolist()) == {k, kk}
     # shortest: 0 -> 1 -> 2 -> 3 around the fan
     assert path.elements == (0, 1, 2, 3)
 

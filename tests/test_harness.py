@@ -14,6 +14,7 @@ from qmloc.harness import (emit_report, estimate_inequality_constants,
                            render_report, run_alpha_robustness,
                            run_hexagon_sweep, run_reaction_diffusion,
                            run_star_sweep)
+from qmloc.mesh import region_rows, vertex_patch
 from qmloc.quadrature import make_quadrature_plan
 
 
@@ -90,8 +91,9 @@ def test_star_candidate_energy_matches_the_kernel(N):
     space = build_space(tri, 1, dirichlet_on_boundary=True)
     tables = element_tables(target, make_quadrature_plan(tri, target, exactness=8), space)
     inner = tri.interior_vertices()
-    stars = [tri.vertex_elements[z] for z in inner]
-    err, x = local_ritz(tables, coeff.values, stars, fixed=space.dirichlet)
+    stars = [vertex_patch(tri, z) for z in inner]
+    err, x = local_ritz(tables, coeff.values, region_rows(tri.vertex_elements, inner),
+                        fixed=space.dirichlet)
     for p, z in enumerate(inner):
         r = list(stars[p])
         energy = coeff.values[r] @ tables.grad_sq[r]

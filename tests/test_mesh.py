@@ -1,5 +1,6 @@
 """Triangulation construction, topology queries, refinement, and I/O."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmloc.errors import DegenerateElement, NonConforming
-from qmloc.mesh import (box_point_pairs, build_triangulation, edge_pair,
-                        element_patch, load_mesh, patch_of, save_mesh,
+from qmloc.mesh import (_region_groups, box_point_pairs, build_triangulation, edge_pair,
+                        element_patch, load_mesh, region_rows, save_mesh,
                         uniform_refine, vertex_patch)
 
 import mesh_reference
@@ -55,9 +56,16 @@ def test_patches(square):
     assert set(vertex_patch(square, 0)) == {0, 1}
     assert set(vertex_patch(square, 1)) == {0}
     assert set(element_patch(square, 0)) == {0, 1}
-    assert set(patch_of(square, ("vertex", 0))) == {0, 1}
-    assert set(patch_of(square, ("edge", e))) == {0, 1}
-    assert set(patch_of(square, ("element", 1))) == {0, 1}
+
+
+def test_region_rows_and_groups():
+    """A row selection keeps each row's ids in order; the walk visits every
+    row once, grouped by size, sizes and rows ascending."""
+    regions = mesh_reference.csr([[3], [0, 4], [1], [2, 5, 6], [7, 8]])
+    offsets, ids = region_rows(regions, [3, 1, 1])
+    assert offsets.tolist() == [0, 3, 5, 7] and ids.tolist() == [2, 5, 6, 0, 4, 0, 4]
+    walk = [(rows.tolist(), elems.tolist()) for rows, elems in _region_groups(regions)]
+    assert walk == [([0, 2], [[3], [1]]), ([1, 4], [[0, 4], [7, 8]]), ([3], [[2, 5, 6]])]
 
 
 def test_uniform_refine_counts_and_parents(square):
@@ -98,6 +106,19 @@ def test_edge_overuse_rejected():
         build_triangulation(V, T)
 
 
+@pytest.mark.parametrize("verts,tris,message", [
+    (SQUARE_V[:3], [[0, 1, 2], [0, 1, 2]], "triangles 0 and 1 overlap on edge (0, 1)"),
+    ([[0, 0], [1, 0], [0, 1], [0.2, 0.3]], [[0, 1, 2], [0, 1, 3]],
+     "triangles 0 and 1 overlap on edge (0, 1)"),
+])
+def test_overlapping_triangles_rejected(verts, tris, message):
+    """A duplicated triangle and a fold: both triangles of an edge traverse
+    it in the same direction once counter-clockwise."""
+    for build in (build_triangulation, mesh_reference.build_triangulation):
+        with pytest.raises(NonConforming, match=rf"^{re.escape(message)}$"):
+            build(np.asarray(verts, dtype=float), np.asarray(tris))
+
+
 def test_save_load_round_trip(tmp_path, square):
     path = tmp_path / "mesh.json"
     save_mesh(square, path, coefficient=[2.0, 3.0])
@@ -135,11 +156,12 @@ def _outcome(build, verts, tris):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
-       defect=st.sampled_from(["none", "hanging", "moved", "third"]))
+       defect=st.sampled_from(["none", "hanging", "moved", "third", "duplicate", "fold"]))
 def test_conformity_checks_match_reference(seed, n, defect):
     """On perturbed grids with a hanging vertex, a vertex moved onto an
-    edge, or a third triangle on one edge: the array build raises what the
-    loop reference raises, or both accept and agree field by field."""
+    edge, a third triangle on one edge, a duplicated triangle or a vertex
+    reflected across an edge of its triangle: the array build raises what
+    the loop reference raises, or both accept and agree field by field."""
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -165,6 +187,11 @@ def test_conformity_checks_match_reference(seed, n, defect):
     elif defect == "third":  # another triangle on the edge (a, b)
         verts = np.vstack([verts, verts[c] + rng.uniform(-0.5, 0.5, 2)])
         tris.append((a, b, len(verts) - 1))
+    elif defect == "duplicate":  # triangle k again, in either orientation
+        tris.append((a, b, c) if rng.random() < 0.5 else (c, b, a))
+    elif defect == "fold":  # c onto the other side of (a, b), over a neighbour
+        d, rel = verts[b] - verts[a], verts[c] - verts[a]
+        verts[c] = verts[a] + 2.0 * (rel @ d) / (d @ d) * d - rel
     tris = np.array(tris)
     fast = _outcome(build_triangulation, verts, tris)
     ref = _outcome(mesh_reference.build_triangulation, verts, tris)

@@ -7,9 +7,11 @@ from qmloc.counterexamples import (analytic_energy_reference, checkerboard_mesh,
                                    radial_profile_derivative)
 from qmloc.fields import SingularPoint, TargetField, smooth_target
 from qmloc.mesh import build_triangulation
-from qmloc.quadrature import (_locate, _unit_singular_rule, make_quadrature_plan,
-                              polar_triangle_rule, radial_rule,
+from qmloc.quadrature import (_gauss_jacobi, _locate, _unit_singular_rule,
+                              make_quadrature_plan, polar_triangle_rule, radial_rule,
                               reference_triangle_rule, triangle_rule)
+
+MODEL_MU = [1e-3, 1 / 12, 1 / 6, 1 / 4, 1 / 2, 1.0]
 
 
 def test_reference_rule_exactness():
@@ -50,7 +52,20 @@ def test_radial_rule_closed_form(eps):
     assert val <= 1.0 / (2.0 * eps) - np.log(eps)
 
 
-@pytest.mark.parametrize("mu", [1e-3, 1 / 12, 1 / 6, 1 / 4, 1 / 2, 1.0])
+@pytest.mark.parametrize("n, a, b", [(n, 1.0, 0.0) for n in range(1, 7)]
+                         + [(8, 0.0, 2.0 * mu - 1.0) for mu in MODEL_MU])
+def test_gauss_jacobi_matches_scipy(n, a, b):
+    """The Golub--Welsch rule against scipy's, imported here only: the rules
+    of `reference_triangle_rule` and of `_unit_singular_rule`."""
+    from scipy.special import roots_jacobi
+
+    x, w = _gauss_jacobi(n, a, b)
+    x_ref, w_ref = roots_jacobi(n, a, b)
+    np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("mu", MODEL_MU)
 def test_unit_singular_rule_integrates_the_model_power(mu):
     r, w = _unit_singular_rule(mu)
     assert np.all(r > 0) and np.all(r < 1) and np.all(w > 0)
