@@ -14,9 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coeff import Coefficient
-from .errors import PlanMismatch, SolverFailure
-from .fespace import LagrangeSpace, element_basis, reference_basis
-from .mesh import _region_groups, region_rows
+from .errors import SolverFailure
+from .fespace import LagrangeSpace, reference_basis
+from .mesh import _region_groups, element_affine, region_rows
 from .quadrature import QuadraturePlan, reference_triangle_rule
 
 
@@ -43,23 +43,33 @@ class ElementTables:
     value_sq: np.ndarray
 
 
+def _class_blocks(plan: QuadraturePlan, space: LagrangeSpace):
+    """`QuadraturePlan.blocks` of a plan of the space's mesh, with the basis
+    values (n, nloc) and reference gradients (n, nloc, 2) at the nodes of
+    each block's class, evaluated once per class: yields (ks, points,
+    weights, values, reference gradients).  Raises as `require_mesh`."""
+    plan.require_mesh(space.tri)
+    last = None
+    for c, ks, pts, wts in plan.blocks():
+        if c != last:
+            vals, gref = reference_basis(space.degree, plan.rules[c][2])
+            last = c
+        yield ks, pts, wts, vals, gref
+
+
 def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> ElementTables:
     """Element matrices from the reference basis and each affine map, and
     the target's moments from one pass over the plan's nodes.
 
-    The plan is read in the stacked blocks of `QuadraturePlan.blocks`; each
-    block makes one basis, one gradient and one value evaluation.  Raises
+    The plan is read in the class blocks of `QuadraturePlan.blocks`; each
+    block makes one gradient and one value evaluation of the target.  Raises
     PlanMismatch when the plan has another element count and
-    PointOutsideElement when a plan node lies outside its element (a plan
-    built on another mesh).
+    PointOutsideElement when it was built on another mesh.
     """
-    tri = space.tri
     pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
     vals, gref = reference_basis(space.degree, pts_ref)
-    v = tri.vertices[tri.triangles]
-    B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)  # columns
-    det = np.abs(np.linalg.det(B))
-    Binv = np.linalg.inv(B)
+    B = element_affine(space.tri)[1]
+    det, Binv = np.abs(np.linalg.det(B)), np.linalg.inv(B)
     # grad phi = gref @ Binv, so S_K = |det B_K| sum_ab (Binv Binv^T)_ab R_ab
     R = np.einsum("q,qia,qjb->abij", w_ref, gref, gref)
     G = det[:, None, None] * (Binv @ Binv.transpose(0, 2, 1))
@@ -67,16 +77,14 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
     mass = det[:, None, None] * ((vals.T * w_ref) @ vals)
 
     nt, nloc = space.element_nodes.shape
-    if len(plan.weights) != nt:
-        raise PlanMismatch(f"plan covers {len(plan.weights)} elements, the space {nt}")
     grad_moments, value_moments = np.empty((nt, nloc)), np.empty((nt, nloc))
     grad_sq, value_sq = np.empty(nt), np.empty(nt)
-    for ks, pts, wts in plan.blocks():
-        phi, dphi = element_basis(space, ks, pts)
+    for ks, pts, wts, phi, gref in _class_blocks(plan, space):
         flat = pts.reshape(-1, 2)
-        gu = target.gradient(flat).reshape(dphi.shape[0], -1, 2)
+        gu = target.gradient(flat).reshape(*wts.shape, 2)
         u = target.value(flat).reshape(wts.shape)
         w = wts[:, None, :]
+        dphi = (gref.reshape(-1, 2) @ Binv[ks]).reshape(*wts.shape, *gref.shape[1:])
         grad_moments[ks] = np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)
         grad_sq[ks] = (w @ np.einsum("kqd,kqd->kq", gu, gu)[..., None])[:, 0, 0]
         value_moments[ks] = ((wts * u)[:, None, :] @ phi)[:, 0]

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PointOutsideElement, SingularMassMatrix, UnsupportedDegree
-from .mesh import Triangulation
+from .mesh import Triangulation, element_affine
 from .quadrature import _leggauss01, reference_triangle_rule
 
 VERTEX, EDGE, INTERIOR = "vertex", "edge", "interior"
@@ -163,13 +163,6 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
     )
 
 
-def element_affine(tri: Triangulation, k: int):
-    """Affine map F(xi) = v0 + B xi from the reference triangle onto element k."""
-    v = tri.vertices[tri.triangles[k]]
-    B = np.column_stack([v[1] - v[0], v[2] - v[0]])
-    return v[0], B
-
-
 def element_basis(space: LagrangeSpace, ks, pts):
     """Values and physical gradients of the local nodal bases of the elements
     ks at stacked points pts (K, n, 2), pts[i] lying in element ks[i].
@@ -180,10 +173,9 @@ def element_basis(space: LagrangeSpace, ks, pts):
     """
     ks = np.asarray(ks)
     pts = np.asarray(pts, dtype=float)
-    v = space.tri.vertices[space.tri.triangles[ks]]
-    B = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=-1)  # columns
+    v0, B = element_affine(space.tri, ks)
     Binv = np.linalg.inv(B)
-    ref = (pts - v[:, :1]) @ Binv.transpose(0, 2, 1)
+    ref = (pts - v0[:, None]) @ Binv.transpose(0, 2, 1)
     tol = 1e-10
     outside = (ref < -tol).any(axis=(1, 2)) | ((1.0 - ref[..., 0] - ref[..., 1]) < -tol).any(axis=1)
     if outside.any():

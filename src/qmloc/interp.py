@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .bestapprox import ElementTables, element_tables, local_element_errors, local_ritz
+from .bestapprox import (ElementTables, _class_blocks, element_tables, local_element_errors,
+                         local_ritz)
 from .coeff import Coefficient, build_omega_hat, select_kmax_fz
-from .errors import PlanMismatch, QuadratureFailure
-from .fespace import LagrangeSpace, _reference_face_dual, edge_basis_1d, element_basis
+from .errors import QuadratureFailure
+from .fespace import LagrangeSpace, _reference_face_dual, edge_basis_1d
+from .mesh import element_affine
 from .quadrature import QuadraturePlan, _leggauss01, radial_rule
 
 _GAUSS_1D = 12
@@ -142,13 +144,12 @@ def interpolation_error_sq(target, interp: InterpolantResult, coeff: Coefficient
     """||a^(1/2) grad(u - Iu)||^2_K for every element K, an (nt,) array, by
     quadrature of the difference in the stacked blocks of the plan."""
     space = interp.space
-    nt = space.tri.n_elements
-    if len(plan.weights) != nt:
-        raise PlanMismatch(f"plan covers {len(plan.weights)} elements, the space {nt}")
-    err = np.empty(nt)
-    for ks, pts, wts in plan.blocks():
-        _, dphi = element_basis(space, ks, pts)
-        giu = np.einsum("kqid,ki->kqd", dphi, interp.coefficients[space.element_nodes[ks]])
+    Binv = np.linalg.inv(element_affine(space.tri)[1])
+    err = np.empty(space.tri.n_elements)
+    for ks, pts, wts, _, gref in _class_blocks(plan, space):
+        # grad Iu = (sum_i c_i gref_i) @ Binv_k
+        c = interp.coefficients[space.element_nodes[ks]]
+        giu = np.tensordot(c, gref, axes=(1, 1)) @ Binv[ks]
         d = target.gradient(pts.reshape(-1, 2)).reshape(giu.shape) - giu
         err[ks] = (wts[:, None, :] @ np.einsum("kqd,kqd->kq", d, d)[..., None])[:, 0, 0]
     return coeff.values * err

@@ -262,6 +262,14 @@ def _check_hanging_vertices(verts, edges, scale):
             )
 
 
+def element_affine(tri: Triangulation, k=slice(None)):
+    """Affine maps F(xi) = v0 + B xi from the reference triangle onto the
+    elements k (one id, ids or all): v0 (..., 2) and B (..., 2, 2) with
+    columns v1 - v0, v2 - v0."""
+    v = tri.vertices[tri.triangles[k]]
+    return v[..., 0, :], np.stack([v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 0, :]], axis=-1)
+
+
 def vertex_patch(tri: Triangulation, z: int):
     """omega_z: all elements containing vertex z, ascending."""
     if not 0 <= z < tri.n_vertices:

@@ -6,21 +6,34 @@ closure contains a declared singular point get a polar sector rule centered
 there: composite Gauss in the angle, and in the radius 21 fixed geometric
 levels (ratio 1/2) above a Gauss--Jacobi cell weighted by r**(2*mu - 1), the
 behaviour of energy integrands, followed by dyadic regular panels.
+
+A plan stores rules per similarity class, not per element: one plain class,
+the reference rule, and one polar class per shape of element about its
+singular point, each built once in coordinates centred there and divided by
+the element diameter.  Every element keeps one affine map into its class.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureFailure, SingularPointOnQuadratureNode
-from .mesh import Triangulation, box_point_pairs
+from .errors import (PlanMismatch, PointOutsideElement, QuadratureFailure,
+                     SingularPointOnQuadratureNode)
+from .mesh import Triangulation, box_point_pairs, element_affine
 
 _GAUSS_ORDER = 10          # panels of the regular radial/angular parts
 _THETA_PANEL = math.pi / 4  # maximum angular panel width
 _GRADING_RATIO = 0.5
+# Relative slack of the angular panel count: atan2 of rounded vertex
+# coordinates puts exact multiples of the panel width up to ~1e-14 above it.
+_PANEL_SLACK = 1e-12
+# Decimals of the polar class key: elements whose normalized vertices or
+# breakpoints differ by more than 1e-12 never share a rule.
+_KEY_DECIMALS = 12
 
 
 @lru_cache(maxsize=None)
@@ -57,16 +70,12 @@ def reference_triangle_rule(p: int):
     return pts, W.ravel()
 
 
-def map_rule_to_triangle(pts_ref, w_ref, v0, v1, v2):
-    B = np.column_stack([v1 - v0, v2 - v0])
-    pts = v0 + pts_ref @ B.T
-    return pts, w_ref * abs(np.linalg.det(B))
-
-
 def triangle_rule(p: int, v0, v1, v2):
     """Plain rule of exactness p on the physical triangle (v0, v1, v2)."""
     pts_ref, w_ref = reference_triangle_rule(p)
-    return map_rule_to_triangle(pts_ref, w_ref, np.asarray(v0, float), np.asarray(v1, float), np.asarray(v2, float))
+    v0 = np.asarray(v0, float)
+    B = np.column_stack([np.asarray(v1, float) - v0, np.asarray(v2, float) - v0])
+    return v0 + pts_ref @ B.T, w_ref * abs(np.linalg.det(B))
 
 
 def _panels(a: float, b: float, n_panels: int, order: int):
@@ -155,7 +164,7 @@ def _sector_rule(s, p, p2, mu, breakpoints):
     th0 = math.atan2(a[1], a[0])
     dth = math.atan2(b[1], b[0]) - th0
     dth = dth % (2.0 * math.pi)
-    n_panels = max(1, math.ceil(dth / _THETA_PANEL))
+    n_panels = max(1, math.ceil(dth / _THETA_PANEL * (1.0 - _PANEL_SLACK)))
     tt, wt = _panels(0.0, dth, n_panels, _GAUSS_ORDER)
     # distance to the line through p, p2 along direction theta
     nrm = np.array([-(b - a)[1], (b - a)[0]])
@@ -204,30 +213,78 @@ def polar_triangle_rule(v0, v1, v2, singular_xy, mu, breakpoints=()):
 
 @dataclass(frozen=True)
 class QuadraturePlan:
-    """Per-element quadrature nodes and weights over a triangulation."""
+    """Quadrature over a triangulation: a few class rules and one affine map
+    per element.
+
+    Class c holds nodes and weights in its own coordinates and the same nodes
+    in the reference triangle of its elements: ``rules[c] = (points (n, 2),
+    weights (n,), reference points (n, 2))``.  Element k of class
+    ``element_class[k]`` has nodes ``origin[k] + linear[k] @ p`` and weights
+    ``scale[k] * w``.  Class 0 is `reference_triangle_rule` under each
+    element's own map; a polar class is centred at the singular point s and
+    divided by the element diameter h, mapped by x = s + h p with weights
+    scaled by h**2.
+    """
 
     tri: Triangulation
-    points: tuple      # per element: (n_k, 2)
-    weights: tuple     # per element: (n_k,)
+    rules: tuple
+    element_class: np.ndarray  # (nt,)
+    origin: np.ndarray         # (nt, 2)
+    linear: np.ndarray         # (nt, 2, 2)
+    scale: np.ndarray          # (nt,)
     exactness: int
     singular_elements: tuple
 
+    @property
+    def weights(self):
+        """Read-only per-element weights, each built on access."""
+        return _ElementWeights(self)
+
     def element_rule(self, k: int):
-        return self.points[k], self.weights[k]
+        p, w, _ = self.rules[self.element_class[k]]
+        return self.origin[k] + p @ self.linear[k].T, self.scale[k] * w
 
     def blocks(self, max_nodes: int = 4096):
-        """Elements with equal rule sizes stacked in blocks of at most
-        max_nodes nodes (one element at least): yields (element ids (K,),
-        points (K, n, 2), weights (K, n)).  Larger blocks raise peak memory
-        and gain little."""
-        counts = np.array([len(w) for w in self.weights])
-        for n in np.unique(counts):
-            group = np.flatnonzero(counts == n)
-            per = max(1, max_nodes // int(n))
+        """Elements of one class stacked in blocks of at most max_nodes nodes
+        (one element at least), mapped one block at a time: yields (class id,
+        element ids (K,), points (K, n, 2), weights (K, n)).  Larger blocks
+        raise peak memory and gain little."""
+        order = np.argsort(self.element_class, kind="stable")
+        bounds = np.searchsorted(self.element_class[order], np.arange(len(self.rules) + 1))
+        for c, (p, w, _) in enumerate(self.rules):
+            group = order[bounds[c]:bounds[c + 1]]
+            per = max(1, max_nodes // len(w))
             for start in range(0, len(group), per):
                 ks = group[start:start + per]
-                yield (ks, np.stack([self.points[k] for k in ks]),
-                       np.stack([self.weights[k] for k in ks]))
+                yield (c, ks, self.origin[ks, None, :] + p @ self.linear[ks].transpose(0, 2, 1),
+                       self.scale[ks, None] * w)
+
+    def require_mesh(self, tri: Triangulation):
+        """Raise PlanMismatch unless the plan has tri's element count, and
+        PointOutsideElement unless every plan element has the vertices of the
+        element of tri with its id, in the same order, to 1e-10 h (else it is
+        a plan of another mesh, its nodes outside the elements read)."""
+        nt = tri.n_elements
+        if len(self.element_class) != nt:
+            raise PlanMismatch(f"plan covers {len(self.element_class)} elements, the space {nt}")
+        if self.tri is tri:
+            return
+        gap = np.abs(self.tri.vertices[self.tri.triangles] - tri.vertices[tri.triangles])
+        off = gap.max(axis=(1, 2)) > 1e-10 * tri.diameters
+        if off.any():
+            raise PointOutsideElement(f"plan element {np.flatnonzero(off)[0]} lies outside "
+                                      "the element of that id: a plan of another mesh")
+
+
+class _ElementWeights(Sequence):
+    def __init__(self, plan: QuadraturePlan):
+        self._plan = plan
+
+    def __len__(self):
+        return len(self._plan.element_class)
+
+    def __getitem__(self, k):
+        return self._plan.scale[k] * self._plan.rules[self._plan.element_class[k]][1]
 
 
 def _locate(tri: Triangulation, xy):
@@ -260,31 +317,44 @@ def plan_key(target) -> tuple:
     return tuple(getattr(target, "singular_points", ()) or ())
 
 
+def _key(x) -> bytes:
+    return (np.round(x, _KEY_DECIMALS) + 0.0).tobytes()  # + 0.0 turns -0.0 into 0.0
+
+
 def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8) -> QuadraturePlan:
     """Plain rules away from singular points, polar rules where one is present.
 
-    `target` only needs a `singular_points` attribute (possibly empty); see
-    `plan_key`.
+    A polar element's class key is its vertices relative to the singular
+    point s, divided by its diameter h and in `tri.triangles` order, the
+    exponent and the breakpoints divided by h, each rounded to
+    `_KEY_DECIMALS`; `polar_triangle_rule` runs once per key.  `target` only
+    needs a `singular_points` attribute (possibly empty); see `plan_key`.
     """
     singular = plan_key(target)
-    pts_all, wts_all, polar_ids = [], [], []
     hits = (_locate(tri, np.array([sp.xy for sp in singular], dtype=float))
             if singular else [-1] * tri.n_elements)
-    for k, hit in enumerate(hits):
-        v0, v1, v2 = tri.vertices[tri.triangles[k]]
-        if hit < 0:
-            p, w = triangle_rule(exactness, v0, v1, v2)
-        else:
-            sp = singular[hit]
-            p, w = polar_triangle_rule(v0, v1, v2, sp.xy, sp.exponent, sp.radial_breakpoints)
-            polar_ids.append(k)
-        pts_all.append(p)
-        wts_all.append(w)
-    return QuadraturePlan(
-        tri=tri,
-        points=tuple(pts_all),
-        weights=tuple(wts_all),
-        exactness=exactness,
-        singular_elements=tuple(polar_ids),
-    )
-
+    origin, linear = element_affine(tri)
+    scale = np.abs(np.linalg.det(linear))
+    pts_ref, w_ref = reference_triangle_rule(exactness)
+    rules = [(pts_ref, w_ref, pts_ref)]
+    element_class = np.zeros(tri.n_elements, dtype=np.int64)
+    polar = np.flatnonzero(np.asarray(hits) >= 0)
+    marks = [singular[hits[k]] for k in polar]
+    s = np.array([sp.xy for sp in marks]).reshape(-1, 2)
+    h = tri.diameters[polar]
+    q = (tri.vertices[tri.triangles[polar]] - s[:, None]) / h[:, None, None]
+    classes = {}
+    for j, sp in enumerate(marks):
+        bp = np.asarray(sp.radial_breakpoints, dtype=float) / h[j]
+        key = (_key(q[j]), round(sp.exponent, _KEY_DECIMALS), _key(bp))
+        if key not in classes:
+            q0, q1, q2 = q[j]
+            p, w = polar_triangle_rule(q0, q1, q2, (0.0, 0.0), sp.exponent, bp.tolist())
+            ref = np.linalg.solve(np.column_stack([q1 - q0, q2 - q0]), (p - q0).T).T
+            classes[key] = len(rules)
+            rules.append((p, w, ref))
+        element_class[polar[j]] = classes[key]
+    origin[polar], linear[polar], scale[polar] = s, h[:, None, None] * np.eye(2), h * h
+    return QuadraturePlan(tri=tri, rules=tuple(rules), element_class=element_class,
+                          origin=origin, linear=linear, scale=scale, exactness=exactness,
+                          singular_elements=tuple(polar.tolist()))

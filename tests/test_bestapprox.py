@@ -15,10 +15,10 @@ from qmloc.bestapprox import (LocalizationReport, SpdSystem, element_tables,
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
                                    fig1_left_pattern, hexagon_mesh, hexagon_target)
-from qmloc.errors import PointOutsideElement, SolverFailure
+from qmloc.errors import PlanMismatch, PointOutsideElement, SolverFailure
 from qmloc.fespace import build_space, element_mass_matrix
 from qmloc.fields import smooth_target
-from qmloc.interp import _element_fits
+from qmloc.interp import _element_fits, interpolation_error_sq, quasi_interpolate
 from qmloc.mesh import build_triangulation, edge_pair, region_rows, uniform_refine, vertex_patch
 from qmloc.quadrature import make_quadrature_plan
 
@@ -340,6 +340,38 @@ def test_element_tables_reject_a_plan_of_another_mesh():
     plan = make_quadrature_plan(shifted, sine_target())
     with pytest.raises(PointOutsideElement):
         element_tables(sine_target(), plan, build_space(tri, 1))
+
+
+@pytest.mark.parametrize("case", ["square", "hexagon"])
+def test_plans_are_checked_against_the_mesh(case):
+    """A plan of an equal mesh is read as its own; a plan of a shifted mesh,
+    of the same elements with their vertices rotated (class reference
+    coordinates in another frame) or of fewer elements is refused by both
+    plan readers."""
+    if case == "square":
+        tri, target = square_mesh(), sine_target()
+    else:
+        tri, target = hexagon_mesh(0.1)[0], hexagon_target(0.1)
+    space = build_space(tri, 2)
+    coeff = attach_coefficient(tri, np.ones(tri.n_elements))
+    plan = make_quadrature_plan(tri, target)
+    tables = element_tables(target, plan, space)
+    itp = quasi_interpolate(target, tables, coeff)
+    twin = make_quadrature_plan(build_triangulation(tri.vertices.copy(), tri.triangles.copy()),
+                                target)
+    assert np.array_equal(element_tables(target, twin, space).grad_moments, tables.grad_moments)
+    assert np.array_equal(interpolation_error_sq(target, itp, coeff, twin),
+                          interpolation_error_sq(target, itp, coeff, plan))
+    others = [(build_triangulation(tri.vertices + 0.25, tri.triangles), PointOutsideElement),
+              (build_triangulation(tri.vertices, np.roll(tri.triangles, 1, axis=1)),
+               PointOutsideElement),
+              (build_triangulation(tri.vertices[:3], [[0, 1, 2]]), PlanMismatch)]
+    for other, error in others:
+        bad = make_quadrature_plan(other, target)
+        with pytest.raises(error):
+            element_tables(target, bad, space)
+        with pytest.raises(error):
+            interpolation_error_sq(target, itp, coeff, bad)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

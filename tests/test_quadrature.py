@@ -1,10 +1,14 @@
 """Plain and singularity-graded quadrature rules and element plans."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from quadrature_reference import assert_plan_matches, element_rules
+from test_bestapprox import _perturbed_grid
 
 from qmloc.counterexamples import (analytic_energy_reference, checkerboard_mesh,
-                                   hexagon_mesh, hexagon_target, radial_profile,
-                                   radial_profile_derivative)
+                                   checkerboard_target, fig1_left_pattern, hexagon_mesh,
+                                   hexagon_target, radial_profile, radial_profile_derivative)
 from qmloc.fields import SingularPoint, TargetField, smooth_target
 from qmloc.mesh import build_triangulation
 from qmloc.quadrature import (_gauss_jacobi, _locate, _unit_singular_rule,
@@ -176,3 +180,130 @@ def test_point_location_matches_per_element_solves(n):
         rng.uniform(-0.1, 1.1, (10, 2)), tri.vertices[:2],  # repeats
     ])
     assert _locate(tri, xy) == _locate_loop(tri, xy)
+
+
+# ---------------------------------------------------------------------------
+# class rules against the per-element loop
+
+
+def _perturbed_with_singular_points(n=4, seed=7):
+    """A perturbed grid where no two elements are similar, with singular
+    points at an interior vertex (its star), inside one element and at the
+    midpoint of an interior edge (polar rules fanned about them)."""
+    tri = _perturbed_grid(n, np.random.default_rng(seed))
+    v = tri.vertices[tri.triangles]
+    inner = n * (n + 1) // 2 + n // 2  # an interior vertex of the grid
+    far = tri.n_elements - 1
+    edge = tri.interior_edges()[0]
+    points = [tri.vertices[inner], v[far].mean(axis=0),
+              tri.vertices[tri.edges[edge]].mean(axis=0)]
+    sing = tuple(SingularPoint(tuple(p), mu, (0.02, 0.1))
+                 for p, mu in zip(points, (0.2, 0.5, 1 / 3)))
+    return tri, TargetField(None, None, sing)
+
+
+def _fig1_with_singular_origin():
+    tri, _ = fig1_left_pattern(1e-4, refines=3)
+    return tri, TargetField(None, None, (SingularPoint((0.0, 0.0), 0.25, (0.05, 0.5)),))
+
+
+PLAN_CASES = {
+    "hexagon-0.1": lambda: (hexagon_mesh(0.1)[0], hexagon_target(0.1)),
+    "hexagon-1e-3": lambda: (hexagon_mesh(1e-3)[0], hexagon_target(1e-3)),
+    **{f"checkerboard-{N}": (lambda N=N: (checkerboard_mesh(N)[0], checkerboard_target(N)))
+       for N in (2, 4, 6)},
+    "fig1-left-3": _fig1_with_singular_origin,
+    "perturbed": _perturbed_with_singular_points,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_plan_matches_the_per_element_loop(case):
+    tri, target = PLAN_CASES[case]()
+    plan = make_quadrature_plan(tri, target, exactness=8)
+    assert plan.singular_elements
+    assert_plan_matches(plan, target)
+
+
+def test_panel_count_is_translation_invariant():
+    args = (1 / 6, (1 / 72, 1 / 12))
+    at_origin = polar_triangle_rule((0, 0), (1 / 12, -1 / 12), (1 / 12, 0), (0, 0), *args)
+    shifted = polar_triangle_rule((0.25, 1 / 12), (1 / 3, 0), (1 / 3, 1 / 12),
+                                  (0.25, 1 / 12), *args)
+    assert len(at_origin[1]) == len(shifted[1]) == 2160
+    # every congruent polar element of the checkerboard gets one rule size
+    tri, _ = checkerboard_mesh(6)
+    target = checkerboard_target(6)
+    plan = make_quadrature_plan(tri, target)
+    rules, _ = element_rules(tri, target)
+    for c in range(1, len(plan.rules)):
+        members = np.flatnonzero(plan.element_class == c)
+        assert {len(rules[k][1]) for k in members} == {len(plan.rules[c][1])}
+    assert sum(len(w) for _, w in rules) == 609_480
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_checkerboard_has_six_polar_classes(N):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return polar_triangle_rule(*args)
+
+    tri, _ = checkerboard_mesh(N)
+    with mock.patch("qmloc.quadrature.polar_triangle_rule", counted):
+        plan = make_quadrature_plan(tri, checkerboard_target(N))
+    assert len(plan.rules) == 7 and len(calls) == 6
+    assert len(plan.singular_elements) == 6 * N * N
+
+
+def test_dissimilar_elements_get_their_own_class():
+    tri, target = _perturbed_with_singular_points()
+    plan = make_quadrature_plan(tri, target)
+    assert len(plan.rules) == len(plan.singular_elements) + 1
+
+
+@pytest.mark.parametrize("shape", [[(1.0, 0.0), (0.0, 1.0)], [(0.5, -0.5), (0.5, 0.0)],
+                                   [(np.cos(1.0), np.sin(1.0)), (-1 / 3, 0.7)]])
+def test_class_key_separates_1e_9(shape):
+    """Two copies of one element about its singular vertex, the second with
+    one normalized coordinate or breakpoint moved by 1e-9 (at another place
+    and scale), never share a class; unmoved copies do."""
+    base = np.array([(0.0, 0.0), *shape])
+    h = max(np.linalg.norm(base[i] - base[j]) for i in range(3) for j in range(i))
+    bp = (0.1 * h, 0.4 * h)
+    rng = np.random.default_rng(0)
+    for trial in range(24):
+        moved, bp2 = base.copy(), list(bp)
+        step = rng.choice([-1e-9, 1e-9]) * h
+        if trial and trial % 5 < 4:  # a coordinate of a vertex other than s
+            moved[1 + trial % 5 // 2, trial % 2] += step
+        elif trial:
+            bp2[trial % 2] += step
+        scale, shift = 2.0 ** rng.integers(-6, 3), rng.uniform(-3.0, 3.0, 2)
+        verts = np.vstack([base, shift + scale * moved])
+        tri = build_triangulation(verts, [[0, 1, 2], [3, 4, 5]])
+        sing = (SingularPoint((0.0, 0.0), 0.3, bp),
+                SingularPoint(tuple(shift), 0.3, tuple(scale * b for b in bp2)))
+        plan = make_quadrature_plan(tri, TargetField(None, None, sing))
+        same = plan.element_class[0] == plan.element_class[1]
+        assert same == (trial == 0), trial
+
+
+def test_plan_weights_are_a_lazy_sequence():
+    tri, _ = checkerboard_mesh(3)
+    plan = make_quadrature_plan(tri, checkerboard_target(3))
+    counts = np.bincount(plan.element_class, minlength=len(plan.rules))
+    assert len(plan.weights) == tri.n_elements
+    assert (sum(len(w) for w in plan.weights)
+            == sum(len(w) * n for (_, w, _), n in zip(plan.rules, counts)))
+    for k in (0, plan.singular_elements[0], tri.n_elements - 1):
+        assert np.array_equal(plan.weights[k], plan.element_rule(k)[1])
+    # blocks map every element once, within its class and the node budget
+    seen = np.zeros(tri.n_elements, dtype=int)
+    for c, ks, pts, wts in plan.blocks():
+        assert (plan.element_class[ks] == c).all()
+        assert pts.shape[:2] == wts.shape and (len(ks) == 1 or wts.size <= 4096)
+        seen[ks] += 1
+        assert np.array_equal(pts[-1], plan.element_rule(ks[-1])[0])
+    assert (seen == 1).all()
