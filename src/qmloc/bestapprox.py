@@ -62,7 +62,7 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
     the target's moments from one pass over the plan's nodes.
 
     The plan is read in the class blocks of `QuadraturePlan.blocks`; each
-    block makes one gradient and one value evaluation of the target.  Raises
+    block makes one `evaluate` call on the target.  Raises
     PlanMismatch when the plan has another element count and
     PointOutsideElement when it was built on another mesh.
     """
@@ -81,8 +81,8 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
     grad_sq, value_sq = np.empty(nt), np.empty(nt)
     for ks, pts, wts, phi, gref in _class_blocks(plan, space):
         flat = pts.reshape(-1, 2)
-        gu = target.gradient(flat).reshape(*wts.shape, 2)
-        u = target.value(flat).reshape(wts.shape)
+        u, gu = target.evaluate(flat)
+        u, gu = u.reshape(wts.shape), gu.reshape(*wts.shape, 2)
         w = wts[:, None, :]
         dphi = (gref.reshape(-1, 2) @ Binv[ks]).reshape(*wts.shape, *gref.shape[1:])
         grad_moments[ks] = np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)

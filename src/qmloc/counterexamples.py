@@ -80,79 +80,43 @@ def hexagon_target(eps: float) -> TargetField:
             f"eps must lie in [{EPS_MIN}, {EPS_MAX}] for resolvable quadrature, got {eps}"
         )
 
-    def split(pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        x, y = pts[:, 0], pts[:, 1]
-        upper = (y > 0) | ((y == 0) & (x >= 0))
-        sign = np.where(upper, 1.0, -1.0)
-        xs, ys = sign * x, sign * y
-        return xs, ys, sign
-
-    def upper_value(xs, ys):
+    def upper(P):
+        """Values and gradients at points P of the closed upper half plane."""
+        xs, ys = P[:, 0], P[:, 1]
         r = np.hypot(xs, ys)
         rs = np.where(r > 0, r, 1.0)
-        rho = radial_profile(eps, r)
-        out = np.zeros_like(xs)
+        rho, drho = radial_profile(eps, r), radial_profile_derivative(eps, r)
+        u, g = np.zeros_like(xs), np.zeros_like(P)
         q1 = xs >= 0  # first quadrant (ys >= 0 throughout)
         ball = q1 & (r < eps)
-        outer = q1 & ~ (r < eps)
-        out[ball] = rho[ball]
-        if outer.any():
-            A = (xs[outer] + ys[outer]) / rs[outer]
-            w = 1.0 - xs[outer] - ys[outer]
-            out[outer] = w + eps * (A - 1.0) * w / (1.0 - eps * A)
+        u[ball] = rho[ball]
+        g[ball] = drho[ball, None] * P[ball] / rs[ball, None]
+        outer = q1 & ~ball
+        xo, yo, ro = xs[outer], ys[outer], rs[outer]
+        A = (xo + yo) / ro
+        w = 1.0 - xo - yo
+        den = 1.0 - eps * A
+        u[outer] = w + eps * (A - 1.0) * w / den
+        common, slope = w * (1.0 - eps) / den**2, (A - 1.0) / den
+        g[outer, 0] = -1.0 + eps * (yo * (yo - xo) / ro**3 * common - slope)
+        g[outer, 1] = -1.0 + eps * (xo * (xo - yo) / ro**3 * common - slope)
         q2 = ~q1
-        if q2.any():
-            theta = np.arctan2(ys[q2], xs[q2])
-            out[q2] = rho[q2] * (3.0 - 4.0 * theta / np.pi)
-        return out
+        xq, yq, rq = xs[q2], ys[q2], rs[q2]
+        ang = 3.0 - 4.0 * np.arctan2(yq, xq) / np.pi
+        u[q2] = rho[q2] * ang
+        dang = drho[q2] * ang
+        k = (-4.0 / np.pi) * rho[q2]
+        g[q2, 0] = dang * (xq / rq) - k * (yq / rq) / rq
+        g[q2, 1] = dang * (yq / rq) + k * (xq / rq) / rq
+        return u, g
 
-    def upper_gradient(xs, ys):
-        r = np.hypot(xs, ys)
-        rs = np.where(r > 0, r, 1.0)
-        g = np.zeros((len(xs), 2))
-        q1 = xs >= 0
-        ball = q1 & (r < eps)
-        if ball.any():
-            dr = radial_profile_derivative(eps, r[ball])
-            g[ball, 0] = dr * xs[ball] / rs[ball]
-            g[ball, 1] = dr * ys[ball] / rs[ball]
-        outer = q1 & ~(r < eps)
-        if outer.any():
-            xo, yo, ro = xs[outer], ys[outer], rs[outer]
-            A = (xo + yo) / ro
-            w = 1.0 - xo - yo
-            den = 1.0 - eps * A
-            Ax = yo * (yo - xo) / ro**3
-            Ay = xo * (xo - yo) / ro**3
-            common = w * (1.0 - eps) / den**2
-            g[outer, 0] = -1.0 + eps * (Ax * common - (A - 1.0) / den)
-            g[outer, 1] = -1.0 + eps * (Ay * common - (A - 1.0) / den)
-        q2 = ~q1
-        if q2.any():
-            xq, yq, rq = xs[q2], ys[q2], rs[q2]
-            theta = np.arctan2(yq, xq)
-            rho = radial_profile(eps, r[q2])
-            drho = radial_profile_derivative(eps, r[q2])
-            ang = 3.0 - 4.0 * theta / np.pi
-            c, s = xq / rq, yq / rq
-            g[q2, 0] = drho * ang * c - (-4.0 / np.pi) * rho * s / rq
-            g[q2, 1] = drho * ang * s + (-4.0 / np.pi) * rho * c / rq
-        return g
+    def fn(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        sign = np.where((y > 0) | ((y == 0) & (x >= 0)), 1.0, -1.0)
+        u, g = upper(sign[:, None] * pts)
+        return sign * u, g  # point reflection makes the gradient even
 
-    def value(pts):
-        xs, ys, sign = split(pts)
-        return sign * upper_value(xs, ys)
-
-    def gradient(pts):
-        xs, ys, _ = split(pts)
-        return upper_gradient(xs, ys)  # point reflection makes the gradient even
-
-    return TargetField(
-        value_fn=value,
-        gradient_fn=gradient,
-        singular_points=(SingularPoint((0.0, 0.0), eps, (eps, 1.0)),),
-    )
+    return TargetField(fn, singular_points=(SingularPoint((0.0, 0.0), eps, (eps, 1.0)),))
 
 
 def analytic_energy_reference(eps: float) -> dict:
@@ -273,28 +237,14 @@ def checkerboard_target(N: int) -> TargetField:
         )
     local = hexagon_target(eps)
 
-    def to_local(pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
+    def fn(pts):
         IJ = np.clip(np.floor(pts * N).astype(int), 0, N - 1)
-        centers = (IJ + 0.5) / N
-        xi = 2.0 * N * (pts - centers)
-        return xi
-
-    def value(pts):
-        xi = to_local(pts)
-        out = np.zeros(len(xi))
+        xi = 2.0 * N * (pts - (IJ + 0.5) / N)
         inside = np.abs(xi[:, 0] + xi[:, 1]) <= 1.0
-        if inside.any():
-            out[inside] = local.value(xi[inside]) / N
-        return out
-
-    def gradient(pts):
-        xi = to_local(pts)
-        out = np.zeros_like(xi)
-        inside = np.abs(xi[:, 0] + xi[:, 1]) <= 1.0
-        if inside.any():
-            out[inside] = 2.0 * local.gradient(xi[inside])
-        return out
+        u, g = np.zeros(len(xi)), np.zeros_like(xi)
+        ui, gi = local.evaluate(xi[inside])
+        u[inside], g[inside] = ui / N, 2.0 * gi
+        return u, g
 
     sing = tuple(
         SingularPoint(
@@ -303,4 +253,4 @@ def checkerboard_target(N: int) -> TargetField:
         for j in range(N)
         for i in range(N)
     )
-    return TargetField(value_fn=value, gradient_fn=gradient, singular_points=sing)
+    return TargetField(fn, singular_points=sing)

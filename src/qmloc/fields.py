@@ -1,4 +1,11 @@
-"""Target-field protocol: pointwise values, gradients, singularity markers."""
+"""Target-field protocol: one evaluator for values and gradients, plus
+singularity markers.
+
+A target is `TargetField(fn, singular_points)`, where ``fn(pts)`` takes an
+(n, 2) array and returns ``(values (n,), gradients (n, 2))`` in one pass.
+`TargetField.evaluate` is that call; `value` and `gradient` are its two
+halves, for readers that need only one.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -27,22 +34,23 @@ class SingularPoint:
 
 @dataclass(frozen=True)
 class TargetField:
-    """Closed-form target: value and gradient evaluators.
+    """Closed-form target: fn(pts (n, 2)) -> (values (n,), gradients (n, 2))."""
 
-    value_fn / gradient_fn accept an (n, 2) array and return (n,) / (n, 2).
-    """
-
-    value_fn: object
-    gradient_fn: object
+    fn: object
     singular_points: tuple = ()
 
+    def evaluate(self, pts):
+        u, gu = self.fn(np.atleast_2d(np.asarray(pts, dtype=float)))
+        return np.asarray(u), np.asarray(gu)
+
     def value(self, pts):
-        return np.asarray(self.value_fn(np.atleast_2d(np.asarray(pts, dtype=float))))
+        return self.evaluate(pts)[0]
 
     def gradient(self, pts):
-        return np.asarray(self.gradient_fn(np.atleast_2d(np.asarray(pts, dtype=float))))
+        return self.evaluate(pts)[1]
 
 
-def smooth_target(value_fn, gradient_fn) -> TargetField:
-    """Target with no singular points (plain rules everywhere)."""
-    return TargetField(value_fn=value_fn, gradient_fn=gradient_fn)
+def smooth_target(value, gradient) -> TargetField:
+    """Target with no singular points (plain rules everywhere), from separate
+    value and gradient closed forms."""
+    return TargetField(lambda p: (value(p), gradient(p)))

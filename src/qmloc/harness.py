@@ -16,7 +16,7 @@ from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
                               hexagon_mesh, hexagon_target)
 from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
 from .fespace import build_space, element_dual_basis, element_mass_matrix
-from .fields import smooth_target
+from .fields import TargetField
 from .interp import interpolation_error_sq, quasi_interpolate
 from .mesh import Triangulation, build_triangulation, region_rows, uniform_refine, vertex_patch
 from .quadrature import _leggauss01, make_quadrature_plan, plan_key, triangle_rule
@@ -31,28 +31,26 @@ DEFAULT_BETA = (1e-4, 1.0, 1e4)
 # smooth targets for the robustness sweeps
 
 
+def _sine(p):
+    sx, sy = np.sin(np.pi * p[:, 0]), np.sin(np.pi * p[:, 1])
+    cx, cy = np.cos(np.pi * p[:, 0]), np.cos(np.pi * p[:, 1])
+    return sx * sy, np.stack([np.pi * cx * sy, np.pi * sx * cy], axis=1)
+
+
+def _exp(p):
+    e = np.exp(p[:, 0] + 0.5 * p[:, 1])
+    return e, np.stack([e, 0.5 * e], axis=1)
+
+
+def _cubic(p):
+    x, y2 = p[:, 0], p[:, 1] ** 2
+    return x**3 - 3.0 * x * y2, np.stack([3.0 * x**2 - 3.0 * y2, -6.0 * x * p[:, 1]], axis=1)
+
+
 def default_smooth_targets() -> dict:
-    """Three fixed smooth targets with closed-form gradients."""
-    return {
-        "sine": smooth_target(
-            lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-            lambda p: np.stack(
-                [np.pi * np.cos(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1]),
-                 np.pi * np.sin(np.pi * p[:, 0]) * np.cos(np.pi * p[:, 1])], axis=1),
-        ),
-        "exp": smooth_target(
-            lambda p: np.exp(p[:, 0] + 0.5 * p[:, 1]),
-            lambda p: np.stack(
-                [np.exp(p[:, 0] + 0.5 * p[:, 1]),
-                 0.5 * np.exp(p[:, 0] + 0.5 * p[:, 1])], axis=1),
-        ),
-        "cubic": smooth_target(
-            lambda p: p[:, 0] ** 3 - 3.0 * p[:, 0] * p[:, 1] ** 2,
-            lambda p: np.stack(
-                [3.0 * p[:, 0] ** 2 - 3.0 * p[:, 1] ** 2,
-                 -6.0 * p[:, 0] * p[:, 1]], axis=1),
-        ),
-    }
+    """Three fixed smooth targets, each one closed-form evaluator of values
+    and gradients."""
+    return {"sine": TargetField(_sine), "exp": TargetField(_exp), "cubic": TargetField(_cubic)}
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +143,11 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     """Per N: global best error on the checkerboard against per-interior-
     vertex star errors, with patch classification and explicit candidate
     upper bounds."""
+    # every target first: a bad N is refused before any mesh is built
+    targets = [checkerboard_target(N) for N in n_values]
     reports = []
-    for N in n_values:
+    for N, target in zip(n_values, targets):
         tri, coeff = checkerboard_mesh(N)
-        target = checkerboard_target(N)
         plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6)
         space = build_space(tri, degree, dirichlet_on_boundary=True)
         tables = element_tables(target, plan, space)

@@ -15,14 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bestapprox import (ElementTables, _class_blocks, element_tables, local_element_errors,
                          local_ritz)
 from .coeff import Coefficient, build_omega_hat, select_kmax_fz
 from .errors import QuadratureFailure
 from .fespace import LagrangeSpace, _reference_face_dual, edge_basis_1d
-from .mesh import element_affine
+from .mesh import element_affine, region_rows
 from .quadrature import QuadraturePlan, _leggauss01, radial_rule
 
 _GAUSS_1D = 12
@@ -176,12 +175,12 @@ def operator_report(target, space: LagrangeSpace, coeff: Coefficient,
         itp = quasi_interpolate(target, tables, coeff)
         locals_sq = local_element_errors(tables, coeff)
         errs = interpolation_error_sq(target, itp, coeff, plan)
-        # omega_K: the elements sharing a vertex with K
-        incidence = sp.csr_matrix((np.ones(3 * tri.n_elements), tri.triangles.ravel(),
-                                   np.arange(0, 3 * tri.n_elements + 1, 3)),
-                                  shape=(tri.n_elements, tri.n_vertices))
-        patch = (incidence @ incidence.T).astype(bool).astype(float)
-        patch_sums = patch @ locals_sq
+        # omega_K: the elements of the stars of K's vertices, each pair (K, K') once
+        nt = tri.n_elements
+        offsets, nbr = region_rows(tri.vertex_elements, tri.triangles.ravel())
+        owner = np.repeat(np.arange(3 * nt) // 3, np.diff(offsets))
+        pairs = np.unique(owner * nt + nbr)
+        patch_sums = np.bincount(pairs // nt, weights=locals_sq[pairs % nt], minlength=nt)
         total_err, total_loc = float(errs.sum()), float(locals_sq.sum())
         ratio = 0.0 if total_err <= 1e-28 else (
             float("inf") if total_loc == 0 else total_err / total_loc

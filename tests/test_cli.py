@@ -209,6 +209,20 @@ def test_rd_rejects_non_finite_beta(capsys, beta):
     assert captured.err == f"error: beta must be finite and >= 0, got {beta}\n"
 
 
+def test_stars_refuses_a_bad_n_before_building_any_mesh(capsys, monkeypatch):
+    import qmloc.harness
+
+    def no_mesh(N):
+        raise AssertionError(f"checkerboard_mesh({N}) built before N was checked")
+
+    # N = 1001 would first build an 8-million-element checkerboard
+    monkeypatch.setattr(qmloc.harness, "checkerboard_mesh", no_mesh)
+    assert main(["stars", "--n", "2,1001"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "got N=1001" in captured.err
+
+
 def _readme_commands():
     """The `qmloc ...` lines of the README's "Command line" block as argv
     lists: comments and optional-argument brackets dropped, the first of

@@ -11,6 +11,7 @@ from qmloc.counterexamples import (analytic_energy_reference,
                                    radial_profile, radial_profile_derivative)
 from qmloc.errors import ParameterOutOfRange
 from qmloc.fespace import build_space
+from qmloc.harness import default_smooth_targets
 from qmloc.quadrature import make_quadrature_plan
 
 from interp_reference import energy_norm_sq
@@ -80,17 +81,50 @@ def test_hexagon_target_antisymmetry():
     np.testing.assert_allclose(target.gradient(pts), target.gradient(-pts), atol=1e-12)
 
 
-def test_hexagon_gradient_matches_finite_differences():
-    target = hexagon_target(0.1)
-    rng = np.random.default_rng(23)
-    pts = rng.uniform(-0.95, 0.95, (2000, 2))
-    # stay inside the domain and away from interfaces/singularity
-    m = (np.abs(pts.sum(axis=1)) < 0.9) & (np.linalg.norm(pts, axis=1) > 0.02)
-    m &= (np.abs(pts[:, 0]) > 1e-3) & (np.abs(pts[:, 1]) > 1e-3)
-    m &= np.abs(np.linalg.norm(pts, axis=1) - 0.1) > 1e-3
-    m &= np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-3
-    pts = pts[m][:500]
-    g = target.gradient(pts)
+def _hexagon_samples(eps, rng):
+    """Points of the hexagon, a quarter of them near the singular point, away
+    from the interfaces (axes, |x| = eps and 1, |x + y| = 1)."""
+    r, th = eps * rng.uniform(0.2, 3.0, 500), rng.uniform(0.0, 2.0 * np.pi, 500)
+    pts = np.vstack([rng.uniform(-0.95, 0.95, (1500, 2)),
+                     r[:, None] * np.column_stack([np.cos(th), np.sin(th)])])
+    r = np.linalg.norm(pts, axis=1)
+    m = (np.abs(pts.sum(axis=1)) < 0.9) & (r > 0.2 * eps)
+    m &= (np.abs(pts[:, 0]) > 1e-4) & (np.abs(pts[:, 1]) > 1e-4)
+    m &= (np.abs(r - eps) > 1e-4) & (np.abs(r - 1.0) > 1e-3)
+    return pts[m]
+
+
+def _checkerboard_samples(N, rng):
+    """Points of the unit square whose local coordinates (those of
+    `checkerboard_target`) lie away from the macro-square boundaries and the
+    interfaces of the local hexagon target."""
+    pts = rng.uniform(0.0, 1.0, (4000, 2))
+    xi = 2.0 * N * (pts - (np.floor(pts * N) + 0.5) / N)
+    r = np.linalg.norm(xi, axis=1)
+    m = (np.abs(xi) > 1e-3).all(axis=1) & (np.abs(xi) < 1.0 - 1e-3).all(axis=1)
+    m &= (np.abs(r - 1.0 / N) > 1e-3) & (np.abs(r - 1.0) > 1e-3) & (r > 0.2 / N)
+    m &= np.abs(np.abs(xi.sum(axis=1)) - 1.0) > 1e-3
+    return pts[m]
+
+
+_SMOOTH = default_smooth_targets()
+_TARGETS = {
+    "hexagon-0.1": lambda rng: (hexagon_target(0.1), _hexagon_samples(0.1, rng)),
+    "hexagon-0.01": lambda rng: (hexagon_target(0.01), _hexagon_samples(0.01, rng)),
+    "checkerboard-3": lambda rng: (checkerboard_target(3), _checkerboard_samples(3, rng)),
+    **{name: (lambda rng, t=t: (t, rng.uniform(-1.0, 1.0, (500, 2))))
+       for name, t in _SMOOTH.items()},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TARGETS))
+def test_target_gradient_matches_finite_differences(name):
+    target, pts = _TARGETS[name](np.random.default_rng(23))
+    pts = pts[:500]
+    assert len(pts) >= 200
+    u, g = target.evaluate(pts)
+    assert u.tobytes() == target.value(pts).tobytes()
+    assert g.tobytes() == target.gradient(pts).tobytes()
     h = 1e-6
     fx = (target.value(pts + [h, 0]) - target.value(pts - [h, 0])) / (2 * h)
     fy = (target.value(pts + [0, h]) - target.value(pts - [0, h])) / (2 * h)

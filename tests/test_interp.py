@@ -200,24 +200,26 @@ def test_energy_diagnostic_on_quasi_monotone_mesh():
 
 
 def test_skeleton_report_bounds_error_by_patch_sums():
-    tri = square_mesh()
-    coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
+    square = square_mesh()
     target = smooth_target(
         lambda p: np.exp(p[:, 0]) * np.sin(p[:, 1]),
         lambda p: np.column_stack([np.exp(p[:, 0]) * np.sin(p[:, 1]),
                                    np.exp(p[:, 0]) * np.cos(p[:, 1])]),
     )
-    space = build_space(tri, 2)
-    plan = make_quadrature_plan(tri, target, exactness=12)
-    rec = operator_report(target, space, coeff, plan, which="skeleton")
-    itp = quasi_interpolate(target, element_tables(target, plan, space), coeff)
-    direct = interpolation_error_loop(target, itp, coeff, plan)
-    assert abs(rec["error_sq"] - direct) < 1e-12 * max(1.0, direct)
-    assert rec["near_best_ratio"] >= 1.0 - 1e-12
-    locals_sq = local_element_errors(element_tables(target, plan, space), coeff)
-    for k, entry in enumerate(rec["per_element"]):
-        patch_sum = sum(locals_sq[kk] for kk in element_patch(tri, k))
-        assert abs(entry["patch_local_sum_sq"] - patch_sum) <= 1e-12 * patch_sum
+    square_coeff = attach_coefficient(square, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
+    # on the fig1-left tiling, patches range from 7 to 13 elements
+    for tri, coeff in [(square, square_coeff), fig1_left_pattern(1e-2, refines=2)]:
+        space = build_space(tri, 2)
+        plan = make_quadrature_plan(tri, target, exactness=12)
+        rec = operator_report(target, space, coeff, plan, which="skeleton")
+        itp = quasi_interpolate(target, element_tables(target, plan, space), coeff)
+        direct = interpolation_error_loop(target, itp, coeff, plan)
+        assert abs(rec["error_sq"] - direct) < 1e-12 * max(1.0, direct)
+        assert rec["near_best_ratio"] >= 1.0 - 1e-12
+        locals_sq = local_element_errors(element_tables(target, plan, space), coeff)
+        for k, entry in enumerate(rec["per_element"]):
+            patch_sum = sum(locals_sq[kk] for kk in element_patch(tri, k))
+            assert abs(entry["patch_local_sum_sq"] - patch_sum) <= 1e-12 * patch_sum
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -266,8 +268,7 @@ def test_edge_quadrature_only_refuses_a_singular_point_inside_the_edge():
     e = [tuple(ed) for ed in tri.edges.tolist()].index((1, 2))
 
     def singular_at(xy):
-        return TargetField(value_fn=lambda p: np.ones(len(p)),
-                           gradient_fn=lambda p: np.zeros_like(p),
+        return TargetField(lambda p: (np.ones(len(p)), np.zeros_like(p)),
                            singular_points=(SingularPoint(xy, 0.25),))
 
     edges = np.array([e])

@@ -199,12 +199,12 @@ def _perturbed_with_singular_points(n=4, seed=7):
               tri.vertices[tri.edges[edge]].mean(axis=0)]
     sing = tuple(SingularPoint(tuple(p), mu, (0.02, 0.1))
                  for p, mu in zip(points, (0.2, 0.5, 1 / 3)))
-    return tri, TargetField(None, None, sing)
+    return tri, TargetField(None, sing)
 
 
 def _fig1_with_singular_origin():
     tri, _ = fig1_left_pattern(1e-4, refines=3)
-    return tri, TargetField(None, None, (SingularPoint((0.0, 0.0), 0.25, (0.05, 0.5)),))
+    return tri, TargetField(None, (SingularPoint((0.0, 0.0), 0.25, (0.05, 0.5)),))
 
 
 PLAN_CASES = {
@@ -285,7 +285,7 @@ def test_class_key_separates_1e_9(shape):
         tri = build_triangulation(verts, [[0, 1, 2], [3, 4, 5]])
         sing = (SingularPoint((0.0, 0.0), 0.3, bp),
                 SingularPoint(tuple(shift), 0.3, tuple(scale * b for b in bp2)))
-        plan = make_quadrature_plan(tri, TargetField(None, None, sing))
+        plan = make_quadrature_plan(tri, TargetField(None, sing))
         same = plan.element_class[0] == plan.element_class[1]
         assert same == (trial == 0), trial
 
