@@ -1,7 +1,13 @@
-"""Best-approximation errors: one table of element matrices and target
-moments, the global Ritz solve by CG, and one batched local Ritz kernel
-(`local_ritz`) for every element, pair and star, whose errors come from one
-element-layout energy (`_energy`) that also rates explicit candidates.
+"""Best-approximation errors: one table of element matrices, target
+moments, norms and element fits, the global Ritz solve by CG, and one
+batched local Ritz kernel (`local_ritz`) for every element, pair and star.
+
+Every error, of a best approximation, an explicit candidate or an
+interpolant, comes from one element-layout form (`_error`): by Galerkin
+orthogonality of the element fits, a_K ||grad(u - V)||^2_K = a_K (e_K + d^T
+S_K d) with d = V|_K - pi_K and e_K the residual energy of the fit, and the
+same with the mass matrix and the L2 fit.  Each term is non-negative and
+accurate relative to itself, so no error is a difference of energies of u.
 
 All error values are squared energies.  Pure-seminorm problems are gauged by
 pinning one node; the reported error is invariant under that choice.
@@ -26,12 +32,15 @@ from .quadrature import QuadraturePlan, reference_triangle_rule
 
 @dataclass(frozen=True)
 class ElementTables:
-    """Per-element matrices of a space and moments of one target.
+    """Per-element matrices of a space, and moments, norms and element fits
+    of one target, its integrals by the plan's quadrature.
 
     stiffness, mass: (nt, nloc, nloc) unweighted element matrices in the
     local lattice order of ``space.element_nodes``.  grad_moments (nt, nloc):
-    int_K grad u . grad phi_i; grad_sq (nt,): int_K |grad u|^2;
-    value_moments (nt, nloc): int_K u phi_i; value_sq (nt,): int_K u^2.
+    int_K grad u . grad phi_i; grad_sq (nt,): int_K |grad u|^2.  grad_fits
+    (nt, nloc): the node values of pi_K, the best P_degree(K) fit of u in
+    |grad .|_K with the element mean of u; grad_residual (nt,): int_K
+    |grad(u - pi_K)|^2.  value_*: the same for u, u^2 and the L2(K) fit pi0_K.
     """
 
     space: LagrangeSpace
@@ -41,30 +50,19 @@ class ElementTables:
     grad_sq: np.ndarray
     value_moments: np.ndarray
     value_sq: np.ndarray
-
-
-def _class_blocks(plan: QuadraturePlan, space: LagrangeSpace):
-    """`QuadraturePlan.blocks` of a plan of the space's mesh, with the basis
-    values (n, nloc) and reference gradients (n, nloc, 2) at the nodes of
-    each block's class, evaluated once per class: yields (ks, points,
-    weights, values, reference gradients).  Raises as `require_mesh`."""
-    plan.require_mesh(space.tri)
-    last = None
-    for c, ks, pts, wts in plan.blocks():
-        if c != last:
-            vals, gref = reference_basis(space.degree, plan.rules[c][2])
-            last = c
-        yield ks, pts, wts, vals, gref
+    grad_fits: np.ndarray
+    grad_residual: np.ndarray
+    value_fits: np.ndarray
+    value_residual: np.ndarray
 
 
 def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> ElementTables:
     """Element matrices from the reference basis and each affine map, and
-    the target's moments from one pass over the plan's nodes.
-
-    The plan is read in the class blocks of `QuadraturePlan.blocks`; each
-    block makes one `evaluate` call on the target.  Raises
-    PlanMismatch when the plan has another element count and
-    PointOutsideElement when it was built on another mesh.
+    the target's moments, norms, fits and fit residuals from one pass over
+    the class blocks of the plan (`QuadraturePlan.blocks`), the basis
+    evaluated once per class and one `evaluate` call on the target per
+    block.  Raises as `QuadraturePlan.require_mesh`: PlanMismatch for a plan
+    of another element count, PointOutsideElement for one of another mesh.
     """
     pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
     vals, gref = reference_basis(space.degree, pts_ref)
@@ -74,24 +72,47 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
     R = np.einsum("q,qia,qjb->abij", w_ref, gref, gref)
     G = det[:, None, None] * (Binv @ Binv.transpose(0, 2, 1))
     stiffness = np.einsum("kab,abij->kij", G, R)
-    mass = det[:, None, None] * ((vals.T * w_ref) @ vals)
+    mass_ref = (vals.T * w_ref) @ vals
+    mass = det[:, None, None] * mass_ref
+    # S_K + (tr S_K / nloc^2) 1 1^T is definite, about as well conditioned as
+    # S_K off its kernel, and maps load vectors that sum to zero to fits whose
+    # node values do
+    nloc = vals.shape[1]
+    gauged_inv = np.linalg.inv(
+        stiffness + (np.trace(stiffness, axis1=1, axis2=2) / nloc**2)[:, None, None])
+    mass_ref_inv = np.linalg.inv(mass_ref)  # M_K^-1 = mass_ref_inv / |det B_K|
 
-    nt, nloc = space.element_nodes.shape
-    grad_moments, value_moments = np.empty((nt, nloc)), np.empty((nt, nloc))
-    grad_sq, value_sq = np.empty(nt), np.empty(nt)
-    for ks, pts, wts, phi, gref in _class_blocks(plan, space):
-        flat = pts.reshape(-1, 2)
-        u, gu = target.evaluate(flat)
+    nt = space.tri.n_elements
+    moments, fits, sums = np.empty((nt, 2, nloc)), np.empty((nt, 2, nloc)), np.empty((nt, 4))
+    plan.require_mesh(space.tri)
+    last = None
+    for cls, ks, pts, wts in plan.blocks():
+        if cls != last:
+            phi, gref = reference_basis(space.degree, plan.rules[cls][2])
+            stacked = gref.transpose(1, 0, 2).reshape(nloc, -1)  # (nloc, 2n)
+            last = cls
+        u, gu = target.evaluate(pts.reshape(-1, 2))
         u, gu = u.reshape(wts.shape), gu.reshape(*wts.shape, 2)
-        w = wts[:, None, :]
         dphi = (gref.reshape(-1, 2) @ Binv[ks]).reshape(*wts.shape, *gref.shape[1:])
-        grad_moments[ks] = np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)
-        grad_sq[ks] = (w @ np.einsum("kqd,kqd->kq", gu, gu)[..., None])[:, 0, 0]
-        value_moments[ks] = ((wts * u)[:, None, :] @ phi)[:, 0]
-        value_sq[ks] = (w @ (u * u)[..., None])[:, 0, 0]
-    return ElementTables(space=space, stiffness=stiffness, mass=mass,
-                         grad_moments=grad_moments, grad_sq=grad_sq,
-                         value_moments=value_moments, value_sq=value_sq)
+        m = np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)
+        m0 = ((wts * u)[:, None, :] @ phi)[:, 0]
+        pi = (gauged_inv[ks] @ m[..., None])[..., 0]
+        pi0 = m0 @ mass_ref_inv.T / det[ks, None]
+        moments[ks, 0], moments[ks, 1], fits[ks, 0], fits[ks, 1] = m, m0, pi, pi0
+        # the residuals at the nodes: grad pi = (pi @ gref) Binv, pi0 = pi0 @ phi
+        r = gu - (pi @ stacked).reshape(gu.shape) @ Binv[ks]
+        r0 = u - pi0 @ phi.T
+        sums[ks, 0] = np.einsum("kq,kqd,kqd->k", wts, r, r)
+        sums[ks, 1] = np.einsum("kq,kq,kq->k", wts, r0, r0)
+        sums[ks, 2] = np.einsum("kq,kqd,kqd->k", wts, gu, gu)
+        sums[ks, 3] = np.einsum("kq,kq,kq->k", wts, u, u)
+    grad_fits = fits[:, 0]  # a view: its constant becomes the element mean of u
+    grad_fits += ((moments[:, 1].sum(axis=1) - np.einsum("ki,ki->k", grad_fits, mass.sum(axis=2)))
+                  / space.tri.areas)[:, None]
+    return ElementTables(space=space, stiffness=stiffness, mass=mass, grad_moments=moments[:, 0],
+                         grad_sq=sums[:, 2], value_moments=moments[:, 1], value_sq=sums[:, 3],
+                         grad_fits=grad_fits, grad_residual=sums[:, 0], value_fits=fits[:, 1],
+                         value_residual=sums[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +194,7 @@ def ritz(tables: ElementTables, a, beta: float = 0.0, fixed=None):
     """
     w = np.asarray(a, dtype=float)
     en, m = tables.space.element_nodes, tables.space.n_nodes
-    K, f, _ = _element_forms(tables, w, beta, slice(None))
-    uu = float(w @ tables.grad_sq) + beta * float(tables.value_sq.sum())
+    K, f = _element_forms(tables, w, beta, slice(None))
     b = np.bincount(en.ravel(), weights=f.ravel(), minlength=m)
     free = np.ones(m, dtype=bool) if fixed is None else ~np.asarray(fixed, dtype=bool)
     if free.all() and beta == 0.0:
@@ -185,23 +205,33 @@ def ritz(tables: ElementTables, a, beta: float = 0.0, fixed=None):
     A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()
     x = solve_spd(SpdSystem(matrix=A, rhs=b, fixed=~free))
     # the energy of the computed approximant: an error in x enters only to second order
-    err = uu - 2.0 * float(b @ x) + float(x @ (A @ x))
-    return max(err, 0.0), x
+    return float(_error(tables, w, beta, slice(None), x[en]).sum()), x
 
 
 def _element_forms(tables: ElementTables, a, beta: float, elems):
-    """a_K S_K + beta M_K, the load vectors and the target energies of the
-    elements `elems` (a slice or an int array of any shape)."""
+    """a_K S_K + beta M_K and the load vectors of the elements `elems` (a
+    slice or an int array of any shape)."""
     w = a[elems]
     K = w[..., None, None] * tables.stiffness[elems] + beta * tables.mass[elems]
     f = w[..., None] * tables.grad_moments[elems] + beta * tables.value_moments[elems]
-    return K, f, w * tables.grad_sq[elems] + beta * tables.value_sq[elems]
+    return K, f
 
 
-def _energy(K, f, uu, v):
-    """uu - 2 f.v + v^T K v per element, summed over the element axis, >= 0."""
-    quad = np.einsum("...i,...ij,...j->...", v, K, v)
-    return np.maximum((uu - 2.0 * np.einsum("...i,...i->...", f, v) + quad).sum(axis=-1), 0.0)
+def _error(tables: ElementTables, a, beta: float, elems, v):
+    """a_K ||grad(u - V)||^2_K + beta ||u - V||^2_K on each of the elements
+    `elems` (a slice or an int array of any shape), V given by its local node
+    values v (elems' shape + (nloc,)): a_K (e_K + d^T S_K d) with d = v - pi_K
+    less its mean (S_K 1 is zero only to rounding), plus beta (e0_K + d0^T M_K
+    d0) with d0 = v - pi0_K."""
+    d = v - tables.grad_fits[elems]
+    d -= d.mean(axis=-1, keepdims=True)
+    err = a[elems] * (tables.grad_residual[elems]
+                      + np.einsum("...i,...ij,...j->...", d, tables.stiffness[elems], d))
+    if beta:
+        d = v - tables.value_fits[elems]
+        err += beta * (tables.value_residual[elems]
+                       + np.einsum("...i,...ij,...j->...", d, tables.mass[elems], d))
+    return err
 
 
 def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None):
@@ -232,7 +262,7 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None)
             # index into the stacked (G * m) nodes: search each region's own
             off = np.arange(G)[:, None] * n
             loc = np.searchsorted((nodes + off).ravel(), (en[sub] + off).ravel()).reshape(G, E, -1)
-            K, f, uu = _element_forms(tables, a, beta, elems[sub])
+            K, f = _element_forms(tables, a, beta, elems[sub])
             flat = loc[..., :, None] * m + loc[..., None, :] % m
             A = np.bincount(flat.ravel(), K.ravel(), G * m * m).reshape(G, m, m)
             b = np.bincount(loc.ravel(), f.ravel(), G * m).reshape(G, m)
@@ -247,15 +277,14 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None)
             except np.linalg.LinAlgError:  # singular: slogdet sign 0 (det may underflow)
                 bad = elems[sub][np.argmin(np.abs(np.linalg.slogdet(A)[0]))].tolist()
                 raise SolverFailure(f"singular local system on elements {bad}") from None
-            err[P] = _energy(K, f, uu, x[P, :E])
+            err[P] = _error(tables, a, beta, elems[sub], x[P, :E]).sum(axis=-1)
     return err, x
 
 
 def local_element_errors(tables: ElementTables, coeff: Coefficient) -> np.ndarray:
-    """a_K * min over P_degree(K) of ||grad(u - P)||^2_K for every element K;
-    returns an (nt,) array."""
-    nt = tables.space.tri.n_elements
-    return local_ritz(tables, coeff.values, (np.arange(nt + 1), np.arange(nt)))[0]
+    """a_K * min over P_degree(K) of ||grad(u - P)||^2_K for every element K,
+    the residual energy of the element fit; returns an (nt,) array."""
+    return coeff.values * tables.grad_residual
 
 
 def global_best_error(tables: ElementTables, coeff: Coefficient, gauge: str):

@@ -8,7 +8,7 @@ path) go to the smallest index so results are reproducible run to run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

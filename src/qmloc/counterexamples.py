@@ -204,26 +204,16 @@ def checkerboard_mesh(N: int) -> tuple[Triangulation, Coefficient]:
     if N < 1:
         raise ParameterOutOfRange(f"N must be >= 1, got {N}")
     n = 2 * N
-    h = 1.0 / n
     xs = np.linspace(0.0, 1.0, n + 1)
-    V = np.array([[x, y] for y in xs for x in xs])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris, vals = [], []
-    low = 1.0 / (N * N)
-    for j in range(n):
-        for i in range(n):
-            bl, br = vid(i, j), vid(i + 1, j)
-            tr, tl = vid(i + 1, j + 1), vid(i, j + 1)
-            # diagonal tl -> br
-            tris.append([bl, br, tl])
-            tris.append([br, tr, tl])
-            a = low if (i + j) % 2 == 1 else 1.0
-            vals.extend([a, a])
-    tri = build_triangulation(V, np.array(tris))
-    return tri, attach_coefficient(tri, vals)
+    X, Y = np.meshgrid(xs, xs)  # vertex j (n + 1) + i at (xs[i], xs[j])
+    j, i = np.divmod(np.arange(n * n), n)  # squares row by row
+    bl = j * (n + 1) + i
+    br, tl = bl + 1, bl + n + 1
+    # diagonal tl -> br
+    tris = np.stack([bl, br, tl, br, tl + 1, tl], axis=1).reshape(-1, 3)
+    tri = build_triangulation(np.column_stack([X.ravel(), Y.ravel()]), tris)
+    a = np.where((i + j) % 2 == 1, 1.0 / (N * N), 1.0)
+    return tri, attach_coefficient(tri, np.repeat(a, 2))
 
 
 def checkerboard_target(N: int) -> TargetField:

@@ -7,10 +7,9 @@ import json
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, _element_forms, _energy, element_tables,
-                         global_best_error, local_element_errors, local_ritz,
-                         reaction_diffusion_errors)
-from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
+from .bestapprox import (LocalizationReport, _error, element_tables, global_best_error,
+                         local_element_errors, local_ritz, reaction_diffusion_errors)
+from .coeff import Coefficient, check_quasi_monotonicity
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_pattern,
                               hexagon_mesh, hexagon_target)
@@ -106,7 +105,7 @@ def _star_candidate_error(tables, coeff, z, values: dict) -> float:
     region = vertex_patch(tables.space.tri, z)
     v = np.array([[values.get(int(g), 0.0) for g in tables.space.element_nodes[k]]
                   for k in region])
-    return float(_energy(*_element_forms(tables, coeff.values, 0.0, region), v))
+    return float(_error(tables, coeff.values, 0.0, region, v).sum())
 
 
 def _star_candidate_values(tri: Triangulation, coeff: Coefficient, z: int, N: int) -> dict:
@@ -212,12 +211,11 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
         space = build_space(tri, degree)
         plans = _shared_plans(tri, targets, 2 * degree + 6)
         for name, target in targets.items():
-            plan = plans[name]
-            tables = element_tables(target, plan, space)
+            tables = element_tables(target, plans[name], space)
             global_sq, _ = global_best_error(tables, coeff, "meanzero")
             elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
             itp = quasi_interpolate(target, tables, coeff)
-            interp_sq = float(interpolation_error_sq(target, itp, coeff, plan).sum())
+            interp_sq = float(interpolation_error_sq(itp, tables, coeff).sum())
             reports.append(LocalizationReport(
                 global_error_sq=global_sq,
                 loci={"element": elements},

@@ -5,10 +5,12 @@ F_z (`coeff.select_kmax_fz`).
 ``quasi_interpolate`` assigns skeleton nodes face-dual moments on F_z, a
 face of the maximal-coefficient element of the node's star, all chosen
 edges integrated in one stacked edge rule; element-interior nodes take the
-value of the per-element best polynomial fit (`_element_fits`).
+value of the element's gradient fit stored in the tables.
 ``l2_quasi_interpolate`` assigns every node its value in the element L2 fit
 on K_max(z), i.e. an element-dual moment.  Both reproduce members of the
-space and are robust with respect to the coefficient contrast.
+space and are robust with respect to the coefficient contrast.  Their
+errors come from the tables' error form and the norms of u from the tables'
+sums, with no further quadrature of the target.
 """
 from __future__ import annotations
 
@@ -16,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bestapprox import (ElementTables, _class_blocks, element_tables, local_element_errors,
-                         local_ritz)
+from .bestapprox import ElementTables, _error, element_tables, local_element_errors
 from .coeff import Coefficient, build_omega_hat, select_kmax_fz
 from .errors import QuadratureFailure
 from .fespace import LagrangeSpace, _reference_face_dual, edge_basis_1d
-from .mesh import element_affine, region_rows
+from .mesh import region_rows
 from .quadrature import QuadraturePlan, _leggauss01, radial_rule
 
 _GAUSS_1D = 12
@@ -93,21 +94,11 @@ def _face_dual_values(space: LagrangeSpace, target, edges) -> np.ndarray:
     return moments @ D.T / np.linalg.norm(d, axis=1)[:, None]
 
 
-def _element_fits(tables: ElementTables) -> np.ndarray:
-    """Local node values (nt, nloc) of the best P_degree(K) fit of u in the
-    energy on every element K, its constant shifted so the fit and u share
-    the element mean."""
-    nt = tables.space.tri.n_elements
-    x = local_ritz(tables, np.ones(nt), (np.arange(nt + 1), np.arange(nt)))[1][:, 0]
-    fit_mass = np.einsum("ki,ki->k", x, tables.mass.sum(axis=2))
-    shift = (tables.value_moments.sum(axis=1) - fit_mass) / tables.space.tri.areas
-    return x + shift[:, None]
-
-
 def quasi_interpolate(target, tables: ElementTables, coeff: Coefficient) -> InterpolantResult:
-    """Skeleton nodes: face-dual moments on F_z; element-interior nodes:
-    best-fit polynomial values; nodes under a Dirichlet mask: zero.  The
-    tables are those of `target` on the space of the interpolant."""
+    """Skeleton nodes: face-dual moments on F_z; element-interior nodes: the
+    values of the gradient fit of K_max(z) (`ElementTables.grad_fits`); nodes
+    under a Dirichlet mask: zero.  The tables are those of `target` on the
+    space of the interpolant."""
     space = tables.space
     kmax, loc, fz = select_kmax_fz(space, coeff)
     x = np.zeros(space.n_nodes)
@@ -115,7 +106,7 @@ def quasi_interpolate(target, tables: ElementTables, coeff: Coefficient) -> Inte
     prov[space.dirichlet] = "boundary-zero"
     interior = (fz < 0) & ~space.dirichlet
     if interior.any():
-        x[interior] = _element_fits(tables)[kmax[interior], loc[interior]]
+        x[interior] = tables.grad_fits[kmax[interior], loc[interior]]
     face = np.flatnonzero((fz >= 0) & ~space.dirichlet)
     if len(face):
         edges, row = np.unique(fz[face], return_inverse=True)
@@ -130,28 +121,19 @@ def quasi_interpolate(target, tables: ElementTables, coeff: Coefficient) -> Inte
 
 def l2_quasi_interpolate(tables: ElementTables, coeff: Coefficient) -> InterpolantResult:
     """Every node value is the element-dual moment int_Kmax u psi_z: the
-    value at z of the L2(K_max) fit of u, all fits in one batched solve."""
+    value at z of the L2(K_max) fit of u (`ElementTables.value_fits`)."""
     kmax, loc, _ = select_kmax_fz(tables.space, coeff)
-    fits = np.linalg.solve(tables.mass, tables.value_moments[..., None])[..., 0]
     n = tables.space.n_nodes
-    return InterpolantResult(space=tables.space, coefficients=fits[kmax, loc],
+    return InterpolantResult(space=tables.space, coefficients=tables.value_fits[kmax, loc],
                              provenance=np.full(n, "element-dual"))
 
 
-def interpolation_error_sq(target, interp: InterpolantResult, coeff: Coefficient,
-                           plan: QuadraturePlan) -> np.ndarray:
-    """||a^(1/2) grad(u - Iu)||^2_K for every element K, an (nt,) array, by
-    quadrature of the difference in the stacked blocks of the plan."""
-    space = interp.space
-    Binv = np.linalg.inv(element_affine(space.tri)[1])
-    err = np.empty(space.tri.n_elements)
-    for ks, pts, wts, _, gref in _class_blocks(plan, space):
-        # grad Iu = (sum_i c_i gref_i) @ Binv_k
-        c = interp.coefficients[space.element_nodes[ks]]
-        giu = np.tensordot(c, gref, axes=(1, 1)) @ Binv[ks]
-        d = target.gradient(pts.reshape(-1, 2)).reshape(giu.shape) - giu
-        err[ks] = (wts[:, None, :] @ np.einsum("kqd,kqd->kq", d, d)[..., None])[:, 0, 0]
-    return coeff.values * err
+def interpolation_error_sq(interp: InterpolantResult, tables: ElementTables,
+                           coeff: Coefficient) -> np.ndarray:
+    """||a^(1/2) grad(u - Iu)||^2_K for every element K, an (nt,) array, from
+    the error form of the tables of u on the space of the interpolant."""
+    return _error(tables, coeff.values, 0.0, slice(None),
+                  interp.coefficients[interp.space.element_nodes])
 
 
 def operator_report(target, space: LagrangeSpace, coeff: Coefficient,
@@ -174,7 +156,7 @@ def operator_report(target, space: LagrangeSpace, coeff: Coefficient,
     if which == "skeleton":
         itp = quasi_interpolate(target, tables, coeff)
         locals_sq = local_element_errors(tables, coeff)
-        errs = interpolation_error_sq(target, itp, coeff, plan)
+        errs = interpolation_error_sq(itp, tables, coeff)
         # omega_K: the elements of the stars of K's vertices, each pair (K, K') once
         nt = tri.n_elements
         offsets, nbr = region_rows(tri.vertex_elements, tri.triangles.ravel())

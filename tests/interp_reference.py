@@ -14,7 +14,7 @@ from qmloc.coeff import space_star
 from qmloc.errors import QuadratureFailure, UnknownLocus
 from qmloc.fespace import (INTERIOR, edge_basis_1d, element_dual_basis, eval_basis,
                            face_dual_basis)
-from qmloc.interp import InterpolantResult, _element_fits
+from qmloc.interp import InterpolantResult
 from qmloc.quadrature import _leggauss01, radial_rule
 
 
@@ -101,7 +101,7 @@ def quasi_interpolate(target, space, coeff, plan):
     x = np.zeros(n)
     prov, sel = [None] * n, [None] * n
     edge_cache = {}
-    fits = _element_fits(element_tables(target, plan, space)) if space.degree >= 3 else None
+    fits = element_tables(target, plan, space).grad_fits if space.degree >= 3 else None
     for z in range(n):
         if space.dirichlet[z]:
             prov[z] = "boundary-zero"

@@ -2,8 +2,9 @@
 
 These are the plain loops that the array passes replace: the edge table by
 a dict of canonical vertex pairs, the conformity check that tests every
-vertex against every edge, red refinement one parent at a time, and node
-numbering by interning canonical keys.  Tests require the array passes to
+vertex against every edge, red refinement one parent at a time, node
+numbering by interning canonical keys, and the checkerboard one square at a
+time.  Tests require the array passes to
 reproduce them field by field (`assert_same_fields`).
 """
 import dataclasses
@@ -12,10 +13,12 @@ import math
 
 import numpy as np
 
+from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import checkerboard_mesh, fig1_meshes, hexagon_mesh
 from qmloc.errors import DegenerateElement, NonConforming, UnsupportedDegree
 from qmloc.fespace import EDGE, INTERIOR, VERTEX, LagrangeSpace, _lattice
 from qmloc.mesh import _AREA_TOL, Triangulation
+from qmloc.mesh import build_triangulation as fast_triangulation
 
 
 def _same(a, b):
@@ -258,3 +261,27 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
         vertex_nodes=vertex_nodes,
         edge_interior_nodes=edge_interior,
     )
+
+
+def checkerboard_mesh_loop(N: int):
+    """`counterexamples.checkerboard_mesh` one square at a time."""
+    n = 2 * N
+    xs = np.linspace(0.0, 1.0, n + 1)
+    V = np.array([[x, y] for y in xs for x in xs])
+
+    def vid(i, j):
+        return j * (n + 1) + i
+
+    tris, vals = [], []
+    low = 1.0 / (N * N)
+    for j in range(n):
+        for i in range(n):
+            bl, br = vid(i, j), vid(i + 1, j)
+            tr, tl = vid(i + 1, j + 1), vid(i, j + 1)
+            # diagonal tl -> br
+            tris.append([bl, br, tl])
+            tris.append([br, tr, tl])
+            a = low if (i + j) % 2 == 1 else 1.0
+            vals.extend([a, a])
+    tri = fast_triangulation(V, np.array(tris))
+    return tri, attach_coefficient(tri, vals)

@@ -3,8 +3,10 @@
 These are the plain loops that the batched tables and the one kernel
 replace: each element matrix from its own quadrature, each right-hand side
 from the target's plan, a dense regional Ritz solve, and the scaled-monomial
-best fit on a single element, and the interpolation error by quadrature of
-grad(u - Iu).  Tests compare the fast path against them.
+best fit on a single element.  The error of any member of the space has two
+oracles: quadrature of the difference u - V at the plan's nodes, and the
+expanded form uu - 2 b.x + x^T A x, whose rounding scales with the energy of
+u rather than with the error.  Tests compare the fast path against them.
 """
 import numpy as np
 
@@ -123,15 +125,61 @@ def monomial_element_fit(target, plan, k, degree):
     return max(err, 0.0), fit
 
 
+class QuadratureOracle:
+    """sum_K weights_K ||grad(u - V)||^2_K + beta ||u - V||^2_K over the
+    elements of a region, V a member of the space, by quadrature of the
+    difference at the plan's nodes, one element at a time; the target and
+    the basis are sampled once per element and kept."""
+
+    def __init__(self, space, target, plan):
+        self.space, self.target, self.plan = space, target, plan
+        self._samples = {}
+
+    def _element(self, k):
+        if k not in self._samples:
+            pts, wts = self.plan.element_rule(k)
+            vals, grads = eval_basis(self.space, k, pts)
+            self._samples[k] = (wts, vals, grads, self.target.value(pts),
+                                self.target.gradient(pts))
+        return self._samples[k]
+
+    def local_error(self, weights, elems, v, beta=0.0):
+        """The error of V given by its local node values v (len(elems), nloc)."""
+        total = 0.0
+        for k, c in zip(elems, v):
+            wts, vals, grads, u, gu = self._element(int(k))
+            # the basis gradients sum to zero only to rounding: drop the mean of c first
+            d = gu - np.einsum("qid,i->qd", grads, c - c.mean())
+            d0 = u - vals @ c
+            total += (weights[k] * float(wts @ np.einsum("qd,qd->q", d, d))
+                      + beta * float(wts @ (d0 * d0)))
+        return total
+
+    def error(self, weights, x, region=None, beta=0.0):
+        """The error of V given by its coefficient vector x."""
+        region = range(self.space.tri.n_elements) if region is None else sorted(region)
+        return self.local_error(weights, region, x[self.space.element_nodes[list(region)]], beta)
+
+
+def quadrature_error(space, weights, target, plan, x, region=None, beta=0.0):
+    """`QuadratureOracle.error` of the coefficient vector x over a region."""
+    return QuadratureOracle(space, target, plan).error(weights, x, region, beta)
+
+
+def expanded_error(space, weights, target, plan, x, region=None, beta=0.0):
+    """The error of `quadrature_error` as uu - 2 b.x + x^T A x, from dense
+    loop assembly over the region; not clipped at zero."""
+    region = range(space.tri.n_elements) if region is None else sorted(region)
+    A = assemble(space, weights, beta, region)
+    b = energy_rhs(space, weights, target, plan, region)
+    if beta:
+        b = b + beta * mass_rhs(space, target, plan, region)
+    uu = quadrature_error(space, weights, target, plan, np.zeros(space.n_nodes), region, beta)
+    return uu - 2.0 * float(b @ x) + float(x @ (A @ x))
+
+
 def interpolation_error_loop(target, interp, coeff, plan, region=None):
     """||a^(1/2) grad(u - Iu)||^2 over a region by quadrature of the
-    difference at the plan's nodes, one element at a time."""
-    region = range(interp.space.tri.n_elements) if region is None else sorted(region)
-    total = 0.0
-    for k in region:
-        pts, wts = plan.element_rule(k)
-        _, grads = eval_basis(interp.space, k, pts)
-        giu = np.einsum("qid,i->qd", grads, interp.coefficients[interp.space.element_nodes[k]])
-        d = target.gradient(pts) - giu
-        total += coeff.values[k] * float(wts @ np.einsum("qd,qd->q", d, d))
-    return total
+    difference at the plan's nodes."""
+    return quadrature_error(interp.space, coeff.values, target, plan, interp.coefficients,
+                            region)

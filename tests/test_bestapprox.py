@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmloc.bestapprox import (LocalizationReport, SpdSystem, element_tables,
@@ -18,13 +18,13 @@ from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
 from qmloc.errors import PlanMismatch, PointOutsideElement, SolverFailure
 from qmloc.fespace import build_space, element_mass_matrix
 from qmloc.fields import smooth_target
-from qmloc.interp import _element_fits, interpolation_error_sq, quasi_interpolate
+from qmloc.interp import interpolation_error_sq, quasi_interpolate
 from qmloc.mesh import build_triangulation, edge_pair, region_rows, uniform_refine, vertex_patch
 from qmloc.quadrature import make_quadrature_plan
 
 from interp_reference import energy_norm_sq, l2_norm_sq
 from mesh_reference import csr
-from ritz_reference import (assemble, dense_ritz_error, element_stiffness,
+from ritz_reference import (QuadratureOracle, assemble, dense_ritz_error, element_stiffness,
                             energy_rhs, mass_rhs, monomial_element_fit)
 
 
@@ -171,7 +171,7 @@ def test_best_fit_matches_element_mean():
     tri, coeff = reference_element()
     target = quadratic_target()
     tables, plan, space = tables_of(target, tri, 1, 10)
-    values = _element_fits(tables)[0]
+    values = tables.grad_fits[0]
     pts, wts = plan.element_rule(0)
     mean_u = wts @ target.value(pts) / tri.areas[0]
     mean_p = values @ element_mass_matrix(space, 0).sum(axis=1) / tri.areas[0]
@@ -267,6 +267,13 @@ def test_tables_match_element_loops(case, degree):
     assert _rel(tables.grad_sq,
                 [energy_norm_sq(target, ones, plan, [k]) for k in range(n)]) < 1e-12
     assert _rel(tables.value_sq, [l2_norm_sq(target, plan, [k]) for k in range(n)]) < 1e-12
+    # the residual energies of the stored fits, by the quadrature loop
+    oracle = QuadratureOracle(space, target, plan)
+    grad = [oracle.local_error(ones.values, [k], tables.grad_fits[k:k + 1]) for k in range(n)]
+    value = [oracle.local_error(0.0 * ones.values, [k], tables.value_fits[k:k + 1], 1.0)
+             for k in range(n)]
+    assert _rel(tables.grad_residual, grad) < 1e-12
+    assert _rel(tables.value_residual, value) < 1e-12
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -279,7 +286,7 @@ def test_ritz_element_matches_monomial_fit(degree):
         err, fit = monomial_element_fit(target, plan, k, degree)
         assert abs(local_element_errors(tables, coeff)[k] - coeff.values[k] * err) < 1e-10
         ids = space.element_nodes[k]
-        values = _element_fits(tables)[k]
+        values = tables.grad_fits[k]
         assert np.max(np.abs(values - fit(space.nodes[ids]))) < 1e-10
 
 
@@ -360,8 +367,8 @@ def test_plans_are_checked_against_the_mesh(case):
     twin = make_quadrature_plan(build_triangulation(tri.vertices.copy(), tri.triangles.copy()),
                                 target)
     assert np.array_equal(element_tables(target, twin, space).grad_moments, tables.grad_moments)
-    assert np.array_equal(interpolation_error_sq(target, itp, coeff, twin),
-                          interpolation_error_sq(target, itp, coeff, plan))
+    assert np.array_equal(interpolation_error_sq(itp, element_tables(target, twin, space), coeff),
+                          interpolation_error_sq(itp, tables, coeff))
     others = [(build_triangulation(tri.vertices + 0.25, tri.triangles), PointOutsideElement),
               (build_triangulation(tri.vertices, np.roll(tri.triangles, 1, axis=1)),
                PointOutsideElement),
@@ -370,8 +377,6 @@ def test_plans_are_checked_against_the_mesh(case):
         bad = make_quadrature_plan(other, target)
         with pytest.raises(error):
             element_tables(target, bad, space)
-        with pytest.raises(error):
-            interpolation_error_sq(target, itp, coeff, bad)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -453,3 +458,52 @@ def test_ritz_properties_on_perturbed_grids(seed, n, degree, scale):
         base = energy(a, region)
         scaled = energy(scale * a, region)
         assert abs(scaled - scale * base) <= 1e-9 * scale * base + 1e-14
+
+
+def _member(degree, rng):
+    """A random polynomial of total degree `degree`, a member of the space."""
+    c = rng.standard_normal((degree + 1, degree + 1))
+    expo = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    return (lambda p: sum(c[a, b] * p[:, 0] ** a * p[:, 1] ** b for a, b in expo),
+            lambda p: np.column_stack([
+                sum(a * c[a, b] * p[:, 0] ** (a - 1) * p[:, 1] ** b for a, b in expo if a)
+                + 0.0 * p[:, 0],
+                sum(b * c[a, b] * p[:, 0] ** a * p[:, 1] ** (b - 1) for a, b in expo if b)
+                + 0.0 * p[:, 0]]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), degree=st.integers(1, 3),
+       sign=st.sampled_from([-1.0, 1.0]), exponent=st.floats(-4.0, 4.0))
+@example(seed=0, n=3, degree=2, sign=1.0, exponent=4.0)
+def test_errors_see_only_the_distance_to_the_space(seed, n, degree, sign, exponent):
+    """Element, pair, star and global errors of u + c v, v a member of the
+    space, are those of u, and those of c u are c^2 times those of u, for
+    0 < |c| <= 1e4."""
+    rng = np.random.default_rng(seed)
+    tri = _perturbed_grid(n, rng)
+    a = 10.0 ** rng.uniform(-1.0, 1.0, tri.n_elements)
+    c = sign * 10.0**exponent
+    value, gradient = _member(degree, rng)
+
+    def u(p):
+        return np.sin(2.0 * p[:, 0] + 3.0 * p[:, 1]) + p[:, 0] ** 4
+
+    def gu(p):
+        t = 3.0 * np.cos(2.0 * p[:, 0] + 3.0 * p[:, 1])
+        return np.column_stack([2.0 / 3.0 * t + 4.0 * p[:, 0] ** 3, t])
+
+    kinds = (csr([[k] for k in range(tri.n_elements)]),
+             region_rows(tri.edge_elements, tri.interior_edges()),
+             tri.vertex_elements)
+
+    def errors(val, grad):
+        tables, _, _ = tables_of(smooth_target(val, grad), tri, degree, 2 * degree + 4)
+        return np.concatenate([local_ritz(tables, a, regions)[0] for regions in kinds]
+                              + [[ritz(tables, a)[0]]])
+
+    base = errors(u, gu)
+    shifted = errors(lambda p: u(p) + c * value(p), lambda p: gu(p) + c * gradient(p))
+    scaled = errors(lambda p: c * u(p), lambda p: c * gu(p))
+    assert np.all(np.abs(shifted - base) <= 1e-8 * base)
+    assert np.all(np.abs(scaled - c * c * base) <= 1e-8 * c * c * base)

@@ -15,6 +15,7 @@ from qmloc.harness import default_smooth_targets
 from qmloc.quadrature import make_quadrature_plan
 
 from interp_reference import energy_norm_sq
+from mesh_reference import checkerboard_mesh_loop
 
 
 def test_hexagon_mesh_shape():
@@ -208,6 +209,15 @@ def test_checkerboard_mesh_shape():
     assert not check_quasi_monotonicity(tri, coeff).quasi_monotone
     tri1, _ = checkerboard_mesh(1)
     assert tri1.n_elements == 8
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8, 50])
+def test_checkerboard_mesh_matches_the_square_loop(N):
+    tri, coeff = checkerboard_mesh(N)
+    ref_tri, ref_coeff = checkerboard_mesh_loop(N)
+    for fast, ref in ((tri.vertices, ref_tri.vertices), (tri.triangles, ref_tri.triangles),
+                      (coeff.values, ref_coeff.values)):
+        assert fast.dtype == ref.dtype and np.array_equal(fast, ref)
 
 
 @pytest.mark.parametrize("N", [2, 4])

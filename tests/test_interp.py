@@ -234,7 +234,7 @@ def test_interpolation_error_matches_quadrature_loop(ell):
     space = build_space(tri, ell)
     plan = make_quadrature_plan(tri, target, exactness=2 * ell + 6)
     for itp in both_operators(target, space, coeff, plan):
-        fast = interpolation_error_sq(target, itp, coeff, plan)
+        fast = interpolation_error_sq(itp, element_tables(target, plan, space), coeff)
         loop = np.array([interpolation_error_loop(target, itp, coeff, plan, [k])
                          for k in range(tri.n_elements)])
         assert fast.shape == (tri.n_elements,)
