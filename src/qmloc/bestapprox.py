@@ -308,6 +308,15 @@ def global_best_error(tables: ElementTables, coeff: Coefficient, gauge: str):
     return err, x + (mean_u - mean_v)
 
 
+def _checked_betas(betas) -> list:
+    """`betas` as floats; raises ValueError for one not finite and >= 0."""
+    betas = [float(beta) for beta in betas]
+    for beta in betas:
+        if not (np.isfinite(beta) and beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    return betas
+
+
 def reaction_diffusion_errors(tables: ElementTables, coeff: Coefficient, betas):
     """Combined-norm global best errors, one per beta, and their localized
     companions.
@@ -316,10 +325,7 @@ def reaction_diffusion_errors(tables: ElementTables, coeff: Coefficient, betas):
     gradient and L2 global squared errors, the per-element gradient locals
     and the per-interior-edge L2 pair locals.
     """
-    betas = [float(beta) for beta in betas]
-    for beta in betas:
-        if not (np.isfinite(beta) and beta >= 0):
-            raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    betas = _checked_betas(betas)
     tri = tables.space.tri
     zero = np.zeros(tri.n_elements)
     return {
@@ -338,7 +344,9 @@ def reaction_diffusion_errors(tables: ElementTables, coeff: Coefficient, betas):
 
 @dataclass
 class LocalizationReport:
-    """Global vs. localized squared errors for one sweep point."""
+    """Global vs. localized squared errors for one sweep point.  Reports of
+    one sweep may share a locus list; `qmloc.harness.render_report` formats
+    each distinct list once."""
 
     global_error_sq: float
     loci: dict = field(default_factory=dict)  # kind -> list of (locus-id, error_sq)
@@ -350,15 +358,3 @@ class LocalizationReport:
     def ratio(self, kind: str) -> float:
         s = self.locus_sum(kind)
         return self.global_error_sq / s if s > 0 else float("inf")
-
-    def to_json_dict(self):
-        return {
-            "global_error_sq": self.global_error_sq,
-            "loci": {
-                kind: [{"id": int(i), "error_sq": float(e)} for i, e in entries]
-                for kind, entries in self.loci.items()
-            },
-            "sums": {kind: self.locus_sum(kind) for kind in self.loci},
-            "ratios": {kind: self.ratio(kind) for kind in self.loci},
-            "metadata": self.metadata,
-        }

@@ -151,6 +151,14 @@ _FIG1_TRIANGLES = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
 # element order: bottom, right, top, left
 
 
+def _fig1_values(M: float, side: str) -> np.ndarray:
+    if side == "left":
+        return np.array([M / 2.0, 1.0, M, 3.0 * M / 4.0])
+    if side == "right":
+        return np.array([M, 1.0, M, 1.0])
+    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
 def fig1_meshes(M: float, side: str) -> tuple[Triangulation, Coefficient]:
     """Four-triangle square tilings of [-1,1]^2 meeting at the origin.
 
@@ -160,14 +168,38 @@ def fig1_meshes(M: float, side: str) -> tuple[Triangulation, Coefficient]:
     """
     if M <= 0:
         raise ParameterOutOfRange(f"M must be positive, got {M}")
+    values = _fig1_values(M, side)
     tri = build_triangulation(_FIG1_VERTICES, _FIG1_TRIANGLES)
-    if side == "left":
-        values = [M / 2.0, 1.0, M, 3.0 * M / 4.0]
-    elif side == "right":
-        values = [M, 1.0, M, 1.0]
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return tri, attach_coefficient(tri, values)
+
+
+def fig1_left_values(alpha: float) -> np.ndarray:
+    """The coefficient of the 'left' tiling with contrast alpha on its four
+    triangles (bottom, right, top, left): 1 for alpha = 1, the values of
+    `fig1_meshes` with M = 1/alpha for alpha <= 1/2.  Raises
+    ParameterOutOfRange for any other alpha."""
+    if not 0.0 < alpha <= 1.0:
+        raise ParameterOutOfRange(f"alpha must lie in (0, 1], got {alpha}")
+    if alpha == 1.0:
+        return np.ones(4)
+    if alpha > 0.5:
+        raise ParameterOutOfRange(
+            "the tiling is quasi-monotone only for alpha = 1 or alpha <= 1/2"
+        )
+    return _fig1_values(1.0 / alpha, "left")
+
+
+def fig1_refined(refines: int) -> tuple[Triangulation, np.ndarray]:
+    """The square of `fig1_meshes` after `refines` uniform refinements, and
+    the coarse triangle under each fine one (the composed `parents`)."""
+    if refines < 0:
+        raise ParameterOutOfRange(f"refines must be >= 0, got {refines}")
+    tri = build_triangulation(_FIG1_VERTICES, _FIG1_TRIANGLES)
+    coarse = np.arange(tri.n_elements)
+    for _ in range(refines):
+        tri = uniform_refine(tri)
+        coarse = coarse[tri.parents]
+    return tri, coarse
 
 
 def fig1_left_pattern(alpha: float, refines: int = 0) -> tuple[Triangulation, Coefficient]:
@@ -177,24 +209,9 @@ def fig1_left_pattern(alpha: float, refines: int = 0) -> tuple[Triangulation, Co
     tiling with M = 1/alpha.  Optional uniform refinements keep the
     coefficient subordinate to the four regions.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ParameterOutOfRange(f"alpha must lie in (0, 1], got {alpha}")
-    if refines < 0:
-        raise ParameterOutOfRange(f"refines must be >= 0, got {refines}")
-    if alpha == 1.0:
-        tri = build_triangulation(_FIG1_VERTICES, _FIG1_TRIANGLES)
-        coeff = attach_coefficient(tri, np.ones(4))
-    elif alpha > 0.5:
-        raise ParameterOutOfRange(
-            "the tiling is quasi-monotone only for alpha = 1 or alpha <= 1/2"
-        )
-    else:
-        tri, coeff = fig1_meshes(1.0 / alpha, "left")
-    for _ in range(refines):
-        fine = uniform_refine(tri)
-        coeff = attach_coefficient(fine, coeff.values[fine.parents])
-        tri = fine
-    return tri, coeff
+    values = fig1_left_values(alpha)
+    tri, coarse = fig1_refined(refines)
+    return tri, attach_coefficient(tri, values[coarse])
 
 
 def checkerboard_mesh(N: int) -> tuple[Triangulation, Coefficient]:

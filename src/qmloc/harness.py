@@ -7,11 +7,12 @@ import json
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, _error, element_tables, global_best_error,
-                         local_element_errors, local_ritz, reaction_diffusion_errors)
-from .coeff import Coefficient, check_quasi_monotonicity
+from .bestapprox import (LocalizationReport, _checked_betas, _error, element_tables,
+                         global_best_error, local_element_errors, local_ritz,
+                         reaction_diffusion_errors)
+from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
-                              checkerboard_target, fig1_left_pattern,
+                              checkerboard_target, fig1_left_values, fig1_refined,
                               hexagon_mesh, hexagon_target)
 from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
 from .fespace import build_space, element_dual_basis, element_mass_matrix
@@ -187,10 +188,16 @@ def _shared_plans(tri: Triangulation, targets: dict, exactness: int) -> dict:
     return plans
 
 
-def _pattern_mesh(pattern: str, alpha: float, refines: int = 2):
-    if pattern == "fig1-left":
-        return fig1_left_pattern(alpha, refines=refines)
-    raise ParameterOutOfRange(f"unknown pattern {pattern!r}")
+def _pattern_mesh(pattern: str, alpha_values, refines: int):
+    """The refined tiling of `pattern` and its coefficient per alpha.  Only
+    the coefficient depends on alpha, so the mesh is built once, after every
+    alpha is checked, and each coefficient maps the coarse values through
+    the refinement."""
+    if pattern != "fig1-left":
+        raise ParameterOutOfRange(f"unknown pattern {pattern!r}")
+    values = [fig1_left_values(alpha) for alpha in alpha_values]
+    tri, coarse = fig1_refined(refines)
+    return tri, [attach_coefficient(tri, v[coarse]) for v in values]
 
 
 def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
@@ -199,24 +206,25 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
     """Localization and near-best ratios across a contrast sweep on a
     quasi-monotone tiling; refuses non-quasi-monotone configurations."""
     targets = default_smooth_targets() if targets is None else targets
-    reports = []
-    for alpha in alpha_values:
-        tri, coeff = _pattern_mesh(pattern, alpha, refines)
+    tri, coeffs = _pattern_mesh(pattern, alpha_values, refines)
+    for alpha, coeff in zip(alpha_values, coeffs):
         qm = check_quasi_monotonicity(tri, coeff)
         if not qm.quasi_monotone:
             raise RefusesNonQM(
                 f"pattern {pattern!r} at alpha={alpha} is not quasi-monotone; "
                 f"witness {qm.witnesses[:1]}"
             )
-        space = build_space(tri, degree)
-        plans = _shared_plans(tri, targets, 2 * degree + 6)
-        for name, target in targets.items():
-            tables = element_tables(target, plans[name], space)
+    space = build_space(tri, degree)
+    plans = _shared_plans(tri, targets, 2 * degree + 6)
+    reports = [[] for _ in alpha_values]  # per alpha, in target order
+    for name, target in targets.items():
+        tables = element_tables(target, plans[name], space)
+        for alpha, coeff, out in zip(alpha_values, coeffs, reports):
             global_sq, _ = global_best_error(tables, coeff, "meanzero")
             elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
             itp = quasi_interpolate(target, tables, coeff)
             interp_sq = float(interpolation_error_sq(itp, tables, coeff).sum())
-            reports.append(LocalizationReport(
+            out.append(LocalizationReport(
                 global_error_sq=global_sq,
                 loci={"element": elements},
                 metadata={
@@ -227,7 +235,7 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
                     "interp_error_sq": interp_sq,
                 },
             ))
-    return reports
+    return [rep for out in reports for rep in out]
 
 
 def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
@@ -235,28 +243,30 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
                            degree: int = 1, refines: int = 2) -> list:
     """Combined-norm equivalence sweep on a quasi-monotone tiling."""
     targets = default_smooth_targets() if targets is None else targets
-    reports = []
-    for alpha in alpha_values:
-        tri, coeff = _pattern_mesh(pattern, alpha, refines)
-        qm = check_quasi_monotonicity(tri, coeff)
-        if not qm.quasi_monotone:
+    betas = _checked_betas(beta_values)
+    tri, coeffs = _pattern_mesh(pattern, alpha_values, refines)
+    for alpha, coeff in zip(alpha_values, coeffs):
+        if not check_quasi_monotonicity(tri, coeff).quasi_monotone:
             raise RefusesNonQM(f"pattern {pattern!r} at alpha={alpha} is not quasi-monotone")
-        space = build_space(tri, degree)
-        plans = _shared_plans(tri, targets, 2 * degree + 6)
-        for name, target in targets.items():
-            rd = reaction_diffusion_errors(element_tables(target, plans[name], space), coeff,
-                                           beta_values)
+    space = build_space(tri, degree)
+    plans = _shared_plans(tri, targets, 2 * degree + 6)
+    edges = tri.interior_edges()
+    reports = [[] for _ in alpha_values]  # per alpha, in target and beta order
+    for name, target in targets.items():
+        tables = element_tables(target, plans[name], space)
+        for alpha, coeff, out in zip(alpha_values, coeffs, reports):
+            rd = reaction_diffusion_errors(tables, coeff, betas)
             grad_sum = float(sum(rd["element_gradient_locals"]))
             pair_sum = float(sum(rd["pair_l2_locals"]))
+            # one element and one pair list for all beta
+            elements = list(enumerate(rd["element_gradient_locals"]))
+            pairs = list(zip(edges, rd["pair_l2_locals"]))
             for beta, combined in zip(beta_values, rd["combined_global_sq"]):
                 localized = grad_sum + beta * pair_sum
                 split_floor = rd["gradient_global_sq"] + beta * rd["l2_global_sq"]
-                reports.append(LocalizationReport(
+                out.append(LocalizationReport(
                     global_error_sq=combined,
-                    loci={
-                        "element": list(enumerate(rd["element_gradient_locals"])),
-                        "pair": list(zip(space.tri.interior_edges(), rd["pair_l2_locals"])),
-                    },
+                    loci={"element": elements, "pair": pairs},
                     metadata={
                         "experiment": "rd", "pattern": pattern, "alpha": alpha,
                         "beta": beta, "target": name, "degree": degree,
@@ -268,7 +278,7 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
                         "splitting_ratio": combined / split_floor if split_floor > 0 else float("inf"),
                     },
                 ))
-    return reports
+    return [rep for out in reports for rep in out]
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +360,8 @@ def _hexagon_csv(reports) -> str:
 
 
 def _generic_csv(reports) -> str:
+    """One row per locus: the report's columns as one prefix string, then
+    the locus id and error, each locus list formatted once."""
     buf = io.StringIO()
     if reports:
         kind = reports[0].metadata.get("experiment", "unknown")
@@ -360,24 +372,74 @@ def _generic_csv(reports) -> str:
     })
     buf.write(",".join(["sweep_index"] + keys +
                        ["global_sq", "locus_kind", "locus_id", "error_sq"]) + "\n")
+    lists: dict = {}  # id of a locus list -> its "id,error_sq" cells
     for idx, rep in enumerate(reports):
-        meta = [_fmt(rep.metadata.get(key, "")) for key in keys]
+        head = ",".join([str(idx)] + [_fmt(rep.metadata.get(key, "")) for key in keys] +
+                        [_fmt(rep.global_error_sq)])
         if not rep.loci:
-            buf.write(",".join([str(idx)] + meta + [_fmt(rep.global_error_sq), "", "", ""]) + "\n")
+            buf.write(head + ",,,\n")
         for kind in sorted(rep.loci):
-            for locus_id, err in rep.loci[kind]:
-                buf.write(",".join(
-                    [str(idx)] + meta +
-                    [_fmt(rep.global_error_sq), kind, str(int(locus_id)), _fmt(err)]
-                ) + "\n")
+            entries = rep.loci[kind]
+            if id(entries) not in lists:
+                lists[id(entries)] = [f"{int(i)},{_fmt(e)}" for i, e in entries]
+            if entries:
+                prefix = f"{head},{kind},"
+                buf.write(prefix + ("\n" + prefix).join(lists[id(entries)]) + "\n")
     return buf.getvalue()
 
 
+def _json_value(obj) -> str:
+    """`obj` as json.dumps(sort_keys=True, indent=2) writes it as a value of
+    a report's dict; JSON escapes newlines in strings, so re-indenting is
+    exact."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default).replace(
+        "\n", "\n    ")
+
+
+def _json_loci(entries) -> str:
+    """The JSON of a locus list, [{"error_sq": float(e), "id": int(i)}, ...],
+    as it reads at the depth of a report's loci."""
+    if not entries:
+        return "[]"
+    ids, errs = zip(*entries)
+    # json.dumps writes floats by float.__repr__, and NaN, Infinity, -Infinity
+    errs = json.dumps(list(map(float, errs)))[1:-1].split(", ")
+    cells = map(',\n          "id": '.join, zip(errs, map(str, map(int, ids))))
+    return ('[\n        {\n          "error_sq": '
+            + '\n        },\n        {\n          "error_sq": '.join(cells)
+            + "\n        }\n      ]")
+
+
+def _render_json(reports) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) of the reports, with no
+    payload: the small parts by `_json_value`, each distinct locus list once
+    by `_json_loci`, all joined once."""
+    lists: dict = {}  # id of a locus list -> its JSON
+    out = []
+    for n, rep in enumerate(reports):
+        out.append(",\n  {\n" if n else "[\n  {\n")
+        out.append(f'    "global_error_sq": {_json_value(rep.global_error_sq)},\n    "loci": ')
+        kinds = sorted(rep.loci)
+        for j, kind in enumerate(kinds):
+            entries = rep.loci[kind]
+            if id(entries) not in lists:
+                lists[id(entries)] = _json_loci(entries)
+            out += [",\n      " if j else "{\n      ", json.dumps(kind), ": ", lists[id(entries)]]
+        out.append("\n    },\n" if kinds else "{},\n")
+        out.append(f'    "metadata": {_json_value(rep.metadata)},\n'
+                   f'    "ratios": {_json_value({k: rep.ratio(k) for k in rep.loci})},\n'
+                   f'    "sums": {_json_value({k: rep.locus_sum(k) for k in rep.loci})}\n  }}')
+    out.append("\n]\n" if reports else "[]\n")
+    return "".join(out)
+
+
 def render_report(reports, fmt: str = "csv") -> str:
-    """Deterministic serialization of a report list."""
+    """Deterministic serialization of a report list.  JSON is byte-identical
+    to json.dumps(sort_keys=True, indent=2) of each report as a dict of
+    global_error_sq, loci ([{"id", "error_sq"}, ...] per kind), sums, ratios
+    and metadata."""
     if fmt == "json":
-        payload = [rep.to_json_dict() for rep in reports]
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+        return _render_json(reports)
     if fmt != "csv":
         raise ParameterOutOfRange(f"unknown format {fmt!r}")
     if reports and reports[0].metadata.get("experiment") == "hexagon":

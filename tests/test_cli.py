@@ -223,6 +223,25 @@ def test_stars_refuses_a_bad_n_before_building_any_mesh(capsys, monkeypatch):
     assert captured.err.count("\n") == 1 and "got N=1001" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["alpha", "--alphas", "1e-6,0.7"],
+     "the tiling is quasi-monotone only for alpha = 1 or alpha <= 1/2"),
+    (["rd", "--betas", "1,nan"], "beta must be finite and >= 0, got nan"),
+])
+def test_sweeps_refuse_a_bad_alpha_or_beta_before_building_any_mesh(capsys, monkeypatch,
+                                                                    argv, message):
+    import qmloc.counterexamples
+
+    def no_mesh(vertices, triangles, parents=None):
+        raise AssertionError("a mesh was built before every alpha and beta was checked")
+
+    monkeypatch.setattr(qmloc.counterexamples, "build_triangulation", no_mesh)
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _readme_commands():
     """The `qmloc ...` lines of the README's "Command line" block as argv
     lists: comments and optional-argument brackets dropped, the first of

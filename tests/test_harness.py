@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmloc.harness as harness
-from qmloc.bestapprox import element_tables, local_ritz
+from qmloc.bestapprox import LocalizationReport, element_tables, local_ritz
 from qmloc.cli import EXIT_OK, main
 from qmloc.counterexamples import checkerboard_mesh, checkerboard_target
 from qmloc.errors import ParameterOutOfRange, RefusesNonQM
@@ -16,6 +18,8 @@ from qmloc.harness import (emit_report, estimate_inequality_constants,
                            run_star_sweep)
 from qmloc.mesh import region_rows, vertex_patch
 from qmloc.quadrature import make_quadrature_plan
+
+import report_reference
 
 
 def test_report_ignores_qmloc_rtol(monkeypatch, capsys):
@@ -67,6 +71,51 @@ def test_json_report_round_trips():
     assert data[0]["global_error_sq"] == reports[0].global_error_sq
 
 
+@pytest.mark.parametrize("sweep", ["hexagon", "stars", "alpha", "rd", "no loci"])
+def test_render_report_matches_the_payload_writers(sweep):
+    reports = {
+        "hexagon": lambda: run_hexagon_sweep(eps_values=(0.1, 0.05), degree=2),
+        "stars": lambda: run_star_sweep(n_values=(2,)),
+        "alpha": lambda: run_alpha_robustness(alpha_values=(1.0, 1e-6), refines=1),
+        "rd": lambda: run_reaction_diffusion(alpha_values=(1.0, 1e-4), beta_values=(0.0, 1e4),
+                                             refines=1),
+        "no loci": lambda: [LocalizationReport(global_error_sq=0.5, metadata={"eps": 0.1}),
+                            LocalizationReport(global_error_sq=0.0, loci={"element": []})],
+    }[sweep]()
+    for fmt in ("json", "csv"):
+        assert render_report(reports, fmt) == report_reference.render_report(reports, fmt)
+
+
+def test_rd_reports_share_their_locus_lists_across_beta():
+    reports = run_reaction_diffusion(alpha_values=(1e-4,), refines=1)
+    for first in range(0, 9, 3):  # one target, three betas
+        for rep in reports[first + 1:first + 3]:
+            assert rep.loci["element"] is reports[first].loci["element"]
+            assert rep.loci["pair"] is reports[first].loci["pair"]
+
+
+AWKWARD = (-0.0, 0.0, 5e-324, 1e-5, 0.1, 1e16, 1e22, float("inf"), float("-inf"), float("nan"))
+_values = (st.sampled_from(AWKWARD) | st.floats()
+           | st.sampled_from(AWKWARD).map(np.float64) | st.integers(-3, 3))
+_ids = st.integers(0, 2**40) | st.integers(0, 2**31).map(np.int64)
+_loci = st.dictionaries(st.sampled_from(["element", "pair", "star"]),
+                        st.lists(st.tuples(_ids, _values), max_size=4), max_size=3)
+_metadata = st.dictionaries(st.sampled_from(["alpha", "beta", "target", "note"]),
+                            _values | st.text(max_size=4) | st.booleans(), max_size=4)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy scalar sums and ratios of inf
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_values, _loci, _metadata), min_size=1, max_size=3), st.booleans())
+def test_render_report_matches_the_payload_writers_on_awkward_values(points, share):
+    reports = [LocalizationReport(global_error_sq=g, loci=loci, metadata=meta)
+               for g, loci, meta in points]
+    if share:  # the last report's lists are the first report's objects
+        reports[-1].loci = dict(reports[0].loci)
+    for fmt in ("json", "csv"):
+        assert render_report(reports, fmt) == report_reference.render_report(reports, fmt)
+
+
 def test_star_sweep_candidates_bound_star_errors():
     reports = run_star_sweep(n_values=(2,))
     rep = reports[0]
@@ -116,8 +165,9 @@ def test_alpha_robustness_on_constant_pattern():
 def test_alpha_robustness_refuses_non_qm_pattern(monkeypatch):
     from qmloc.counterexamples import hexagon_mesh
 
-    def bad_mesh(pattern, alpha, refines):
-        return hexagon_mesh(0.1)
+    def bad_mesh(pattern, alpha_values, refines):
+        tri, coeff = hexagon_mesh(0.1)
+        return tri, [coeff for _ in alpha_values]
 
     monkeypatch.setattr(harness, "_pattern_mesh", bad_mesh)
     with pytest.raises(RefusesNonQM):
