@@ -14,6 +14,7 @@ pinning one node; the reported error is invariant under that choice.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ import scipy.sparse as sp
 from .coeff import Coefficient
 from .errors import SolverFailure
 from .fespace import LagrangeSpace, reference_basis
-from .mesh import _region_groups, element_affine, region_rows
+from .mesh import _region_groups, element_affine
 from .quadrature import QuadraturePlan, reference_triangle_rule
 
 
@@ -155,19 +156,19 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
     r = b.copy()
     z = minv * r
     p = z.copy()
-    rz = float(r @ z)
-    bz = float(b @ (minv * b))
-    if bz > 0:
-        limit = 50 * n
-        it = 0
-        while np.sqrt(rz / bz) > rtol:
+    limit, it = 50 * n, 0
+    # overflow makes inf or NaN scalars, and NaN > rtol is False: test each one
+    with np.errstate(over="ignore", invalid="ignore"):
+        rz, bz = float(r @ z), float(b @ (minv * b))
+        while bz != 0.0:  # b = 0: x = 0
+            res = _finite(math.sqrt(rz / bz), it)
+            if res <= rtol:
+                break
             if it >= limit:
                 raise SolverFailure(
-                    f"CG did not converge in {limit} iterations "
-                    f"(residual {np.sqrt(rz / bz):.3e})"
-                )
+                    f"CG did not converge in {limit} iterations (residual {res:.3e})")
             Ap = A @ p
-            alpha = rz / float(p @ Ap)
+            alpha = rz / _finite(float(p @ Ap), it)
             xf += alpha * p
             r -= alpha * Ap
             z = minv * r
@@ -177,6 +178,12 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
             it += 1
     x[free] = xf
     return x
+
+
+def _finite(value: float, it: int) -> float:
+    if not math.isfinite(value):
+        raise SolverFailure(f"CG scalar not finite at iteration {it}; the system overflows")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -306,36 +313,6 @@ def global_best_error(tables: ElementTables, coeff: Coefficient, gauge: str):
     mean_u = float(tables.value_moments.sum()) / vol
     mean_v = float(np.sum(x[space.element_nodes] * tables.mass.sum(axis=2))) / vol
     return err, x + (mean_u - mean_v)
-
-
-def _checked_betas(betas) -> list:
-    """`betas` as floats; raises ValueError for one not finite and >= 0."""
-    betas = [float(beta) for beta in betas]
-    for beta in betas:
-        if not (np.isfinite(beta) and beta >= 0):
-            raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    return betas
-
-
-def reaction_diffusion_errors(tables: ElementTables, coeff: Coefficient, betas):
-    """Combined-norm global best errors, one per beta, and their localized
-    companions.
-
-    Returns a dict with the combined errors (aligned with `betas`), the
-    gradient and L2 global squared errors, the per-element gradient locals
-    and the per-interior-edge L2 pair locals.
-    """
-    betas = _checked_betas(betas)
-    tri = tables.space.tri
-    zero = np.zeros(tri.n_elements)
-    return {
-        "combined_global_sq": [ritz(tables, coeff.values, beta)[0] for beta in betas],
-        "gradient_global_sq": ritz(tables, coeff.values)[0],
-        "l2_global_sq": ritz(tables, zero, 1.0)[0],
-        "element_gradient_locals": local_element_errors(tables, coeff).tolist(),
-        "pair_l2_locals": local_ritz(
-            tables, zero, region_rows(tri.edge_elements, tri.interior_edges()), 1.0)[0].tolist(),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ import json
 import sys
 
 from .coeff import attach_coefficient, check_quasi_monotonicity
-from .errors import (IoFailure, ParameterOutOfRange, QmlocError, RefusesNonQM,
-                     SolverFailure)
+from .errors import QmlocError, SolverFailure
 from .harness import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_EPS, DEFAULT_N,
                       emit_report, estimate_inequality_constants,
                       run_alpha_robustness, run_hexagon_sweep,
@@ -36,43 +35,38 @@ def build_parser() -> argparse.ArgumentParser:
                     "piecewise-constant diffusion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options shared by several commands, each declared once
+    ell = argparse.ArgumentParser(add_help=False)
+    ell.add_argument("--ell", type=int, default=1, help="polynomial degree")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[ell])
+    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep.add_argument("--output", default=None)
+    fig1 = argparse.ArgumentParser(add_help=False, parents=[sweep])
+    fig1.add_argument("--pattern", default="fig1-left")
+    fig1.add_argument("--refines", type=int, default=2)
 
-    qm = sub.add_parser("qm-check", help="classify a mesh+coefficient as quasi-monotone")
+    qm = sub.add_parser("qm-check", parents=[ell],
+                        help="classify a mesh+coefficient as quasi-monotone")
     qm.add_argument("mesh", help="mesh JSON file with a 'coefficient' entry")
-    qm.add_argument("--ell", type=int, default=1, help="polynomial degree of the node set")
 
-    hexa = sub.add_parser("hexagon", help="contrast sweep on the hexagon example")
+    hexa = sub.add_parser("hexagon", parents=[sweep], help="contrast sweep on the hexagon example")
     hexa.add_argument("--eps", type=_floats, default=DEFAULT_EPS)
-    hexa.add_argument("--ell", type=int, default=1)
-    hexa.add_argument("--format", choices=("csv", "json"), default="csv")
-    hexa.add_argument("--output", default=None)
 
-    stars = sub.add_parser("stars", help="star sweep on the checkerboard example")
+    stars = sub.add_parser("stars", parents=[sweep],
+                           help="star sweep on the checkerboard example")
     stars.add_argument("--n", type=_ints, default=DEFAULT_N)
-    stars.add_argument("--ell", type=int, default=1)
-    stars.add_argument("--format", choices=("csv", "json"), default="csv")
-    stars.add_argument("--output", default=None)
 
-    alpha = sub.add_parser("alpha", help="contrast-robustness sweep on a quasi-monotone tiling")
-    alpha.add_argument("--pattern", default="fig1-left")
+    alpha = sub.add_parser("alpha", parents=[fig1],
+                           help="contrast-robustness sweep on a quasi-monotone tiling")
     alpha.add_argument("--alphas", type=_floats, default=DEFAULT_ALPHA)
-    alpha.add_argument("--ell", type=int, default=1)
-    alpha.add_argument("--refines", type=int, default=2)
-    alpha.add_argument("--format", choices=("csv", "json"), default="csv")
-    alpha.add_argument("--output", default=None)
 
-    rd = sub.add_parser("rd", help="reaction-diffusion equivalence sweep")
-    rd.add_argument("--pattern", default="fig1-left")
+    rd = sub.add_parser("rd", parents=[fig1], help="reaction-diffusion equivalence sweep")
     rd.add_argument("--alphas", type=_floats, default=(1.0, 1e-4))
     rd.add_argument("--betas", type=_floats, default=DEFAULT_BETA)
-    rd.add_argument("--ell", type=int, default=1)
-    rd.add_argument("--refines", type=int, default=2)
-    rd.add_argument("--format", choices=("csv", "json"), default="csv")
-    rd.add_argument("--output", default=None)
 
-    const = sub.add_parser("constants", help="measure scaling/trace/Poincare constants")
+    const = sub.add_parser("constants", parents=[ell],
+                           help="measure scaling/trace/Poincare constants")
     const.add_argument("--levels", type=int, default=4)
-    const.add_argument("--ell", type=int, default=1)
     return parser
 
 
@@ -96,6 +90,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "qm-check":
             return _cmd_qm_check(args)
+        if args.command == "constants":
+            record = estimate_inequality_constants(args.levels, degree=args.ell)
+            print(json.dumps(record, sort_keys=True, indent=2))
+            return EXIT_OK
         if args.command == "hexagon":
             reports = run_hexagon_sweep(args.eps, degree=args.ell)
         elif args.command == "stars":
@@ -103,26 +101,17 @@ def main(argv=None) -> int:
         elif args.command == "alpha":
             reports = run_alpha_robustness(args.pattern, args.alphas,
                                            degree=args.ell, refines=args.refines)
-        elif args.command == "rd":
+        else:  # rd; argparse enforces the choices
             reports = run_reaction_diffusion(args.pattern, args.alphas, args.betas,
                                              degree=args.ell, refines=args.refines)
-        elif args.command == "constants":
-            record = estimate_inequality_constants(args.levels, degree=args.ell)
-            print(json.dumps(record, sort_keys=True, indent=2))
-            return EXIT_OK
-        else:  # pragma: no cover - argparse enforces the choices
-            return EXIT_INVALID
         text = emit_report(reports, args.format, args.output)
         if args.output is None:
             sys.stdout.write(text)
         return EXIT_OK
-    except RefusesNonQM as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ParameterOutOfRange, IoFailure, OSError, ValueError, QmlocError) as exc:
+    except (OSError, ValueError, QmlocError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

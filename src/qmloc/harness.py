@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, _checked_betas, _error, element_tables,
-                         global_best_error, local_element_errors, local_ritz,
-                         reaction_diffusion_errors)
+from .bestapprox import (LocalizationReport, _error, element_tables, global_best_error,
+                         local_element_errors, local_ritz, ritz)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_values, fig1_refined,
@@ -57,16 +57,21 @@ def default_smooth_targets() -> dict:
 # sweeps
 
 
+def _dirichlet_tables(tri: Triangulation, target, degree: int):
+    """The element tables of `target` on `tri` in the degree-`degree` space
+    with Dirichlet nodes on the boundary."""
+    plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6)
+    return element_tables(target, plan, build_space(tri, degree, dirichlet_on_boundary=True))
+
+
 def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
     """Per contrast: global best error (Dirichlet gauge) against element,
     pair, and vertex-star localized errors."""
     reports = []
     for eps in eps_values:
         tri, coeff = hexagon_mesh(eps)
-        target = hexagon_target(eps)
-        plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6)
-        space = build_space(tri, degree, dirichlet_on_boundary=True)
-        tables = element_tables(target, plan, space)
+        tables = _dirichlet_tables(tri, hexagon_target(eps), degree)
+        space = tables.space
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
         elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
         edges = tri.interior_edges()
@@ -75,14 +80,13 @@ def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
         star_sq = local_ritz(tables, coeff.values, tri.vertex_elements, fixed=space.dirichlet)[0]
         pairs = list(zip(edges, pair_sq.tolist()))
         stars = list(enumerate(star_sq.tolist()))
-        qm = check_quasi_monotonicity(tri, coeff)
         reports.append(LocalizationReport(
             global_error_sq=global_sq,
             loci={"element": elements, "pair": pairs, "star": stars},
             metadata={
                 "experiment": "hexagon", "eps": eps, "degree": degree,
                 "alpha": coeff.alpha, "n_elements": tri.n_elements,
-                "quasi_monotone": qm.quasi_monotone,
+                "quasi_monotone": check_quasi_monotonicity(tri, coeff).quasi_monotone,
                 "analytic": analytic_energy_reference(eps),
             },
         ))
@@ -148,26 +152,23 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     reports = []
     for N, target in zip(n_values, targets):
         tri, coeff = checkerboard_mesh(N)
-        plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6)
-        space = build_space(tri, degree, dirichlet_on_boundary=True)
-        tables = element_tables(target, plan, space)
+        tables = _dirichlet_tables(tri, target, degree)
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
         inner = tri.interior_vertices()
         star_sq = local_ritz(tables, coeff.values, region_rows(tri.vertex_elements, inner),
-                             fixed=space.dirichlet)[0]
+                             fixed=tables.space.dirichlet)[0]
         stars = list(zip(inner, star_sq.tolist()))
         kinds = {z: _classify_checkerboard_vertex(tri.vertices[z], N) for z in inner}
         candidates = {z: _star_candidate_error(tables, coeff, z,
                                                _star_candidate_values(tri, coeff, z, N))
                       for z in inner}
-        qm = check_quasi_monotonicity(tri, coeff)
         reports.append(LocalizationReport(
             global_error_sq=global_sq,
             loci={"star": stars},
             metadata={
                 "experiment": "stars", "N": N, "degree": degree,
                 "alpha": coeff.alpha, "n_elements": tri.n_elements,
-                "quasi_monotone": qm.quasi_monotone,
+                "quasi_monotone": check_quasi_monotonicity(tri, coeff).quasi_monotone,
                 "star_kinds": kinds,
                 "candidate_upper_bounds": candidates,
             },
@@ -175,29 +176,49 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     return reports
 
 
-def _shared_plans(tri: Triangulation, targets: dict, exactness: int) -> dict:
-    """One quadrature plan per target name; targets with equal `plan_key`
-    share a plan."""
-    by_points: dict = {}
-    plans = {}
-    for name, target in targets.items():
-        key = plan_key(target)
-        if key not in by_points:
-            by_points[key] = make_quadrature_plan(tri, target, exactness=exactness)
-        plans[name] = by_points[key]
-    return plans
+# Peak memory per element of the fig1 sweeps, in bytes by degree: twice the
+# larger peak-RSS slope of `alpha` and `rd` (default alphas and betas) between
+# --refines 4 and 5, in-process by getrusage on 2 cores, Python 3.11, numpy
+# 2.4.  The slopes were 4,676 / 8,169 bytes at P1, 5,741 / 8,607 at P2,
+# 11,801 / 17,923 at P3 and 21,877 / 37,987 at P4; other degrees take P4's.
+_BYTES_PER_ELEMENT = {1: 16_339, 2: 17_213, 3: 35_845, 4: 75_973}
 
 
-def _pattern_mesh(pattern: str, alpha_values, refines: int):
-    """The refined tiling of `pattern` and its coefficient per alpha.  Only
-    the coefficient depends on alpha, so the mesh is built once, after every
-    alpha is checked, and each coefficient maps the coarse values through
-    the refinement."""
+def _checked_betas(betas) -> list:
+    """`betas` as floats; raises ValueError for one not finite and >= 0."""
+    betas = [float(beta) for beta in betas]
+    for beta in betas:
+        if not (np.isfinite(beta) and beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    return betas
+
+
+def _fig1_tables(pattern: str, alpha_values, targets: dict, degree: int, refines: int):
+    """The coefficient per alpha on the refined tiling of `pattern`, and a
+    generator of (name, target, element tables), one target at a time.  Every
+    alpha and the tiling's memory estimate are checked before the tiling is
+    built, and a coefficient that is not quasi-monotone is refused."""
     if pattern != "fig1-left":
         raise ParameterOutOfRange(f"unknown pattern {pattern!r}")
     values = [fig1_left_values(alpha) for alpha in alpha_values]
+    # 4^(refines + 1) elements, as a capped float: a huge `refines` costs nothing
+    need = 4.0 ** min(refines + 1, 256) * _BYTES_PER_ELEMENT.get(degree, _BYTES_PER_ELEMENT[4])
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ParameterOutOfRange(f"refines={refines} at degree {degree} needs about "
+                                  f"{need / 2**30:.3g} GiB of {have / 2**30:.3g} GiB of memory")
     tri, coarse = fig1_refined(refines)
-    return tri, [attach_coefficient(tri, v[coarse]) for v in values]
+    coeffs = [attach_coefficient(tri, v[coarse]) for v in values]
+    for alpha, coeff in zip(alpha_values, coeffs):
+        qm = check_quasi_monotonicity(tri, coeff)
+        if not qm.quasi_monotone:
+            raise RefusesNonQM(f"pattern {pattern!r} at alpha={alpha} is not quasi-monotone; "
+                               f"witness {qm.witnesses[:1]}")
+    space = build_space(tri, degree)
+    plans = {key: make_quadrature_plan(tri, target, exactness=2 * degree + 6)
+             for key, target in {plan_key(t): t for t in targets.values()}.items()}
+    return coeffs, ((name, target, element_tables(target, plans[plan_key(target)], space))
+                    for name, target in targets.items())
 
 
 def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
@@ -206,19 +227,9 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
     """Localization and near-best ratios across a contrast sweep on a
     quasi-monotone tiling; refuses non-quasi-monotone configurations."""
     targets = default_smooth_targets() if targets is None else targets
-    tri, coeffs = _pattern_mesh(pattern, alpha_values, refines)
-    for alpha, coeff in zip(alpha_values, coeffs):
-        qm = check_quasi_monotonicity(tri, coeff)
-        if not qm.quasi_monotone:
-            raise RefusesNonQM(
-                f"pattern {pattern!r} at alpha={alpha} is not quasi-monotone; "
-                f"witness {qm.witnesses[:1]}"
-            )
-    space = build_space(tri, degree)
-    plans = _shared_plans(tri, targets, 2 * degree + 6)
+    coeffs, per_target = _fig1_tables(pattern, alpha_values, targets, degree, refines)
     reports = [[] for _ in alpha_values]  # per alpha, in target order
-    for name, target in targets.items():
-        tables = element_tables(target, plans[name], space)
+    for name, target, tables in per_target:
         for alpha, coeff, out in zip(alpha_values, coeffs, reports):
             global_sq, _ = global_best_error(tables, coeff, "meanzero")
             elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
@@ -230,7 +241,7 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
                 metadata={
                     "experiment": "alpha", "pattern": pattern, "alpha": alpha,
                     "target": name, "degree": degree, "refines": refines,
-                    "n_elements": tri.n_elements,
+                    "n_elements": tables.space.tri.n_elements,
                     "quasi_monotone": True,
                     "interp_error_sq": interp_sq,
                 },
@@ -241,29 +252,27 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
 def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
                            beta_values=DEFAULT_BETA, targets: dict | None = None,
                            degree: int = 1, refines: int = 2) -> list:
-    """Combined-norm equivalence sweep on a quasi-monotone tiling."""
+    """Combined-norm equivalence sweep on a quasi-monotone tiling.  The L2
+    global error and pair list are computed once per target, the gradient
+    ones once per target and alpha, each locus list shared by its reports."""
     targets = default_smooth_targets() if targets is None else targets
     betas = _checked_betas(beta_values)
-    tri, coeffs = _pattern_mesh(pattern, alpha_values, refines)
-    for alpha, coeff in zip(alpha_values, coeffs):
-        if not check_quasi_monotonicity(tri, coeff).quasi_monotone:
-            raise RefusesNonQM(f"pattern {pattern!r} at alpha={alpha} is not quasi-monotone")
-    space = build_space(tri, degree)
-    plans = _shared_plans(tri, targets, 2 * degree + 6)
-    edges = tri.interior_edges()
+    coeffs, per_target = _fig1_tables(pattern, alpha_values, targets, degree, refines)
     reports = [[] for _ in alpha_values]  # per alpha, in target and beta order
-    for name, target in targets.items():
-        tables = element_tables(target, plans[name], space)
+    for name, _, tables in per_target:
+        tri = tables.space.tri
+        zero, edges = np.zeros(tri.n_elements), tri.interior_edges()
+        l2_sq = ritz(tables, zero, 1.0)[0]
+        pair_sq = local_ritz(tables, zero, region_rows(tri.edge_elements, edges), 1.0)[0].tolist()
+        pairs, pair_sum = list(zip(edges, pair_sq)), float(sum(pair_sq))
         for alpha, coeff, out in zip(alpha_values, coeffs, reports):
-            rd = reaction_diffusion_errors(tables, coeff, betas)
-            grad_sum = float(sum(rd["element_gradient_locals"]))
-            pair_sum = float(sum(rd["pair_l2_locals"]))
-            # one element and one pair list for all beta
-            elements = list(enumerate(rd["element_gradient_locals"]))
-            pairs = list(zip(edges, rd["pair_l2_locals"]))
-            for beta, combined in zip(beta_values, rd["combined_global_sq"]):
+            gradient_sq = ritz(tables, coeff.values)[0]
+            element_sq = local_element_errors(tables, coeff).tolist()
+            elements, grad_sum = list(enumerate(element_sq)), float(sum(element_sq))
+            for beta, b in zip(beta_values, betas):
+                combined = ritz(tables, coeff.values, b)[0]
                 localized = grad_sum + beta * pair_sum
-                split_floor = rd["gradient_global_sq"] + beta * rd["l2_global_sq"]
+                split_floor = gradient_sq + beta * l2_sq
                 out.append(LocalizationReport(
                     global_error_sq=combined,
                     loci={"element": elements, "pair": pairs},
@@ -271,8 +280,8 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
                         "experiment": "rd", "pattern": pattern, "alpha": alpha,
                         "beta": beta, "target": name, "degree": degree,
                         "refines": refines, "quasi_monotone": True,
-                        "gradient_global_sq": rd["gradient_global_sq"],
-                        "l2_global_sq": rd["l2_global_sq"],
+                        "gradient_global_sq": gradient_sq,
+                        "l2_global_sq": l2_sq,
                         "localized_sum_sq": localized,
                         "equivalence_ratio": combined / localized if localized > 0 else float("inf"),
                         "splitting_ratio": combined / split_floor if split_floor > 0 else float("inf"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qmloc.bestapprox import (LocalizationReport, SpdSystem, element_tables,
                               global_best_error, local_element_errors, local_ritz,
-                              reaction_diffusion_errors, ritz, solve_spd)
+                              ritz, solve_spd)
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
                                    fig1_left_pattern, hexagon_mesh, hexagon_target)
@@ -196,19 +196,15 @@ def test_reaction_diffusion_consistency():
     tri = square_mesh()
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
     tables, _, _ = tables_of(sine_target(), tri, 1, 12)
-    betas = (0.0, 1e-4, 1.0, 1e4)
-    out = reaction_diffusion_errors(tables, coeff, betas)
-    assert out["combined_global_sq"][0] == out["gradient_global_sq"]
-    for beta, combined in zip(betas, out["combined_global_sq"]):
+    gradient_sq = ritz(tables, coeff.values)[0]
+    l2_sq = ritz(tables, np.zeros(tri.n_elements), 1.0)[0]
+    assert ritz(tables, coeff.values, 0.0)[0] == gradient_sq
+    for beta in (0.0, 1e-4, 1.0, 1e4):
+        combined = ritz(tables, coeff.values, beta)[0]
         # splitting lower bound: the combined minimum dominates the sum of
         # the separately minimized gradient and L2 parts
-        floor = out["gradient_global_sq"] + beta * out["l2_global_sq"]
+        floor = gradient_sq + beta * l2_sq
         assert combined >= floor - 1e-10 * combined
-    assert len(out["element_gradient_locals"]) == tri.n_elements
-    assert len(out["pair_l2_locals"]) == len(tri.interior_edges())
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError, match=f"beta must be finite and >= 0, got {bad}"):
-            reaction_diffusion_errors(tables, coeff, (1.0, bad))
 
 
 def test_localization_report_serializes():
@@ -391,6 +387,14 @@ def test_local_element_errors_match_ritz(degree):
     for k in range(tri.n_elements):
         slow, _ = dense_ritz_error(space, coeff.values, target, plan, [k])
         assert abs(fast[k] - slow) <= 1e-12 * coeff.values[k] * tables.grad_sq[k]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_system_raises_solver_failure():
+    # b^T D^-1 b overflows to inf; the NaN residual it gave was read as converged
+    system = SpdSystem(matrix=sp.identity(2, format="csr"), rhs=np.array([1e200, 1e200]))
+    with pytest.raises(SolverFailure, match="CG scalar not finite at iteration 0"):
+        solve_spd(system)
 
 
 def test_singular_local_solve_raises_solver_failure():

@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qmloc.cli import EXIT_INVALID, EXIT_NOT_QM, EXIT_OK, build_parser, main
+from qmloc.cli import EXIT_INVALID, EXIT_NOT_QM, EXIT_OK, EXIT_SOLVER, build_parser, main
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import checkerboard_mesh, fig1_meshes, hexagon_mesh
 from qmloc.mesh import load_mesh, save_mesh
@@ -240,6 +241,64 @@ def test_sweeps_refuse_a_bad_alpha_or_beta_before_building_any_mesh(capsys, monk
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["alpha", "rd"])
+def test_fig1_sweeps_refuse_a_tiling_too_large_before_building_it(capsys, monkeypatch, command):
+    import qmloc.counterexamples
+
+    def no_mesh(vertices, triangles, parents=None):
+        raise AssertionError("a mesh was built before its size was checked")
+
+    monkeypatch.setattr(qmloc.counterexamples, "build_triangulation", no_mesh)
+    assert main([command, "--refines", "40"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: refines=40 at degree 1 needs about")
+
+
+def test_rd_overflowing_beta_is_a_solver_failure(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rd", "--refines", "1", "--betas", "1e308"]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("solver failure: CG scalar not finite at iteration 0; "
+                                "the system overflows\n")
+        assert main(["rd", "--refines", "1", "--betas", "1e200", "--format", "json"]) == EXIT_OK
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 6
+    for rep in reports:
+        assert np.isfinite(rep["global_error_sq"]) and rep["global_error_sq"] > 0
+
+
+SWEEP_DEFAULTS = {
+    "hexagon": {"eps": (0.1, 0.05, 0.025, 0.0125)},
+    "stars": {"n": (2, 4, 8)},
+    "alpha": {"alphas": (1.0, 1e-2, 1e-4, 1e-6), "pattern": "fig1-left", "refines": 2},
+    "rd": {"alphas": (1.0, 1e-4), "betas": (1e-4, 1.0, 1e4), "pattern": "fig1-left",
+           "refines": 2},
+}
+SWEEP_OPTIONS = {
+    "hexagon": (["--eps", "0.2,0.3"], {"eps": (0.2, 0.3)}),
+    "stars": (["--n", "6"], {"n": (6,)}),
+    "alpha": (["--alphas", "1e-3", "--pattern", "p", "--refines", "3"],
+              {"alphas": (1e-3,), "pattern": "p", "refines": 3}),
+    "rd": (["--alphas", "1e-3", "--betas", "2", "--pattern", "p", "--refines", "3"],
+           {"alphas": (1e-3,), "betas": (2.0,), "pattern": "p", "refines": 3}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_DEFAULTS))
+def test_sweep_options_parse(command):
+    common = {"command": command, "ell": 1, "format": "csv", "output": None}
+    assert vars(build_parser().parse_args([command])) == {**common, **SWEEP_DEFAULTS[command]}
+    argv, own = SWEEP_OPTIONS[command]
+    args = build_parser().parse_args(
+        [command, "--ell", "2", "--format", "json", "--output", "out.json"] + argv)
+    assert vars(args) == {"command": command, "ell": 2, "format": "json",
+                          "output": "out.json", **own}
 
 
 def _readme_commands():

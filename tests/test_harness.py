@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import qmloc.harness as harness
 from qmloc.bestapprox import LocalizationReport, element_tables, local_ritz
 from qmloc.cli import EXIT_OK, main
-from qmloc.counterexamples import checkerboard_mesh, checkerboard_target
+from qmloc.counterexamples import checkerboard_mesh, checkerboard_target, fig1_refined
 from qmloc.errors import ParameterOutOfRange, RefusesNonQM
 from qmloc.fespace import build_space
 from qmloc.harness import (emit_report, estimate_inequality_constants,
@@ -165,13 +165,45 @@ def test_alpha_robustness_on_constant_pattern():
 def test_alpha_robustness_refuses_non_qm_pattern(monkeypatch):
     from qmloc.counterexamples import hexagon_mesh
 
-    def bad_mesh(pattern, alpha_values, refines):
-        tri, coeff = hexagon_mesh(0.1)
-        return tri, [coeff for _ in alpha_values]
-
-    monkeypatch.setattr(harness, "_pattern_mesh", bad_mesh)
+    tri, coeff = hexagon_mesh(0.1)
+    monkeypatch.setattr(harness, "fig1_refined", lambda refines: (tri, np.arange(6)))
+    monkeypatch.setattr(harness, "fig1_left_values", lambda alpha: coeff.values)
     with pytest.raises(RefusesNonQM):
         run_alpha_robustness(alpha_values=(1e-2,), refines=0)
+
+
+@pytest.mark.parametrize("sweep", [run_alpha_robustness, run_reaction_diffusion])
+@pytest.mark.parametrize("refines", [40, 10**9])
+def test_fig1_sweeps_refuse_a_tiling_too_large_before_building_it(monkeypatch, sweep, refines):
+    import qmloc.counterexamples
+
+    def no_mesh(vertices, triangles, parents=None):
+        raise AssertionError("a mesh was built before its size was checked")
+
+    monkeypatch.setattr(qmloc.counterexamples, "build_triangulation", no_mesh)
+    with pytest.raises(ParameterOutOfRange, match=f"refines={refines} at degree 1 needs about"):
+        sweep(refines=refines)
+
+
+class PastTheGuard(Exception):
+    pass
+
+
+@pytest.mark.parametrize("degree, refines", [(3, 6), (1, 5)])  # alpha --ell 3, rd at P1
+def test_fig1_memory_estimate_admits_the_documented_sizes(monkeypatch, degree, refines):
+    def past_the_guard(refines):
+        raise PastTheGuard
+
+    monkeypatch.setattr(harness, "fig1_refined", past_the_guard)
+    with pytest.raises(PastTheGuard):
+        harness._fig1_tables("fig1-left", (1.0,), {}, degree, refines)
+
+
+def test_checked_betas():
+    assert harness._checked_betas((0, 1e-4, 1)) == [0.0, 1e-4, 1.0]
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match=f"beta must be finite and >= 0, got {bad}"):
+            harness._checked_betas((1.0, bad))
 
 
 def test_reaction_diffusion_sweep():
@@ -179,11 +211,22 @@ def test_reaction_diffusion_sweep():
     reports = run_reaction_diffusion(alpha_values=(1.0,), beta_values=(1e-4, 1.0),
                                      targets=targets)
     assert len(reports) == 2
+    tri = fig1_refined(2)[0]
     for rep in reports:
         assert rep.metadata["splitting_ratio"] >= 1.0 - 1e-10
         assert rep.metadata["equivalence_ratio"] > 0
         assert rep.locus_sum("element") > 0
         assert rep.locus_sum("pair") > 0
+        assert len(rep.loci["element"]) == tri.n_elements
+        assert len(rep.loci["pair"]) == len(tri.interior_edges())
+
+
+def test_rd_reports_share_the_pair_list_across_alpha():
+    reports = run_reaction_diffusion(alpha_values=(1.0, 1e-4), refines=1)
+    assert len(reports) == 18  # two alphas, each three targets by three betas
+    for first in range(0, 9, 3):  # one target
+        assert reports[first + 9].loci["pair"] is reports[first].loci["pair"]
+        assert reports[first + 9].loci["element"] is not reports[first].loci["element"]
 
 
 def test_splitting_ratio_at_high_contrast():
