@@ -17,10 +17,14 @@ import numpy as np
 class SingularPoint:
     """Marker for quadrature planning.
 
-    exponent mu: the radial profile behaves like r**mu near the point, so
-    energy integrands scale like r**(2*mu - 1) in polar coordinates.
-    radial_breakpoints: radii (physical units) where the radial profile
-    changes regime; composite rules break there.
+    Contract: inside the first breakpoint (or out to the element boundary if
+    there is none) the target is u = r**mu Phi(theta) in polar coordinates
+    about the point, so energy integrands scale like r**(2*mu - 1).  There the
+    polar rules integrate u, |grad u|^2 and their products with polynomials
+    exactly up to the plan's exactness (`quadrature.radial_rule`), and only
+    for this form.  exponent mu: that r**mu.  radial_breakpoints: radii
+    (physical units) where the radial profile changes regime; composite rules
+    break there.
     """
 
     location: tuple

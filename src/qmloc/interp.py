@@ -73,7 +73,8 @@ def _edge_quadrature(space: LagrangeSpace, target, edges):
     ws = [np.outer(L[plain], w).ravel()]
     for e in np.flatnonzero(sing >= 0):
         s = points[sing[e]]
-        r, wr = radial_rule(L[e], s.exponent, tuple(s.radial_breakpoints))
+        # u psi on the edge: r**(mu+k), k <= degree, in the singular part
+        r, wr = radial_rule(L[e], s.exponent, tuple(s.radial_breakpoints), space.degree)
         owner.append(np.full(len(r), e))
         ts.append(1.0 - r / L[e] if far[e] else r / L[e])
         ws.append(wr)

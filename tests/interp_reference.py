@@ -79,7 +79,7 @@ def edge_quadrature(space, target, e):
         t, w = _leggauss01(12)
         return p0 + np.outer(t, d), L * w
     origin, other, s = sing
-    r, w = radial_rule(L, s.exponent, tuple(s.radial_breakpoints))
+    r, w = radial_rule(L, s.exponent, tuple(s.radial_breakpoints), space.degree)
     return origin + np.outer(r / L, other - origin), w
 
 

@@ -6,10 +6,17 @@ reference rule mapped by the element's affine map or one
 `polar_triangle_rule` about the singular point it contains.  Tests require
 `QuadraturePlan.element_rule` to reproduce it element by element
 (`assert_plan_matches`).
+
+`dense_plan` is the plan of the 176-node radial rule that the positive
+subrule replaces inside the first breakpoint: 21 geometric levels above a
+Gauss--Jacobi cell, its candidate set.
 """
+from unittest import mock
+
 import numpy as np
 
-from qmloc.quadrature import _locate, plan_key, polar_triangle_rule, reference_triangle_rule
+from qmloc.quadrature import (_dense_singular_rule, _locate, make_quadrature_plan, plan_key,
+                              polar_triangle_rule, reference_triangle_rule)
 
 
 def map_rule_to_triangle(pts_ref, w_ref, v0, v1, v2):
@@ -33,7 +40,7 @@ def element_rules(tri, target, exactness=8):
         else:
             sp = singular[hit]
             rules.append(polar_triangle_rule(v0, v1, v2, sp.xy, sp.exponent,
-                                             sp.radial_breakpoints))
+                                             sp.radial_breakpoints, exactness))
             polar_ids.append(k)
     return rules, tuple(polar_ids)
 
@@ -53,3 +60,11 @@ def assert_plan_matches(plan, target):
         assert pts.shape == pts_ref.shape, k
         assert np.max(np.abs(pts - pts_ref)) <= 1e-13 * tri.diameters[k], k
         assert (np.abs(wts - w_ref) <= 1e-12 * w_ref + 1e-15 * tri.areas[k]).all(), k
+
+
+def dense_plan(tri, target, exactness=8):
+    """`make_quadrature_plan` with the dense candidate rule in place of the
+    subrule on every ray."""
+    with mock.patch("qmloc.quadrature._unit_singular_rule",
+                    lambda mu, degree: _dense_singular_rule(mu)):
+        return make_quadrature_plan(tri, target, exactness)

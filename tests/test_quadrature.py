@@ -1,19 +1,26 @@
 """Plain and singularity-graded quadrature rules and element plans."""
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from quadrature_reference import assert_plan_matches, element_rules
+from quadrature_reference import assert_plan_matches, dense_plan, element_rules
 from test_bestapprox import _perturbed_grid
 
+from qmloc.bestapprox import element_tables
 from qmloc.counterexamples import (analytic_energy_reference, checkerboard_mesh,
                                    checkerboard_target, fig1_left_pattern, hexagon_mesh,
                                    hexagon_target, radial_profile, radial_profile_derivative)
+from qmloc.fespace import build_space
 from qmloc.fields import SingularPoint, TargetField, smooth_target
+from qmloc.harness import DEFAULT_EPS
 from qmloc.mesh import build_triangulation
-from qmloc.quadrature import (_gauss_jacobi, _locate, _unit_singular_rule,
-                              make_quadrature_plan, polar_triangle_rule, radial_rule,
-                              reference_triangle_rule, triangle_rule)
+from qmloc.quadrature import (_dense_singular_rule, _gauss_jacobi, _locate, _singular_span,
+                              _unit_singular_rule, make_quadrature_plan, polar_triangle_rule,
+                              radial_rule, reference_triangle_rule, triangle_rule)
 
 MODEL_MU = [1e-3, 1 / 12, 1 / 6, 1 / 4, 1 / 2, 1.0]
 
@@ -60,7 +67,8 @@ def test_radial_rule_closed_form(eps):
                          + [(8, 0.0, 2.0 * mu - 1.0) for mu in MODEL_MU])
 def test_gauss_jacobi_matches_scipy(n, a, b):
     """The Golub--Welsch rule against scipy's, imported here only: the rules
-    of `reference_triangle_rule` and of `_unit_singular_rule`."""
+    of `reference_triangle_rule` and the Gauss--Jacobi cell of
+    `_dense_singular_rule`, the candidate set of `_unit_singular_rule`."""
     from scipy.special import roots_jacobi
 
     x, w = _gauss_jacobi(n, a, b)
@@ -71,16 +79,96 @@ def test_gauss_jacobi_matches_scipy(n, a, b):
 
 @pytest.mark.parametrize("mu", MODEL_MU)
 def test_unit_singular_rule_integrates_the_model_power(mu):
-    r, w = _unit_singular_rule(mu)
-    assert np.all(r > 0) and np.all(r < 1) and np.all(w > 0)
-    assert float(w @ r ** (2.0 * mu - 1.0)) == pytest.approx(1.0 / (2.0 * mu), rel=1e-12)
+    for r, w in (_dense_singular_rule(mu), _unit_singular_rule(round(mu, 12), 8)):
+        assert np.all(r > 0) and np.all(r < 1) and np.all(w > 0)
+        assert float(w @ r ** (2.0 * mu - 1.0)) == pytest.approx(1.0 / (2.0 * mu), rel=1e-12)
+
+
+@pytest.mark.parametrize("degree", [8, 10, 12, 14])
+@pytest.mark.parametrize("mu", MODEL_MU)
+def test_subrule_keeps_the_dense_span_moments(mu, degree):
+    """A positive subrule of the candidate rule, at most 3 (degree + 1)
+    nodes, with its moments on r**(2mu-1+k), r**(mu+k), r**k (k <= degree)."""
+    mu = round(mu, 12)
+    r0, w0 = _dense_singular_rule(mu)
+    r, w = _unit_singular_rule(mu, degree)
+    assert np.all(w > 0) and len(r) <= 3 * (degree + 1)
+    assert np.isin(r, r0).all()
+    dense, sub = _singular_span(mu, degree, r0) @ w0, _singular_span(mu, degree, r) @ w
+    np.testing.assert_allclose(sub, dense, rtol=1e-14, atol=0.0)
+
+
+def test_subrules_are_byte_identical_across_interpreters():
+    code = ("import hashlib\n"
+            "from qmloc.quadrature import _unit_singular_rule\n"
+            "h = hashlib.sha256()\n"
+            f"for mu in {MODEL_MU!r}:\n"
+            "    for d in (1, 8, 14):\n"
+            "        for a in _unit_singular_rule(round(mu, 12), d):\n"
+            "            h.update(a.tobytes())\n"
+            "print(h.hexdigest())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    digests = {subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True).stdout for _ in range(2)}
+    assert len(digests) == 1
+
+
+def test_ray_energy_inside_the_first_breakpoint_in_closed_form():
+    """|grad u|^2 r over [0, c0] on rays from a checkerboard singular point
+    s, where u = r**mu Phi(theta) and so |grad u|^2 = C r**(2mu-2): the
+    integral is C c0**(2mu) / (2mu), C read from the local hexagon field
+    about the origin.  The nodes are mapped through s as in a plan, so
+    nodes very close to s lose digits in x - s."""
+    N = 6
+    target, local = checkerboard_target(N), hexagon_target(1.0 / N)
+    sp = target.singular_points[0]
+    mu, c0 = sp.exponent, sp.radial_breakpoints[0]
+    r, w = radial_rule(c0, mu)
+    for theta in (0.1, 1.0, 2.5, 4.0):
+        e = np.array([np.cos(theta), np.sin(theta)])
+        rho = 0.5 * c0  # local radius 2 N rho = eps / 2, inside the ball
+        g = 2.0 * local.gradient((2 * N * rho) * e[None])[0]
+        C = (g @ g) / rho ** (2.0 * mu - 2.0)
+        gu = target.gradient(sp.xy + r[:, None] * e)
+        got = float(w @ (np.einsum("nd,nd->n", gu, gu) * r))
+        assert got == pytest.approx(C * c0 ** (2.0 * mu) / (2.0 * mu), rel=1e-11), theta
+
+
+TABLE_FIELDS = {"grad_moments": "grad_moments", "grad_sq": "grad_sq",
+                "grad_fits": "grad_fits", "grad_residual": "grad_sq",
+                "value_moments": "value_moments", "value_sq": "value_sq",
+                "value_fits": "value_fits", "value_residual": "value_sq"}
+DENSE_CASES = {**{f"hexagon-{eps}": (lambda eps=eps: (hexagon_mesh(eps)[0], hexagon_target(eps)))
+                  for eps in DEFAULT_EPS},
+               **{f"checkerboard-{N}": (lambda N=N: (checkerboard_mesh(N)[0],
+                                                     checkerboard_target(N)))
+                  for N in (2, 4, 6, 8)}}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_tables_match_the_dense_rule_plan(case):
+    """Every target field of `element_tables`, P1--P4 on the sweep plans
+    (exactness 2l + 6), within 1e-8 of the dense-rule plan's, relative to
+    the field's largest entry; a residual relative to the largest norm of u
+    it is the residual of, the scale of its quadrature error.  (The gap in
+    grad_sq, 8.9e-9 at N = 8, is the dense rule's own: its innermost nodes
+    sit 2e-11 from s, where x - s keeps 5 digits.)"""
+    tri, target = DENSE_CASES[case]()
+    for ell in (1, 2, 3, 4):
+        space = build_space(tri, ell, dirichlet_on_boundary=True)
+        sub = element_tables(target, make_quadrature_plan(tri, target, 2 * ell + 6), space)
+        dense = element_tables(target, dense_plan(tri, target, 2 * ell + 6), space)
+        for field, scale in TABLE_FIELDS.items():
+            gap = np.max(np.abs(getattr(sub, field) - getattr(dense, field)))
+            assert gap <= 1e-8 * np.max(np.abs(getattr(dense, scale))), (ell, field)
 
 
 @pytest.mark.parametrize("R, b", [(1.0, 0.1), (0.3, 0.3), (2.0, 5.0)])
 def test_radial_rule_scales_the_unit_rule(R, b):
     # the singular part ends at the first breakpoint inside (0, R), else at R
     c = b if b < R else R
-    r1, w1 = _unit_singular_rule(0.25)
+    r1, w1 = _unit_singular_rule(0.25, 8)
     r, w = radial_rule(R, 0.25, (b,))
     n = len(r1)
     np.testing.assert_array_equal(r[:n], c * r1)
@@ -230,7 +318,10 @@ def test_panel_count_is_translation_invariant():
     at_origin = polar_triangle_rule((0, 0), (1 / 12, -1 / 12), (1 / 12, 0), (0, 0), *args)
     shifted = polar_triangle_rule((0.25, 1 / 12), (1 / 3, 0), (1 / 3, 1 / 12),
                                   (0.25, 1 / 12), *args)
-    assert len(at_origin[1]) == len(shifted[1]) == 2160
+    # one angular panel of 10 rays, each the unit rule on [0, 1/72] and four
+    # regular panels of 10: [1/72, 1/36], [1/36, 1/18], [1/18, 1/12], [1/12, R]
+    per_ray = len(_unit_singular_rule(round(1 / 6, 12), 8)[0]) + 4 * 10
+    assert len(at_origin[1]) == len(shifted[1]) == 10 * per_ray
     # every congruent polar element of the checkerboard gets one rule size
     tri, _ = checkerboard_mesh(6)
     target = checkerboard_target(6)
@@ -239,7 +330,10 @@ def test_panel_count_is_translation_invariant():
     for c in range(1, len(plan.rules)):
         members = np.flatnonzero(plan.element_class == c)
         assert {len(rules[k][1]) for k in members} == {len(plan.rules[c][1])}
-    assert sum(len(w) for _, w in rules) == 609_480
+    # 72 plain elements of 25 nodes; per macro square two polar elements of
+    # 20 rays with 30 regular nodes and four of 10 rays with 40
+    n_unit = len(_unit_singular_rule(round(1 / 6, 12), 8)[0])
+    assert sum(len(w) for _, w in rules) == 72 * 25 + 36 * (40 * (n_unit + 30) + 40 * (n_unit + 40))
 
 
 @pytest.mark.parametrize("N", range(2, 9))
