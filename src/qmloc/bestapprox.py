@@ -255,7 +255,7 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None)
     a = np.asarray(a, dtype=float)
     en_all, n = tables.space.element_nodes, tables.space.n_nodes
     sizes = np.diff(regions[0])
-    err, x = np.zeros(len(sizes)), np.zeros((len(sizes), sizes.max(initial=0), en_all.shape[1]))
+    x = np.zeros((len(sizes), sizes.max(initial=0), en_all.shape[1]))
     for ids, elems in _region_groups(regions):
         E = elems.shape[1]
         en = en_all[elems].reshape(len(ids), -1)
@@ -284,8 +284,16 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None)
             except np.linalg.LinAlgError:  # singular: slogdet sign 0 (det may underflow)
                 bad = elems[sub][np.argmin(np.abs(np.linalg.slogdet(A)[0]))].tolist()
                 raise SolverFailure(f"singular local system on elements {bad}") from None
-            err[P] = _error(tables, a, beta, elems[sub], x[P, :E]).sum(axis=-1)
-    return err, x
+    return _region_errors(tables, a, regions, x, beta), x
+
+
+def _region_errors(tables: ElementTables, a, regions, v, beta: float = 0.0):
+    """The (P,) energies of `ritz` on each of the CSR `regions` of V given
+    by its local node values v, in the (P, E, nloc) layout of `local_ritz`."""
+    err = np.zeros(len(regions[0]) - 1)
+    for ids, elems in _region_groups(regions):
+        err[ids] = _error(tables, a, beta, elems, v[ids, :elems.shape[1]]).sum(axis=-1)
+    return err
 
 
 def local_element_errors(tables: ElementTables, coeff: Coefficient) -> np.ndarray:

@@ -8,8 +8,8 @@ import os
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, _error, element_tables, global_best_error,
-                         local_element_errors, local_ritz, ritz)
+from .bestapprox import (LocalizationReport, _region_errors, element_tables,
+                         global_best_error, local_element_errors, local_ritz, ritz)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_values, fig1_refined,
@@ -18,7 +18,7 @@ from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
 from .fespace import build_space, element_dual_basis, element_mass_matrix
 from .fields import TargetField
 from .interp import interpolation_error_sq, quasi_interpolate
-from .mesh import Triangulation, build_triangulation, region_rows, uniform_refine, vertex_patch
+from .mesh import Triangulation, build_triangulation, region_rows, uniform_refine
 from .quadrature import _leggauss01, make_quadrature_plan, plan_key, triangle_rule
 
 DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125)
@@ -93,54 +93,45 @@ def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
     return reports
 
 
-def _classify_checkerboard_vertex(v, N: int) -> str:
-    """Interior mesh vertices: macro centers, macro corners, or macro-edge
-    midpoints (cell corners on the boundary between two macros)."""
-    s = np.asarray(v) * 2 * N  # integer lattice of cell corners
-    i, j = int(round(s[0])), int(round(s[1]))
-    if i % 2 == 1 and j % 2 == 1:
-        return "center"
-    if i % 2 == 0 and j % 2 == 0:
-        return "corner"
-    return "edge-midpoint"
-
-
-def _star_candidate_error(tables, coeff, z, values: dict) -> float:
-    """Energy of an explicit star candidate given its nonzero nodal values."""
-    region = vertex_patch(tables.space.tri, z)
-    v = np.array([[values.get(int(g), 0.0) for g in tables.space.element_nodes[k]]
-                  for k in region])
-    return float(_error(tables, coeff.values, 0.0, region, v).sum())
-
-
-def _star_candidate_values(tri: Triangulation, coeff: Coefficient, z: int, N: int) -> dict:
-    """Hat-function candidate for the star of an interior checkerboard
-    vertex: +-1/N values chosen per high-coefficient triangle that touches
-    a macro center, zero at macro corners."""
-    kind = _classify_checkerboard_vertex(tri.vertices[z], N)
-    if kind == "corner":
-        return {}
-    values: dict[int, float] = {}
-    for k in vertex_patch(tri, z):
-        if coeff.values[k] != 1.0:
-            continue
-        verts = tri.triangles[k]
-        coords = tri.vertices[verts]
-        # macro center among the triangle's vertices?
-        for loc, v in enumerate(verts):
-            if _classify_checkerboard_vertex(coords[loc], N) != "center":
-                continue
-            c = coords[loc]
-            mid = coords.mean(axis=0) - c
-            sigma = 1.0 if mid[0] + mid[1] > 0 else -1.0
-            if int(v) == z:
-                for other in verts:
-                    if int(other) != z:
-                        values[int(other)] = -sigma / N
-            else:
-                values[int(v)] = sigma / N
-    # admissibility: candidates must vanish on the domain boundary
-    return {g: val for g, val in values.items() if not tri.boundary_vertices[g]}
+def _star_candidates(tables, coeff: Coefficient, N: int, inner, regions):
+    """Kinds and candidate energies of the stars `regions` (CSR) of the
+    interior checkerboard vertices `inner`, as two (P,) arrays.  A vertex is
+    a macro corner, macro-edge midpoint or macro center by the parity of its
+    cell-corner lattice index 2N x.  The candidate of a star that is not a
+    corner's takes its values from the star's white triangles that hold a
+    macro center c, with sigma = 1/N if (centroid - c) . (1, 1) > 0, else
+    -1/N: -sigma at the triangle's other vertices if c is the star's vertex,
+    else sigma at c; zero elsewhere, boundary vertices included."""
+    tri, space = tables.space.tri, tables.space
+    kind = (np.rint(2 * N * tri.vertices).astype(np.int64) % 2).sum(axis=1)
+    verts = tri.triangles
+    # each white triangle's macro center (at most one) and the sign of its side
+    is_center = kind[verts] == 2
+    center = verts[np.arange(len(verts)), is_center.argmax(axis=1)]
+    side = (tri.vertices[verts].mean(axis=1) - tri.vertices[center]).sum(axis=1)
+    sigma = np.where(side > 0, 1.0, -1.0) / N
+    lit = (coeff.values == 1.0) & is_center.any(axis=1)
+    inner, (offsets, ids) = np.asarray(inner, dtype=np.int64), regions
+    star = np.repeat(np.arange(len(inner)), np.diff(offsets))  # the star of each entry
+    own, w = center[ids] == inner[star], verts[ids]
+    # an entry writes at all its vertices but c if c is its star's vertex, else
+    # at c; a corner's star and the boundary vertices take no write
+    write = ((w == center[ids, None]) != own[:, None]) & ~tri.boundary_vertices[w]
+    write &= (lit[ids] & (kind[inner[star]] != 0))[:, None]
+    # one key per star and vertex id w, the last write to a key holding; read
+    # below at node ids, so not the hat candidates, which key by
+    # space.vertex_nodes[w] (ROADMAP item 6)
+    keys = (star[:, None] * space.n_nodes + w)[write]
+    vals = np.broadcast_to(np.where(own, -sigma[ids], sigma[ids])[:, None], w.shape)[write]
+    keys, last = np.unique(keys[::-1], return_index=True)
+    vals = np.append(vals[::-1][last], 0.0)
+    read = star[:, None] * space.n_nodes + space.element_nodes[ids]
+    at = np.searchsorted(keys, read)
+    v = np.zeros((len(inner), np.diff(offsets).max(initial=0), read.shape[1]))
+    v[star, np.arange(len(ids)) - offsets[star]] = np.where(np.append(keys, -1)[at] == read,
+                                                            vals[at], 0.0)
+    names = np.array(["corner", "edge-midpoint", "center"])  # by odd lattice coordinates
+    return names[kind[inner]], _region_errors(tables, coeff.values, regions, v)
 
 
 def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
@@ -155,13 +146,10 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
         tables = _dirichlet_tables(tri, target, degree)
         global_sq, _ = global_best_error(tables, coeff, "dirichlet")
         inner = tri.interior_vertices()
-        star_sq = local_ritz(tables, coeff.values, region_rows(tri.vertex_elements, inner),
-                             fixed=tables.space.dirichlet)[0]
+        regions = region_rows(tri.vertex_elements, inner)
+        star_sq = local_ritz(tables, coeff.values, regions, fixed=tables.space.dirichlet)[0]
+        kinds, candidates = _star_candidates(tables, coeff, N, inner, regions)
         stars = list(zip(inner, star_sq.tolist()))
-        kinds = {z: _classify_checkerboard_vertex(tri.vertices[z], N) for z in inner}
-        candidates = {z: _star_candidate_error(tables, coeff, z,
-                                               _star_candidate_values(tri, coeff, z, N))
-                      for z in inner}
         reports.append(LocalizationReport(
             global_error_sq=global_sq,
             loci={"star": stars},
@@ -169,8 +157,8 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
                 "experiment": "stars", "N": N, "degree": degree,
                 "alpha": coeff.alpha, "n_elements": tri.n_elements,
                 "quasi_monotone": check_quasi_monotonicity(tri, coeff).quasi_monotone,
-                "star_kinds": kinds,
-                "candidate_upper_bounds": candidates,
+                "star_kinds": dict(zip(inner, kinds.tolist())),
+                "candidate_upper_bounds": dict(zip(inner, candidates.tolist())),
             },
         ))
     return reports

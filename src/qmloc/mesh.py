@@ -83,6 +83,10 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     if len(np.unique(tris)) != len(verts):
         raise ValueError("every vertex must be referenced by a triangle")
 
+    scale = np.maximum(np.max(np.abs(verts)), 1.0)
+    with np.errstate(over="ignore"):  # squared lengths and areas below are <= 8 scale^2
+        if not np.isfinite(8.0 * scale**2):
+            raise ValueError(f"vertex coordinates up to {scale:.3g} overflow float64 in areas")
     tris = tris.copy()
     p0, p1, p2 = (verts[tris[:, k]] for k in range(3))
     d1, d2 = p1 - p0, p2 - p0
@@ -90,7 +94,6 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     flip = signed < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     areas = np.abs(signed)
-    scale = np.maximum(np.max(np.abs(verts)), 1.0)
     if np.any(areas <= _AREA_TOL * scale**2):
         raise DegenerateElement(
             f"triangles with non-positive area: {np.flatnonzero(areas <= _AREA_TOL * scale**2).tolist()}"

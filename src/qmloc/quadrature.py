@@ -30,6 +30,7 @@ from .errors import (PlanMismatch, PointOutsideElement, QuadratureFailure,
 from .mesh import Triangulation, box_point_pairs, element_affine
 
 _GAUSS_ORDER = 10          # panels of the regular radial/angular parts
+_BLOCK_NODES = 4096        # per plan block; larger blocks raise peak memory, gain little
 _THETA_PANEL = math.pi / 4  # maximum angular panel width
 _GRADING_RATIO = 0.5
 # Relative slack of the angular panel count: atan2 of rounded vertex
@@ -322,16 +323,15 @@ class QuadraturePlan:
         p, w, _ = self.rules[self.element_class[k]]
         return self.origin[k] + p @ self.linear[k].T, self.scale[k] * w
 
-    def blocks(self, max_nodes: int = 4096):
-        """Elements of one class stacked in blocks of at most max_nodes nodes
-        (one element at least), mapped one block at a time: yields (class id,
-        element ids (K,), points (K, n, 2), weights (K, n)).  Larger blocks
-        raise peak memory and gain little."""
+    def blocks(self):
+        """Elements of one class stacked in blocks of at most `_BLOCK_NODES`
+        nodes (one element at least), mapped one block at a time: yields
+        (class id, element ids (K,), points (K, n, 2), weights (K, n))."""
         order = np.argsort(self.element_class, kind="stable")
         bounds = np.searchsorted(self.element_class[order], np.arange(len(self.rules) + 1))
         for c, (p, w, _) in enumerate(self.rules):
             group = order[bounds[c]:bounds[c + 1]]
-            per = max(1, max_nodes // len(w))
+            per = max(1, _BLOCK_NODES // len(w))
             for start in range(0, len(group), per):
                 ks = group[start:start + per]
                 yield (c, ks, self.origin[ks, None, :] + p @ self.linear[ks].transpose(0, 2, 1),
@@ -377,15 +377,14 @@ def _locate(tri: Triangulation, xy):
     # the triangle enlarged by tol in reference coordinates lies within
     # 3 * tol * diameter of it
     pad = 4.0 * tol * tri.diameters[:, None]
-    first = [len(xy)] * tri.n_elements
+    first = np.full(tri.n_elements, len(xy), dtype=np.int64)
     for k, i in box_point_pairs(xy, v.min(axis=1) - pad, v.max(axis=1) + pad,
                                 tri.diameters.mean()):
         B = np.stack([v[k, 1] - v[k, 0], v[k, 2] - v[k, 0]], axis=-1)
         xi = np.linalg.solve(B, (xy[i] - v[k, 0])[:, :, None])[:, :, 0]
         inside = (xi[:, 0] >= -tol) & (xi[:, 1] >= -tol) & (xi[:, 0] + xi[:, 1] <= 1.0 + tol)
-        for kk, ii in zip(k[inside].tolist(), i[inside].tolist()):
-            first[kk] = min(first[kk], ii)
-    return [-1 if f == len(xy) else f for f in first]
+        np.minimum.at(first, k[inside], i[inside])
+    return np.where(first == len(xy), -1, first).tolist()
 
 
 def plan_key(target) -> tuple:

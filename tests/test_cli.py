@@ -135,6 +135,18 @@ def test_qm_check_overlapping_triangles_are_invalid(tmp_path, capsys, doc):
     assert captured.err == "error: triangles 0 and 1 overlap on edge (0, 1)\n"
 
 
+def test_qm_check_overflowing_coordinates_are_invalid(tmp_path, capsys):
+    # a valid triangle of area 5e319: its area overflows float64
+    doc = {"vertices": [[1e160, 0], [0, 0], [0, 1e160]], "triangles": [[0, 1, 2]],
+           "coefficient": [1.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["qm-check", _write_json(tmp_path, doc)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "overflow" in captured.err
+
+
 def test_cli_calls_import_neither_scipy_special_nor_scipy_linalg():
     """A fresh interpreter runs `constants` and `hexagon` with scipy.sparse
     as the only scipy subpackage in use."""

@@ -7,18 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmloc.harness as harness
-from qmloc.bestapprox import LocalizationReport, element_tables, local_ritz
+from qmloc.bestapprox import LocalizationReport, _region_errors, element_tables, local_ritz
 from qmloc.cli import EXIT_OK, main
 from qmloc.counterexamples import checkerboard_mesh, checkerboard_target, fig1_refined
 from qmloc.errors import ParameterOutOfRange, RefusesNonQM
 from qmloc.fespace import build_space
-from qmloc.harness import (emit_report, estimate_inequality_constants,
+from qmloc.harness import (_dirichlet_tables, emit_report, estimate_inequality_constants,
                            render_report, run_alpha_robustness,
                            run_hexagon_sweep, run_reaction_diffusion,
                            run_star_sweep)
 from qmloc.mesh import region_rows, vertex_patch
 from qmloc.quadrature import make_quadrature_plan
 
+import harness_reference
 import report_reference
 
 
@@ -141,16 +142,33 @@ def test_star_candidate_energy_matches_the_kernel(N):
     tables = element_tables(target, make_quadrature_plan(tri, target, exactness=8), space)
     inner = tri.interior_vertices()
     stars = [vertex_patch(tri, z) for z in inner]
-    err, x = local_ritz(tables, coeff.values, region_rows(tri.vertex_elements, inner),
-                        fixed=space.dirichlet)
+    regions = region_rows(tri.vertex_elements, inner)
+    err, x = local_ritz(tables, coeff.values, regions, fixed=space.dirichlet)
+    # the star's own minimizer, and zero
+    own = _region_errors(tables, coeff.values, regions, x)
+    empty = _region_errors(tables, coeff.values, regions, np.zeros_like(x))
     for p, z in enumerate(inner):
         r = list(stars[p])
         energy = coeff.values[r] @ tables.grad_sq[r]
-        # the star's own minimizer, as nodal values
-        own = dict(zip(space.element_nodes[r].ravel().tolist(), x[p, :len(r)].ravel().tolist()))
-        assert abs(harness._star_candidate_error(tables, coeff, z, own) - err[p]) <= 1e-12 * energy
-        empty = harness._star_candidate_error(tables, coeff, z, {})
-        assert empty == pytest.approx(energy, rel=1e-14)
+        assert abs(own[p] - err[p]) <= 1e-12 * energy
+        assert empty[p] == pytest.approx(energy, rel=1e-14)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("N", range(2, 9))
+def test_star_candidates_match_the_per_vertex_reference(monkeypatch, N, degree):
+    seen = []
+
+    def tables_of(tri, target, degree):
+        seen.append(_dirichlet_tables(tri, target, degree))
+        return seen[-1]
+
+    monkeypatch.setattr(harness, "_dirichlet_tables", tables_of)
+    meta = run_star_sweep(n_values=(N,), degree=degree)[0].metadata
+    kinds, candidates = harness_reference.star_metadata(seen[0], checkerboard_mesh(N)[1], N)
+    # keys in order, and the (positive) energies bit for bit
+    assert list(meta["star_kinds"].items()) == list(kinds.items())
+    assert list(meta["candidate_upper_bounds"].items()) == list(candidates.items())
 
 
 def test_alpha_robustness_on_constant_pattern():
