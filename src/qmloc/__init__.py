@@ -8,8 +8,8 @@ coefficient-robust quasi-interpolation operators, closed-form
 counterexample problems, and an experiment harness with a CLI.
 """
 
-from .bestapprox import (LocalizationReport, SpdSystem, element_tables, global_best_error,
-                         local_element_errors, local_ritz, ritz, solve_spd)
+from .bestapprox import (LocalizationReport, SpdSystem, element_tables, local_element_errors,
+                         local_ritz, ritz, solve_spd)
 from .coeff import (Coefficient, MonotonePath, QmReport, attach_coefficient, build_omega_hat,
                     check_quasi_monotonicity, find_monotone_path, select_kmax_fz)
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh, checkerboard_target,
@@ -33,7 +33,7 @@ __all__ = [
     "build_omega_hat", "build_space", "build_triangulation",
     "check_quasi_monotonicity", "checkerboard_mesh", "checkerboard_target",
     "element_tables", "emit_report", "estimate_inequality_constants", "fig1_left_pattern",
-    "fig1_meshes", "find_monotone_path", "global_best_error", "hexagon_mesh",
+    "fig1_meshes", "find_monotone_path", "hexagon_mesh",
     "hexagon_target", "l2_quasi_interpolate", "load_mesh",
     "local_element_errors", "local_ritz", "make_quadrature_plan",
     "operator_report", "quasi_interpolate", "ritz",

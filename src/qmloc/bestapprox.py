@@ -122,8 +122,8 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
 
 @dataclass
 class SpdSystem:
-    """Sparse SPD system; ``fixed`` marks the nodes held at zero (the gauge
-    of pure-seminorm problems, or a Dirichlet mask), None when definite."""
+    """Sparse SPD system; ``fixed`` marks the nodes held at zero (the pinned
+    node of pure-seminorm problems, or a Dirichlet mask), None when definite."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -190,12 +190,12 @@ def _finite(value: float, it: int) -> float:
 # the Ritz kernel and the best errors built on it
 
 
-def ritz(tables: ElementTables, a, beta: float = 0.0, fixed=None):
+def ritz(tables: ElementTables, a, beta: float = 0.0):
     """Global best approximation of the tables' target, by CG.
 
     Minimizes sum_K a_K ||grad(u - V)||^2_K + beta ||u - V||^2 over the
-    whole continuous space, with V = 0 at the nodes of the bool mask
-    `fixed`.  With no node fixed and beta = 0 the lowest-id node is pinned.
+    whole continuous space, with V = 0 at the space's Dirichlet nodes.  On a
+    space with none and beta = 0 the lowest-id node is pinned.
 
     Returns (error_sq, x): the energy of u - V and the coefficients of V.
     """
@@ -203,7 +203,7 @@ def ritz(tables: ElementTables, a, beta: float = 0.0, fixed=None):
     en, m = tables.space.element_nodes, tables.space.n_nodes
     K, f = _element_forms(tables, w, beta, slice(None))
     b = np.bincount(en.ravel(), weights=f.ravel(), minlength=m)
-    free = np.ones(m, dtype=bool) if fixed is None else ~np.asarray(fixed, dtype=bool)
+    free = ~tables.space.dirichlet
     if free.all() and beta == 0.0:
         free[0] = False
     # element order, row-major within each element matrix
@@ -241,16 +241,16 @@ def _error(tables: ElementTables, a, beta: float, elems, v):
     return err
 
 
-def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None):
+def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0):
     """Best approximation of the tables' target on each region by itself.
 
     `regions` holds distinct element ids per region, as CSR (`qmloc.mesh`).
-    Each minimizes the energy of `ritz` on its elements, with V = 0 on
-    `fixed` and the lowest-id node pinned as there.  Regions of equal
-    element and node count share one scatter and one batched dense solve,
-    fixed nodes as identity rows.  Returns the (P,) errors and V at the local
-    nodes of each region's elements (P, E, nloc), zero-padded to the largest
-    region.  Raises SolverFailure naming a singular region.
+    Each minimizes the energy of `ritz` on its elements, with V = 0 at the
+    space's Dirichlet nodes and the lowest-id node pinned as there.  Regions
+    of equal element and node count share one scatter and one batched dense
+    solve, fixed nodes as identity rows.  Returns the (P,) errors and V at
+    the local nodes of each region's elements (P, E, nloc), zero-padded to
+    the largest region.  Raises SolverFailure naming a singular region.
     """
     a = np.asarray(a, dtype=float)
     en_all, n = tables.space.element_nodes, tables.space.n_nodes
@@ -273,8 +273,7 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0, fixed=None)
             flat = loc[..., :, None] * m + loc[..., None, :] % m
             A = np.bincount(flat.ravel(), K.ravel(), G * m * m).reshape(G, m, m)
             b = np.bincount(loc.ravel(), f.ravel(), G * m).reshape(G, m)
-            free = (np.ones((G, m), dtype=bool) if fixed is None
-                    else ~np.asarray(fixed, dtype=bool)[nodes])
+            free = ~tables.space.dirichlet[nodes]
             if beta == 0.0:
                 free[free.all(axis=1), 0] = False
             A *= free[:, :, None] & free[:, None, :]
@@ -300,27 +299,6 @@ def local_element_errors(tables: ElementTables, coeff: Coefficient) -> np.ndarra
     """a_K * min over P_degree(K) of ||grad(u - P)||^2_K for every element K,
     the residual energy of the element fit; returns an (nt,) array."""
     return coeff.values * tables.grad_residual
-
-
-def global_best_error(tables: ElementTables, coeff: Coefficient, gauge: str):
-    """Global Ritz projection; returns (error_sq, coefficient vector).
-
-    gauge='dirichlet' holds the space's Dirichlet nodes at zero; 'meanzero'
-    minimizes the pure seminorm over all of S and shifts the constant so the
-    projection matches the mean of u.
-    """
-    space = tables.space
-    if gauge == "dirichlet":
-        if not space.dirichlet.any():
-            raise ValueError("dirichlet gauge requested but the space has no Dirichlet mask")
-        return ritz(tables, coeff.values, fixed=space.dirichlet)
-    if gauge != "meanzero":
-        raise ValueError(f"unknown gauge {gauge!r}")
-    err, x = ritz(tables, coeff.values)
-    vol = float(space.tri.areas.sum())
-    mean_u = float(tables.value_moments.sum()) / vol
-    mean_v = float(np.sum(x[space.element_nodes] * tables.mass.sum(axis=2))) / vol
-    return err, x + (mean_u - mean_v)
 
 
 # ---------------------------------------------------------------------------

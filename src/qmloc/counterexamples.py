@@ -233,15 +233,22 @@ def checkerboard_mesh(N: int) -> tuple[Triangulation, Coefficient]:
     return tri, attach_coefficient(tri, np.repeat(a, 2))
 
 
-def checkerboard_target(N: int) -> TargetField:
-    """Sum of 1/N-scaled copies of the hexagon target, one per macro square
-    of side 1/N, each in local coordinates xi = 2N(x - center) and extended
-    by zero on the two corner triangles |xi_x + xi_y| > 1."""
+def _checkerboard_eps(N: int) -> float:
+    """eps = 1/N of `checkerboard_target`; raises ParameterOutOfRange
+    outside [EPS_MIN, EPS_MAX]."""
     eps = 1.0 / N if N >= 1 else np.inf
     if not EPS_MIN <= eps <= EPS_MAX:
         raise ParameterOutOfRange(
             f"target defined for eps = 1/N in [{EPS_MIN}, {EPS_MAX}]; got N={N}"
         )
+    return eps
+
+
+def checkerboard_target(N: int) -> TargetField:
+    """Sum of 1/N-scaled copies of the hexagon target, one per macro square
+    of side 1/N, each in local coordinates xi = 2N(x - center) and extended
+    by zero on the two corner triangles |xi_x + xi_y| > 1."""
+    eps = _checkerboard_eps(N)
     local = hexagon_target(eps)
 
     def fn(pts):

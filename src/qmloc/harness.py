@@ -9,9 +9,9 @@ import os
 import numpy as np
 
 from .bestapprox import (LocalizationReport, _region_errors, element_tables,
-                         global_best_error, local_element_errors, local_ritz, ritz)
+                         local_element_errors, local_ritz, ritz)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
-from .counterexamples import (analytic_energy_reference, checkerboard_mesh,
+from .counterexamples import (_checkerboard_eps, analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_values, fig1_refined,
                               hexagon_mesh, hexagon_target)
 from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
@@ -65,19 +65,18 @@ def _dirichlet_tables(tri: Triangulation, target, degree: int):
 
 
 def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
-    """Per contrast: global best error (Dirichlet gauge) against element,
-    pair, and vertex-star localized errors."""
+    """Per contrast: global best error against element, pair, and
+    vertex-star localized errors, all in the space with Dirichlet nodes on
+    the boundary."""
     reports = []
     for eps in eps_values:
         tri, coeff = hexagon_mesh(eps)
         tables = _dirichlet_tables(tri, hexagon_target(eps), degree)
-        space = tables.space
-        global_sq, _ = global_best_error(tables, coeff, "dirichlet")
+        global_sq = ritz(tables, coeff.values)[0]
         elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
         edges = tri.interior_edges()
-        pair_sq = local_ritz(tables, coeff.values, region_rows(tri.edge_elements, edges),
-                             fixed=space.dirichlet)[0]
-        star_sq = local_ritz(tables, coeff.values, tri.vertex_elements, fixed=space.dirichlet)[0]
+        pair_sq = local_ritz(tables, coeff.values, region_rows(tri.edge_elements, edges))[0]
+        star_sq = local_ritz(tables, coeff.values, tri.vertex_elements)[0]
         pairs = list(zip(edges, pair_sq.tolist()))
         stars = list(enumerate(star_sq.tolist()))
         reports.append(LocalizationReport(
@@ -101,7 +100,7 @@ def _star_candidates(tables, coeff: Coefficient, N: int, inner, regions):
     corner's takes its values from the star's white triangles that hold a
     macro center c, with sigma = 1/N if (centroid - c) . (1, 1) > 0, else
     -1/N: -sigma at the triangle's other vertices if c is the star's vertex,
-    else sigma at c; zero elsewhere, boundary vertices included."""
+    else sigma at c; zero elsewhere, the space's Dirichlet vertices included."""
     tri, space = tables.space.tri, tables.space
     kind = (np.rint(2 * N * tri.vertices).astype(np.int64) % 2).sum(axis=1)
     verts = tri.triangles
@@ -115,12 +114,12 @@ def _star_candidates(tables, coeff: Coefficient, N: int, inner, regions):
     star = np.repeat(np.arange(len(inner)), np.diff(offsets))  # the star of each entry
     own, w = center[ids] == inner[star], verts[ids]
     # an entry writes at all its vertices but c if c is its star's vertex, else
-    # at c; a corner's star and the boundary vertices take no write
-    write = ((w == center[ids, None]) != own[:, None]) & ~tri.boundary_vertices[w]
+    # at c; a corner's star and the Dirichlet vertices take no write
+    write = ((w == center[ids, None]) != own[:, None]) & ~space.dirichlet[space.vertex_nodes[w]]
     write &= (lit[ids] & (kind[inner[star]] != 0))[:, None]
     # one key per star and vertex id w, the last write to a key holding; read
     # below at node ids, so not the hat candidates, which key by
-    # space.vertex_nodes[w] (ROADMAP item 6)
+    # space.vertex_nodes[w] (ROADMAP item 1)
     keys = (star[:, None] * space.n_nodes + w)[write]
     vals = np.broadcast_to(np.where(own, -sigma[ids], sigma[ids])[:, None], w.shape)[write]
     keys, last = np.unique(keys[::-1], return_index=True)
@@ -138,16 +137,19 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     """Per N: global best error on the checkerboard against per-interior-
     vertex star errors, with patch classification and explicit candidate
     upper bounds."""
-    # every target first: a bad N is refused before any mesh is built
-    targets = [checkerboard_target(N) for N in n_values]
+    # every N, its range and then the memory of its 8 N^2 elements, before
+    # any target (N^2 singular points) or mesh is built
+    for N in n_values:
+        _checkerboard_eps(N)
+        _require_memory(f"N={N}", 8.0 * N**2, degree, _STAR_BYTES_PER_ELEMENT)
     reports = []
-    for N, target in zip(n_values, targets):
+    for N in n_values:
         tri, coeff = checkerboard_mesh(N)
-        tables = _dirichlet_tables(tri, target, degree)
-        global_sq, _ = global_best_error(tables, coeff, "dirichlet")
+        tables = _dirichlet_tables(tri, checkerboard_target(N), degree)
+        global_sq = ritz(tables, coeff.values)[0]
         inner = tri.interior_vertices()
         regions = region_rows(tri.vertex_elements, inner)
-        star_sq = local_ritz(tables, coeff.values, regions, fixed=tables.space.dirichlet)[0]
+        star_sq = local_ritz(tables, coeff.values, regions)[0]
         kinds, candidates = _star_candidates(tables, coeff, N, inner, regions)
         stars = list(zip(inner, star_sq.tolist()))
         reports.append(LocalizationReport(
@@ -170,6 +172,25 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
 # 2.4.  The slopes were 4,676 / 8,169 bytes at P1, 5,741 / 8,607 at P2,
 # 11,801 / 17,923 at P3 and 21,877 / 37,987 at P4; other degrees take P4's.
 _BYTES_PER_ELEMENT = {1: 16_339, 2: 17_213, 3: 35_845, 4: 75_973}
+# The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
+# (2,048 and 8,192 elements), measured the same way.  The slopes were 2,381
+# bytes at P1, 6,773 at P2, 17,674 at P3 and 39,575 at P4.
+_STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(what: str, n_elements: float, degree: int, per_element: dict) -> None:
+    """Raises ParameterOutOfRange when `n_elements` elements at `degree`, at
+    the bytes per element of the table `per_element` (P4's at other degrees),
+    need more than the machine's physical memory."""
+    need = n_elements * per_element.get(degree, per_element[4])
+    have = _physical_memory()
+    if need > have:
+        raise ParameterOutOfRange(f"{what} at degree {degree} needs about "
+                                  f"{need / 2**30:.3g} GiB of {have / 2**30:.3g} GiB of memory")
 
 
 def _checked_betas(betas) -> list:
@@ -190,11 +211,8 @@ def _fig1_tables(pattern: str, alpha_values, targets: dict, degree: int, refines
         raise ParameterOutOfRange(f"unknown pattern {pattern!r}")
     values = [fig1_left_values(alpha) for alpha in alpha_values]
     # 4^(refines + 1) elements, as a capped float: a huge `refines` costs nothing
-    need = 4.0 ** min(refines + 1, 256) * _BYTES_PER_ELEMENT.get(degree, _BYTES_PER_ELEMENT[4])
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ParameterOutOfRange(f"refines={refines} at degree {degree} needs about "
-                                  f"{need / 2**30:.3g} GiB of {have / 2**30:.3g} GiB of memory")
+    _require_memory(f"refines={refines}", 4.0 ** min(refines + 1, 256), degree,
+                    _BYTES_PER_ELEMENT)
     tri, coarse = fig1_refined(refines)
     coeffs = [attach_coefficient(tri, v[coarse]) for v in values]
     for alpha, coeff in zip(alpha_values, coeffs):
@@ -219,7 +237,7 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
     reports = [[] for _ in alpha_values]  # per alpha, in target order
     for name, target, tables in per_target:
         for alpha, coeff, out in zip(alpha_values, coeffs, reports):
-            global_sq, _ = global_best_error(tables, coeff, "meanzero")
+            global_sq = ritz(tables, coeff.values)[0]
             elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
             itp = quasi_interpolate(target, tables, coeff)
             interp_sq = float(interpolation_error_sq(itp, tables, coeff).sum())

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import DegenerateElement, NonConforming, UnknownLocus
 
-_AREA_TOL = 1e-14
+_AREA_TOL = 1e-14  # relative to the element's squared longest edge
+_HANG_TOL = 1e-12  # distance to an edge's line, relative to the edge length
 _PAIR_BLOCK = 1 << 14  # candidate pairs per block of `box_point_pairs`
 
 
@@ -94,10 +95,20 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     flip = signed < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     areas = np.abs(signed)
-    if np.any(areas <= _AREA_TOL * scale**2):
+    side = np.stack(
+        [
+            np.linalg.norm(p2 - p1, axis=1),
+            np.linalg.norm(p0 - p2, axis=1),
+            np.linalg.norm(p1 - p0, axis=1),
+        ],
+        axis=1,
+    )
+    diameters = side.max(axis=1)
+    # relative to h_K^2, so the test reads the same at every scale
+    degenerate = areas <= _AREA_TOL * diameters**2
+    if np.any(degenerate):
         raise DegenerateElement(
-            f"triangles with non-positive area: {np.flatnonzero(areas <= _AREA_TOL * scale**2).tolist()}"
-        )
+            f"triangles with non-positive area: {np.flatnonzero(degenerate).tolist()}")
 
     # edge table: one integer key lo*nv + hi per (element, local edge i), the
     # edge opposite local vertex i; sorted keys are the sorted vertex pairs
@@ -131,17 +142,8 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     boundary_vertices = np.zeros(nv, dtype=bool)
     boundary_vertices[edges[boundary_edges].ravel()] = True
 
-    _check_hanging_vertices(verts, edges, scale)
+    _check_hanging_vertices(verts, edges)
 
-    side = np.stack(
-        [
-            np.linalg.norm(p2 - p1, axis=1),
-            np.linalg.norm(p0 - p2, axis=1),
-            np.linalg.norm(p1 - p0, axis=1),
-        ],
-        axis=1,
-    )
-    diameters = side.max(axis=1)
     semiper = 0.5 * side.sum(axis=1)
     rho = 2.0 * areas / semiper  # twice the inradius
 
@@ -237,25 +239,28 @@ def box_point_pairs(points, lo, hi, cell):
         yield np.repeat(box, count), order[_ranges(first, count)]
 
 
-def _check_hanging_vertices(verts, edges, scale):
+def _check_hanging_vertices(verts, edges):
     """A vertex strictly inside another triangle's edge breaks conformity.
 
-    Tests only the vertices near each edge, found by `box_point_pairs` on
-    the edge's bounding box padded by the tolerance, and reports the
-    lowest edge id, then the lowest vertex id, that hangs.
+    A vertex hangs on an edge of length L when it lies within _HANG_TOL * L
+    of the edge's line, strictly between its ends.  Tests only the vertices
+    near each edge, found by `box_point_pairs` on the edge's bounding box
+    padded by twice that distance, and reports the lowest edge id, then the
+    lowest vertex id, that hangs.
     """
-    tol = 1e-12 * scale
     pa, pb = verts[edges[:, 0]], verts[edges[:, 1]]
     d = pb - pa
     L2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    pad = 2.0 * tol  # twice the tolerance also covers rounding of the test
+    L = np.sqrt(L2)
+    pad = (2.0 * _HANG_TOL * L)[:, None]  # twice the distance also covers rounding
     lo, hi = np.minimum(pa, pb) - pad, np.maximum(pa, pb) + pad
-    for e, v in box_point_pairs(verts, lo, hi, np.sqrt(L2).mean()):
+    for e, v in box_point_pairs(verts, lo, hi, L.mean()):
         rel = verts[v] - pa[e]
         de = d[e]
+        # distance |cross| / L to the line, tested as |cross| <= _HANG_TOL * L^2
         cross = np.abs(rel[:, 0] * de[:, 1] - rel[:, 1] * de[:, 0])
         t = (rel[:, 0] * de[:, 0] + rel[:, 1] * de[:, 1]) / L2[e]
-        on = ((cross <= tol * np.sqrt(L2[e])) & (t > 1e-12) & (t < 1 - 1e-12)
+        on = ((cross <= _HANG_TOL * L2[e]) & (t > 1e-12) & (t < 1 - 1e-12)
               & (v != edges[e, 0]) & (v != edges[e, 1]))
         if on.any():
             first = np.argmin(e[on] * len(verts) + v[on])
@@ -339,11 +344,15 @@ def _numeric(doc: dict, key: str) -> np.ndarray:
 def load_mesh(path):
     """Read the mesh JSON schema; returns (Triangulation, coefficient-or-None).
 
-    Raises ValueError for a document that is not an object, a missing entry,
-    non-numeric or NaN/Inf coordinates, and non-integer vertex ids.
+    Raises ValueError for a document that is not an object or nests too
+    deeply to parse, a missing entry, non-numeric or NaN/Inf coordinates, and
+    non-integer vertex ids.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("mesh file nests too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError("mesh file must hold a JSON object")
     verts = _numeric(doc, "vertices").astype(float)

@@ -9,7 +9,6 @@ reproduce them field by field (`assert_same_fields`).
 """
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 
@@ -17,7 +16,7 @@ from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import checkerboard_mesh, fig1_meshes, hexagon_mesh
 from qmloc.errors import DegenerateElement, NonConforming, UnsupportedDegree
 from qmloc.fespace import EDGE, INTERIOR, VERTEX, LagrangeSpace, _lattice
-from qmloc.mesh import _AREA_TOL, Triangulation
+from qmloc.mesh import _AREA_TOL, _HANG_TOL, Triangulation
 from qmloc.mesh import build_triangulation as fast_triangulation
 
 
@@ -83,10 +82,18 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     flip = signed < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     areas = np.abs(signed)
-    scale = np.maximum(np.max(np.abs(verts)), 1.0)
-    if np.any(areas <= _AREA_TOL * scale**2):
+    side = np.stack(
+        [
+            np.linalg.norm(p2 - p1, axis=1),
+            np.linalg.norm(p0 - p2, axis=1),
+            np.linalg.norm(p1 - p0, axis=1),
+        ],
+        axis=1,
+    )
+    diameters = side.max(axis=1)
+    if np.any(areas <= _AREA_TOL * diameters**2):
         raise DegenerateElement(
-            f"triangles with non-positive area: {np.flatnonzero(areas <= _AREA_TOL * scale**2).tolist()}"
+            f"triangles with non-positive area: {np.flatnonzero(areas <= _AREA_TOL * diameters**2).tolist()}"
         )
 
     edge_map: dict[tuple[int, int], list[int]] = {}
@@ -118,17 +125,8 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     for e in np.flatnonzero(boundary_edges):
         boundary_vertices[edges[e]] = True
 
-    check_hanging_vertices(verts, edges, scale)
+    check_hanging_vertices(verts, edges)
 
-    side = np.stack(
-        [
-            np.linalg.norm(p2 - p1, axis=1),
-            np.linalg.norm(p0 - p2, axis=1),
-            np.linalg.norm(p1 - p0, axis=1),
-        ],
-        axis=1,
-    )
-    diameters = side.max(axis=1)
     semiper = 0.5 * side.sum(axis=1)
     rho = 2.0 * areas / semiper
 
@@ -154,9 +152,8 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     )
 
 
-def check_hanging_vertices(verts, edges, scale):
+def check_hanging_vertices(verts, edges):
     """Every vertex against every edge: O(edges x vertices)."""
-    tol = 1e-12 * scale
     for a, b in edges:
         pa, pb = verts[a], verts[b]
         d = pb - pa
@@ -164,7 +161,7 @@ def check_hanging_vertices(verts, edges, scale):
         rel = verts - pa
         cross = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
         t = (rel @ d) / L2
-        on = (cross <= tol * math.sqrt(L2)) & (t > 1e-12) & (t < 1 - 1e-12)
+        on = (cross <= _HANG_TOL * L2) & (t > 1e-12) & (t < 1 - 1e-12)
         on[[a, b]] = False
         if np.any(on):
             raise NonConforming(

@@ -8,8 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from qmloc.bestapprox import (element_tables,
-                              global_best_error, local_element_errors, local_ritz)
+from qmloc.bestapprox import element_tables, local_element_errors, local_ritz, ritz
 from qmloc.coeff import attach_coefficient, check_quasi_monotonicity
 from qmloc.counterexamples import (analytic_energy_reference,
                                    checkerboard_mesh, fig1_meshes,
@@ -174,18 +173,26 @@ def test_criterion_04_local_best_error_oracle():
         space = build_space(tri, ell, dirichlet_on_boundary=True)
         plan = make_quadrature_plan(tri, target, exactness=12)
         tables = element_tables(target, plan, space)
-        err, _ = global_best_error(tables, coeff, gauge="dirichlet")
+        err, _ = ritz(tables, coeff.values)
         A = assemble(space, coeff.values)
         b = energy_rhs(space, coeff.values, target, plan)
         free = ~space.dirichlet
         x = np.linalg.solve(A[np.ix_(free, free)], b[free])
         dense = energy_norm_sq(target, coeff, plan) - b[free] @ x
         assert abs(err - dense) < 1e-8 * max(1.0, dense)
+        # the same mesh and degree without a mask: the pairs are unconstrained
+        free_space = build_space(tri, ell)
+        free_tables = element_tables(target, plan, free_space)
         for k in range(tri.n_elements):
             region = [k, (k + 1) % tri.n_elements]
+            # dense reference: same minimization assembled densely, unconstrained
+            # on the unmasked space and with the Dirichlet nodes held at zero
+            r1 = local_ritz(free_tables, coeff.values, csr([region]))[0][0]
+            r2, _ = dense_ritz_error(free_space, coeff.values, target, plan, region)
+            assert abs(r1 - r2) < 1e-8 * max(1.0, r1)
             r1 = local_ritz(tables, coeff.values, csr([region]))[0][0]
-            # dense reference: same constrained minimization assembled densely
-            r2, _ = dense_ritz_error(space, coeff.values, target, plan, region)
+            r2, _ = dense_ritz_error(space, coeff.values, target, plan, region,
+                                     fixed=space.dirichlet)
             assert abs(r1 - r2) < 1e-8 * max(1.0, r1)
     _log(4, "x^2 best error = 1/9 on the reference triangle; all Ritz "
             "energies match dense solves to 1e-8")
@@ -197,8 +204,7 @@ def test_criterion_05_zero_ritz_symmetry():
         target = hexagon_target(eps)
         space = build_space(tri, 1, dirichlet_on_boundary=True)
         plan = make_quadrature_plan(tri, target)
-        err, x = global_best_error(element_tables(target, plan, space), coeff,
-                                   gauge="dirichlet")
+        err, x = ritz(element_tables(target, plan, space), coeff.values)
         assert np.max(np.abs(x)) <= 1e-8
         uu = energy_norm_sq(target, coeff, plan)
         assert abs(err - uu) < 1e-6 * uu

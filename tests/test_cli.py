@@ -1,5 +1,6 @@
 """Command-line entry point: exit codes, output formats, determinism."""
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qmloc.cli import EXIT_INVALID, EXIT_NOT_QM, EXIT_OK, EXIT_SOLVER, build_parser, main
 from qmloc.coeff import attach_coefficient
@@ -147,6 +150,112 @@ def test_qm_check_overflowing_coordinates_are_invalid(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "overflow" in captured.err
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=2),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=3)),
+    max_leaves=12)
+
+
+@st.composite
+def _perturbed_meshes(draw):
+    """The mesh document of a perturbed n x n grid, n <= 3, with hanging,
+    duplicated, folded or sliver triangles, then odd coordinates (NaN, +-inf,
+    1e308, 1e-300), float, negative or out-of-range vertex ids, ragged
+    rows, and a missing, mis-sized or invalid coefficient."""
+    n = draw(st.integers(1, 3))
+    xs = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    inner = (verts > 0).all(axis=1) & (verts < 1).all(axis=1)
+    m = 2 * int(inner.sum())
+    shift = draw(st.lists(st.floats(-0.25, 0.25), min_size=m, max_size=m))
+    verts[inner] += np.reshape(shift, (-1, 2)) / n
+    verts = verts.tolist()
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            a, b = i * (n + 1) + j, (i + 1) * (n + 1) + j
+            tris += [[a, b, b + 1], [a, b + 1, a + 1]]
+    index = st.integers(0, 10**6)
+    for defect in draw(st.lists(st.sampled_from(["hanging", "duplicate", "fold", "sliver"]),
+                                max_size=2)):
+        k = draw(index) % len(tris)
+        a, b, c = tris[k]
+        pa, pb, pc = (np.array(verts[v]) for v in (a, b, c))
+        d = pb - pa
+        if defect == "hanging":  # split triangle k at the midpoint of (a, b)
+            verts.append((0.5 * (pa + pb)).tolist())
+            tris[k:k + 1] = [[a, len(verts) - 1, c], [len(verts) - 1, b, c]]
+        elif defect == "duplicate":
+            tris.append(draw(st.sampled_from([[a, b, c], [c, b, a]])))
+        elif defect == "fold":  # c reflected across (a, b)
+            verts[c] = (pa + 2.0 * ((pc - pa) @ d) / (d @ d) * d - (pc - pa)).tolist()
+        else:  # c within a fraction s of |d| of the line through a and b
+            s = draw(st.sampled_from([0.0, 1e-15, 1e-13, 1e-9, 1e-3]))
+            verts[c] = (pa + 0.5 * d + s * np.array([-d[1], d[0]])).tolist()
+    coeff = draw(st.lists(st.sampled_from([1.0, 0.5, 1e-6, 1e6]), min_size=len(tris),
+                          max_size=len(tris)))
+    doc = {"vertices": verts, "triangles": tris, "coefficient": coeff}
+    odd = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, 0.0]
+    for defect in draw(st.lists(st.sampled_from(["coordinate", "id", "ragged", "coefficient",
+                                                 "key"]), max_size=3)):
+        if defect == "coordinate":  # by slice: a ragged row may be short
+            j = draw(st.integers(0, 1))
+            verts[draw(index) % len(verts)][j:j + 1] = [draw(st.sampled_from(odd))]
+        elif defect == "id":
+            row = tris[draw(index) % len(tris)]
+            j = draw(st.integers(0, len(row) - 1)) if row else 0
+            row[j:j + 1] = [draw(st.sampled_from([1.0, 0.5, -1, -2.0, len(verts), 2**63, 1e300]))]
+        elif defect == "ragged":
+            rows = draw(st.sampled_from([verts, tris]))
+            k = draw(index) % len(rows)
+            rows[k] = draw(st.sampled_from([rows[k][:-1], rows[k] + [0]]))
+        elif defect == "coefficient":
+            doc["coefficient"] = draw(st.sampled_from(
+                [coeff[:-1], coeff + [1.0], [math.nan] + coeff[1:], [-1.0] + coeff[1:],
+                 [0.0] + coeff[1:], [coeff], "1", None]))
+        else:
+            del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.one_of(_perturbed_meshes(), _JSON, st.fixed_dictionaries(
+    {}, optional={"vertices": _JSON, "triangles": _JSON, "coefficient": _JSON})))
+def test_qm_check_fuzzed_mesh_json_never_gives_a_traceback(tmp_path, capsys, doc):
+    """Every document is classified (exit 0 or 3, nothing on stderr) or
+    refused with exit 1 and one line on stderr; no exception escapes `main`
+    and no warning is raised."""
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["qm-check", str(path)])
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_NOT_QM)
+    assert captured.err.count("\n") == (code == EXIT_INVALID)
+    assert "Traceback" not in captured.err
+
+
+def test_qm_check_deeply_nested_json_is_invalid(tmp_path, capsys):
+    path = tmp_path / "mesh.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["qm-check", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: mesh file nests too deeply to parse\n"
+
+
+def test_qm_check_small_triangle_is_valid(tmp_path, capsys):
+    # area 5e-17: the area test is relative to the element's own size
+    doc = {"vertices": [[1e-8, 0], [0, 0], [0, 1e-8]], "triangles": [[0, 1, 2]],
+           "coefficient": [1]}
+    assert main(["qm-check", _write_json(tmp_path, doc)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["quasi_monotone"] is True
+    assert captured.err == ""
+
+
 def test_cli_calls_import_neither_scipy_special_nor_scipy_linalg():
     """A fresh interpreter runs `constants` and `hexagon` with scipy.sparse
     as the only scipy subpackage in use."""
@@ -234,6 +343,31 @@ def test_stars_refuses_a_bad_n_before_building_any_mesh(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "got N=1001" in captured.err
+
+
+@pytest.mark.parametrize("argv, memory, message", [
+    # N = 1000: 8M elements, about 35.5 GiB at P1
+    (["stars", "--n", "2,1000"], 7.6 * 2**30,
+     "N=1000 at degree 1 needs about 35.5 GiB of 7.6 GiB of memory"),
+    (["stars", "--n", "2,128", "--ell", "2"], 2**30,
+     "N=128 at degree 2 needs about 1.65 GiB of 1 GiB of memory"),
+    # the range of N is checked before its memory
+    (["stars", "--n", "1001"], 1, "target defined for eps = 1/N in [0.001, 0.5]; got N=1001"),
+])
+def test_stars_refuses_what_will_not_fit_before_building_any_target_or_mesh(
+        capsys, monkeypatch, argv, memory, message):
+    import qmloc.harness
+
+    def no_build(N):
+        raise AssertionError(f"N={N} built before every N was checked")
+
+    monkeypatch.setattr(qmloc.harness, "checkerboard_mesh", no_build)
+    monkeypatch.setattr(qmloc.harness, "checkerboard_target", no_build)
+    monkeypatch.setattr(qmloc.harness, "_physical_memory", lambda: memory)
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [

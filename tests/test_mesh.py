@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmloc.errors import DegenerateElement, NonConforming
@@ -154,14 +154,14 @@ def _outcome(build, verts, tris):
         return type(exc), str(exc)
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
-       defect=st.sampled_from(["none", "hanging", "moved", "third", "duplicate", "fold"]))
-def test_conformity_checks_match_reference(seed, n, defect):
-    """On perturbed grids with a hanging vertex, a vertex moved onto an
-    edge, a third triangle on one edge, a duplicated triangle or a vertex
-    reflected across an edge of its triangle: the array build raises what
-    the loop reference raises, or both accept and agree field by field."""
+DEFECTS = ["none", "hanging", "moved", "third", "duplicate", "fold"]
+
+
+def _defective_grid(seed, n, defect):
+    """(vertices, triangles) of a perturbed n x n grid with one `defect`: a
+    hanging vertex, a vertex moved onto an edge, a third triangle on one
+    edge, a duplicated triangle or a vertex reflected across an edge of its
+    triangle."""
     rng = np.random.default_rng(seed)
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -192,7 +192,15 @@ def test_conformity_checks_match_reference(seed, n, defect):
     elif defect == "fold":  # c onto the other side of (a, b), over a neighbour
         d, rel = verts[b] - verts[a], verts[c] - verts[a]
         verts[c] = verts[a] + 2.0 * (rel @ d) / (d @ d) * d - rel
-    tris = np.array(tris)
+    return verts, np.array(tris)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), defect=st.sampled_from(DEFECTS))
+def test_conformity_checks_match_reference(seed, n, defect):
+    """On the grids of `_defective_grid`: the array build raises what the
+    loop reference raises, or both accept and agree field by field."""
+    verts, tris = _defective_grid(seed, n, defect)
     fast = _outcome(build_triangulation, verts, tris)
     ref = _outcome(mesh_reference.build_triangulation, verts, tris)
     if isinstance(ref, tuple):
@@ -200,6 +208,38 @@ def test_conformity_checks_match_reference(seed, n, defect):
     else:
         assert not isinstance(fast, tuple), fast
         mesh_reference.assert_same_fields(fast, ref)
+
+
+CATALOG = mesh_reference.catalog()
+
+
+def _assert_same_outcome_scaled(verts, tris, k):
+    """Built at 2^k times the coordinates, the mesh raises the same error
+    type and message, or has exactly 4^k times the areas and 2^k times the
+    diameters."""
+    base = _outcome(build_triangulation, verts, tris)
+    scaled = _outcome(build_triangulation, np.ldexp(verts, k), tris)
+    if isinstance(base, tuple):
+        assert scaled == base
+    else:
+        assert not isinstance(scaled, tuple), scaled
+        assert np.array_equal(scaled.areas, np.ldexp(base.areas, 2 * k))
+        assert np.array_equal(scaled.diameters, np.ldexp(base.diameters, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-60, 60), name=st.sampled_from(list(CATALOG)),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), defect=st.sampled_from(DEFECTS))
+@example(k=-40, name="square2048", seed=0, n=2, defect="none")
+@example(k=-60, name="hexagon", seed=1, n=3, defect="hanging")
+def test_mesh_checks_do_not_depend_on_scale(k, name, seed, n, defect):
+    """The area and hanging-vertex tests are relative to each element and
+    edge: a catalog mesh and a defective grid scaled by 2^k, |k| <= 60,
+    build exactly as unscaled (the unit square at 2^-40 was refused as
+    having non-positive area)."""
+    verts, tris, _ = CATALOG[name]
+    _assert_same_outcome_scaled(verts, tris, k)
+    _assert_same_outcome_scaled(*_defective_grid(seed, n, defect), k)
 
 
 @settings(max_examples=20, deadline=None)
