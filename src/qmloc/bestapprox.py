@@ -62,8 +62,9 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
     the target's moments, norms, fits and fit residuals from one pass over
     the class blocks of the plan (`QuadraturePlan.blocks`), the basis
     evaluated once per class and one `evaluate` call on the target per
-    block.  Raises as `QuadraturePlan.require_mesh`: PlanMismatch for a plan
-    of another element count, PointOutsideElement for one of another mesh.
+    block, a polar block's at its offsets from the singular point.  Raises
+    as `QuadraturePlan.require_mesh`: PlanMismatch for a plan of another
+    element count, PointOutsideElement for one of another mesh.
     """
     pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
     vals, gref = reference_basis(space.degree, pts_ref)
@@ -87,12 +88,14 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
     moments, fits, sums = np.empty((nt, 2, nloc)), np.empty((nt, 2, nloc)), np.empty((nt, 4))
     plan.require_mesh(space.tri)
     last = None
-    for cls, ks, pts, wts in plan.blocks():
+    for cls, ks, pts, wts, about in plan.blocks():
         if cls != last:
             phi, gref = reference_basis(space.degree, plan.rules[cls][2])
             stacked = gref.transpose(1, 0, 2).reshape(nloc, -1)  # (nloc, 2n)
             last = cls
-        u, gu = target.evaluate(pts.reshape(-1, 2))
+        if about is not None:
+            about = np.repeat(about, wts.shape[1])
+        u, gu = target.evaluate(pts.reshape(-1, 2), about)
         u, gu = u.reshape(wts.shape), gu.reshape(*wts.shape, 2)
         dphi = (gref.reshape(-1, 2) @ Binv[ks]).reshape(*wts.shape, *gref.shape[1:])
         m = np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)

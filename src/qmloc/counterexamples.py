@@ -116,7 +116,9 @@ def hexagon_target(eps: float) -> TargetField:
         u, g = upper(sign[:, None] * pts)
         return sign * u, g  # point reflection makes the gradient even
 
-    return TargetField(fn, singular_points=(SingularPoint((0.0, 0.0), eps, (eps, 1.0)),))
+    # the singular point is the origin: offsets from it are the points
+    return TargetField(fn, singular_points=(SingularPoint((0.0, 0.0), eps, (eps, 1.0)),),
+                       offset_fn=lambda offsets, about: fn(offsets))
 
 
 def analytic_energy_reference(eps: float) -> dict:
@@ -247,18 +249,24 @@ def _checkerboard_eps(N: int) -> float:
 def checkerboard_target(N: int) -> TargetField:
     """Sum of 1/N-scaled copies of the hexagon target, one per macro square
     of side 1/N, each in local coordinates xi = 2N(x - center) and extended
-    by zero on the two corner triangles |xi_x + xi_y| > 1."""
+    by zero on the two corner triangles |xi_x + xi_y| > 1.  The singular
+    points are the centers, cell (i, j) the point j N + i; the period is
+    1/N."""
     eps = _checkerboard_eps(N)
     local = hexagon_target(eps)
 
-    def fn(pts):
-        IJ = np.clip(np.floor(pts * N).astype(int), 0, N - 1)
-        xi = 2.0 * N * (pts - (IJ + 0.5) / N)
+    def about_center(offsets, about):
+        # every copy is the same function of xi, whichever center it is about
+        xi = 2.0 * N * offsets
         inside = np.abs(xi[:, 0] + xi[:, 1]) <= 1.0
         u, g = np.zeros(len(xi)), np.zeros_like(xi)
         ui, gi = local.evaluate(xi[inside])
         u[inside], g[inside] = ui / N, 2.0 * gi
         return u, g
+
+    def fn(pts):
+        IJ = np.clip(np.floor(pts * N).astype(int), 0, N - 1)
+        return about_center(pts - (IJ + 0.5) / N, IJ[:, 1] * N + IJ[:, 0])
 
     sing = tuple(
         SingularPoint(
@@ -267,4 +275,4 @@ def checkerboard_target(N: int) -> TargetField:
         for j in range(N)
         for i in range(N)
     )
-    return TargetField(fn, singular_points=sing)
+    return TargetField(fn, singular_points=sing, offset_fn=about_center, period=1.0 / N)

@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PointOutsideElement, SingularMassMatrix, UnsupportedDegree
+from .errors import SingularMassMatrix, UnsupportedDegree
 from .mesh import Triangulation, element_affine
 from .quadrature import _leggauss01, reference_triangle_rule
 
@@ -163,37 +163,6 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
     )
 
 
-def element_basis(space: LagrangeSpace, ks, pts):
-    """Values and physical gradients of the local nodal bases of the elements
-    ks at stacked points pts (K, n, 2), pts[i] lying in element ks[i].
-
-    Returns (values (K, n, nloc), gradients (K, n, nloc, 2)).  Raises
-    PointOutsideElement for a point more than 1e-10 outside its element in
-    reference coordinates.
-    """
-    ks = np.asarray(ks)
-    pts = np.asarray(pts, dtype=float)
-    v0, B = element_affine(space.tri, ks)
-    Binv = np.linalg.inv(B)
-    ref = (pts - v0[:, None]) @ Binv.transpose(0, 2, 1)
-    tol = 1e-10
-    outside = (ref < -tol).any(axis=(1, 2)) | ((1.0 - ref[..., 0] - ref[..., 1]) < -tol).any(axis=1)
-    if outside.any():
-        raise PointOutsideElement(f"point outside element {ks[outside][0]}")
-    K, n = pts.shape[:2]
-    vals, grads_ref = reference_basis(space.degree, ref.reshape(-1, 2))
-    nloc = vals.shape[1]
-    grads = (grads_ref.reshape(K, -1, 2) @ Binv).reshape(K, n, nloc, 2)
-    return vals.reshape(K, n, nloc), grads
-
-
-def eval_basis(space: LagrangeSpace, k: int, pts):
-    """`element_basis` of the single element k at pts (n, 2): returns
-    (values (n, nloc), gradients (n, nloc, 2))."""
-    vals, grads = element_basis(space, [k], np.atleast_2d(np.asarray(pts, dtype=float))[None])
-    return vals[0], grads[0]
-
-
 def element_mass_matrix(space: LagrangeSpace, k: int):
     """Exact local mass matrix via a rule of exactness 2*degree + 2."""
     pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
@@ -243,15 +212,3 @@ def _reference_face_dual(degree: int):
         raise SingularMassMatrix(str(exc)) from exc
     D.setflags(write=False)
     return D
-
-
-def face_dual_basis(space: LagrangeSpace, e: int):
-    """L2(F)-dual basis on edge e.
-
-    Returns (node_ids, D) with node_ids the degree+1 global nodes on F ordered
-    from the lower-id endpoint, and D such that psi_z = sum_y D[z, y] phi_y
-    (phi_y the edge-restricted nodal basis), int_F psi_z phi_y = delta_zy.
-    """
-    a, b = space.tri.edges[e]
-    L = float(np.linalg.norm(space.tri.vertices[b] - space.tri.vertices[a]))
-    return space.edge_nodes(e), _reference_face_dual(space.degree) / L

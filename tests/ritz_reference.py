@@ -10,8 +10,22 @@ u rather than with the error.  Tests compare the fast path against them.
 """
 import numpy as np
 
-from qmloc.fespace import element_affine, element_mass_matrix, eval_basis, reference_basis
+from qmloc.fespace import element_affine, element_mass_matrix, reference_basis
 from qmloc.quadrature import reference_triangle_rule
+
+from fespace_reference import eval_basis
+
+
+def element_samples(plan, target, k):
+    """The nodes and weights of element k (`plan.element_rule`), and u and
+    grad u there: at a polar element's offsets from its singular point, as
+    `element_tables` evaluates them, else at the nodes."""
+    pts, wts = plan.element_rule(k)
+    s = plan.element_point[k]
+    if s < 0:
+        return pts, wts, *target.evaluate(pts)
+    offsets = plan.rules[plan.element_class[k]][0] @ plan.linear[k].T
+    return pts, wts, *target.evaluate(offsets, np.full(len(wts), s))
 
 
 def element_stiffness(space, k):
@@ -40,8 +54,7 @@ def energy_rhs(space, weights, target, plan, region=None):
     region = range(space.tri.n_elements) if region is None else sorted(region)
     b = np.zeros(space.n_nodes)
     for k in region:
-        pts, wts = plan.element_rule(k)
-        gu = target.gradient(pts)
+        pts, wts, _, gu = element_samples(plan, target, k)
         _, gphi = eval_basis(space, k, pts)
         np.add.at(b, space.element_nodes[k],
                   weights[k] * np.einsum("q,qd,qid->i", wts, gu, gphi))
@@ -53,8 +66,7 @@ def mass_rhs(space, target, plan, region=None):
     region = range(space.tri.n_elements) if region is None else sorted(region)
     b = np.zeros(space.n_nodes)
     for k in region:
-        pts, wts = plan.element_rule(k)
-        u = target.value(pts)
+        pts, wts, u, _ = element_samples(plan, target, k)
         vphi, _ = eval_basis(space, k, pts)
         np.add.at(b, space.element_nodes[k], np.einsum("q,qi->i", wts * u, vphi))
     return b
@@ -80,8 +92,7 @@ def dense_ritz_error(space, weights, target, plan, region=None, fixed=None, beta
     x[free] = np.linalg.solve(A[np.ix_(free, free)], b[free])
     uu = 0.0
     for k in elems:
-        pts, wts = plan.element_rule(k)
-        gu, u = target.gradient(pts), target.value(pts)
+        _, wts, u, gu = element_samples(plan, target, k)
         uu += (weights[k] * float(wts @ np.einsum("qd,qd->q", gu, gu))
                + beta * float(wts @ (u * u)))
     return uu - float(b[free] @ x[free]), x
@@ -94,7 +105,7 @@ def monomial_element_fit(target, plan, k, degree):
     Returns (error_sq, fit) with fit evaluable at (n, 2) points.
     """
     tri = plan.tri
-    pts, wts = plan.element_rule(k)
+    pts, wts, u, gu = element_samples(plan, target, k)
     center = tri.vertices[tri.triangles[k]].mean(axis=0)
     h = float(tri.diameters[k])
     expo = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
@@ -110,13 +121,12 @@ def monomial_element_fit(target, plan, k, degree):
 
     vals, grads = basis(pts)
     g = grads[:, 1:]  # the constant has no gradient
-    gu = target.gradient(pts)
     G = np.einsum("q,qid,qjd->ij", wts, g, g)
     rhs = np.einsum("q,qd,qid->i", wts, gu, g)
     c = np.linalg.solve(G, rhs)
     err = float(wts @ np.einsum("qd,qd->q", gu, gu)) - float(rhs @ c)
     area = float(tri.areas[k])
-    c0 = (float(wts @ target.value(pts)) - float(wts @ (vals[:, 1:] @ c))) / area
+    c0 = (float(wts @ u) - float(wts @ (vals[:, 1:] @ c))) / area
     coeffs = np.concatenate([[c0], c])
 
     def fit(p):
@@ -137,10 +147,9 @@ class QuadratureOracle:
 
     def _element(self, k):
         if k not in self._samples:
-            pts, wts = self.plan.element_rule(k)
+            pts, wts, u, gu = element_samples(self.plan, self.target, k)
             vals, grads = eval_basis(self.space, k, pts)
-            self._samples[k] = (wts, vals, grads, self.target.value(pts),
-                                self.target.gradient(pts))
+            self._samples[k] = (wts, vals, grads, u, gu)
         return self._samples[k]
 
     def local_error(self, weights, elems, v, beta=0.0):

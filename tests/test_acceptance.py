@@ -15,8 +15,7 @@ from qmloc.counterexamples import (analytic_energy_reference,
                                    hexagon_mesh, hexagon_target,
                                    radial_profile, radial_profile_derivative)
 from qmloc.errors import NoMonotonePath
-from qmloc.fespace import (build_space, element_dual_basis,
-                           element_mass_matrix, eval_basis, face_dual_basis)
+from qmloc.fespace import build_space, element_dual_basis, element_mass_matrix
 from qmloc.fields import smooth_target
 from qmloc.harness import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_EPS,
                            default_smooth_targets, render_report,
@@ -28,6 +27,7 @@ from qmloc.mesh import build_triangulation, uniform_refine
 from qmloc.quadrature import (make_quadrature_plan, polar_triangle_rule,
                               radial_rule)
 
+from fespace_reference import eval_basis, face_dual_basis
 from interp_reference import energy_norm_sq
 from mesh_reference import csr
 from ritz_reference import assemble, dense_ritz_error, energy_rhs

@@ -515,11 +515,12 @@ def test_errors_see_only_the_distance_to_the_space(seed, n, degree, sign, expone
 
 
 def _scaled_target(target, c):
-    """c u as a TargetField that keeps u's singular points."""
-    def fn(p):
-        u, gu = target.evaluate(p)
+    """c u as a TargetField that keeps u's singular points, its offset
+    evaluation and its period."""
+    def fn(p, about=None):
+        u, gu = target.evaluate(p, about)
         return c * u, c * gu
-    return TargetField(fn, target.singular_points)
+    return TargetField(fn, target.singular_points, fn, target.period)
 
 
 _CU_PROBLEMS = {

@@ -126,6 +126,31 @@ def test_qm_check_malformed_entry_is_invalid(tmp_path, capsys, doc):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key,value", [
+    ("triangles", [[False, True, 2]]),          # would read as [[0, 1, 2]]
+    ("vertices", [[0, 0], [1, True], [0, 1]]),
+    ("coefficient", [True]),
+    ("coefficient", [[1.0], [True]]),
+])
+def test_qm_check_json_booleans_are_not_numbers(tmp_path, capsys, key, value):
+    assert main(["qm-check", _write_json(tmp_path, dict(MESH, **{key: value}))]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: mesh file entry {key!r} must hold numbers only\n"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("vertices", [[0, 0], [1, 0], [0]]),
+    ("triangles", [[0, 1, 2], [1, 2]]),
+    ("vertices", [[0, 0], [1, [0]], [0, 1]]),
+])
+def test_qm_check_ragged_rows_get_a_schema_message(tmp_path, capsys, key, value):
+    assert main(["qm-check", _write_json(tmp_path, dict(MESH, **{key: value}))]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: mesh file entry {key!r} has rows of different lengths\n"
+
+
 @pytest.mark.parametrize("doc", [
     dict(MESH, triangles=[[0, 1, 2], [0, 1, 2]], coefficient=[1.0, 2.0]),  # duplicated
     {"vertices": [[0, 0], [1, 0], [0, 1], [0.2, 0.3]],                    # folded

@@ -79,7 +79,7 @@ def test_members_of_the_space_read_zero(degree, alpha):
     target = polynomial_target(degree)
     tables, plan, coeff = setup(alpha, 4, degree, target)
     energy = 0.0  # a ||grad u||^2 by the plan
-    for _, ks, pts, wts in plan.blocks():
+    for _, ks, pts, wts, _ in plan.blocks():  # all plain: physical points
         gu = target.gradient(pts.reshape(-1, 2)).reshape(*wts.shape, 2)
         energy += float(coeff.values[ks] @ np.einsum("kq,kqd,kqd->k", wts, gu, gu))
     errors = every_error(target, tables, coeff)

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from qmloc.errors import PointOutsideElement, UnsupportedDegree
-from qmloc.fespace import (_lattice, build_space, edge_basis_1d,
-                           element_basis, element_dual_basis, element_mass_matrix, eval_basis,
-                           face_dual_basis, reference_basis)
+from qmloc.fespace import (_lattice, build_space, edge_basis_1d, element_dual_basis,
+                           element_mass_matrix, reference_basis)
 from qmloc.mesh import build_triangulation, uniform_refine
 
 import mesh_reference
+from fespace_reference import element_basis, eval_basis, face_dual_basis
 
 V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 T = np.array([[0, 1, 2], [0, 2, 3]])

@@ -16,7 +16,7 @@ from qmloc.harness import (_dirichlet_tables, emit_report, estimate_inequality_c
                            render_report, run_alpha_robustness,
                            run_hexagon_sweep, run_reaction_diffusion,
                            run_star_sweep)
-from qmloc.mesh import region_rows, vertex_patch
+from qmloc.mesh import build_triangulation, region_rows, vertex_patch
 from qmloc.quadrature import make_quadrature_plan
 
 import harness_reference
@@ -169,6 +169,81 @@ def test_star_candidates_match_the_per_vertex_reference(monkeypatch, N, degree):
     # keys in order, and the (positive) energies bit for bit
     assert list(meta["star_kinds"].items()) == list(kinds.items())
     assert list(meta["candidate_upper_bounds"].items()) == list(candidates.items())
+
+
+_TABLE_FIELDS = ("stiffness", "mass", "grad_moments", "grad_sq", "value_moments", "value_sq",
+                 "grad_fits", "grad_residual", "value_fits", "value_residual")
+_FULL_PASS = {}  # (N, degree) -> (mesh, target, full-pass tables)
+
+
+def _full_pass(N, degree):
+    """The checkerboard's element tables by one plan and one table pass over
+    every element, the oracle of the tables built once per period."""
+    if (N, degree) not in _FULL_PASS:
+        tri, _ = checkerboard_mesh(N)
+        target = checkerboard_target(N)
+        plan = make_quadrature_plan(tri, target, exactness=2 * degree + 6)
+        _FULL_PASS[N, degree] = tri, target, element_tables(
+            target, plan, build_space(tri, degree, dirichlet_on_boundary=True))
+    return _FULL_PASS[N, degree]
+
+
+def _gap(tables, want, name):
+    """The largest difference of a table field, relative to its largest entry."""
+    a = getattr(want, name)
+    return np.max(np.abs(getattr(tables, name) - a)) / np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("N, degree", [(N, d) for N in range(2, 9) for d in range(1, 5)]
+                         + [(16, 1)])
+def test_congruent_cells_have_equal_tables(N, degree):
+    """Every element's full-pass tables equal those of its translate in macro
+    cell (0, 0) within 1e-13 of each field's largest entry: polar nodes are
+    evaluated at their offsets from the singular point, not at s + offset."""
+    tri, _, tables = _full_pass(N, degree)
+    # squares row by row, two triangles each; the twin keeps the square's
+    # parity in x and y and the triangle
+    j, i = np.divmod(np.arange(tri.n_elements) // 2, 2 * N)
+    twin = 2 * ((j % 2) * 2 * N + i % 2) + np.arange(tri.n_elements) % 2
+    for name in _TABLE_FIELDS:
+        a = getattr(tables, name)
+        assert np.max(np.abs(a - a[twin])) <= 1e-13 * np.max(np.abs(a)), name
+
+
+@settings(max_examples=12, deadline=None)
+@given(N=st.integers(2, 8), degree=st.integers(1, 4))
+def test_tables_once_per_period_match_the_full_pass(N, degree):
+    tri, target, full = _full_pass(N, degree)
+    tables = _dirichlet_tables(tri, target, degree)
+    assert tables.space.n_nodes == full.space.n_nodes and tables.space.dirichlet.any()
+    for name in _TABLE_FIELDS:
+        assert _gap(tables, full, name) <= 1e-12, name
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_tables_once_per_period_on_a_mesh_that_is_not_periodic(monkeypatch, degree):
+    """One interior macro corner of the N = 3 checkerboard moved off the
+    lattice: its six elements each get their own table, every other element
+    its translate's, and all match the full pass."""
+    tri, _ = checkerboard_mesh(3)
+    corner = int(np.flatnonzero(np.all(np.isclose(tri.vertices, [2 / 3, 1 / 3]), axis=1))[0])
+    vertices = tri.vertices.copy()
+    vertices[corner] += [0.013, -0.007]
+    moved = build_triangulation(vertices, tri.triangles)
+    target = checkerboard_target(3)
+    sizes = []
+
+    def plan_of(tri, target, exactness):
+        sizes.append(tri.n_elements)
+        return make_quadrature_plan(tri, target, exactness)
+
+    monkeypatch.setattr(harness, "make_quadrature_plan", plan_of)
+    tables = _dirichlet_tables(moved, target, degree)
+    assert sizes == [8 + 6]
+    full = element_tables(target, make_quadrature_plan(moved, target, 2 * degree + 6),
+                          build_space(moved, degree, dirichlet_on_boundary=True))
+    for name in _TABLE_FIELDS:
+        assert _gap(tables, full, name) <= 1e-12, name
 
 
 def test_alpha_robustness_on_constant_pattern():

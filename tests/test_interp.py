@@ -10,7 +10,7 @@ from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
                                    fig1_left_pattern, fig1_meshes, hexagon_mesh,
                                    hexagon_target)
 from qmloc.errors import NoMonotonePath, QuadratureFailure
-from qmloc.fespace import build_space, eval_basis
+from qmloc.fespace import build_space
 from qmloc.fields import SingularPoint, TargetField, smooth_target
 from qmloc.harness import default_smooth_targets
 from qmloc.interp import (_edge_quadrature, interpolation_error_sq,
@@ -19,6 +19,7 @@ from qmloc.mesh import build_triangulation, element_patch, uniform_refine
 from qmloc.quadrature import make_quadrature_plan
 
 import interp_reference as ref
+from fespace_reference import eval_basis
 from ritz_reference import interpolation_error_loop
 from test_bestapprox import _perturbed_grid
 

@@ -393,11 +393,17 @@ def test_plan_weights_are_a_lazy_sequence():
             == sum(len(w) * n for (_, w, _), n in zip(plan.rules, counts)))
     for k in (0, plan.singular_elements[0], tri.n_elements - 1):
         assert np.array_equal(plan.weights[k], plan.element_rule(k)[1])
-    # blocks map every element once, within its class and the node budget
+    # blocks map every element once, within its class and the node budget, a
+    # polar one to the offsets from its singular point
     seen = np.zeros(tri.n_elements, dtype=int)
-    for c, ks, pts, wts in plan.blocks():
+    for c, ks, pts, wts, about in plan.blocks():
         assert (plan.element_class[ks] == c).all()
         assert pts.shape[:2] == wts.shape and (len(ks) == 1 or wts.size <= 4096)
         seen[ks] += 1
+        if c == 0:
+            assert about is None and (plan.element_point[ks] == -1).all()
+        else:
+            assert np.array_equal(about, plan.element_point[ks]) and (about >= 0).all()
+            pts = pts + plan.origin[ks, None]
         assert np.array_equal(pts[-1], plan.element_rule(ks[-1])[0])
     assert (seen == 1).all()
