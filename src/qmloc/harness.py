@@ -197,7 +197,9 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
 _BYTES_PER_ELEMENT = {1: 16_339, 2: 17_213, 3: 35_845, 4: 75_973}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
 # (2,048 and 8,192 elements), measured the same way.  The slopes were 2,381
-# bytes at P1, 6,773 at P2, 17,674 at P3 and 39,575 at P4.
+# bytes at P1, 6,773 at P2, 17,674 at P3 and 39,575 at P4.  Re-checked with
+# the tables built once per period, which moved none of them by more than
+# 6%: 2,253 / 6,861 / 17,648 / 39,390 bytes.
 _STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
 
 
