@@ -61,54 +61,51 @@ class QmReport:
         }
 
 
-def _star_graph(tri: Triangulation, a: np.ndarray, star):
-    """Directed adjacency inside a star: K -> K' iff edge-adjacent and
-    a_K <= a_K'."""
-    star_set = set(star)
-    adj: dict[int, list[tuple[int, int]]] = {k: [] for k in star}
-    for k in star:
-        for e in tri.triangle_edges[k].tolist():
-            for other in edge_pair(tri, e).tolist():
-                if other != k and other in star_set and a[k] <= a[other]:
-                    adj[k].append((other, e))
-    for k in adj:
-        adj[k].sort()
-    return adj
-
-
 def find_monotone_path(tri: Triangulation, coeff: Coefficient, z: int, k: int, k_tilde: int):
     """Shortest monotone path K -> K~ inside omega_z, lexicographically
     smallest among shortest; None if unreachable."""
     star = vertex_patch(tri, z)
     if k not in star or k_tilde not in star:
         raise LocusMismatch(f"elements ({k}, {k_tilde}) not both in the star of vertex {z}")
-    return _bfs_path(tri, coeff.values, star, k, k_tilde)
+    return _monotone_path(tri, coeff.values, star, k, k_tilde)
 
 
-def _bfs_path(tri, a, star, k, k_tilde):
-    if k == k_tilde:
-        return MonotonePath(elements=(k,), shared_edges=())
-    adj = _star_graph(tri, a, star)
-    # BFS storing, per node, the lexicographically smallest predecessor chain
-    best: dict[int, tuple] = {k: (k,)}
-    best_edges: dict[int, tuple] = {k: ()}
-    frontier = [k]
-    while frontier:
-        nxt: dict[int, tuple[tuple, tuple]] = {}
-        for node in sorted(frontier, key=lambda n: best[n]):
-            for other, eid in adj[node]:
-                if other in best:
-                    continue
-                cand = (best[node] + (other,), best_edges[node] + (eid,))
-                if other not in nxt or cand < nxt[other]:
-                    nxt[other] = cand
-        for other, (chain, edges) in nxt.items():
-            best[other] = chain
-            best_edges[other] = edges
-        if k_tilde in best:
-            return MonotonePath(elements=best[k_tilde], shared_edges=best_edges[k_tilde])
-        frontier = list(nxt)
-    return None
+def _steps(tri: Triangulation, a: np.ndarray, elems: np.ndarray):
+    """(..., E, E) bools for the elements `elems` (..., E) of regions: the
+    step K -> K' when they share an edge (K = K' too) and a_K <= a_K'."""
+    te, ae = tri.triangle_edges[elems], a[elems]
+    shared = (te[..., :, None, :, None] == te[..., None, :, None, :]).any(axis=(-2, -1))
+    return shared & (ae[..., :, None] <= ae[..., None, :])
+
+
+def _monotone_path(tri, a, star, k, k_tilde):
+    """The lexicographically smallest shortest monotone path K -> K~ inside
+    the ascending elements `star`, or None: a backward sweep over the steps
+    counts each element's hops to K~, then the walk from K takes the smallest
+    element one hop closer.  Stars are small, so both run in Python."""
+    elems = np.asarray(star)
+    star = elems.tolist()
+    back = _steps(tri, a, elems).T.tolist()  # back[q][p]: the step p -> q
+    E, start, goal = len(star), star.index(k), star.index(k_tilde)
+    hops, frontier = [-1] * E, [goal]
+    hops[goal] = 0
+    while frontier and hops[start] < 0:
+        nxt = []
+        for q in frontier:
+            for p, step in enumerate(back[q]):
+                if step and hops[p] < 0:
+                    hops[p] = hops[q] + 1
+                    nxt.append(p)
+        frontier = nxt
+    if hops[start] < 0:
+        return None
+    path = [start]
+    for d in range(hops[start] - 1, -1, -1):
+        path.append(next(q for q in range(E) if hops[q] == d and back[q][path[-1]]))
+    te = tri.triangle_edges[elems[path]].tolist()
+    return MonotonePath(elements=tuple(star[p] for p in path),
+                        shared_edges=tuple(next(e for e in f if e in g)
+                                           for f, g in zip(te, te[1:])))
 
 
 def space_star(space: LagrangeSpace, node: int):
@@ -127,9 +124,10 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
     """Classify the coefficient field per the monotone-path definition.
 
     node_set: iterable of loci ('vertex'|'edge'|'element', id); defaults to
-    all stars seen by the degree-`degree` space (vertex stars, plus edge
-    pairs and single elements for degree >= 2, which are checked directly
-    even though vertex stars already imply them).
+    all stars seen by the degree-`degree` space: the vertex stars, plus the
+    interior edge pairs at degree >= 2 and the single elements at degree
+    >= 3.  The added loci never fail, because the direct step exists: the
+    two elements of an edge pair share that edge, and K -> K.
     """
     if not 1 <= degree <= 4:
         raise UnsupportedDegree(f"degree {degree} not in 1..4")
@@ -169,16 +167,15 @@ def _locus_regions(tri: Triangulation, loci):
 def _witnesses(tri: Triangulation, a: np.ndarray, regions):
     """Quasi-monotonicity of each CSR region: a (P, 2) witness, -1 if none.
 
-    Regions of one size E are decided at once: K -> K' when they share an
-    edge (K = K' too) and a_K <= a_K', and repeated squaring of these (E, E)
-    0/1 matrices gives reachability.  The witness is the first (K, K~) in
-    row-major order with a_K <= a_K~ and K~ unreachable from K."""
+    Regions of one size E are decided at once: repeated squaring of their
+    (E, E) 0/1 step matrices (`_steps`) gives reachability.  The witness is
+    the first (K, K~) in row-major order with a_K <= a_K~ and K~ unreachable
+    from K."""
     witness = np.full((len(regions[0]) - 1, 2), -1, dtype=np.int64)
     for rows, elems in _region_groups(regions):
-        E, te = elems.shape[1], tri.triangle_edges[elems]
+        E = elems.shape[1]
         up = a[elems][:, :, None] <= a[elems][:, None, :]
-        shared = (te[:, :, None, :, None] == te[:, None, :, None, :]).any(axis=(3, 4))
-        reach = np.where(shared & up, 1.0, 0.0)
+        reach = np.where(_steps(tri, a, elems), 1.0, 0.0)
         for _ in range(max(E - 2, 0).bit_length()):  # paths of up to 2, 4, ... edges
             reach = np.minimum(reach @ reach, 1.0)  # exact: the products count paths
         fail = (up & (reach == 0.0)).reshape(len(rows), E * E)
@@ -211,20 +208,21 @@ def select_kmax_fz(space: LagrangeSpace, coeff: Coefficient):
     return kmax, loc, fz
 
 
-def build_omega_hat(tri: Triangulation, coeff: Coefficient, k: int, degree: int = 1,
+def build_omega_hat(tri: Triangulation, coeff: Coefficient, k: int,
                     space: LagrangeSpace | None = None):
-    """omega_hat_K: union of monotone paths from K to K_max(z), z in N_K.
+    """omega_hat_K: union of monotone paths from K to K_max(z), z in N_K,
+    the nodes those of `space` (default: the P1 space of `tri`).
 
     Raises NoMonotonePath (with the failing node) when the coefficient is
     not quasi-monotone on some star of K.
     """
-    sp = space if space is not None else build_space(tri, degree)
+    sp = space if space is not None else build_space(tri, 1)
     out = {int(k)}
     a = coeff.values
     for node in sorted(int(n) for n in sp.element_nodes[k]):
         star = space_star(sp, node)
         kmax = min(star, key=lambda j: (-a[j], j))  # the rule of select_kmax_fz
-        path = _bfs_path(tri, a, star, int(k), int(kmax))
+        path = _monotone_path(tri, a, star, int(k), int(kmax))
         if path is None:
             raise NoMonotonePath(f"no monotone path from element {k} to K_max at node {node}")
         out.update(path.elements)

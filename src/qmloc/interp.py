@@ -190,7 +190,7 @@ def operator_report(target, space: LagrangeSpace, coeff: Coefficient,
     }
     if energy_diagnostic:
         omega_hats = {
-            k: build_omega_hat(tri, coeff, k, degree=space.degree, space=space)
+            k: build_omega_hat(tri, coeff, k, space=space)
             for k in range(tri.n_elements)
         }
         eu = float(coeff.values @ tables.grad_sq)

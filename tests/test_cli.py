@@ -340,6 +340,32 @@ def test_constants_rejects_levels_below_one(capsys, levels):
     assert err.count("\n") == 1 and "levels must be >= 1" in err
 
 
+@pytest.mark.parametrize("argv, memory, message", [
+    # the last mesh of 9 levels has 2 * 4^8 = 131,072 elements
+    (["constants", "--levels", "9"], 2**27,
+     "levels=9 at degree 1 needs about 0.207 GiB of 0.125 GiB of memory"),
+    (["constants", "--levels", "6", "--ell", "4"], 2**20,
+     "levels=6 at degree 4 needs about 0.0108 GiB of 0.000977 GiB of memory"),
+    (["constants", "--levels", "40"], None, "levels=40 at degree 1 needs about "),
+])
+def test_constants_refuses_what_will_not_fit_before_building_any_mesh(
+        capsys, monkeypatch, argv, memory, message):
+    import qmloc.harness
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("a mesh was built before its size was checked")
+
+    monkeypatch.setattr(qmloc.harness, "build_triangulation", no_mesh)
+    monkeypatch.setattr(qmloc.harness, "uniform_refine", no_mesh)
+    if memory is not None:
+        monkeypatch.setattr(qmloc.harness, "_physical_memory", lambda: memory)
+    assert main(argv) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("command", ["alpha", "rd"])
 def test_sweeps_reject_negative_refines(capsys, command):
     assert main([command, "--refines", "-1"]) == EXIT_INVALID

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qmloc.coeff import (attach_coefficient, build_omega_hat,
                          check_quasi_monotonicity, find_monotone_path,
                          select_kmax_fz)
-from qmloc.counterexamples import (checkerboard_mesh, fig1_meshes,
+from qmloc.counterexamples import (checkerboard_mesh, fig1_left_pattern, fig1_meshes,
                                    hexagon_mesh)
 from qmloc.errors import NoMonotonePath, NonPositiveValue, UnknownLocus
 from qmloc.fespace import build_space
@@ -216,7 +216,7 @@ def test_omega_hat_reaches_kmax_of_every_node(degree):
         space = build_space(tri, degree)
         kmax = select_kmax_fz(space, coeff)[0]
         for k in range(tri.n_elements):
-            omega = build_omega_hat(tri, coeff, k, degree=degree, space=space)
+            omega = build_omega_hat(tri, coeff, k, space=space)
             assert set(kmax[space.element_nodes[k]].tolist()) <= set(omega)
 
 
@@ -231,3 +231,50 @@ def test_crucial_inequality_under_qm():
     for k in range(tri.n_elements):
         omega = build_omega_hat(tri, coeff, k)
         assert all(coeff.values[k] <= coeff.values[kk] + 1e-15 for kk in omega)
+
+
+def _path_oracle_cases():
+    """The meshes of the path oracle, each under its own coefficient and two
+    seeded draws, one with ties and one without."""
+    rng = np.random.default_rng(18)
+    for tri, coeff in [hexagon_mesh(0.1), fig1_meshes(4, "left"), fig1_meshes(100, "right"),
+                       checkerboard_mesh(2), fig1_left_pattern(0.25, refines=2)]:
+        yield tri, coeff
+        yield tri, attach_coefficient(tri, rng.choice([1.0, 2.0, 3.0], tri.n_elements))
+        yield tri, attach_coefficient(tri, rng.uniform(0.1, 10.0, tri.n_elements))
+
+
+def test_monotone_paths_match_the_bfs_oracle():
+    """Every ordered pair of every vertex star: the path of the step-row walk
+    is the dict BFS's, the lexicographically smallest shortest one, or None
+    with it."""
+    for tri, coeff in _path_oracle_cases():
+        for z in range(tri.n_vertices):
+            star = vertex_patch(tri, z)
+            for k, kk in itertools.product(star.tolist(), repeat=2):
+                assert (find_monotone_path(tri, coeff, z, k, kk)
+                        == coeff_reference._bfs_path(tri, coeff.values, star, k, kk))
+
+
+def _omega_hat_or_refusal(build, tri, coeff, k, space):
+    try:
+        return build(tri, coeff, k, space=space)
+    except NoMonotonePath as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_omega_hat_is_the_union_of_oracle_paths(degree):
+    """omega_hat at P1-P2 on fig1-left and on a constant coefficient equals
+    the union of the oracle's paths; on the hexagon both refuse element 3,
+    and only it, at the same node."""
+    hexagon, coeff = hexagon_mesh(0.1)
+    cases = [fig1_left_pattern(0.25, refines=1), fig1_meshes(4, "left"),
+             (hexagon, attach_coefficient(hexagon, np.full(6, 2.0))), (hexagon, coeff)]
+    for tri, coeff in cases:
+        space = build_space(tri, degree)
+        omegas = [_omega_hat_or_refusal(build_omega_hat, tri, coeff, k, space)
+                  for k in range(tri.n_elements)]
+        assert omegas == [_omega_hat_or_refusal(coeff_reference.omega_hat, tri, coeff, k, space)
+                          for k in range(tri.n_elements)]
+    assert [k for k, omega in enumerate(omegas) if isinstance(omega, str)] == [3]
