@@ -210,8 +210,8 @@ def select_kmax_fz(space: LagrangeSpace, coeff: Coefficient):
 
 def build_omega_hat(tri: Triangulation, coeff: Coefficient, k: int,
                     space: LagrangeSpace | None = None):
-    """omega_hat_K: union of monotone paths from K to K_max(z), z in N_K,
-    the nodes those of `space` (default: the P1 space of `tri`).
+    """omega_hat_K: union of monotone paths from K to K_max(z) over the nodes
+    z of K in `space` (the P1 space of `tri` by default).
 
     Raises NoMonotonePath (with the failing node) when the coefficient is
     not quasi-monotone on some star of K.

@@ -205,7 +205,7 @@ _STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
 # --levels 8 (last meshes of 8,192 and 32,768 elements), the larger of two
 # runs.  The slopes were 848 bytes at P1, 998 at P2, 1,796 at P3 and 2,822
 # at P4.
-_LADDER_BYTES_PER_ELEMENT = {1: 1_696, 2: 1_996, 3: 3_592, 4: 5_643}
+_CONSTANTS_BYTES_PER_ELEMENT = {1: 1_696, 2: 1_996, 3: 3_592, 4: 5_643}
 
 
 def _physical_memory() -> int:
@@ -337,7 +337,7 @@ def estimate_inequality_constants(refine_levels: int = 4, degree: int = 1) -> di
         raise ParameterOutOfRange(f"levels must be >= 1, got {refine_levels}")
     # the last mesh has 2 * 4^(levels - 1) elements, as a capped float
     _require_memory(f"levels={refine_levels}", 2.0 * 4.0 ** min(refine_levels - 1, 256),
-                    degree, _LADDER_BYTES_PER_ELEMENT)
+                    degree, _CONSTANTS_BYTES_PER_ELEMENT)
     V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     T = np.array([[0, 1, 2], [0, 2, 3]])
     tri = build_triangulation(V, T)
