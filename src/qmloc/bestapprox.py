@@ -58,12 +58,19 @@ class ElementTables:
 
 
 def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> ElementTables:
-    """Element matrices from the reference basis and each affine map, and
-    the target's moments, norms, fits and fit residuals from one pass over
-    the class blocks of the plan (`QuadraturePlan.blocks`), the basis
-    evaluated once per class and one `evaluate` call on the target per
-    block, a polar block's at its offsets from the singular point.  Raises
-    as `QuadraturePlan.require_mesh`: PlanMismatch for a plan of another
+    """The tables of one target: `element_tables_each` of [target]."""
+    return element_tables_each([target], plan, space)[0]
+
+
+def element_tables_each(targets, plan: QuadraturePlan, space: LagrangeSpace) -> list:
+    """The tables of each of `targets`, which share one plan: the element
+    matrices from the reference basis and each affine map, built once and
+    shared by every table, and each target's moments, norms, fits and fit
+    residuals from one pass over the class blocks of the plan
+    (`QuadraturePlan.blocks`), the basis and its derivatives evaluated once
+    per class and block and one `evaluate` call on each target per block, a
+    polar block's at its offsets from the singular point.  Raises as
+    `QuadraturePlan.require_mesh`: PlanMismatch for a plan of another
     element count, PointOutsideElement for one of another mesh.
     """
     pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
@@ -84,8 +91,9 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
         stiffness + (np.trace(stiffness, axis1=1, axis2=2) / nloc**2)[:, None, None])
     mass_ref_inv = np.linalg.inv(mass_ref)  # M_K^-1 = mass_ref_inv / |det B_K|
 
-    nt = space.tri.n_elements
-    moments, fits, sums = np.empty((nt, 2, nloc)), np.empty((nt, 2, nloc)), np.empty((nt, 4))
+    T, nt = len(targets), space.tri.n_elements
+    moments, fits = np.empty((T, nt, 2, nloc)), np.empty((T, nt, 2, nloc))
+    sums = np.empty((T, nt, 4))
     plan.require_mesh(space.tri)
     last = None
     for cls, ks, pts, wts, about in plan.blocks():
@@ -95,28 +103,33 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
             last = cls
         if about is not None:
             about = np.repeat(about, wts.shape[1])
-        u, gu = target.evaluate(pts.reshape(-1, 2), about)
-        u, gu = u.reshape(wts.shape), gu.reshape(*wts.shape, 2)
-        dphi = (gref.reshape(-1, 2) @ Binv[ks]).reshape(*wts.shape, *gref.shape[1:])
-        m = np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)
-        m0 = ((wts * u)[:, None, :] @ phi)[:, 0]
-        pi = (gauged_inv[ks] @ m[..., None])[..., 0]
-        pi0 = m0 @ mass_ref_inv.T / det[ks, None]
-        moments[ks, 0], moments[ks, 1], fits[ks, 0], fits[ks, 1] = m, m0, pi, pi0
-        # the residuals at the nodes: grad pi = (pi @ gref) Binv, pi0 = pi0 @ phi
-        r = gu - (pi @ stacked).reshape(gu.shape) @ Binv[ks]
-        r0 = u - pi0 @ phi.T
-        sums[ks, 0] = np.einsum("kq,kqd,kqd->k", wts, r, r)
-        sums[ks, 1] = np.einsum("kq,kq,kq->k", wts, r0, r0)
-        sums[ks, 2] = np.einsum("kq,kqd,kqd->k", wts, gu, gu)
-        sums[ks, 3] = np.einsum("kq,kq,kq->k", wts, u, u)
-    grad_fits = fits[:, 0]  # a view: its constant becomes the element mean of u
-    grad_fits += ((moments[:, 1].sum(axis=1) - np.einsum("ki,ki->k", grad_fits, mass.sum(axis=2)))
-                  / space.tri.areas)[:, None]
-    return ElementTables(space=space, stiffness=stiffness, mass=mass, grad_moments=moments[:, 0],
-                         grad_sq=sums[:, 2], value_moments=moments[:, 1], value_sq=sums[:, 3],
-                         grad_fits=grad_fits, grad_residual=sums[:, 0], value_fits=fits[:, 1],
-                         value_residual=sums[:, 1])
+        Bk, gk, dk = Binv[ks], gauged_inv[ks], det[ks, None]
+        dphi = (gref.reshape(-1, 2) @ Bk).reshape(*wts.shape, *gref.shape[1:])
+        for t, target in enumerate(targets):
+            u, gu = target.evaluate(pts.reshape(-1, 2), about)
+            u, gu = u.reshape(wts.shape), gu.reshape(*wts.shape, 2)
+            m = np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)
+            m0 = ((wts * u)[:, None, :] @ phi)[:, 0]
+            pi = (gk @ m[..., None])[..., 0]
+            pi0 = m0 @ mass_ref_inv.T / dk
+            moments[t, ks, 0], moments[t, ks, 1], fits[t, ks, 0], fits[t, ks, 1] = m, m0, pi, pi0
+            # the residuals at the nodes: grad pi = (pi @ gref) Binv, pi0 = pi0 @ phi
+            r = gu - (pi @ stacked).reshape(gu.shape) @ Bk
+            r0 = u - pi0 @ phi.T
+            sums[t, ks, 0] = np.einsum("kq,kqd,kqd->k", wts, r, r)
+            sums[t, ks, 1] = np.einsum("kq,kq,kq->k", wts, r0, r0)
+            sums[t, ks, 2] = np.einsum("kq,kqd,kqd->k", wts, gu, gu)
+            sums[t, ks, 3] = np.einsum("kq,kq,kq->k", wts, u, u)
+    out, mass_rows = [], mass.sum(axis=2)
+    for mo, fi, su in zip(moments, fits, sums):
+        grad_fits = fi[:, 0]  # a view: its constant becomes the element mean of u
+        grad_fits += ((mo[:, 1].sum(axis=1) - np.einsum("ki,ki->k", grad_fits, mass_rows))
+                      / space.tri.areas)[:, None]
+        out.append(ElementTables(space=space, stiffness=stiffness, mass=mass,
+                                 grad_moments=mo[:, 0], grad_sq=su[:, 2], value_moments=mo[:, 1],
+                                 value_sq=su[:, 3], grad_fits=grad_fits, grad_residual=su[:, 0],
+                                 value_fits=fi[:, 1], value_residual=su[:, 1]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +139,8 @@ def element_tables(target, plan: QuadraturePlan, space: LagrangeSpace) -> Elemen
 @dataclass
 class SpdSystem:
     """Sparse SPD system; ``fixed`` marks the nodes held at zero (the pinned
-    node of pure-seminorm problems, or a Dirichlet mask), None when definite."""
+    node of pure-seminorm problems, or a Dirichlet mask), None when the
+    matrix is definite as given (already restricted to its free nodes)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -142,20 +156,19 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
     """Jacobi-preconditioned CG on the gauged system.
 
     Converged when the preconditioned relative residual drops below rtol.
-    Returns the full coefficient vector (constrained entries zero).
+    Returns the full coefficient vector (constrained entries zero).  The
+    matrix is restricted to the free nodes by a copy unless ``fixed`` is None.
     """
-    free = system.free_mask()
-    A = system.matrix[free][:, free].tocsr()
-    b = system.rhs[free]
+    A, b, free = system.matrix.tocsr(), system.rhs, None
+    if system.fixed is not None:
+        free = system.free_mask()
+        A, b = A[free][:, free].tocsr(), b[free]
     n = A.shape[0]
-    x = np.zeros(system.matrix.shape[0])
-    if n == 0:
-        return x
+    xf = np.zeros(n)
     d = A.diagonal()
     if np.any(d <= 0):
         raise SolverFailure("gauged system has a non-positive diagonal entry")
     minv = 1.0 / d
-    xf = np.zeros(n)
     r = b.copy()
     z = minv * r
     p = z.copy()
@@ -179,6 +192,9 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
             p = z + (rz_new / rz) * p
             rz = rz_new
             it += 1
+    if free is None:
+        return xf
+    x = np.zeros(len(free))
     x[free] = xf
     return x
 
@@ -202,29 +218,49 @@ def ritz(tables: ElementTables, a, beta: float = 0.0):
 
     Returns (error_sq, x): the energy of u - V and the coefficients of V.
     """
-    w = np.asarray(a, dtype=float)
-    en, m = tables.space.element_nodes, tables.space.n_nodes
-    K, f = _element_forms(tables, w, beta, slice(None))
-    b = np.bincount(en.ravel(), weights=f.ravel(), minlength=m)
-    free = ~tables.space.dirichlet
+    return ritz_each([tables], a, beta)[0]
+
+
+def ritz_each(tables: list, a, beta: float = 0.0) -> list:
+    """`ritz` of each of `tables`, the tables of several targets in one
+    space: the operator is assembled and restricted to the free nodes once,
+    and each target takes one CG solve with it.  Returns a list of
+    (error_sq, x).  Raises ValueError for tables of different spaces.
+    """
+    if not tables:
+        return []
+    w, first = np.asarray(a, dtype=float), tables[0]
+    if any(t.space is not first.space for t in tables):
+        raise ValueError("ritz_each needs the tables of one space")
+    en, m = first.space.element_nodes, first.space.n_nodes
+    free = ~first.space.dirichlet
     if free.all() and beta == 0.0:
         free[0] = False
+    K = _element_matrices(first, w, beta, slice(None))
     # element order, row-major within each element matrix
     rows = np.repeat(en, en.shape[1], axis=1).ravel()
     cols = np.tile(en, (1, en.shape[1])).ravel()
-    A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()
-    x = solve_spd(SpdSystem(matrix=A, rhs=b, fixed=~free))
-    # the energy of the computed approximant: an error in x enters only to second order
-    return float(_error(tables, w, beta, slice(None), x[en]).sum()), x
+    A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()[free][:, free].tocsr()
+    out = []
+    for t in tables:
+        f = _element_loads(t, w, beta, slice(None))
+        b = np.bincount(en.ravel(), weights=f.ravel(), minlength=m)
+        x = np.zeros(m)
+        x[free] = solve_spd(SpdSystem(matrix=A, rhs=b[free]))
+        # the energy of the computed approximant: an error in x enters only to second order
+        out.append((float(_error(t, w, beta, slice(None), x[en]).sum()), x))
+    return out
 
 
-def _element_forms(tables: ElementTables, a, beta: float, elems):
-    """a_K S_K + beta M_K and the load vectors of the elements `elems` (a
-    slice or an int array of any shape)."""
-    w = a[elems]
-    K = w[..., None, None] * tables.stiffness[elems] + beta * tables.mass[elems]
-    f = w[..., None] * tables.grad_moments[elems] + beta * tables.value_moments[elems]
-    return K, f
+def _element_matrices(tables: ElementTables, a, beta: float, elems):
+    """a_K S_K + beta M_K of the elements `elems` (a slice or an int array of
+    any shape)."""
+    return a[elems][..., None, None] * tables.stiffness[elems] + beta * tables.mass[elems]
+
+
+def _element_loads(tables: ElementTables, a, beta: float, elems):
+    """The load vectors of `_element_matrices`, of the tables' target."""
+    return a[elems][..., None] * tables.grad_moments[elems] + beta * tables.value_moments[elems]
 
 
 def _error(tables: ElementTables, a, beta: float, elems, v):
@@ -272,7 +308,8 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0):
             # index into the stacked (G * m) nodes: search each region's own
             off = np.arange(G)[:, None] * n
             loc = np.searchsorted((nodes + off).ravel(), (en[sub] + off).ravel()).reshape(G, E, -1)
-            K, f = _element_forms(tables, a, beta, elems[sub])
+            K = _element_matrices(tables, a, beta, elems[sub])
+            f = _element_loads(tables, a, beta, elems[sub])
             flat = loc[..., :, None] * m + loc[..., None, :] % m
             A = np.bincount(flat.ravel(), K.ravel(), G * m * m).reshape(G, m, m)
             b = np.bincount(loc.ravel(), f.ravel(), G * m).reshape(G, m)

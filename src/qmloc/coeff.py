@@ -126,8 +126,9 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
     node_set: iterable of loci ('vertex'|'edge'|'element', id); defaults to
     all stars seen by the degree-`degree` space: the vertex stars, plus the
     interior edge pairs at degree >= 2 and the single elements at degree
-    >= 3.  The added loci never fail, because the direct step exists: the
-    two elements of an edge pair share that edge, and K -> K.
+    >= 3.  Only vertex stars are decided by a search: edge-pair and element
+    loci never fail, because the direct step exists (the two elements of an
+    edge pair share that edge, and K -> K), so they are validated and pass.
     """
     if not 1 <= degree <= 4:
         raise UnsupportedDegree(f"degree {degree} not in 1..4")
@@ -139,7 +140,10 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
             loci += [("element", k) for k in range(tri.n_elements)]
     else:
         loci = [tuple(l) for l in node_set]
-    witness = _witnesses(tri, coeff.values, _locus_regions(tri, loci)).tolist()
+    at, z = _vertex_loci(tri, loci)
+    witness = np.full((len(loci), 2), -1, dtype=np.int64)
+    witness[at] = _witnesses(tri, coeff.values, region_rows(tri.vertex_elements, z))
+    witness = witness.tolist()
     return QmReport(
         quasi_monotone=all(k < 0 for k, _ in witness),
         verdicts=tuple((locus, k < 0) for locus, (k, _) in zip(loci, witness)),
@@ -147,21 +151,17 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
     )
 
 
-def _locus_regions(tri: Triangulation, loci):
-    """The elements of each locus as CSR regions: its vertex star, its edge
-    pair or the element itself.  Raises UnknownLocus for a bad kind or id."""
+def _vertex_loci(tri: Triangulation, loci):
+    """The positions in `loci` of its vertex loci and their vertex ids, two
+    int arrays.  Raises UnknownLocus for a bad kind or id of any locus."""
     count = {"vertex": tri.n_vertices, "edge": tri.n_edges, "element": tri.n_elements}
     for kind, ident in loci:
         if kind not in count:
             raise UnknownLocus(f"unknown locus kind {kind!r}")
         if not 0 <= ident < count[kind]:
             raise UnknownLocus(f"{kind} {ident}")
-    # the vertex stars, then the edge pairs, then the single elements
-    (vo, vi), (eo, ei), nt = tri.vertex_elements, tri.edge_elements, tri.n_elements
-    stacked = (np.concatenate([vo, vo[-1] + eo[1:], vo[-1] + eo[-1] + np.arange(1, nt + 1)]),
-               np.concatenate([vi, ei, np.arange(nt)]))
-    first = {"vertex": 0, "edge": tri.n_vertices, "element": tri.n_vertices + tri.n_edges}
-    return region_rows(stacked, np.array([first[k] + i for k, i in loci], dtype=np.int64))
+    at = [i for i, (kind, _) in enumerate(loci) if kind == "vertex"]
+    return np.array(at, dtype=np.int64), np.array([loci[i][1] for i in at], dtype=np.int64)
 
 
 def _witnesses(tri: Triangulation, a: np.ndarray, regions):
@@ -226,8 +226,5 @@ def build_omega_hat(tri: Triangulation, coeff: Coefficient, k: int,
         if path is None:
             raise NoMonotonePath(f"no monotone path from element {k} to K_max at node {node}")
         out.update(path.elements)
-    result = tuple(sorted(out))
-    region = (np.array([0, len(result)]), np.array(result))
-    if _witnesses(tri, np.zeros(tri.n_elements), region)[0, 0] >= 0:  # not edge-connected
-        raise NoMonotonePath(f"omega_hat of element {k} is disconnected")
-    return result
+    # edge-connected: every path starts at K and steps across shared edges
+    return tuple(sorted(out))

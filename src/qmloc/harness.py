@@ -10,7 +10,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .bestapprox import (LocalizationReport, _region_errors, element_tables,
-                         local_element_errors, local_ritz, ritz)
+                         element_tables_each, local_element_errors, local_ritz, ritz,
+                         ritz_each)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (_checkerboard_eps, analytic_energy_reference, checkerboard_mesh,
                               checkerboard_target, fig1_left_values, fig1_refined,
@@ -192,9 +193,10 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
 # Peak memory per element of the fig1 sweeps, in bytes by degree: twice the
 # larger peak-RSS slope of `alpha` and `rd` (default alphas and betas) between
 # --refines 4 and 5, in-process by getrusage on 2 cores, Python 3.11, numpy
-# 2.4.  The slopes were 4,676 / 8,169 bytes at P1, 5,741 / 8,607 at P2,
-# 11,801 / 17,923 at P3 and 21,877 / 37,987 at P4; other degrees take P4's.
-_BYTES_PER_ELEMENT = {1: 16_339, 2: 17_213, 3: 35_845, 4: 75_973}
+# 2.4, with every target's tables held at once.  The slopes were 4,693 /
+# 7,332 bytes at P1 and 5,933 / 7,743 at P2 (the larger of three runs),
+# 10,764 / 18,095 at P3 and 20,827 / 37,949 at P4; other degrees take P4's.
+_BYTES_PER_ELEMENT = {1: 14_664, 2: 15_486, 3: 36_190, 4: 75_898}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
 # (2,048 and 8,192 elements), measured the same way.  The slopes were 2,381
 # bytes at P1, 6,773 at P2, 17,674 at P3 and 39,575 at P4.  Re-checked with
@@ -233,10 +235,11 @@ def _checked_betas(betas) -> list:
 
 
 def _fig1_tables(pattern: str, alpha_values, targets: dict, degree: int, refines: int):
-    """The coefficient per alpha on the refined tiling of `pattern`, and a
-    generator of (name, target, element tables), one target at a time.  Every
-    alpha and the tiling's memory estimate are checked before the tiling is
-    built, and a coefficient that is not quasi-monotone is refused."""
+    """The refined tiling of `pattern`, the coefficient per alpha on it, and
+    the element tables of each target in target order, one
+    `element_tables_each` pass per plan key.  Every alpha and the tiling's
+    memory estimate are checked before the tiling is built, and a
+    coefficient that is not quasi-monotone is refused."""
     if pattern != "fig1-left":
         raise ParameterOutOfRange(f"unknown pattern {pattern!r}")
     values = [fig1_left_values(alpha) for alpha in alpha_values]
@@ -251,10 +254,20 @@ def _fig1_tables(pattern: str, alpha_values, targets: dict, degree: int, refines
             raise RefusesNonQM(f"pattern {pattern!r} at alpha={alpha} is not quasi-monotone; "
                                f"witness {qm.witnesses[:1]}")
     space = build_space(tri, degree)
-    plans = {key: make_quadrature_plan(tri, target, exactness=2 * degree + 6)
-             for key, target in {plan_key(t): t for t in targets.values()}.items()}
-    return coeffs, ((name, target, element_tables(target, plans[plan_key(target)], space))
-                    for name, target in targets.items())
+    by_key: dict = {}  # plan key -> the names of its targets
+    for name, target in targets.items():
+        by_key.setdefault(plan_key(target), []).append(name)
+    tables = {}
+    for names in by_key.values():
+        group = [targets[name] for name in names]
+        plan = make_quadrature_plan(tri, group[0], exactness=2 * degree + 6)
+        tables.update(zip(names, element_tables_each(group, plan, space)))
+    return tri, coeffs, [tables[name] for name in targets]
+
+
+def _global_sq(tables: list, a, beta: float = 0.0) -> list:
+    """The global best error of each of `tables`, by one shared operator."""
+    return [err for err, _ in ritz_each(tables, a, beta)]
 
 
 def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
@@ -263,26 +276,26 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
     """Localization and near-best ratios across a contrast sweep on a
     quasi-monotone tiling; refuses non-quasi-monotone configurations."""
     targets = default_smooth_targets() if targets is None else targets
-    coeffs, per_target = _fig1_tables(pattern, alpha_values, targets, degree, refines)
-    reports = [[] for _ in alpha_values]  # per alpha, in target order
-    for name, target, tables in per_target:
-        for alpha, coeff, out in zip(alpha_values, coeffs, reports):
-            global_sq = ritz(tables, coeff.values)[0]
-            elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
-            itp = quasi_interpolate(target, tables, coeff)
-            interp_sq = float(interpolation_error_sq(itp, tables, coeff).sum())
-            out.append(LocalizationReport(
+    tri, coeffs, tables = _fig1_tables(pattern, alpha_values, targets, degree, refines)
+    reports = []  # per alpha, in target order
+    for alpha, coeff in zip(alpha_values, coeffs):
+        for (name, target), tab, global_sq in zip(targets.items(), tables,
+                                                  _global_sq(tables, coeff.values)):
+            elements = list(enumerate(local_element_errors(tab, coeff).tolist()))
+            itp = quasi_interpolate(target, tab, coeff)
+            interp_sq = float(interpolation_error_sq(itp, tab, coeff).sum())
+            reports.append(LocalizationReport(
                 global_error_sq=global_sq,
                 loci={"element": elements},
                 metadata={
                     "experiment": "alpha", "pattern": pattern, "alpha": alpha,
                     "target": name, "degree": degree, "refines": refines,
-                    "n_elements": tables.space.tri.n_elements,
+                    "n_elements": tri.n_elements,
                     "quasi_monotone": True,
                     "interp_error_sq": interp_sq,
                 },
             ))
-    return [rep for out in reports for rep in out]
+    return reports
 
 
 def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
@@ -290,40 +303,47 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
                            degree: int = 1, refines: int = 2) -> list:
     """Combined-norm equivalence sweep on a quasi-monotone tiling.  The L2
     global error and pair list are computed once per target, the gradient
-    ones once per target and alpha, each locus list shared by its reports."""
+    ones once per target and alpha, each locus list shared by its reports;
+    each global operator is built once for all targets."""
     targets = default_smooth_targets() if targets is None else targets
     betas = _checked_betas(beta_values)
-    coeffs, per_target = _fig1_tables(pattern, alpha_values, targets, degree, refines)
-    reports = [[] for _ in alpha_values]  # per alpha, in target and beta order
-    for name, _, tables in per_target:
-        tri = tables.space.tri
-        zero, edges = np.zeros(tri.n_elements), tri.interior_edges()
-        l2_sq = ritz(tables, zero, 1.0)[0]
-        pair_sq = local_ritz(tables, zero, region_rows(tri.edge_elements, edges), 1.0)[0].tolist()
-        pairs, pair_sum = list(zip(edges, pair_sq)), float(sum(pair_sq))
-        for alpha, coeff, out in zip(alpha_values, coeffs, reports):
-            gradient_sq = ritz(tables, coeff.values)[0]
-            element_sq = local_element_errors(tables, coeff).tolist()
+    tri, coeffs, tables = _fig1_tables(pattern, alpha_values, targets, degree, refines)
+    zero, edges = np.zeros(tri.n_elements), tri.interior_edges()
+    regions = region_rows(tri.edge_elements, edges)
+    l2 = _global_sq(tables, zero, 1.0)
+    pair_lists = []  # per target: the pair list and its sum
+    for tab in tables:
+        pair_sq = local_ritz(tab, zero, regions, 1.0)[0].tolist()
+        pair_lists.append((list(zip(edges, pair_sq)), float(sum(pair_sq))))
+    reports = []  # per alpha, in target and beta order
+    for alpha, coeff in zip(alpha_values, coeffs):
+        gradient = _global_sq(tables, coeff.values)
+        combined = [_global_sq(tables, coeff.values, b) for b in betas]  # per beta, per target
+        for t, (name, tab) in enumerate(zip(targets, tables)):
+            element_sq = local_element_errors(tab, coeff).tolist()
             elements, grad_sum = list(enumerate(element_sq)), float(sum(element_sq))
-            for beta, b in zip(beta_values, betas):
-                combined = ritz(tables, coeff.values, b)[0]
+            pairs, pair_sum = pair_lists[t]
+            for beta, per_target in zip(beta_values, combined):
+                combined_sq = per_target[t]
                 localized = grad_sum + beta * pair_sum
-                split_floor = gradient_sq + beta * l2_sq
-                out.append(LocalizationReport(
-                    global_error_sq=combined,
+                split_floor = gradient[t] + beta * l2[t]
+                reports.append(LocalizationReport(
+                    global_error_sq=combined_sq,
                     loci={"element": elements, "pair": pairs},
                     metadata={
                         "experiment": "rd", "pattern": pattern, "alpha": alpha,
                         "beta": beta, "target": name, "degree": degree,
                         "refines": refines, "quasi_monotone": True,
-                        "gradient_global_sq": gradient_sq,
-                        "l2_global_sq": l2_sq,
+                        "gradient_global_sq": gradient[t],
+                        "l2_global_sq": l2[t],
                         "localized_sum_sq": localized,
-                        "equivalence_ratio": combined / localized if localized > 0 else float("inf"),
-                        "splitting_ratio": combined / split_floor if split_floor > 0 else float("inf"),
+                        "equivalence_ratio":
+                            combined_sq / localized if localized > 0 else float("inf"),
+                        "splitting_ratio":
+                            combined_sq / split_floor if split_floor > 0 else float("inf"),
                     },
                 ))
-    return [rep for out in reports for rep in out]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -461,22 +481,26 @@ def _json_loci(entries) -> str:
 def _render_json(reports) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) of the reports, with no
     payload: the small parts by `_json_value`, each distinct locus list once
-    by `_json_loci`, all joined once."""
-    lists: dict = {}  # id of a locus list -> its JSON
+    by `_json_loci` and summed once as `LocalizationReport.locus_sum` does,
+    all joined once."""
+    lists: dict = {}  # id of a locus list -> its JSON and its sum
     out = []
     for n, rep in enumerate(reports):
         out.append(",\n  {\n" if n else "[\n  {\n")
         out.append(f'    "global_error_sq": {_json_value(rep.global_error_sq)},\n    "loci": ')
-        kinds = sorted(rep.loci)
+        kinds, sums = sorted(rep.loci), {}
         for j, kind in enumerate(kinds):
             entries = rep.loci[kind]
             if id(entries) not in lists:
-                lists[id(entries)] = _json_loci(entries)
-            out += [",\n      " if j else "{\n      ", json.dumps(kind), ": ", lists[id(entries)]]
+                lists[id(entries)] = _json_loci(entries), float(sum(e for _, e in entries))
+            text, sums[kind] = lists[id(entries)]
+            out += [",\n      " if j else "{\n      ", json.dumps(kind), ": ", text]
         out.append("\n    },\n" if kinds else "{},\n")
+        g = rep.global_error_sq  # the ratios as `LocalizationReport.ratio`
+        ratios = {k: g / s if s > 0 else float("inf") for k, s in sums.items()}
         out.append(f'    "metadata": {_json_value(rep.metadata)},\n'
-                   f'    "ratios": {_json_value({k: rep.ratio(k) for k in rep.loci})},\n'
-                   f'    "sums": {_json_value({k: rep.locus_sum(k) for k in rep.loci})}\n  }}')
+                   f'    "ratios": {_json_value(ratios)},\n'
+                   f'    "sums": {_json_value(sums)}\n  }}')
     out.append("\n]\n" if reports else "[]\n")
     return "".join(out)
 

@@ -1,12 +1,25 @@
-"""Reference star candidates: the per-vertex loops that built the `stars`
-report's `star_kinds` and `candidate_upper_bounds`, one Python dict per
-interior vertex.  `qmloc.harness._star_candidates` must match them bit for
-bit."""
+"""Reference sweeps.
+
+Star candidates: the per-vertex loops that built the `stars` report's
+`star_kinds` and `candidate_upper_bounds`, one Python dict per interior
+vertex.  `qmloc.harness._star_candidates` must match them bit for bit.
+
+The fig1 sweeps: `alpha_reports` and `rd_reports` are the per-target loops
+that the shared tables and operators of `qmloc.harness` replace, one table
+pass and one `masked_ritz` operator per target and solve.  Their JSON must
+match the sweeps' byte for byte.
+"""
 import numpy as np
 
-from qmloc.bestapprox import _error
-from qmloc.coeff import Coefficient
-from qmloc.mesh import Triangulation, vertex_patch
+from qmloc.bestapprox import LocalizationReport, _error, element_tables, local_ritz
+from qmloc.coeff import Coefficient, attach_coefficient
+from qmloc.counterexamples import fig1_left_values, fig1_refined
+from qmloc.fespace import build_space
+from qmloc.interp import interpolation_error_sq, quasi_interpolate
+from qmloc.mesh import Triangulation, region_rows, vertex_patch
+from qmloc.quadrature import make_quadrature_plan
+
+from ritz_reference import masked_ritz
 
 
 def _classify_checkerboard_vertex(v, N: int) -> str:
@@ -69,3 +82,64 @@ def star_metadata(tables, coeff: Coefficient, N: int):
                                            _star_candidate_values(tri, coeff, z, N))
                   for z in inner}
     return kinds, candidates
+
+
+def _fig1_per_target(alpha_values, targets, degree, refines):
+    """The fig1 tiling, a coefficient per alpha and, per target in order,
+    (name, target, tables) from its own plan and table pass."""
+    tri, coarse = fig1_refined(refines)
+    coeffs = [attach_coefficient(tri, fig1_left_values(alpha)[coarse]) for alpha in alpha_values]
+    space = build_space(tri, degree)
+    return tri, coeffs, [(name, target, element_tables(
+        target, make_quadrature_plan(tri, target, 2 * degree + 6), space))
+        for name, target in targets.items()]
+
+
+def alpha_reports(alpha_values, targets, degree, refines):
+    """`qmloc.harness.run_alpha_robustness` on fig1-left, target by target."""
+    tri, coeffs, per_target = _fig1_per_target(alpha_values, targets, degree, refines)
+    reports = [[] for _ in alpha_values]
+    for name, target, tables in per_target:
+        for alpha, coeff, out in zip(alpha_values, coeffs, reports):
+            itp = quasi_interpolate(target, tables, coeff)
+            out.append(LocalizationReport(
+                global_error_sq=masked_ritz(tables, coeff.values)[0],
+                loci={"element": list(enumerate((coeff.values * tables.grad_residual).tolist()))},
+                metadata={"experiment": "alpha", "pattern": "fig1-left", "alpha": alpha,
+                          "target": name, "degree": degree, "refines": refines,
+                          "n_elements": tri.n_elements, "quasi_monotone": True,
+                          "interp_error_sq": float(interpolation_error_sq(itp, tables,
+                                                                         coeff).sum())}))
+    return [rep for out in reports for rep in out]
+
+
+def rd_reports(alpha_values, beta_values, targets, degree, refines):
+    """`qmloc.harness.run_reaction_diffusion` on fig1-left, target by target."""
+    tri, coeffs, per_target = _fig1_per_target(alpha_values, targets, degree, refines)
+    zero, edges = np.zeros(tri.n_elements), tri.interior_edges()
+    reports = [[] for _ in alpha_values]
+    for name, _, tables in per_target:
+        l2_sq = masked_ritz(tables, zero, 1.0)[0]
+        pair_sq = local_ritz(tables, zero, region_rows(tri.edge_elements, edges), 1.0)[0]
+        pairs = list(zip(edges, pair_sq.tolist()))
+        for alpha, coeff, out in zip(alpha_values, coeffs, reports):
+            gradient_sq = masked_ritz(tables, coeff.values)[0]
+            element_sq = (coeff.values * tables.grad_residual).tolist()
+            for beta in beta_values:
+                combined = masked_ritz(tables, coeff.values, float(beta))[0]
+                localized = float(sum(element_sq)) + beta * float(sum(pair_sq.tolist()))
+                split_floor = gradient_sq + beta * l2_sq
+                out.append(LocalizationReport(
+                    global_error_sq=combined,
+                    loci={"element": list(enumerate(element_sq)), "pair": pairs},
+                    metadata={
+                        "experiment": "rd", "pattern": "fig1-left", "alpha": alpha,
+                        "beta": beta, "target": name, "degree": degree,
+                        "refines": refines, "quasi_monotone": True,
+                        "gradient_global_sq": gradient_sq, "l2_global_sq": l2_sq,
+                        "localized_sum_sq": localized,
+                        "equivalence_ratio":
+                            combined / localized if localized > 0 else float("inf"),
+                        "splitting_ratio":
+                            combined / split_floor if split_floor > 0 else float("inf")}))
+    return [rep for out in reports for rep in out]

@@ -7,8 +7,13 @@ best fit on a single element.  The error of any member of the space has two
 oracles: quadrature of the difference u - V at the plan's nodes, and the
 expanded form uu - 2 b.x + x^T A x, whose rounding scales with the energy of
 u rather than with the error.  Tests compare the fast path against them.
+`masked_ritz` is the one-target global solve that the shared operator of
+`ritz_each` replaces.
 """
 import numpy as np
+import scipy.sparse as sp
+
+from qmloc.bestapprox import SpdSystem, _error, solve_spd
 
 from qmloc.fespace import element_affine, element_mass_matrix, reference_basis
 from qmloc.quadrature import reference_triangle_rule
@@ -192,3 +197,23 @@ def interpolation_error_loop(target, interp, coeff, plan, region=None):
     difference at the plan's nodes."""
     return quadrature_error(interp.space, coeff.values, target, plan, interp.coefficients,
                             region)
+
+
+def masked_ritz(tables, a, beta=0.0):
+    """The global best approximation of one table's target, its operator
+    assembled for it alone and restricted by `solve_spd` through the fixed
+    mask (Dirichlet nodes, else the lowest-id node at beta = 0).  Returns
+    (error_sq, x) as `ritz`."""
+    w = np.asarray(a, dtype=float)
+    en, m = tables.space.element_nodes, tables.space.n_nodes
+    K = w[:, None, None] * tables.stiffness + beta * tables.mass
+    f = w[:, None] * tables.grad_moments + beta * tables.value_moments
+    b = np.bincount(en.ravel(), weights=f.ravel(), minlength=m)
+    free = ~tables.space.dirichlet
+    if free.all() and beta == 0.0:
+        free[0] = False
+    rows = np.repeat(en, en.shape[1], axis=1).ravel()
+    cols = np.tile(en, (1, en.shape[1])).ravel()
+    A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()
+    x = solve_spd(SpdSystem(matrix=A, rhs=b, fixed=~free))
+    return float(_error(tables, w, beta, slice(None), x[en]).sum()), x

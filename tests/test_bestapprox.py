@@ -2,6 +2,7 @@
 batched local Ritz kernel, and the local, regional, global and
 combined-norm errors built on them."""
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmloc.bestapprox import (LocalizationReport, SpdSystem, element_tables,
-                              local_element_errors, local_ritz, ritz, solve_spd)
+from qmloc.bestapprox import (ElementTables, LocalizationReport, SpdSystem, element_tables,
+                              element_tables_each, local_element_errors, local_ritz, ritz,
+                              ritz_each, solve_spd)
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
-                                   fig1_left_pattern, hexagon_mesh, hexagon_target)
+                                   fig1_left_pattern, fig1_refined, hexagon_mesh,
+                                   hexagon_target)
 from qmloc.errors import PlanMismatch, PointOutsideElement, SolverFailure
 from qmloc.fespace import build_space, element_mass_matrix
 from qmloc.fields import TargetField, smooth_target
@@ -26,7 +29,7 @@ import report_reference
 from interp_reference import energy_norm_sq, l2_norm_sq
 from mesh_reference import csr
 from ritz_reference import (QuadratureOracle, assemble, dense_ritz_error, element_stiffness,
-                            energy_rhs, mass_rhs, monomial_element_fit)
+                            energy_rhs, mass_rhs, masked_ritz, monomial_element_fit)
 
 
 def reference_element():
@@ -387,6 +390,52 @@ def test_local_element_errors_match_ritz(degree):
     for k in range(tri.n_elements):
         slow, _ = dense_ritz_error(space, coeff.values, target, plan, [k])
         assert abs(fast[k] - slow) <= 1e-12 * coeff.values[k] * tables.grad_sq[k]
+
+
+def assert_tables_equal(tables, reference):
+    """Every array field of two ElementTables bitwise equal."""
+    for f in fields(ElementTables):
+        if f.name != "space":
+            assert np.array_equal(getattr(tables, f.name), getattr(reference, f.name)), f.name
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_tables_of_several_targets_equal_one_target_passes(degree):
+    """One pass over the fig1 sweep targets gives each target the tables of
+    its own one-target pass, bit for bit, the element matrices shared."""
+    tri = fig1_refined(2)[0]
+    space = build_space(tri, degree)
+    targets = list(default_smooth_targets().values())
+    plan = make_quadrature_plan(tri, targets[0], 2 * degree + 6)
+    each = element_tables_each(targets, plan, space)
+    assert len(each) == 3 and all(t.stiffness is each[0].stiffness for t in each)
+    for target, tables in zip(targets, each):
+        assert_tables_equal(tables, element_tables(target, plan, space))
+
+
+@pytest.mark.parametrize("dirichlet, beta", [(False, 0.0), (True, 0.0), (False, 1e-2),
+                                             (True, 1e4)])
+def test_shared_operator_solves_equal_per_target_solves(dirichlet, beta):
+    """`ritz_each`, one operator restricted once, against the per-target
+    operator restricted by `solve_spd`'s fixed mask: bitwise equal errors
+    and coefficients, with and without Dirichlet nodes and at beta > 0."""
+    tri, coeff = fig1_left_pattern(1e-4, refines=2)
+    space = build_space(tri, 2, dirichlet_on_boundary=dirichlet)
+    targets = list(default_smooth_targets().values())
+    tables = element_tables_each(targets, make_quadrature_plan(tri, targets[0], 10), space)
+    for tab, (err, x) in zip(tables, ritz_each(tables, coeff.values, beta)):
+        ref_err, ref_x = masked_ritz(tab, coeff.values, beta)
+        assert err == ref_err and np.array_equal(x, ref_x)
+        assert ritz(tab, coeff.values, beta)[0] == err
+
+
+def test_shared_operator_needs_one_space():
+    tri = square_mesh()
+    one, _, _ = tables_of(sine_target(), tri, 1, 8)
+    other, _, _ = tables_of(sine_target(), tri, 1, 8)
+    assert ritz_each([], np.ones(tri.n_elements)) == []
+    with pytest.raises(ValueError, match="the tables of one space"):
+        ritz_each([one, other], np.ones(tri.n_elements))
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmloc.coeff import (attach_coefficient, build_omega_hat,
+from qmloc.coeff import (_witnesses, attach_coefficient, build_omega_hat,
                          check_quasi_monotonicity, find_monotone_path,
                          select_kmax_fz)
 from qmloc.counterexamples import (checkerboard_mesh, fig1_left_pattern, fig1_meshes,
@@ -90,6 +90,29 @@ def test_classifier_matches_the_loop_oracle(seed, n, levels, degree):
             == coeff_reference.check_quasi_monotonicity(tri, coeff, node_set=node_set))
     if n <= 3:
         assert report.quasi_monotone is brute_force_quasi_monotone(tri, coeff)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), ties=st.booleans(),
+       degree=st.sampled_from([2, 3]))
+def test_edge_and_element_loci_pass_as_the_squaring_pass_decides(seed, n, ties, degree):
+    """Only vertex stars go through the squaring pass; run on every locus of
+    the degree, random coefficients (integers with ties, or continuous),
+    the pass gives the same verdicts and witnesses."""
+    rng = np.random.default_rng(seed)
+    tri = perturbed_grid(n, rng)
+    a = rng.integers(1, 4, tri.n_elements).astype(float) if ties else rng.uniform(
+        0.1, 10.0, tri.n_elements)
+    report = check_quasi_monotonicity(tri, attach_coefficient(tri, a), degree=degree)
+    patch = {"vertex": lambda z: vertex_patch(tri, z), "edge": lambda e: edge_pair(tri, e),
+             "element": lambda k: [k]}
+    regions = [np.asarray(patch[kind](i)) for (kind, i), _ in report.verdicts]
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in regions])])
+    witness = _witnesses(tri, a, (offsets, np.concatenate(regions))).tolist()
+    loci = [locus for locus, _ in report.verdicts]
+    assert report.verdicts == tuple((locus, k < 0) for locus, (k, _) in zip(loci, witness))
+    assert report.witnesses == tuple((locus, k, kk) for locus, (k, kk) in zip(loci, witness)
+                                     if k >= 0)
 
 
 def test_unknown_locus_rejected():

@@ -12,6 +12,7 @@ from qmloc.cli import EXIT_OK, main
 from qmloc.counterexamples import checkerboard_mesh, checkerboard_target, fig1_refined
 from qmloc.errors import ParameterOutOfRange, RefusesNonQM
 from qmloc.fespace import build_space
+from qmloc.fields import SingularPoint, TargetField
 from qmloc.harness import (_dirichlet_tables, emit_report, estimate_inequality_constants,
                            render_report, run_alpha_robustness,
                            run_hexagon_sweep, run_reaction_diffusion,
@@ -263,6 +264,52 @@ def test_alpha_robustness_refuses_non_qm_pattern(monkeypatch):
     monkeypatch.setattr(harness, "fig1_left_values", lambda alpha: coeff.values)
     with pytest.raises(RefusesNonQM):
         run_alpha_robustness(alpha_values=(1e-2,), refines=0)
+
+
+def _radial(p, mu=0.5):
+    r2 = np.einsum("qd,qd->q", p, p)
+    return r2 ** (mu / 2), mu * (r2 ** (mu / 2 - 1))[:, None] * p
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_fig1_tables_share_one_pass_per_plan_key(monkeypatch, degree):
+    """Smooth targets and a singular one (another plan key) in one sweep:
+    one plan and one table pass per key, and each target's tables bitwise
+    equal to its own one-target pass on its own plan."""
+    smooth = harness.default_smooth_targets()
+    targets = {"sine": smooth["sine"],
+               "radial": TargetField(_radial, (SingularPoint((0.0, 0.0), 0.5),)),
+               "cubic": smooth["cubic"]}
+    plans = []
+
+    def plan_of(tri, target, exactness):
+        plans.append(target)
+        return make_quadrature_plan(tri, target, exactness)
+
+    monkeypatch.setattr(harness, "make_quadrature_plan", plan_of)
+    tri, coeffs, tables = harness._fig1_tables("fig1-left", (1.0, 1e-2), targets, degree, 2)
+    assert plans == [targets["sine"], targets["radial"]] and len(coeffs) == 2
+    space = build_space(tri, degree)
+    for target, tab in zip(targets.values(), tables):
+        one = element_tables(target, make_quadrature_plan(tri, target, 2 * degree + 6), space)
+        for name in _TABLE_FIELDS:
+            assert np.array_equal(getattr(tab, name), getattr(one, name)), name
+
+
+@pytest.mark.parametrize("degree, refines", [(1, 2), (2, 1), (3, 1)])
+def test_fig1_sweeps_match_the_per_target_loop(degree, refines):
+    """`alpha` and `rd` JSON byte-identical to the per-target loops of
+    `harness_reference`, one table pass and one operator per target."""
+    targets = harness.default_smooth_targets()
+    alphas, betas = (1.0, 1e-2, 1e-6), (0.0, 1e-4, 1e4)
+    assert (render_report(run_alpha_robustness(alpha_values=alphas, degree=degree,
+                                               refines=refines), "json")
+            == render_report(harness_reference.alpha_reports(alphas, targets, degree, refines),
+                             "json"))
+    assert (render_report(run_reaction_diffusion(alpha_values=alphas, beta_values=betas,
+                                                 degree=degree, refines=refines), "json")
+            == render_report(harness_reference.rd_reports(alphas, betas, targets, degree,
+                                                          refines), "json"))
 
 
 @pytest.mark.parametrize("sweep", [run_alpha_robustness, run_reaction_diffusion])
