@@ -8,8 +8,8 @@ coefficient-robust quasi-interpolation operators, closed-form
 counterexample problems, and an experiment harness with a CLI.
 """
 
-from .bestapprox import (LocalizationReport, SpdSystem, element_tables, local_element_errors,
-                         local_ritz, ritz, solve_spd)
+from .bestapprox import (LocalizationReport, SparseMatrix, SpdSystem, element_tables,
+                         local_element_errors, local_ritz, ritz, solve_spd)
 from .coeff import (Coefficient, MonotonePath, QmReport, attach_coefficient, build_omega_hat,
                     check_quasi_monotonicity, find_monotone_path, select_kmax_fz)
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh, checkerboard_target,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Coefficient", "InterpolantResult", "LagrangeSpace",
     "LocalizationReport", "MonotonePath", "QmReport", "QmlocError",
-    "QuadraturePlan", "SingularPoint", "SpdSystem", "TargetField",
+    "QuadraturePlan", "SingularPoint", "SparseMatrix", "SpdSystem", "TargetField",
     "Triangulation", "analytic_energy_reference", "attach_coefficient",
     "build_omega_hat", "build_space", "build_triangulation",
     "check_quasi_monotonicity", "checkerboard_mesh", "checkerboard_target",

@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coeff import Coefficient
 from .errors import SolverFailure
 from .fespace import LagrangeSpace, reference_basis
-from .mesh import _region_groups, element_affine
+from .mesh import _region_groups, _sorted_distinct, element_affine
 from .quadrature import QuadraturePlan, reference_triangle_rule
 
 
@@ -136,13 +135,108 @@ def element_tables_each(targets, plan: QuadraturePlan, space: LagrangeSpace) -> 
 # SPD solver
 
 
+class SparseMatrix:
+    """A sparse matrix from (row, col, value) entries, duplicates summed in
+    the order given, kept as its entries sorted by row and column.
+
+    ``m[mask]`` and ``m[:, mask]`` keep the rows or columns of a boolean
+    mask, renumbered.  For the product ``m @ p`` with a vector the rows are
+    padded to three widths, the median, 90th-percentile and largest row
+    length, and the rows of each width are stored slot by slot as (width,
+    rows) arrays of columns and values, built on the first product.  Each row
+    is then summed left to right in column order, as `scipy.sparse`'s CSR
+    product sums it, so on the same entries the two agree bit for bit.
+    """
+
+    def __init__(self, rows, cols, values, shape):
+        nc = max(int(shape[1]), 1)
+        keys, inverse = np.unique(np.asarray(rows) * nc + np.asarray(cols), return_inverse=True)
+        self._set(keys // nc, keys % nc,
+                  np.bincount(inverse.ravel(), np.ravel(values), len(keys)), shape)
+
+    @classmethod
+    def _of(cls, rows, cols, values, shape):
+        """The matrix of entries already distinct and sorted by row and column."""
+        m = cls.__new__(cls)
+        m._set(rows, cols, values, shape)
+        return m
+
+    def _set(self, rows, cols, values, shape):
+        self.rows, self.cols, self.values = rows, cols, values
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._product = None
+
+    def diagonal(self) -> np.ndarray:
+        d = np.zeros(min(self.shape))
+        on = self.rows == self.cols
+        d[self.rows[on]] = self.values[on]
+        return d
+
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        r, c, shape = self.rows, self.cols, list(self.shape)
+        keep = np.ones(len(r), dtype=bool)
+        if not _is_all(rows):
+            keep &= rows[r]
+            r, shape[0] = (np.cumsum(rows) - 1)[r], int(np.count_nonzero(rows))
+        if not _is_all(cols):
+            keep &= cols[c]
+            c, shape[1] = (np.cumsum(cols) - 1)[c], int(np.count_nonzero(cols))
+        return SparseMatrix._of(r[keep], c[keep], self.values[keep], shape)
+
+    def __matmul__(self, p):
+        if not self.shape[0]:
+            return np.zeros(0)
+        if self._product is None:
+            self._product = self._padded()
+        blocks, where = self._product
+        sums = []
+        for C, V in blocks:
+            g = p.take(C)
+            g *= V
+            sums.append(np.add.reduce(g, axis=0))
+        return sums[0] if where is None else np.concatenate(sums).take(where)
+
+    def _padded(self):
+        """The (columns, values) of each width, zero in the padding, and each
+        row's place in the blocks' sums, None when they are in row order."""
+        nr = self.shape[0]
+        lengths = np.bincount(self.rows, minlength=nr)
+        slot = np.arange(len(self.rows)) - (np.cumsum(lengths) - lengths)[self.rows]
+        s = np.sort(lengths)
+        widths = sorted({int(s[nr // 2]), int(s[9 * nr // 10]), int(s[-1])})
+        kind = np.searchsorted(widths, lengths)  # every width is some row's length
+        rank, blocks = np.empty(nr, dtype=np.intp), []
+        for j, w in enumerate(widths):
+            ids = np.flatnonzero(kind == j)
+            rank[ids] = np.arange(len(ids))
+            # numpy sums a (w, 1) array pairwise, not slot by slot: pad a
+            # lone row with a zero column, whose sum is never read
+            C = np.zeros((w, max(len(ids), 2)), dtype=np.intp)
+            V = np.zeros(C.shape)
+            e = kind[self.rows] == j
+            at = slot[e], rank[self.rows[e]]
+            C[at], V[at] = self.cols[e], self.values[e]
+            blocks.append((C, V))
+        if len(blocks) == 1 and nr > 1:
+            return blocks, None
+        first = np.cumsum([0] + [C.shape[1] for C, _ in blocks[:-1]])
+        return blocks, first[kind] + rank
+
+
+def _is_all(index) -> bool:
+    return isinstance(index, slice) and index == slice(None)
+
+
 @dataclass
 class SpdSystem:
     """Sparse SPD system; ``fixed`` marks the nodes held at zero (the pinned
     node of pure-seminorm problems, or a Dirichlet mask), None when the
-    matrix is definite as given (already restricted to its free nodes)."""
+    matrix is definite as given (already restricted to its free nodes).
+    ``matrix`` supports ``@`` with a vector, ``diagonal()``, ``shape`` and
+    the restriction ``matrix[mask][:, mask]``, as `SparseMatrix` does."""
 
-    matrix: sp.csr_matrix
+    matrix: SparseMatrix
     rhs: np.ndarray
     fixed: np.ndarray | None = None
 
@@ -159,10 +253,10 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
     Returns the full coefficient vector (constrained entries zero).  The
     matrix is restricted to the free nodes by a copy unless ``fixed`` is None.
     """
-    A, b, free = system.matrix.tocsr(), system.rhs, None
+    A, b, free = system.matrix, system.rhs, None
     if system.fixed is not None:
         free = system.free_mask()
-        A, b = A[free][:, free].tocsr(), b[free]
+        A, b = A[free][:, free], b[free]
     n = A.shape[0]
     xf = np.zeros(n)
     d = A.diagonal()
@@ -186,10 +280,12 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
             Ap = A @ p
             alpha = rz / _finite(float(p @ Ap), it)
             xf += alpha * p
-            r -= alpha * Ap
-            z = minv * r
+            Ap *= alpha
+            r -= Ap
+            np.multiply(minv, r, out=z)
             rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
+            p *= rz_new / rz  # p = z + beta p, in place
+            p += z
             rz = rz_new
             it += 1
     if free is None:
@@ -240,7 +336,7 @@ def ritz_each(tables: list, a, beta: float = 0.0) -> list:
     # element order, row-major within each element matrix
     rows = np.repeat(en, en.shape[1], axis=1).ravel()
     cols = np.tile(en, (1, en.shape[1])).ravel()
-    A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()[free][:, free].tocsr()
+    A = SparseMatrix(rows, cols, K.ravel(), (m, m))[free][:, free]
     out = []
     for t in tables:
         f = _element_loads(t, w, beta, slice(None))
@@ -301,7 +397,7 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0):
         s = np.sort(en, axis=1)
         new = np.diff(s, axis=1, prepend=-1) != 0  # first of each node id
         counts = new.sum(axis=1)
-        for m in np.unique(counts):
+        for m in _sorted_distinct(counts):
             sub, P = counts == m, ids[counts == m]
             G = len(P)
             nodes = s[sub][new[sub]].reshape(G, m)  # ascending per region

@@ -192,16 +192,19 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
 
 # Peak memory per element of the fig1 sweeps, in bytes by degree: twice the
 # larger peak-RSS slope of `alpha` and `rd` (default alphas and betas) between
-# --refines 4 and 5, in-process by getrusage on 2 cores, Python 3.11, numpy
-# 2.4, with every target's tables held at once.  The slopes were 4,693 /
-# 7,332 bytes at P1 and 5,933 / 7,743 at P2 (the larger of three runs),
-# 10,764 / 18,095 at P3 and 20,827 / 37,949 at P4; other degrees take P4's.
-_BYTES_PER_ELEMENT = {1: 14_664, 2: 15_486, 3: 36_190, 4: 75_898}
+# --refines 4 and 5, by getrusage of a fresh process on 2 cores, Python 3.11,
+# numpy 2.4, with every target's tables held at once and the global operator
+# as padded numpy rows (`bestapprox.SparseMatrix`).  The slopes were 5,086 /
+# 10,820 bytes at P1 and 6,110 / 11,810 at P2 (the larger of three runs),
+# 14,268 / 18,057 at P3 (three runs of `alpha`) and 29,559 / 38,025 at P4;
+# other degrees take P4's.
+_BYTES_PER_ELEMENT = {1: 21_640, 2: 23_620, 3: 36_190, 4: 75_898}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
 # (2,048 and 8,192 elements), measured the same way.  The slopes were 2,381
 # bytes at P1, 6,773 at P2, 17,674 at P3 and 39,575 at P4.  Re-checked with
 # the tables built once per period, which moved none of them by more than
-# 6%: 2,253 / 6,861 / 17,648 / 39,390 bytes.
+# 6%: 2,253 / 6,861 / 17,648 / 39,390 bytes; and with the numpy operator:
+# 2,270 / 6,656 / 17,664 / 39,424 bytes.
 _STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
 # The same for `constants`: twice the peak-RSS slope between --levels 7 and
 # --levels 8 (last meshes of 8,192 and 32,768 elements), the larger of two
@@ -456,12 +459,36 @@ def _generic_csv(reports) -> str:
     return buf.getvalue()
 
 
-def _json_value(obj) -> str:
-    """`obj` as json.dumps(sort_keys=True, indent=2) writes it as a value of
-    a report's dict; JSON escapes newlines in strings, so re-indenting is
-    exact."""
+def _json_value(obj, depth: int = 1) -> str:
+    """`obj` as json.dumps(sort_keys=True, indent=2) writes it as a value at
+    `depth` (1: of a report's dict); JSON escapes newlines in strings, so
+    re-indenting is exact."""
     return json.dumps(obj, sort_keys=True, indent=2, default=_json_default).replace(
-        "\n", "\n    ")
+        "\n", "\n" + "  " * (depth + 1))
+
+
+def _json_metadata(meta: dict) -> str:
+    """`_json_value` of a report's metadata.  A map of it keyed by int with
+    scalar values (`stars` has two, one entry per interior vertex) is
+    written from one json.dumps of its values, as `_json_loci` writes a
+    locus list."""
+    if not meta or not all(isinstance(key, str) for key in meta):
+        return _json_value(meta)
+    cells = []
+    for key in sorted(meta):
+        value = meta[key]
+        if (isinstance(value, dict) and value and all(type(k) is int for k in value)
+                and not any(isinstance(v, (dict, list, tuple)) for v in value.values())):
+            keys = sorted(value)
+            # a JSON value holds no raw newline, so it can separate them
+            texts = json.dumps([value[k] for k in keys], separators=("\n", ": "),
+                               default=_json_default)[1:-1].split("\n")
+            text = ("{\n        " + ",\n        ".join(
+                f'"{k}": {t}' for k, t in zip(keys, texts)) + "\n      }")
+        else:
+            text = _json_value(value, 2)
+        cells.append(f"{json.dumps(key)}: {text}")
+    return "{\n      " + ",\n      ".join(cells) + "\n    }"
 
 
 def _json_loci(entries) -> str:
@@ -480,9 +507,9 @@ def _json_loci(entries) -> str:
 
 def _render_json(reports) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) of the reports, with no
-    payload: the small parts by `_json_value`, each distinct locus list once
-    by `_json_loci` and summed once as `LocalizationReport.locus_sum` does,
-    all joined once."""
+    payload: the small parts by `_json_value` and `_json_metadata`, each
+    distinct locus list once by `_json_loci` and summed once as
+    `LocalizationReport.locus_sum` does, all joined once."""
     lists: dict = {}  # id of a locus list -> its JSON and its sum
     out = []
     for n, rep in enumerate(reports):
@@ -498,7 +525,7 @@ def _render_json(reports) -> str:
         out.append("\n    },\n" if kinds else "{},\n")
         g = rep.global_error_sq  # the ratios as `LocalizationReport.ratio`
         ratios = {k: g / s if s > 0 else float("inf") for k, s in sums.items()}
-        out.append(f'    "metadata": {_json_value(rep.metadata)},\n'
+        out.append(f'    "metadata": {_json_metadata(rep.metadata)},\n'
                    f'    "ratios": {_json_value(ratios)},\n'
                    f'    "sums": {_json_value(sums)}\n  }}')
     out.append("\n]\n" if reports else "[]\n")

@@ -22,7 +22,7 @@ from .bestapprox import ElementTables, _error, element_tables, local_element_err
 from .coeff import Coefficient, build_omega_hat, select_kmax_fz
 from .errors import QuadratureFailure
 from .fespace import LagrangeSpace, _reference_face_dual, edge_basis_1d
-from .mesh import region_rows
+from .mesh import _sorted_distinct, region_rows
 from .quadrature import QuadraturePlan, _leggauss01, radial_rule
 
 _GAUSS_1D = 12
@@ -162,7 +162,7 @@ def operator_report(target, space: LagrangeSpace, coeff: Coefficient,
         nt = tri.n_elements
         offsets, nbr = region_rows(tri.vertex_elements, tri.triangles.ravel())
         owner = np.repeat(np.arange(3 * nt) // 3, np.diff(offsets))
-        pairs = np.unique(owner * nt + nbr)
+        pairs = _sorted_distinct(owner * nt + nbr)
         patch_sums = np.bincount(pairs // nt, weights=locals_sq[pairs % nt], minlength=nt)
         total_err, total_loc = float(errs.sum()), float(locals_sq.sum())
         ratio = 0.0 if total_err <= 1e-28 else (

@@ -81,7 +81,7 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
         raise ValueError("vertex coordinates must be finite")
     if tris.min() < 0 or tris.max() >= len(verts):
         raise ValueError("triangle vertex id out of range")
-    if len(np.unique(tris)) != len(verts):
+    if len(_sorted_distinct(tris)) != len(verts):
         raise ValueError("every vertex must be referenced by a triangle")
 
     scale = np.maximum(np.max(np.abs(verts)), 1.0)
@@ -180,9 +180,18 @@ def _region_groups(regions):
     each region size E in ascending order, rows ascending."""
     offsets, ids = regions
     sizes = np.diff(offsets)
-    for E in np.unique(sizes):
+    for E in _sorted_distinct(sizes):
         rows = np.flatnonzero(sizes == E)
         yield rows, ids[offsets[rows][:, None] + np.arange(E)]
+
+
+def _sorted_distinct(a) -> np.ndarray:
+    """The sorted distinct values of `a`, flattened, as a plain `np.unique(a)`
+    gives them; numpy 2.4 imports `numpy.ma` on that call, not on this."""
+    s = np.sort(a, axis=None)
+    keep = np.ones(len(s), dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
 
 
 def _ranges(starts, counts):
@@ -290,7 +299,7 @@ def element_patch(tri: Triangulation, k: int):
     """omega_K: all elements sharing at least one vertex with K, ascending."""
     if not 0 <= k < tri.n_elements:
         raise UnknownLocus(f"element {k}")
-    return np.unique(region_rows(tri.vertex_elements, tri.triangles[k])[1])
+    return _sorted_distinct(region_rows(tri.vertex_elements, tri.triangles[k])[1])
 
 
 def edge_pair(tri: Triangulation, e: int):

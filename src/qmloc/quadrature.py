@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import (PlanMismatch, PointOutsideElement, QuadratureFailure,
                      SingularPointOnQuadratureNode)
@@ -43,7 +44,7 @@ _KEY_DECIMALS = 12
 
 @lru_cache(maxsize=None)
 def _leggauss01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

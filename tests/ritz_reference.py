@@ -11,9 +11,8 @@ u rather than with the error.  Tests compare the fast path against them.
 `ritz_each` replaces.
 """
 import numpy as np
-import scipy.sparse as sp
 
-from qmloc.bestapprox import SpdSystem, _error, solve_spd
+from qmloc.bestapprox import SparseMatrix, SpdSystem, _error, solve_spd
 
 from qmloc.fespace import element_affine, element_mass_matrix, reference_basis
 from qmloc.quadrature import reference_triangle_rule
@@ -214,6 +213,6 @@ def masked_ritz(tables, a, beta=0.0):
         free[0] = False
     rows = np.repeat(en, en.shape[1], axis=1).ravel()
     cols = np.tile(en, (1, en.shape[1])).ravel()
-    A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()
+    A = SparseMatrix(rows, cols, K.ravel(), (m, m))
     x = solve_spd(SpdSystem(matrix=A, rhs=b, fixed=~free))
     return float(_error(tables, w, beta, slice(None), x[en]).sum()), x

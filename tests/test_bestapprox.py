@@ -10,13 +10,13 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmloc.bestapprox import (ElementTables, LocalizationReport, SpdSystem, element_tables,
-                              element_tables_each, local_element_errors, local_ritz, ritz,
-                              ritz_each, solve_spd)
+from qmloc.bestapprox import (ElementTables, LocalizationReport, SparseMatrix, SpdSystem,
+                              _element_matrices, element_tables, element_tables_each,
+                              local_element_errors, local_ritz, ritz, ritz_each, solve_spd)
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
-                                   fig1_left_pattern, fig1_refined, hexagon_mesh,
-                                   hexagon_target)
+                                   fig1_left_pattern, fig1_left_values, fig1_refined,
+                                   hexagon_mesh, hexagon_target)
 from qmloc.errors import PlanMismatch, PointOutsideElement, SolverFailure
 from qmloc.fespace import build_space, element_mass_matrix
 from qmloc.fields import TargetField, smooth_target
@@ -139,8 +139,101 @@ def test_solver_matches_dense_on_random_spd():
     B = rng.standard_normal((50, 50))
     A = B @ B.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
-    x = solve_spd(SpdSystem(matrix=sp.csr_matrix(A), rhs=b), rtol=1e-14)
+    rows, cols = np.indices(A.shape).reshape(2, -1)
+    x = solve_spd(SpdSystem(matrix=SparseMatrix(rows, cols, A.ravel(), A.shape), rhs=b),
+                  rtol=1e-14)
     assert np.linalg.norm(x - np.linalg.solve(A, b)) < 1e-10 * np.linalg.norm(b)
+
+
+def _check_operator_against_scipy(space, K, free, rng):
+    """`SparseMatrix` of the element matrices K (nt, nloc, nloc) against
+    scipy.sparse, the oracle.  The assembled entries agree within 4 ulp of
+    the sum of the magnitudes of their terms, which scipy adds in another
+    order; on scipy's own entries the product is bit for bit scipy's, on the
+    whole matrix, its rows `free` and its restriction to `free`, and so are
+    the diagonal and the restriction itself."""
+    en, m = space.element_nodes, space.n_nodes
+    rows = np.repeat(en, en.shape[1], axis=1).ravel()
+    cols = np.tile(en, (1, en.shape[1])).ravel()
+    ours = SparseMatrix(rows, cols, K.ravel(), (m, m))
+    oracle = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(m, m)).tocsr()
+    oracle.sum_duplicates()
+    size = sp.coo_matrix((np.abs(K).ravel(), (rows, cols)), shape=(m, m)).tocsr()
+    size.sum_duplicates()
+    coo = oracle.tocoo()
+    assert np.array_equal(ours.rows, coo.row) and np.array_equal(ours.cols, coo.col)
+    assert (np.abs(ours.values - coo.data) <= 4 * np.spacing(size.data)).all()
+    same = SparseMatrix(coo.row, coo.col, coo.data, (m, m))
+    assert np.array_equal(same.values, coo.data)
+    assert np.array_equal(same.diagonal(), oracle.diagonal())
+    p = rng.standard_normal(m)
+    assert np.array_equal(same @ p, oracle @ p)
+    assert np.array_equal(same[free] @ p, oracle[free] @ p)
+    sub, oracle_sub = same[free][:, free], oracle[free][:, free].tocoo()
+    assert sub.shape == oracle_sub.shape
+    assert np.array_equal(sub.rows, oracle_sub.row) and np.array_equal(sub.cols, oracle_sub.col)
+    assert np.array_equal(sub.values, oracle_sub.data)
+    assert np.array_equal(sub.diagonal(), oracle_sub.diagonal())
+    q = p[free]
+    assert np.array_equal(sub @ q, oracle_sub.tocsr() @ q)
+
+
+@pytest.mark.parametrize("mesh,degree", [
+    *[("fig1", d) for d in (1, 2, 3, 4)], ("hexagon", 2), ("checkerboard", 1),
+    ("checkerboard", 3)])
+def test_sparse_matrix_matches_scipy(mesh, degree):
+    if mesh == "fig1":
+        tri, coarse = fig1_refined(2)
+        a = fig1_left_values(1e-6)[coarse]
+    else:
+        tri, coeff = hexagon_mesh(0.1) if mesh == "hexagon" else checkerboard_mesh(3)
+        a = coeff.values
+    tables, _, space = tables_of(quadratic_target(), tri, degree, 2 * degree + 2,
+                                 dirichlet=mesh == "checkerboard")
+    rng = np.random.default_rng(degree)
+    for beta in (0.0, 1e4):
+        K = _element_matrices(tables, a, beta, slice(None))
+        free = ~space.dirichlet
+        free[0] &= mesh != "fig1"  # the pinned node of `ritz_each`
+        _check_operator_against_scipy(space, K, free, rng)
+        _check_operator_against_scipy(space, K, rng.random(space.n_nodes) < 0.7, rng)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), degree=st.integers(1, 3))
+def test_sparse_matrix_matches_scipy_on_perturbed_grids(seed, n, degree):
+    rng = np.random.default_rng(seed)
+    tri = _perturbed_grid(n, rng)
+    tables, _, space = tables_of(quadratic_target(), tri, degree, 2 * degree + 2)
+    K = _element_matrices(tables, 10.0 ** rng.uniform(-6.0, 6.0, tri.n_elements),
+                          rng.uniform(0.0, 1e3), slice(None))
+    _check_operator_against_scipy(space, K, rng.random(space.n_nodes) < 0.8, rng)
+
+
+def test_sparse_matrix_sums_a_lone_wide_row_in_column_order():
+    # one row of width 12 among rows of width 2 and an empty row: numpy would
+    # sum a block of one row pairwise, and these 12 values sum to another
+    # double that way
+    rng = np.random.default_rng(2)
+    wide = rng.standard_normal(12) * 10.0 ** rng.integers(-8, 9, 12)
+    rows = np.r_[np.repeat(np.arange(5), 2), np.full(12, 5)]
+    cols = np.r_[np.tile([0, 1], 5), np.arange(12)]
+    vals = np.r_[np.ones(10), wide]
+    ours = SparseMatrix(rows, cols, vals, (7, 12))
+    p = np.ones(12)
+    expected = 0.0
+    for v in wide:
+        expected += v
+    assert expected != np.add.reduce(wide[:, None], axis=0)[0]
+    y = ours @ p
+    assert y[5] == expected and y[6] == 0.0
+    assert np.array_equal(y, sp.csr_matrix((vals, (rows, cols)), shape=(7, 12)) @ p)
+
+
+def test_sparse_matrix_of_no_rows():
+    empty = SparseMatrix([0, 1], [0, 1], [1.0, 2.0], (2, 2))[np.zeros(2, dtype=bool)]
+    assert empty.shape == (0, 2) and (empty @ np.ones(2)).shape == (0,)
+    assert empty.diagonal().shape == (0,)
 
 
 def test_coefficient_scale_equivariance():
@@ -441,7 +534,8 @@ def test_shared_operator_needs_one_space():
 @pytest.mark.filterwarnings("error")
 def test_overflowing_system_raises_solver_failure():
     # b^T D^-1 b overflows to inf; the NaN residual it gave was read as converged
-    system = SpdSystem(matrix=sp.identity(2, format="csr"), rhs=np.array([1e200, 1e200]))
+    identity = SparseMatrix([0, 1], [0, 1], [1.0, 1.0], (2, 2))
+    system = SpdSystem(matrix=identity, rhs=np.array([1e200, 1e200]))
     with pytest.raises(SolverFailure, match="CG scalar not finite at iteration 0"):
         solve_spd(system)
 

@@ -281,19 +281,26 @@ def test_qm_check_small_triangle_is_valid(tmp_path, capsys):
     assert captured.err == ""
 
 
-def test_cli_calls_import_neither_scipy_special_nor_scipy_linalg():
-    """A fresh interpreter runs `constants` and `hexagon` with scipy.sparse
-    as the only scipy subpackage in use."""
-    code = ("import sys\n"
-            "from qmloc.cli import main\n"
-            "assert main(['constants', '--levels', '2']) == 0\n"
-            "assert main(['hexagon', '--eps', '0.1', '--format', 'json']) == 0\n"
-            "print([m for m in ('scipy.special', 'scipy.linalg') if m in sys.modules])\n")
+def test_cli_calls_load_no_scipy_and_import_nothing_after_set_up(qm_file):
+    """A fresh interpreter builds the parser and then runs every command: no
+    scipy module is loaded, and the calls import no module at all, so no
+    import cost lands inside a call (a plain `np.unique` imports numpy.ma,
+    and numpy.polynomial is imported only on use)."""
+    code = ("import contextlib, io, sys\n"
+            "from qmloc.cli import build_parser, main\n"
+            "build_parser()\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for argv in (['qm-check', {qm_file!r}], ['hexagon'], ['stars', '--n', '2'],\n"
+            "                 ['alpha'], ['rd'], ['constants', '--levels', '2']):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(set(sys.modules) - before))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout.splitlines()[-1] == "[]"
+    assert run.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_bad_usage_is_invalid(capsys):

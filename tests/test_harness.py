@@ -73,11 +73,12 @@ def test_json_report_round_trips():
     assert data[0]["global_error_sq"] == reports[0].global_error_sq
 
 
-@pytest.mark.parametrize("sweep", ["hexagon", "stars", "alpha", "rd", "no loci"])
+@pytest.mark.parametrize("sweep", ["hexagon", "stars", "stars N=8", "alpha", "rd", "no loci"])
 def test_render_report_matches_the_payload_writers(sweep):
     reports = {
         "hexagon": lambda: run_hexagon_sweep(eps_values=(0.1, 0.05), degree=2),
         "stars": lambda: run_star_sweep(n_values=(2,)),
+        "stars N=8": lambda: run_star_sweep(n_values=(8,)),
         "alpha": lambda: run_alpha_robustness(alpha_values=(1.0, 1e-6), refines=1),
         "rd": lambda: run_reaction_diffusion(alpha_values=(1.0, 1e-4), beta_values=(0.0, 1e4),
                                              refines=1),
@@ -102,8 +103,9 @@ _values = (st.sampled_from(AWKWARD) | st.floats()
 _ids = st.integers(0, 2**40) | st.integers(0, 2**31).map(np.int64)
 _loci = st.dictionaries(st.sampled_from(["element", "pair", "star"]),
                         st.lists(st.tuples(_ids, _values), max_size=4), max_size=3)
+_maps = st.dictionaries(st.integers(-3, 2**40), _values | st.text(max_size=4), max_size=4)
 _metadata = st.dictionaries(st.sampled_from(["alpha", "beta", "target", "note"]),
-                            _values | st.text(max_size=4) | st.booleans(), max_size=4)
+                            _values | st.text(max_size=4) | st.booleans() | _maps, max_size=4)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy scalar sums and ratios of inf
