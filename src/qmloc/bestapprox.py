@@ -137,91 +137,123 @@ def element_tables_each(targets, plan: QuadraturePlan, space: LagrangeSpace) -> 
 
 class SparseMatrix:
     """A sparse matrix from (row, col, value) entries, duplicates summed in
-    the order given, kept as its entries sorted by row and column.
+    the order given.
 
-    ``m[mask]`` and ``m[:, mask]`` keep the rows or columns of a boolean
-    mask, renumbered.  For the product ``m @ p`` with a vector the rows are
-    padded to three widths, the median, 90th-percentile and largest row
-    length, and the rows of each width are stored slot by slot as (width,
-    rows) arrays of columns and values, built on the first product.  Each row
-    is then summed left to right in column order, as `scipy.sparse`'s CSR
-    product sums it, so on the same entries the two agree bit for bit.
+    The rows are stored padded to three widths, the median, 90th-percentile
+    and largest row length: the rows of each width slot by slot as (width,
+    rows) arrays of columns and values, column -1 and value 0 in the padding.
+    The product ``m @ p`` sums each row left to right in column order, as
+    `scipy.sparse`'s CSR product sums it, so on the same entries the two
+    agree bit for bit.  ``m[mask]`` and ``m[:, mask]`` keep the rows or
+    columns of a boolean mask, renumbered: a dropped column's slots become
+    padding, and a dropped row is still summed but not returned.
     """
 
     def __init__(self, rows, cols, values, shape):
         nc = max(int(shape[1]), 1)
-        keys, inverse = np.unique(np.asarray(rows) * nc + np.asarray(cols), return_inverse=True)
-        self._set(keys // nc, keys % nc,
-                  np.bincount(inverse.ravel(), np.ravel(values), len(keys)), shape)
+        self._set(*_summed(np.asarray(rows, dtype=np.intp) * nc + np.asarray(cols, dtype=np.intp),
+                           np.ravel(values)), shape)
 
     @classmethod
-    def _of(cls, rows, cols, values, shape):
-        """The matrix of entries already distinct and sorted by row and column."""
+    def _of(cls, keys, values, shape):
+        """The matrix of distinct entries sorted by key row * max(ncols, 1) + col."""
         m = cls.__new__(cls)
-        m._set(rows, cols, values, shape)
+        m._set(keys, values, shape)
         return m
 
-    def _set(self, rows, cols, values, shape):
-        self.rows, self.cols, self.values = rows, cols, values
+    def _set(self, keys, values, shape):
         self.shape = (int(shape[0]), int(shape[1]))
-        self._product = None
+        nr, nc = self.shape[0], max(self.shape[1], 1)
+        rows = keys // nc
+        lengths = np.bincount(rows, minlength=nr)
+        s = np.sort(lengths) if nr else np.zeros(1, dtype=np.intp)
+        widths = np.array(sorted({int(s[len(s) // 2]), int(s[9 * len(s) // 10]), int(s[-1])}))
+        kind = np.searchsorted(widths, lengths)  # every width is some row's length
+        # each row's rank among the rows of its width; numpy sums a (w, 1)
+        # array pairwise, not slot by slot, so a lone row gets a padding row
+        rank, n_rows = np.empty(nr, dtype=np.intp), np.zeros(len(widths), dtype=np.intp)
+        for j in range(len(widths)):
+            of_j = kind == j
+            n_rows[j] = np.count_nonzero(of_j)
+            rank[of_j] = np.arange(n_rows[j])
+        n_rows = np.maximum(n_rows, 2)
+        size = widths * n_rows
+        first_row, first_slot = np.cumsum(n_rows) - n_rows, np.cumsum(size) - size
+        self._where = first_row[kind] + rank
+        R = np.full(n_rows.sum(), -1)
+        R[self._where] = np.arange(nr)
+        C, V = np.full(size.sum(), -1), np.zeros(size.sum())
+        # slot k of the row of rank i in a block of n rows is at k * n + i
+        at = np.arange(len(keys)) - (np.cumsum(lengths) - lengths)[rows]
+        at *= n_rows[kind][rows]
+        at += (first_slot[kind] + rank)[rows]
+        rows *= nc  # from here on the columns, in place
+        np.subtract(keys, rows, out=rows)
+        C[at], V[at] = rows, values
+        self._blocks = [(R[r:r + n], C[o:o + w * n].reshape(w, n), V[o:o + w * n].reshape(w, n))
+                        for w, n, r, o in zip(widths.tolist(), n_rows.tolist(),
+                                              first_row.tolist(), first_slot.tolist())]
 
     def diagonal(self) -> np.ndarray:
-        d = np.zeros(min(self.shape))
-        on = self.rows == self.cols
-        d[self.rows[on]] = self.values[on]
-        return d
-
-    def __getitem__(self, key):
-        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        r, c, shape = self.rows, self.cols, list(self.shape)
-        keep = np.ones(len(r), dtype=bool)
-        if not _is_all(rows):
-            keep &= rows[r]
-            r, shape[0] = (np.cumsum(rows) - 1)[r], int(np.count_nonzero(rows))
-        if not _is_all(cols):
-            keep &= cols[c]
-            c, shape[1] = (np.cumsum(cols) - 1)[c], int(np.count_nonzero(cols))
-        return SparseMatrix._of(r[keep], c[keep], self.values[keep], shape)
+        """The diagonal entries, zero where none is stored."""
+        return self._in_row_order(
+            [np.where(C == R, V, 0.0).sum(axis=0) for R, C, V in self._blocks])[:min(self.shape)]
 
     def __matmul__(self, p):
-        if not self.shape[0]:
-            return np.zeros(0)
-        if self._product is None:
-            self._product = self._padded()
-        blocks, where = self._product
+        if not self.shape[1]:
+            return np.zeros(self.shape[0])
         sums = []
-        for C, V in blocks:
+        for _, C, V in self._blocks:
             g = p.take(C)
             g *= V
             sums.append(np.add.reduce(g, axis=0))
-        return sums[0] if where is None else np.concatenate(sums).take(where)
+        return self._in_row_order(sums)
 
-    def _padded(self):
-        """The (columns, values) of each width, zero in the padding, and each
-        row's place in the blocks' sums, None when they are in row order."""
-        nr = self.shape[0]
-        lengths = np.bincount(self.rows, minlength=nr)
-        slot = np.arange(len(self.rows)) - (np.cumsum(lengths) - lengths)[self.rows]
-        s = np.sort(lengths)
-        widths = sorted({int(s[nr // 2]), int(s[9 * nr // 10]), int(s[-1])})
-        kind = np.searchsorted(widths, lengths)  # every width is some row's length
-        rank, blocks = np.empty(nr, dtype=np.intp), []
-        for j, w in enumerate(widths):
-            ids = np.flatnonzero(kind == j)
-            rank[ids] = np.arange(len(ids))
-            # numpy sums a (w, 1) array pairwise, not slot by slot: pad a
-            # lone row with a zero column, whose sum is never read
-            C = np.zeros((w, max(len(ids), 2)), dtype=np.intp)
-            V = np.zeros(C.shape)
-            e = kind[self.rows] == j
-            at = slot[e], rank[self.rows[e]]
-            C[at], V[at] = self.cols[e], self.values[e]
-            blocks.append((C, V))
-        if len(blocks) == 1 and nr > 1:
-            return blocks, None
-        first = np.cumsum([0] + [C.shape[1] for C, _ in blocks[:-1]])
-        return blocks, first[kind] + rank
+    def _in_row_order(self, sums):
+        """The rows' entries of the concatenated per-block sums."""
+        return np.concatenate(sums).take(self._where)
+
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        m, shape = SparseMatrix.__new__(SparseMatrix), list(self.shape)
+        blocks, m._where = self._blocks, self._where
+        if not _is_all(rows):
+            new = np.where(rows, np.cumsum(rows) - 1, -1)
+            blocks = [(np.where(R >= 0, new[R], -1), C, V) for R, C, V in blocks]
+            m._where, shape[0] = self._where[rows], int(np.count_nonzero(rows))
+        if not _is_all(cols):
+            new = np.where(cols, np.cumsum(cols) - 1, -1)
+            kept = []
+            for R, C, V in blocks:
+                C = np.where(C >= 0, new[C], -1)
+                kept.append((R, C, np.where(C >= 0, V, 0.0)))
+            blocks, shape[1] = kept, int(np.count_nonzero(cols))
+        m._blocks, m.shape = blocks, tuple(shape)
+        return m
+
+    def entries(self):
+        """The stored (rows, cols, values), sorted by row and column."""
+        rows = np.concatenate([np.broadcast_to(R, C.shape).ravel() for R, C, _ in self._blocks])
+        cols = np.concatenate([C.ravel() for _, C, _ in self._blocks])
+        values = np.concatenate([V.ravel() for _, _, V in self._blocks])
+        real = (rows >= 0) & (cols >= 0)
+        rows, cols, values = rows[real], cols[real], values[real]
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], values[order]
+
+
+def _summed(keys, values):
+    """The distinct `keys`, sorted, and the sum of the `values` of each, in
+    the order given.  Pass arrays the call may free: it keeps no copy."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    values = values[order]
+    del order
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    group = np.cumsum(first)
+    group -= 1
+    return keys[first], np.bincount(group, values)
 
 
 def _is_all(index) -> bool:
@@ -280,12 +312,10 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
             Ap = A @ p
             alpha = rz / _finite(float(p @ Ap), it)
             xf += alpha * p
-            Ap *= alpha
-            r -= Ap
-            np.multiply(minv, r, out=z)
+            r -= alpha * Ap
+            z = minv * r
             rz_new = float(r @ z)
-            p *= rz_new / rz  # p = z + beta p, in place
-            p += z
+            p = z + (rz_new / rz) * p
             rz = rz_new
             it += 1
     if free is None:
@@ -332,11 +362,7 @@ def ritz_each(tables: list, a, beta: float = 0.0) -> list:
     free = ~first.space.dirichlet
     if free.all() and beta == 0.0:
         free[0] = False
-    K = _element_matrices(first, w, beta, slice(None))
-    # element order, row-major within each element matrix
-    rows = np.repeat(en, en.shape[1], axis=1).ravel()
-    cols = np.tile(en, (1, en.shape[1])).ravel()
-    A = SparseMatrix(rows, cols, K.ravel(), (m, m))[free][:, free]
+    A = _free_operator(first, w, beta, free)
     out = []
     for t in tables:
         f = _element_loads(t, w, beta, slice(None))
@@ -346,6 +372,20 @@ def ritz_each(tables: list, a, beta: float = 0.0) -> list:
         # the energy of the computed approximant: an error in x enters only to second order
         out.append((float(_error(t, w, beta, slice(None), x[en]).sum()), x))
     return out
+
+
+def _free_operator(tables: ElementTables, a, beta: float, free) -> SparseMatrix:
+    """The operator of `_element_matrices` restricted to the `free` nodes,
+    renumbered: the entries of other rows and columns are dropped before
+    assembly."""
+    node = np.where(free, np.cumsum(free) - 1, -1)[tables.space.element_nodes]
+    n = int(np.count_nonzero(free))
+    nc = max(n, 1)
+    # element order, row-major within each element matrix
+    keep = ((node[:, :, None] >= 0) & (node[:, None, :] >= 0)).ravel()
+    return SparseMatrix._of(*_summed((node[:, :, None] * nc + node[:, None, :]).ravel()[keep],
+                                     _element_matrices(tables, a, beta, slice(None)).ravel()[keep]),
+                            (n, n))
 
 
 def _element_matrices(tables: ElementTables, a, beta: float, elems):

@@ -193,11 +193,14 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
 # Peak memory per element of the fig1 sweeps, in bytes by degree: twice the
 # larger peak-RSS slope of `alpha` and `rd` (default alphas and betas) between
 # --refines 4 and 5, by getrusage of a fresh process on 2 cores, Python 3.11,
-# numpy 2.4, with every target's tables held at once and the global operator
-# as padded numpy rows (`bestapprox.SparseMatrix`).  The slopes were 5,086 /
-# 10,820 bytes at P1 and 6,110 / 11,810 at P2 (the larger of three runs),
-# 14,268 / 18,057 at P3 (three runs of `alpha`) and 29,559 / 38,025 at P4;
-# other degrees take P4's.
+# numpy 2.4, with every target's tables held at once.  `rd` has the larger
+# slope at every degree: 10,820 bytes at P1 and 11,810 at P2 (the larger of
+# three runs), 18,095 at P3 and 37,949 at P4; other degrees take P4's.  The
+# scipy build measures 11,168 (P1) and 10,793 (P2) for `rd` on the same
+# machine.  Re-checked with the global operator assembled from its free
+# entries into padded rows (`bestapprox.SparseMatrix`), which moved none by
+# more than 8%: `alpha` / `rd` 4,668 / 10,951 at P1, 5,889 / 10,984 at P2,
+# 10,813 / 18,056 at P3 and 20,941 / 37,997 at P4.
 _BYTES_PER_ELEMENT = {1: 21_640, 2: 23_620, 3: 36_190, 4: 75_898}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
 # (2,048 and 8,192 elements), measured the same way.  The slopes were 2,381
@@ -459,36 +462,12 @@ def _generic_csv(reports) -> str:
     return buf.getvalue()
 
 
-def _json_value(obj, depth: int = 1) -> str:
-    """`obj` as json.dumps(sort_keys=True, indent=2) writes it as a value at
-    `depth` (1: of a report's dict); JSON escapes newlines in strings, so
-    re-indenting is exact."""
+def _json_value(obj) -> str:
+    """`obj` as json.dumps(sort_keys=True, indent=2) writes it as a value of
+    a report's dict; JSON escapes newlines in strings, so re-indenting is
+    exact."""
     return json.dumps(obj, sort_keys=True, indent=2, default=_json_default).replace(
-        "\n", "\n" + "  " * (depth + 1))
-
-
-def _json_metadata(meta: dict) -> str:
-    """`_json_value` of a report's metadata.  A map of it keyed by int with
-    scalar values (`stars` has two, one entry per interior vertex) is
-    written from one json.dumps of its values, as `_json_loci` writes a
-    locus list."""
-    if not meta or not all(isinstance(key, str) for key in meta):
-        return _json_value(meta)
-    cells = []
-    for key in sorted(meta):
-        value = meta[key]
-        if (isinstance(value, dict) and value and all(type(k) is int for k in value)
-                and not any(isinstance(v, (dict, list, tuple)) for v in value.values())):
-            keys = sorted(value)
-            # a JSON value holds no raw newline, so it can separate them
-            texts = json.dumps([value[k] for k in keys], separators=("\n", ": "),
-                               default=_json_default)[1:-1].split("\n")
-            text = ("{\n        " + ",\n        ".join(
-                f'"{k}": {t}' for k, t in zip(keys, texts)) + "\n      }")
-        else:
-            text = _json_value(value, 2)
-        cells.append(f"{json.dumps(key)}: {text}")
-    return "{\n      " + ",\n      ".join(cells) + "\n    }"
+        "\n", "\n    ")
 
 
 def _json_loci(entries) -> str:
@@ -507,9 +486,9 @@ def _json_loci(entries) -> str:
 
 def _render_json(reports) -> str:
     """json.dumps(payload, sort_keys=True, indent=2) of the reports, with no
-    payload: the small parts by `_json_value` and `_json_metadata`, each
-    distinct locus list once by `_json_loci` and summed once as
-    `LocalizationReport.locus_sum` does, all joined once."""
+    payload: the small parts by `_json_value`, each distinct locus list once
+    by `_json_loci` and summed once as `LocalizationReport.locus_sum` does,
+    all joined once."""
     lists: dict = {}  # id of a locus list -> its JSON and its sum
     out = []
     for n, rep in enumerate(reports):
@@ -525,7 +504,7 @@ def _render_json(reports) -> str:
         out.append("\n    },\n" if kinds else "{},\n")
         g = rep.global_error_sq  # the ratios as `LocalizationReport.ratio`
         ratios = {k: g / s if s > 0 else float("inf") for k, s in sums.items()}
-        out.append(f'    "metadata": {_json_metadata(rep.metadata)},\n'
+        out.append(f'    "metadata": {_json_value(rep.metadata)},\n'
                    f'    "ratios": {_json_value(ratios)},\n'
                    f'    "sums": {_json_value(sums)}\n  }}')
     out.append("\n]\n" if reports else "[]\n")

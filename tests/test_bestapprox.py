@@ -161,18 +161,20 @@ def _check_operator_against_scipy(space, K, free, rng):
     size = sp.coo_matrix((np.abs(K).ravel(), (rows, cols)), shape=(m, m)).tocsr()
     size.sum_duplicates()
     coo = oracle.tocoo()
-    assert np.array_equal(ours.rows, coo.row) and np.array_equal(ours.cols, coo.col)
-    assert (np.abs(ours.values - coo.data) <= 4 * np.spacing(size.data)).all()
+    r, c, v = ours.entries()
+    assert np.array_equal(r, coo.row) and np.array_equal(c, coo.col)
+    assert (np.abs(v - coo.data) <= 4 * np.spacing(size.data)).all()
     same = SparseMatrix(coo.row, coo.col, coo.data, (m, m))
-    assert np.array_equal(same.values, coo.data)
+    assert np.array_equal(same.entries()[2], coo.data)
     assert np.array_equal(same.diagonal(), oracle.diagonal())
     p = rng.standard_normal(m)
     assert np.array_equal(same @ p, oracle @ p)
     assert np.array_equal(same[free] @ p, oracle[free] @ p)
     sub, oracle_sub = same[free][:, free], oracle[free][:, free].tocoo()
     assert sub.shape == oracle_sub.shape
-    assert np.array_equal(sub.rows, oracle_sub.row) and np.array_equal(sub.cols, oracle_sub.col)
-    assert np.array_equal(sub.values, oracle_sub.data)
+    r, c, v = sub.entries()
+    assert np.array_equal(r, oracle_sub.row) and np.array_equal(c, oracle_sub.col)
+    assert np.array_equal(v, oracle_sub.data)
     assert np.array_equal(sub.diagonal(), oracle_sub.diagonal())
     q = p[free]
     assert np.array_equal(sub @ q, oracle_sub.tocsr() @ q)
