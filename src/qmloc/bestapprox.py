@@ -179,9 +179,11 @@ class SparseMatrix:
         n_rows = np.maximum(n_rows, 2)
         size = widths * n_rows
         first_row, first_slot = np.cumsum(n_rows) - n_rows, np.cumsum(size) - size
-        self._where = first_row[kind] + rank
+        where = first_row[kind] + rank
         R = np.full(n_rows.sum(), -1)
-        R[self._where] = np.arange(nr)
+        R[where] = np.arange(nr)
+        # each row's place in the blocks' sums, None when that is its row
+        self._where = None if np.array_equal(where, np.arange(len(R))) else where
         C, V = np.full(size.sum(), -1), np.zeros(size.sum())
         # slot k of the row of rank i in a block of n rows is at k * n + i
         at = np.arange(len(keys)) - (np.cumsum(lengths) - lengths)[rows]
@@ -210,8 +212,9 @@ class SparseMatrix:
         return self._in_row_order(sums)
 
     def _in_row_order(self, sums):
-        """The rows' entries of the concatenated per-block sums."""
-        return np.concatenate(sums).take(self._where)
+        """The rows' entries of the per-block sums."""
+        y = np.concatenate(sums) if len(sums) > 1 else sums[0]
+        return y if self._where is None else y.take(self._where)
 
     def __getitem__(self, key):
         rows, cols = key if isinstance(key, tuple) else (key, slice(None))
@@ -220,7 +223,8 @@ class SparseMatrix:
         if not _is_all(rows):
             new = np.where(rows, np.cumsum(rows) - 1, -1)
             blocks = [(np.where(R >= 0, new[R], -1), C, V) for R, C, V in blocks]
-            m._where, shape[0] = self._where[rows], int(np.count_nonzero(rows))
+            m._where = np.flatnonzero(rows) if self._where is None else self._where[rows]
+            shape[0] = len(m._where)
         if not _is_all(cols):
             new = np.where(cols, np.cumsum(cols) - 1, -1)
             kept = []
