@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmloc.bestapprox import (ElementTables, LocalizationReport, SparseMatrix, SpdSystem,
-                              _element_matrices, element_tables, element_tables_each,
-                              local_element_errors, local_ritz, ritz, ritz_each, solve_spd)
+                              _element_matrices, _free_operator, element_tables,
+                              element_tables_each, local_element_errors, local_ritz, ritz,
+                              ritz_each, solve_spd)
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
                                    fig1_left_pattern, fig1_left_values, fig1_refined,
@@ -193,12 +194,22 @@ def test_sparse_matrix_matches_scipy(mesh, degree):
     tables, _, space = tables_of(quadratic_target(), tri, degree, 2 * degree + 2,
                                  dirichlet=mesh == "checkerboard")
     rng = np.random.default_rng(degree)
+    en, m = space.element_nodes, space.n_nodes
+    rows = np.repeat(en, en.shape[1], axis=1).ravel()
+    cols = np.tile(en, (1, en.shape[1])).ravel()
     for beta in (0.0, 1e4):
         K = _element_matrices(tables, a, beta, slice(None))
         free = ~space.dirichlet
         free[0] &= mesh != "fig1"  # the pinned node of `ritz_each`
         _check_operator_against_scipy(space, K, free, rng)
         _check_operator_against_scipy(space, K, rng.random(space.n_nodes) < 0.7, rng)
+        # `ritz_each` assembles the free entries alone: the same entries,
+        # summed in the same order, as the restriction of the whole operator
+        restricted = SparseMatrix(rows, cols, K.ravel(), (m, m))[free][:, free]
+        ours = _free_operator(tables, a, beta, free)
+        assert ours.shape == restricted.shape
+        for x, y in zip(ours.entries(), restricted.entries()):
+            assert np.array_equal(x, y)
 
 
 @settings(max_examples=10, deadline=None)
