@@ -144,9 +144,8 @@ class SparseMatrix:
     rows) arrays of columns and values, column -1 and value 0 in the padding.
     The product ``m @ p`` sums each row left to right in column order, as
     `scipy.sparse`'s CSR product sums it, so on the same entries the two
-    agree bit for bit.  ``m[mask]`` and ``m[:, mask]`` keep the rows or
-    columns of a boolean mask, renumbered: a dropped column's slots become
-    padding, and a dropped row is still summed but not returned.
+    agree bit for bit.  ``m[mask]`` and ``m[:, mask]`` are the matrices of
+    the entries in the rows or columns a boolean mask keeps, renumbered.
     """
 
     def __init__(self, rows, cols, values, shape):
@@ -217,23 +216,15 @@ class SparseMatrix:
         return y if self._where is None else y.take(self._where)
 
     def __getitem__(self, key):
-        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        m, shape = SparseMatrix.__new__(SparseMatrix), list(self.shape)
-        blocks, m._where = self._blocks, self._where
-        if not _is_all(rows):
-            new = np.where(rows, np.cumsum(rows) - 1, -1)
-            blocks = [(np.where(R >= 0, new[R], -1), C, V) for R, C, V in blocks]
-            m._where = np.flatnonzero(rows) if self._where is None else self._where[rows]
-            shape[0] = len(m._where)
-        if not _is_all(cols):
-            new = np.where(cols, np.cumsum(cols) - 1, -1)
-            kept = []
-            for R, C, V in blocks:
-                C = np.where(C >= 0, new[C], -1)
-                kept.append((R, C, np.where(C >= 0, V, 0.0)))
-            blocks, shape[1] = kept, int(np.count_nonzero(cols))
-        m._blocks, m.shape = blocks, tuple(shape)
-        return m
+        key = key if isinstance(key, tuple) else (key,)
+        if len(key) > 2:
+            raise ValueError(f"a SparseMatrix takes at most 2 indices, not {len(key)}")
+        masks = [_axis_mask(k, n) for k, n in zip(key + (slice(None),), self.shape)]
+        rows, cols, values = self.entries()
+        rows, cols = _renumbered(masks[0])[rows], _renumbered(masks[1])[cols]
+        kept = (rows >= 0) & (cols >= 0)
+        shape = tuple(int(np.count_nonzero(m)) for m in masks)
+        return SparseMatrix._of(rows[kept] * max(shape[1], 1) + cols[kept], values[kept], shape)
 
     def entries(self):
         """The stored (rows, cols, values), sorted by row and column."""
@@ -260,41 +251,44 @@ def _summed(keys, values):
     return keys[first], np.bincount(group, values)
 
 
-def _is_all(index) -> bool:
-    return isinstance(index, slice) and index == slice(None)
+def _axis_mask(index, n: int) -> np.ndarray:
+    """The boolean mask of an axis of length n that `index` selects: ':' or a
+    boolean mask of length n; raises ValueError for any other index."""
+    if isinstance(index, slice) and index == slice(None):
+        return np.ones(n, dtype=bool)
+    mask = np.asarray(index)
+    if mask.dtype != bool or mask.shape != (n,):
+        raise ValueError(f"a SparseMatrix index is ':' or a boolean mask of length {n}")
+    return mask
+
+
+def _renumbered(mask) -> np.ndarray:
+    """The new index of each entry a boolean mask keeps, -1 for the others."""
+    return np.where(mask, np.cumsum(mask) - 1, -1)
 
 
 @dataclass
 class SpdSystem:
-    """Sparse SPD system; ``fixed`` marks the nodes held at zero (the pinned
-    node of pure-seminorm problems, or a Dirichlet mask), None when the
-    matrix is definite as given (already restricted to its free nodes).
-    ``matrix`` supports ``@`` with a vector, ``diagonal()``, ``shape`` and
-    the restriction ``matrix[mask][:, mask]``, as `SparseMatrix` does."""
+    """Sparse SPD system, definite as given.  ``matrix`` supports ``@`` with a
+    vector, ``diagonal()`` and ``shape``, as `SparseMatrix` does."""
 
     matrix: SparseMatrix
     rhs: np.ndarray
-    fixed: np.ndarray | None = None
 
     def free_mask(self) -> np.ndarray:
-        if self.fixed is None:
-            return np.ones(self.matrix.shape[0], dtype=bool)
-        return ~np.asarray(self.fixed, dtype=bool)
+        """All True: every unknown is free (`perfbench/tracing.py` reads it)."""
+        return np.ones(self.matrix.shape[0], dtype=bool)
 
 
 def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
-    """Jacobi-preconditioned CG on the gauged system.
+    """Jacobi-preconditioned CG on the system as given.
 
     Converged when the preconditioned relative residual drops below rtol.
-    Returns the full coefficient vector (constrained entries zero).  The
-    matrix is restricted to the free nodes by a copy unless ``fixed`` is None.
+    Returns the solution vector.
     """
-    A, b, free = system.matrix, system.rhs, None
-    if system.fixed is not None:
-        free = system.free_mask()
-        A, b = A[free][:, free], b[free]
+    A, b = system.matrix, system.rhs
     n = A.shape[0]
-    xf = np.zeros(n)
+    x = np.zeros(n)
     d = A.diagonal()
     if np.any(d <= 0):
         raise SolverFailure("gauged system has a non-positive diagonal entry")
@@ -315,17 +309,13 @@ def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
                     f"CG did not converge in {limit} iterations (residual {res:.3e})")
             Ap = A @ p
             alpha = rz / _finite(float(p @ Ap), it)
-            xf += alpha * p
+            x += alpha * p
             r -= alpha * Ap
             z = minv * r
             rz_new = float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
             it += 1
-    if free is None:
-        return xf
-    x = np.zeros(len(free))
-    x[free] = xf
     return x
 
 
@@ -382,7 +372,7 @@ def _free_operator(tables: ElementTables, a, beta: float, free) -> SparseMatrix:
     """The operator of `_element_matrices` restricted to the `free` nodes,
     renumbered: the entries of other rows and columns are dropped before
     assembly."""
-    node = np.where(free, np.cumsum(free) - 1, -1)[tables.space.element_nodes]
+    node = _renumbered(free)[tables.space.element_nodes]
     n = int(np.count_nonzero(free))
     nc = max(n, 1)
     # element order, row-major within each element matrix

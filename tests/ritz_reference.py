@@ -200,9 +200,9 @@ def interpolation_error_loop(target, interp, coeff, plan, region=None):
 
 def masked_ritz(tables, a, beta=0.0):
     """The global best approximation of one table's target, its operator
-    assembled for it alone and restricted by `solve_spd` through the fixed
-    mask (Dirichlet nodes, else the lowest-id node at beta = 0).  Returns
-    (error_sq, x) as `ritz`."""
+    assembled for it alone on every node and then restricted to the free
+    nodes, ``A[free][:, free]`` and ``b[free]`` (all but the Dirichlet nodes,
+    else the lowest-id node at beta = 0).  Returns (error_sq, x) as `ritz`."""
     w = np.asarray(a, dtype=float)
     en, m = tables.space.element_nodes, tables.space.n_nodes
     K = w[:, None, None] * tables.stiffness + beta * tables.mass
@@ -214,5 +214,6 @@ def masked_ritz(tables, a, beta=0.0):
     rows = np.repeat(en, en.shape[1], axis=1).ravel()
     cols = np.tile(en, (1, en.shape[1])).ravel()
     A = SparseMatrix(rows, cols, K.ravel(), (m, m))
-    x = solve_spd(SpdSystem(matrix=A, rhs=b, fixed=~free))
+    x = np.zeros(m)
+    x[free] = solve_spd(SpdSystem(matrix=A[free][:, free], rhs=b[free]))
     return float(_error(tables, w, beta, slice(None), x[en]).sum()), x

@@ -249,6 +249,18 @@ def test_sparse_matrix_of_no_rows():
     assert empty.diagonal().shape == (0,)
 
 
+@pytest.mark.parametrize("key", [
+    np.array([0, 1, 2]), (slice(None), np.array([2, 1, 0])), np.ones(2, dtype=bool),
+    (slice(None), np.ones(4, dtype=bool)), np.ones((3, 3), dtype=bool), slice(1, None), 0,
+    (slice(None), slice(None), slice(None))],
+    ids=["int-rows", "int-cols", "short-mask", "long-mask", "2d-mask", "slice", "int", "3-keys"])
+def test_sparse_matrix_takes_only_a_mask_or_a_colon(key):
+    m = SparseMatrix([0, 1, 2, 2], [0, 1, 0, 2], [1.0, 2.0, 3.0, 4.0], (3, 3))
+    with pytest.raises(ValueError, match="SparseMatrix") as err:
+        m[key]
+    assert "\n" not in str(err.value)
+
+
 def test_coefficient_scale_equivariance():
     tri = square_mesh()
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])
@@ -523,8 +535,9 @@ def test_tables_of_several_targets_equal_one_target_passes(degree):
                                              (True, 1e4)])
 def test_shared_operator_solves_equal_per_target_solves(dirichlet, beta):
     """`ritz_each`, one operator restricted once, against the per-target
-    operator restricted by `solve_spd`'s fixed mask: bitwise equal errors
-    and coefficients, with and without Dirichlet nodes and at beta > 0."""
+    operator assembled on every node and restricted by indexing
+    (`masked_ritz`): bitwise equal errors and coefficients, with and without
+    Dirichlet nodes and at beta > 0."""
     tri, coeff = fig1_left_pattern(1e-4, refines=2)
     space = build_space(tri, 2, dirichlet_on_boundary=dirichlet)
     targets = list(default_smooth_targets().values())

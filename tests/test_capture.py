@@ -50,7 +50,8 @@ def test_tracer_runs_on_the_small_workloads(workload, capsys):
     """The tracer reads public names of the package (`solve_spd`'s system,
     `TargetField.value`/`gradient`, the plan's weights and polar elements):
     two traced calls and one untraced call give equal report bytes, nested
-    spans and equal counters, and the global solves are counted."""
+    spans and equal counters, and the global solves are counted and their
+    residuals, read through ``matrix[free][:, free]``, are small."""
     argv = selftest.SMALL[workload]
     (first, tracer), (second, again) = _traced(argv, capsys), _traced(argv, capsys)
     assert main(argv) == EXIT_OK
@@ -61,3 +62,4 @@ def test_tracer_runs_on_the_small_workloads(workload, capsys):
     assert tracer.counts == again.counts and calls[0] == calls[1]
     if workload != "ladder":
         assert tracer.counts["bestapprox.solve_spd.unknowns"] > 0
+        assert tracer.counts["bestapprox.solve_spd.rel_residual"] <= 1e-9
