@@ -146,12 +146,23 @@ class SparseMatrix:
     `scipy.sparse`'s CSR product sums it, so on the same entries the two
     agree bit for bit.  ``m[mask]`` and ``m[:, mask]`` are the matrices of
     the entries in the rows or columns a boolean mask keeps, renumbered.
+    The constructor raises ValueError for entries that are not 1-D arrays
+    of equal length or that lie outside `shape`.
     """
 
     def __init__(self, rows, cols, values, shape):
-        nc = max(int(shape[1]), 1)
-        self._set(*_summed(np.asarray(rows, dtype=np.intp) * nc + np.asarray(cols, dtype=np.intp),
-                           np.ravel(values)), shape)
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        values = np.asarray(values)
+        if not (rows.ndim == cols.ndim == values.ndim == 1
+                and len(rows) == len(cols) == len(values)):
+            raise ValueError("SparseMatrix rows, cols and values must be 1-D arrays of "
+                             f"equal length, got shapes {rows.shape}, {cols.shape}, "
+                             f"{values.shape}")
+        for axis, ids, n in (("row", rows, int(shape[0])), ("column", cols, int(shape[1]))):
+            outside = ids[(ids < 0) | (ids >= n)]
+            if len(outside):
+                raise ValueError(f"SparseMatrix {axis} {outside[0]} lies outside [0, {n})")
+        self._set(*_summed(rows * max(int(shape[1]), 1) + cols, values), shape)
 
     @classmethod
     def _of(cls, keys, values, shape):

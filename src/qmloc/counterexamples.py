@@ -65,6 +65,15 @@ def radial_profile_derivative(eps: float, r):
     return out
 
 
+def _hexagon_eps(eps: float) -> None:
+    """Raises ParameterOutOfRange unless `eps` lies in [EPS_MIN, EPS_MAX],
+    the range of `hexagon_target`."""
+    if not EPS_MIN <= eps <= EPS_MAX:
+        raise ParameterOutOfRange(
+            f"eps must lie in [{EPS_MIN}, {EPS_MAX}] for resolvable quadrature, got {eps}"
+        )
+
+
 def hexagon_target(eps: float) -> TargetField:
     """The piecewise target on the hexagon.
 
@@ -75,10 +84,7 @@ def hexagon_target(eps: float) -> TargetField:
     ball trace to zero on the outer edge.  The lower half is the point
     reflection u(x, y) = -u(-x, -y).
     """
-    if not EPS_MIN <= eps <= EPS_MAX:
-        raise ParameterOutOfRange(
-            f"eps must lie in [{EPS_MIN}, {EPS_MAX}] for resolvable quadrature, got {eps}"
-        )
+    _hexagon_eps(eps)
 
     def upper(P):
         """Values and gradients at points P of the closed upper half plane."""

@@ -9,13 +9,12 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, _region_errors, element_tables,
-                         element_tables_each, local_element_errors, local_ritz, ritz,
-                         ritz_each)
+from .bestapprox import (LocalizationReport, _region_errors, element_tables_each,
+                         local_element_errors, local_ritz, ritz, ritz_each)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
-from .counterexamples import (_checkerboard_eps, analytic_energy_reference, checkerboard_mesh,
-                              checkerboard_target, fig1_left_values, fig1_refined,
-                              hexagon_mesh, hexagon_target)
+from .counterexamples import (_checkerboard_eps, _hexagon_eps, analytic_energy_reference,
+                              checkerboard_mesh, checkerboard_target, fig1_left_values,
+                              fig1_refined, hexagon_mesh, hexagon_target)
 from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
 from .fespace import build_space, element_dual_basis, element_mass_matrix
 from .fields import TargetField
@@ -60,42 +59,54 @@ def default_smooth_targets() -> dict:
 # sweeps
 
 
-def _dirichlet_tables(tri: Triangulation, target, degree: int):
-    """The element tables of `target` on `tri` in the degree-`degree` space
-    with Dirichlet nodes on the boundary.
+def _tables(tri: Triangulation, targets, degree: int, dirichlet: bool = False) -> list:
+    """The element tables of each of `targets` on `tri` in the degree-`degree`
+    space, with Dirichlet nodes on the boundary if `dirichlet`, in target
+    order.  The targets of one (`plan_key`, period) share one plan of
+    exactness 2 degree + 6 and one `element_tables_each` pass.
 
-    For a target with a lattice period p the tables are built once per
+    For targets with a lattice period p the tables are built once per
     period: each element is keyed by its vertices, in order, less p times
     the lattice cell floor(centroid / p), divided by p and rounded to
     `_KEY_DECIMALS`.  Elements of one key are translates of each other by
     the period, so their tables agree; the plan and the tables are built
     on the sub-mesh of the first element of each key and gathered.  On a
     mesh that is not periodic more keys only mean more work."""
-    space = build_space(tri, degree, dirichlet_on_boundary=True)
-    exactness = 2 * degree + 6
-    if target.period is None:
-        return element_tables(target, make_quadrature_plan(tri, target, exactness), space)
-    v = tri.vertices[tri.triangles]
-    cell = np.floor(v.mean(axis=1) / target.period)
-    keys = np.round(v / target.period - cell[:, None], _KEY_DECIMALS) + 0.0
-    _, first, inverse = np.unique(keys.reshape(len(v), -1), axis=0, return_index=True,
-                                  return_inverse=True)
-    ids, local = np.unique(tri.triangles[first], return_inverse=True)
-    sub = build_triangulation(tri.vertices[ids], local.reshape(-1, 3))
-    tables = element_tables(target, make_quadrature_plan(sub, target, exactness),
-                            build_space(sub, degree))
-    return replace(tables, space=space, **{f.name: getattr(tables, f.name)[inverse.ravel()]
-                                           for f in fields(tables) if f.name != "space"})
+    space = build_space(tri, degree, dirichlet_on_boundary=dirichlet)
+    groups: dict = {}  # (plan key, period) -> the indices of its targets
+    for i, target in enumerate(targets):
+        groups.setdefault((plan_key(target), target.period), []).append(i)
+    tables = [None] * len(targets)
+    for (_, period), ids in groups.items():
+        group, sub, sub_space = [targets[i] for i in ids], tri, space
+        if period is not None:
+            v = tri.vertices[tri.triangles]
+            cell = np.floor(v.mean(axis=1) / period)
+            keys = np.round(v / period - cell[:, None], _KEY_DECIMALS) + 0.0
+            _, first, inverse = np.unique(keys.reshape(len(v), -1), axis=0, return_index=True,
+                                          return_inverse=True)
+            nodes, local = np.unique(tri.triangles[first], return_inverse=True)
+            sub = build_triangulation(tri.vertices[nodes], local.reshape(-1, 3))
+            sub_space = build_space(sub, degree)
+        plan = make_quadrature_plan(sub, group[0], exactness=2 * degree + 6)
+        for i, tab in zip(ids, element_tables_each(group, plan, sub_space)):
+            if period is not None:
+                tab = replace(tab, space=space, **{f.name: getattr(tab, f.name)[inverse.ravel()]
+                                                   for f in fields(tab) if f.name != "space"})
+            tables[i] = tab
+    return tables
 
 
 def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
     """Per contrast: global best error against element, pair, and
     vertex-star localized errors, all in the space with Dirichlet nodes on
     the boundary."""
+    for eps in eps_values:  # every eps before any mesh is built
+        _hexagon_eps(eps)
     reports = []
     for eps in eps_values:
         tri, coeff = hexagon_mesh(eps)
-        tables = _dirichlet_tables(tri, hexagon_target(eps), degree)
+        tables = _tables(tri, [hexagon_target(eps)], degree, dirichlet=True)[0]
         global_sq = ritz(tables, coeff.values)[0]
         elements = list(enumerate(local_element_errors(tables, coeff).tolist()))
         edges = tri.interior_edges()
@@ -169,7 +180,7 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     reports = []
     for N in n_values:
         tri, coeff = checkerboard_mesh(N)
-        tables = _dirichlet_tables(tri, checkerboard_target(N), degree)
+        tables = _tables(tri, [checkerboard_target(N)], degree, dirichlet=True)[0]
         global_sq = ritz(tables, coeff.values)[0]
         inner = tri.interior_vertices()
         regions = region_rows(tri.vertex_elements, inner)
@@ -242,10 +253,9 @@ def _checked_betas(betas) -> list:
 
 def _fig1_tables(pattern: str, alpha_values, targets: dict, degree: int, refines: int):
     """The refined tiling of `pattern`, the coefficient per alpha on it, and
-    the element tables of each target in target order, one
-    `element_tables_each` pass per plan key.  Every alpha and the tiling's
-    memory estimate are checked before the tiling is built, and a
-    coefficient that is not quasi-monotone is refused."""
+    the element tables of each target in target order (`_tables`).  Every
+    alpha and the tiling's memory estimate are checked before the tiling is
+    built, and a coefficient that is not quasi-monotone is refused."""
     if pattern != "fig1-left":
         raise ParameterOutOfRange(f"unknown pattern {pattern!r}")
     values = [fig1_left_values(alpha) for alpha in alpha_values]
@@ -259,16 +269,7 @@ def _fig1_tables(pattern: str, alpha_values, targets: dict, degree: int, refines
         if not qm.quasi_monotone:
             raise RefusesNonQM(f"pattern {pattern!r} at alpha={alpha} is not quasi-monotone; "
                                f"witness {qm.witnesses[:1]}")
-    space = build_space(tri, degree)
-    by_key: dict = {}  # plan key -> the names of its targets
-    for name, target in targets.items():
-        by_key.setdefault(plan_key(target), []).append(name)
-    tables = {}
-    for names in by_key.values():
-        group = [targets[name] for name in names]
-        plan = make_quadrature_plan(tri, group[0], exactness=2 * degree + 6)
-        tables.update(zip(names, element_tables_each(group, plan, space)))
-    return tri, coeffs, [tables[name] for name in targets]
+    return tri, coeffs, _tables(tri, list(targets.values()), degree)
 
 
 def _global_sq(tables: list, a, beta: float = 0.0) -> list:

@@ -84,15 +84,12 @@ def triangle_rule(p: int, v0, v1, v2):
     return v0 + pts_ref @ B.T, w_ref * abs(np.linalg.det(B))
 
 
-def _panels(a: float, b: float, n_panels: int, order: int):
-    """Composite Gauss nodes/weights for int_a^b f."""
+def _panels(lo, hi, order: int):
+    """Composite Gauss nodes and weights of `order` points on each cell
+    [lo_i, hi_i], in cell order."""
     x, w = _leggauss01(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    nodes, wts = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes.append(lo + (hi - lo) * x)
-        wts.append((hi - lo) * w)
-    return np.concatenate(nodes), np.concatenate(wts)
+    lo, hi = np.asarray(lo, float)[:, None], np.asarray(hi, float)[:, None]
+    return (lo + (hi - lo) * x).ravel(), ((hi - lo) * w).ravel()
 
 
 # Geometric levels above the Gauss--Jacobi cell of the candidate rule, a
@@ -110,22 +107,16 @@ def _dense_singular_rule(mu: float):
     plus a Gauss--Jacobi cell on [0, q^_LEVELS] weighted by r**(2*mu-1)
     whose weights are divided back by that factor: 176 positive nodes.
     """
-    x, w = _leggauss01(8)
-    nodes, wts = [], []
-    hi = 1.0
-    for _ in range(_LEVELS):
-        lo = hi * _GRADING_RATIO
-        nodes.append(lo + (hi - lo) * x)
-        wts.append((hi - lo) * w)
-        hi = lo
+    ends = np.cumprod([1.0] + [_GRADING_RATIO] * _LEVELS)  # 1, q, ..., q^_LEVELS
+    nodes, wts = _panels(ends[1:], ends[:-1], 8)
+    hi = ends[-1]
     mu = round(mu, 12)
     beta = 2.0 * mu - 1.0
     xj, wj = _gauss_jacobi(8, 0.0, beta)
     rj = 0.5 * (xj + 1.0)
-    nodes.append(hi * rj)
     # int_0^hi f(r) dr = hi * int_0^1 f(hi s) ds
-    wts.append(hi * (0.5 ** (2.0 * mu) * wj / rj**beta))
-    r, w = np.concatenate(nodes), np.concatenate(wts)
+    r = np.concatenate([nodes, hi * rj])
+    w = np.concatenate([wts, hi * (0.5 ** (2.0 * mu) * wj / rj**beta)])
     r.flags.writeable = w.flags.writeable = False
     return r, w
 
@@ -217,20 +208,16 @@ def radial_rule(R: float, mu: float, breakpoints=(), degree: int = 8):
     cuts = sorted(b for b in breakpoints if 0.0 < b < R)
     c0 = cuts[0] if cuts else R
     r1, w1 = _unit_singular_rule(round(mu, _KEY_DECIMALS), degree)
-    parts_n, parts_w = [c0 * r1], [c0 * w1]
     edges = [c0] + cuts[1:] + [R]
-    x01, w01 = _leggauss01(_GAUSS_ORDER)
+    lefts, rights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 1e-15 * R:
-            continue
         # dyadic panels away from the origin resolve 1/r-type variation
-        left = lo
-        while left < hi - 1e-15 * R:
-            right = min(2.0 * left, hi)
-            parts_n.append(left + (right - left) * x01)
-            parts_w.append((right - left) * w01)
-            left = right
-    return np.concatenate(parts_n), np.concatenate(parts_w)
+        while lo < hi - 1e-15 * R:
+            lefts.append(lo)
+            lo = min(2.0 * lo, hi)
+            rights.append(lo)
+    r, w = _panels(lefts, rights, _GAUSS_ORDER)
+    return np.concatenate([c0 * r1, r]), np.concatenate([c0 * w1, w])
 
 
 def _sector_rule(s, p, p2, mu, breakpoints, degree):
@@ -244,7 +231,8 @@ def _sector_rule(s, p, p2, mu, breakpoints, degree):
     dth = math.atan2(b[1], b[0]) - th0
     dth = dth % (2.0 * math.pi)
     n_panels = max(1, math.ceil(dth / _THETA_PANEL * (1.0 - _PANEL_SLACK)))
-    tt, wt = _panels(0.0, dth, n_panels, _GAUSS_ORDER)
+    edges = np.linspace(0.0, dth, n_panels + 1)
+    tt, wt = _panels(edges[:-1], edges[1:], _GAUSS_ORDER)
     # distance to the line through p, p2 along direction theta
     nrm = np.array([-(b - a)[1], (b - a)[0]])
     d0 = float(nrm @ a)

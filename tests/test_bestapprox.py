@@ -2,6 +2,7 @@
 batched local Ritz kernel, and the local, regional, global and
 combined-norm errors built on them."""
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -259,6 +260,20 @@ def test_sparse_matrix_takes_only_a_mask_or_a_colon(key):
     with pytest.raises(ValueError, match="SparseMatrix") as err:
         m[key]
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("rows, cols, values, message", [
+    ([0, 1], [2, 1], [5.0, 2.0], "column 2 lies outside [0, 2)"),
+    ([0, 1], [0, -1], [5.0, 2.0], "column -1 lies outside [0, 2)"),
+    ([0, 1], [0], [5.0, 2.0], "equal length"),
+    ([[0, 1]], [[0, 1]], [[5.0, 2.0]], "1-D arrays"),
+    ([0, 2], [0, 1], [5.0, 2.0], "row 2 lies outside [0, 2)"),
+    ([0, -1], [0, 1], [5.0, 2.0], "row -1 lies outside [0, 2)"),
+], ids=["col-past-end", "negative-col", "short-cols", "2d", "row-past-end", "negative-row"])
+def test_sparse_matrix_refuses_entries_outside_its_shape(rows, cols, values, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        SparseMatrix(rows, cols, values, (2, 2))
+    assert str(err.value).startswith("SparseMatrix") and "\n" not in str(err.value)
 
 
 def test_coefficient_scale_equivariance():

@@ -432,16 +432,27 @@ def test_stars_refuses_what_will_not_fit_before_building_any_target_or_mesh(
     (["alpha", "--alphas", "1e-6,0.7"],
      "the tiling is quasi-monotone only for alpha = 1 or alpha <= 1/2"),
     (["rd", "--betas", "1,nan"], "beta must be finite and >= 0, got nan"),
+    (["hexagon", "--eps", "0.1,0.6"],
+     "eps must lie in [0.001, 0.5] for resolvable quadrature, got 0.6"),
 ])
 def test_sweeps_refuse_a_bad_alpha_or_beta_before_building_any_mesh(capsys, monkeypatch,
                                                                     argv, message):
     import qmloc.counterexamples
+    import qmloc.harness
 
     def no_mesh(vertices, triangles, parents=None):
-        raise AssertionError("a mesh was built before every alpha and beta was checked")
+        raise AssertionError("a mesh was built before every alpha, beta and eps was checked")
+
+    hexagons = []  # the eps of each hexagon_mesh call
+
+    def count_hexagons(eps):
+        hexagons.append(eps)
+        return hexagon_mesh(eps)
 
     monkeypatch.setattr(qmloc.counterexamples, "build_triangulation", no_mesh)
+    monkeypatch.setattr(qmloc.harness, "hexagon_mesh", count_hexagons)
     assert main(argv) == EXIT_INVALID
+    assert hexagons == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -13,7 +13,7 @@ from qmloc.counterexamples import checkerboard_mesh, checkerboard_target, fig1_r
 from qmloc.errors import ParameterOutOfRange, RefusesNonQM
 from qmloc.fespace import build_space
 from qmloc.fields import SingularPoint, TargetField
-from qmloc.harness import (_dirichlet_tables, emit_report, estimate_inequality_constants,
+from qmloc.harness import (_tables, emit_report, estimate_inequality_constants,
                            render_report, run_alpha_robustness,
                            run_hexagon_sweep, run_reaction_diffusion,
                            run_star_sweep)
@@ -162,11 +162,11 @@ def test_star_candidate_energy_matches_the_kernel(N):
 def test_star_candidates_match_the_per_vertex_reference(monkeypatch, N, degree):
     seen = []
 
-    def tables_of(tri, target, degree):
-        seen.append(_dirichlet_tables(tri, target, degree))
-        return seen[-1]
+    def tables_of(tri, targets, degree, dirichlet=False):
+        seen.append(_tables(tri, targets, degree, dirichlet)[0])
+        return seen[-1:]
 
-    monkeypatch.setattr(harness, "_dirichlet_tables", tables_of)
+    monkeypatch.setattr(harness, "_tables", tables_of)
     meta = run_star_sweep(n_values=(N,), degree=degree)[0].metadata
     kinds, candidates = harness_reference.star_metadata(seen[0], checkerboard_mesh(N)[1], N)
     # keys in order, and the (positive) energies bit for bit
@@ -217,7 +217,7 @@ def test_congruent_cells_have_equal_tables(N, degree):
 @given(N=st.integers(2, 8), degree=st.integers(1, 4))
 def test_tables_once_per_period_match_the_full_pass(N, degree):
     tri, target, full = _full_pass(N, degree)
-    tables = _dirichlet_tables(tri, target, degree)
+    tables = _tables(tri, [target], degree, dirichlet=True)[0]
     assert tables.space.n_nodes == full.space.n_nodes and tables.space.dirichlet.any()
     for name in _TABLE_FIELDS:
         assert _gap(tables, full, name) <= 1e-12, name
@@ -241,12 +241,36 @@ def test_tables_once_per_period_on_a_mesh_that_is_not_periodic(monkeypatch, degr
         return make_quadrature_plan(tri, target, exactness)
 
     monkeypatch.setattr(harness, "make_quadrature_plan", plan_of)
-    tables = _dirichlet_tables(moved, target, degree)
+    tables = _tables(moved, [target], degree, dirichlet=True)[0]
     assert sizes == [8 + 6]
     full = element_tables(target, make_quadrature_plan(moved, target, 2 * degree + 6),
                           build_space(moved, degree, dirichlet_on_boundary=True))
     for name in _TABLE_FIELDS:
         assert _gap(tables, full, name) <= 1e-12, name
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+def test_tables_of_a_periodic_and_a_smooth_target_in_one_call(monkeypatch, degree):
+    """The N = 2 checkerboard target (tables once per period, gathered) and
+    a smooth target (one full pass) in one call: one plan each, one shared
+    space, and each target's tables bitwise equal to its own one-target
+    call."""
+    tri, _ = checkerboard_mesh(2)
+    targets = [checkerboard_target(2), harness.default_smooth_targets()["sine"]]
+    sizes = []
+
+    def plan_of(tri, target, exactness):
+        sizes.append(tri.n_elements)
+        return make_quadrature_plan(tri, target, exactness)
+
+    monkeypatch.setattr(harness, "make_quadrature_plan", plan_of)
+    both = _tables(tri, targets, degree, dirichlet=True)
+    assert sizes == [8, tri.n_elements]
+    assert both[0].space is both[1].space and both[0].space.dirichlet.any()
+    for target, tables in zip(targets, both):
+        own = _tables(tri, [target], degree, dirichlet=True)[0]
+        for name in _TABLE_FIELDS:
+            assert np.array_equal(getattr(tables, name), getattr(own, name)), name
 
 
 def test_alpha_robustness_on_constant_pattern():
