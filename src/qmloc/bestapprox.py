@@ -146,11 +146,16 @@ class SparseMatrix:
     `scipy.sparse`'s CSR product sums it, so on the same entries the two
     agree bit for bit.  ``m[mask]`` and ``m[:, mask]`` are the matrices of
     the entries in the rows or columns a boolean mask keeps, renumbered.
-    The constructor raises ValueError for entries that are not 1-D arrays
-    of equal length or that lie outside `shape`.
+    The constructor raises ValueError for a `shape` that is not two
+    non-negative integers, and for entries that are not 1-D arrays of equal
+    length or that lie outside `shape`.
     """
 
     def __init__(self, rows, cols, values, shape):
+        dims = tuple(shape) if isinstance(shape, (tuple, list)) else ()
+        if len(dims) != 2 or not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                                     and n >= 0 for n in dims):
+            raise ValueError(f"SparseMatrix shape {shape!r} is not two non-negative integers")
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         values = np.asarray(values)
         if not (rows.ndim == cols.ndim == values.ndim == 1

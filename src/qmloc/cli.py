@@ -11,6 +11,7 @@ import sys
 
 from .coeff import attach_coefficient, check_quasi_monotonicity
 from .errors import QmlocError, SolverFailure
+from .fespace import require_degree
 from .harness import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_EPS, DEFAULT_N,
                       emit_report, estimate_inequality_constants,
                       run_alpha_robustness, run_hexagon_sweep,
@@ -71,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_qm_check(args) -> int:
+    require_degree(args.ell)
     tri, values = load_mesh(args.mesh)
     if values is None:
         print("error: mesh file has no 'coefficient' entry", file=sys.stderr)

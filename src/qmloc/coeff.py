@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (LocusMismatch, NoMonotonePath, NonPositiveValue, UnknownLocus,
-                     UnsupportedDegree)
-from .fespace import EDGE, VERTEX, LagrangeSpace, _lattice, build_space
-from .mesh import Triangulation, _region_groups, edge_pair, region_rows, vertex_patch
+from .errors import LocusMismatch, NoMonotonePath, NonPositiveValue, UnknownLocus
+from .fespace import LagrangeSpace, _lattice, build_space, require_degree
+from .mesh import Triangulation, _region_groups, region_rows, vertex_patch
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,10 @@ def _monotone_path(tri, a, star, k, k_tilde):
 
 
 def space_star(space: LagrangeSpace, node: int):
-    """Elements of omega_z for a global node of the space (supp of phi_z)."""
-    kind = space.node_kind[node]
-    ent = space.node_entity[node]
-    if kind == VERTEX:
-        return vertex_patch(space.tri, ent)
-    if kind == EDGE:
-        return edge_pair(space.tri, ent)
-    return (ent,)
+    """Elements of omega_z for a global node of the space (supp of phi_z),
+    ascending."""
+    offsets, ids = space.node_elements
+    return ids[offsets[node]:offsets[node + 1]]
 
 
 def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=None,
@@ -128,19 +123,20 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
     interior edge pairs at degree >= 2 and the single elements at degree
     >= 3.  Only vertex stars are decided by a search: edge-pair and element
     loci never fail, because the direct step exists (the two elements of an
-    edge pair share that edge, and K -> K), so they are validated and pass.
+    edge pair share that edge, and K -> K), so they pass.  A given node_set
+    is validated first (`_vertex_loci`).
     """
-    if not 1 <= degree <= 4:
-        raise UnsupportedDegree(f"degree {degree} not in 1..4")
-    if node_set is None:
+    require_degree(degree)
+    if node_set is None:  # generated valid, the vertex loci first
         loci = [("vertex", z) for z in range(tri.n_vertices)]
         if degree >= 2:
             loci += [("edge", e) for e in tri.interior_edges()]
         if degree >= 3:
             loci += [("element", k) for k in range(tri.n_elements)]
+        at = z = np.arange(tri.n_vertices)
     else:
         loci = [tuple(l) for l in node_set]
-    at, z = _vertex_loci(tri, loci)
+        at, z = _vertex_loci(tri, loci)
     witness = np.full((len(loci), 2), -1, dtype=np.int64)
     witness[at] = _witnesses(tri, coeff.values, region_rows(tri.vertex_elements, z))
     witness = witness.tolist()
@@ -153,11 +149,14 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
 
 def _vertex_loci(tri: Triangulation, loci):
     """The positions in `loci` of its vertex loci and their vertex ids, two
-    int arrays.  Raises UnknownLocus for a bad kind or id of any locus."""
+    int arrays.  Raises UnknownLocus for a bad kind or id of any locus; an
+    id is a Python or numpy integer, not a bool."""
     count = {"vertex": tri.n_vertices, "edge": tri.n_edges, "element": tri.n_elements}
     for kind, ident in loci:
         if kind not in count:
             raise UnknownLocus(f"unknown locus kind {kind!r}")
+        if not isinstance(ident, (int, np.integer)) or isinstance(ident, bool):
+            raise UnknownLocus(f"{kind} id {ident!r} is not an integer")
         if not 0 <= ident < count[kind]:
             raise UnknownLocus(f"{kind} {ident}")
     at = [i for i, (kind, _) in enumerate(loci) if kind == "vertex"]

@@ -16,8 +16,6 @@ from .errors import SingularMassMatrix, UnsupportedDegree
 from .mesh import Triangulation, element_affine
 from .quadrature import _leggauss01, reference_triangle_rule
 
-VERTEX, EDGE, INTERIOR = "vertex", "edge", "interior"
-
 
 @lru_cache(maxsize=None)
 def _lattice(degree: int):
@@ -67,29 +65,25 @@ class LagrangeSpace:
     degree: int
     nodes: np.ndarray            # (n, 2) global node coordinates
     element_nodes: np.ndarray    # (nt, nloc) global node ids, lattice order
-    node_kind: tuple             # per node: 'vertex' | 'edge' | 'interior'
-    node_entity: tuple           # owning vertex/edge/element id
-    boundary_nodes: np.ndarray   # (n,) bool: node on the domain boundary
+    node_elements: tuple         # CSR: the support of each node's basis function, ascending
     dirichlet: np.ndarray        # (n,) bool mask (all False unless requested)
     vertex_nodes: np.ndarray     # (nv,) global node id of each mesh vertex
-    edge_interior_nodes: np.ndarray  # (ne, degree-1) ids from the lower-id endpoint on
+    edge_nodes: np.ndarray       # (ne, degree+1) ids from the lower-id endpoint on
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def edge_nodes(self, e: int):
-        """Global ids of the degree+1 nodes on edge e, ordered from the
-        lower-id endpoint."""
-        a, b = self.tri.edges[e]
-        return (int(self.vertex_nodes[a]), *map(int, self.edge_interior_nodes[e]),
-                int(self.vertex_nodes[b]))
+
+def require_degree(degree: int) -> None:
+    """Raises UnsupportedDegree unless 1 <= degree <= 4."""
+    if not 1 <= degree <= 4:
+        raise UnsupportedDegree(f"degree {degree} not in 1..4")
 
 
 def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = False) -> LagrangeSpace:
     """Number the global nodes of the degree-`degree` Lagrange space."""
-    if not 1 <= degree <= 4:
-        raise UnsupportedDegree(f"degree {degree} not in 1..4")
+    require_degree(degree)
     multi, _, _ = _lattice(degree)
     nloc, nt, nv = len(multi), tri.n_elements, tri.n_vertices
     per_edge = degree - 1
@@ -99,26 +93,20 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
     # per edge its interior nodes by the lattice weight of the lower-id
     # endpoint; past those, per element its interior nodes
     codes = np.empty((nt, nloc), dtype=np.int64)
-    kinds = []
-    n_interior = 0
     for loc, w in enumerate(multi):
         nz = [t for t in range(3) if w[t] > 0]
         if len(nz) == 1:
             codes[:, loc] = tris[:, nz[0]]
-            kinds.append(VERTEX)
         elif len(nz) == 2:
             u, v = nz
             eid = tri.triangle_edges[:, 3 - u - v]  # the edge opposite the zero entry
             w_lo = np.where(tris[:, u] < tris[:, v], w[u], w[v])
             codes[:, loc] = nv + eid * per_edge + w_lo - 1
-            kinds.append(EDGE)
-        else:
-            codes[:, loc] = n_interior
-            n_interior += 1
-            kinds.append(INTERIOR)
-    interior = np.array(kinds) == INTERIOR
+    interior = (np.array(multi) > 0).all(axis=1)
+    n_interior = int(interior.sum())
     first_interior = nv + tri.n_edges * per_edge
-    codes[:, interior] += first_interior + n_interior * np.arange(nt)[:, None]
+    codes[:, interior] = (first_interior + n_interior * np.arange(nt)[:, None]
+                          + np.arange(n_interior))
 
     # global ids by first occurrence in element order
     uniq, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
@@ -132,34 +120,32 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
     pts = tri.vertices[tris[k]]
     nodes = (w[:, :1] * pts[:, 0] + w[:, 1:2] * pts[:, 1] + w[:, 2:] * pts[:, 2]) / degree
 
+    # a stable sort keeps the element ids of each node ascending
+    flat = elem_nodes.ravel()
+    node_elements = (np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(nodes)))]),
+                     np.argsort(flat, kind="stable") // nloc)
     is_vertex, is_edge = code < nv, (code >= nv) & (code < first_interior)
     eid, w_lo = np.divmod(code[is_edge] - nv, max(per_edge, 1))
-    w_lo += 1
-    entity = k.copy()
-    entity[is_vertex] = code[is_vertex]
-    entity[is_edge] = eid
     ids = np.arange(len(code))
     vertex_nodes = np.empty(nv, dtype=np.int64)
     vertex_nodes[code[is_vertex]] = ids[is_vertex]
-    edge_interior = np.empty((tri.n_edges, per_edge), dtype=np.int64)
+    edge_nodes = np.empty((tri.n_edges, degree + 1), dtype=np.int64)
+    edge_nodes[:, [0, -1]] = vertex_nodes[tri.edges]
     # lower-endpoint weights degree-1 .. 1, walking away from it
-    edge_interior[eid, degree - 1 - w_lo] = ids[is_edge]
-    boundary = np.zeros(len(code), dtype=bool)
-    boundary[is_vertex] = tri.boundary_vertices[code[is_vertex]]
-    boundary[is_edge] = tri.boundary_edges[eid]
-    dirichlet = boundary.copy() if dirichlet_on_boundary else np.zeros(len(nodes), dtype=bool)
+    edge_nodes[eid, per_edge - w_lo] = ids[is_edge]
+    dirichlet = np.zeros(len(nodes), dtype=bool)
+    if dirichlet_on_boundary:
+        dirichlet[edge_nodes[tri.boundary_edges]] = True
 
     return LagrangeSpace(
         tri=tri,
         degree=degree,
         nodes=nodes,
         element_nodes=elem_nodes,
-        node_kind=tuple(kinds[i] for i in loc.tolist()),
-        node_entity=tuple(entity.tolist()),
-        boundary_nodes=boundary,
+        node_elements=node_elements,
         dirichlet=dirichlet,
         vertex_nodes=vertex_nodes,
-        edge_interior_nodes=edge_interior,
+        edge_nodes=edge_nodes,
     )
 
 

@@ -16,7 +16,7 @@ from .counterexamples import (_checkerboard_eps, _hexagon_eps, analytic_energy_r
                               checkerboard_mesh, checkerboard_target, fig1_left_values,
                               fig1_refined, hexagon_mesh, hexagon_target)
 from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
-from .fespace import build_space, element_dual_basis, element_mass_matrix
+from .fespace import build_space, element_dual_basis, element_mass_matrix, require_degree
 from .fields import TargetField
 from .interp import interpolation_error_sq, quasi_interpolate
 from .mesh import Triangulation, build_triangulation, region_rows, uniform_refine
@@ -101,6 +101,7 @@ def run_hexagon_sweep(eps_values=DEFAULT_EPS, degree: int = 1) -> list:
     """Per contrast: global best error against element, pair, and
     vertex-star localized errors, all in the space with Dirichlet nodes on
     the boundary."""
+    require_degree(degree)
     for eps in eps_values:  # every eps before any mesh is built
         _hexagon_eps(eps)
     reports = []
@@ -172,8 +173,9 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     """Per N: global best error on the checkerboard against per-interior-
     vertex star errors, with patch classification and explicit candidate
     upper bounds."""
-    # every N, its range and then the memory of its 8 N^2 elements, before
-    # any target (N^2 singular points) or mesh is built
+    # the degree, then every N, its range and the memory of its 8 N^2
+    # elements, before any target (N^2 singular points) or mesh is built
+    require_degree(degree)
     for N in n_values:
         _checkerboard_eps(N)
         _require_memory(f"N={N}", 8.0 * N**2, degree, _STAR_BYTES_PER_ELEMENT)
@@ -201,29 +203,19 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     return reports
 
 
-# Peak memory per element of the fig1 sweeps, in bytes by degree: twice the
-# larger peak-RSS slope of `alpha` and `rd` (default alphas and betas) between
+# Peak memory per element, in bytes by degree 1..4, so that `_require_memory`
+# refuses a request too large for the machine before anything is built.
+# For the fig1 sweeps: twice the larger peak-RSS slope of `alpha` and `rd`
+# (default alphas and betas; `rd` has the larger at every degree) between
 # --refines 4 and 5, by getrusage of a fresh process on 2 cores, Python 3.11,
-# numpy 2.4, with every target's tables held at once.  `rd` has the larger
-# slope at every degree: 10,820 bytes at P1 and 11,810 at P2 (the larger of
-# three runs), 18,095 at P3 and 37,949 at P4; other degrees take P4's.  The
-# scipy build measures 11,168 (P1) and 10,793 (P2) for `rd` on the same
-# machine.  Re-checked with the global operator assembled from its free
-# entries into padded rows (`bestapprox.SparseMatrix`), which moved none by
-# more than 8%: `alpha` / `rd` 4,668 / 10,951 at P1, 5,889 / 10,984 at P2,
-# 10,813 / 18,056 at P3 and 20,941 / 37,997 at P4.
+# numpy 2.4, with every target's tables held at once.
 _BYTES_PER_ELEMENT = {1: 21_640, 2: 23_620, 3: 36_190, 4: 75_898}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
-# (2,048 and 8,192 elements), measured the same way.  The slopes were 2,381
-# bytes at P1, 6,773 at P2, 17,674 at P3 and 39,575 at P4.  Re-checked with
-# the tables built once per period, which moved none of them by more than
-# 6%: 2,253 / 6,861 / 17,648 / 39,390 bytes; and with the numpy operator:
-# 2,270 / 6,656 / 17,664 / 39,424 bytes.
+# (2,048 and 8,192 elements), measured the same way.
 _STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
 # The same for `constants`: twice the peak-RSS slope between --levels 7 and
 # --levels 8 (last meshes of 8,192 and 32,768 elements), the larger of two
-# runs.  The slopes were 848 bytes at P1, 998 at P2, 1,796 at P3 and 2,822
-# at P4.
+# runs.
 _CONSTANTS_BYTES_PER_ELEMENT = {1: 1_696, 2: 1_996, 3: 3_592, 4: 5_643}
 
 
@@ -233,9 +225,9 @@ def _physical_memory() -> int:
 
 def _require_memory(what: str, n_elements: float, degree: int, per_element: dict) -> None:
     """Raises ParameterOutOfRange when `n_elements` elements at `degree`, at
-    the bytes per element of the table `per_element` (P4's at other degrees),
-    need more than the machine's physical memory."""
-    need = n_elements * per_element.get(degree, per_element[4])
+    the bytes per element of the table `per_element`, need more than the
+    machine's physical memory."""
+    need = n_elements * per_element[degree]
     have = _physical_memory()
     if need > have:
         raise ParameterOutOfRange(f"{what} at degree {degree} needs about "
@@ -253,9 +245,11 @@ def _checked_betas(betas) -> list:
 
 def _fig1_tables(pattern: str, alpha_values, targets: dict, degree: int, refines: int):
     """The refined tiling of `pattern`, the coefficient per alpha on it, and
-    the element tables of each target in target order (`_tables`).  Every
-    alpha and the tiling's memory estimate are checked before the tiling is
-    built, and a coefficient that is not quasi-monotone is refused."""
+    the element tables of each target in target order (`_tables`).  The
+    degree, every alpha and the tiling's memory estimate are checked before
+    the tiling is built, and a coefficient that is not quasi-monotone is
+    refused."""
+    require_degree(degree)
     if pattern != "fig1-left":
         raise ParameterOutOfRange(f"unknown pattern {pattern!r}")
     values = [fig1_left_values(alpha) for alpha in alpha_values]
@@ -360,6 +354,7 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
 def estimate_inequality_constants(refine_levels: int = 4, degree: int = 1) -> dict:
     """Measure basis scalings and trace/Poincare constants on a family of
     uniform refinements of the 2-triangle square (refine_levels >= 1 meshes)."""
+    require_degree(degree)
     if refine_levels < 1:
         raise ParameterOutOfRange(f"levels must be >= 1, got {refine_levels}")
     # the last mesh has 2 * 4^(levels - 1) elements, as a capped float

@@ -111,11 +111,7 @@ def quasi_interpolate(target, tables: ElementTables, coeff: Coefficient) -> Inte
     face = np.flatnonzero((fz >= 0) & ~space.dirichlet)
     if len(face):
         edges, row = np.unique(fz[face], return_inverse=True)
-        ends = space.tri.edges[edges]
-        edge_nodes = np.column_stack([space.vertex_nodes[ends[:, 0]],
-                                      space.edge_interior_nodes[edges],
-                                      space.vertex_nodes[ends[:, 1]]])
-        pos = np.argmax(edge_nodes[row] == face[:, None], axis=1)
+        pos = np.argmax(space.edge_nodes[edges][row] == face[:, None], axis=1)
         x[face] = _face_dual_values(space, target, edges)[row, pos]
     return InterpolantResult(space=space, coefficients=x, provenance=prov)
 

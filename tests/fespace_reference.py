@@ -52,4 +52,4 @@ def face_dual_basis(space, e):
     """
     a, b = space.tri.edges[e]
     L = float(np.linalg.norm(space.tri.vertices[b] - space.tri.vertices[a]))
-    return space.edge_nodes(e), _reference_face_dual(space.degree) / L
+    return space.edge_nodes[e], _reference_face_dual(space.degree) / L

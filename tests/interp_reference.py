@@ -12,7 +12,7 @@ import numpy as np
 from qmloc.bestapprox import element_tables
 from qmloc.coeff import space_star
 from qmloc.errors import QuadratureFailure, UnknownLocus
-from qmloc.fespace import INTERIOR, edge_basis_1d, element_dual_basis
+from qmloc.fespace import edge_basis_1d, element_dual_basis
 from qmloc.interp import InterpolantResult
 from qmloc.quadrature import _leggauss01, radial_rule
 
@@ -31,6 +31,14 @@ def select_kmax(tri, coeff, star):
     return int(best)
 
 
+def interior_element(space, node):
+    """The element of an element-interior node (a node on no edge), else
+    None."""
+    if node in space.edge_nodes:
+        return None
+    return int(np.flatnonzero((space.element_nodes == node).any(axis=1))[0])
+
+
 def select_kmax_of_node(space, coeff, node):
     return select_kmax(space.tri, coeff, space_star(space, node))
 
@@ -38,7 +46,7 @@ def select_kmax_of_node(space, coeff, node):
 def select_fz(space, coeff, node):
     """Edge F_z of K_max(z) containing the node, by distance to each edge;
     None for element-interior nodes."""
-    if space.node_kind[node] == INTERIOR:
+    if interior_element(space, node) is not None:
         return None
     kmax = select_kmax_of_node(space, coeff, node)
     tri = space.tri
@@ -108,8 +116,8 @@ def quasi_interpolate(target, space, coeff, plan):
         if space.dirichlet[z]:
             prov[z] = "boundary-zero"
             continue
-        if space.node_kind[z] == INTERIOR:
-            k = int(space.node_entity[z])
+        k = interior_element(space, z)
+        if k is not None:
             x[z] = fits[k, int(np.flatnonzero(space.element_nodes[k] == z)[0])]
             prov[z] = "interior-best-fit"
             sel[z] = ("element", k)

@@ -3,8 +3,8 @@
 These are the plain loops that the array passes replace: the edge table by
 a dict of canonical vertex pairs, the conformity check that tests every
 vertex against every edge, red refinement one parent at a time, node
-numbering by interning canonical keys, and the checkerboard one square at a
-time.  Tests require the array passes to
+numbering by interning canonical keys, node supports by a loop over the
+elements, and the checkerboard one square at a time.  Tests require the array passes to
 reproduce them field by field (`assert_same_fields`).
 """
 import dataclasses
@@ -15,7 +15,7 @@ import numpy as np
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import checkerboard_mesh, fig1_meshes, hexagon_mesh
 from qmloc.errors import DegenerateElement, NonConforming, UnsupportedDegree
-from qmloc.fespace import EDGE, INTERIOR, VERTEX, LagrangeSpace, _lattice
+from qmloc.fespace import LagrangeSpace, _lattice
 from qmloc.mesh import _AREA_TOL, _HANG_TOL, Triangulation
 from qmloc.mesh import build_triangulation as fast_triangulation
 
@@ -186,6 +186,9 @@ def uniform_refine(tri: Triangulation) -> Triangulation:
     return build_triangulation(verts, np.array(new_tris), parents=np.array(parents))
 
 
+VERTEX, EDGE, INTERIOR = "vertex", "edge", "interior"
+
+
 def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = False) -> LagrangeSpace:
     if not 1 <= degree <= 4:
         raise UnsupportedDegree(f"degree {degree} not in 1..4")
@@ -238,6 +241,12 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
             elem_nodes[k, loc] = gid
 
     nodes = np.array(coords)
+    support = [[] for _ in nodes]  # element loop: the elements listing each node
+    for k, row in enumerate(elem_nodes):
+        for gid in row:
+            support[gid].append(k)
+    edge_nodes = np.array([(vertex_nodes[a], *edge_interior[e], vertex_nodes[b])
+                           for e, (a, b) in enumerate(tri.edges)], dtype=np.int64)
     boundary = np.zeros(len(nodes), dtype=bool)
     for gid, (kind, ent) in enumerate(zip(kinds, entities)):
         if kind == VERTEX:
@@ -251,12 +260,10 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
         degree=degree,
         nodes=nodes,
         element_nodes=elem_nodes,
-        node_kind=tuple(kinds),
-        node_entity=tuple(entities),
-        boundary_nodes=boundary,
+        node_elements=csr(support),
         dirichlet=dirichlet,
         vertex_nodes=vertex_nodes,
-        edge_interior_nodes=edge_interior,
+        edge_nodes=edge_nodes,
     )
 
 

@@ -262,17 +262,23 @@ def test_sparse_matrix_takes_only_a_mask_or_a_colon(key):
     assert "\n" not in str(err.value)
 
 
-@pytest.mark.parametrize("rows, cols, values, message", [
-    ([0, 1], [2, 1], [5.0, 2.0], "column 2 lies outside [0, 2)"),
-    ([0, 1], [0, -1], [5.0, 2.0], "column -1 lies outside [0, 2)"),
-    ([0, 1], [0], [5.0, 2.0], "equal length"),
-    ([[0, 1]], [[0, 1]], [[5.0, 2.0]], "1-D arrays"),
-    ([0, 2], [0, 1], [5.0, 2.0], "row 2 lies outside [0, 2)"),
-    ([0, -1], [0, 1], [5.0, 2.0], "row -1 lies outside [0, 2)"),
-], ids=["col-past-end", "negative-col", "short-cols", "2d", "row-past-end", "negative-row"])
-def test_sparse_matrix_refuses_entries_outside_its_shape(rows, cols, values, message):
+@pytest.mark.parametrize("rows, cols, values, shape, message", [
+    ([0, 1], [2, 1], [5.0, 2.0], (2, 2), "column 2 lies outside [0, 2)"),
+    ([0, 1], [0, -1], [5.0, 2.0], (2, 2), "column -1 lies outside [0, 2)"),
+    ([0, 1], [0], [5.0, 2.0], (2, 2), "equal length"),
+    ([[0, 1]], [[0, 1]], [[5.0, 2.0]], (2, 2), "1-D arrays"),
+    ([0, 2], [0, 1], [5.0, 2.0], (2, 2), "row 2 lies outside [0, 2)"),
+    ([0, -1], [0, 1], [5.0, 2.0], (2, 2), "row -1 lies outside [0, 2)"),
+    ([], [], [], (2, -1), "shape (2, -1) is not two non-negative integers"),
+    ([], [], [], (2.5, 2), "shape (2.5, 2) is not two non-negative integers"),
+    ([], [], [], (-1, 2), "shape (-1, 2) is not two non-negative integers"),
+    ([], [], [], (2,), "shape (2,) is not two non-negative integers"),
+    ([], [], [], (True, 2), "shape (True, 2) is not two non-negative integers"),
+], ids=["col-past-end", "negative-col", "short-cols", "2d", "row-past-end", "negative-row",
+        "negative-cols-shape", "float-shape", "negative-rows-shape", "1d-shape", "bool-shape"])
+def test_sparse_matrix_refuses_entries_outside_its_shape(rows, cols, values, shape, message):
     with pytest.raises(ValueError, match=re.escape(message)) as err:
-        SparseMatrix(rows, cols, values, (2, 2))
+        SparseMatrix(rows, cols, values, shape)
     assert str(err.value).startswith("SparseMatrix") and "\n" not in str(err.value)
 
 

@@ -434,14 +434,30 @@ def test_stars_refuses_what_will_not_fit_before_building_any_target_or_mesh(
     (["rd", "--betas", "1,nan"], "beta must be finite and >= 0, got nan"),
     (["hexagon", "--eps", "0.1,0.6"],
      "eps must lie in [0.001, 0.5] for resolvable quadrature, got 0.6"),
+    # an unsupported degree is refused before any estimate, mesh or file load
+    (["stars", "--ell", "0", "--n", "2"], "degree 0 not in 1..4"),
+    (["hexagon", "--ell", "5"], "degree 5 not in 1..4"),
+    (["constants", "--ell", "9", "--levels", "3"], "degree 9 not in 1..4"),
+    (["constants", "--ell", "9", "--levels", "40"], "degree 9 not in 1..4"),
+    (["alpha", "--ell", "7", "--refines", "2"], "degree 7 not in 1..4"),
+    (["alpha", "--ell", "7", "--refines", "40"], "degree 7 not in 1..4"),
+    (["rd", "--ell", "0"], "degree 0 not in 1..4"),
+    (["qm-check", "--ell", "5", "mesh.json"], "degree 5 not in 1..4"),
 ])
 def test_sweeps_refuse_a_bad_alpha_or_beta_before_building_any_mesh(capsys, monkeypatch,
                                                                     argv, message):
+    import qmloc.cli
     import qmloc.counterexamples
     import qmloc.harness
 
     def no_mesh(vertices, triangles, parents=None):
         raise AssertionError("a mesh was built before every alpha, beta and eps was checked")
+
+    def no_estimate():
+        raise AssertionError("memory was estimated before the degree was checked")
+
+    def no_load(path):
+        raise AssertionError("a mesh file was loaded before the degree was checked")
 
     hexagons = []  # the eps of each hexagon_mesh call
 
@@ -450,7 +466,10 @@ def test_sweeps_refuse_a_bad_alpha_or_beta_before_building_any_mesh(capsys, monk
         return hexagon_mesh(eps)
 
     monkeypatch.setattr(qmloc.counterexamples, "build_triangulation", no_mesh)
+    monkeypatch.setattr(qmloc.harness, "build_triangulation", no_mesh)
     monkeypatch.setattr(qmloc.harness, "hexagon_mesh", count_hexagons)
+    monkeypatch.setattr(qmloc.harness, "_physical_memory", no_estimate)
+    monkeypatch.setattr(qmloc.cli, "load_mesh", no_load)
     assert main(argv) == EXIT_INVALID
     assert hexagons == []
     captured = capsys.readouterr()

@@ -124,6 +124,21 @@ def test_unknown_locus_rejected():
             check_quasi_monotonicity(tri, coeff, node_set=[("vertex", 0), locus])
 
 
+@pytest.mark.parametrize("locus, message", [
+    (("vertex", 1.5), "vertex id 1.5 is not an integer"),
+    (("vertex", True), "vertex id True is not an integer"),
+    (("edge", 2.7), "edge id 2.7 is not an integer"),
+    (("element", 3.9), "element id 3.9 is not an integer"),
+    (("vertex", "1"), "vertex id '1' is not an integer"),
+    (("vertex", None), "vertex id None is not an integer"),
+], ids=["float-vertex", "bool-vertex", "float-edge", "float-element", "str-vertex",
+        "none-vertex"])
+def test_non_integer_locus_id_rejected(locus, message):
+    tri, coeff = hexagon_mesh(0.1)
+    with pytest.raises(UnknownLocus, match=f"^{re.escape(message)}$"):
+        check_quasi_monotonicity(tri, coeff, node_set=[("vertex", 0), locus])
+
+
 def test_non_positive_coefficient_rejected():
     tri, _ = hexagon_mesh(0.1)
     with pytest.raises(NonPositiveValue):

@@ -212,4 +212,4 @@ def test_numbering_matches_rescan(mesh, degree):
         nodes, elem_nodes, edges = _rescan_numbering(tri, degree)
         assert np.array_equal(space.nodes, nodes)
         assert np.array_equal(space.element_nodes, elem_nodes)
-        assert [space.edge_nodes(e) for e in range(tri.n_edges)] == edges
+        assert list(map(tuple, space.edge_nodes.tolist())) == edges

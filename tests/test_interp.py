@@ -168,8 +168,7 @@ def test_skeleton_operator_is_local():
     i1 = quasi_interpolate(perturbed, element_tables(perturbed, plan, space), coeff)
     moved = np.nonzero(np.abs(i1.coefficients - i0.coefficients) > 1e-9)[0]
     for z in moved:
-        assert space.node_kind[z] == "interior"
-        assert int(space.node_entity[z]) == kb
+        assert ref.interior_element(space, z) == kb
 
 
 def test_energy_diagnostic_refuses_non_quasi_monotone():

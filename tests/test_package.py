@@ -1,4 +1,9 @@
-"""The package namespace."""
+"""The package namespace and its command-line entry point."""
+import importlib
+from pathlib import Path
+
+import pytest
+
 import qmloc
 
 
@@ -6,3 +11,15 @@ def test_all_names_resolve_and_are_sorted_without_duplicates():
     missing = [name for name in qmloc.__all__ if not hasattr(qmloc, name)]
     assert not missing
     assert qmloc.__all__ == sorted(set(qmloc.__all__))
+
+
+def test_qmloc_script_runs_the_cli_main(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts["qmloc"] == "qmloc.cli:main"
+    module, _, name = scripts["qmloc"].partition(":")
+    main = getattr(importlib.import_module(module), name)
+    assert main(["constants", "--levels", "1"]) == 0
+    assert '"levels"' in capsys.readouterr().out
