@@ -148,7 +148,8 @@ class SparseMatrix:
     the entries in the rows or columns a boolean mask keeps, renumbered.
     The constructor raises ValueError for a `shape` that is not two
     non-negative integers, and for entries that are not 1-D arrays of equal
-    length or that lie outside `shape`.
+    length or that lie outside `shape`; ``m @ p`` for a `p` that is not of
+    shape (ncols,).
     """
 
     def __init__(self, rows, cols, values, shape):
@@ -179,37 +180,31 @@ class SparseMatrix:
     def _set(self, keys, values, shape):
         self.shape = (int(shape[0]), int(shape[1]))
         nr, nc = self.shape[0], max(self.shape[1], 1)
-        rows = keys // nc
-        lengths = np.bincount(rows, minlength=nr)
+        cols = keys // nc  # the rows, then the columns in their memory
+        lengths = np.bincount(cols, minlength=nr)
+        cols *= nc
+        np.subtract(keys, cols, out=cols)
+        # row r is entries offsets[r]:offsets[r + 1]; row -1, offsets[-1]:offsets[0], none
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
         s = np.sort(lengths) if nr else np.zeros(1, dtype=np.intp)
-        widths = np.array(sorted({int(s[len(s) // 2]), int(s[9 * len(s) // 10]), int(s[-1])}))
+        widths = sorted({int(s[len(s) // 2]), int(s[9 * len(s) // 10]), int(s[-1])})
         kind = np.searchsorted(widths, lengths)  # every width is some row's length
-        # each row's rank among the rows of its width; numpy sums a (w, 1)
-        # array pairwise, not slot by slot, so a lone row gets a padding row
-        rank, n_rows = np.empty(nr, dtype=np.intp), np.zeros(len(widths), dtype=np.intp)
-        for j in range(len(widths)):
-            of_j = kind == j
-            n_rows[j] = np.count_nonzero(of_j)
-            rank[of_j] = np.arange(n_rows[j])
-        n_rows = np.maximum(n_rows, 2)
-        size = widths * n_rows
-        first_row, first_slot = np.cumsum(n_rows) - n_rows, np.cumsum(size) - size
-        where = first_row[kind] + rank
-        R = np.full(n_rows.sum(), -1)
-        R[where] = np.arange(nr)
+        self._blocks = []
+        for j, w in enumerate(widths):
+            R = np.flatnonzero(kind == j)
+            if len(R) < 2:  # numpy sums a (w, 1) array pairwise, not slot by slot
+                R = np.append(R, [-1] * (2 - len(R)))
+            at = offsets[R] + np.arange(w)[:, None]  # slot k of row r: entry offsets[r] + k
+            pad = at >= offsets[R + 1]
+            at[pad] = 0
+            C, V = cols[at], values[at].astype(float, copy=False)  # bincount([]) is int64
+            C[pad], V[pad] = -1, 0.0
+            self._blocks.append((R, C, V))
         # each row's place in the blocks' sums, None when that is its row
-        self._where = None if np.array_equal(where, np.arange(len(R))) else where
-        C, V = np.full(size.sum(), -1), np.zeros(size.sum())
-        # slot k of the row of rank i in a block of n rows is at k * n + i
-        at = np.arange(len(keys)) - (np.cumsum(lengths) - lengths)[rows]
-        at *= n_rows[kind][rows]
-        at += (first_slot[kind] + rank)[rows]
-        rows *= nc  # from here on the columns, in place
-        np.subtract(keys, rows, out=rows)
-        C[at], V[at] = rows, values
-        self._blocks = [(R[r:r + n], C[o:o + w * n].reshape(w, n), V[o:o + w * n].reshape(w, n))
-                        for w, n, r, o in zip(widths.tolist(), n_rows.tolist(),
-                                              first_row.tolist(), first_slot.tolist())]
+        order = np.concatenate([R for R, _, _ in self._blocks])
+        where = np.empty(nr, dtype=np.intp)
+        where[order[order >= 0]] = np.flatnonzero(order >= 0)
+        self._where = None if np.array_equal(order, np.arange(nr)) else where
 
     def diagonal(self) -> np.ndarray:
         """The diagonal entries, zero where none is stored."""
@@ -217,6 +212,9 @@ class SparseMatrix:
             [np.where(C == R, V, 0.0).sum(axis=0) for R, C, V in self._blocks])[:min(self.shape)]
 
     def __matmul__(self, p):
+        if np.shape(p) != self.shape[1:]:
+            raise ValueError(f"SparseMatrix of shape {self.shape} cannot multiply an operand "
+                             f"of shape {np.shape(p)}")
         if not self.shape[1]:
             return np.zeros(self.shape[0])
         sums = []

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import LocusMismatch, NoMonotonePath, NonPositiveValue, UnknownLocus
 from .fespace import LagrangeSpace, _lattice, build_space, require_degree
-from .mesh import Triangulation, _region_groups, region_rows, vertex_patch
+from .mesh import Triangulation, _region_groups, region_rows, require_locus, vertex_patch
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,8 @@ def _monotone_path(tri, a, star, k, k_tilde):
 
 def space_star(space: LagrangeSpace, node: int):
     """Elements of omega_z for a global node of the space (supp of phi_z),
-    ascending."""
+    ascending.  Raises UnknownLocus as `require_locus` does."""
+    node = require_locus("node", node, space.n_nodes)
     offsets, ids = space.node_elements
     return ids[offsets[node]:offsets[node + 1]]
 
@@ -135,8 +136,7 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
             loci += [("element", k) for k in range(tri.n_elements)]
         at = z = np.arange(tri.n_vertices)
     else:
-        loci = [tuple(l) for l in node_set]
-        at, z = _vertex_loci(tri, loci)
+        loci, at, z = _vertex_loci(tri, node_set)
     witness = np.full((len(loci), 2), -1, dtype=np.int64)
     witness[at] = _witnesses(tri, coeff.values, region_rows(tri.vertex_elements, z))
     witness = witness.tolist()
@@ -147,20 +147,24 @@ def check_quasi_monotonicity(tri: Triangulation, coeff: Coefficient, node_set=No
     )
 
 
-def _vertex_loci(tri: Triangulation, loci):
-    """The positions in `loci` of its vertex loci and their vertex ids, two
-    int arrays.  Raises UnknownLocus for a bad kind or id of any locus; an
-    id is a Python or numpy integer, not a bool."""
+def _vertex_loci(tri: Triangulation, node_set):
+    """The loci of `node_set` as (kind, id) tuples, and the positions of its
+    vertex loci and their vertex ids, two int arrays.  Raises UnknownLocus
+    for a locus that is not a (kind, id) tuple or list, for a kind other
+    than 'vertex', 'edge' and 'element', and for a bad id (`require_locus`)."""
     count = {"vertex": tri.n_vertices, "edge": tri.n_edges, "element": tri.n_elements}
-    for kind, ident in loci:
-        if kind not in count:
+    loci, at = [], []
+    for locus in node_set:
+        if not isinstance(locus, (tuple, list)) or len(locus) != 2:
+            raise UnknownLocus(f"locus {locus!r} is not a (kind, id) pair")
+        kind, ident = locus
+        if not isinstance(kind, str) or kind not in count:
             raise UnknownLocus(f"unknown locus kind {kind!r}")
-        if not isinstance(ident, (int, np.integer)) or isinstance(ident, bool):
-            raise UnknownLocus(f"{kind} id {ident!r} is not an integer")
-        if not 0 <= ident < count[kind]:
-            raise UnknownLocus(f"{kind} {ident}")
-    at = [i for i, (kind, _) in enumerate(loci) if kind == "vertex"]
-    return np.array(at, dtype=np.int64), np.array([loci[i][1] for i in at], dtype=np.int64)
+        require_locus(kind, ident, count[kind])
+        if kind == "vertex":
+            at.append(len(loci))
+        loci.append((kind, ident))
+    return loci, np.array(at, dtype=np.int64), np.array([loci[i][1] for i in at], dtype=np.int64)
 
 
 def _witnesses(tri: Triangulation, a: np.ndarray, regions):
@@ -212,16 +216,18 @@ def build_omega_hat(tri: Triangulation, coeff: Coefficient, k: int,
     """omega_hat_K: union of monotone paths from K to K_max(z) over the nodes
     z of K in `space` (the P1 space of `tri` by default).
 
-    Raises NoMonotonePath (with the failing node) when the coefficient is
-    not quasi-monotone on some star of K.
+    Raises UnknownLocus for a `k` that is not an element id
+    (`require_locus`), and NoMonotonePath (with the failing node) when the
+    coefficient is not quasi-monotone on some star of K.
     """
+    k = require_locus("element", k, tri.n_elements)
     sp = space if space is not None else build_space(tri, 1)
-    out = {int(k)}
+    out = {k}
     a = coeff.values
     for node in sorted(int(n) for n in sp.element_nodes[k]):
         star = space_star(sp, node)
         kmax = min(star, key=lambda j: (-a[j], j))  # the rule of select_kmax_fz
-        path = _monotone_path(tri, a, star, int(k), int(kmax))
+        path = _monotone_path(tri, a, star, k, int(kmax))
         if path is None:
             raise NoMonotonePath(f"no monotone path from element {k} to K_max at node {node}")
         out.update(path.elements)

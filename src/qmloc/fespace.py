@@ -108,14 +108,15 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
     codes[:, interior] = (first_interior + n_interior * np.arange(nt)[:, None]
                           + np.arange(n_interior))
 
-    # global ids by first occurrence in element order
-    uniq, first, inverse = np.unique(codes.ravel(), return_index=True, return_inverse=True)
+    # every code occurs (build_triangulation puts every vertex in a triangle,
+    # and each edge and element holds all of its interior codes), so the
+    # codes are 0..N-1 and each one's node is its rank by first occurrence
+    first = np.unique(codes.ravel(), return_index=True)[1]
     by_first = np.argsort(first, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[by_first] = np.arange(len(uniq))
-    elem_nodes = rank[inverse].reshape(nt, nloc)
-    code, first = uniq[by_first], first[by_first]
-    k, loc = first // nloc, first % nloc
+    node = np.empty(len(first), dtype=np.int64)
+    node[by_first] = np.arange(len(first))
+    elem_nodes = node[codes]
+    k, loc = np.divmod(first[by_first], nloc)
     w = np.array(multi)[loc]
     pts = tri.vertices[tris[k]]
     nodes = (w[:, :1] * pts[:, 0] + w[:, 1:2] * pts[:, 1] + w[:, 2:] * pts[:, 2]) / degree
@@ -124,15 +125,11 @@ def build_space(tri: Triangulation, degree: int, dirichlet_on_boundary: bool = F
     flat = elem_nodes.ravel()
     node_elements = (np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(nodes)))]),
                      np.argsort(flat, kind="stable") // nloc)
-    is_vertex, is_edge = code < nv, (code >= nv) & (code < first_interior)
-    eid, w_lo = np.divmod(code[is_edge] - nv, max(per_edge, 1))
-    ids = np.arange(len(code))
-    vertex_nodes = np.empty(nv, dtype=np.int64)
-    vertex_nodes[code[is_vertex]] = ids[is_vertex]
+    vertex_nodes = node[:nv]
     edge_nodes = np.empty((tri.n_edges, degree + 1), dtype=np.int64)
     edge_nodes[:, [0, -1]] = vertex_nodes[tri.edges]
     # lower-endpoint weights degree-1 .. 1, walking away from it
-    edge_nodes[eid, per_edge - w_lo] = ids[is_edge]
+    edge_nodes[:, 1:-1] = node[nv:first_interior].reshape(tri.n_edges, per_edge)[:, ::-1]
     dirichlet = np.zeros(len(nodes), dtype=bool)
     if dirichlet_on_boundary:
         dirichlet[edge_nodes[tri.boundary_edges]] = True

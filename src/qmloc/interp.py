@@ -44,14 +44,15 @@ def _edge_quadrature(space: LagrangeSpace, target, edges):
     of the edges `edges`, graded toward a singular point at an endpoint.
 
     Returns flat arrays (owner, t, w): owner indexes `edges`, w includes the
-    edge length.  Raises QuadratureFailure for a singular point strictly
-    inside one of the edges.
+    edge length.  A singular point within 1e-12 L of an endpoint of an edge
+    of length L is at that endpoint.  Raises QuadratureFailure for a
+    singular point strictly inside one of the edges.
     """
     tri = space.tri
     p0 = tri.vertices[tri.edges[edges, 0]]
     d = tri.vertices[tri.edges[edges, 1]] - p0
     L = np.linalg.norm(d, axis=1)
-    tol = 1e-12 * np.maximum(L, 1.0)
+    tol = 1e-12 * L
     points = tuple(getattr(target, "singular_points", ()) or ())
     sing = np.full(len(edges), -1)    # the singular point at an endpoint
     far = np.zeros(len(edges), dtype=bool)  # ... at the higher-id endpoint

@@ -89,20 +89,13 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
         if not np.isfinite(8.0 * scale**2):
             raise ValueError(f"vertex coordinates up to {scale:.3g} overflow float64 in areas")
     tris = tris.copy()
-    p0, p1, p2 = (verts[tris[:, k]] for k in range(3))
-    d1, d2 = p1 - p0, p2 - p0
+    v = verts[tris]
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
     signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
     flip = signed < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     areas = np.abs(signed)
-    side = np.stack(
-        [
-            np.linalg.norm(p2 - p1, axis=1),
-            np.linalg.norm(p0 - p2, axis=1),
-            np.linalg.norm(p1 - p0, axis=1),
-        ],
-        axis=1,
-    )
+    side = np.linalg.norm(v[:, [2, 0, 1]] - v[:, [1, 2, 0]], axis=2)  # opposite vertex 0, 1, 2
     diameters = side.max(axis=1)
     # relative to h_K^2, so the test reads the same at every scale
     degenerate = areas <= _AREA_TOL * diameters**2
@@ -287,25 +280,32 @@ def element_affine(tri: Triangulation, k=slice(None)):
     return v[..., 0, :], np.stack([v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 0, :]], axis=-1)
 
 
+def require_locus(kind: str, ident, count: int) -> int:
+    """`ident` as an int when it is a Python or numpy integer, not a bool,
+    in [0, count); raises UnknownLocus otherwise, naming the `kind`."""
+    if not isinstance(ident, (int, np.integer)) or isinstance(ident, bool):
+        raise UnknownLocus(f"{kind} id {ident!r} is not an integer")
+    if not 0 <= ident < count:
+        raise UnknownLocus(f"{kind} {ident}")
+    return int(ident)
+
+
 def vertex_patch(tri: Triangulation, z: int):
     """omega_z: all elements containing vertex z, ascending."""
-    if not 0 <= z < tri.n_vertices:
-        raise UnknownLocus(f"vertex {z}")
+    z = require_locus("vertex", z, tri.n_vertices)
     offsets, ids = tri.vertex_elements
     return ids[offsets[z]:offsets[z + 1]]
 
 
 def element_patch(tri: Triangulation, k: int):
     """omega_K: all elements sharing at least one vertex with K, ascending."""
-    if not 0 <= k < tri.n_elements:
-        raise UnknownLocus(f"element {k}")
+    k = require_locus("element", k, tri.n_elements)
     return _sorted_distinct(region_rows(tri.vertex_elements, tri.triangles[k])[1])
 
 
 def edge_pair(tri: Triangulation, e: int):
     """omega_F: the one or two elements containing edge F, ascending."""
-    if not 0 <= e < tri.n_edges:
-        raise UnknownLocus(f"edge {e}")
+    e = require_locus("edge", e, tri.n_edges)
     offsets, ids = tri.edge_elements
     return ids[offsets[e]:offsets[e + 1]]
 

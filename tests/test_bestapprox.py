@@ -282,6 +282,15 @@ def test_sparse_matrix_refuses_entries_outside_its_shape(rows, cols, values, sha
     assert str(err.value).startswith("SparseMatrix") and "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize("p", [np.ones(5), np.ones((3, 2)), np.ones(2)],
+                         ids=["long", "2d", "short"])
+def test_sparse_matrix_product_refuses_an_operand_of_another_shape(p):
+    m = SparseMatrix([0, 1, 2, 2], [0, 1, 0, 2], [1.0, 2.0, 3.0, 4.0], (3, 3))
+    message = f"SparseMatrix of shape (3, 3) cannot multiply an operand of shape {p.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        m @ p
+
+
 def test_coefficient_scale_equivariance():
     tri = square_mesh()
     coeff = attach_coefficient(tri, [1.0, 5.0, 0.5, 2.0, 1.0, 3.0, 0.25, 4.0])

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from qmloc.coeff import (_witnesses, attach_coefficient, build_omega_hat,
                          check_quasi_monotonicity, find_monotone_path,
-                         select_kmax_fz)
+                         select_kmax_fz, space_star)
 from qmloc.counterexamples import (checkerboard_mesh, fig1_left_pattern, fig1_meshes,
                                    hexagon_mesh)
 from qmloc.errors import NoMonotonePath, NonPositiveValue, UnknownLocus
 from qmloc.fespace import build_space
-from qmloc.mesh import build_triangulation, edge_pair, vertex_patch
+from qmloc.mesh import build_triangulation, edge_pair, element_patch, vertex_patch
 
 import coeff_reference
 from interp_reference import select_kmax as loop_select_kmax
@@ -137,6 +137,35 @@ def test_non_integer_locus_id_rejected(locus, message):
     tri, coeff = hexagon_mesh(0.1)
     with pytest.raises(UnknownLocus, match=f"^{re.escape(message)}$"):
         check_quasi_monotonicity(tri, coeff, node_set=[("vertex", 0), locus])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tri, coeff, space: build_omega_hat(tri, coeff, -1), "element -1"),
+    (lambda tri, coeff, space: build_omega_hat(tri, coeff, 6), "element 6"),
+    (lambda tri, coeff, space: build_omega_hat(tri, coeff, 1.5),
+     "element id 1.5 is not an integer"),
+    (lambda tri, coeff, space: space_star(space, -1), "node -1"),
+    (lambda tri, coeff, space: space_star(space, space.n_nodes), "node 7"),
+    (lambda tri, coeff, space: vertex_patch(tri, 1.5), "vertex id 1.5 is not an integer"),
+    (lambda tri, coeff, space: vertex_patch(tri, True), "vertex id True is not an integer"),
+    (lambda tri, coeff, space: edge_pair(tri, 2.0), "edge id 2.0 is not an integer"),
+    (lambda tri, coeff, space: element_patch(tri, 1.5), "element id 1.5 is not an integer"),
+    *[(lambda tri, coeff, space, node_set=node_set:
+       check_quasi_monotonicity(tri, coeff, node_set=node_set), message)
+      for node_set, message in [
+          ([("vertex",)], "locus ('vertex',) is not a (kind, id) pair"),
+          ([("vertex", 1, 2)], "locus ('vertex', 1, 2) is not a (kind, id) pair"),
+          ([5], "locus 5 is not a (kind, id) pair"),
+          ([None], "locus None is not a (kind, id) pair"),
+          ([(["vertex"], 1)], "unknown locus kind ['vertex']")]],
+], ids=["omega-hat-negative", "omega-hat-past-end", "omega-hat-float", "space-star-negative",
+        "space-star-past-end", "vertex-patch-float", "vertex-patch-bool", "edge-pair-float",
+        "element-patch-float", "locus-of-one", "locus-of-three", "locus-int", "locus-none",
+        "locus-list-kind"])
+def test_every_locus_reader_refuses_a_bad_id_with_unknown_locus(call, message):
+    tri, coeff = hexagon_mesh(0.1)
+    with pytest.raises(UnknownLocus, match=f"^{re.escape(message)}$"):
+        call(tri, coeff, build_space(tri, 1))
 
 
 def test_non_positive_coefficient_rejected():

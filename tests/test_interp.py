@@ -259,26 +259,29 @@ def test_skeleton_report_of_a_member_is_zero(ell):
 
 def test_edge_quadrature_only_refuses_a_singular_point_inside_the_edge():
     # a fan about (0.25, 0): the edge (0.25, 0)-(1, 0) lies on a line
-    # through the origin but does not contain it
-    tri = build_triangulation(
-        [[0, 0], [0.25, 0], [1, 0], [0, 1], [0.25, -1]],
-        [[0, 1, 3], [1, 2, 3], [0, 4, 1], [1, 4, 2]],
-    )
-    space = build_space(tri, 1)
-    e = [tuple(ed) for ed in tri.edges.tolist()].index((1, 2))
+    # through the origin but does not contain it; the endpoint test is
+    # relative to the edge, so it reads the same at every scale
+    for scale in (1.0, 2.0**-27):
+        tri = build_triangulation(
+            scale * np.array([[0, 0], [0.25, 0], [1, 0], [0, 1], [0.25, -1]]),
+            [[0, 1, 3], [1, 2, 3], [0, 4, 1], [1, 4, 2]],
+        )
+        space = build_space(tri, 1)
+        e = [tuple(ed) for ed in tri.edges.tolist()].index((1, 2))
 
-    def singular_at(xy):
-        return TargetField(lambda p: (np.ones(len(p)), np.zeros_like(p)),
-                           singular_points=(SingularPoint(xy, 0.25),))
+        def singular_at(xy):
+            return TargetField(lambda p: (np.ones(len(p)), np.zeros_like(p)),
+                               singular_points=(SingularPoint(scale * np.array(xy), 0.25),))
 
-    edges = np.array([e])
-    plain = _edge_quadrature(space, smooth_target(None, None), edges)
-    owner, t, wts = _edge_quadrature(space, singular_at((0.0, 0.0)), edges)
-    assert len(wts) == 12
-    np.testing.assert_array_equal(t, plain[1])
-    np.testing.assert_array_equal(wts, plain[2])
-    with pytest.raises(QuadratureFailure, match="strictly inside edge"):
-        _edge_quadrature(space, singular_at((0.5, 0.0)), edges)
+        edges = np.array([e])
+        plain = _edge_quadrature(space, smooth_target(None, None), edges)
+        owner, t, wts = _edge_quadrature(space, singular_at((0.0, 0.0)), edges)
+        assert len(wts) == 12
+        np.testing.assert_array_equal(t, plain[1])
+        np.testing.assert_array_equal(wts, plain[2])
+        for x in (0.5, 0.25 + 1e-4 * 0.75):  # mid-edge, and 1e-4 L from an endpoint
+            with pytest.raises(QuadratureFailure, match="strictly inside edge"):
+                _edge_quadrature(space, singular_at((x, 0.0)), edges)
 
 
 def _assert_selection_matches_loops(space, coeff):
