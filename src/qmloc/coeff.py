@@ -64,6 +64,8 @@ def find_monotone_path(tri: Triangulation, coeff: Coefficient, z: int, k: int, k
     """Shortest monotone path K -> K~ inside omega_z, lexicographically
     smallest among shortest; None if unreachable."""
     star = vertex_patch(tri, z)
+    k = require_locus("element", k, tri.n_elements)
+    k_tilde = require_locus("element", k_tilde, tri.n_elements)
     if k not in star or k_tilde not in star:
         raise LocusMismatch(f"elements ({k}, {k_tilde}) not both in the star of vertex {z}")
     return _monotone_path(tri, coeff.values, star, k, k_tilde)

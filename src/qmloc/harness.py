@@ -19,7 +19,7 @@ from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
 from .fespace import build_space, element_dual_basis, element_mass_matrix, require_degree
 from .fields import TargetField
 from .interp import interpolation_error_sq, quasi_interpolate
-from .mesh import Triangulation, build_triangulation, region_rows, uniform_refine
+from .mesh import Triangulation, build_triangulation, region_rows
 from .quadrature import (_KEY_DECIMALS, _leggauss01, make_quadrature_plan, plan_key,
                          triangle_rule)
 
@@ -213,10 +213,6 @@ _BYTES_PER_ELEMENT = {1: 21_640, 2: 23_620, 3: 36_190, 4: 75_898}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
 # (2,048 and 8,192 elements), measured the same way.
 _STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
-# The same for `constants`: twice the peak-RSS slope between --levels 7 and
-# --levels 8 (last meshes of 8,192 and 32,768 elements), the larger of two
-# runs.
-_CONSTANTS_BYTES_PER_ELEMENT = {1: 1_696, 2: 1_996, 3: 3_592, 4: 5_643}
 
 
 def _physical_memory() -> int:
@@ -352,19 +348,21 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
 
 
 def estimate_inequality_constants(refine_levels: int = 4, degree: int = 1) -> dict:
-    """Measure basis scalings and trace/Poincare constants on a family of
-    uniform refinements of the 2-triangle square (refine_levels >= 1 meshes)."""
+    """Measure basis scalings and trace/Poincare constants on element 0 of the
+    uniform refinements 0..refine_levels-1 (1..200) of the 2-triangle square."""
     require_degree(degree)
     if refine_levels < 1:
         raise ParameterOutOfRange(f"levels must be >= 1, got {refine_levels}")
-    # the last mesh has 2 * 4^(levels - 1) elements, as a capped float
-    _require_memory(f"levels={refine_levels}", 2.0 * 4.0 ** min(refine_levels - 1, 256),
-                    degree, _CONSTANTS_BYTES_PER_ELEMENT)
-    V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    T = np.array([[0, 1, 2], [0, 2, 3]])
-    tri = build_triangulation(V, T)
+    # at 200 levels h^4 = 2^-798 is still a normal double; far beyond, a
+    # constant underflows to 0
+    if refine_levels > 200:
+        raise ParameterOutOfRange(f"levels must be <= 200, got {refine_levels}")
     per_level = []
     for level in range(refine_levels):
+        # element 0 of refinement `level` is the square's element 0 scaled
+        # by 2^-level, bit for bit
+        V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]) * 0.5**level
+        tri = build_triangulation(V, np.array([[0, 1, 2]]))
         space = build_space(tri, degree)
         # nodal and dual-basis scalings on element 0
         k = 0
@@ -393,8 +391,6 @@ def estimate_inequality_constants(refine_levels: int = 4, degree: int = 1) -> di
             "poincare": float(np.sqrt(norm_sq / grad_sq) / h),
             "trace": float(np.sqrt(trace_sq) / np.sqrt(norm_sq / h + h * grad_sq)),
         })
-        if level + 1 < refine_levels:
-            tri = uniform_refine(tri)
     record = {"degree": degree, "levels": per_level}
     for key in ("phi_over_sqrt_area", "psi_times_sqrt_area", "poincare", "trace"):
         vals = [lv[key] for lv in per_level]

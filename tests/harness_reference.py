@@ -8,16 +8,22 @@ The fig1 sweeps: `alpha_reports` and `rd_reports` are the per-target loops
 that the shared tables and operators of `qmloc.harness` replace, one table
 pass and one `masked_ritz` operator per target and solve.  Their JSON must
 match the sweeps' byte for byte.
+
+Inequality constants: `inequality_constants` measures on element 0 of each
+whole uniform refinement of the 2-triangle square, where
+`qmloc.harness.estimate_inequality_constants` builds that element alone.
+Its JSON must match the estimator's byte for byte.
 """
 import numpy as np
 
 from qmloc.bestapprox import LocalizationReport, _error, element_tables, local_ritz
 from qmloc.coeff import Coefficient, attach_coefficient
 from qmloc.counterexamples import fig1_left_values, fig1_refined
-from qmloc.fespace import build_space
+from qmloc.fespace import build_space, element_dual_basis, element_mass_matrix
 from qmloc.interp import interpolation_error_sq, quasi_interpolate
-from qmloc.mesh import Triangulation, region_rows, vertex_patch
-from qmloc.quadrature import make_quadrature_plan
+from qmloc.mesh import (Triangulation, build_triangulation, region_rows, uniform_refine,
+                        vertex_patch)
+from qmloc.quadrature import _leggauss01, make_quadrature_plan, triangle_rule
 
 from ritz_reference import masked_ritz
 
@@ -143,3 +149,48 @@ def rd_reports(alpha_values, beta_values, targets, degree, refines):
                         "splitting_ratio":
                             combined / split_floor if split_floor > 0 else float("inf")}))
     return [rep for out in reports for rep in out]
+
+
+def inequality_constants(refine_levels: int, degree: int) -> dict:
+    """`qmloc.harness.estimate_inequality_constants` on the meshes of the
+    2-triangle square and its refinements."""
+    V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    T = np.array([[0, 1, 2], [0, 2, 3]])
+    tri = build_triangulation(V, T)
+    per_level = []
+    for level in range(refine_levels):
+        space = build_space(tri, degree)
+        # nodal and dual-basis scalings on element 0
+        k = 0
+        area = float(tri.areas[k])
+        M = element_mass_matrix(space, k)
+        D = element_dual_basis(space, k)
+        phi_scale = float(np.sqrt(M[0, 0]) / np.sqrt(area))
+        psi_scale = float(np.sqrt((D @ M @ D.T)[0, 0]) * np.sqrt(area))
+        # single-sample trace and Poincare constants for v = x - mean on K
+        p = tri.vertices[tri.triangles[k]]
+        h = float(tri.diameters[k])
+        qp, qw = triangle_rule(4, p[0], p[1], p[2])
+        vals = qp[:, 0] - float(qw @ qp[:, 0]) / area
+        norm_sq = float(qw @ vals**2)
+        grad_sq = area  # |grad v| = 1
+        edge = p[1] - p[0]
+        L = float(np.linalg.norm(edge))
+        t, w1d = _leggauss01(6)
+        ep = p[0] + np.outer(t, edge)
+        evals = ep[:, 0] - float(qw @ qp[:, 0]) / area
+        trace_sq = float((L * w1d) @ evals**2)
+        per_level.append({
+            "h": h,
+            "phi_over_sqrt_area": phi_scale,
+            "psi_times_sqrt_area": psi_scale,
+            "poincare": float(np.sqrt(norm_sq / grad_sq) / h),
+            "trace": float(np.sqrt(trace_sq) / np.sqrt(norm_sq / h + h * grad_sq)),
+        })
+        if level + 1 < refine_levels:
+            tri = uniform_refine(tri)
+    record = {"degree": degree, "levels": per_level}
+    for key in ("phi_over_sqrt_area", "psi_times_sqrt_area", "poincare", "trace"):
+        vals = [lv[key] for lv in per_level]
+        record[key + "_spread"] = max(vals) / min(vals)
+    return record

@@ -19,6 +19,7 @@ from qmloc.counterexamples import checkerboard_mesh, fig1_meshes, hexagon_mesh
 from qmloc.mesh import load_mesh, save_mesh
 
 import coeff_reference
+import harness_reference
 
 
 @pytest.fixture
@@ -347,30 +348,50 @@ def test_constants_rejects_levels_below_one(capsys, levels):
     assert err.count("\n") == 1 and "levels must be >= 1" in err
 
 
-@pytest.mark.parametrize("argv, memory, message", [
-    # the last mesh of 9 levels has 2 * 4^8 = 131,072 elements
-    (["constants", "--levels", "9"], 2**27,
-     "levels=9 at degree 1 needs about 0.207 GiB of 0.125 GiB of memory"),
-    (["constants", "--levels", "6", "--ell", "4"], 2**20,
-     "levels=6 at degree 4 needs about 0.0108 GiB of 0.000977 GiB of memory"),
-    (["constants", "--levels", "40"], None, "levels=40 at degree 1 needs about "),
-])
-def test_constants_refuses_what_will_not_fit_before_building_any_mesh(
-        capsys, monkeypatch, argv, memory, message):
+@pytest.mark.parametrize("levels", [201, 10**6])
+def test_constants_refuses_levels_above_200_before_building_any_mesh(
+        capsys, monkeypatch, levels):
     import qmloc.harness
 
     def no_mesh(*args, **kwargs):
-        raise AssertionError("a mesh was built before its size was checked")
+        raise AssertionError("a mesh was built before the levels were checked")
 
     monkeypatch.setattr(qmloc.harness, "build_triangulation", no_mesh)
-    monkeypatch.setattr(qmloc.harness, "uniform_refine", no_mesh)
-    if memory is not None:
-        monkeypatch.setattr(qmloc.harness, "_physical_memory", lambda: memory)
-    assert main(argv) == EXIT_INVALID
+    assert main(["constants", "--levels", str(levels)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: levels must be <= 200, got {levels}\n"
+
+
+def test_constants_runs_to_levels_200(capsys):
+    # a constant that underflows to 0 far beyond 200 levels would divide a
+    # spread by 0
+    assert main(["constants", "--levels", "200"]) == EXIT_OK
+    record = json.loads(capsys.readouterr().out)
+    assert len(record["levels"]) == 200
+    values = [lv[key] for lv in record["levels"] for key in lv] + [
+        record[key] for key in record if key.endswith("_spread")]
+    assert all(math.isfinite(v) and v > 0 for v in values)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+@pytest.mark.parametrize("levels", [1, 6])
+def test_constants_match_the_refined_meshes(capsys, levels, ell):
+    """One scaled element per level reads what element 0 of each whole
+    refinement reads, byte for byte."""
+    assert main(["constants", "--levels", str(levels), "--ell", str(ell)]) == EXIT_OK
+    expected = harness_reference.inequality_constants(levels, ell)
+    assert len(expected["levels"]) == levels
+    assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+def test_unwritable_output_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert main(["stars", "--n", "2", "--output", str(out)]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.startswith(f"error: cannot write report to {out}")
 
 
 @pytest.mark.parametrize("command", ["alpha", "rd"])

@@ -12,7 +12,7 @@ from qmloc.coeff import (_witnesses, attach_coefficient, build_omega_hat,
                          select_kmax_fz, space_star)
 from qmloc.counterexamples import (checkerboard_mesh, fig1_left_pattern, fig1_meshes,
                                    hexagon_mesh)
-from qmloc.errors import NoMonotonePath, NonPositiveValue, UnknownLocus
+from qmloc.errors import LocusMismatch, NoMonotonePath, NonPositiveValue, UnknownLocus
 from qmloc.fespace import build_space
 from qmloc.mesh import build_triangulation, edge_pair, element_patch, vertex_patch
 
@@ -150,6 +150,12 @@ def test_non_integer_locus_id_rejected(locus, message):
     (lambda tri, coeff, space: vertex_patch(tri, True), "vertex id True is not an integer"),
     (lambda tri, coeff, space: edge_pair(tri, 2.0), "edge id 2.0 is not an integer"),
     (lambda tri, coeff, space: element_patch(tri, 1.5), "element id 1.5 is not an integer"),
+    *[(lambda tri, coeff, space, k=k: find_monotone_path(tri, coeff, 0, k, 2), message)
+      for k, message in [(True, "element id True is not an integer"),
+                         (1.0, "element id 1.0 is not an integer"),
+                         (1.5, "element id 1.5 is not an integer"), (-1, "element -1")]],
+    (lambda tri, coeff, space: find_monotone_path(tri, coeff, 0, 2, 1.0),
+     "element id 1.0 is not an integer"),
     *[(lambda tri, coeff, space, node_set=node_set:
        check_quasi_monotonicity(tri, coeff, node_set=node_set), message)
       for node_set, message in [
@@ -160,12 +166,20 @@ def test_non_integer_locus_id_rejected(locus, message):
           ([(["vertex"], 1)], "unknown locus kind ['vertex']")]],
 ], ids=["omega-hat-negative", "omega-hat-past-end", "omega-hat-float", "space-star-negative",
         "space-star-past-end", "vertex-patch-float", "vertex-patch-bool", "edge-pair-float",
-        "element-patch-float", "locus-of-one", "locus-of-three", "locus-int", "locus-none",
+        "element-patch-float", "path-bool", "path-integral-float", "path-float",
+        "path-negative", "path-float-target", "locus-of-one", "locus-of-three", "locus-int", "locus-none",
         "locus-list-kind"])
 def test_every_locus_reader_refuses_a_bad_id_with_unknown_locus(call, message):
     tri, coeff = hexagon_mesh(0.1)
     with pytest.raises(UnknownLocus, match=f"^{re.escape(message)}$"):
         call(tri, coeff, build_space(tri, 1))
+
+
+def test_find_monotone_path_refuses_elements_outside_the_star():
+    tri, coeff = hexagon_mesh(0.1)
+    assert vertex_patch(tri, 1).tolist() == [0, 5]
+    with pytest.raises(LocusMismatch, match=r"^elements \(0, 2\) not both in the star of vertex 1$"):
+        find_monotone_path(tri, coeff, 1, 0, 2)
 
 
 def test_non_positive_coefficient_rejected():
