@@ -8,8 +8,8 @@ coefficient-robust quasi-interpolation operators, closed-form
 counterexample problems, and an experiment harness with a CLI.
 """
 
-from .bestapprox import (LocalizationReport, SparseMatrix, SpdSystem, element_tables,
-                         local_element_errors, local_ritz, ritz, solve_spd)
+from .bestapprox import (LevelFactor, LocalizationReport, SparseMatrix, SpdSystem,
+                         element_tables, local_element_errors, local_ritz, ritz, solve_spd)
 from .coeff import (Coefficient, MonotonePath, QmReport, attach_coefficient, build_omega_hat,
                     check_quasi_monotonicity, find_monotone_path, select_kmax_fz)
 from .counterexamples import (analytic_energy_reference, checkerboard_mesh, checkerboard_target,
@@ -26,7 +26,7 @@ from .quadrature import QuadraturePlan, make_quadrature_plan
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coefficient", "InterpolantResult", "LagrangeSpace",
+    "Coefficient", "InterpolantResult", "LagrangeSpace", "LevelFactor",
     "LocalizationReport", "MonotonePath", "QmReport", "QmlocError",
     "QuadraturePlan", "SingularPoint", "SparseMatrix", "SpdSystem", "TargetField",
     "Triangulation", "analytic_energy_reference", "attach_coefficient",

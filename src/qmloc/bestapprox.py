@@ -1,5 +1,6 @@
 """Best-approximation errors: one table of element matrices, target
-moments, norms and element fits, the global Ritz solve by CG, and one
+moments, norms and element fits, the global Ritz solve (a level-set block
+factor at degree 1, Jacobi-CG above), and one
 batched local Ritz kernel (`local_ritz`) for every element, pair and star.
 
 Every error, of a best approximation, an explicit candidate or an
@@ -15,12 +16,13 @@ pinning one node; the reported error is invariant under that choice.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coeff import Coefficient
-from .errors import SolverFailure
+from .errors import ParameterOutOfRange, SolverFailure
 from .fespace import LagrangeSpace, reference_basis
 from .mesh import _region_groups, _sorted_distinct, element_affine
 from .quadrature import QuadraturePlan, reference_triangle_rule
@@ -281,13 +283,102 @@ def _renumbered(mask) -> np.ndarray:
     return np.where(mask, np.cumsum(mask) - 1, -1)
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+class LevelFactor:
+    """Block Cholesky factor of an SPD matrix whose graph is block
+    tridiagonal over node levels (`LagrangeSpace.node_levels` restricted to
+    the unknowns), for a direct solve: A = L L^T with L block lower
+    bidiagonal, the diagonal blocks G_i the Cholesky factors of
+    S_i = D_i - H_i H_i^T and the coupling blocks H_i = C_i G_(i-1)^-T, with
+    D_i and C_i the blocks of A within level i and between levels i and
+    i - 1 (George and Liu, 1981).  Emptied levels are dropped: the levels on
+    either side of one do not couple.  Only the lower triangle is read.
+
+    Raises ParameterOutOfRange, before any block is allocated, when the
+    factor's blocks need more than the machine's physical memory;
+    SolverFailure for a pivot block that is not finite or not positive
+    definite; ValueError for entries between levels that are not adjacent.
+    """
+
+    def __init__(self, matrix: SparseMatrix, levels):
+        levels = np.asarray(levels)
+        distinct = _sorted_distinct(levels)
+        level = np.searchsorted(distinct, levels)
+        widths = np.bincount(level, minlength=len(distinct))
+        pairs = widths[1:] * widths[:-1]
+        need, have = 8 * (int(widths @ widths) + int(pairs.sum())), _physical_memory()
+        if need > have:
+            raise ParameterOutOfRange(
+                f"a level factor of {len(level)} unknowns, {len(widths)} levels up to "
+                f"{widths.max()} wide, needs about {need / 2**30:.3g} GiB of "
+                f"{have / 2**30:.3g} GiB of memory")
+        self._order = np.argsort(level, kind="stable")
+        ends = np.cumsum(widths)
+        rank = np.empty(len(level), dtype=np.intp)
+        rank[self._order] = np.arange(len(level)) - np.repeat(ends - widths, widths)
+        # every block of the lower triangle in one flat buffer, by level pair;
+        # each becomes its block of the factor in place
+        rows, cols, values = matrix.entries()
+        if np.any(np.abs(levels[rows] - levels[cols]) > 1):
+            raise ValueError("the matrix couples levels that are not adjacent")
+        i, j = level[rows], level[cols]
+        size = np.concatenate([[0], widths * widths, pairs])
+        start = np.cumsum(size)[:-1]
+        lower = i >= j
+        i, j, rows, cols = i[lower], j[lower], rows[lower], cols[lower]
+        blocks = np.zeros(int(size.sum()))
+        blocks[start[np.where(i > j, i - 1 + len(widths), i)] + rank[rows] * widths[j]
+               + rank[cols]] = values[lower]
+        self._slices = [slice(e - w, e) for e, w in zip(ends, widths)]
+        self._ginv, self._h = [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, w in enumerate(widths):
+                S = blocks[start[k]:start[k] + w * w].reshape(w, w)
+                if k:
+                    at = start[k - 1 + len(widths)]
+                    H = blocks[at:at + w * widths[k - 1]].reshape(w, -1)
+                    H[...] = H @ self._ginv[-1].T
+                    S -= H @ H.T
+                    self._h.append(H)
+                if not np.isfinite(S).all():
+                    raise SolverFailure(f"pivot block {k} of the level factor not finite; "
+                                        "the system overflows")
+                try:
+                    S[...] = np.linalg.inv(np.linalg.cholesky(S))
+                except np.linalg.LinAlgError:
+                    raise SolverFailure(f"pivot block {k} of the level factor is not "
+                                        "positive definite") from None
+                self._ginv.append(S)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with A x = b, by one forward and one backward sweep over the
+        levels; raises SolverFailure for a solution that is not finite."""
+        b, y = b[self._order], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (s, g) in enumerate(zip(self._slices, self._ginv)):
+                y.append(g @ (b[s] - self._h[k - 1] @ y[-1] if k else b[s]))
+            for k in range(len(y) - 1, -1, -1):
+                r = y[k] - self._h[k].T @ y[k + 1] if k + 1 < len(y) else y[k]
+                y[k] = self._ginv[k].T @ r
+        x = np.empty(len(b))
+        x[self._order] = np.concatenate([x[:0]] + y)
+        if not np.isfinite(x).all():
+            raise SolverFailure("level factor solution not finite; the system overflows")
+        return x
+
+
 @dataclass
 class SpdSystem:
     """Sparse SPD system, definite as given.  ``matrix`` supports ``@`` with a
-    vector, ``diagonal()`` and ``shape``, as `SparseMatrix` does."""
+    vector, ``diagonal()`` and ``shape``, as `SparseMatrix` does; ``factor``,
+    if given, is a `LevelFactor` of it."""
 
     matrix: SparseMatrix
     rhs: np.ndarray
+    factor: LevelFactor | None = None
 
     def free_mask(self) -> np.ndarray:
         """All True: every unknown is free (`perfbench/tracing.py` reads it)."""
@@ -295,11 +386,12 @@ class SpdSystem:
 
 
 def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
-    """Jacobi-preconditioned CG on the system as given.
-
-    Converged when the preconditioned relative residual drops below rtol.
-    Returns the solution vector.
+    """The solution of the system as given: by its factor when it has one
+    (rtol does not apply), else by Jacobi-preconditioned CG, converged when
+    the preconditioned relative residual drops below rtol.
     """
+    if system.factor is not None:
+        return system.factor.solve(system.rhs)
     A, b = system.matrix, system.rhs
     n = A.shape[0]
     x = np.zeros(n)
@@ -344,7 +436,7 @@ def _finite(value: float, it: int) -> float:
 
 
 def ritz(tables: ElementTables, a, beta: float = 0.0):
-    """Global best approximation of the tables' target, by CG.
+    """Global best approximation of the tables' target.
 
     Minimizes sum_K a_K ||grad(u - V)||^2_K + beta ||u - V||^2 over the
     whole continuous space, with V = 0 at the space's Dirichlet nodes.  On a
@@ -358,7 +450,8 @@ def ritz(tables: ElementTables, a, beta: float = 0.0):
 def ritz_each(tables: list, a, beta: float = 0.0) -> list:
     """`ritz` of each of `tables`, the tables of several targets in one
     space: the operator is assembled and restricted to the free nodes once,
-    and each target takes one CG solve with it.  Returns a list of
+    at degree 1 factored once (`LevelFactor`), and each target takes one
+    solve with it, by the factor or by CG above degree 1.  Returns a list of
     (error_sq, x).  Raises ValueError for tables of different spaces.
     """
     if not tables:
@@ -371,12 +464,13 @@ def ritz_each(tables: list, a, beta: float = 0.0) -> list:
     if free.all() and beta == 0.0:
         free[0] = False
     A = _free_operator(first, w, beta, free)
+    factor = LevelFactor(A, first.space.node_levels[free]) if first.space.degree == 1 else None
     out = []
     for t in tables:
         f = _element_loads(t, w, beta, slice(None))
         b = np.bincount(en.ravel(), weights=f.ravel(), minlength=m)
         x = np.zeros(m)
-        x[free] = solve_spd(SpdSystem(matrix=A, rhs=b[free]))
+        x[free] = solve_spd(SpdSystem(matrix=A, rhs=b[free], factor=factor))
         # the energy of the computed approximant: an error in x enters only to second order
         out.append((float(_error(t, w, beta, slice(None), x[en]).sum()), x))
     return out

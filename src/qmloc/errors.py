@@ -25,16 +25,8 @@ class PointOutsideElement(QmlocError):
     """Evaluation point lies outside the requested element."""
 
 
-class SingularMassMatrix(QmlocError):
-    """Local mass matrix is numerically singular."""
-
-
 class QuadratureFailure(QmlocError):
     """Quadrature plan could not reach the requested accuracy."""
-
-
-class SingularPointOnQuadratureNode(QmlocError):
-    """A quadrature node coincides with a declared singular point."""
 
 
 class PlanMismatch(QmlocError):

@@ -8,12 +8,12 @@ edge or element (see `build_space`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import SingularMassMatrix, UnsupportedDegree
-from .mesh import Triangulation, element_affine
+from .errors import UnsupportedDegree
+from .mesh import Triangulation, _ranges, _sorted_distinct, element_affine
 from .quadrature import _leggauss01, reference_triangle_rule
 
 
@@ -73,6 +73,33 @@ class LagrangeSpace:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def node_levels(self) -> np.ndarray:
+        """(n,) breadth-first level of each node in the graph of nodes that
+        share an element, from a pseudo-peripheral node: the search starts
+        again from a node of the last level of a search from a node of least
+        degree (fewest elements), and these are its levels.  A node couples
+        only to nodes of its own and the adjacent levels; another component
+        takes the levels after the last of the one before."""
+        support = np.diff(self.node_elements[0])
+        first = self._levels_from(int(np.argmin(support)))
+        last = np.flatnonzero(first == first.max())
+        return self._levels_from(int(last[np.argmin(support[last])]))
+
+    def _levels_from(self, start: int) -> np.ndarray:
+        offsets, elements = self.node_elements
+        level = np.full(self.n_nodes, -1)
+        front, i = np.array([start]), 0
+        while len(front):
+            level[front] = i
+            first = offsets[front]
+            near = self.element_nodes[elements[_ranges(first, offsets[front + 1] - first)]].ravel()
+            front = _sorted_distinct(near[level[near] < 0])
+            if not len(front):  # the next component, if any
+                front = np.flatnonzero(level < 0)[:1]
+            i += 1
+        return level
 
 
 def require_degree(degree: int) -> None:
@@ -161,12 +188,7 @@ def element_dual_basis(space: LagrangeSpace, k: int):
     Row z gives psi_z^K = sum_y D[z, y] phi_y, so that
     int_K psi_z phi_y = delta_zy.
     """
-    M = element_mass_matrix(space, k)
-    try:
-        D = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - mesh validated earlier
-        raise SingularMassMatrix(str(exc)) from exc
-    return D
+    return np.linalg.inv(element_mass_matrix(space, k))
 
 
 @lru_cache(maxsize=None)
@@ -189,9 +211,6 @@ def _reference_face_dual(degree: int):
     """Inverse mass matrix of the edge-restricted nodal basis on [0, 1]."""
     t, wt = _leggauss01(degree + 2)  # exact for degree 2*degree
     Phi = edge_basis_1d(degree, t)
-    try:
-        D = np.linalg.inv((Phi.T * wt) @ Phi)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise SingularMassMatrix(str(exc)) from exc
+    D = np.linalg.inv((Phi.T * wt) @ Phi)
     D.setflags(write=False)
     return D

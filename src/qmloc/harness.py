@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import io
 import json
-import os
 from dataclasses import fields, replace
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, _region_errors, element_tables_each,
-                         local_element_errors, local_ritz, ritz, ritz_each)
+from .bestapprox import (LocalizationReport, _physical_memory, _region_errors,
+                         element_tables_each, local_element_errors, local_ritz, ritz, ritz_each)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (_checkerboard_eps, _hexagon_eps, analytic_energy_reference,
                               checkerboard_mesh, checkerboard_target, fig1_left_values,
@@ -213,10 +212,6 @@ _BYTES_PER_ELEMENT = {1: 21_640, 2: 23_620, 3: 36_190, 4: 75_898}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
 # (2,048 and 8,192 elements), measured the same way.
 _STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _require_memory(what: str, n_elements: float, degree: int, per_element: dict) -> None:

@@ -26,8 +26,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (PlanMismatch, PointOutsideElement, QuadratureFailure,
-                     SingularPointOnQuadratureNode)
+from .errors import PlanMismatch, PointOutsideElement, QuadratureFailure
 from .mesh import Triangulation, box_point_pairs, element_affine
 
 _GAUSS_ORDER = 10          # panels of the regular radial/angular parts
@@ -130,12 +129,12 @@ def _singular_span(mu: float, degree: int, r):
 
 
 def _null_basis(C):
-    """A basis (n, n - rank) of the null space of C (m, n) by Gauss--Jordan
-    elimination, each row pivoted on its largest free entry: rows that
-    eliminate to exactly zero (repeated functions) are skipped, no other.
-    Elementwise numpy only, no LAPACK: with two OpenBLAS threads on two
-    cores, a complete QR of a 176 x 27 matrix took 0.2 s in some runs and
-    1.5 ms in others."""
+    """A basis of the null space of C (m, n) by Gauss--Jordan elimination,
+    each row pivoted on its largest free entry: rows that eliminate to
+    exactly zero (repeated functions) are skipped, no other.  Returns it as
+    rows, (n - rank, n).  Elementwise numpy only, no LAPACK: with two
+    OpenBLAS threads on two cores, a complete QR of a 176 x 27 matrix took
+    0.2 s in some runs and 1.5 ms in others."""
     A = C.copy()
     free = np.ones(A.shape[1], dtype=bool)
     rows, cols = [], []
@@ -151,9 +150,9 @@ def _null_basis(C):
         rows.append(i)
         cols.append(p)
     f = np.flatnonzero(free)
-    null = np.zeros((A.shape[1], len(f)))
-    null[f, np.arange(len(f))] = 1.0
-    null[cols] = -A[np.ix_(rows, f)]
+    null = np.zeros((len(f), A.shape[1]))
+    null[np.arange(len(f)), f] = 1.0
+    null[:, cols] = -A[np.ix_(rows, f)].T
     return null
 
 
@@ -177,19 +176,20 @@ def _unit_singular_rule(mu: float, degree: int):
     r, w = _dense_singular_rule(mu)
     C = _singular_span(mu, degree, r) * w
     C /= C.sum(axis=1, keepdims=True)
-    null = _null_basis(C)
+    null = _null_basis(C)  # one null vector per row: each step updates whole rows
+    step = np.empty_like(null)
     lam, inv_r = np.ones(len(r)), 1.0 / r
-    for last in range(null.shape[1] - 1, -1, -1):
-        v = null[:, 0] if null[:, 0] @ inv_r >= 0.0 else -null[:, 0]
+    for last in range(len(null) - 1, -1, -1):
+        v = null[0] if null[0] @ inv_r >= 0.0 else -null[0]
         ratio = np.divide(lam, v, out=np.full(len(r), np.inf), where=v > 0)
         j = int(np.argmin(ratio))
         lam = np.maximum(lam - ratio[j] * v, 0.0)  # a tie may round below 0
         lam[j] = 0.0
-        row = null[j, :last + 1]
-        p = int(np.argmax(np.abs(row)))
-        null[:, :last + 1] -= np.outer(null[:, p] / row[p], row)
-        null[:, p], null[j] = null[:, last], 0.0
-        null = null[:, :last]
+        col = null[:, j]
+        p = int(np.argmax(np.abs(col)))
+        null -= np.multiply.outer(col, null[p] / col[p], out=step[:last + 1])
+        null[p], null[:, j] = null[last], 0.0
+        null = null[:last]
     keep = np.flatnonzero(lam)
     r, w = r[keep], w[keep] * lam[keep]
     r.flags.writeable = w.flags.writeable = False
@@ -274,8 +274,6 @@ def polar_triangle_rule(v0, v1, v2, singular_xy, mu, breakpoints=(), degree: int
             pts_l.append(sp)
             wts_l.append(sw)
         pts, wts = np.vstack(pts_l), np.concatenate(wts_l)
-    if np.any(np.linalg.norm(pts - s, axis=1) <= 1e-300):
-        raise SingularPointOnQuadratureNode("quadrature node hit the singular point")
     return pts, wts
 
 

@@ -9,14 +9,17 @@ reference rule mapped by the element's affine map or one
 
 `dense_plan` is the plan of the 176-node radial rule that the positive
 subrule replaces inside the first breakpoint: 21 geometric levels above a
-Gauss--Jacobi cell, its candidate set.
+Gauss--Jacobi cell, its candidate set.  `unit_singular_rule_loop` is that
+subrule's elimination on the null basis as columns, each step updating
+strided columns through a new outer product.
 """
 from unittest import mock
 
 import numpy as np
 
-from qmloc.quadrature import (_dense_singular_rule, _locate, make_quadrature_plan, plan_key,
-                              polar_triangle_rule, reference_triangle_rule)
+from qmloc.quadrature import (_dense_singular_rule, _locate, _null_basis, _singular_span,
+                              make_quadrature_plan, plan_key, polar_triangle_rule,
+                              reference_triangle_rule)
 
 
 def map_rule_to_triangle(pts_ref, w_ref, v0, v1, v2):
@@ -68,3 +71,26 @@ def dense_plan(tri, target, exactness=8):
     with mock.patch("qmloc.quadrature._unit_singular_rule",
                     lambda mu, degree: _dense_singular_rule(mu)):
         return make_quadrature_plan(tri, target, exactness)
+
+
+def unit_singular_rule_loop(mu, degree):
+    """`quadrature._unit_singular_rule(mu, degree)`, its null basis held as
+    (nodes, columns)."""
+    r, w = _dense_singular_rule(mu)
+    C = _singular_span(mu, degree, r) * w
+    C /= C.sum(axis=1, keepdims=True)
+    null = _null_basis(C).T.copy()
+    lam, inv_r = np.ones(len(r)), 1.0 / r
+    for last in range(null.shape[1] - 1, -1, -1):
+        v = null[:, 0] if null[:, 0] @ inv_r >= 0.0 else -null[:, 0]
+        ratio = np.divide(lam, v, out=np.full(len(r), np.inf), where=v > 0)
+        j = int(np.argmin(ratio))
+        lam = np.maximum(lam - ratio[j] * v, 0.0)
+        lam[j] = 0.0
+        row = null[j, :last + 1]
+        p = int(np.argmax(np.abs(row)))
+        null[:, :last + 1] -= np.outer(null[:, p] / row[p], row)
+        null[:, p], null[j] = null[:, last], 0.0
+        null = null[:, :last]
+    keep = np.flatnonzero(lam)
+    return r[keep], w[keep] * lam[keep]

@@ -12,7 +12,7 @@ u rather than with the error.  Tests compare the fast path against them.
 """
 import numpy as np
 
-from qmloc.bestapprox import SparseMatrix, SpdSystem, _error, solve_spd
+from qmloc.bestapprox import LevelFactor, SparseMatrix, SpdSystem, _error, solve_spd
 
 from qmloc.fespace import element_affine, element_mass_matrix, reference_basis
 from qmloc.quadrature import reference_triangle_rule
@@ -202,7 +202,9 @@ def masked_ritz(tables, a, beta=0.0):
     """The global best approximation of one table's target, its operator
     assembled for it alone on every node and then restricted to the free
     nodes, ``A[free][:, free]`` and ``b[free]`` (all but the Dirichlet nodes,
-    else the lowest-id node at beta = 0).  Returns (error_sq, x) as `ritz`."""
+    else the lowest-id node at beta = 0), solved as `ritz_each` solves: at
+    degree 1 by a `LevelFactor` of that restriction, else by CG.  Returns
+    (error_sq, x) as `ritz`."""
     w = np.asarray(a, dtype=float)
     en, m = tables.space.element_nodes, tables.space.n_nodes
     K = w[:, None, None] * tables.stiffness + beta * tables.mass
@@ -214,6 +216,8 @@ def masked_ritz(tables, a, beta=0.0):
     rows = np.repeat(en, en.shape[1], axis=1).ravel()
     cols = np.tile(en, (1, en.shape[1])).ravel()
     A = SparseMatrix(rows, cols, K.ravel(), (m, m))
+    A = A[free][:, free]
+    factor = LevelFactor(A, tables.space.node_levels[free]) if tables.space.degree == 1 else None
     x = np.zeros(m)
-    x[free] = solve_spd(SpdSystem(matrix=A[free][:, free], rhs=b[free]))
+    x[free] = solve_spd(SpdSystem(matrix=A, rhs=b[free], factor=factor))
     return float(_error(tables, w, beta, slice(None), x[en]).sum()), x

@@ -3,7 +3,7 @@ batched local Ritz kernel, and the local, regional, global and
 combined-norm errors built on them."""
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,15 +11,15 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmloc.bestapprox import (ElementTables, LocalizationReport, SparseMatrix, SpdSystem,
-                              _element_matrices, _free_operator, element_tables,
-                              element_tables_each, local_element_errors, local_ritz, ritz,
-                              ritz_each, solve_spd)
+from qmloc.bestapprox import (ElementTables, LevelFactor, LocalizationReport, SparseMatrix,
+                              SpdSystem, _element_loads, _element_matrices, _free_operator,
+                              element_tables, element_tables_each, local_element_errors,
+                              local_ritz, ritz, ritz_each, solve_spd)
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
                                    fig1_left_pattern, fig1_left_values, fig1_refined,
                                    hexagon_mesh, hexagon_target)
-from qmloc.errors import PlanMismatch, PointOutsideElement, SolverFailure
+from qmloc.errors import ParameterOutOfRange, PlanMismatch, PointOutsideElement, SolverFailure
 from qmloc.fespace import build_space, element_mass_matrix
 from qmloc.fields import TargetField, smooth_target
 from qmloc.harness import default_smooth_targets
@@ -567,15 +567,17 @@ def test_shared_operator_solves_equal_per_target_solves(dirichlet, beta):
     """`ritz_each`, one operator restricted once, against the per-target
     operator assembled on every node and restricted by indexing
     (`masked_ritz`): bitwise equal errors and coefficients, with and without
-    Dirichlet nodes and at beta > 0."""
+    Dirichlet nodes and at beta > 0.  At P1 each side factors its own
+    operator, whose entries are bit-equal; at P2 each runs CG."""
     tri, coeff = fig1_left_pattern(1e-4, refines=2)
-    space = build_space(tri, 2, dirichlet_on_boundary=dirichlet)
     targets = list(default_smooth_targets().values())
-    tables = element_tables_each(targets, make_quadrature_plan(tri, targets[0], 10), space)
-    for tab, (err, x) in zip(tables, ritz_each(tables, coeff.values, beta)):
-        ref_err, ref_x = masked_ritz(tab, coeff.values, beta)
-        assert err == ref_err and np.array_equal(x, ref_x)
-        assert ritz(tab, coeff.values, beta)[0] == err
+    for degree in (1, 2):
+        space = build_space(tri, degree, dirichlet_on_boundary=dirichlet)
+        tables = element_tables_each(targets, make_quadrature_plan(tri, targets[0], 10), space)
+        for tab, (err, x) in zip(tables, ritz_each(tables, coeff.values, beta)):
+            ref_err, ref_x = masked_ritz(tab, coeff.values, beta)
+            assert err == ref_err and np.array_equal(x, ref_x)
+            assert ritz(tab, coeff.values, beta)[0] == err
 
 
 def test_shared_operator_needs_one_space():
@@ -594,6 +596,144 @@ def test_overflowing_system_raises_solver_failure():
     system = SpdSystem(matrix=identity, rhs=np.array([1e200, 1e200]))
     with pytest.raises(SolverFailure, match="CG scalar not finite at iteration 0"):
         solve_spd(system)
+
+
+def _check_level_solve(tables, a, beta=0.0):
+    """`ritz` at degree 1 (by the level factor) against a dense
+    `numpy.linalg.solve` of the same free operator and load: their gap in
+    the operator's norm within 1e-10 of the solution's."""
+    space = tables.space
+    free = ~space.dirichlet
+    if free.all() and beta == 0.0:
+        free[0] = False
+    rows, cols, values = _free_operator(tables, a, beta, free).entries()
+    A = np.zeros((np.count_nonzero(free),) * 2)
+    A[rows, cols] = values
+    loads = _element_loads(tables, a, beta, slice(None))
+    b = np.bincount(space.element_nodes.ravel(), loads.ravel(), space.n_nodes)[free]
+    x = ritz(tables, a, beta)[1]
+    assert not x[~free].any()
+    gap = x[free] - np.linalg.solve(A, b)
+    assert gap @ A @ gap <= 1e-20 * (x[free] @ A @ x[free])
+
+
+def _hexagon_refined(times):
+    tri, coeff = hexagon_mesh(1e-3)
+    values = coeff.values
+    for _ in range(times):
+        tri = uniform_refine(tri)
+        values = values[tri.parents]
+    return tri, values
+
+
+@pytest.mark.parametrize("case", ["fig1", "hexagon", "checkerboard"])
+@pytest.mark.parametrize("dirichlet, beta", [(False, 0.0), (True, 0.0), (False, 1e4)])
+def test_level_factor_matches_a_dense_solve(case, dirichlet, beta):
+    if case == "fig1":
+        tri, coeff = fig1_left_pattern(1e-6, refines=3)
+        a = coeff.values
+    elif case == "hexagon":
+        tri, a = _hexagon_refined(2)
+    else:
+        tri, coeff = checkerboard_mesh(4)
+        a = coeff.values
+    tables, _, _ = tables_of(sine_target(), tri, 1, 4, dirichlet)
+    _check_level_solve(tables, a, beta)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), dirichlet=st.booleans(),
+       beta=st.sampled_from([0.0, 1e-3, 1.0, 1e6]))
+@example(seed=0, n=1, dirichlet=True, beta=0.0)  # every node is fixed: nothing to solve
+def test_level_factor_matches_a_dense_solve_on_perturbed_grids(seed, n, dirichlet, beta):
+    rng = np.random.default_rng(seed)
+    tri = _perturbed_grid(n, rng)
+    tables, _, _ = tables_of(sine_target(), tri, 1, 4, dirichlet)
+    _check_level_solve(tables, 10.0 ** rng.uniform(-6.0, 0.0, tri.n_elements), beta)
+
+
+def test_level_factor_across_parts_split_by_dirichlet_nodes():
+    """Dirichlet nodes on one whole level empty it and split the free graph
+    in two: the levels on either side do not couple, and the solve stays
+    exact; a mesh of two separate squares has two components."""
+    tri = square_mesh(3)
+    tables, _, space = tables_of(sine_target(), tri, 1, 4)
+    levels = space.node_levels
+    cut = replace(space, dirichlet=levels == levels.max() // 2)
+    tables = replace(tables, space=cut)
+    assert len(np.unique(levels[~cut.dirichlet])) == levels.max()
+    a = np.random.default_rng(1).uniform(0.5, 2.0, tri.n_elements)
+    _check_level_solve(tables, a)
+    _check_level_solve(tables, a, 1.0)
+    one = square_mesh(2)
+    two = build_triangulation(np.vstack([one.vertices, one.vertices + 2.0]),
+                              np.vstack([one.triangles, one.triangles + one.n_vertices]))
+    tables, _, _ = tables_of(sine_target(), two, 1, 4, dirichlet=True)
+    _check_level_solve(tables, np.ones(two.n_elements))
+    _check_level_solve(tables, np.ones(two.n_elements), 1.0)
+
+
+def test_level_factor_refuses_what_is_not_positive_definite():
+    indefinite = SparseMatrix([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0], (2, 2))
+    with pytest.raises(SolverFailure, match="^pivot block 1 of the level factor is not "
+                                            "positive definite$"):
+        LevelFactor(indefinite, np.array([0, 1]))
+    with pytest.raises(SolverFailure, match="^pivot block 0 of the level factor is not "):
+        LevelFactor(indefinite, np.array([3, 3]))
+    with pytest.raises(ValueError, match="levels that are not adjacent"):
+        LevelFactor(indefinite, np.array([0, 2]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_level_factor_refuses_what_is_not_finite():
+    def matrix(values):
+        return SparseMatrix([0, 0, 1, 1], [0, 1, 0, 1], values, (2, 2))
+
+    for values, level in (([np.inf, 0.0, 0.0, 1.0], 0), ([1e-300, 1e200, 1e200, 1.0], 1)):
+        with pytest.raises(SolverFailure, match=f"^pivot block {level} of the level factor "
+                                                "not finite; the system overflows$"):
+            LevelFactor(matrix(values), np.array([0, 1]))
+    tiny = matrix([1e-300, 0.0, 0.0, 1e-300])
+    system = SpdSystem(matrix=tiny, rhs=np.array([1e10, 1e10]),
+                       factor=LevelFactor(tiny, np.array([0, 1])))
+    with pytest.raises(SolverFailure, match="^level factor solution not finite; "
+                                            "the system overflows$"):
+        solve_spd(system)
+
+
+def test_level_factor_is_priced_before_it_is_built(monkeypatch):
+    import qmloc.bestapprox
+
+    tri, coeff = fig1_left_pattern(1e-2, refines=2)
+    tables, _, space = tables_of(sine_target(), tri, 1, 4)
+    free = np.ones(space.n_nodes, dtype=bool)
+    free[0] = False
+    A = _free_operator(tables, coeff.values, 0.0, free)
+    widths = np.bincount(space.node_levels[free])
+    assert (widths > 0).all()
+    # 8 bytes per entry of the diagonal and coupling blocks
+    need = 8 * (widths @ widths + widths[1:] @ widths[:-1])
+    monkeypatch.setattr(A, "entries", lambda: pytest.fail("blocks built before the price"))
+    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ParameterOutOfRange, match=(
+            f"^a level factor of 40 unknowns, 8 levels up to 9 wide, needs about "
+            f"{need / 2**30:.3g} GiB of {(need - 1) / 2**30:.3g} GiB of memory$")):
+        LevelFactor(A, space.node_levels[free])
+    monkeypatch.undo()
+    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need)
+    LevelFactor(A, space.node_levels[free])
+
+
+def test_solve_spd_by_a_factor_ignores_rtol():
+    tri, coeff = fig1_left_pattern(1e-6, refines=2)
+    tables, _, space = tables_of(sine_target(), tri, 1, 4)
+    free = np.ones(space.n_nodes, dtype=bool)
+    free[0] = False
+    A = _free_operator(tables, coeff.values, 0.0, free)
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    system = SpdSystem(matrix=A, rhs=b, factor=LevelFactor(A, space.node_levels[free]))
+    assert np.array_equal(solve_spd(system), solve_spd(system, rtol=0.5))
+    assert np.linalg.norm(A @ solve_spd(system) - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_singular_local_solve_raises_solver_failure():

@@ -514,9 +514,10 @@ def test_fig1_sweeps_refuse_a_tiling_too_large_before_building_it(capsys, monkey
 
 
 def test_rd_overflowing_beta_is_a_solver_failure(capsys):
+    # at degree 2, Jacobi-CG: its first scalar overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["rd", "--refines", "1", "--betas", "1e308"]) == EXIT_SOLVER
+        assert main(["rd", "--refines", "1", "--ell", "2", "--betas", "1e308"]) == EXIT_SOLVER
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("solver failure: CG scalar not finite at iteration 0; "
@@ -526,6 +527,36 @@ def test_rd_overflowing_beta_is_a_solver_failure(capsys):
     assert len(reports) == 6
     for rep in reports:
         assert np.isfinite(rep["global_error_sq"]) and rep["global_error_sq"] > 0
+
+
+@pytest.mark.parametrize("command", ["alpha", "rd", "hexagon"])
+def test_a_level_factor_too_large_is_refused_in_one_line(capsys, monkeypatch, command):
+    import qmloc.bestapprox
+
+    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: 0)
+    assert main([command, "--format", "json"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert re.fullmatch(r"error: a level factor of \d+ unknowns, \d+ levels up to \d+ wide, "
+                        r"needs about \S+ GiB of 0 GiB of memory\n", captured.err)
+
+
+def test_rd_at_the_largest_betas_is_finite_at_degree_1(capsys):
+    # the level factor solves these systems: the best error tends to beta
+    # times the L2 best error as beta dominates the gradient term
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rd", "--refines", "1", "--betas", "1e308,1.7e308",
+                     "--format", "json"]) == EXIT_OK
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 12
+    for rep in reports:
+        meta = rep["metadata"]
+        assert all(np.isfinite(v) for v in (rep["global_error_sq"], meta["l2_global_sq"],
+                                            meta["splitting_ratio"]))
+        assert rep["global_error_sq"] == pytest.approx(meta["beta"] * meta["l2_global_sq"],
+                                                       rel=1e-12)
 
 
 SWEEP_DEFAULTS = {

@@ -213,3 +213,22 @@ def test_numbering_matches_rescan(mesh, degree):
         assert np.array_equal(space.nodes, nodes)
         assert np.array_equal(space.element_nodes, elem_nodes)
         assert list(map(tuple, space.edge_nodes.tolist())) == edges
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_node_levels_are_a_level_structure(degree):
+    """Every node has a level, the first level is one node, and the nodes of
+    each element lie in one level or two adjacent ones; a second component
+    continues the levels after the first."""
+    square = uniform_refine(uniform_refine(build_triangulation(V, T)))
+    two = build_triangulation(np.vstack([square.vertices, square.vertices + 2.0]),
+                              np.vstack([square.triangles, square.triangles + square.n_vertices]))
+    for mesh in (square, two):
+        space = build_space(mesh, degree)
+        levels = space.node_levels
+        assert space.node_levels is levels  # computed once per space
+        assert (np.bincount(levels) > 0).all() and np.count_nonzero(levels == 0) == 1
+        spread = levels[space.element_nodes]
+        assert (spread.max(axis=1) - spread.min(axis=1) <= 1).all()
+    near, far = levels[space.nodes[:, 0] < 1.5], levels[space.nodes[:, 0] > 1.5]
+    assert near.max() < far.min() or far.max() < near.min()

@@ -7,7 +7,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from quadrature_reference import assert_plan_matches, dense_plan, element_rules
+from quadrature_reference import (assert_plan_matches, dense_plan, element_rules,
+                                  unit_singular_rule_loop)
 from test_bestapprox import _perturbed_grid
 
 from qmloc.bestapprox import element_tables
@@ -96,6 +97,16 @@ def test_subrule_keeps_the_dense_span_moments(mu, degree):
     assert np.isin(r, r0).all()
     dense, sub = _singular_span(mu, degree, r0) @ w0, _singular_span(mu, degree, r) @ w
     np.testing.assert_allclose(sub, dense, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("degree", [8, 10, 12, 14])
+def test_subrule_equals_the_column_loop(degree):
+    """The elimination on null vectors as rows gives the rule of the loop on
+    null vectors as columns bit for bit."""
+    for mu in MODEL_MU + [0.37, 2 / 3, 0.9]:
+        mu = round(mu, 12)
+        for got, want in zip(_unit_singular_rule(mu, degree), unit_singular_rule_loop(mu, degree)):
+            assert np.array_equal(got, want), (mu, degree)
 
 
 def test_subrules_are_byte_identical_across_interpreters():
