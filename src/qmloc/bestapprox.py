@@ -287,6 +287,16 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _held_memory() -> int:
+    """The bytes this process holds resident, from /proc/self/statm; 0
+    where that file does not exist."""
+    try:
+        with open("/proc/self/statm") as statm:
+            return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        return 0
+
+
 class LevelFactor:
     """Block Cholesky factor of an SPD matrix whose graph is block
     tridiagonal over node levels (`LagrangeSpace.node_levels` restricted to
@@ -298,9 +308,10 @@ class LevelFactor:
     either side of one do not couple.  Only the lower triangle is read.
 
     Raises ParameterOutOfRange, before any block is allocated, when the
-    factor's blocks need more than the machine's physical memory;
-    SolverFailure for a pivot block that is not finite or not positive
-    definite; ValueError for entries between levels that are not adjacent.
+    factor's blocks and what the process already holds need more than the
+    machine's physical memory; SolverFailure for a pivot block that is not
+    finite or not positive definite; ValueError for entries between levels
+    that are not adjacent.
     """
 
     def __init__(self, matrix: SparseMatrix, levels):
@@ -309,7 +320,8 @@ class LevelFactor:
         level = np.searchsorted(distinct, levels)
         widths = np.bincount(level, minlength=len(distinct))
         pairs = widths[1:] * widths[:-1]
-        need, have = 8 * (int(widths @ widths) + int(pairs.sum())), _physical_memory()
+        need = 8 * (int(widths @ widths) + int(pairs.sum())) + _held_memory()
+        have = _physical_memory()
         if need > have:
             raise ParameterOutOfRange(
                 f"a level factor of {len(level)} unknowns, {len(widths)} levels up to "

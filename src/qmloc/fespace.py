@@ -77,20 +77,13 @@ class LagrangeSpace:
     @cached_property
     def node_levels(self) -> np.ndarray:
         """(n,) breadth-first level of each node in the graph of nodes that
-        share an element, from a pseudo-peripheral node: the search starts
-        again from a node of the last level of a search from a node of least
-        degree (fewest elements), and these are its levels.  A node couples
-        only to nodes of its own and the adjacent levels; another component
-        takes the levels after the last of the one before."""
-        support = np.diff(self.node_elements[0])
-        first = self._levels_from(int(np.argmin(support)))
-        last = np.flatnonzero(first == first.max())
-        return self._levels_from(int(last[np.argmin(support[last])]))
-
-    def _levels_from(self, start: int) -> np.ndarray:
+        share an element, from a node of least degree (fewest elements; the
+        lowest id of those).  A node couples only to nodes of its own and the
+        adjacent levels; another component takes the levels after the last
+        of the one before, from its lowest id."""
         offsets, elements = self.node_elements
         level = np.full(self.n_nodes, -1)
-        front, i = np.array([start]), 0
+        front, i = np.array([np.argmin(np.diff(offsets))]), 0
         while len(front):
             level[front] = i
             first = offsets[front]

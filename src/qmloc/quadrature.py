@@ -19,9 +19,8 @@ the element diameter.  Every element keeps one affine map into its class.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -249,32 +248,27 @@ def _sector_rule(s, p, p2, mu, breakpoints, degree):
 
 
 def polar_triangle_rule(v0, v1, v2, singular_xy, mu, breakpoints=(), degree: int = 8):
-    """Polar composite rule on a triangle containing a singular point, its
-    radial rules of span degree `degree` (see `radial_rule`).
-
-    The point may be a vertex (single sector) or lie on an edge / inside
-    (the triangle is fanned into sub-sectors about it).
+    """Polar composite rule on a triangle containing a singular point s, its
+    radial rules of span degree `degree` (see `radial_rule`): one sector
+    rule per sub-sector (s, v_i, v_(i+1)), in edge order.  A sub-sector is
+    skipped when an end of its edge lies within 1e-12 h of s or its doubled
+    area is at most 1e-14 h**2 (h the diameter), so a point at a vertex
+    takes the one sector of the opposite edge and a point on an edge the
+    two of the other edges.
     """
     verts = [np.asarray(v, float) for v in (v0, v1, v2)]
     s = np.asarray(singular_xy, float)
     h = max(np.linalg.norm(verts[i] - verts[j]) for i in range(3) for j in range(i))
-    for i in range(3):
-        if np.linalg.norm(verts[i] - s) <= 1e-12 * h:
-            others = [verts[j] for j in range(3) if j != i]
-            pts, wts = _sector_rule(s, others[0], others[1], mu, breakpoints, degree)
-            break
-    else:
-        pts_l, wts_l = [], []
-        for i in range(3):
-            p, p2 = verts[i], verts[(i + 1) % 3]
-            area2 = abs((p[0] - s[0]) * (p2[1] - s[1]) - (p[1] - s[1]) * (p2[0] - s[0]))
-            if area2 <= 1e-14 * h * h:
-                continue
-            sp, sw = _sector_rule(s, p, p2, mu, breakpoints, degree)
-            pts_l.append(sp)
-            wts_l.append(sw)
-        pts, wts = np.vstack(pts_l), np.concatenate(wts_l)
-    return pts, wts
+    pts, wts = [], []
+    for p, p2 in zip(verts, verts[1:] + verts[:1]):
+        area2 = abs((p[0] - s[0]) * (p2[1] - s[1]) - (p[1] - s[1]) * (p2[0] - s[0]))
+        near = min(np.linalg.norm(p - s), np.linalg.norm(p2 - s))
+        if near <= 1e-12 * h or area2 <= 1e-14 * h * h:
+            continue
+        sp, sw = _sector_rule(s, p, p2, mu, breakpoints, degree)
+        pts.append(sp)
+        wts.append(sw)
+    return np.vstack(pts), np.concatenate(wts)
 
 
 @dataclass(frozen=True)
@@ -307,10 +301,13 @@ class QuadraturePlan:
         """The ids of the polar elements, ascending."""
         return tuple(np.flatnonzero(self.element_point >= 0).tolist())
 
-    @property
-    def weights(self):
-        """Read-only per-element weights, each built on access."""
-        return _ElementWeights(self)
+    @cached_property
+    def weights(self) -> tuple:
+        """Read-only weights of each element, built on first access."""
+        out = tuple(self.scale[k] * self.rules[c][1] for k, c in enumerate(self.element_class))
+        for w in out:
+            w.flags.writeable = False
+        return out
 
     def element_rule(self, k: int):
         p, w, _ = self.rules[self.element_class[k]]
@@ -350,17 +347,6 @@ class QuadraturePlan:
         if off.any():
             raise PointOutsideElement(f"plan element {np.flatnonzero(off)[0]} lies outside "
                                       "the element of that id: a plan of another mesh")
-
-
-class _ElementWeights(Sequence):
-    def __init__(self, plan: QuadraturePlan):
-        self._plan = plan
-
-    def __len__(self):
-        return len(self._plan.element_class)
-
-    def __getitem__(self, k):
-        return self._plan.scale[k] * self._plan.rules[self._plan.element_class[k]][1]
 
 
 def _locate(tri: Triangulation, xy):

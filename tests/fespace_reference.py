@@ -4,12 +4,14 @@ element and edge by edge.
 The package evaluates bases only at reference points, once per quadrature
 class, and the face-dual moments as one gather over all edges; these are the
 per-element and per-edge forms that the oracles and the basis tests use.
+`pseudo_peripheral_levels` is the level structure of two breadth-first
+searches that `LagrangeSpace.node_levels` replaces by one.
 """
 import numpy as np
 
 from qmloc.errors import PointOutsideElement
 from qmloc.fespace import _reference_face_dual, reference_basis
-from qmloc.mesh import element_affine
+from qmloc.mesh import _ranges, _sorted_distinct, element_affine
 
 
 def element_basis(space, ks, pts):
@@ -53,3 +55,28 @@ def face_dual_basis(space, e):
     a, b = space.tri.edges[e]
     L = float(np.linalg.norm(space.tri.vertices[b] - space.tri.vertices[a]))
     return space.edge_nodes[e], _reference_face_dual(space.degree) / L
+
+
+def _levels_from(space, start):
+    offsets, elements = space.node_elements
+    level = np.full(space.n_nodes, -1)
+    front, i = np.array([start]), 0
+    while len(front):
+        level[front] = i
+        first = offsets[front]
+        near = space.element_nodes[elements[_ranges(first, offsets[front + 1] - first)]].ravel()
+        front = _sorted_distinct(near[level[near] < 0])
+        if not len(front):  # the next component, if any
+            front = np.flatnonzero(level < 0)[:1]
+        i += 1
+    return level
+
+
+def pseudo_peripheral_levels(space):
+    """Breadth-first node levels from a pseudo-peripheral node: the search
+    starts again from a node of least degree (fewest elements) in the last
+    level of a search from a node of least degree."""
+    support = np.diff(space.node_elements[0])
+    first = _levels_from(space, int(np.argmin(support)))
+    last = np.flatnonzero(first == first.max())
+    return _levels_from(space, int(last[np.argmin(support[last])]))

@@ -11,15 +11,17 @@ reference rule mapped by the element's affine map or one
 subrule replaces inside the first breakpoint: 21 geometric levels above a
 Gauss--Jacobi cell, its candidate set.  `unit_singular_rule_loop` is that
 subrule's elimination on the null basis as columns, each step updating
-strided columns through a new outer product.
+strided columns through a new outer product.  `polar_triangle_rule_branches`
+is the polar rule with a branch of its own for a point at a vertex, which
+the one loop over sub-sectors replaces.
 """
 from unittest import mock
 
 import numpy as np
 
-from qmloc.quadrature import (_dense_singular_rule, _locate, _null_basis, _singular_span,
-                              make_quadrature_plan, plan_key, polar_triangle_rule,
-                              reference_triangle_rule)
+from qmloc.quadrature import (_dense_singular_rule, _locate, _null_basis, _sector_rule,
+                              _singular_span, make_quadrature_plan, plan_key,
+                              polar_triangle_rule, reference_triangle_rule)
 
 
 def map_rule_to_triangle(pts_ref, w_ref, v0, v1, v2):
@@ -94,3 +96,27 @@ def unit_singular_rule_loop(mu, degree):
         null = null[:, :last]
     keep = np.flatnonzero(lam)
     return r[keep], w[keep] * lam[keep]
+
+
+def polar_triangle_rule_branches(v0, v1, v2, singular_xy, mu, breakpoints=(), degree=8):
+    """`quadrature.polar_triangle_rule` in two branches: a point within
+    1e-12 h of a vertex takes the one sector of the other two vertices, any
+    other point the fan of sub-sectors (s, v_i, v_(i+1)) whose doubled area
+    exceeds 1e-14 h**2."""
+    verts = [np.asarray(v, float) for v in (v0, v1, v2)]
+    s = np.asarray(singular_xy, float)
+    h = max(np.linalg.norm(verts[i] - verts[j]) for i in range(3) for j in range(i))
+    for i in range(3):
+        if np.linalg.norm(verts[i] - s) <= 1e-12 * h:
+            others = [verts[j] for j in range(3) if j != i]
+            return _sector_rule(s, others[0], others[1], mu, breakpoints, degree)
+    pts, wts = [], []
+    for i in range(3):
+        p, p2 = verts[i], verts[(i + 1) % 3]
+        area2 = abs((p[0] - s[0]) * (p2[1] - s[1]) - (p[1] - s[1]) * (p2[0] - s[0]))
+        if area2 <= 1e-14 * h * h:
+            continue
+        sp, sw = _sector_rule(s, p, p2, mu, breakpoints, degree)
+        pts.append(sp)
+        wts.append(sw)
+    return np.vstack(pts), np.concatenate(wts)

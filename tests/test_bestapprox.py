@@ -709,10 +709,12 @@ def test_level_factor_is_priced_before_it_is_built(monkeypatch):
     free = np.ones(space.n_nodes, dtype=bool)
     free[0] = False
     A = _free_operator(tables, coeff.values, 0.0, free)
+    # the levels of the free nodes, less the one that held only node 0
     widths = np.bincount(space.node_levels[free])
-    assert (widths > 0).all()
-    # 8 bytes per entry of the diagonal and coupling blocks
+    widths = widths[widths > 0]
+    # 8 bytes per entry of the diagonal and coupling blocks, with nothing held
     need = 8 * (widths @ widths + widths[1:] @ widths[:-1])
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
     monkeypatch.setattr(A, "entries", lambda: pytest.fail("blocks built before the price"))
     monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need - 1)
     with pytest.raises(ParameterOutOfRange, match=(
@@ -720,8 +722,13 @@ def test_level_factor_is_priced_before_it_is_built(monkeypatch):
             f"{need / 2**30:.3g} GiB of {(need - 1) / 2**30:.3g} GiB of memory$")):
         LevelFactor(A, space.node_levels[free])
     monkeypatch.undo()
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
     monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need)
     LevelFactor(A, space.node_levels[free])
+    # one byte held by the process tips it over
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 1)
+    with pytest.raises(ParameterOutOfRange, match="^a level factor of 40 unknowns"):
+        LevelFactor(A, space.node_levels[free])
 
 
 def test_solve_spd_by_a_factor_ignores_rtol():

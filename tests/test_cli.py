@@ -542,6 +542,34 @@ def test_a_level_factor_too_large_is_refused_in_one_line(capsys, monkeypatch, co
                         r"needs about \S+ GiB of 0 GiB of memory\n", captured.err)
 
 
+def test_stars_refuses_a_factor_that_does_not_fit_beside_what_the_run_holds(capsys, monkeypatch):
+    """At 64 MiB of memory the N = 6 sweep's estimate (1.4 MB) and its level
+    factor (about 14 kB) each fit, but not the factor beside what the run
+    holds once all but 4 KiB of it are: exit 1 and one line."""
+    import qmloc.bestapprox
+    import qmloc.harness
+
+    memory = 2**26
+    monkeypatch.setattr(qmloc.harness, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
+    assert main(["stars", "--n", "6", "--format", "json"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: memory - 4096)
+    assert main(["stars", "--n", "6", "--format", "json"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: a level factor of 121 unknowns, \d+ levels up to \d+ wide, "
+                        r"needs about 0.0625 GiB of 0.0625 GiB of memory\n", captured.err)
+
+
+def test_held_memory_is_read_where_the_system_reports_it():
+    from qmloc.bestapprox import _held_memory
+
+    held = _held_memory()
+    assert held > 0 if os.path.exists("/proc/self/statm") else held == 0
+
+
 def test_rd_at_the_largest_betas_is_finite_at_degree_1(capsys):
     # the level factor solves these systems: the best error tends to beta
     # times the L2 best error as beta dominates the gradient term

@@ -2,13 +2,15 @@
 import numpy as np
 import pytest
 
+from qmloc.counterexamples import checkerboard_mesh, fig1_left_pattern, hexagon_mesh
 from qmloc.errors import PointOutsideElement, UnsupportedDegree
 from qmloc.fespace import (_lattice, build_space, edge_basis_1d, element_dual_basis,
                            element_mass_matrix, reference_basis)
 from qmloc.mesh import build_triangulation, uniform_refine
 
 import mesh_reference
-from fespace_reference import element_basis, eval_basis, face_dual_basis
+from fespace_reference import (element_basis, eval_basis, face_dual_basis,
+                               pseudo_peripheral_levels)
 
 V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 T = np.array([[0, 1, 2], [0, 2, 3]])
@@ -232,3 +234,32 @@ def test_node_levels_are_a_level_structure(degree):
         assert (spread.max(axis=1) - spread.min(axis=1) <= 1).all()
     near, far = levels[space.nodes[:, 0] < 1.5], levels[space.nodes[:, 0] > 1.5]
     assert near.max() < far.min() or far.max() < near.min()
+
+
+_LEVEL_SPACES = ({f"fig1-{r}": (lambda r=r: build_space(fig1_left_pattern(1.0, r)[0], 1))
+                  for r in range(1, 6)}
+                 | {f"checkerboard-{N}": (lambda N=N: build_space(checkerboard_mesh(N)[0], 1,
+                                                                  dirichlet_on_boundary=True))
+                    for N in range(2, 17)}
+                 | {"hexagon": lambda: build_space(hexagon_mesh(0.1)[0], 1),
+                    "hexagon-dirichlet": lambda: build_space(hexagon_mesh(0.1)[0], 1,
+                                                             dirichlet_on_boundary=True)})
+
+
+@pytest.mark.parametrize("case", sorted(_LEVEL_SPACES))
+def test_one_search_prices_the_factor_as_the_pseudo_peripheral_levels(case):
+    """On every free set `ritz_each` factors over (the unknowns; all nodes
+    or all but node 0 on a space without Dirichlet nodes), the levels of
+    one search from a node of least degree have the widths of the
+    pseudo-peripheral levels, in the same or the reverse order, and so the
+    same factor price 8 (sum w_i^2 + sum w_i w_(i-1))."""
+    space = _LEVEL_SPACES[case]()
+    free = ~space.dirichlet
+    pinned = free.copy()
+    pinned[0] = False
+    for unknowns in ([free] if space.dirichlet.any() else [free, pinned]):
+        got = np.bincount(space.node_levels[unknowns])
+        want = np.bincount(pseudo_peripheral_levels(space)[unknowns])
+        got, want = got[got > 0], want[want > 0]
+        assert np.array_equal(got, want) or np.array_equal(got, want[::-1])
+        assert got @ got + got[1:] @ got[:-1] == want @ want + want[1:] @ want[:-1]

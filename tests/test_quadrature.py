@@ -7,8 +7,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from quadrature_reference import (assert_plan_matches, dense_plan, element_rules,
-                                  unit_singular_rule_loop)
+                                  polar_triangle_rule_branches, unit_singular_rule_loop)
 from test_bestapprox import _perturbed_grid
 
 from qmloc.bestapprox import element_tables
@@ -17,7 +19,7 @@ from qmloc.counterexamples import (analytic_energy_reference, checkerboard_mesh,
                                    hexagon_target, radial_profile, radial_profile_derivative)
 from qmloc.fespace import build_space
 from qmloc.fields import SingularPoint, TargetField, smooth_target
-from qmloc.harness import DEFAULT_EPS
+from qmloc.harness import DEFAULT_EPS, _tables
 from qmloc.mesh import build_triangulation
 from qmloc.quadrature import (_dense_singular_rule, _gauss_jacobi, _locate, _singular_span,
                               _unit_singular_rule, make_quadrature_plan, polar_triangle_rule,
@@ -150,11 +152,29 @@ TABLE_FIELDS = {"grad_moments": "grad_moments", "grad_sq": "grad_sq",
                 "grad_fits": "grad_fits", "grad_residual": "grad_sq",
                 "value_moments": "value_moments", "value_sq": "value_sq",
                 "value_fits": "value_fits", "value_residual": "value_sq"}
+
+
+def _macro_cell(N):
+    """The elements of the N x N checkerboard that `harness._tables` keys as
+    distinct, one macro cell of 8 elements, as their own mesh; with the
+    target.  (`test_congruent_cells_have_equal_tables` ties every element's
+    tables to those of its translate in this cell.)"""
+    tri, _ = checkerboard_mesh(N)
+    target, cells = checkerboard_target(N), []
+
+    def plan_of(sub, target, exactness):
+        cells.append(sub)
+        return make_quadrature_plan(sub, target, exactness)
+
+    with mock.patch("qmloc.harness.make_quadrature_plan", plan_of):
+        _tables(tri, [target], 1)
+    assert [cell.n_elements for cell in cells] == [8]
+    return cells[0], target
+
+
 DENSE_CASES = {**{f"hexagon-{eps}": (lambda eps=eps: (hexagon_mesh(eps)[0], hexagon_target(eps)))
                   for eps in DEFAULT_EPS},
-               **{f"checkerboard-{N}": (lambda N=N: (checkerboard_mesh(N)[0],
-                                                     checkerboard_target(N)))
-                  for N in (2, 4, 6, 8)}}
+               **{f"checkerboard-{N}": (lambda N=N: _macro_cell(N)) for N in (2, 4, 6, 8)}}
 
 
 @pytest.mark.parametrize("case", sorted(DENSE_CASES))
@@ -162,10 +182,14 @@ def test_tables_match_the_dense_rule_plan(case):
     """Every target field of `element_tables`, P1--P4 on the sweep plans
     (exactness 2l + 6), within 1e-8 of the dense-rule plan's, relative to
     the field's largest entry; a residual relative to the largest norm of u
-    it is the residual of, the scale of its quadrature error.  (The gap in
-    grad_sq, 8.9e-9 at N = 8, is the dense rule's own: its innermost nodes
-    sit 2e-11 from s, where x - s keeps 5 digits.)"""
+    it is the residual of, the scale of its quadrature error.  (The largest
+    gap reads 1.2e-14: the tables evaluate polar nodes at their offsets from
+    s, so the dense rule's innermost nodes, 2e-11 from s, keep their digits.)
+    On the checkerboard the tables are compared on one macro cell, which
+    holds all six of its polar classes."""
     tri, target = DENSE_CASES[case]()
+    if case.startswith("checkerboard"):
+        assert len(make_quadrature_plan(tri, target).rules) == 7
     for ell in (1, 2, 3, 4):
         space = build_space(tri, ell, dirichlet_on_boundary=True)
         sub = element_tables(target, make_quadrature_plan(tri, target, 2 * ell + 6), space)
@@ -347,6 +371,47 @@ def test_panel_count_is_translation_invariant():
     assert sum(len(w) for _, w in rules) == 72 * 25 + 36 * (40 * (n_unit + 30) + 40 * (n_unit + 40))
 
 
+def _polar_point(verts, where, i, t, u):
+    """A point of the triangle `verts` for `where`: at vertex i, within
+    1e-13 h of it (toward the centroid), on the edge (v_i, v_(i+1)) at t,
+    within 1e-13 h of that edge's line (inward), or inside at the
+    barycentric weights u."""
+    h = max(np.linalg.norm(verts[a] - verts[b]) for a in range(3) for b in range(a))
+    p, p2 = verts[i], verts[(i + 1) % 3]
+    if where == "vertex":
+        return p
+    if where == "near-vertex":
+        d = verts.mean(axis=0) - p
+        return p + 1e-13 * h * u[0] * d / np.linalg.norm(d)
+    on = (1.0 - t) * p + t * p2
+    if where == "edge":
+        return on
+    if where == "near-edge":
+        d = verts.mean(axis=0) - on
+        n = np.array([p[1] - p2[1], p2[0] - p[0]])
+        n *= np.sign(n @ d) / np.linalg.norm(n)
+        return on + 1e-13 * h * u[0] * n
+    return (u / u.sum()) @ verts
+
+
+@settings(max_examples=60, deadline=None)
+@given(corners=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       where=st.sampled_from(["vertex", "near-vertex", "edge", "near-edge", "inside"]),
+       i=st.integers(0, 2), t=st.floats(0.01, 0.99),
+       u=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+       mu=st.sampled_from([1 / 6, 0.25, 0.5]))
+def test_one_polar_loop_equals_the_vertex_and_fan_branches(corners, where, i, t, u, mu):
+    verts = np.array(corners).reshape(3, 2)
+    h = max(np.linalg.norm(verts[a] - verts[b]) for a in range(3) for b in range(a))
+    (a, b), (c, d) = verts[1] - verts[0], verts[2] - verts[0]
+    assume(abs(a * d - b * c) > 1e-2 * h * h)  # a shape-regular triangle
+    s = _polar_point(verts, where, i, t, np.array(u))
+    args = (*verts, s, mu, (0.05 * h,), 2)
+    pts, wts = polar_triangle_rule(*args)
+    want_pts, want_wts = polar_triangle_rule_branches(*args)
+    assert np.array_equal(pts, want_pts) and np.array_equal(wts, want_wts)
+
+
 @pytest.mark.parametrize("N", range(2, 9))
 def test_checkerboard_has_six_polar_classes(N):
     calls = []
@@ -404,6 +469,9 @@ def test_plan_weights_are_a_lazy_sequence():
             == sum(len(w) * n for (_, w, _), n in zip(plan.rules, counts)))
     for k in (0, plan.singular_elements[0], tri.n_elements - 1):
         assert np.array_equal(plan.weights[k], plan.element_rule(k)[1])
+    # built once, on first access, and read-only
+    assert plan.weights is plan.weights and isinstance(plan.weights, tuple)
+    assert not any(w.flags.writeable for w in plan.weights)
     # blocks map every element once, within its class and the node budget, a
     # polar one to the offsets from its singular point
     seen = np.zeros(tri.n_elements, dtype=int)
