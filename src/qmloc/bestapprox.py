@@ -1,7 +1,8 @@
 """Best-approximation errors: one table of element matrices, target
 moments, norms and element fits, the global Ritz solve (a level-set block
-factor at degree 1, Jacobi-CG above), and one
-batched local Ritz kernel (`local_ritz`) for every element, pair and star.
+factor at degree 1, Jacobi-CG above) of several operators and targets at
+once, and one batched local Ritz kernel (`local_ritz_each`) for every
+element, pair and star and every target.
 
 Every error, of a best approximation, an explicit candidate or an
 interpolant, comes from one element-layout form (`_error`): by Galerkin
@@ -244,27 +245,46 @@ class SparseMatrix:
 
     def entries(self):
         """The stored (rows, cols, values), sorted by row and column."""
-        rows = np.concatenate([np.broadcast_to(R, C.shape).ravel() for R, C, _ in self._blocks])
-        cols = np.concatenate([C.ravel() for _, C, _ in self._blocks])
-        values = np.concatenate([V.ravel() for _, _, V in self._blocks])
-        real = (rows >= 0) & (cols >= 0)
-        rows, cols, values = rows[real], cols[real], values[real]
+        rows, cols, values = self._stored()
         order = np.lexsort((cols, rows))
         return rows[order], cols[order], values[order]
 
+    def _stored(self):
+        """The stored (rows, cols, values) in the order of the padded
+        blocks; matrices of the same keys store theirs in the same order."""
+        rows = np.concatenate([np.broadcast_to(R, C.shape).ravel() for R, C, _ in self._blocks])
+        cols = np.concatenate([C.ravel() for _, C, _ in self._blocks])
+        values = np.concatenate([V.ravel() for _, _, V in self._blocks])
+        real = cols >= 0  # a padding row -1 holds only padding columns
+        return rows[real], cols[real], values[real]
 
-def _summed(keys, values):
-    """The distinct `keys`, sorted, and the sum of the `values` of each, in
-    the order given.  Pass arrays the call may free: it keeps no copy."""
+    def _same_pattern(self, other) -> bool:
+        """Whether `other` stores its entries at the same rows and columns."""
+        return self.shape == other.shape and len(self._blocks) == len(other._blocks) and all(
+            np.array_equal(R, R2) and np.array_equal(C, C2)
+            for (R, C, _), (R2, C2, _) in zip(self._blocks, other._blocks))
+
+
+def _keyed(keys):
+    """The distinct `keys`, sorted, and the index of each key among them.
+    Pass an array the call may free: it keeps no copy."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    values = values[order]
-    del order
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     group = np.cumsum(first)
     group -= 1
-    return keys[first], np.bincount(group, values)
+    keys = keys[first]
+    slot = np.empty_like(group)
+    slot[order] = group
+    return keys, slot
+
+
+def _summed(keys, values):
+    """The distinct `keys`, sorted, and the sum of the `values` of each, in
+    the order given (`bincount` adds each bin's values in input order)."""
+    keys, slot = _keyed(keys)
+    return keys, np.bincount(slot, values, minlength=len(keys))
 
 
 def _axis_mask(index, n: int) -> np.ndarray:
@@ -307,63 +327,32 @@ class LevelFactor:
     i - 1 (George and Liu, 1981).  Emptied levels are dropped: the levels on
     either side of one do not couple.  Only the lower triangle is read.
 
-    Raises ParameterOutOfRange, before any block is allocated, when the
-    factor's blocks and what the process already holds need more than the
-    machine's physical memory; SolverFailure for a pivot block that is not
-    finite or not positive definite; ValueError for entries between levels
-    that are not adjacent.
+    `LevelFactor.each` factors several matrices of one pattern as one stack:
+    each step runs on the (T, w, w) blocks of all T at once, bit for bit as
+    on each alone, and each matrix gets its member of the stack.
+
+    Raises ParameterOutOfRange, before any block is allocated or any entry
+    read, when the factors' blocks and what the process already holds need
+    more than the machine's physical memory; SolverFailure for a pivot block
+    that is not finite or not positive definite; ValueError for entries
+    between levels that are not adjacent, or matrices of different patterns.
     """
 
     def __init__(self, matrix: SparseMatrix, levels):
-        levels = np.asarray(levels)
-        distinct = _sorted_distinct(levels)
-        level = np.searchsorted(distinct, levels)
-        widths = np.bincount(level, minlength=len(distinct))
-        pairs = widths[1:] * widths[:-1]
-        need = 8 * (int(widths @ widths) + int(pairs.sum())) + _held_memory()
-        have = _physical_memory()
-        if need > have:
-            raise ParameterOutOfRange(
-                f"a level factor of {len(level)} unknowns, {len(widths)} levels up to "
-                f"{widths.max()} wide, needs about {need / 2**30:.3g} GiB of "
-                f"{have / 2**30:.3g} GiB of memory")
-        self._order = np.argsort(level, kind="stable")
-        ends = np.cumsum(widths)
-        rank = np.empty(len(level), dtype=np.intp)
-        rank[self._order] = np.arange(len(level)) - np.repeat(ends - widths, widths)
-        # every block of the lower triangle in one flat buffer, by level pair;
-        # each becomes its block of the factor in place
-        rows, cols, values = matrix.entries()
-        if np.any(np.abs(levels[rows] - levels[cols]) > 1):
-            raise ValueError("the matrix couples levels that are not adjacent")
-        i, j = level[rows], level[cols]
-        size = np.concatenate([[0], widths * widths, pairs])
-        start = np.cumsum(size)[:-1]
-        lower = i >= j
-        i, j, rows, cols = i[lower], j[lower], rows[lower], cols[lower]
-        blocks = np.zeros(int(size.sum()))
-        blocks[start[np.where(i > j, i - 1 + len(widths), i)] + rank[rows] * widths[j]
-               + rank[cols]] = values[lower]
-        self._slices = [slice(e - w, e) for e, w in zip(ends, widths)]
-        self._ginv, self._h = [], []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, w in enumerate(widths):
-                S = blocks[start[k]:start[k] + w * w].reshape(w, w)
-                if k:
-                    at = start[k - 1 + len(widths)]
-                    H = blocks[at:at + w * widths[k - 1]].reshape(w, -1)
-                    H[...] = H @ self._ginv[-1].T
-                    S -= H @ H.T
-                    self._h.append(H)
-                if not np.isfinite(S).all():
-                    raise SolverFailure(f"pivot block {k} of the level factor not finite; "
-                                        "the system overflows")
-                try:
-                    S[...] = np.linalg.inv(np.linalg.cholesky(S))
-                except np.linalg.LinAlgError:
-                    raise SolverFailure(f"pivot block {k} of the level factor is not "
-                                        "positive definite") from None
-                self._ginv.append(S)
+        self._member(_level_blocks([matrix], levels), 0)
+
+    @classmethod
+    def each(cls, matrices, levels) -> list:
+        """The factor of each of `matrices`, which share one pattern."""
+        stack = _level_blocks(matrices, levels)
+        out = [cls.__new__(cls) for _ in matrices]
+        for t, factor in enumerate(out):
+            factor._member(stack, t)
+        return out
+
+    def _member(self, stack, t: int) -> None:
+        self._order, self._slices, ginv, h = stack
+        self._ginv, self._h = [g[t] for g in ginv], [c[t] for c in h]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b, by one forward and one backward sweep over the
@@ -380,6 +369,70 @@ class LevelFactor:
         if not np.isfinite(x).all():
             raise SolverFailure("level factor solution not finite; the system overflows")
         return x
+
+
+def _level_blocks(matrices, levels):
+    """The stacked level factor of `matrices` (`LevelFactor`): the unknowns'
+    order by level, each level's slice of that order, and per level the
+    (T, w, w) inverses G_i^-1 and the (T, w, w') coupling blocks H_i."""
+    levels, T = np.asarray(levels), len(matrices)
+    distinct = _sorted_distinct(levels)
+    level = np.searchsorted(distinct, levels)
+    widths = np.bincount(level, minlength=len(distinct))
+    pairs = widths[1:] * widths[:-1]
+    need = T * 8 * (int(widths @ widths) + int(pairs.sum())) + _held_memory()
+    have = _physical_memory()
+    if need > have:
+        stack = f"a stack of {T} level factors" if T > 1 else "a level factor"
+        raise ParameterOutOfRange(
+            f"{stack} of {len(level)} unknowns, {len(widths)} levels up to "
+            f"{widths.max()} wide, needs about {need / 2**30:.3g} GiB of "
+            f"{have / 2**30:.3g} GiB of memory")
+    first = matrices[0]
+    if not all(first._same_pattern(m) for m in matrices[1:]):
+        raise ValueError("a stack of level factors needs matrices of one pattern")
+    order = np.argsort(level, kind="stable")
+    ends = np.cumsum(widths)
+    rank = np.empty(len(level), dtype=np.intp)
+    rank[order] = np.arange(len(level)) - np.repeat(ends - widths, widths)
+    rows, cols, _ = first._stored()
+    if np.any(np.abs(levels[rows] - levels[cols]) > 1):
+        raise ValueError("the matrix couples levels that are not adjacent")
+    # each entry of the lower triangle at its place in its row's level: the
+    # diagonal block D_i, then the coupling block C_i
+    i, j = level[rows], level[cols]
+    lower = i >= j
+    i, j = i[lower], j[lower]
+    at = np.where(i > j, widths[i] ** 2, 0) + rank[rows[lower]] * widths[j] + rank[cols[lower]]
+    values = np.stack([m._stored()[2][lower] for m in matrices])
+    by_level = np.argsort(i, kind="stable")  # level k's entries: cuts[k]:cuts[k + 1]
+    at, values = at[by_level], values[:, by_level]
+    cuts = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=len(widths)))])
+    del rows, cols, lower, i, j, by_level
+    # each level's blocks of all T factors in an array of its own, which
+    # become the blocks of the factor in place
+    ginv, h = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, w in enumerate(widths):
+            prev = widths[k - 1] if k else 0
+            level_blocks = np.zeros((T, w * (w + prev)))
+            level_blocks[:, at[cuts[k]:cuts[k + 1]]] = values[:, cuts[k]:cuts[k + 1]]
+            S = level_blocks[:, :w * w].reshape(T, w, w)
+            if k:
+                H = level_blocks[:, w * w:].reshape(T, w, prev)
+                H[...] = H @ ginv[-1].transpose(0, 2, 1)
+                S -= H @ H.transpose(0, 2, 1)
+                h.append(H)
+            if not np.isfinite(S).all():
+                raise SolverFailure(f"pivot block {k} of the level factor not finite; "
+                                    "the system overflows")
+            try:
+                S[...] = np.linalg.inv(np.linalg.cholesky(S))
+            except np.linalg.LinAlgError:
+                raise SolverFailure(f"pivot block {k} of the level factor is not "
+                                    "positive definite") from None
+            ginv.append(S)
+    return order, [slice(e - w, e) for e, w in zip(ends, widths)], ginv, h
 
 
 @dataclass
@@ -461,45 +514,88 @@ def ritz(tables: ElementTables, a, beta: float = 0.0):
 
 def ritz_each(tables: list, a, beta: float = 0.0) -> list:
     """`ritz` of each of `tables`, the tables of several targets in one
-    space: the operator is assembled and restricted to the free nodes once,
-    at degree 1 factored once (`LevelFactor`), and each target takes one
-    solve with it, by the factor or by CG above degree 1.  Returns a list of
-    (error_sq, x).  Raises ValueError for tables of different spaces.
+    space, by one operator: `ritz_family` of the one (a, beta)."""
+    return ritz_family(tables, [(a, beta)])[0]
+
+
+def ritz_family(tables: list, operators) -> list:
+    """`ritz_each` of each (a, beta) of `operators`.  The operators of one
+    free set (all but the Dirichlet nodes; on a space without any, at
+    beta = 0, all but the lowest-id node) share one free-entry pattern
+    (`_operators`), each assembled over it by one `bincount`; at degree 1
+    they are factored as one stack (`LevelFactor.each`), above it built and
+    solved one at a time by CG.  Each target takes one `solve_spd` per
+    operator.  Returns, per operator, the list of (error_sq, x) per target.
+    Raises ValueError for tables of different spaces.
     """
+    operators = [(np.asarray(a, dtype=float), beta) for a, beta in operators]
+    out = [[] for _ in operators]
     if not tables:
-        return []
-    w, first = np.asarray(a, dtype=float), tables[0]
+        return out
+    first = tables[0]
     if any(t.space is not first.space for t in tables):
         raise ValueError("ritz_each needs the tables of one space")
-    en, m = first.space.element_nodes, first.space.n_nodes
-    free = ~first.space.dirichlet
-    if free.all() and beta == 0.0:
-        free[0] = False
-    A = _free_operator(first, w, beta, free)
-    factor = LevelFactor(A, first.space.node_levels[free]) if first.space.degree == 1 else None
-    out = []
-    for t in tables:
-        f = _element_loads(t, w, beta, slice(None))
-        b = np.bincount(en.ravel(), weights=f.ravel(), minlength=m)
-        x = np.zeros(m)
-        x[free] = solve_spd(SpdSystem(matrix=A, rhs=b[free], factor=factor))
-        # the energy of the computed approximant: an error in x enters only to second order
-        out.append((float(_error(t, w, beta, slice(None), x[en]).sum()), x))
+    dirichlet = first.space.dirichlet
+    pinned = [beta == 0.0 and not dirichlet.any() for _, beta in operators]
+    for pin in dict.fromkeys(pinned):  # each free set, in the order of first use
+        ids = [k for k, p in enumerate(pinned) if p == pin]
+        free = ~dirichlet
+        if pin:
+            free[0] = False
+        for k, per_target in zip(ids, _ritz_free_set(tables, [operators[k] for k in ids], free)):
+            out[k] = per_target
     return out
+
+
+def _ritz_free_set(tables: list, operators, free) -> list:
+    """`ritz_family` of operators of one free set: per operator, the list of
+    (error_sq, x) per target.  What it builds is freed on return."""
+    space = tables[0].space
+    en, m = space.element_nodes, space.n_nodes
+    systems = _operators(tables[0], operators, free)
+    if space.degree == 1:  # the whole stack, factored at once
+        matrices = list(systems)
+        systems = zip(matrices, LevelFactor.each(matrices, space.node_levels[free]))
+    else:  # one at a time
+        systems = ((A, None) for A in systems)
+    out = []
+    for (a, beta), (A, factor) in zip(operators, systems):
+        out.append([])
+        for t in tables:
+            f = _element_loads(t, a, beta, slice(None))
+            b = np.bincount(en.ravel(), weights=f.ravel(), minlength=m)
+            x = np.zeros(m)
+            x[free] = solve_spd(SpdSystem(matrix=A, rhs=b[free], factor=factor))
+            # the energy of the computed approximant: an error in x enters only to
+            # second order
+            out[-1].append((float(_error(t, a, beta, slice(None), x[en]).sum()), x))
+    return out
+
+
+def _operators(tables: ElementTables, operators, free):
+    """The operator of each (a, beta) of `operators` restricted to the `free`
+    nodes, renumbered, in turn.  All are assembled over one free-entry
+    pattern: the sorted distinct keys row * max(n, 1) + col of the element
+    entries in free rows and columns, and the key of each such entry, in
+    element order and row-major within each element matrix, so one
+    `bincount` sums each key's entries in element order, as `SparseMatrix`
+    sums duplicates.  The entries of other rows and columns are dropped
+    before assembly, and the pattern before the first matrix is built."""
+    node = _renumbered(free)[tables.space.element_nodes]
+    n = int(np.count_nonzero(free))
+    kept = ((node[:, :, None] >= 0) & (node[:, None, :] >= 0)).ravel()
+    keys, slot = _keyed((node[:, :, None] * max(n, 1) + node[:, None, :]).ravel()[kept])
+    values = [np.bincount(slot, _element_matrices(tables, a, beta, slice(None)).ravel()[kept],
+                          minlength=len(keys)) for a, beta in operators]
+    del node, kept, slot
+    while values:
+        yield SparseMatrix._of(keys, values.pop(0), (n, n))
 
 
 def _free_operator(tables: ElementTables, a, beta: float, free) -> SparseMatrix:
     """The operator of `_element_matrices` restricted to the `free` nodes,
-    renumbered: the entries of other rows and columns are dropped before
-    assembly."""
-    node = _renumbered(free)[tables.space.element_nodes]
-    n = int(np.count_nonzero(free))
-    nc = max(n, 1)
-    # element order, row-major within each element matrix
-    keep = ((node[:, :, None] >= 0) & (node[:, None, :] >= 0)).ravel()
-    return SparseMatrix._of(*_summed((node[:, :, None] * nc + node[:, None, :]).ravel()[keep],
-                                     _element_matrices(tables, a, beta, slice(None)).ravel()[keep]),
-                            (n, n))
+    renumbered, as `ritz_family` assembles it."""
+    return next(_operators(tables, [(a, beta)], free))
 
 
 def _element_matrices(tables: ElementTables, a, beta: float, elems):
@@ -535,16 +631,30 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0):
 
     `regions` holds distinct element ids per region, as CSR (`qmloc.mesh`).
     Each minimizes the energy of `ritz` on its elements, with V = 0 at the
-    space's Dirichlet nodes and the lowest-id node pinned as there.  Regions
-    of equal element and node count share one scatter and one batched dense
-    solve, fixed nodes as identity rows.  Returns the (P,) errors and V at
-    the local nodes of each region's elements (P, E, nloc), zero-padded to
-    the largest region.  Raises SolverFailure naming a singular region.
+    space's Dirichlet nodes and the lowest-id node pinned as there.  Returns
+    the (P,) errors and V at the local nodes of each region's elements
+    (P, E, nloc), zero-padded to the largest region.  Raises SolverFailure
+    naming a singular region.  The one-target call of `local_ritz_each`.
     """
-    a = np.asarray(a, dtype=float)
-    en_all, n = tables.space.element_nodes, tables.space.n_nodes
+    return local_ritz_each([tables], a, regions, beta)[0]
+
+
+def local_ritz_each(tables: list, a, regions, beta: float = 0.0) -> list:
+    """`local_ritz` of each of `tables`, the tables of several targets in
+    one space.  Regions of equal element and node count share one layout,
+    one scatter of their systems, fixed nodes as identity rows, and one
+    broadcast dense solve of every target's loads, one LU solve per target
+    and region as in a call of its own.  Returns a list of (errors, V) per
+    target.  Raises ValueError for tables of different spaces.
+    """
+    if not tables:
+        return []
+    a, first, T = np.asarray(a, dtype=float), tables[0], len(tables)
+    if any(t.space is not first.space for t in tables):
+        raise ValueError("local_ritz_each needs the tables of one space")
+    en_all, n = first.space.element_nodes, first.space.n_nodes
     sizes = np.diff(regions[0])
-    x = np.zeros((len(sizes), sizes.max(initial=0), en_all.shape[1]))
+    x = np.zeros((T, len(sizes), sizes.max(initial=0), en_all.shape[1]))
     for ids, elems in _region_groups(regions):
         E = elems.shape[1]
         en = en_all[elems].reshape(len(ids), -1)
@@ -558,22 +668,25 @@ def local_ritz(tables: ElementTables, a, regions, beta: float = 0.0):
             # index into the stacked (G * m) nodes: search each region's own
             off = np.arange(G)[:, None] * n
             loc = np.searchsorted((nodes + off).ravel(), (en[sub] + off).ravel()).reshape(G, E, -1)
-            K = _element_matrices(tables, a, beta, elems[sub])
-            f = _element_loads(tables, a, beta, elems[sub])
+            K = _element_matrices(first, a, beta, elems[sub])
             flat = loc[..., :, None] * m + loc[..., None, :] % m
             A = np.bincount(flat.ravel(), K.ravel(), G * m * m).reshape(G, m, m)
-            b = np.bincount(loc.ravel(), f.ravel(), G * m).reshape(G, m)
-            free = ~tables.space.dirichlet[nodes]
+            b = np.stack([np.bincount(loc.ravel(), _element_loads(t, a, beta, elems[sub]).ravel(),
+                                      G * m) for t in tables]).reshape(T, G, m)
+            free = ~first.space.dirichlet[nodes]
             if beta == 0.0:
                 free[free.all(axis=1), 0] = False
             A *= free[:, :, None] & free[:, None, :]
             A[:, np.arange(m), np.arange(m)] += ~free
+            b *= free
             try:
-                x[P, :E] = np.linalg.solve(A, (free * b)[..., None]).ravel()[loc]
+                v = np.linalg.solve(A, b[..., None])
             except np.linalg.LinAlgError:  # singular: slogdet sign 0 (det may underflow)
                 bad = elems[sub][np.argmin(np.abs(np.linalg.slogdet(A)[0]))].tolist()
                 raise SolverFailure(f"singular local system on elements {bad}") from None
-    return _region_errors(tables, a, regions, x, beta), x
+            for xt, vt in zip(x, v):
+                xt[P, :E] = vt.ravel()[loc]
+    return [(_region_errors(t, a, regions, v, beta), v) for t, v in zip(tables, x)]
 
 
 def _region_errors(tables: ElementTables, a, regions, v, beta: float = 0.0):

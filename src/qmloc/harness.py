@@ -9,7 +9,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .bestapprox import (LocalizationReport, _physical_memory, _region_errors,
-                         element_tables_each, local_element_errors, local_ritz, ritz, ritz_each)
+                         element_tables_each, local_element_errors, local_ritz, local_ritz_each,
+                         ritz, ritz_family)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (_checkerboard_eps, _hexagon_eps, analytic_energy_reference,
                               checkerboard_mesh, checkerboard_target, fig1_left_values,
@@ -173,11 +174,13 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     vertex star errors, with patch classification and explicit candidate
     upper bounds."""
     # the degree, then every N, its range and the memory of its 8 N^2
-    # elements, before any target (N^2 singular points) or mesh is built
+    # elements and of its P1 level factor, before any target (N^2 singular
+    # points) or mesh is built
     require_degree(degree)
     for N in n_values:
         _checkerboard_eps(N)
-        _require_memory(f"N={N}", 8.0 * N**2, degree, _STAR_BYTES_PER_ELEMENT)
+        _require_memory(f"N={N}", 8.0 * N**2, degree, _STAR_BYTES_PER_ELEMENT,
+                        _star_factor_bytes(N) if degree == 1 else 0)
     reports = []
     for N in n_values:
         tri, coeff = checkerboard_mesh(N)
@@ -207,18 +210,31 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
 # For the fig1 sweeps: twice the larger peak-RSS slope of `alpha` and `rd`
 # (default alphas and betas; `rd` has the larger at every degree) between
 # --refines 4 and 5, by getrusage of a fresh process on 2 cores, Python 3.11,
-# numpy 2.4, with every target's tables held at once.
-_BYTES_PER_ELEMENT = {1: 21_640, 2: 23_620, 3: 36_190, 4: 75_898}
+# numpy 2.4, with every target's tables held at once; at degree 1 with the
+# operators of one free set factored as one stack.
+_BYTES_PER_ELEMENT = {1: 22_540, 2: 23_620, 3: 36_190, 4: 75_898}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
 # (2,048 and 8,192 elements), measured the same way.
 _STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
 
 
-def _require_memory(what: str, n_elements: float, degree: int, per_element: dict) -> None:
+def _star_factor_bytes(N: int) -> int:
+    """The bytes of the `stars` level factor at degree 1 and N, as
+    `bestapprox.LevelFactor` prices them, 8 (sum w_i^2 + sum w_i w_(i-1)):
+    its unknowns are the (2N - 1)^2 interior vertices of the checkerboard,
+    whose levels are the anti-diagonals of their grid, 1, 2, ..., k, ..., 2,
+    1 wide with k = 2N - 1, so sum w_i^2 = k^2 + 2 sum_(d<k) d^2 and
+    sum w_i w_(i-1) = 2 sum_(d<k) d (d + 1), and the price grows like N^3."""
+    k = 2 * N - 1
+    return 8 * (k * k + (k - 1) * k * (2 * k - 1) // 3 + 2 * (k - 1) * k * (k + 1) // 3)
+
+
+def _require_memory(what: str, n_elements: float, degree: int, per_element: dict,
+                    extra: int = 0) -> None:
     """Raises ParameterOutOfRange when `n_elements` elements at `degree`, at
-    the bytes per element of the table `per_element`, need more than the
-    machine's physical memory."""
-    need = n_elements * per_element[degree]
+    the bytes per element of the table `per_element`, and `extra` bytes
+    more need more than the machine's physical memory."""
+    need = n_elements * per_element[degree] + extra
     have = _physical_memory()
     if need > have:
         raise ParameterOutOfRange(f"{what} at degree {degree} needs about "
@@ -257,9 +273,10 @@ def _fig1_tables(pattern: str, alpha_values, targets: dict, degree: int, refines
     return tri, coeffs, _tables(tri, list(targets.values()), degree)
 
 
-def _global_sq(tables: list, a, beta: float = 0.0) -> list:
-    """The global best error of each of `tables`, by one shared operator."""
-    return [err for err, _ in ritz_each(tables, a, beta)]
+def _global_sq(tables: list, operators) -> list:
+    """Per (a, beta) of `operators`, the global best error of each of
+    `tables`, by one `ritz_family` call."""
+    return [[err for err, _ in per_target] for per_target in ritz_family(tables, operators)]
 
 
 def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
@@ -271,8 +288,8 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
     tri, coeffs, tables = _fig1_tables(pattern, alpha_values, targets, degree, refines)
     reports = []  # per alpha, in target order
     for alpha, coeff in zip(alpha_values, coeffs):
-        for (name, target), tab, global_sq in zip(targets.items(), tables,
-                                                  _global_sq(tables, coeff.values)):
+        (global_sqs,) = _global_sq(tables, [(coeff.values, 0.0)])
+        for (name, target), tab, global_sq in zip(targets.items(), tables, global_sqs):
             elements = list(enumerate(local_element_errors(tab, coeff).tolist()))
             itp = quasi_interpolate(target, tab, coeff)
             interp_sq = float(interpolation_error_sq(itp, tab, coeff).sum())
@@ -295,22 +312,26 @@ def run_reaction_diffusion(pattern: str = "fig1-left", alpha_values=(1.0, 1e-4),
                            degree: int = 1, refines: int = 2) -> list:
     """Combined-norm equivalence sweep on a quasi-monotone tiling.  The L2
     global error and pair list are computed once per target, the gradient
-    ones once per target and alpha, each locus list shared by its reports;
-    each global operator is built once for all targets."""
+    ones once per target and alpha, each locus list shared by its reports.
+    At each alpha one `ritz_family` call builds the gradient operator, the
+    combined operator of every beta and, at the first alpha, the L2
+    operator, each once for all targets; one `local_ritz_each` call lays
+    out the L2 pair systems once for all targets."""
     targets = default_smooth_targets() if targets is None else targets
     betas = _checked_betas(beta_values)
     tri, coeffs, tables = _fig1_tables(pattern, alpha_values, targets, degree, refines)
     zero, edges = np.zeros(tri.n_elements), tri.interior_edges()
-    regions = region_rows(tri.edge_elements, edges)
-    l2 = _global_sq(tables, zero, 1.0)
     pair_lists = []  # per target: the pair list and its sum
-    for tab in tables:
-        pair_sq = local_ritz(tab, zero, regions, 1.0)[0].tolist()
+    for pair_sq, _ in local_ritz_each(tables, zero, region_rows(tri.edge_elements, edges), 1.0):
+        pair_sq = pair_sq.tolist()
         pair_lists.append((list(zip(edges, pair_sq)), float(sum(pair_sq))))
     reports = []  # per alpha, in target and beta order
-    for alpha, coeff in zip(alpha_values, coeffs):
-        gradient = _global_sq(tables, coeff.values)
-        combined = [_global_sq(tables, coeff.values, b) for b in betas]  # per beta, per target
+    for n, (alpha, coeff) in enumerate(zip(alpha_values, coeffs)):
+        l2_operator = [] if n else [(zero, 1.0)]
+        gradient, *combined = _global_sq(tables, [(coeff.values, 0.0)] + l2_operator
+                                         + [(coeff.values, b) for b in betas])
+        if not n:
+            l2 = combined.pop(0)
         for t, (name, tab) in enumerate(zip(targets, tables)):
             element_sq = local_element_errors(tab, coeff).tolist()
             elements, grad_sum = list(enumerate(element_sq)), float(sum(element_sq))

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from qmloc.bestapprox import (ElementTables, LevelFactor, LocalizationReport, SparseMatrix,
                               SpdSystem, _element_loads, _element_matrices, _free_operator,
                               element_tables, element_tables_each, local_element_errors,
-                              local_ritz, ritz, ritz_each, solve_spd)
+                              local_ritz, local_ritz_each, ritz, ritz_each, ritz_family,
+                              solve_spd)
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
                                    fig1_left_pattern, fig1_left_values, fig1_refined,
@@ -580,6 +581,48 @@ def test_shared_operator_solves_equal_per_target_solves(dirichlet, beta):
             assert ritz(tab, coeff.values, beta)[0] == err
 
 
+@pytest.mark.parametrize("mesh", ["fig1", "checkerboard"])
+def test_stacked_factors_equal_per_operator_solves(mesh, monkeypatch):
+    """`ritz_family` at P1, its operators of one free set factored as one
+    stack, against `masked_ritz` of each operator and target alone: bitwise
+    equal errors and coefficients.  On fig1 the gradient operator has its
+    pinned node and factors alone, the others share the free set of
+    beta > 0; with the checkerboard's Dirichlet nodes all share one set."""
+    if mesh == "fig1":
+        tri, coeff = fig1_left_pattern(1e-4, refines=2)
+        a, dirichlet, stacks = coeff.values, False, [1, 4]
+    else:
+        tri, coeff = checkerboard_mesh(3)
+        a, dirichlet, stacks = coeff.values, True, [5]
+    targets = list(default_smooth_targets().values())
+    space = build_space(tri, 1, dirichlet_on_boundary=dirichlet)
+    tables = element_tables_each(targets, make_quadrature_plan(tri, targets[0], 8), space)
+    operators = [(a, 0.0), (a, 1e-4), (np.zeros_like(a), 1.0), (a, 1.0), (a, 1e4)]
+    each, sizes = LevelFactor.each, []
+    monkeypatch.setattr(LevelFactor, "each",
+                        lambda matrices, levels: sizes.append(len(matrices)) or each(matrices,
+                                                                                     levels))
+    family = ritz_family(tables, operators)
+    assert sizes == stacks
+    for (w, beta), per_target in zip(operators, family):
+        for tab, (err, x) in zip(tables, per_target):
+            ref_err, ref_x = masked_ritz(tab, w, beta)
+            assert err == ref_err and np.array_equal(x, ref_x)
+    assert ritz_family([], operators) == [[]] * len(operators)
+
+
+def test_level_factor_stack_needs_one_pattern():
+    one = SparseMatrix([0, 1], [0, 1], [1.0, 1.0], (2, 2))
+    other = SparseMatrix([0, 1, 1], [0, 0, 1], [1.0, 0.5, 1.0], (2, 2))
+    first, second = LevelFactor.each([one, SparseMatrix([0, 1], [0, 1], [4.0, 16.0], (2, 2))],
+                                     np.array([0, 1]))
+    assert np.array_equal(first.solve(np.ones(2)), [1.0, 1.0])
+    assert np.array_equal(second.solve(np.ones(2)), [0.25, 0.0625])
+    with pytest.raises(ValueError, match="^a stack of level factors needs matrices of one "
+                                         "pattern$"):
+        LevelFactor.each([one, other], np.array([0, 1]))
+
+
 def test_shared_operator_needs_one_space():
     tri = square_mesh()
     one, _, _ = tables_of(sine_target(), tri, 1, 8)
@@ -731,6 +774,31 @@ def test_level_factor_is_priced_before_it_is_built(monkeypatch):
         LevelFactor(A, space.node_levels[free])
 
 
+def test_level_factor_stack_is_priced_before_it_is_built(monkeypatch):
+    """T matrices of one pattern cost T times the bytes of one factor, named
+    as a stack, and are refused before any entry is read."""
+    import qmloc.bestapprox
+
+    tri, coeff = fig1_left_pattern(1e-2, refines=2)
+    tables, _, space = tables_of(sine_target(), tri, 1, 4)
+    free = np.ones(space.n_nodes, dtype=bool)
+    matrices = [_free_operator(tables, coeff.values, beta, free) for beta in (1e-4, 1.0, 1e4)]
+    widths = np.bincount(space.node_levels)
+    one = 8 * (widths @ widths + widths[1:] @ widths[:-1])
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
+    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: 3 * one - 1)
+    for m in matrices:
+        monkeypatch.setattr(m, "_stored", lambda: pytest.fail("blocks built before the price"))
+    with pytest.raises(ParameterOutOfRange, match=(
+            f"^a stack of 3 level factors of 41 unknowns, 9 levels up to 9 wide, needs about "
+            f"{3 * one / 2**30:.3g} GiB of {(3 * one - 1) / 2**30:.3g} GiB of memory$")):
+        LevelFactor.each(matrices, space.node_levels)
+    for m in matrices:
+        monkeypatch.delattr(m, "_stored")
+    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: 3 * one)
+    assert len(LevelFactor.each(matrices, space.node_levels)) == 3
+
+
 def test_solve_spd_by_a_factor_ignores_rtol():
     tri, coeff = fig1_left_pattern(1e-6, refines=2)
     tables, _, space = tables_of(sine_target(), tri, 1, 4)
@@ -761,6 +829,49 @@ def test_singular_region_in_a_batch_is_named():
         with pytest.raises(SolverFailure, match=r"singular local system on elements \[5\]$"):
             local_ritz(tables, a, regions)
     local_ritz(tables, a, regions, beta=1.0)  # the mass term makes it definite
+
+
+def test_singular_region_in_a_call_of_several_targets_is_named():
+    tri = square_mesh()
+    targets = [sine_target(), quadratic_target()]
+    space = build_space(tri, 2)
+    tables = element_tables_each(targets, make_quadrature_plan(tri, targets[0], 12), space)
+    regions = csr([[k] for k in range(tri.n_elements)] + [(0, 1), (2, 3)])
+    a = np.ones(tri.n_elements)
+    a[5] = 0.0
+    with pytest.raises(SolverFailure, match=r"singular local system on elements \[5\]$"):
+        local_ritz_each(tables, a, regions)
+    assert len(local_ritz_each(tables, a, regions, beta=1.0)) == 2
+
+
+def test_local_solves_of_several_targets_need_one_space():
+    tri = square_mesh()
+    one, _, _ = tables_of(sine_target(), tri, 1, 8)
+    other, _, _ = tables_of(sine_target(), tri, 1, 8)
+    assert local_ritz_each([], np.ones(tri.n_elements), tri.vertex_elements) == []
+    with pytest.raises(ValueError, match="the tables of one space"):
+        local_ritz_each([one, other], np.ones(tri.n_elements), tri.vertex_elements)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_local_solves_of_several_targets_equal_per_target_solves(degree):
+    """`local_ritz_each`, one layout and one broadcast solve for all
+    targets, against `local_ritz` of each target alone: bitwise equal
+    errors and coefficients on the pairs and stars of fig1, pinned, with
+    Dirichlet nodes, in L2 and at beta > 0."""
+    tri, coeff = fig1_left_pattern(1e-4, refines=1)
+    targets = list(default_smooth_targets().values())
+    pairs = region_rows(tri.edge_elements, tri.interior_edges())
+    zero = np.zeros(tri.n_elements)
+    for dirichlet in (False, True):
+        space = build_space(tri, degree, dirichlet_on_boundary=dirichlet)
+        plan = make_quadrature_plan(tri, targets[0], 2 * degree + 2)
+        tables = element_tables_each(targets, plan, space)
+        for regions in (pairs, tri.vertex_elements):
+            for w, beta in ((coeff.values, 0.0), (zero, 1.0), (coeff.values, 1e2)):
+                for tab, (err, x) in zip(tables, local_ritz_each(tables, w, regions, beta)):
+                    ref_err, ref_x = local_ritz(tab, w, regions, beta)
+                    assert np.array_equal(err, ref_err) and np.array_equal(x, ref_x)
 
 
 def _perturbed_grid(n, rng):

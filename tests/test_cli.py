@@ -425,9 +425,9 @@ def test_stars_refuses_a_bad_n_before_building_any_mesh(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, memory, message", [
-    # N = 1000: 8M elements, about 35.5 GiB at P1
+    # N = 1000: 8M elements, about 35.5 GiB at P1, and 79.4 GiB of level factor
     (["stars", "--n", "2,1000"], 7.6 * 2**30,
-     "N=1000 at degree 1 needs about 35.5 GiB of 7.6 GiB of memory"),
+     "N=1000 at degree 1 needs about 115 GiB of 7.6 GiB of memory"),
     (["stars", "--n", "2,128", "--ell", "2"], 2**30,
      "N=128 at degree 2 needs about 1.65 GiB of 1 GiB of memory"),
     # the range of N is checked before its memory
@@ -561,6 +561,42 @@ def test_stars_refuses_a_factor_that_does_not_fit_beside_what_the_run_holds(caps
     assert captured.out == ""
     assert re.fullmatch(r"error: a level factor of 121 unknowns, \d+ levels up to \d+ wide, "
                         r"needs about 0.0625 GiB of 0.0625 GiB of memory\n", captured.err)
+
+
+def test_stars_prices_its_level_factor_before_any_mesh_is_built(capsys, monkeypatch):
+    """At N = 100 and degree 1 the sweep estimate of its 80,000 elements
+    fits in memory, but not with the level factor over the checkerboard's
+    anti-diagonals beside it: exit 1 and one line before the first mesh.
+    At degree 2, which runs no factor, the same memory passes the check."""
+    import qmloc.harness
+
+    estimate = 8 * 100**2 * qmloc.harness._STAR_BYTES_PER_ELEMENT[1]
+    memory = estimate + qmloc.harness._star_factor_bytes(100) - 1
+    monkeypatch.setattr(qmloc.harness, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(qmloc.harness, "checkerboard_mesh",
+                        lambda N: pytest.fail("a mesh built before the price"))
+    assert main(["stars", "--n", "2,100", "--format", "json"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: N=100 at degree 1 needs about {(memory + 1) / 2**30:.3g} "
+                            f"GiB of {memory / 2**30:.3g} GiB of memory\n")
+    monkeypatch.setattr(qmloc.harness, "_STAR_BYTES_PER_ELEMENT",
+                        {**qmloc.harness._STAR_BYTES_PER_ELEMENT, 2: memory // 80_000})
+    with pytest.raises(pytest.fail.Exception, match="a mesh built before the price"):
+        main(["stars", "--n", "100", "--ell", "2", "--format", "json"])
+
+
+def test_the_stars_factor_price_is_that_of_its_levels():
+    """`harness._star_factor_bytes(N)`, from N alone, is the price
+    `LevelFactor` takes from the levels of the P1 space's unknowns."""
+    from qmloc.fespace import build_space
+    from qmloc.harness import _star_factor_bytes
+
+    for N in (1, 2, 3, 6, 9):
+        space = build_space(checkerboard_mesh(N)[0], 1, dirichlet_on_boundary=True)
+        widths = np.bincount(space.node_levels[~space.dirichlet])
+        widths = widths[widths > 0]
+        assert _star_factor_bytes(N) == 8 * (widths @ widths + widths[1:] @ widths[:-1])
 
 
 def test_held_memory_is_read_where_the_system_reports_it():
