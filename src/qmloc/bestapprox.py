@@ -74,6 +74,12 @@ def element_tables_each(targets, plan: QuadraturePlan, space: LagrangeSpace) -> 
     polar block's at its offsets from the singular point.  Raises as
     `QuadraturePlan.require_mesh`: PlanMismatch for a plan of another
     element count, PointOutsideElement for one of another mesh.
+
+    The gradient moments int_K grad u . grad phi_i are summed as the einsum
+    "kq,kqd,kqid->ki" sums them, bit for bit: at each node the two-term dot
+    of w grad u with grad phi_i, then the nodes in order.  They are written
+    as two broadcast products and one sum over the nodes, not as that
+    einsum, whose inner loop runs over the two-wide component axis.
     """
     pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
     vals, gref = reference_basis(space.degree, pts_ref)
@@ -110,7 +116,10 @@ def element_tables_each(targets, plan: QuadraturePlan, space: LagrangeSpace) -> 
         for t, target in enumerate(targets):
             u, gu = target.evaluate(pts.reshape(-1, 2), about)
             u, gu = u.reshape(wts.shape), gu.reshape(*wts.shape, 2)
-            m = np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)
+            wg = wts[..., None] * gu
+            m = wg[:, :, None, 0] * dphi[..., 0]
+            m += wg[:, :, None, 1] * dphi[..., 1]
+            m = m.sum(axis=1)
             m0 = ((wts * u)[:, None, :] @ phi)[:, 0]
             pi = (gk @ m[..., None])[..., 0]
             pi0 = m0 @ mass_ref_inv.T / dk

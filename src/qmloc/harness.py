@@ -18,7 +18,7 @@ from .counterexamples import (_checkerboard_eps, _hexagon_eps, analytic_energy_r
 from .errors import IoFailure, ParameterOutOfRange, RefusesNonQM
 from .fespace import build_space, element_dual_basis, element_mass_matrix, require_degree
 from .fields import TargetField
-from .interp import interpolation_error_sq, quasi_interpolate
+from .interp import interpolation_error_sq, quasi_interpolate_each
 from .mesh import Triangulation, build_triangulation, region_rows
 from .quadrature import (_KEY_DECIMALS, _leggauss01, make_quadrature_plan, plan_key,
                          triangle_rule)
@@ -283,15 +283,17 @@ def run_alpha_robustness(pattern: str = "fig1-left", alpha_values=DEFAULT_ALPHA,
                          targets: dict | None = None, degree: int = 1,
                          refines: int = 2) -> list:
     """Localization and near-best ratios across a contrast sweep on a
-    quasi-monotone tiling; refuses non-quasi-monotone configurations."""
+    quasi-monotone tiling; refuses non-quasi-monotone configurations.  At
+    each alpha one `quasi_interpolate_each` call builds the interpolants of
+    all targets."""
     targets = default_smooth_targets() if targets is None else targets
     tri, coeffs, tables = _fig1_tables(pattern, alpha_values, targets, degree, refines)
     reports = []  # per alpha, in target order
     for alpha, coeff in zip(alpha_values, coeffs):
         (global_sqs,) = _global_sq(tables, [(coeff.values, 0.0)])
-        for (name, target), tab, global_sq in zip(targets.items(), tables, global_sqs):
+        itps = quasi_interpolate_each(list(targets.values()), tables, coeff)
+        for name, tab, global_sq, itp in zip(targets, tables, global_sqs, itps):
             elements = list(enumerate(local_element_errors(tab, coeff).tolist()))
-            itp = quasi_interpolate(target, tab, coeff)
             interp_sq = float(interpolation_error_sq(itp, tab, coeff).sum())
             reports.append(LocalizationReport(
                 global_error_sq=global_sq,

@@ -6,6 +6,11 @@ F_z (`coeff.select_kmax_fz`).
 face of the maximal-coefficient element of the node's star, all chosen
 edges integrated in one stacked edge rule; element-interior nodes take the
 value of the element's gradient fit stored in the tables.
+``quasi_interpolate_each`` does so for several targets on one space: one
+selection and one layout of the chosen edges per coefficient for all
+targets, the edge rule, points and basis once per singular-point key, and
+each target's moments summed by `np.bincount`; ``quasi_interpolate`` is its
+one-target call.
 ``l2_quasi_interpolate`` assigns every node its value in the element L2 fit
 on K_max(z), i.e. an element-dual moment.  Both reproduce members of the
 space and are robust with respect to the coefficient contrast.  Their
@@ -23,7 +28,7 @@ from .coeff import Coefficient, build_omega_hat, select_kmax_fz
 from .errors import QuadratureFailure
 from .fespace import LagrangeSpace, _reference_face_dual, edge_basis_1d
 from .mesh import _sorted_distinct, region_rows
-from .quadrature import QuadraturePlan, _leggauss01, radial_rule
+from .quadrature import QuadraturePlan, _leggauss01, plan_key, radial_rule
 
 _GAUSS_1D = 12
 
@@ -82,39 +87,78 @@ def _edge_quadrature(space: LagrangeSpace, target, edges):
     return np.concatenate(owner), np.concatenate(ts), np.concatenate(ws)
 
 
-def _face_dual_values(space: LagrangeSpace, target, edges) -> np.ndarray:
-    """Face-dual node values (m, degree+1) on the edges `edges`, nodes in
-    the order of `LagrangeSpace.edge_nodes`: int_F u psi_z for each."""
+def _face_dual_values(space: LagrangeSpace, targets, edges) -> list:
+    """Face-dual node values (m, degree+1) of each of `targets` on the edges
+    `edges`, nodes in the order of `LagrangeSpace.edge_nodes`: int_F u psi_z
+    for each.  The edge rule, its points and the edge basis are built once
+    per distinct singular-point key; each target is evaluated once, and its
+    moments int_F u phi_y ds are summed by one `bincount` per basis
+    function, in the rule's order as `np.add.at` would add them."""
     tri = space.tri
-    owner, t, w = _edge_quadrature(space, target, edges)
     p0 = tri.vertices[tri.edges[edges, 0]]
     d = tri.vertices[tri.edges[edges, 1]] - p0
-    u = target.value(p0[owner] + t[:, None] * d[owner])
-    moments = np.zeros((len(edges), space.degree + 1))  # int_F u phi_y ds
-    np.add.at(moments, owner, (w * u)[:, None] * edge_basis_1d(space.degree, t))
+    L = np.linalg.norm(d, axis=1)[:, None]
     D = _reference_face_dual(space.degree)
-    return moments @ D.T / np.linalg.norm(d, axis=1)[:, None]
+    groups: dict = {}  # singular-point key -> the indices of its targets
+    for i, target in enumerate(targets):
+        groups.setdefault(_edge_rule_key(target), []).append(i)
+    out = [None] * len(targets)
+    for ids in groups.values():
+        owner, t, w = _edge_quadrature(space, targets[ids[0]], edges)
+        pts, phi = p0[owner] + t[:, None] * d[owner], edge_basis_1d(space.degree, t)
+        for i in ids:
+            wphi = (w * targets[i].value(pts))[:, None] * phi
+            moments = np.stack([np.bincount(owner, c, minlength=len(edges)) for c in wphi.T],
+                               axis=1)
+            out[i] = moments @ D.T / L
+    return out
+
+
+def _edge_rule_key(target) -> tuple:
+    """What `_edge_quadrature` reads of `target`: each singular point's
+    location, exponent and breakpoints, hashable whatever their types."""
+    return tuple((np.asarray(s.location, float).tobytes(), float(s.exponent),
+                  tuple(np.asarray(s.radial_breakpoints, float).tolist()))
+                 for s in plan_key(target))
 
 
 def quasi_interpolate(target, tables: ElementTables, coeff: Coefficient) -> InterpolantResult:
     """Skeleton nodes: face-dual moments on F_z; element-interior nodes: the
     values of the gradient fit of K_max(z) (`ElementTables.grad_fits`); nodes
     under a Dirichlet mask: zero.  The tables are those of `target` on the
-    space of the interpolant."""
-    space = tables.space
+    space of the interpolant: `quasi_interpolate_each` of the one target."""
+    return quasi_interpolate_each([target], [tables], coeff)[0]
+
+
+def quasi_interpolate_each(targets, tables: list, coeff: Coefficient) -> list:
+    """`quasi_interpolate` of each of `targets`, tables[i] those of
+    targets[i], all on one space.  The selection of K_max(z) and F_z, the
+    split into face and interior nodes, the chosen edges and each face
+    node's row and position among them are made once for all targets, and
+    the face-dual moments come from one `_face_dual_values` call.  Each
+    result holds its own arrays.  Raises ValueError for tables of different
+    spaces or a count other than that of the targets."""
+    if len(tables) != len(targets):
+        raise ValueError(f"{len(targets)} targets but {len(tables)} tables")
+    if not tables:
+        return []
+    space = tables[0].space
+    if any(t.space is not space for t in tables):
+        raise ValueError("quasi_interpolate_each needs the tables of one space")
     kmax, loc, fz = select_kmax_fz(space, coeff)
-    x = np.zeros(space.n_nodes)
     prov = np.where(fz < 0, "interior-best-fit", "face-dual")
     prov[space.dirichlet] = "boundary-zero"
-    interior = (fz < 0) & ~space.dirichlet
-    if interior.any():
-        x[interior] = tables.grad_fits[kmax[interior], loc[interior]]
+    interior = np.flatnonzero((fz < 0) & ~space.dirichlet)
     face = np.flatnonzero((fz >= 0) & ~space.dirichlet)
+    xs = [np.zeros(space.n_nodes) for _ in tables]
+    for x, tab in zip(xs, tables):
+        x[interior] = tab.grad_fits[kmax[interior], loc[interior]]
     if len(face):
         edges, row = np.unique(fz[face], return_inverse=True)
         pos = np.argmax(space.edge_nodes[edges][row] == face[:, None], axis=1)
-        x[face] = _face_dual_values(space, target, edges)[row, pos]
-    return InterpolantResult(space=space, coefficients=x, provenance=prov)
+        for x, values in zip(xs, _face_dual_values(space, targets, edges)):
+            x[face] = values[row, pos]
+    return [InterpolantResult(space=space, coefficients=x, provenance=prov.copy()) for x in xs]
 
 
 def l2_quasi_interpolate(tables: ElementTables, coeff: Coefficient) -> InterpolantResult:

@@ -10,10 +10,10 @@ the fast path against them.
 import numpy as np
 
 from qmloc.bestapprox import element_tables
-from qmloc.coeff import space_star
+from qmloc.coeff import select_kmax_fz, space_star
 from qmloc.errors import QuadratureFailure, UnknownLocus
-from qmloc.fespace import edge_basis_1d, element_dual_basis
-from qmloc.interp import InterpolantResult
+from qmloc.fespace import _reference_face_dual, edge_basis_1d, element_dual_basis
+from qmloc.interp import InterpolantResult, _edge_quadrature
 from qmloc.quadrature import _leggauss01, radial_rule
 
 from fespace_reference import eval_basis, face_dual_basis
@@ -129,6 +129,30 @@ def quasi_interpolate(target, space, coeff, plan):
             prov[z] = "face-dual"
             sel[z] = ("edge", e, select_kmax_of_node(space, coeff, z))
     return InterpolantResult(space=space, coefficients=x, provenance=tuple(prov)), sel
+
+
+def add_at_quasi_interpolate(target, tables, coeff):
+    """The skeleton operator of one target from its tables, the face-dual
+    moments of the chosen edges summed node by node of the edge rule by
+    `np.add.at`: the arithmetic that `interp.quasi_interpolate_each` keeps
+    bit for bit for every target it batches."""
+    space = tables.space
+    kmax, loc, fz = select_kmax_fz(space, coeff)
+    x = np.zeros(space.n_nodes)
+    interior = (fz < 0) & ~space.dirichlet
+    x[interior] = tables.grad_fits[kmax[interior], loc[interior]]
+    face = np.flatnonzero((fz >= 0) & ~space.dirichlet)
+    edges, row = np.unique(fz[face], return_inverse=True)
+    pos = np.argmax(space.edge_nodes[edges][row] == face[:, None], axis=1)
+    owner, t, w = _edge_quadrature(space, target, edges)
+    p0 = space.tri.vertices[space.tri.edges[edges, 0]]
+    d = space.tri.vertices[space.tri.edges[edges, 1]] - p0
+    moments = np.zeros((len(edges), space.degree + 1))
+    np.add.at(moments, owner, (w * target.value(p0[owner] + t[:, None] * d[owner]))[:, None]
+              * edge_basis_1d(space.degree, t))
+    D = _reference_face_dual(space.degree)
+    x[face] = (moments @ D.T / np.linalg.norm(d, axis=1)[:, None])[row, pos]
+    return x
 
 
 def l2_quasi_interpolate(target, space, coeff, plan):

@@ -65,6 +65,21 @@ def energy_rhs(space, weights, target, plan, region=None):
     return b
 
 
+def einsum_grad_moments(target, plan, space):
+    """(ks, int_K grad u . grad phi_i) for each class block of the plan, by
+    the three-operand einsum whose arithmetic `element_tables_each` keeps:
+    per node the two-term dot of w grad u with grad phi_i, then the nodes in
+    order.  The block data are formed as `element_tables_each` forms them."""
+    Binv = np.linalg.inv(element_affine(space.tri)[1])
+    for cls, ks, pts, wts, about in plan.blocks():
+        gref = reference_basis(space.degree, plan.rules[cls][2])[1]
+        if about is not None:
+            about = np.repeat(about, wts.shape[1])
+        dphi = (gref.reshape(-1, 2) @ Binv[ks]).reshape(*wts.shape, *gref.shape[1:])
+        gu = target.evaluate(pts.reshape(-1, 2), about)[1].reshape(*wts.shape, 2)
+        yield ks, np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)
+
+
 def mass_rhs(space, target, plan, region=None):
     """b_i = int u phi_i."""
     region = range(space.tri.n_elements) if region is None else sorted(region)

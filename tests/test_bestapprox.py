@@ -31,8 +31,9 @@ from qmloc.quadrature import make_quadrature_plan
 import report_reference
 from interp_reference import energy_norm_sq, l2_norm_sq
 from mesh_reference import csr
-from ritz_reference import (QuadratureOracle, assemble, dense_ritz_error, element_stiffness,
-                            energy_rhs, mass_rhs, masked_ritz, monomial_element_fit)
+from ritz_reference import (QuadratureOracle, assemble, dense_ritz_error, einsum_grad_moments,
+                            element_stiffness, energy_rhs, mass_rhs, masked_ritz,
+                            monomial_element_fit)
 
 
 def reference_element():
@@ -423,6 +424,30 @@ def test_tables_match_element_loops(case, degree):
              for k in range(n)]
     assert _rel(tables.grad_residual, grad) < 1e-12
     assert _rel(tables.value_residual, value) < 1e-12
+
+
+@pytest.mark.parametrize("case,degree", [("fig1", d) for d in (1, 2, 3, 4)]
+                         + [("hexagon", d) for d in (1, 2, 3, 4)]
+                         + [("checkerboard", d) for d in (1, 2, 3)])
+def test_grad_moments_equal_the_einsum_bit_for_bit(case, degree):
+    """Every block's gradient moments are those of the einsum reference bit
+    for bit: fig1-left with the three smooth targets in one pass, the
+    hexagon (polar classes) and the checkerboard (polar and plain blocks),
+    each plan of exactness 2 degree + 6 as the sweeps build it."""
+    if case == "fig1":
+        tri, _ = fig1_left_pattern(1e-4, refines=3)
+        targets = list(default_smooth_targets().values())
+    elif case == "hexagon":
+        tri, _ = hexagon_mesh(0.1)
+        targets = [hexagon_target(0.1)]
+    else:
+        tri, _ = checkerboard_mesh(2)
+        targets = [checkerboard_target(2)]
+    space = build_space(tri, degree)
+    plan = make_quadrature_plan(tri, targets[0], 2 * degree + 6)
+    for target, tables in zip(targets, element_tables_each(targets, plan, space)):
+        for ks, want in einsum_grad_moments(target, plan, space):
+            assert tables.grad_moments[ks].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

@@ -14,7 +14,8 @@ from qmloc.fespace import build_space
 from qmloc.fields import SingularPoint, TargetField, smooth_target
 from qmloc.harness import default_smooth_targets
 from qmloc.interp import (_edge_quadrature, interpolation_error_sq,
-                          l2_quasi_interpolate, operator_report, quasi_interpolate)
+                          l2_quasi_interpolate, operator_report, quasi_interpolate,
+                          quasi_interpolate_each)
 from qmloc.mesh import build_triangulation, element_patch, uniform_refine
 from qmloc.quadrature import make_quadrature_plan
 
@@ -327,6 +328,48 @@ def test_interpolants_match_loop_reference(ell):
             checked.add(id(space))
         plan = make_quadrature_plan(space.tri, target, exactness=2 * ell + 6)
         _assert_operators_match_loops(target, space, coeff, plan)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_quasi_interpolate_each_is_the_per_target_call(ell):
+    """On one space, targets of two singular-point keys (the hexagon field
+    twice, a smooth one between) give each the coefficients and provenance
+    of its own call and of the `np.add.at` reference bit for bit, and those
+    of the node loop within its tolerance; no result shares a writable
+    array with another."""
+    tri, coeff = hexagon_mesh(0.1)
+    space = build_space(tri, ell, dirichlet_on_boundary=True)
+    targets = [hexagon_target(0.1), default_smooth_targets()["sine"], hexagon_target(0.1)]
+    plans = [make_quadrature_plan(tri, t, exactness=2 * ell + 6) for t in targets]
+    tables = [element_tables(t, p, space) for t, p in zip(targets, plans)]
+    each = quasi_interpolate_each(targets, tables, coeff)
+    assert len(each) == len(targets)
+    for target, tab, plan, got in zip(targets, tables, plans, each):
+        one = quasi_interpolate(target, tab, coeff)
+        add_at = ref.add_at_quasi_interpolate(target, tab, coeff)
+        assert got.coefficients.tobytes() == one.coefficients.tobytes() == add_at.tobytes()
+        assert got.provenance.tolist() == one.provenance.tolist()
+        loop, _ = ref.quasi_interpolate(target, space, coeff, plan)
+        scale = np.max(np.abs(loop.coefficients))
+        assert np.max(np.abs(got.coefficients - loop.coefficients)) <= 1e-12 * scale
+        assert got.provenance.tolist() == list(loop.provenance)
+    arrays = [(i, a) for i, r in enumerate(each) for a in (r.coefficients, r.provenance)]
+    for i, a in arrays:
+        for j, b in arrays:
+            assert i == j or not (np.shares_memory(a, b) and (a.flags.writeable
+                                                              or b.flags.writeable))
+
+
+def test_quasi_interpolate_each_refuses_tables_of_another_space_or_count():
+    tri, coeff = hexagon_mesh(0.1)
+    target = hexagon_target(0.1)
+    plan = make_quadrature_plan(tri, target)
+    tables = [element_tables(target, plan, build_space(tri, 1)) for _ in range(2)]
+    with pytest.raises(ValueError, match="one space"):
+        quasi_interpolate_each([target, target], tables, coeff)
+    with pytest.raises(ValueError, match="2 targets but 1 tables"):
+        quasi_interpolate_each([target, target], tables[:1], coeff)
+    assert quasi_interpolate_each([], [], coeff) == []
 
 
 @settings(max_examples=15, deadline=None)

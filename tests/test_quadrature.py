@@ -101,10 +101,11 @@ def test_subrule_keeps_the_dense_span_moments(mu, degree):
     np.testing.assert_allclose(sub, dense, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("degree", [8, 10, 12, 14])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 8, 10, 12, 14])
 def test_subrule_equals_the_column_loop(degree):
     """The elimination on null vectors as rows gives the rule of the loop on
-    null vectors as columns bit for bit."""
+    null vectors as columns bit for bit, at the span degrees of the edge
+    rules (`interp._edge_quadrature`, 1-4) and of the element plans."""
     for mu in MODEL_MU + [0.37, 2 / 3, 0.9]:
         mu = round(mu, 12)
         for got, want in zip(_unit_singular_rule(mu, degree), unit_singular_rule_loop(mu, degree)):
