@@ -130,10 +130,13 @@ def _singular_span(mu: float, degree: int, r):
 def _null_basis(C):
     """A basis of the null space of C (m, n) by Gauss--Jordan elimination,
     each row pivoted on its largest free entry: rows that eliminate to
-    exactly zero (repeated functions) are skipped, no other.  Returns it as
-    rows, (n - rank, n).  Elementwise numpy only, no LAPACK: with two
-    OpenBLAS threads on two cores, a complete QR of a 176 x 27 matrix took
-    0.2 s in some runs and 1.5 ms in others."""
+    exactly zero (repeated functions) are skipped, no other.  Elementwise
+    numpy only, no LAPACK: with two OpenBLAS threads on two cores, a complete
+    QR of a 176 x 27 matrix took 0.2 s in some runs and 1.5 ms in others.
+
+    Returns the basis as its tableau (T, own, piv): basis vector f is 1 at
+    its own free column own[f], T[f, k] at pivot column piv[k] and 0
+    elsewhere; T is (n - rank, rank), own (n - rank,) and piv (rank,)."""
     A = C.copy()
     free = np.ones(A.shape[1], dtype=bool)
     rows, cols = [], []
@@ -148,11 +151,8 @@ def _null_basis(C):
         free[p] = False
         rows.append(i)
         cols.append(p)
-    f = np.flatnonzero(free)
-    null = np.zeros((len(f), A.shape[1]))
-    null[np.arange(len(f)), f] = 1.0
-    null[:, cols] = -A[np.ix_(rows, f)].T
-    return null
+    own = np.flatnonzero(free)
+    return np.ascontiguousarray(-A[np.ix_(rows, own)].T), own, np.array(cols, dtype=np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -171,57 +171,109 @@ def _unit_singular_rule(mu: float, degree: int):
     maps nodes by x = s + h p, and x - s keeps fewer digits the closer the
     node is to s.  The rule is scale invariant: int_0^c f dr takes nodes c*r
     and weights c*w.  Callers round mu to 12 decimals.
+
+    The steps run on the tableau of `_null_basis`, which every step keeps:
+    a node that is a vector's own column only drops that vector, and a
+    pivot-column node is a basis exchange, the pivot vector's own column
+    taking the node's place among the pivots.  The entries outside the
+    tableau would only have 0 subtracted, so each tableau entry takes the
+    operations, in the order, of the same step on whole null vectors; the
+    null vector of a step is scattered to length n before its dot with 1/r.
     """
     r, w = _dense_singular_rule(mu)
     C = _singular_span(mu, degree, r) * w
     C /= C.sum(axis=1, keepdims=True)
-    null = _null_basis(C)  # one null vector per row: each step updates whole rows
-    step = np.empty_like(null)
-    lam, inv_r = np.ones(len(r)), 1.0 / r
-    for last in range(len(null) - 1, -1, -1):
-        v = null[0] if null[0] @ inv_r >= 0.0 else -null[0]
-        ratio = np.divide(lam, v, out=np.full(len(r), np.inf), where=v > 0)
-        j = int(np.argmin(ratio))
+    T, own, piv = _null_basis(C)
+    own = own.tolist()
+    pivot = {c: k for k, c in enumerate(piv.tolist())}  # pivot column: its index in piv
+    vector = {c: f for f, c in enumerate(own)}  # own column: its basis vector
+    n = len(r)
+    step = np.empty_like(T)
+    lam, inv_r = np.ones(n), 1.0 / r
+    for last in range(len(T) - 1, -1, -1):
+        v = np.zeros(n)
+        v[own[0]], v[piv] = 1.0, T[0]
+        v = v if v @ inv_r >= 0.0 else -v
+        ratio = np.divide(lam, v, out=np.full(n, np.inf), where=v > 0)
+        j = int(ratio.argmin())
         lam = np.maximum(lam - ratio[j] * v, 0.0)  # a tie may round below 0
         lam[j] = 0.0
-        col = null[:, j]
-        p = int(np.argmax(np.abs(col)))
-        null -= np.multiply.outer(col, null[p] / col[p], out=step[:last + 1])
-        null[p], null[:, j] = null[last], 0.0
-        null = null[:last]
+        if j in pivot:  # eliminate j; the vector p leaves, its own column enters
+            k = pivot.pop(j)
+            col = T[:, k]
+            p = int(np.abs(col).argmax())
+            c = float(col[p])
+            entering = -(col * (1.0 / c))
+            T -= np.multiply.outer(col, T[p] / c, out=step[:last + 1])
+            T[:, k], piv[k], pivot[own[p]] = entering, own[p], k
+        else:  # j is the own column of one vector: it leaves the basis
+            p = vector[j]
+        T[p], own[p] = T[last], own[last]
+        vector[own[p]] = p
+        T = T[:last]
+        own.pop()
     keep = np.flatnonzero(lam)
     r, w = r[keep], w[keep] * lam[keep]
     r.flags.writeable = w.flags.writeable = False
     return r, w
 
 
-def radial_rule(R: float, mu: float, breakpoints=(), degree: int = 8):
-    """Composite rule for int_0^R f(r) dr with an r**mu profile kink list.
+def _radial_rules(extents, mu: float, breakpoints=(), degree: int = 8):
+    """Composite rules for int_0^R f(r) dr, one per extent R, laid out in
+    one pass: (nodes, weights, node count per extent), the rules of the
+    extents concatenated in order.  Each rule is the scaled
+    `_unit_singular_rule` of span degree `degree` inside the first
+    breakpoint (or R), then composite Gauss on dyadic panels between the
+    further breakpoints, so that profile kinks sit on cell boundaries.
+    Raises QuadratureFailure for an extent that is not positive and finite
+    or an exponent that is not, at `_KEY_DECIMALS` decimals."""
+    bad = [R for R in extents if not 0.0 < R < math.inf]
+    if bad:
+        raise QuadratureFailure(f"radial extent {bad[0]!r} is not positive and finite")
+    key = round(mu, _KEY_DECIMALS)
+    if not 0.0 < key < math.inf:
+        raise QuadratureFailure(f"singular exponent {mu!r} is not positive and finite "
+                                f"at {_KEY_DECIMALS} decimals")
+    r1, w1 = _unit_singular_rule(key, degree)
+    bps = sorted(breakpoints)
+    c0s, cells, lefts, rights = [], [], [], []
+    for R in extents:
+        cuts = [b for b in bps if 0.0 < b < R]
+        c0 = cuts[0] if cuts else R
+        edges = [c0] + cuts[1:] + [R]
+        start = len(lefts)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            # dyadic panels away from the origin resolve 1/r-type variation
+            while lo < hi - 1e-15 * R:
+                lefts.append(lo)
+                lo = min(2.0 * lo, hi)
+                rights.append(lo)
+        c0s.append(c0)
+        cells.append(len(lefts) - start)
+    counts = len(r1) + _GAUSS_ORDER * np.array(cells, dtype=np.int64)
+    singular = (np.cumsum(counts) - counts)[:, None] + np.arange(len(r1))
+    regular = np.ones(int(counts.sum()), dtype=bool)
+    regular[singular] = False
+    r, w = np.empty(len(regular)), np.empty(len(regular))
+    c0 = np.array(c0s)[:, None]
+    r[singular], w[singular] = c0 * r1, c0 * w1
+    r[regular], w[regular] = _panels(lefts, rights, _GAUSS_ORDER)
+    return r, w, counts
 
-    The first breakpoint (or R) bounds the singular part, the scaled
-    `_unit_singular_rule` of span degree `degree`; further breakpoints split
-    the regular part so that profile kinks sit on cell boundaries.
-    """
-    if R <= 0:
-        raise QuadratureFailure("radial extent must be positive")
-    cuts = sorted(b for b in breakpoints if 0.0 < b < R)
-    c0 = cuts[0] if cuts else R
-    r1, w1 = _unit_singular_rule(round(mu, _KEY_DECIMALS), degree)
-    edges = [c0] + cuts[1:] + [R]
-    lefts, rights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # dyadic panels away from the origin resolve 1/r-type variation
-        while lo < hi - 1e-15 * R:
-            lefts.append(lo)
-            lo = min(2.0 * lo, hi)
-            rights.append(lo)
-    r, w = _panels(lefts, rights, _GAUSS_ORDER)
-    return np.concatenate([c0 * r1, r]), np.concatenate([c0 * w1, w])
+
+def radial_rule(R: float, mu: float, breakpoints=(), degree: int = 8):
+    """Composite rule for int_0^R f(r) dr with an r**mu profile kink list:
+    the one-extent call of `_radial_rules`."""
+    r, w, _ = _radial_rules([R], mu, breakpoints, degree)
+    return r, w
 
 
 def _sector_rule(s, p, p2, mu, breakpoints, degree):
     """Polar rule (weight includes the r Jacobian) on triangle (s, p, p2)
-    with the singular point at vertex s."""
+    with the singular point at vertex s: composite Gauss rays in the angle,
+    each ray's extent to the edge (p, p2) from one cos/sin and one dot, and
+    the radial rules of all rays laid out by one `_radial_rules` call and
+    mapped by one broadcast."""
     s = np.asarray(s, float)
     a, b = np.asarray(p, float) - s, np.asarray(p2, float) - s
     if a[0] * b[1] - a[1] * b[0] < 0:
@@ -235,16 +287,11 @@ def _sector_rule(s, p, p2, mu, breakpoints, degree):
     # distance to the line through p, p2 along direction theta
     nrm = np.array([-(b - a)[1], (b - a)[0]])
     d0 = float(nrm @ a)
-    pts, wts = [], []
-    for t, w_t in zip(tt, wt):
-        th = th0 + t
-        dirv = np.array([math.cos(th), math.sin(th)])
-        denom = float(nrm @ dirv)
-        Rth = d0 / denom
-        rr, wr = radial_rule(Rth, mu, breakpoints, degree)
-        pts.append(s + rr[:, None] * dirv)
-        wts.append(w_t * wr * rr)  # polar Jacobian r
-    return np.vstack(pts), np.concatenate(wts)
+    dirs = np.array([[math.cos(th0 + t), math.sin(th0 + t)] for t in tt.tolist()])
+    extents = [d0 / float(nrm @ d) for d in dirs]
+    rr, wr, counts = _radial_rules(extents, mu, breakpoints, degree)
+    ray = np.repeat(np.arange(len(tt)), counts)
+    return s + rr[:, None] * dirs[ray], wt[ray] * wr * rr  # polar Jacobian r
 
 
 def polar_triangle_rule(v0, v1, v2, singular_xy, mu, breakpoints=(), degree: int = 8):

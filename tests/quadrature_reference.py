@@ -10,18 +10,24 @@ reference rule mapped by the element's affine map or one
 `dense_plan` is the plan of the 176-node radial rule that the positive
 subrule replaces inside the first breakpoint: 21 geometric levels above a
 Gauss--Jacobi cell, its candidate set.  `unit_singular_rule_loop` is that
-subrule's elimination on the null basis as columns, each step updating
-strided columns through a new outer product.  `polar_triangle_rule_branches`
-is the polar rule with a branch of its own for a point at a vertex, which
-the one loop over sub-sectors replaces.
+subrule's elimination on whole null vectors of length n, held as columns,
+each step updating strided columns through a new outer product; its null
+basis comes from `null_basis_rows`, the full-row Gauss--Jordan basis, not
+from the tableau under test.  `sector_rule_per_ray` is the sector rule with
+one `radial_rule` call and one mapping per ray, which the one-pass layout
+replaces.  `polar_triangle_rule_branches` is the polar rule with a branch of
+its own for a point at a vertex, which the one loop over sub-sectors
+replaces.
 """
+import math
 from unittest import mock
 
 import numpy as np
 
-from qmloc.quadrature import (_dense_singular_rule, _locate, _null_basis, _sector_rule,
-                              _singular_span, make_quadrature_plan, plan_key,
-                              polar_triangle_rule, reference_triangle_rule)
+from qmloc.quadrature import (_GAUSS_ORDER, _PANEL_SLACK, _THETA_PANEL, _dense_singular_rule,
+                              _locate, _panels, _sector_rule, _singular_span,
+                              make_quadrature_plan, plan_key, polar_triangle_rule,
+                              radial_rule, reference_triangle_rule)
 
 
 def map_rule_to_triangle(pts_ref, w_ref, v0, v1, v2):
@@ -75,13 +81,39 @@ def dense_plan(tri, target, exactness=8):
         return make_quadrature_plan(tri, target, exactness)
 
 
+def null_basis_rows(C):
+    """A basis of the null space of C (m, n) as rows (n - rank, n): the
+    Gauss--Jordan elimination of `quadrature._null_basis`, each basis vector
+    1 at its own free column, minus the eliminated rows at the pivot columns
+    and 0 elsewhere, written out in full."""
+    A = C.copy()
+    free = np.ones(A.shape[1], dtype=bool)
+    rows, cols = [], []
+    for i in range(len(A)):
+        p = int(np.argmax(np.where(free, np.abs(A[i]), 0.0)))
+        if not free[p] or A[i, p] == 0.0:
+            continue
+        A[i] /= A[i, p]
+        factor = A[:, p].copy()
+        factor[i] = 0.0
+        A -= np.outer(factor, A[i])
+        free[p] = False
+        rows.append(i)
+        cols.append(p)
+    f = np.flatnonzero(free)
+    null = np.zeros((len(f), A.shape[1]))
+    null[np.arange(len(f)), f] = 1.0
+    null[:, cols] = -A[np.ix_(rows, f)].T
+    return null
+
+
 def unit_singular_rule_loop(mu, degree):
-    """`quadrature._unit_singular_rule(mu, degree)`, its null basis held as
-    (nodes, columns)."""
+    """`quadrature._unit_singular_rule(mu, degree)`, its null basis held in
+    full as (nodes, columns)."""
     r, w = _dense_singular_rule(mu)
     C = _singular_span(mu, degree, r) * w
     C /= C.sum(axis=1, keepdims=True)
-    null = _null_basis(C).T.copy()
+    null = null_basis_rows(C).T.copy()
     lam, inv_r = np.ones(len(r)), 1.0 / r
     for last in range(null.shape[1] - 1, -1, -1):
         v = null[:, 0] if null[:, 0] @ inv_r >= 0.0 else -null[:, 0]
@@ -96,6 +128,33 @@ def unit_singular_rule_loop(mu, degree):
         null = null[:, :last]
     keep = np.flatnonzero(lam)
     return r[keep], w[keep] * lam[keep]
+
+
+def sector_rule_per_ray(s, p, p2, mu, breakpoints, degree):
+    """`quadrature._sector_rule`, one `radial_rule` call and one mapping per
+    ray."""
+    s = np.asarray(s, float)
+    a, b = np.asarray(p, float) - s, np.asarray(p2, float) - s
+    if a[0] * b[1] - a[1] * b[0] < 0:
+        a, b = b, a
+    th0 = math.atan2(a[1], a[0])
+    dth = math.atan2(b[1], b[0]) - th0
+    dth = dth % (2.0 * math.pi)
+    n_panels = max(1, math.ceil(dth / _THETA_PANEL * (1.0 - _PANEL_SLACK)))
+    edges = np.linspace(0.0, dth, n_panels + 1)
+    tt, wt = _panels(edges[:-1], edges[1:], _GAUSS_ORDER)
+    nrm = np.array([-(b - a)[1], (b - a)[0]])
+    d0 = float(nrm @ a)
+    pts, wts = [], []
+    for t, w_t in zip(tt, wt):
+        th = th0 + t
+        dirv = np.array([math.cos(th), math.sin(th)])
+        denom = float(nrm @ dirv)
+        Rth = d0 / denom
+        rr, wr = radial_rule(Rth, mu, breakpoints, degree)
+        pts.append(s + rr[:, None] * dirv)
+        wts.append(w_t * wr * rr)
+    return np.vstack(pts), np.concatenate(wts)
 
 
 def polar_triangle_rule_branches(v0, v1, v2, singular_xy, mu, breakpoints=(), degree=8):

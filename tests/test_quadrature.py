@@ -1,29 +1,34 @@
 """Plain and singularity-graded quadrature rules and element plans."""
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from quadrature_reference import (assert_plan_matches, dense_plan, element_rules,
-                                  polar_triangle_rule_branches, unit_singular_rule_loop)
+                                  polar_triangle_rule_branches, sector_rule_per_ray,
+                                  unit_singular_rule_loop)
 from test_bestapprox import _perturbed_grid
 
 from qmloc.bestapprox import element_tables
 from qmloc.counterexamples import (analytic_energy_reference, checkerboard_mesh,
                                    checkerboard_target, fig1_left_pattern, hexagon_mesh,
                                    hexagon_target, radial_profile, radial_profile_derivative)
+from qmloc.errors import QuadratureFailure
 from qmloc.fespace import build_space
 from qmloc.fields import SingularPoint, TargetField, smooth_target
 from qmloc.harness import DEFAULT_EPS, _tables
 from qmloc.mesh import build_triangulation
-from qmloc.quadrature import (_dense_singular_rule, _gauss_jacobi, _locate, _singular_span,
-                              _unit_singular_rule, make_quadrature_plan, polar_triangle_rule,
-                              radial_rule, reference_triangle_rule, triangle_rule)
+from qmloc.quadrature import (_dense_singular_rule, _gauss_jacobi, _locate, _radial_rules,
+                              _sector_rule, _singular_span, _unit_singular_rule,
+                              make_quadrature_plan, polar_triangle_rule, radial_rule,
+                              reference_triangle_rule, triangle_rule)
 
 MODEL_MU = [1e-3, 1 / 12, 1 / 6, 1 / 4, 1 / 2, 1.0]
 
@@ -101,15 +106,26 @@ def test_subrule_keeps_the_dense_span_moments(mu, degree):
     np.testing.assert_allclose(sub, dense, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 8, 10, 12, 14])
-def test_subrule_equals_the_column_loop(degree):
-    """The elimination on null vectors as rows gives the rule of the loop on
-    null vectors as columns bit for bit, at the span degrees of the edge
-    rules (`interp._edge_quadrature`, 1-4) and of the element plans."""
-    for mu in MODEL_MU + [0.37, 2 / 3, 0.9]:
-        mu = round(mu, 12)
-        for got, want in zip(_unit_singular_rule(mu, degree), unit_singular_rule_loop(mu, degree)):
-            assert np.array_equal(got, want), (mu, degree)
+@pytest.mark.parametrize("degree", range(1, 15))
+@settings(max_examples=10, deadline=None)
+@given(mu=st.floats(1e-3, 1.0))
+@example(mu=1e-3)
+@example(mu=1 / 12)
+@example(mu=1 / 6)
+@example(mu=1 / 4)
+@example(mu=1 / 2)  # rank-deficient spans: r**(2mu-1+k) repeats r**(mu+k) or r**k
+@example(mu=1.0)
+@example(mu=0.37)
+@example(mu=2 / 3)
+@example(mu=0.9)
+def test_subrule_equals_the_column_loop(degree, mu):
+    """The elimination on the null basis tableau gives the rule of the loop
+    on whole null vectors as columns bit for bit, at every span degree of
+    the edge rules (`interp._edge_quadrature`, 1-4) and of the element
+    plans."""
+    mu = round(mu, 12)
+    for got, want in zip(_unit_singular_rule(mu, degree), unit_singular_rule_loop(mu, degree)):
+        assert np.array_equal(got, want), (mu, degree)
 
 
 def test_subrules_are_byte_identical_across_interpreters():
@@ -212,6 +228,29 @@ def test_radial_rule_scales_the_unit_rule(R, b):
     assert np.all(r[n:] >= c) and r.max() <= R
     # the model power over [0, R]: exact in the Jacobi cell, smooth beyond it
     assert float(w @ r**-0.5) == pytest.approx(2.0 * np.sqrt(R), rel=1e-12)
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+def test_radial_rule_refuses_an_extent_not_positive_and_finite(R):
+    with pytest.raises(QuadratureFailure, match="radial extent"):
+        radial_rule(R, 0.3, (0.1,))
+    # one bad ray refuses its batch before any rule is built
+    with mock.patch("qmloc.quadrature._unit_singular_rule") as unit:
+        with pytest.raises(QuadratureFailure, match="radial extent"):
+            _radial_rules([0.5, 0.05, R, 1.0], 0.3, (0.1,))
+    unit.assert_not_called()
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.5, math.nan, math.inf, 1e-13])
+def test_plan_refuses_a_singular_exponent_not_positive_and_finite(mu):
+    """An exponent that is not finite and > 0 (at 12 decimals, the class
+    key's) is refused by one line naming it, before a Gauss--Jacobi rule is
+    built for it."""
+    tri, _ = hexagon_mesh(0.1)
+    target = SimpleNamespace(singular_points=(SingularPoint((0.0, 0.0), mu, (0.1, 1.0)),))
+    with pytest.raises(QuadratureFailure, match="singular exponent") as err:
+        make_quadrature_plan(tri, target)
+    assert repr(mu) in str(err.value) and "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
@@ -411,6 +450,56 @@ def test_one_polar_loop_equals_the_vertex_and_fan_branches(corners, where, i, t,
     pts, wts = polar_triangle_rule(*args)
     want_pts, want_wts = polar_triangle_rule_branches(*args)
     assert np.array_equal(pts, want_pts) and np.array_equal(wts, want_wts)
+
+
+def _assert_rules_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", [f"stars-{N}" for N in range(2, 9)]
+                         + [f"hexagon-{eps}" for eps in DEFAULT_EPS])
+def test_class_rules_equal_the_per_ray_sector_loop(case):
+    """Every polar class rule of the checkerboard stars and the hexagon
+    defaults, bit for bit as with one radial rule and one mapping per ray."""
+    name, size = case.split("-")
+    if name == "stars":
+        (tri, _), target = checkerboard_mesh(int(size)), checkerboard_target(int(size))
+    else:
+        (tri, _), target = hexagon_mesh(float(size)), hexagon_target(float(size))
+    plan = make_quadrature_plan(tri, target)
+    with mock.patch("qmloc.quadrature._sector_rule", sector_rule_per_ray):
+        loop = make_quadrature_plan(tri, target)
+    assert len(plan.rules) == len(loop.rules) > 1
+    for got, want in zip(plan.rules, loop.rules):
+        _assert_rules_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corners=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+       breakpoints=st.lists(st.floats(1e-3, 2.0), max_size=3),
+       mu=st.sampled_from([1 / 6, 0.25, 0.5, 0.9]), degree=st.integers(1, 8))
+def test_sector_rule_equals_the_per_ray_loop(corners, breakpoints, mu, degree):
+    s, p, p2 = np.array(corners).reshape(3, 2)
+    h = max(np.linalg.norm(p - s), np.linalg.norm(p2 - s), np.linalg.norm(p2 - p))
+    (a, b), (c, d) = p - s, p2 - s
+    assume(abs(a * d - b * c) > 1e-2 * h * h)
+    args = (s, p, p2, mu, breakpoints, degree)
+    _assert_rules_equal(_sector_rule(*args), sector_rule_per_ray(*args))
+
+
+@pytest.mark.parametrize("breakpoints", [(0.8,), (0.8, 0.9), (5.0,), (0.75, 5.0)])
+def test_sector_rays_shorter_than_the_first_breakpoint(breakpoints):
+    """Rays ending inside the first breakpoint hold the scaled unit rule
+    alone, next to rays with regular panels (extents 0.71 to 1 here, so
+    at least one ray has no regular node)."""
+    args = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), 0.25, breakpoints, 8)
+    pts, wts = _sector_rule(*args)
+    _assert_rules_equal((pts, wts), sector_rule_per_ray(*args))
+    # 20 rays of n1 unit-rule nodes, fewer than all of them with a regular panel
+    n1 = len(_unit_singular_rule(0.25, 8)[0])
+    assert 20 * n1 <= len(wts) < 20 * (n1 + 10)
 
 
 @pytest.mark.parametrize("N", range(2, 9))
