@@ -75,26 +75,31 @@ def element_tables_each(targets, plan: QuadraturePlan, space: LagrangeSpace) -> 
     `QuadraturePlan.require_mesh`: PlanMismatch for a plan of another
     element count, PointOutsideElement for one of another mesh.
 
-    The gradient moments int_K grad u . grad phi_i are summed as the einsum
-    "kq,kqd,kqid->ki" sums them, bit for bit: at each node the two-term dot
-    of w grad u with grad phi_i, then the nodes in order.  They are written
-    as two broadcast products and one sum over the nodes, not as that
-    einsum, whose inner loop runs over the two-wide component axis.
+    The geometry is read once: |det B_K| is twice the element area, and
+    B_K^-1 the adjugate over the signed determinant.  The gradient moments
+    int_K grad u . grad phi_i are summed as the einsum "kq,kqd,kqid->ki"
+    sums them, bit for bit: at each node the two-term dot of w grad u with
+    grad phi_i, then the nodes in order.  They are written as two broadcast
+    products and one einsum over the nodes, which adds them in order as
+    `sum` does and runs several times faster on a (K, n, nloc) block.
     """
     pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
     vals, gref = reference_basis(space.degree, pts_ref)
     B = element_affine(space.tri)[1]
-    det, Binv = np.abs(np.linalg.det(B)), np.linalg.inv(B)
+    det = 2.0 * space.tri.areas  # |det B_K|, as `build_triangulation` forms it
+    signed = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    Binv = (np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=1)
+            / signed[:, None]).reshape(-1, 2, 2)  # the adjugate over the determinant
     # grad phi = gref @ Binv, so S_K = |det B_K| sum_ab (Binv Binv^T)_ab R_ab
-    R = np.einsum("q,qia,qjb->abij", w_ref, gref, gref)
+    nloc = vals.shape[1]
+    R = np.einsum("q,qia,qjb->abij", w_ref, gref, gref).reshape(4, nloc * nloc)
     G = det[:, None, None] * (Binv @ Binv.transpose(0, 2, 1))
-    stiffness = np.einsum("kab,abij->kij", G, R)
+    stiffness = (G.reshape(-1, 4) @ R).reshape(-1, nloc, nloc)
     mass_ref = (vals.T * w_ref) @ vals
     mass = det[:, None, None] * mass_ref
     # S_K + (tr S_K / nloc^2) 1 1^T is definite, about as well conditioned as
     # S_K off its kernel, and maps load vectors that sum to zero to fits whose
     # node values do
-    nloc = vals.shape[1]
     gauged_inv = np.linalg.inv(
         stiffness + (np.trace(stiffness, axis1=1, axis2=2) / nloc**2)[:, None, None])
     mass_ref_inv = np.linalg.inv(mass_ref)  # M_K^-1 = mass_ref_inv / |det B_K|
@@ -119,7 +124,7 @@ def element_tables_each(targets, plan: QuadraturePlan, space: LagrangeSpace) -> 
             wg = wts[..., None] * gu
             m = wg[:, :, None, 0] * dphi[..., 0]
             m += wg[:, :, None, 1] * dphi[..., 1]
-            m = m.sum(axis=1)
+            m = np.einsum("kqi->ki", m)
             m0 = ((wts * u)[:, None, :] @ phi)[:, 0]
             pi = (gk @ m[..., None])[..., 0]
             pi0 = m0 @ mass_ref_inv.T / dk

@@ -104,8 +104,9 @@ def hexagon_target(eps: float) -> TargetField:
         den = 1.0 - eps * A
         u[outer] = w + eps * (A - 1.0) * w / den
         common, slope = w * (1.0 - eps) / den**2, (A - 1.0) / den
-        g[outer, 0] = -1.0 + eps * (yo * (yo - xo) / ro**3 * common - slope)
-        g[outer, 1] = -1.0 + eps * (xo * (xo - yo) / ro**3 * common - slope)
+        ro3 = ro * ro * ro
+        g[outer, 0] = -1.0 + eps * (yo * (yo - xo) / ro3 * common - slope)
+        g[outer, 1] = -1.0 + eps * (xo * (xo - yo) / ro3 * common - slope)
         q2 = ~q1
         xq, yq, rq = xs[q2], ys[q2], rs[q2]
         ang = 3.0 - 4.0 * np.arctan2(yq, xq) / np.pi

@@ -46,7 +46,7 @@ def _exp(p):
 
 def _cubic(p):
     x, y2 = p[:, 0], p[:, 1] ** 2
-    return x**3 - 3.0 * x * y2, np.stack([3.0 * x**2 - 3.0 * y2, -6.0 * x * p[:, 1]], axis=1)
+    return x * x * x - 3.0 * x * y2, np.stack([3.0 * x**2 - 3.0 * y2, -6.0 * x * p[:, 1]], axis=1)
 
 
 def default_smooth_targets() -> dict:

@@ -79,7 +79,7 @@ def triangle_rule(p: int, v0, v1, v2):
     pts_ref, w_ref = reference_triangle_rule(p)
     v0 = np.asarray(v0, float)
     B = np.column_stack([np.asarray(v1, float) - v0, np.asarray(v2, float) - v0])
-    return v0 + pts_ref @ B.T, w_ref * abs(np.linalg.det(B))
+    return v0 + pts_ref @ B.T, w_ref * abs(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])
 
 
 def _panels(lo, hi, order: int):
@@ -225,11 +225,13 @@ def _radial_rules(extents, mu: float, breakpoints=(), degree: int = 8):
     `_unit_singular_rule` of span degree `degree` inside the first
     breakpoint (or R), then composite Gauss on dyadic panels between the
     further breakpoints, so that profile kinks sit on cell boundaries.
-    Raises QuadratureFailure for an extent that is not positive and finite
-    or an exponent that is not, at `_KEY_DECIMALS` decimals."""
+    Raises QuadratureFailure for an extent or a breakpoint that is not
+    positive and finite or an exponent that is not, at `_KEY_DECIMALS`
+    decimals; a breakpoint at or beyond an extent only lies outside its ray."""
     bad = [R for R in extents if not 0.0 < R < math.inf]
     if bad:
         raise QuadratureFailure(f"radial extent {bad[0]!r} is not positive and finite")
+    _require_breakpoints(breakpoints)
     key = round(mu, _KEY_DECIMALS)
     if not 0.0 < key < math.inf:
         raise QuadratureFailure(f"singular exponent {mu!r} is not positive and finite "
@@ -259,6 +261,14 @@ def _radial_rules(extents, mu: float, breakpoints=(), degree: int = 8):
     r[singular], w[singular] = c0 * r1, c0 * w1
     r[regular], w[regular] = _panels(lefts, rights, _GAUSS_ORDER)
     return r, w, counts
+
+
+def _require_breakpoints(breakpoints):
+    """Raise QuadratureFailure naming the first radial breakpoint that is not
+    positive and finite."""
+    bad = [b for b in breakpoints if not 0.0 < b < math.inf]
+    if bad:
+        raise QuadratureFailure(f"radial breakpoint {float(bad[0])!r} is not positive and finite")
 
 
 def radial_rule(R: float, mu: float, breakpoints=(), degree: int = 8):
@@ -437,13 +447,17 @@ def make_quadrature_plan(tri: Triangulation, target, exactness: int = 8) -> Quad
     exponent and the breakpoints divided by h, each rounded to
     `_KEY_DECIMALS`; `polar_triangle_rule` runs once per key, its radial
     span degree `exactness`.  `target` only needs a `singular_points`
-    attribute (possibly empty); see `plan_key`.
+    attribute (possibly empty); see `plan_key`.  Raises QuadratureFailure,
+    before any element is located, for a radial breakpoint that is not
+    positive and finite.
     """
     singular = plan_key(target)
+    for sp in singular:
+        _require_breakpoints(sp.radial_breakpoints)
     hits = np.array(_locate(tri, np.array([sp.xy for sp in singular], dtype=float))
                     if singular else [-1] * tri.n_elements, dtype=np.int64)
     origin, linear = element_affine(tri)
-    scale = np.abs(np.linalg.det(linear))
+    scale = 2.0 * tri.areas  # |det| of each element's map
     pts_ref, w_ref = reference_triangle_rule(exactness)
     rules = [(pts_ref, w_ref, pts_ref)]
     element_class = np.zeros(tri.n_elements, dtype=np.int64)

@@ -3,18 +3,21 @@
 These are the plain loops that the batched tables and the one kernel
 replace: each element matrix from its own quadrature, each right-hand side
 from the target's plan, a dense regional Ritz solve, and the scaled-monomial
-best fit on a single element.  The error of any member of the space has two
-oracles: quadrature of the difference u - V at the plan's nodes, and the
-expanded form uu - 2 b.x + x^T A x, whose rounding scales with the energy of
-u rather than with the error.  Tests compare the fast path against them.
+best fit on a single element; `element_tables_broadcast` is the batched
+table kernel as it was before `element_tables_each` read the geometry once.
+The error of any member of the space has two oracles: quadrature of the
+difference u - V at the plan's nodes, and the expanded form uu - 2 b.x +
+x^T A x, whose rounding scales with the energy of u rather than with the
+error.  Tests compare the fast path against them.
 `masked_ritz` is the one-target global solve that the shared operator of
 `ritz_each` replaces.
 """
 import numpy as np
 
-from qmloc.bestapprox import LevelFactor, SparseMatrix, SpdSystem, _error, solve_spd
+from qmloc.bestapprox import ElementTables, LevelFactor, SparseMatrix, SpdSystem, _error, solve_spd
 
-from qmloc.fespace import element_affine, element_mass_matrix, reference_basis
+from qmloc.fespace import element_mass_matrix, reference_basis
+from qmloc.mesh import element_affine
 from qmloc.quadrature import reference_triangle_rule
 
 from fespace_reference import eval_basis
@@ -69,8 +72,12 @@ def einsum_grad_moments(target, plan, space):
     """(ks, int_K grad u . grad phi_i) for each class block of the plan, by
     the three-operand einsum whose arithmetic `element_tables_each` keeps:
     per node the two-term dot of w grad u with grad phi_i, then the nodes in
-    order.  The block data are formed as `element_tables_each` forms them."""
-    Binv = np.linalg.inv(element_affine(space.tri)[1])
+    order.  The block data are formed as `element_tables_each` forms them,
+    B_K^-1 as the adjugate over the signed determinant."""
+    B = element_affine(space.tri)[1]
+    signed = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    Binv = (np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=1)
+            / signed[:, None]).reshape(-1, 2, 2)
     for cls, ks, pts, wts, about in plan.blocks():
         gref = reference_basis(space.degree, plan.rules[cls][2])[1]
         if about is not None:
@@ -78,6 +85,65 @@ def einsum_grad_moments(target, plan, space):
         dphi = (gref.reshape(-1, 2) @ Binv[ks]).reshape(*wts.shape, *gref.shape[1:])
         gu = target.evaluate(pts.reshape(-1, 2), about)[1].reshape(*wts.shape, 2)
         yield ks, np.einsum("kq,kqd,kqid->ki", wts, gu, dphi)
+
+
+def element_tables_broadcast(targets, plan, space):
+    """The tables of each of `targets` by the kernel `element_tables_each`
+    replaced: |det B_K| and B_K^-1 by batched LAPACK `det` and `inv`, the
+    stiffness by one einsum, and the moments' products summed over the
+    nodes by `sum`."""
+    pts_ref, w_ref = reference_triangle_rule(2 * space.degree + 2)
+    vals, gref = reference_basis(space.degree, pts_ref)
+    B = element_affine(space.tri)[1]
+    det, Binv = np.abs(np.linalg.det(B)), np.linalg.inv(B)
+    R = np.einsum("q,qia,qjb->abij", w_ref, gref, gref)
+    G = det[:, None, None] * (Binv @ Binv.transpose(0, 2, 1))
+    stiffness = np.einsum("kab,abij->kij", G, R)
+    mass_ref = (vals.T * w_ref) @ vals
+    mass = det[:, None, None] * mass_ref
+    nloc = vals.shape[1]
+    gauged_inv = np.linalg.inv(
+        stiffness + (np.trace(stiffness, axis1=1, axis2=2) / nloc**2)[:, None, None])
+    mass_ref_inv = np.linalg.inv(mass_ref)
+
+    T, nt = len(targets), space.tri.n_elements
+    moments, fits = np.empty((T, nt, 2, nloc)), np.empty((T, nt, 2, nloc))
+    sums = np.empty((T, nt, 4))
+    plan.require_mesh(space.tri)
+    for cls, ks, pts, wts, about in plan.blocks():
+        phi, gref = reference_basis(space.degree, plan.rules[cls][2])
+        stacked = gref.transpose(1, 0, 2).reshape(nloc, -1)
+        if about is not None:
+            about = np.repeat(about, wts.shape[1])
+        Bk, gk, dk = Binv[ks], gauged_inv[ks], det[ks, None]
+        dphi = (gref.reshape(-1, 2) @ Bk).reshape(*wts.shape, *gref.shape[1:])
+        for t, target in enumerate(targets):
+            u, gu = target.evaluate(pts.reshape(-1, 2), about)
+            u, gu = u.reshape(wts.shape), gu.reshape(*wts.shape, 2)
+            wg = wts[..., None] * gu
+            m = wg[:, :, None, 0] * dphi[..., 0]
+            m += wg[:, :, None, 1] * dphi[..., 1]
+            m = m.sum(axis=1)
+            m0 = ((wts * u)[:, None, :] @ phi)[:, 0]
+            pi = (gk @ m[..., None])[..., 0]
+            pi0 = m0 @ mass_ref_inv.T / dk
+            moments[t, ks, 0], moments[t, ks, 1], fits[t, ks, 0], fits[t, ks, 1] = m, m0, pi, pi0
+            r = gu - (pi @ stacked).reshape(gu.shape) @ Bk
+            r0 = u - pi0 @ phi.T
+            sums[t, ks, 0] = np.einsum("kq,kqd,kqd->k", wts, r, r)
+            sums[t, ks, 1] = np.einsum("kq,kq,kq->k", wts, r0, r0)
+            sums[t, ks, 2] = np.einsum("kq,kqd,kqd->k", wts, gu, gu)
+            sums[t, ks, 3] = np.einsum("kq,kq,kq->k", wts, u, u)
+    out, mass_rows = [], mass.sum(axis=2)
+    for mo, fi, su in zip(moments, fits, sums):
+        grad_fits = fi[:, 0]
+        grad_fits += ((mo[:, 1].sum(axis=1) - np.einsum("ki,ki->k", grad_fits, mass_rows))
+                      / space.tri.areas)[:, None]
+        out.append(ElementTables(space=space, stiffness=stiffness, mass=mass,
+                                 grad_moments=mo[:, 0], grad_sq=su[:, 2], value_moments=mo[:, 1],
+                                 value_sq=su[:, 3], grad_fits=grad_fits, grad_residual=su[:, 0],
+                                 value_fits=fi[:, 1], value_residual=su[:, 1]))
+    return out
 
 
 def mass_rhs(space, target, plan, region=None):

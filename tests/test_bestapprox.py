@@ -22,7 +22,7 @@ from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
                                    hexagon_mesh, hexagon_target)
 from qmloc.errors import ParameterOutOfRange, PlanMismatch, PointOutsideElement, SolverFailure
 from qmloc.fespace import build_space, element_mass_matrix
-from qmloc.fields import TargetField, smooth_target
+from qmloc.fields import SingularPoint, TargetField, smooth_target
 from qmloc.harness import default_smooth_targets
 from qmloc.interp import interpolation_error_sq, quasi_interpolate
 from qmloc.mesh import build_triangulation, edge_pair, region_rows, uniform_refine, vertex_patch
@@ -32,8 +32,8 @@ import report_reference
 from interp_reference import energy_norm_sq, l2_norm_sq
 from mesh_reference import csr
 from ritz_reference import (QuadratureOracle, assemble, dense_ritz_error, einsum_grad_moments,
-                            element_stiffness, energy_rhs, mass_rhs, masked_ritz,
-                            monomial_element_fit)
+                            element_stiffness, element_tables_broadcast, energy_rhs, mass_rhs,
+                            masked_ritz, monomial_element_fit)
 
 
 def reference_element():
@@ -573,7 +573,7 @@ def assert_tables_equal(tables, reference):
             assert np.array_equal(getattr(tables, f.name), getattr(reference, f.name)), f.name
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_tables_of_several_targets_equal_one_target_passes(degree):
     """One pass over the fig1 sweep targets gives each target the tables of
     its own one-target pass, bit for bit, the element matrices shared."""
@@ -585,6 +585,52 @@ def test_tables_of_several_targets_equal_one_target_passes(degree):
     assert len(each) == 3 and all(t.stiffness is each[0].stiffness for t in each)
     for target, tables in zip(targets, each):
         assert_tables_equal(tables, element_tables(target, plan, space))
+
+
+def _power_about(s, mu):
+    """r**mu about the point s, as a target with that singular point."""
+    def offsets(d, about=None):
+        r2 = np.einsum("qd,qd->q", d, d)
+        return r2 ** (mu / 2), mu * (r2 ** (mu / 2 - 1))[:, None] * d
+
+    return TargetField(lambda p: offsets(p - s), (SingularPoint(tuple(s), mu),),
+                       offset_fn=offsets)
+
+
+@settings(max_examples=16, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), degree=st.integers(1, 4),
+       singular=st.booleans())
+def test_tables_match_the_broadcast_kernel_on_perturbed_grids(seed, n, degree, singular):
+    """`element_tables_each` against the kernel it replaced
+    (`ritz_reference.element_tables_broadcast`: LAPACK det and inv), on
+    perturbed grids at P1-P4: the three smooth targets on a plain plan, or
+    r**mu about a point inside the square and 2.5 times it on a plan with
+    polar blocks.  Every field of every target agrees on each element within
+    1e-12 of that element's max|field|; the fit residuals, whose true value
+    may be 0 (the cubic at P >= 3), within 1e-12 of the element's energy of
+    u (grad_sq, value_sq), the scale of their rounding."""
+    rng = np.random.default_rng(seed)
+    tri = _perturbed_grid(n, rng)
+    if singular:
+        power = _power_about(rng.uniform(0.2, 0.8, 2), 0.3)
+        targets = [power, _scaled_target(power, 2.5)]
+    else:
+        targets = list(default_smooth_targets().values())
+    plan = make_quadrature_plan(tri, targets[0], 2 * degree + 6)
+    assert bool(plan.singular_elements) == singular
+    space = build_space(tri, degree)
+    for new, old in zip(element_tables_each(targets, plan, space),
+                        element_tables_broadcast(targets, plan, space)):
+        for f in fields(ElementTables):
+            if f.name == "space":
+                continue
+            got = getattr(new, f.name).reshape(tri.n_elements, -1)
+            want = getattr(old, f.name).reshape(tri.n_elements, -1)
+            if f.name.endswith("_residual"):
+                scale = getattr(old, f.name.replace("residual", "sq"))
+            else:
+                scale = np.abs(want).max(axis=1)
+            assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * scale), f.name
 
 
 @pytest.mark.parametrize("dirichlet, beta", [(False, 0.0), (True, 0.0), (False, 1e-2),

@@ -241,6 +241,27 @@ def test_radial_rule_refuses_an_extent_not_positive_and_finite(R):
     unit.assert_not_called()
 
 
+@pytest.mark.parametrize("b", [math.nan, -0.5, 0.0, math.inf])
+def test_a_radial_breakpoint_not_positive_and_finite_is_refused(b):
+    """A breakpoint that is not positive and finite is refused by one line
+    naming it, by `radial_rule` and by `make_quadrature_plan`, before any
+    rule is built; a finite breakpoint at or beyond the extent stays legal
+    and leaves the rule as without it."""
+    tri, _ = hexagon_mesh(0.1)
+    target = SimpleNamespace(singular_points=(SingularPoint((0.0, 0.0), 0.3, (b, 1.0)),))
+    with mock.patch("qmloc.quadrature._unit_singular_rule") as unit:
+        for build in (lambda: radial_rule(1.0, 0.3, (0.1, b)),
+                      lambda: make_quadrature_plan(tri, target)):
+            with pytest.raises(QuadratureFailure, match="radial breakpoint") as err:
+                build()
+            assert repr(b) in str(err.value) and "\n" not in str(err.value)
+    unit.assert_not_called()
+    plain = radial_rule(1.0, 0.3)
+    for beyond in (1.0, 2.0):
+        for got, want in zip(radial_rule(1.0, 0.3, (beyond,)), plain):
+            np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("mu", [0.0, -0.5, math.nan, math.inf, 1e-13])
 def test_plan_refuses_a_singular_exponent_not_positive_and_finite(mu):
     """An exponent that is not finite and > 0 (at 12 decimals, the class
