@@ -67,7 +67,9 @@ class Triangulation:
 def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     """Validate raw arrays and derive edges, boundary flags and quality measures.
 
-    Triangle orientation is normalized to counter-clockwise.  Raises
+    Every mesh that comes from outside the refinement goes through here:
+    `load_mesh`, user arrays and the coarse built-in tilings.  Triangle
+    orientation is normalized to counter-clockwise.  Raises
     DegenerateElement for zero-area triangles and NonConforming for
     over-shared edges, overlapping triangles on an edge or hanging vertices.
     """
@@ -88,20 +90,9 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
     with np.errstate(over="ignore"):  # squared lengths and areas below are <= 8 scale^2
         if not np.isfinite(8.0 * scale**2):
             raise ValueError(f"vertex coordinates up to {scale:.3g} overflow float64 in areas")
+    flip, areas, diameters, rho, vertex_elements = _element_geometry(verts, tris)
     tris = tris.copy()
-    v = verts[tris]
-    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-    signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    flip = signed < 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
-    areas = np.abs(signed)
-    side = np.linalg.norm(v[:, [2, 0, 1]] - v[:, [1, 2, 0]], axis=2)  # opposite vertex 0, 1, 2
-    diameters = side.max(axis=1)
-    # relative to h_K^2, so the test reads the same at every scale
-    degenerate = areas <= _AREA_TOL * diameters**2
-    if np.any(degenerate):
-        raise DegenerateElement(
-            f"triangles with non-positive area: {np.flatnonzero(degenerate).tolist()}")
 
     # edge table: one integer key lo*nv + hi per (element, local edge i), the
     # edge opposite local vertex i; sorted keys are the sorted vertex pairs
@@ -137,13 +128,6 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
 
     _check_hanging_vertices(verts, edges)
 
-    semiper = 0.5 * side.sum(axis=1)
-    rho = 2.0 * areas / semiper  # twice the inradius
-
-    flat = tris.ravel()
-    vertex_elements = (np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nv))]),
-                       np.argsort(flat, kind="stable") // 3)
-
     return Triangulation(
         vertices=verts,
         triangles=tris,
@@ -158,6 +142,37 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
         vertex_elements=vertex_elements,
         parents=None if parents is None else np.asarray(parents, dtype=np.int64),
     )
+
+
+def _element_geometry(verts, tris):
+    """The quality measures and vertex stars of the triangles `tris`.
+
+    Returns (flip, areas, diameters, rho, vertex_elements): `flip` marks the
+    clockwise triangles, rho is twice the inradius and vertex_elements the
+    CSR star of each vertex, ascending.  Raises DegenerateElement for a
+    triangle whose area is at most _AREA_TOL times its squared diameter.
+    """
+    v = verts[tris]
+    d1, d2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = np.abs(signed)
+    e = v[:, [2, 0, 1]] - v[:, [1, 2, 0]]  # the sides opposite vertex 0, 1, 2
+    side = np.sqrt(e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1])  # np.linalg.norm's sum
+    diameters = side.max(axis=1)
+    # relative to h_K^2, so the test reads the same at every scale
+    degenerate = areas <= _AREA_TOL * diameters**2
+    if np.any(degenerate):
+        raise DegenerateElement(
+            f"triangles with non-positive area: {np.flatnonzero(degenerate).tolist()}")
+    semiper = 0.5 * side.sum(axis=1)
+    rho = 2.0 * areas / semiper  # twice the inradius
+
+    # a non-degenerate triangle holds each vertex once, so the stars do not
+    # depend on its orientation
+    flat = tris.ravel()
+    vertex_elements = (np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=len(verts)))]),
+                       np.argsort(flat, kind="stable") // 3)
+    return signed < 0, areas, diameters, rho, vertex_elements
 
 
 def region_rows(regions, rows):
@@ -313,18 +328,83 @@ def edge_pair(tri: Triangulation, e: int):
 def uniform_refine(tri: Triangulation) -> Triangulation:
     """Red refinement: each triangle into 4 similar children via edge midpoints.
 
-    The returned mesh carries a child-to-parent map so piecewise-constant
-    data transfers by indexing.
+    The child of parent k at its local vertex i is 4k + i, and 4k + 3 is the
+    middle child.  The returned mesh carries a child-to-parent map so
+    piecewise-constant data transfers by indexing.
+
+    The tables are derived from the parent's, not re-checked by
+    `build_triangulation`, and equal what it would build: the children keep
+    their parent's orientation, so no flip arises, and they share only full
+    edges, so no vertex can hang.  The degenerate-area test still applies.
     """
-    nv = tri.n_vertices
+    nv, ne, nt = tri.n_vertices, tri.n_edges, tri.n_elements
     midpoints = 0.5 * (tri.vertices[tri.edges[:, 0]] + tri.vertices[tri.edges[:, 1]])
     verts = np.vstack([tri.vertices, midpoints])
     a, b, c = tri.triangles.T
-    mbc, mca, mab = (nv + tri.triangle_edges).T  # midpoint of the edge opposite a, b, c
+    te = tri.triangle_edges
+    mbc, mca, mab = (nv + te).T  # midpoint of the edge opposite a, b, c
     children = np.stack([(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)],
                         axis=0).transpose(2, 0, 1).reshape(-1, 3)
-    parents = np.repeat(np.arange(tri.n_elements), 4)
-    return build_triangulation(verts, children, parents=parents)
+    _, areas, diameters, rho, vertex_elements = _element_geometry(verts, children)
+
+    # half edges (p, nv + e) first, sorted by p, then e: a stable sort of the
+    # parent's endpoints; half[2e + s] is the half of edge e at edges[e, s]
+    ends = tri.edges.ravel()
+    by_end = np.argsort(ends, kind="stable")
+    half = np.empty(2 * ne, dtype=np.int64)
+    half[by_end] = np.arange(2 * ne)
+    halved, vertex = by_end // 2, ends[by_end]  # each half edge's parent edge and vertex
+    # then the 3 midpoint-midpoint edges of each parent, slot i opposite the
+    # corner child i: parent edges (te[k, i + 1], te[k, i + 2]), mod 3
+    e1, e2 = te[:, [1, 2, 0]], te[:, [2, 0, 1]]
+    inner_keys = (np.minimum(e1, e2) * ne + np.maximum(e1, e2)).ravel()
+    by_key = np.argsort(inner_keys)
+    inner = np.empty(3 * nt, dtype=np.int64)
+    inner[by_key] = 2 * ne + np.arange(3 * nt)
+    edges = np.concatenate([np.column_stack([vertex, nv + halved]),
+                            nv + np.column_stack(np.divmod(inner_keys[by_key], ne))])
+
+    # the half of parent edge te[k, i] at its endpoint local vertex i + 1
+    # (`at_next`) and i + 2 (`at_prev`), mod 3
+    up = tri.triangles[:, [1, 2, 0]] > tri.triangles[:, [2, 0, 1]]  # edges[te, 0] is i + 2
+    at_next, at_prev = half[2 * te + up], half[2 * te + ~up]
+    inner = inner.reshape(nt, 3)
+    triangle_edges = np.stack([
+        np.column_stack([inner[:, 0], at_prev[:, 1], at_next[:, 2]]),
+        np.column_stack([at_next[:, 0], inner[:, 1], at_prev[:, 2]]),
+        np.column_stack([at_prev[:, 0], at_next[:, 1], inner[:, 2]]),
+        np.column_stack([inner[:, 2], inner[:, 0], inner[:, 1]]),
+    ], axis=1).reshape(-1, 3)
+
+    # a half edge lies in the corner children, at its end, of its parent
+    # edge's elements, ascending as those are; inner slot i of parent k lies
+    # in 4k + i and 4k + 3
+    offsets, ids = tri.edge_elements
+    counts = np.diff(offsets)[halved]
+    owners = ids[_ranges(offsets[halved], counts)]
+    corner = np.argmax(tri.triangles[owners] == np.repeat(vertex, counts)[:, None], axis=1)
+    k, i = np.divmod(by_key, 3)
+    edge_ids = np.concatenate([4 * owners + corner,
+                               np.column_stack([4 * k + i, 4 * k + 3]).ravel()])
+    edge_offsets = np.concatenate([[0], np.cumsum(np.concatenate([counts, np.full(3 * nt, 2)]))])
+
+    boundary_edges = np.concatenate([tri.boundary_edges[halved], np.zeros(3 * nt, dtype=bool)])
+    boundary_vertices = np.concatenate([tri.boundary_vertices, tri.boundary_edges])
+
+    return Triangulation(
+        vertices=verts,
+        triangles=children,
+        edges=edges,
+        edge_elements=(edge_offsets, edge_ids),
+        triangle_edges=triangle_edges,
+        boundary_vertices=boundary_vertices,
+        boundary_edges=boundary_edges,
+        areas=areas,
+        diameters=diameters,
+        inball_diameters=rho,
+        vertex_elements=vertex_elements,
+        parents=np.repeat(np.arange(nt, dtype=np.int64), 4),
+    )
 
 
 def save_mesh(tri: Triangulation, path, coefficient=None) -> None:

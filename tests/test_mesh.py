@@ -242,6 +242,39 @@ def test_mesh_checks_do_not_depend_on_scale(k, name, seed, n, defect):
     _assert_same_outcome_scaled(*_defective_grid(seed, n, defect), k)
 
 
+def _assert_refines_as_rebuilt(tri, times):
+    """Refines `tri` `times` times.  Each child mesh equals, field by field
+    and dtype included, the array build of its own vertices and children,
+    with every check run again, and, up to 4,096 children, the loop
+    reference's refinement of the same parent (that reference is quadratic
+    in size)."""
+    for _ in range(times):
+        fine = uniform_refine(tri)
+        mesh_reference.assert_same_fields(
+            fine, build_triangulation(fine.vertices, fine.triangles, parents=fine.parents))
+        if fine.n_elements <= 4096:
+            mesh_reference.assert_same_fields(fine, mesh_reference.uniform_refine(tri))
+        tri = fine
+
+
+@pytest.mark.parametrize("name", ["hexagon", "checkerboard1", "checkerboard2", "checkerboard3",
+                                  "checkerboard4", "fig1-left0", "fig1-right0", "square2048"])
+def test_refinement_derives_what_the_checked_build_builds(name):
+    """The derived tables of `uniform_refine` on the catalog meshes, refined
+    4 times and fig1 6 times: skipping the checks loses nothing."""
+    verts, tris, _ = CATALOG[name]
+    _assert_refines_as_rebuilt(build_triangulation(verts, tris), 6 if name == "fig1-left0" else 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(-60, 60),
+       times=st.integers(1, 3))
+def test_refinement_derives_what_the_checked_build_builds_on_grids(seed, n, k, times):
+    """The same on perturbed grids of mixed orientation, scaled by 2^k."""
+    verts, tris = _defective_grid(seed, n, "none")
+    _assert_refines_as_rebuilt(build_triangulation(np.ldexp(verts, k), tris), times)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 25))
 def test_box_point_pairs_find_every_point_in_a_box(seed, m):
