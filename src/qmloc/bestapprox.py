@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -156,17 +157,18 @@ class SparseMatrix:
     """A sparse matrix from (row, col, value) entries, duplicates summed in
     the order given.
 
-    The rows are stored padded to three widths, the median, 90th-percentile
-    and largest row length: the rows of each width slot by slot as (width,
-    rows) arrays of columns and values, column -1 and value 0 in the padding.
-    The product ``m @ p`` sums each row left to right in column order, as
-    `scipy.sparse`'s CSR product sums it, so on the same entries the two
-    agree bit for bit.  ``m[mask]`` and ``m[:, mask]`` are the matrices of
-    the entries in the rows or columns a boolean mask keeps, renumbered.
-    The constructor raises ValueError for a `shape` that is not two
-    non-negative integers, and for entries that are not 1-D arrays of equal
-    length or that lie outside `shape`; ``m @ p`` for a `p` that is not of
-    shape (ncols,).
+    It stores its distinct entries as their sorted keys row * max(ncols, 1)
+    + col and the values of those keys: ``entries()``, ``m[mask]``,
+    ``m[:, mask]`` and `LevelFactor` read them from there.  The product ``m
+    @ p`` and ``diagonal()`` run on a padded layout of the rows built on the
+    first call of either (`_padded_rows`); ``m @ p`` sums each row left to
+    right in column order, as `scipy.sparse`'s CSR product sums it, so on the
+    same entries the two agree bit for bit.  ``m[mask]`` and ``m[:, mask]``
+    are the matrices of the entries in the rows or columns a boolean mask
+    keeps, renumbered.  The constructor raises ValueError for a `shape` that
+    is not two non-negative integers, and for entries that are not 1-D
+    arrays of equal length or that lie outside `shape`; ``m @ p`` for a `p`
+    that is not of shape (ncols,).
     """
 
     def __init__(self, rows, cols, values, shape):
@@ -196,37 +198,18 @@ class SparseMatrix:
 
     def _set(self, keys, values, shape):
         self.shape = (int(shape[0]), int(shape[1]))
-        nr, nc = self.shape[0], max(self.shape[1], 1)
-        cols = keys // nc  # the rows, then the columns in their memory
-        lengths = np.bincount(cols, minlength=nr)
-        cols *= nc
-        np.subtract(keys, cols, out=cols)
-        # row r is entries offsets[r]:offsets[r + 1]; row -1, offsets[-1]:offsets[0], none
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        s = np.sort(lengths) if nr else np.zeros(1, dtype=np.intp)
-        widths = sorted({int(s[len(s) // 2]), int(s[9 * len(s) // 10]), int(s[-1])})
-        kind = np.searchsorted(widths, lengths)  # every width is some row's length
-        self._blocks = []
-        for j, w in enumerate(widths):
-            R = np.flatnonzero(kind == j)
-            if len(R) < 2:  # numpy sums a (w, 1) array pairwise, not slot by slot
-                R = np.append(R, [-1] * (2 - len(R)))
-            at = offsets[R] + np.arange(w)[:, None]  # slot k of row r: entry offsets[r] + k
-            pad = at >= offsets[R + 1]
-            at[pad] = 0
-            C, V = cols[at], values[at].astype(float, copy=False)  # bincount([]) is int64
-            C[pad], V[pad] = -1, 0.0
-            self._blocks.append((R, C, V))
-        # each row's place in the blocks' sums, None when that is its row
-        order = np.concatenate([R for R, _, _ in self._blocks])
-        where = np.empty(nr, dtype=np.intp)
-        where[order[order >= 0]] = np.flatnonzero(order >= 0)
-        self._where = None if np.array_equal(order, np.arange(nr)) else where
+        self._keys, self._values = keys, values.astype(float, copy=False)  # bincount([]) is int64
+
+    @cached_property
+    def _layout(self):
+        """The padded blocks and each row's place in their sums (`_padded_rows`)."""
+        return _padded_rows(self._keys, self._values, self.shape)
 
     def diagonal(self) -> np.ndarray:
         """The diagonal entries, zero where none is stored."""
-        return self._in_row_order(
-            [np.where(C == R, V, 0.0).sum(axis=0) for R, C, V in self._blocks])[:min(self.shape)]
+        blocks, where = self._layout
+        return _in_row_order([np.where(C == R, V, 0.0).sum(axis=0) for R, C, V in blocks],
+                             where)[:min(self.shape)]
 
     def __matmul__(self, p):
         if np.shape(p) != self.shape[1:]:
@@ -234,17 +217,13 @@ class SparseMatrix:
                              f"of shape {np.shape(p)}")
         if not self.shape[1]:
             return np.zeros(self.shape[0])
+        blocks, where = self._layout
         sums = []
-        for _, C, V in self._blocks:
+        for _, C, V in blocks:
             g = p.take(C)
             g *= V
             sums.append(np.add.reduce(g, axis=0))
-        return self._in_row_order(sums)
-
-    def _in_row_order(self, sums):
-        """The rows' entries of the per-block sums."""
-        y = np.concatenate(sums) if len(sums) > 1 else sums[0]
-        return y if self._where is None else y.take(self._where)
+        return _in_row_order(sums, where)
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
@@ -259,24 +238,52 @@ class SparseMatrix:
 
     def entries(self):
         """The stored (rows, cols, values), sorted by row and column."""
-        rows, cols, values = self._stored()
-        order = np.lexsort((cols, rows))
-        return rows[order], cols[order], values[order]
-
-    def _stored(self):
-        """The stored (rows, cols, values) in the order of the padded
-        blocks; matrices of the same keys store theirs in the same order."""
-        rows = np.concatenate([np.broadcast_to(R, C.shape).ravel() for R, C, _ in self._blocks])
-        cols = np.concatenate([C.ravel() for _, C, _ in self._blocks])
-        values = np.concatenate([V.ravel() for _, _, V in self._blocks])
-        real = cols >= 0  # a padding row -1 holds only padding columns
-        return rows[real], cols[real], values[real]
+        nc = max(self.shape[1], 1)
+        rows = self._keys // nc
+        return rows, self._keys - rows * nc, self._values.copy()
 
     def _same_pattern(self, other) -> bool:
         """Whether `other` stores its entries at the same rows and columns."""
-        return self.shape == other.shape and len(self._blocks) == len(other._blocks) and all(
-            np.array_equal(R, R2) and np.array_equal(C, C2)
-            for (R, C, _), (R2, C2, _) in zip(self._blocks, other._blocks))
+        return self.shape == other.shape and np.array_equal(self._keys, other._keys)
+
+
+def _padded_rows(keys, values, shape):
+    """The layout of ``SparseMatrix @ p`` of the entries of sorted `keys`:
+    the rows padded to three widths, the median, 90th-percentile and largest
+    row length, the rows of each width slot by slot as (rows R, (width,
+    rows) columns C, values V), column -1 and value 0 in the padding; and
+    each row's place in the blocks' sums, None when that is its row."""
+    nr, nc = shape[0], max(shape[1], 1)
+    cols = keys // nc  # the rows, then the columns in their memory
+    lengths = np.bincount(cols, minlength=nr)
+    cols *= nc
+    np.subtract(keys, cols, out=cols)
+    # row r is entries offsets[r]:offsets[r + 1]; row -1, offsets[-1]:offsets[0], none
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    s = np.sort(lengths) if nr else np.zeros(1, dtype=np.intp)
+    widths = sorted({int(s[len(s) // 2]), int(s[9 * len(s) // 10]), int(s[-1])})
+    kind = np.searchsorted(widths, lengths)  # every width is some row's length
+    blocks = []
+    for j, w in enumerate(widths):
+        R = np.flatnonzero(kind == j)
+        if len(R) < 2:  # numpy sums a (w, 1) array pairwise, not slot by slot
+            R = np.append(R, [-1] * (2 - len(R)))
+        at = offsets[R] + np.arange(w)[:, None]  # slot k of row r: entry offsets[r] + k
+        pad = at >= offsets[R + 1]
+        at[pad] = 0
+        C, V = cols[at], values[at]
+        C[pad], V[pad] = -1, 0.0
+        blocks.append((R, C, V))
+    order = np.concatenate([R for R, _, _ in blocks])
+    where = np.empty(nr, dtype=np.intp)
+    where[order[order >= 0]] = np.flatnonzero(order >= 0)
+    return blocks, None if np.array_equal(order, np.arange(nr)) else where
+
+
+def _in_row_order(sums, where):
+    """The rows' entries of the per-block sums of `_padded_rows`."""
+    y = np.concatenate(sums) if len(sums) > 1 else sums[0]
+    return y if where is None else y.take(where)
 
 
 def _keyed(keys):
@@ -334,22 +341,27 @@ def _held_memory() -> int:
 class LevelFactor:
     """Block Cholesky factor of an SPD matrix whose graph is block
     tridiagonal over node levels (`LagrangeSpace.node_levels` restricted to
-    the unknowns), for a direct solve: A = L L^T with L block lower
-    bidiagonal, the diagonal blocks G_i the Cholesky factors of
-    S_i = D_i - H_i H_i^T and the coupling blocks H_i = C_i G_(i-1)^-T, with
-    D_i and C_i the blocks of A within level i and between levels i and
-    i - 1 (George and Liu, 1981).  Emptied levels are dropped: the levels on
-    either side of one do not couple.  Only the lower triangle is read.
+    the unknowns), for a direct solve.  The levels present are taken in
+    groups of consecutive levels, none wider than the widest level
+    (`_level_groups`), so the matrix is block tridiagonal over the groups
+    too: A = L L^T with L block lower bidiagonal, the diagonal blocks G_i the
+    Cholesky factors of S_i = D_i - H_i H_i^T and the coupling blocks
+    H_i = C_i G_(i-1)^-T, with D_i and C_i the blocks of A within group i and
+    between groups i and i - 1 (George and Liu, 1981).  Emptied levels are
+    dropped: the levels on either side of one do not couple.  Only the lower
+    triangle of the blocks is read, from the matrix's sorted keys.
 
     `LevelFactor.each` factors several matrices of one pattern as one stack:
     each step runs on the (T, w, w) blocks of all T at once, bit for bit as
     on each alone, and each matrix gets its member of the stack.
 
-    Raises ParameterOutOfRange, before any block is allocated or any entry
-    read, when the factors' blocks and what the process already holds need
-    more than the machine's physical memory; SolverFailure for a pivot block
-    that is not finite or not positive definite; ValueError for entries
-    between levels that are not adjacent, or matrices of different patterns.
+    Raises ValueError, before anything else, for a matrix that is not square,
+    levels that are not one per unknown, or an empty stack; ParameterOutOfRange,
+    before any block is allocated or any entry read, when the factors' blocks
+    and what the process already holds need more than the machine's physical
+    memory; SolverFailure for a pivot block that is not finite or not
+    positive definite, naming the group; ValueError for entries between
+    levels that are not adjacent, or matrices of different patterns.
     """
 
     def __init__(self, matrix: SparseMatrix, levels):
@@ -370,7 +382,12 @@ class LevelFactor:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with A x = b, by one forward and one backward sweep over the
-        levels; raises SolverFailure for a solution that is not finite."""
+        groups; raises ValueError for a `b` that is not of shape (n,),
+        SolverFailure for a solution that is not finite."""
+        n = len(self._order)
+        if np.shape(b) != (n,):
+            raise ValueError(f"a level factor of {n} unknowns cannot solve a right-hand side "
+                             f"of shape {np.shape(b)}")
         b, y = b[self._order], []
         with np.errstate(over="ignore", invalid="ignore"):
             for k, (s, g) in enumerate(zip(self._slices, self._ginv)):
@@ -378,62 +395,90 @@ class LevelFactor:
             for k in range(len(y) - 1, -1, -1):
                 r = y[k] - self._h[k].T @ y[k + 1] if k + 1 < len(y) else y[k]
                 y[k] = self._ginv[k].T @ r
-        x = np.empty(len(b))
+        x = np.empty(n)
         x[self._order] = np.concatenate([x[:0]] + y)
         if not np.isfinite(x).all():
             raise SolverFailure("level factor solution not finite; the system overflows")
         return x
 
 
+def _level_groups(widths):
+    """Consecutive levels of these `widths` taken in groups greedily: a
+    group closes when the next level would make it wider than the widest
+    level.  Returns the group of each level and the width of each group."""
+    widths = widths.tolist()
+    widest, group, sizes = max(widths, default=0), [], []
+    for w in widths:
+        if not sizes or sizes[-1] + w > widest:
+            sizes.append(0)
+        sizes[-1] += w
+        group.append(len(sizes) - 1)
+    return np.array(group, dtype=np.intp), np.array(sizes, dtype=np.intp)
+
+
+def _factor_bytes(sizes) -> int:
+    """The bytes of one level factor's blocks over groups of these widths,
+    8 (sum g_i^2 + sum g_i g_(i-1))."""
+    return 8 * (int(sizes @ sizes) + int(sizes[1:] @ sizes[:-1]))
+
+
 def _level_blocks(matrices, levels):
     """The stacked level factor of `matrices` (`LevelFactor`): the unknowns'
-    order by level, each level's slice of that order, and per level the
+    order by group, each group's slice of that order, and per group the
     (T, w, w) inverses G_i^-1 and the (T, w, w') coupling blocks H_i."""
-    levels, T = np.asarray(levels), len(matrices)
+    if not matrices:
+        raise ValueError("a stack of level factors needs at least one matrix")
+    levels, T, first = np.asarray(levels), len(matrices), matrices[0]
+    n = first.shape[0]
+    if first.shape != (n, n):
+        raise ValueError(f"a level factor needs a square matrix, not one of shape {first.shape}")
+    if levels.shape != (n,):
+        raise ValueError(f"a level factor of {n} unknowns needs one level per unknown, not "
+                         f"levels of shape {levels.shape}")
     distinct = _sorted_distinct(levels)
     level = np.searchsorted(distinct, levels)
     widths = np.bincount(level, minlength=len(distinct))
-    pairs = widths[1:] * widths[:-1]
-    need = T * 8 * (int(widths @ widths) + int(pairs.sum())) + _held_memory()
+    group, sizes = _level_groups(widths)
+    need = T * _factor_bytes(sizes) + _held_memory()
     have = _physical_memory()
     if need > have:
         stack = f"a stack of {T} level factors" if T > 1 else "a level factor"
         raise ParameterOutOfRange(
-            f"{stack} of {len(level)} unknowns, {len(widths)} levels up to "
+            f"{stack} of {n} unknowns, {len(widths)} levels up to "
             f"{widths.max()} wide, needs about {need / 2**30:.3g} GiB of "
             f"{have / 2**30:.3g} GiB of memory")
-    first = matrices[0]
     if not all(first._same_pattern(m) for m in matrices[1:]):
         raise ValueError("a stack of level factors needs matrices of one pattern")
-    order = np.argsort(level, kind="stable")
-    ends = np.cumsum(widths)
-    rank = np.empty(len(level), dtype=np.intp)
-    rank[order] = np.arange(len(level)) - np.repeat(ends - widths, widths)
-    rows, cols, _ = first._stored()
+    rows, cols, _ = first.entries()
     if np.any(np.abs(levels[rows] - levels[cols]) > 1):
         raise ValueError("the matrix couples levels that are not adjacent")
-    # each entry of the lower triangle at its place in its row's level: the
+    group = group[level]
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(sizes)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n) - np.repeat(ends - sizes, sizes)
+    # each entry of the lower triangle at its place in its row's group: the
     # diagonal block D_i, then the coupling block C_i
-    i, j = level[rows], level[cols]
+    i, j = group[rows], group[cols]
     lower = i >= j
     i, j = i[lower], j[lower]
-    at = np.where(i > j, widths[i] ** 2, 0) + rank[rows[lower]] * widths[j] + rank[cols[lower]]
-    values = np.stack([m._stored()[2][lower] for m in matrices])
-    by_level = np.argsort(i, kind="stable")  # level k's entries: cuts[k]:cuts[k + 1]
-    at, values = at[by_level], values[:, by_level]
-    cuts = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=len(widths)))])
-    del rows, cols, lower, i, j, by_level
-    # each level's blocks of all T factors in an array of its own, which
+    at = np.where(i > j, sizes[i] ** 2, 0) + rank[rows[lower]] * sizes[j] + rank[cols[lower]]
+    values = np.stack([m._values[lower] for m in matrices])
+    by_group = np.argsort(i, kind="stable")  # group k's entries: cuts[k]:cuts[k + 1]
+    at, values = at[by_group], values[:, by_group]
+    cuts = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=len(sizes)))])
+    del rows, cols, lower, i, j, by_group
+    # each group's blocks of all T factors in an array of its own, which
     # become the blocks of the factor in place
     ginv, h = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, w in enumerate(widths):
-            prev = widths[k - 1] if k else 0
-            level_blocks = np.zeros((T, w * (w + prev)))
-            level_blocks[:, at[cuts[k]:cuts[k + 1]]] = values[:, cuts[k]:cuts[k + 1]]
-            S = level_blocks[:, :w * w].reshape(T, w, w)
+        for k, w in enumerate(sizes):
+            prev = sizes[k - 1] if k else 0
+            group_blocks = np.zeros((T, w * (w + prev)))
+            group_blocks[:, at[cuts[k]:cuts[k + 1]]] = values[:, cuts[k]:cuts[k + 1]]
+            S = group_blocks[:, :w * w].reshape(T, w, w)
             if k:
-                H = level_blocks[:, w * w:].reshape(T, w, prev)
+                H = group_blocks[:, w * w:].reshape(T, w, prev)
                 H[...] = H @ ginv[-1].transpose(0, 2, 1)
                 S -= H @ H.transpose(0, 2, 1)
                 h.append(H)
@@ -446,7 +491,7 @@ def _level_blocks(matrices, levels):
                 raise SolverFailure(f"pivot block {k} of the level factor is not "
                                     "positive definite") from None
             ginv.append(S)
-    return order, [slice(e - w, e) for e, w in zip(ends, widths)], ginv, h
+    return order, [slice(e - w, e) for e, w in zip(ends, sizes)], ginv, h
 
 
 @dataclass

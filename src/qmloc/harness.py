@@ -8,9 +8,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, _physical_memory, _region_errors,
-                         element_tables_each, local_element_errors, local_ritz, local_ritz_each,
-                         ritz, ritz_family)
+from .bestapprox import (LocalizationReport, _factor_bytes, _level_groups, _physical_memory,
+                         _region_errors, element_tables_each, local_element_errors, local_ritz,
+                         local_ritz_each, ritz, ritz_family)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (_checkerboard_eps, _hexagon_eps, analytic_energy_reference,
                               checkerboard_mesh, checkerboard_target, fig1_left_values,
@@ -220,13 +220,13 @@ _STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
 
 def _star_factor_bytes(N: int) -> int:
     """The bytes of the `stars` level factor at degree 1 and N, as
-    `bestapprox.LevelFactor` prices them, 8 (sum w_i^2 + sum w_i w_(i-1)):
+    `bestapprox.LevelFactor` prices them (`_factor_bytes` of its groups):
     its unknowns are the (2N - 1)^2 interior vertices of the checkerboard,
     whose levels are the anti-diagonals of their grid, 1, 2, ..., k, ..., 2,
-    1 wide with k = 2N - 1, so sum w_i^2 = k^2 + 2 sum_(d<k) d^2 and
-    sum w_i w_(i-1) = 2 sum_(d<k) d (d + 1), and the price grows like N^3."""
+    1 wide with k = 2N - 1.  No group is wider than k and the groups hold
+    k^2 unknowns in all, so the price is at most 16 k^3 and grows like N^3."""
     k = 2 * N - 1
-    return 8 * (k * k + (k - 1) * k * (2 * k - 1) // 3 + 2 * (k - 1) * k * (k + 1) // 3)
+    return _factor_bytes(_level_groups(np.r_[1:k, k:0:-1])[1])
 
 
 def _require_memory(what: str, n_elements: float, degree: int, per_element: dict,

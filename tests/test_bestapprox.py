@@ -715,12 +715,15 @@ def test_overflowing_system_raises_solver_failure():
 def _check_level_solve(tables, a, beta=0.0):
     """`ritz` at degree 1 (by the level factor) against a dense
     `numpy.linalg.solve` of the same free operator and load: their gap in
-    the operator's norm within 1e-10 of the solution's."""
+    the operator's norm within 1e-10 of the solution's; and the factor of
+    that operator by itself (`_check_grouped_factor`).  Returns the number
+    of levels and of groups of that factor."""
     space = tables.space
     free = ~space.dirichlet
     if free.all() and beta == 0.0:
         free[0] = False
-    rows, cols, values = _free_operator(tables, a, beta, free).entries()
+    matrix = _free_operator(tables, a, beta, free)
+    rows, cols, values = matrix.entries()
     A = np.zeros((np.count_nonzero(free),) * 2)
     A[rows, cols] = values
     loads = _element_loads(tables, a, beta, slice(None))
@@ -729,6 +732,42 @@ def _check_level_solve(tables, a, beta=0.0):
     assert not x[~free].any()
     gap = x[free] - np.linalg.solve(A, b)
     assert gap @ A @ gap <= 1e-20 * (x[free] @ A @ x[free])
+    return _check_grouped_factor(matrix, space.node_levels[free], A, b)
+
+
+def _check_grouped_factor(matrix, levels, A, b):
+    """`LevelFactor` of `matrix` (dense: A) against `numpy.linalg.solve` of
+    b: their gap in the operator's norm within 1e-12 of the solution's.  Its
+    groups, the slices of its order, hold whole consecutive levels, none
+    wider than the widest level, and each closes only where the next level
+    would make it wider; every entry lies within one group or between
+    adjacent groups.  Returns the number of levels and of groups."""
+    factor = LevelFactor(matrix, levels)
+    ref = np.linalg.solve(A, b)
+    gap = factor.solve(b) - ref
+    assert gap @ A @ gap <= 1e-24 * (ref @ A @ ref)
+    slices = factor._slices
+    bounds = [0] + [s.stop for s in slices]
+    assert [s.start for s in slices] == bounds[:-1] and bounds[-1] == len(levels)
+    if not len(levels):
+        return 0, 0
+    group = np.empty(len(levels), dtype=int)
+    for g, s in enumerate(slices):
+        group[factor._order[s]] = g
+    distinct, widths = np.unique(levels, return_counts=True)
+    of_level = []
+    for level in distinct:
+        (g,) = np.unique(group[levels == level])  # a level lies in one group
+        of_level.append(g)
+    steps = np.diff(of_level)
+    assert of_level[0] == 0 and np.isin(steps, [0, 1]).all()  # consecutive levels
+    sizes = np.array([s.stop - s.start for s in slices])
+    assert sizes.max() <= widths.max()
+    opens = np.flatnonzero(steps) + 1  # the first level of every group but the first
+    assert (sizes[:-1] + widths[opens] > widths.max()).all()
+    rows, cols, _ = matrix.entries()
+    assert (np.abs(group[rows] - group[cols]) <= 1).all()
+    return len(distinct), len(slices)
 
 
 def _hexagon_refined(times):
@@ -766,6 +805,28 @@ def test_level_factor_matches_a_dense_solve_on_perturbed_grids(seed, n, dirichle
     _check_level_solve(tables, 10.0 ** rng.uniform(-6.0, 0.0, tri.n_elements), beta)
 
 
+@pytest.mark.parametrize("refines", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [1.0, 1e-2, 1e-4, 1e-6])
+def test_grouped_factor_matches_a_dense_solve_on_fig1(refines, alpha):
+    """With the pinned node (beta = 0) and at beta = 1 and 1e4.  A smaller
+    beta leaves the constants almost free: at alpha = 1e-6 and beta = 1e-4
+    the operator's condition number reaches 1e13, and any backward-stable
+    solve, the dense one too, is off by about eps sqrt(cond) there."""
+    tri, coeff = fig1_left_pattern(alpha, refines=refines)
+    tables, _, _ = tables_of(sine_target(), tri, 1, 4)
+    for beta in (0.0, 1.0, 1e4):
+        levels, groups = _check_level_solve(tables, coeff.values, beta)
+        assert groups < levels
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_grouped_factor_matches_a_dense_solve_on_the_checkerboard(N):
+    tri, coeff = checkerboard_mesh(N)
+    tables, _, _ = tables_of(sine_target(), tri, 1, 4, dirichlet=True)
+    levels, groups = _check_level_solve(tables, coeff.values)
+    assert groups < levels == 4 * N - 3  # the anti-diagonals of the interior vertices
+
+
 def test_level_factor_across_parts_split_by_dirichlet_nodes():
     """Dirichlet nodes on one whole level empty it and split the free graph
     in two: the levels on either side do not couple, and the solve stays
@@ -788,6 +849,12 @@ def test_level_factor_across_parts_split_by_dirichlet_nodes():
 
 
 def test_level_factor_refuses_what_is_not_positive_definite():
+    """The failing pivot block is named by its group.  Levels 1, 1, 2 wide
+    make two groups, levels 0 and 1, then level 2: the indefinite pair of
+    nodes 0 and 1 fails in block 0, that of nodes 2 and 3 in block 1.  The
+    adjacency of the entries is decided on the levels as given: entry (0, 3)
+    joins levels 0 and 2, which lie in adjacent groups when levels 1 and 2
+    share one."""
     indefinite = SparseMatrix([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0], (2, 2))
     with pytest.raises(SolverFailure, match="^pivot block 1 of the level factor is not "
                                             "positive definite$"):
@@ -796,6 +863,23 @@ def test_level_factor_refuses_what_is_not_positive_definite():
         LevelFactor(indefinite, np.array([3, 3]))
     with pytest.raises(ValueError, match="levels that are not adjacent"):
         LevelFactor(indefinite, np.array([0, 2]))
+
+    def chain(first, second):
+        """Nodes 0-1 and 2-3 as 2 x 2 blocks, coupled by (1, 2)."""
+        rows, cols = [0, 0, 1, 1, 1, 2, 2, 2, 3, 3], [0, 1, 0, 1, 2, 1, 2, 3, 2, 3]
+        (a, b, c), (d, e, f) = first, second
+        return SparseMatrix(rows, cols, [a, b, b, c, 0.1, 0.1, d, e, e, f], (4, 4))
+
+    levels = np.array([0, 1, 2, 2])
+    for blocks, k in ((((1.0, 2.0, 1.0), (2.0, 1.0, 2.0)), 0),
+                      (((2.0, 1.0, 2.0), (1.0, 2.0, 1.0)), 1)):
+        with pytest.raises(SolverFailure, match=f"^pivot block {k} of the level factor is not "
+                                                "positive definite$"):
+            LevelFactor(chain(*blocks), levels)
+    far = SparseMatrix([0, 0, 1, 2, 3, 3], [0, 3, 1, 2, 0, 3], [2.0, 1.0, 2.0, 2.0, 1.0, 2.0],
+                       (4, 4))
+    with pytest.raises(ValueError, match="levels that are not adjacent"):
+        LevelFactor(far, np.array([0, 0, 1, 2]))
 
 
 @pytest.mark.filterwarnings("error")
@@ -815,7 +899,31 @@ def test_level_factor_refuses_what_is_not_finite():
         solve_spd(system)
 
 
+def _grouped_price(levels) -> int:
+    """8 bytes per entry of the diagonal and coupling blocks of the groups
+    of `levels`: the distinct levels in order, a group closed where the next
+    level would make it wider than the widest."""
+    widths = np.unique(levels, return_counts=True)[1].tolist()
+    groups = [0]
+    for w in widths:
+        if groups[-1] and groups[-1] + w > max(widths):
+            groups.append(0)
+        groups[-1] += w
+    return 8 * sum(g * (g + prev) for g, prev in zip(groups, [0] + groups))
+
+
+def _unreadable(monkeypatch, matrix):
+    """Make every read of `matrix`'s entries fail."""
+    monkeypatch.setattr(matrix, "entries", lambda: pytest.fail("entries read before the price"))
+    monkeypatch.setattr(matrix, "_keys", None)
+    monkeypatch.setattr(matrix, "_values", None)
+
+
 def test_level_factor_is_priced_before_it_is_built(monkeypatch):
+    """The price is that of the factor's groups, not of its levels: on
+    these 8 levels, 9 wide at most, the groups of the levels' price would
+    not fit.  It is refused one byte short of the price, before any entry
+    is read, and again when the process holds one byte."""
     import qmloc.bestapprox
 
     tri, coeff = fig1_left_pattern(1e-2, refines=2)
@@ -823,51 +931,111 @@ def test_level_factor_is_priced_before_it_is_built(monkeypatch):
     free = np.ones(space.n_nodes, dtype=bool)
     free[0] = False
     A = _free_operator(tables, coeff.values, 0.0, free)
-    # the levels of the free nodes, less the one that held only node 0
-    widths = np.bincount(space.node_levels[free])
-    widths = widths[widths > 0]
-    # 8 bytes per entry of the diagonal and coupling blocks, with nothing held
-    need = 8 * (widths @ widths + widths[1:] @ widths[:-1])
+    levels = space.node_levels[free]  # without the level that held only node 0
+    need = _grouped_price(levels)
+    widths = np.unique(levels, return_counts=True)[1]
+    assert need > 8 * (widths @ widths + widths[1:] @ widths[:-1])
     monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
-    monkeypatch.setattr(A, "entries", lambda: pytest.fail("blocks built before the price"))
     monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need - 1)
+    _unreadable(monkeypatch, A)
     with pytest.raises(ParameterOutOfRange, match=(
             f"^a level factor of 40 unknowns, 8 levels up to 9 wide, needs about "
             f"{need / 2**30:.3g} GiB of {(need - 1) / 2**30:.3g} GiB of memory$")):
-        LevelFactor(A, space.node_levels[free])
+        LevelFactor(A, levels)
     monkeypatch.undo()
     monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
     monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need)
-    LevelFactor(A, space.node_levels[free])
+    LevelFactor(A, levels)
     # one byte held by the process tips it over
     monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 1)
     with pytest.raises(ParameterOutOfRange, match="^a level factor of 40 unknowns"):
-        LevelFactor(A, space.node_levels[free])
+        LevelFactor(A, levels)
 
 
 def test_level_factor_stack_is_priced_before_it_is_built(monkeypatch):
-    """T matrices of one pattern cost T times the bytes of one factor, named
-    as a stack, and are refused before any entry is read."""
+    """T matrices of one pattern cost T times the bytes of one factor's
+    groups, named as a stack, and are refused before any entry is read or
+    the pattern compared."""
     import qmloc.bestapprox
 
     tri, coeff = fig1_left_pattern(1e-2, refines=2)
     tables, _, space = tables_of(sine_target(), tri, 1, 4)
     free = np.ones(space.n_nodes, dtype=bool)
     matrices = [_free_operator(tables, coeff.values, beta, free) for beta in (1e-4, 1.0, 1e4)]
-    widths = np.bincount(space.node_levels)
-    one = 8 * (widths @ widths + widths[1:] @ widths[:-1])
+    one = _grouped_price(space.node_levels)
     monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
     monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: 3 * one - 1)
     for m in matrices:
-        monkeypatch.setattr(m, "_stored", lambda: pytest.fail("blocks built before the price"))
+        _unreadable(monkeypatch, m)
     with pytest.raises(ParameterOutOfRange, match=(
             f"^a stack of 3 level factors of 41 unknowns, 9 levels up to 9 wide, needs about "
             f"{3 * one / 2**30:.3g} GiB of {(3 * one - 1) / 2**30:.3g} GiB of memory$")):
         LevelFactor.each(matrices, space.node_levels)
-    for m in matrices:
-        monkeypatch.delattr(m, "_stored")
+    monkeypatch.undo()
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
     monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: 3 * one)
     assert len(LevelFactor.each(matrices, space.node_levels)) == 3
+
+
+@pytest.mark.parametrize("shape, levels, message", [
+    ((2, 2), [0, 1, 2], r"of 2 unknowns needs one level per unknown, not levels of shape \(3,\)"),
+    ((2, 2), [0], r"of 2 unknowns needs one level per unknown, not levels of shape \(1,\)"),
+    ((2, 2), [[0, 1]], r"of 2 unknowns needs one level per unknown, not levels of shape "
+                       r"\(1, 2\)"),
+    ((1, 2), [0], r"needs a square matrix, not one of shape \(1, 2\)"),
+    ((3, 2), [0, 1, 2], r"needs a square matrix, not one of shape \(3, 2\)")])
+def test_level_factor_refuses_bad_input_in_one_line(monkeypatch, shape, levels, message):
+    """Before the price (no memory at all here) and before any block."""
+    import qmloc.bestapprox
+
+    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: 0)
+    k = min(shape)
+    matrix = SparseMatrix(np.arange(k), np.arange(k), np.ones(k), shape)
+    with pytest.raises(ValueError, match=f"^a level factor {message}$"):
+        LevelFactor(matrix, np.array(levels))
+    with pytest.raises(ValueError, match=f"^a level factor {message}$"):
+        LevelFactor.each([matrix], np.array(levels))
+
+
+def test_level_factor_refuses_an_empty_stack_and_a_right_hand_side_of_another_shape():
+    with pytest.raises(ValueError, match="^a stack of level factors needs at least one matrix$"):
+        LevelFactor.each([], np.array([0, 1]))
+    factor = LevelFactor(SparseMatrix([0, 1], [0, 1], [4.0, 16.0], (2, 2)), np.array([0, 1]))
+    assert np.array_equal(factor.solve(np.ones(2)), [0.25, 0.0625])
+    for b in (np.ones(3), np.ones(1), np.ones((2, 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=(
+                f"^a level factor of 2 unknowns cannot solve a right-hand side of shape "
+                f"{re.escape(str(np.shape(b)))}$")):
+            factor.solve(b)
+
+
+def test_p1_global_solve_builds_no_padded_layout(monkeypatch):
+    """At degree 1 `ritz_family` factors its operators from their sorted
+    keys: the padded layout of ``@`` and ``diagonal()`` is never built.  The
+    residual a tracer takes, ``matrix[free][:, free] @ x``, builds it once
+    per system; at degree 2 CG builds it once per operator."""
+    import qmloc.bestapprox
+
+    padded, built = qmloc.bestapprox._padded_rows, []
+    monkeypatch.setattr(qmloc.bestapprox, "_padded_rows",
+                        lambda *args: built.append(args) or padded(*args))
+    solve, systems = qmloc.bestapprox.solve_spd, []
+    monkeypatch.setattr(qmloc.bestapprox, "solve_spd",
+                        lambda system, *args: systems.append(system) or solve(system, *args))
+    tri, coeff = fig1_left_pattern(1e-4, refines=2)
+    targets = list(default_smooth_targets().values())
+    operators = [(coeff.values, 0.0), (coeff.values, 1.0), (np.zeros_like(coeff.values), 1.0)]
+    plan = make_quadrature_plan(tri, targets[0], 8)
+    ritz_family(element_tables_each(targets, plan, build_space(tri, 1)), operators)
+    assert not built and len(systems) == len(operators) * len(targets)
+    for system in systems:
+        free = system.free_mask()
+        residual = system.rhs - system.matrix[free][:, free] @ solve(system)
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(system.rhs)
+    assert len(built) == len(systems)
+    built.clear()
+    ritz_family(element_tables_each(targets, plan, build_space(tri, 2)), operators)
+    assert len(built) == len(operators)
 
 
 def test_solve_spd_by_a_factor_ignores_rtol():

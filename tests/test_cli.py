@@ -425,9 +425,9 @@ def test_stars_refuses_a_bad_n_before_building_any_mesh(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, memory, message", [
-    # N = 1000: 8M elements, about 35.5 GiB at P1, and 79.4 GiB of level factor
+    # N = 1000: 8M elements, about 35.5 GiB at P1, and 95.3 GiB of level factor
     (["stars", "--n", "2,1000"], 7.6 * 2**30,
-     "N=1000 at degree 1 needs about 115 GiB of 7.6 GiB of memory"),
+     "N=1000 at degree 1 needs about 131 GiB of 7.6 GiB of memory"),
     (["stars", "--n", "2,128", "--ell", "2"], 2**30,
      "N=128 at degree 2 needs about 1.65 GiB of 1 GiB of memory"),
     # the range of N is checked before its memory
@@ -586,17 +586,28 @@ def test_stars_prices_its_level_factor_before_any_mesh_is_built(capsys, monkeypa
         main(["stars", "--n", "100", "--ell", "2", "--format", "json"])
 
 
-def test_the_stars_factor_price_is_that_of_its_levels():
+def test_the_stars_factor_price_is_that_of_its_levels(monkeypatch):
     """`harness._star_factor_bytes(N)`, from N alone, is the price
-    `LevelFactor` takes from the levels of the P1 space's unknowns."""
+    `LevelFactor` takes from the levels of the P1 space's unknowns: with
+    nothing held, it factors in that many bytes and is refused one short."""
+    import qmloc.bestapprox
+    from qmloc.bestapprox import LevelFactor, SparseMatrix
+    from qmloc.errors import ParameterOutOfRange
     from qmloc.fespace import build_space
     from qmloc.harness import _star_factor_bytes
 
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
     for N in (1, 2, 3, 6, 9):
         space = build_space(checkerboard_mesh(N)[0], 1, dirichlet_on_boundary=True)
-        widths = np.bincount(space.node_levels[~space.dirichlet])
-        widths = widths[widths > 0]
-        assert _star_factor_bytes(N) == 8 * (widths @ widths + widths[1:] @ widths[:-1])
+        levels = space.node_levels[~space.dirichlet]
+        n = len(levels)
+        identity = SparseMatrix(np.arange(n), np.arange(n), np.ones(n), (n, n))
+        price = _star_factor_bytes(N)
+        monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: price)
+        LevelFactor(identity, levels)
+        monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: price - 1)
+        with pytest.raises(ParameterOutOfRange, match=f"^a level factor of {n} unknowns"):
+            LevelFactor(identity, levels)
 
 
 def test_held_memory_is_read_where_the_system_reports_it():
