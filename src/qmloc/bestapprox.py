@@ -1,8 +1,9 @@
 """Best-approximation errors: one table of element matrices, target
-moments, norms and element fits, the global Ritz solve (a level-set block
-factor at degree 1, Jacobi-CG above) of several operators and targets at
-once, and one batched local Ritz kernel (`local_ritz_each`) for every
-element, pair and star and every target.
+moments, norms and element fits, the global Ritz solve of several operators
+and targets at once (one block-elimination factor over an elimination tree
+of fronts, `FrontFactor`: a chain of level groups at degree 1, nested
+dissection above), and one batched local Ritz kernel (`local_ritz_each`)
+for every element, pair and star and every target.
 
 Every error, of a best approximation, an explicit candidate or an
 interpolant, comes from one element-layout form (`_error`): by Galerkin
@@ -16,10 +17,8 @@ pinning one node; the reported error is invariant under that choice.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -158,17 +157,15 @@ class SparseMatrix:
     the order given.
 
     It stores its distinct entries as their sorted keys row * max(ncols, 1)
-    + col and the values of those keys: ``entries()``, ``m[mask]``,
-    ``m[:, mask]`` and `LevelFactor` read them from there.  The product ``m
-    @ p`` and ``diagonal()`` run on a padded layout of the rows built on the
-    first call of either (`_padded_rows`); ``m @ p`` sums each row left to
-    right in column order, as `scipy.sparse`'s CSR product sums it, so on the
-    same entries the two agree bit for bit.  ``m[mask]`` and ``m[:, mask]``
-    are the matrices of the entries in the rows or columns a boolean mask
-    keeps, renumbered.  The constructor raises ValueError for a `shape` that
-    is not two non-negative integers, and for entries that are not 1-D
+    + col and the values of those keys, and every method reads them from
+    there.  ``m @ p`` is one `bincount` over the rows, which sums each row
+    left to right in column order, as `scipy.sparse`'s CSR product sums it,
+    so on the same entries the two agree bit for bit.  ``m[mask]`` and ``m[:,
+    mask]`` are the matrices of the entries in the rows or columns a boolean
+    mask keeps, renumbered.  The constructor raises ValueError for a `shape`
+    that is not two non-negative integers, and for entries that are not 1-D
     arrays of equal length or that lie outside `shape`; ``m @ p`` for a `p`
-    that is not of shape (ncols,).
+    that is not a real 1-D array-like of ncols entries (read as float).
     """
 
     def __init__(self, rows, cols, values, shape):
@@ -200,30 +197,19 @@ class SparseMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self._keys, self._values = keys, values.astype(float, copy=False)  # bincount([]) is int64
 
-    @cached_property
-    def _layout(self):
-        """The padded blocks and each row's place in their sums (`_padded_rows`)."""
-        return _padded_rows(self._keys, self._values, self.shape)
-
     def diagonal(self) -> np.ndarray:
         """The diagonal entries, zero where none is stored."""
-        blocks, where = self._layout
-        return _in_row_order([np.where(C == R, V, 0.0).sum(axis=0) for R, C, V in blocks],
-                             where)[:min(self.shape)]
+        want = np.arange(min(self.shape)) * (max(self.shape[1], 1) + 1)
+        at = np.searchsorted(self._keys, want)
+        return np.where(np.append(self._keys, -1)[at] == want, np.append(self._values, 0.0)[at],
+                        0.0)
 
     def __matmul__(self, p):
-        if np.shape(p) != self.shape[1:]:
-            raise ValueError(f"SparseMatrix of shape {self.shape} cannot multiply an operand "
-                             f"of shape {np.shape(p)}")
-        if not self.shape[1]:
-            return np.zeros(self.shape[0])
-        blocks, where = self._layout
-        sums = []
-        for _, C, V in blocks:
-            g = p.take(C)
-            g *= V
-            sums.append(np.add.reduce(g, axis=0))
-        return _in_row_order(sums, where)
+        p = _vector(p, self.shape[1], f"SparseMatrix of shape {self.shape} cannot multiply an "
+                                      "operand")
+        rows, cols, values = self.entries()
+        values *= p[cols]
+        return np.bincount(rows, values, minlength=self.shape[0]).astype(float, copy=False)
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
@@ -247,43 +233,14 @@ class SparseMatrix:
         return self.shape == other.shape and np.array_equal(self._keys, other._keys)
 
 
-def _padded_rows(keys, values, shape):
-    """The layout of ``SparseMatrix @ p`` of the entries of sorted `keys`:
-    the rows padded to three widths, the median, 90th-percentile and largest
-    row length, the rows of each width slot by slot as (rows R, (width,
-    rows) columns C, values V), column -1 and value 0 in the padding; and
-    each row's place in the blocks' sums, None when that is its row."""
-    nr, nc = shape[0], max(shape[1], 1)
-    cols = keys // nc  # the rows, then the columns in their memory
-    lengths = np.bincount(cols, minlength=nr)
-    cols *= nc
-    np.subtract(keys, cols, out=cols)
-    # row r is entries offsets[r]:offsets[r + 1]; row -1, offsets[-1]:offsets[0], none
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    s = np.sort(lengths) if nr else np.zeros(1, dtype=np.intp)
-    widths = sorted({int(s[len(s) // 2]), int(s[9 * len(s) // 10]), int(s[-1])})
-    kind = np.searchsorted(widths, lengths)  # every width is some row's length
-    blocks = []
-    for j, w in enumerate(widths):
-        R = np.flatnonzero(kind == j)
-        if len(R) < 2:  # numpy sums a (w, 1) array pairwise, not slot by slot
-            R = np.append(R, [-1] * (2 - len(R)))
-        at = offsets[R] + np.arange(w)[:, None]  # slot k of row r: entry offsets[r] + k
-        pad = at >= offsets[R + 1]
-        at[pad] = 0
-        C, V = cols[at], values[at]
-        C[pad], V[pad] = -1, 0.0
-        blocks.append((R, C, V))
-    order = np.concatenate([R for R, _, _ in blocks])
-    where = np.empty(nr, dtype=np.intp)
-    where[order[order >= 0]] = np.flatnonzero(order >= 0)
-    return blocks, None if np.array_equal(order, np.arange(nr)) else where
-
-
-def _in_row_order(sums, where):
-    """The rows' entries of the per-block sums of `_padded_rows`."""
-    y = np.concatenate(sums) if len(sums) > 1 else sums[0]
-    return y if where is None else y.take(where)
+def _vector(p, n: int, what: str) -> np.ndarray:
+    """`p`, a real 1-D array-like of n entries, as floats; else ValueError."""
+    a = np.asarray(p)
+    if a.shape != (n,):
+        raise ValueError(f"{what} of shape {a.shape}")
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} of dtype {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 def _keyed(keys):
@@ -338,68 +295,38 @@ def _held_memory() -> int:
         return 0
 
 
-class LevelFactor:
-    """Block Cholesky factor of an SPD matrix whose graph is block
-    tridiagonal over node levels (`LagrangeSpace.node_levels` restricted to
-    the unknowns), for a direct solve.  The levels present are taken in
-    groups of consecutive levels, none wider than the widest level
-    (`_level_groups`), so the matrix is block tridiagonal over the groups
-    too: A = L L^T with L block lower bidiagonal, the diagonal blocks G_i the
-    Cholesky factors of S_i = D_i - H_i H_i^T and the coupling blocks
-    H_i = C_i G_(i-1)^-T, with D_i and C_i the blocks of A within group i and
-    between groups i and i - 1 (George and Liu, 1981).  Emptied levels are
-    dropped: the levels on either side of one do not couple.  Only the lower
-    triangle of the blocks is read, from the matrix's sorted keys.
+# The most free nodes a leaf of the nested dissection holds.
+_LEAF = 64
 
-    `LevelFactor.each` factors several matrices of one pattern as one stack:
-    each step runs on the (T, w, w) blocks of all T at once, bit for bit as
-    on each alone, and each matrix gets its member of the stack.
 
-    Raises ValueError, before anything else, for a matrix that is not square,
-    levels that are not one per unknown, or an empty stack; ParameterOutOfRange,
-    before any block is allocated or any entry read, when the factors' blocks
-    and what the process already holds need more than the machine's physical
-    memory; SolverFailure for a pivot block that is not finite or not
-    positive definite, naming the group; ValueError for entries between
-    levels that are not adjacent, or matrices of different patterns.
-    """
+@dataclass(frozen=True)
+class Fronts:
+    """An elimination tree of blocks of unknowns ("fronts") in post-order.
+    Front f eliminates its nodes E_f, ``order[s_f:s_f + sizes[f]]`` with s_f
+    = sum(sizes[:f]), against its boundary B_f, ``boundary[f]``: ascending
+    places in `order` of nodes of f's ancestors.  ``parent[f]`` is -1 for a
+    root.  Built by `level_fronts` or `dissection_fronts`."""
 
-    def __init__(self, matrix: SparseMatrix, levels):
-        self._member(_level_blocks([matrix], levels), 0)
+    order: np.ndarray
+    sizes: np.ndarray
+    boundary: tuple
+    parent: np.ndarray
 
-    @classmethod
-    def each(cls, matrices, levels) -> list:
-        """The factor of each of `matrices`, which share one pattern."""
-        stack = _level_blocks(matrices, levels)
-        out = [cls.__new__(cls) for _ in matrices]
-        for t, factor in enumerate(out):
-            factor._member(stack, t)
-        return out
 
-    def _member(self, stack, t: int) -> None:
-        self._order, self._slices, ginv, h = stack
-        self._ginv, self._h = [g[t] for g in ginv], [c[t] for c in h]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with A x = b, by one forward and one backward sweep over the
-        groups; raises ValueError for a `b` that is not of shape (n,),
-        SolverFailure for a solution that is not finite."""
-        n = len(self._order)
-        if np.shape(b) != (n,):
-            raise ValueError(f"a level factor of {n} unknowns cannot solve a right-hand side "
-                             f"of shape {np.shape(b)}")
-        b, y = b[self._order], []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, (s, g) in enumerate(zip(self._slices, self._ginv)):
-                y.append(g @ (b[s] - self._h[k - 1] @ y[-1] if k else b[s]))
-            for k in range(len(y) - 1, -1, -1):
-                r = y[k] - self._h[k].T @ y[k + 1] if k + 1 < len(y) else y[k]
-                y[k] = self._ginv[k].T @ r
-        x = np.empty(n)
-        x[self._order] = np.concatenate([x[:0]] + y)
-        if not np.isfinite(x).all():
-            raise SolverFailure("level factor solution not finite; the system overflows")
-        return x
+def level_fronts(levels) -> Fronts:
+    """The chain of the groups of consecutive levels (`_level_groups`) of a
+    level structure, one level per unknown, each group eliminated against
+    all of the next.  Raises ValueError for `levels` that are not 1-D."""
+    levels = np.asarray(levels)
+    if levels.ndim != 1:
+        raise ValueError(f"level fronts need one level per unknown, not levels of shape "
+                         f"{levels.shape}")
+    distinct = _sorted_distinct(levels)
+    level = np.searchsorted(distinct, levels)
+    group, sizes = _level_groups(np.bincount(level, minlength=len(distinct)))
+    bsizes, parent = _chain(sizes)
+    return Fronts(np.argsort(group[level], kind="stable"), sizes,
+                  tuple(np.arange(e, e + b) for e, b in zip(np.cumsum(sizes), bsizes)), parent)
 
 
 def _level_groups(widths):
@@ -416,143 +343,212 @@ def _level_groups(widths):
     return np.array(group, dtype=np.intp), np.array(sizes, dtype=np.intp)
 
 
-def _factor_bytes(sizes) -> int:
-    """The bytes of one level factor's blocks over groups of these widths,
-    8 (sum g_i^2 + sum g_i g_(i-1))."""
-    return 8 * (int(sizes @ sizes) + int(sizes[1:] @ sizes[:-1]))
+def _chain(sizes):
+    """The boundary sizes and parents of a chain of fronts of these sizes."""
+    parent = np.arange(1, len(sizes) + 1)
+    parent[-1:] = -1
+    return np.append(sizes[1:], 0)[:len(sizes)], parent
 
 
-def _level_blocks(matrices, levels):
-    """The stacked level factor of `matrices` (`LevelFactor`): the unknowns'
-    order by group, each group's slice of that order, and per group the
-    (T, w, w) inverses G_i^-1 and the (T, w, w') coupling blocks H_i."""
+def dissection_fronts(space: LagrangeSpace, free) -> Fronts:
+    """Nested dissection of the unknowns `free` of `space` (George, 1973):
+    the elements bisected recursively at the median centroid along the
+    longer side of their box (a stable sort), the free nodes both halves
+    share that no front above holds a separator front over both, a part of
+    at most `_LEAF` such nodes a leaf, and a front's boundary the nodes of
+    its elements that fronts above hold.  An empty separator makes none."""
+    node = _renumbered(free)[space.element_nodes]
+    centroid = space.tri.vertices[space.tri.triangles].mean(axis=1)
+    taken = np.zeros(int(np.count_nonzero(free)), dtype=bool)
+    nodes, bounds, parent = [], [], []
+
+    def split(elems) -> list:
+        """The roots of the fronts of `elems`."""
+        touched = _sorted_distinct(node[elems])
+        touched = touched[touched >= 0]
+        held = taken[touched]
+        if np.count_nonzero(~held) <= _LEAF:
+            own, roots, b = touched[~held], [], touched[held]
+        else:
+            c = centroid[elems]
+            half = np.argsort(c[:, int(np.ptp(c[:, 1]) > np.ptp(c[:, 0]))], kind="stable")
+            halves = elems[half[:len(elems) // 2]], elems[half[len(elems) // 2:]]
+            both = np.sort(np.concatenate([_sorted_distinct(node[h]) for h in halves]))
+            own = both[1:][both[1:] == both[:-1]]
+            own = own[(own >= 0) & ~taken[own]]
+            taken[own] = True
+            roots = split(halves[0]) + split(halves[1])
+            b = _sorted_distinct(np.concatenate([own[:0]] + [bounds[r] for r in roots]))
+            b = b[np.append(own, -1)[np.searchsorted(own, b)] != b]
+        if not len(own):
+            return roots
+        taken[own] = True
+        nodes.append(own)
+        bounds.append(b)
+        parent.append(-1)
+        for r in roots:
+            parent[r] = len(nodes) - 1
+        return [len(nodes) - 1]
+
+    split(np.arange(space.tri.n_elements))
+    order = np.concatenate([np.zeros(0, dtype=np.intp)] + nodes)
+    place = np.argsort(order)
+    return Fronts(order, np.array([len(e) for e in nodes], dtype=np.intp),
+                  tuple(np.sort(place[b]) for b in bounds), np.array(parent, dtype=np.intp))
+
+
+def _front_bytes(sizes, bsizes, parent) -> int:
+    """The bytes of one factor over fronts of sizes k, boundary sizes b and
+    these parents: 8 (k^2 + b k) per front, its G_f and L_f, and the most
+    that lives beside them at one front, 16 (k^2 + b^2) of its pivot's
+    factor and inverse, F_BB and update, with 8 b'^2 per update that waits
+    for a front above."""
+    children = np.bincount(parent[parent >= 0], minlength=len(sizes)).tolist()
+    peak, waiting = 0, []
+    for k, b, c, p in zip(sizes.tolist(), bsizes.tolist(), children, parent.tolist()):
+        peak = max(peak, 2 * (k * k + b * b) + sum(waiting))
+        del waiting[len(waiting) - c:]
+        waiting += [b * b] if p >= 0 else []
+    return 8 * (int(sizes @ sizes) + int(bsizes @ sizes) + peak)
+
+
+class FrontFactor:
+    """Multifrontal block Cholesky factor of an SPD matrix over `Fronts`
+    (Liu, 1992); on a chain of level groups, block tridiagonal elimination.
+    In post-order, front f scatters the entries whose earlier-eliminated end
+    is in E_f into its frontal matrix F over E_f and B_f, subtracts its
+    children's updates, keeps G_f = cholesky(F_EE)^-1 and L_f = F_BE G_f^T,
+    and passes L_f L_f^T - F_BB up.  `FrontFactor.each` factors matrices of
+    one pattern as one (T, ., .) stack, bit for bit as each alone.  Raises
+    ValueError, before anything else, for a matrix that is not square,
+    fronts of another size or an empty stack; ParameterOutOfRange, before
+    any front is allocated or entry read, when the factors (`_front_bytes`)
+    and what the process holds exceed physical memory; ValueError for
+    matrices of two patterns or an entry the fronts keep apart;
+    SolverFailure, naming it, for a front not finite or not definite."""
+
+    def __init__(self, matrix: SparseMatrix, fronts: Fronts):
+        self.fronts, self._steps = fronts, _factor_fronts([matrix], fronts)[0]
+
+    @classmethod
+    def each(cls, matrices, fronts: Fronts) -> list:
+        """The factor of each of `matrices`, which share one pattern."""
+        out = [cls.__new__(cls) for _ in matrices]
+        for factor, steps in zip(out, _factor_fronts(matrices, fronts)):
+            factor.fronts, factor._steps = fronts, steps
+        return out
+
+    def solve(self, b) -> np.ndarray:
+        """x with A x = b, by one forward sweep over the fronts in post-order
+        and one backward sweep in reverse; raises ValueError for a `b` not a
+        real 1-D array-like of n entries, SolverFailure for an x not finite."""
+        order = self.fronts.order
+        n = len(order)
+        y = _vector(b, n, f"a front factor of {n} unknowns cannot solve a right-hand side")[order]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, B, g, l in self._steps:
+                y[s] = g @ y[s]
+                y[B] -= l @ y[s]
+            for s, B, g, l in reversed(self._steps):
+                y[s] = g.T @ (y[s] - l.T @ y[B])
+        if not np.isfinite(y).all():
+            raise SolverFailure("front factor solution not finite; the system overflows")
+        x = np.empty(n)
+        x[order] = y
+        return x
+
+
+def _factor_fronts(matrices, fronts: Fronts):
+    """The stacked factor of `matrices` over `fronts` (`FrontFactor`): per
+    matrix, per front its slice of the order of elimination, its boundary,
+    G_f and L_f, views of the front's (T, k + b, k) block."""
     if not matrices:
-        raise ValueError("a stack of level factors needs at least one matrix")
-    levels, T, first = np.asarray(levels), len(matrices), matrices[0]
+        raise ValueError("a stack of front factors needs at least one matrix")
+    T, first, sizes, parent = len(matrices), matrices[0], fronts.sizes, fronts.parent
     n = first.shape[0]
     if first.shape != (n, n):
-        raise ValueError(f"a level factor needs a square matrix, not one of shape {first.shape}")
-    if levels.shape != (n,):
-        raise ValueError(f"a level factor of {n} unknowns needs one level per unknown, not "
-                         f"levels of shape {levels.shape}")
-    distinct = _sorted_distinct(levels)
-    level = np.searchsorted(distinct, levels)
-    widths = np.bincount(level, minlength=len(distinct))
-    group, sizes = _level_groups(widths)
-    need = T * _factor_bytes(sizes) + _held_memory()
+        raise ValueError(f"a front factor needs a square matrix, not one of shape {first.shape}")
+    if len(fronts.order) != n:
+        raise ValueError(f"a front factor of {n} unknowns needs fronts of {n} unknowns, not "
+                         f"{len(fronts.order)}")
+    bsizes = np.array([len(B) for B in fronts.boundary], dtype=np.intp)
+    need = T * _front_bytes(sizes, bsizes, parent) + _held_memory()
     have = _physical_memory()
     if need > have:
-        stack = f"a stack of {T} level factors" if T > 1 else "a level factor"
+        stack = f"a stack of {T} front factors" if T > 1 else "a front factor"
         raise ParameterOutOfRange(
-            f"{stack} of {n} unknowns, {len(widths)} levels up to "
-            f"{widths.max()} wide, needs about {need / 2**30:.3g} GiB of "
-            f"{have / 2**30:.3g} GiB of memory")
+            f"{stack} of {n} unknowns, {len(sizes)} fronts up to {sizes.max(initial=0)} "
+            f"wide, needs about {need / 2**30:.3g} GiB of {have / 2**30:.3g} GiB of memory")
     if not all(first._same_pattern(m) for m in matrices[1:]):
-        raise ValueError("a stack of level factors needs matrices of one pattern")
+        raise ValueError("a stack of front factors needs matrices of one pattern")
+    # by the front of their column, the entries whose row is eliminated with
+    # or after their column, as places in the order of elimination
+    of = np.repeat(np.arange(len(sizes)), sizes)
     rows, cols, _ = first.entries()
-    if np.any(np.abs(levels[rows] - levels[cols]) > 1):
-        raise ValueError("the matrix couples levels that are not adjacent")
-    group = group[level]
-    order = np.argsort(group, kind="stable")
-    ends = np.cumsum(sizes)
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n) - np.repeat(ends - sizes, sizes)
-    # each entry of the lower triangle at its place in its row's group: the
-    # diagonal block D_i, then the coupling block C_i
-    i, j = group[rows], group[cols]
-    lower = i >= j
-    i, j = i[lower], j[lower]
-    at = np.where(i > j, sizes[i] ** 2, 0) + rank[rows[lower]] * sizes[j] + rank[cols[lower]]
-    values = np.stack([m._values[lower] for m in matrices])
-    by_group = np.argsort(i, kind="stable")  # group k's entries: cuts[k]:cuts[k + 1]
-    at, values = at[by_group], values[:, by_group]
-    cuts = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=len(sizes)))])
-    del rows, cols, lower, i, j, by_group
-    # each group's blocks of all T factors in an array of its own, which
-    # become the blocks of the factor in place
-    ginv, h = [], []
+    rows, cols = np.argsort(fronts.order)[[rows, cols]]
+    lower = of[rows] >= of[cols]
+    by_front = np.argsort(of[cols[lower]], kind="stable")
+    rows, cols = rows[lower][by_front], cols[lower][by_front]
+    values = np.stack([m._values[lower] for m in matrices])[:, by_front]
+    cuts = np.searchsorted(of[cols], np.arange(len(sizes) + 1))
+    del lower, by_front
+    slices = [slice(e - k, e) for e, k in zip(np.cumsum(sizes).tolist(), sizes.tolist())]
+    factor, waiting = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, w in enumerate(sizes):
-            prev = sizes[k - 1] if k else 0
-            group_blocks = np.zeros((T, w * (w + prev)))
-            group_blocks[:, at[cuts[k]:cuts[k + 1]]] = values[:, cuts[k]:cuts[k + 1]]
-            S = group_blocks[:, :w * w].reshape(T, w, w)
-            if k:
-                H = group_blocks[:, w * w:].reshape(T, w, prev)
-                H[...] = H @ ginv[-1].transpose(0, 2, 1)
-                S -= H @ H.transpose(0, 2, 1)
-                h.append(H)
-            if not np.isfinite(S).all():
-                raise SolverFailure(f"pivot block {k} of the level factor not finite; "
-                                    "the system overflows")
+        for g, (s, B, k) in enumerate(zip(slices, fronts.boundary, sizes.tolist())):
+            ix = np.concatenate([np.arange(s.start, s.stop), B])  # E_f, then B_f
+            m, e, bb = len(ix), slice(cuts[g], cuts[g + 1]), None
+            i = ix.searchsorted(rows[e])
+            if (ix.take(i, mode="clip") != rows[e]).any():
+                raise ValueError("the matrix couples unknowns that its fronts keep apart")
+            F = np.zeros((T, m, k))  # columns E_f, then G_f over L_f; F_BB apart, if reached
+            F.reshape(T, -1)[:, i * k + cols[e] - s.start] = values[:, e]
+            while waiting and waiting[-1][0] == g:  # the children's updates, last on the stack
+                _, Bc, L, bb_c = waiting.pop()
+                V = L @ L.transpose(0, 2, 1)  # L L^T - F_BB of the child
+                if bb_c is not None:
+                    V -= bb_c
+                if len(Bc) == k and Bc[0] == s.start and Bc[-1] == s.stop - 1:  # E_f: a chain
+                    F[:, :k] -= V
+                    continue
+                i = ix.searchsorted(Bc)
+                c = int(i.searchsorted(k))  # i[:c] in E_f, i[c:] in B_f
+                F[:, i[:, None], i[:c]] -= V[:, :, :c]
+                if c < len(i):
+                    bb = np.zeros((T, m - k, m - k)) if bb is None else bb
+                    bb[:, i[c:, None] - k, i[c:] - k] -= V[:, c:, c:]
+            if not np.isfinite(F[:, :k]).all():
+                raise SolverFailure(f"front {g} of the factor not finite; the system overflows")
             try:
-                S[...] = np.linalg.inv(np.linalg.cholesky(S))
+                F[:, :k] = np.linalg.inv(np.linalg.cholesky(F[:, :k]))
             except np.linalg.LinAlgError:
-                raise SolverFailure(f"pivot block {k} of the level factor is not "
-                                    "positive definite") from None
-            ginv.append(S)
-    return order, [slice(e - w, e) for e, w in zip(ends, sizes)], ginv, h
+                raise SolverFailure(f"front {g} of the factor is not positive definite") from None
+            F[:, k:] = F[:, k:] @ F[:, :k].transpose(0, 2, 1)
+            factor.append(F)
+            if parent[g] >= 0:  # its update L_f L_f^T - F_BB, formed by its parent
+                waiting.append((parent[g], B, F[:, k:], bb))
+    return [[(s, B, F[t, :F.shape[2]], F[t, F.shape[2]:])
+             for s, B, F in zip(slices, fronts.boundary, factor)] for t in range(T)]
 
 
 @dataclass
 class SpdSystem:
-    """Sparse SPD system, definite as given.  ``matrix`` supports ``@`` with a
-    vector, ``diagonal()`` and ``shape``, as `SparseMatrix` does; ``factor``,
-    if given, is a `LevelFactor` of it."""
+    """Sparse SPD system, definite as given, and a `FrontFactor` of it.
+    ``matrix`` supports ``@`` with a vector and ``shape``, as `SparseMatrix`
+    does."""
 
     matrix: SparseMatrix
     rhs: np.ndarray
-    factor: LevelFactor | None = None
+    factor: FrontFactor
 
     def free_mask(self) -> np.ndarray:
         """All True: every unknown is free (`perfbench/tracing.py` reads it)."""
         return np.ones(self.matrix.shape[0], dtype=bool)
 
 
-def solve_spd(system: SpdSystem, rtol: float = 1e-12) -> np.ndarray:
-    """The solution of the system as given: by its factor when it has one
-    (rtol does not apply), else by Jacobi-preconditioned CG, converged when
-    the preconditioned relative residual drops below rtol.
-    """
-    if system.factor is not None:
-        return system.factor.solve(system.rhs)
-    A, b = system.matrix, system.rhs
-    n = A.shape[0]
-    x = np.zeros(n)
-    d = A.diagonal()
-    if np.any(d <= 0):
-        raise SolverFailure("gauged system has a non-positive diagonal entry")
-    minv = 1.0 / d
-    r = b.copy()
-    z = minv * r
-    p = z.copy()
-    limit, it = 50 * n, 0
-    # overflow makes inf or NaN scalars, and NaN > rtol is False: test each one
-    with np.errstate(over="ignore", invalid="ignore"):
-        rz, bz = float(r @ z), float(b @ (minv * b))
-        while bz != 0.0:  # b = 0: x = 0
-            res = _finite(math.sqrt(rz / bz), it)
-            if res <= rtol:
-                break
-            if it >= limit:
-                raise SolverFailure(
-                    f"CG did not converge in {limit} iterations (residual {res:.3e})")
-            Ap = A @ p
-            alpha = rz / _finite(float(p @ Ap), it)
-            x += alpha * p
-            r -= alpha * Ap
-            z = minv * r
-            rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-            it += 1
-    return x
-
-
-def _finite(value: float, it: int) -> float:
-    if not math.isfinite(value):
-        raise SolverFailure(f"CG scalar not finite at iteration {it}; the system overflows")
-    return value
+def solve_spd(system: SpdSystem) -> np.ndarray:
+    """The solution of the system as given, by its factor."""
+    return system.factor.solve(system.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -581,11 +577,12 @@ def ritz_family(tables: list, operators) -> list:
     """`ritz_each` of each (a, beta) of `operators`.  The operators of one
     free set (all but the Dirichlet nodes; on a space without any, at
     beta = 0, all but the lowest-id node) share one free-entry pattern
-    (`_operators`), each assembled over it by one `bincount`; at degree 1
-    they are factored as one stack (`LevelFactor.each`), above it built and
-    solved one at a time by CG.  Each target takes one `solve_spd` per
-    operator.  Returns, per operator, the list of (error_sq, x) per target.
-    Raises ValueError for tables of different spaces.
+    (`_operators`), each assembled over it by one `bincount`, and are
+    factored as one stack (`FrontFactor.each`) over the fronts of that set:
+    the chain of its level groups at degree 1, nested dissection above.
+    Each target takes one `solve_spd` per operator.  Returns, per operator,
+    the list of (error_sq, x) per target.  Raises ValueError for tables of
+    different spaces.
     """
     operators = [(np.asarray(a, dtype=float), beta) for a, beta in operators]
     out = [[] for _ in operators]
@@ -611,14 +608,12 @@ def _ritz_free_set(tables: list, operators, free) -> list:
     (error_sq, x) per target.  What it builds is freed on return."""
     space = tables[0].space
     en, m = space.element_nodes, space.n_nodes
-    systems = _operators(tables[0], operators, free)
-    if space.degree == 1:  # the whole stack, factored at once
-        matrices = list(systems)
-        systems = zip(matrices, LevelFactor.each(matrices, space.node_levels[free]))
-    else:  # one at a time
-        systems = ((A, None) for A in systems)
+    matrices = _operators(tables[0], operators, free)
+    fronts = (level_fronts(space.node_levels[free]) if space.degree == 1
+              else dissection_fronts(space, free))
+    factors = FrontFactor.each(matrices, fronts)
     out = []
-    for (a, beta), (A, factor) in zip(operators, systems):
+    for (a, beta), A, factor in zip(operators, matrices, factors):
         out.append([])
         for t in tables:
             f = _element_loads(t, a, beta, slice(None))
@@ -631,30 +626,27 @@ def _ritz_free_set(tables: list, operators, free) -> list:
     return out
 
 
-def _operators(tables: ElementTables, operators, free):
+def _operators(tables: ElementTables, operators, free) -> list:
     """The operator of each (a, beta) of `operators` restricted to the `free`
-    nodes, renumbered, in turn.  All are assembled over one free-entry
-    pattern: the sorted distinct keys row * max(n, 1) + col of the element
-    entries in free rows and columns, and the key of each such entry, in
-    element order and row-major within each element matrix, so one
-    `bincount` sums each key's entries in element order, as `SparseMatrix`
-    sums duplicates.  The entries of other rows and columns are dropped
-    before assembly, and the pattern before the first matrix is built."""
+    nodes, renumbered.  All are assembled over one free-entry pattern: the
+    sorted distinct keys row * max(n, 1) + col of the element entries in
+    free rows and columns, and the key of each such entry, in element order
+    and row-major within each element matrix, so one `bincount` sums each
+    key's entries in element order, as `SparseMatrix` sums duplicates.  The
+    entries of other rows and columns are dropped before assembly."""
     node = _renumbered(free)[tables.space.element_nodes]
     n = int(np.count_nonzero(free))
     kept = ((node[:, :, None] >= 0) & (node[:, None, :] >= 0)).ravel()
     keys, slot = _keyed((node[:, :, None] * max(n, 1) + node[:, None, :]).ravel()[kept])
-    values = [np.bincount(slot, _element_matrices(tables, a, beta, slice(None)).ravel()[kept],
-                          minlength=len(keys)) for a, beta in operators]
-    del node, kept, slot
-    while values:
-        yield SparseMatrix._of(keys, values.pop(0), (n, n))
+    return [SparseMatrix._of(keys, np.bincount(
+        slot, _element_matrices(tables, a, beta, slice(None)).ravel()[kept],
+        minlength=len(keys)), (n, n)) for a, beta in operators]
 
 
 def _free_operator(tables: ElementTables, a, beta: float, free) -> SparseMatrix:
     """The operator of `_element_matrices` restricted to the `free` nodes,
     renumbered, as `ritz_family` assembles it."""
-    return next(_operators(tables, [(a, beta)], free))
+    return _operators(tables, [(a, beta)], free)[0]
 
 
 def _element_matrices(tables: ElementTables, a, beta: float, elems):

@@ -162,7 +162,7 @@ def _vertex_loci(tri: Triangulation, node_set):
         kind, ident = locus
         if not isinstance(kind, str) or kind not in count:
             raise UnknownLocus(f"unknown locus kind {kind!r}")
-        require_locus(kind, ident, count[kind])
+        ident = require_locus(kind, ident, count[kind])
         if kind == "vertex":
             at.append(len(loci))
         loci.append((kind, ident))

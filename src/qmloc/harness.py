@@ -8,9 +8,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, _factor_bytes, _level_groups, _physical_memory,
-                         _region_errors, element_tables_each, local_element_errors, local_ritz,
-                         local_ritz_each, ritz, ritz_family)
+from .bestapprox import (LocalizationReport, _chain, _front_bytes, _level_groups,
+                         _physical_memory, _region_errors, element_tables_each,
+                         local_element_errors, local_ritz, local_ritz_each, ritz, ritz_family)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (_checkerboard_eps, _hexagon_eps, analytic_energy_reference,
                               checkerboard_mesh, checkerboard_target, fig1_left_values,
@@ -174,7 +174,7 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     vertex star errors, with patch classification and explicit candidate
     upper bounds."""
     # the degree, then every N, its range and the memory of its 8 N^2
-    # elements and of its P1 level factor, before any target (N^2 singular
+    # elements and of its P1 factor, before any target (N^2 singular
     # points) or mesh is built
     require_degree(degree)
     for N in n_values:
@@ -210,23 +210,24 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
 # For the fig1 sweeps: twice the larger peak-RSS slope of `alpha` and `rd`
 # (default alphas and betas; `rd` has the larger at every degree) between
 # --refines 4 and 5, by getrusage of a fresh process on 2 cores, Python 3.11,
-# numpy 2.4, with every target's tables held at once; at degree 1 with the
-# operators of one free set factored as one stack.
-_BYTES_PER_ELEMENT = {1: 22_540, 2: 23_620, 3: 36_190, 4: 75_898}
+# numpy 2.4, with every target's tables held at once and the operators of
+# one free set factored as one stack (`FrontFactor`, by nested dissection
+# above degree 1).
+_BYTES_PER_ELEMENT = {1: 22_540, 2: 28_485, 3: 56_344, 4: 103_720}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
 # (2,048 and 8,192 elements), measured the same way.
-_STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 13_546, 3: 35_348, 4: 79_150}
+_STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 15_640, 3: 37_633, 4: 87_312}
 
 
 def _star_factor_bytes(N: int) -> int:
-    """The bytes of the `stars` level factor at degree 1 and N, as
-    `bestapprox.LevelFactor` prices them (`_factor_bytes` of its groups):
-    its unknowns are the (2N - 1)^2 interior vertices of the checkerboard,
-    whose levels are the anti-diagonals of their grid, 1, 2, ..., k, ..., 2,
-    1 wide with k = 2N - 1.  No group is wider than k and the groups hold
-    k^2 unknowns in all, so the price is at most 16 k^3 and grows like N^3."""
+    """The bytes of the `stars` factor at degree 1 and N, as `FrontFactor`
+    prices the chain of its level groups (`_front_bytes`): its unknowns are
+    the (2N - 1)^2 interior vertices of the checkerboard, whose levels are
+    the anti-diagonals of their grid, 1, 2, ..., k, ..., 2, 1 wide with k =
+    2N - 1.  No group is wider than k, so the price grows like N^3."""
     k = 2 * N - 1
-    return _factor_bytes(_level_groups(np.r_[1:k, k:0:-1])[1])
+    sizes = _level_groups(np.r_[1:k, k:0:-1])[1]
+    return _front_bytes(sizes, *_chain(sizes))
 
 
 def _require_memory(what: str, n_elements: float, degree: int, per_element: dict,

@@ -64,7 +64,7 @@ class Triangulation:
         return tuple(int(v) for v in np.flatnonzero(~self.boundary_vertices))
 
 
-def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
+def build_triangulation(vertices, triangles) -> Triangulation:
     """Validate raw arrays and derive edges, boundary flags and quality measures.
 
     Every mesh that comes from outside the refinement goes through here:
@@ -140,7 +140,6 @@ def build_triangulation(vertices, triangles, parents=None) -> Triangulation:
         diameters=diameters,
         inball_diameters=rho,
         vertex_elements=vertex_elements,
-        parents=None if parents is None else np.asarray(parents, dtype=np.int64),
     )
 
 

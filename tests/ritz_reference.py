@@ -10,14 +10,20 @@ difference u - V at the plan's nodes, and the expanded form uu - 2 b.x +
 x^T A x, whose rounding scales with the energy of u rather than with the
 error.  Tests compare the fast path against them.
 `masked_ritz` is the one-target global solve that the shared operator of
-`ritz_each` replaces.
+`ritz_each` replaces.  `LevelFactor` is the block tridiagonal factor over
+level groups that `FrontFactor` generalises, the bit-for-bit oracle of its
+chain of level groups, and `cg_solve` the Jacobi-preconditioned conjugate
+gradients that solved above degree 1 before it.
 """
+import math
+
 import numpy as np
 
-from qmloc.bestapprox import ElementTables, LevelFactor, SparseMatrix, SpdSystem, _error, solve_spd
-
+from qmloc.bestapprox import (ElementTables, FrontFactor, SparseMatrix, SpdSystem, _error,
+                              _level_groups, dissection_fronts, level_fronts, solve_spd)
+from qmloc.errors import SolverFailure
 from qmloc.fespace import element_mass_matrix, reference_basis
-from qmloc.mesh import element_affine
+from qmloc.mesh import _sorted_distinct, element_affine
 from qmloc.quadrature import reference_triangle_rule
 
 from fespace_reference import eval_basis
@@ -279,12 +285,20 @@ def interpolation_error_loop(target, interp, coeff, plan, region=None):
                             region)
 
 
+def space_fronts(space, free):
+    """The fronts `ritz_family` factors over: the chain of the level groups
+    of the `free` nodes at degree 1, their nested dissection above it."""
+    if space.degree == 1:
+        return level_fronts(space.node_levels[free])
+    return dissection_fronts(space, free)
+
+
 def masked_ritz(tables, a, beta=0.0):
     """The global best approximation of one table's target, its operator
     assembled for it alone on every node and then restricted to the free
     nodes, ``A[free][:, free]`` and ``b[free]`` (all but the Dirichlet nodes,
-    else the lowest-id node at beta = 0), solved as `ritz_each` solves: at
-    degree 1 by a `LevelFactor` of that restriction, else by CG.  Returns
+    else the lowest-id node at beta = 0), solved as `ritz_each` solves: by a
+    `FrontFactor` of that restriction over `space_fronts`.  Returns
     (error_sq, x) as `ritz`."""
     w = np.asarray(a, dtype=float)
     en, m = tables.space.element_nodes, tables.space.n_nodes
@@ -298,7 +312,111 @@ def masked_ritz(tables, a, beta=0.0):
     cols = np.tile(en, (1, en.shape[1])).ravel()
     A = SparseMatrix(rows, cols, K.ravel(), (m, m))
     A = A[free][:, free]
-    factor = LevelFactor(A, tables.space.node_levels[free]) if tables.space.degree == 1 else None
+    factor = FrontFactor(A, space_fronts(tables.space, free))
     x = np.zeros(m)
     x[free] = solve_spd(SpdSystem(matrix=A, rhs=b[free], factor=factor))
     return float(_error(tables, w, beta, slice(None), x[en]).sum()), x
+
+
+class LevelFactor:
+    """Block Cholesky factor of an SPD matrix whose graph is block
+    tridiagonal over the groups of consecutive node levels of
+    `_level_groups`: A = L L^T with L block lower bidiagonal, the diagonal
+    blocks G_i the Cholesky factors of S_i = D_i - H_i H_i^T and the
+    coupling blocks H_i = C_i G_(i-1)^-T.  Raises ValueError for entries
+    between levels that are not adjacent, SolverFailure for a pivot block
+    that is not positive definite."""
+
+    def __init__(self, matrix, levels):
+        self._order, self._slices, ginv, h = _level_blocks([matrix], levels)
+        self._ginv, self._h = [g[0] for g in ginv], [c[0] for c in h]
+
+    def solve(self, b):
+        n = len(self._order)
+        b, y = b[self._order], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (s, g) in enumerate(zip(self._slices, self._ginv)):
+                y.append(g @ (b[s] - self._h[k - 1] @ y[-1] if k else b[s]))
+            for k in range(len(y) - 1, -1, -1):
+                r = y[k] - self._h[k].T @ y[k + 1] if k + 1 < len(y) else y[k]
+                y[k] = self._ginv[k].T @ r
+        x = np.empty(n)
+        x[self._order] = np.concatenate([x[:0]] + y)
+        return x
+
+
+def _level_blocks(matrices, levels):
+    levels, T, first = np.asarray(levels), len(matrices), matrices[0]
+    n = first.shape[0]
+    distinct = _sorted_distinct(levels)
+    level = np.searchsorted(distinct, levels)
+    group, sizes = _level_groups(np.bincount(level, minlength=len(distinct)))
+    rows, cols, _ = first.entries()
+    if np.any(np.abs(levels[rows] - levels[cols]) > 1):
+        raise ValueError("the matrix couples levels that are not adjacent")
+    group = group[level]
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(sizes)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n) - np.repeat(ends - sizes, sizes)
+    i, j = group[rows], group[cols]
+    lower = i >= j
+    i, j = i[lower], j[lower]
+    at = np.where(i > j, sizes[i] ** 2, 0) + rank[rows[lower]] * sizes[j] + rank[cols[lower]]
+    values = np.stack([m._values[lower] for m in matrices])
+    ginv, h = [], []
+    for k, w in enumerate(sizes):
+        prev = sizes[k - 1] if k else 0
+        blocks = np.zeros((T, w * (w + prev)))
+        mine = i == k
+        blocks[:, at[mine]] = values[:, mine]
+        S = blocks[:, :w * w].reshape(T, w, w)
+        if k:
+            H = blocks[:, w * w:].reshape(T, w, prev)
+            H[...] = H @ ginv[-1].transpose(0, 2, 1)
+            S -= H @ H.transpose(0, 2, 1)
+            h.append(H)
+        try:
+            S[...] = np.linalg.inv(np.linalg.cholesky(S))
+        except np.linalg.LinAlgError:
+            raise SolverFailure(f"pivot block {k} of the level factor is not "
+                                "positive definite") from None
+        ginv.append(S)
+    return order, [slice(e - w, e) for e, w in zip(ends, sizes)], ginv, h
+
+
+def cg_solve(matrix, b, rtol=1e-12):
+    """x with A x = b by Jacobi-preconditioned CG from x = 0, converged when
+    the preconditioned relative residual drops below rtol; raises
+    SolverFailure on a non-positive diagonal entry, a scalar that is not
+    finite, or no convergence in 50 n iterations."""
+    n = matrix.shape[0]
+    x = np.zeros(n)
+    d = matrix.diagonal()
+    if np.any(d <= 0):
+        raise SolverFailure("gauged system has a non-positive diagonal entry")
+    minv = 1.0 / d
+    r = np.array(b, dtype=float)
+    z = minv * r
+    p = z.copy()
+    limit, it = 50 * n, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rz, bz = float(r @ z), float(r @ z)
+        while bz != 0.0:
+            res = math.sqrt(rz / bz)
+            if not math.isfinite(res):
+                raise SolverFailure(f"CG scalar not finite at iteration {it}")
+            if res <= rtol:
+                break
+            if it >= limit:
+                raise SolverFailure(f"CG did not converge in {limit} iterations")
+            Ap = matrix @ p
+            alpha = rz / float(p @ Ap)
+            x += alpha * p
+            r -= alpha * Ap
+            z = minv * r
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+            it += 1
+    return x

@@ -11,9 +11,10 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmloc.bestapprox import (ElementTables, LevelFactor, LocalizationReport, SparseMatrix,
+from qmloc.bestapprox import (ElementTables, FrontFactor, LocalizationReport, SparseMatrix,
                               SpdSystem, _element_loads, _element_matrices, _free_operator,
-                              element_tables, element_tables_each, local_element_errors,
+                              dissection_fronts, element_tables, element_tables_each,
+                              level_fronts, local_element_errors,
                               local_ritz, local_ritz_each, ritz, ritz_each, ritz_family,
                               solve_spd)
 from qmloc.coeff import attach_coefficient
@@ -31,9 +32,10 @@ from qmloc.quadrature import make_quadrature_plan
 import report_reference
 from interp_reference import energy_norm_sq, l2_norm_sq
 from mesh_reference import csr
-from ritz_reference import (QuadratureOracle, assemble, dense_ritz_error, einsum_grad_moments,
-                            element_stiffness, element_tables_broadcast, energy_rhs, mass_rhs,
-                            masked_ritz, monomial_element_fit)
+from ritz_reference import (LevelFactor, QuadratureOracle, assemble, cg_solve, dense_ritz_error,
+                            einsum_grad_moments, element_stiffness, element_tables_broadcast,
+                            energy_rhs, mass_rhs, masked_ritz, monomial_element_fit,
+                            space_fronts)
 
 
 def reference_element():
@@ -144,8 +146,12 @@ def test_solver_matches_dense_on_random_spd():
     A = B @ B.T + 50 * np.eye(50)
     b = rng.standard_normal(50)
     rows, cols = np.indices(A.shape).reshape(2, -1)
-    x = solve_spd(SpdSystem(matrix=SparseMatrix(rows, cols, A.ravel(), A.shape), rhs=b),
-                  rtol=1e-14)
+    matrix = SparseMatrix(rows, cols, A.ravel(), A.shape)
+    # one front of all 50 unknowns, and the CG oracle
+    x = solve_spd(SpdSystem(matrix=matrix, rhs=b, factor=FrontFactor(matrix,
+                                                                     level_fronts(np.zeros(50)))))
+    assert np.linalg.norm(x - np.linalg.solve(A, b)) < 1e-10 * np.linalg.norm(b)
+    x = cg_solve(matrix, b, rtol=1e-14)
     assert np.linalg.norm(x - np.linalg.solve(A, b)) < 1e-10 * np.linalg.norm(b)
 
 
@@ -291,6 +297,19 @@ def test_sparse_matrix_product_refuses_an_operand_of_another_shape(p):
     message = f"SparseMatrix of shape (3, 3) cannot multiply an operand of shape {p.shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         m @ p
+
+
+def test_sparse_matrix_product_reads_a_real_array_like_as_float():
+    m = SparseMatrix([0, 1], [0, 1], [2.0, 3.0], (2, 2))
+    for p in ([1.0, 2.0], [1, 2], np.array([1, 2]), np.array([1, 2], dtype=np.uint8),
+              np.array([1.0, 2.0], dtype=np.float32)):
+        y = m @ p
+        assert y.dtype == float and np.array_equal(y, [2.0, 6.0])
+    for p in (np.ones(2, dtype=complex), ["1", "2"], np.ones(2, dtype=bool), [None, None]):
+        message = f"SparseMatrix of shape (2, 2) cannot multiply an operand of dtype " \
+                  f"{np.asarray(p).dtype}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            m @ p
 
 
 def test_coefficient_scale_equivariance():
@@ -639,11 +658,11 @@ def test_shared_operator_solves_equal_per_target_solves(dirichlet, beta):
     """`ritz_each`, one operator restricted once, against the per-target
     operator assembled on every node and restricted by indexing
     (`masked_ritz`): bitwise equal errors and coefficients, with and without
-    Dirichlet nodes and at beta > 0.  At P1 each side factors its own
-    operator, whose entries are bit-equal; at P2 each runs CG."""
+    Dirichlet nodes and at beta > 0.  At every degree each side factors its
+    own operator, whose entries are bit-equal, over the same fronts."""
     tri, coeff = fig1_left_pattern(1e-4, refines=2)
     targets = list(default_smooth_targets().values())
-    for degree in (1, 2):
+    for degree in (1, 2, 3):
         space = build_space(tri, degree, dirichlet_on_boundary=dirichlet)
         tables = element_tables_each(targets, make_quadrature_plan(tri, targets[0], 10), space)
         for tab, (err, x) in zip(tables, ritz_each(tables, coeff.values, beta)):
@@ -654,10 +673,10 @@ def test_shared_operator_solves_equal_per_target_solves(dirichlet, beta):
 
 @pytest.mark.parametrize("mesh", ["fig1", "checkerboard"])
 def test_stacked_factors_equal_per_operator_solves(mesh, monkeypatch):
-    """`ritz_family` at P1, its operators of one free set factored as one
-    stack, against `masked_ritz` of each operator and target alone: bitwise
-    equal errors and coefficients.  On fig1 the gradient operator has its
-    pinned node and factors alone, the others share the free set of
+    """`ritz_family` at P1 and P2, its operators of one free set factored as
+    one stack, against `masked_ritz` of each operator and target alone:
+    bitwise equal errors and coefficients.  On fig1 the gradient operator
+    has its pinned node and factors alone, the others share the free set of
     beta > 0; with the checkerboard's Dirichlet nodes all share one set."""
     if mesh == "fig1":
         tri, coeff = fig1_left_pattern(1e-4, refines=2)
@@ -666,32 +685,35 @@ def test_stacked_factors_equal_per_operator_solves(mesh, monkeypatch):
         tri, coeff = checkerboard_mesh(3)
         a, dirichlet, stacks = coeff.values, True, [5]
     targets = list(default_smooth_targets().values())
-    space = build_space(tri, 1, dirichlet_on_boundary=dirichlet)
-    tables = element_tables_each(targets, make_quadrature_plan(tri, targets[0], 8), space)
     operators = [(a, 0.0), (a, 1e-4), (np.zeros_like(a), 1.0), (a, 1.0), (a, 1e4)]
-    each, sizes = LevelFactor.each, []
-    monkeypatch.setattr(LevelFactor, "each",
-                        lambda matrices, levels: sizes.append(len(matrices)) or each(matrices,
-                                                                                     levels))
-    family = ritz_family(tables, operators)
-    assert sizes == stacks
-    for (w, beta), per_target in zip(operators, family):
-        for tab, (err, x) in zip(tables, per_target):
-            ref_err, ref_x = masked_ritz(tab, w, beta)
-            assert err == ref_err and np.array_equal(x, ref_x)
+    each, sizes = FrontFactor.each, []
+    monkeypatch.setattr(FrontFactor, "each",
+                        lambda matrices, fronts: sizes.append(len(matrices)) or each(matrices,
+                                                                                     fronts))
+    for degree in (1, 2):
+        space = build_space(tri, degree, dirichlet_on_boundary=dirichlet)
+        tables = element_tables_each(targets, make_quadrature_plan(tri, targets[0], 8), space)
+        sizes.clear()
+        family = ritz_family(tables, operators)
+        assert sizes == stacks
+        for (w, beta), per_target in zip(operators, family):
+            for tab, (err, x) in zip(tables, per_target):
+                ref_err, ref_x = masked_ritz(tab, w, beta)
+                assert err == ref_err and np.array_equal(x, ref_x)
     assert ritz_family([], operators) == [[]] * len(operators)
 
 
 def test_level_factor_stack_needs_one_pattern():
     one = SparseMatrix([0, 1], [0, 1], [1.0, 1.0], (2, 2))
     other = SparseMatrix([0, 1, 1], [0, 0, 1], [1.0, 0.5, 1.0], (2, 2))
-    first, second = LevelFactor.each([one, SparseMatrix([0, 1], [0, 1], [4.0, 16.0], (2, 2))],
-                                     np.array([0, 1]))
+    fronts = level_fronts(np.array([0, 1]))
+    first, second = FrontFactor.each([one, SparseMatrix([0, 1], [0, 1], [4.0, 16.0], (2, 2))],
+                                     fronts)
     assert np.array_equal(first.solve(np.ones(2)), [1.0, 1.0])
     assert np.array_equal(second.solve(np.ones(2)), [0.25, 0.0625])
-    with pytest.raises(ValueError, match="^a stack of level factors needs matrices of one "
+    with pytest.raises(ValueError, match="^a stack of front factors needs matrices of one "
                                          "pattern$"):
-        LevelFactor.each([one, other], np.array([0, 1]))
+        FrontFactor.each([one, other], fronts)
 
 
 def test_shared_operator_needs_one_space():
@@ -705,19 +727,17 @@ def test_shared_operator_needs_one_space():
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_system_raises_solver_failure():
-    # b^T D^-1 b overflows to inf; the NaN residual it gave was read as converged
-    identity = SparseMatrix([0, 1], [0, 1], [1.0, 1.0], (2, 2))
-    system = SpdSystem(matrix=identity, rhs=np.array([1e200, 1e200]))
-    with pytest.raises(SolverFailure, match="CG scalar not finite at iteration 0"):
+    # each step is finite, the solution 1e400 is not
+    tiny = SparseMatrix([0, 1], [0, 1], [1e-200, 1e-200], (2, 2))
+    system = SpdSystem(matrix=tiny, rhs=np.array([1e200, 1e200]),
+                       factor=FrontFactor(tiny, level_fronts(np.array([0, 1]))))
+    with pytest.raises(SolverFailure, match="^front factor solution not finite; the system "
+                                            "overflows$"):
         solve_spd(system)
 
 
-def _check_level_solve(tables, a, beta=0.0):
-    """`ritz` at degree 1 (by the level factor) against a dense
-    `numpy.linalg.solve` of the same free operator and load: their gap in
-    the operator's norm within 1e-10 of the solution's; and the factor of
-    that operator by itself (`_check_grouped_factor`).  Returns the number
-    of levels and of groups of that factor."""
+def _free_system(tables, a, beta):
+    """The free set of `ritz`, its operator (sparse and dense) and its load."""
     space = tables.space
     free = ~space.dirichlet
     if free.all() and beta == 0.0:
@@ -728,32 +748,49 @@ def _check_level_solve(tables, a, beta=0.0):
     A[rows, cols] = values
     loads = _element_loads(tables, a, beta, slice(None))
     b = np.bincount(space.element_nodes.ravel(), loads.ravel(), space.n_nodes)[free]
+    return free, matrix, A, b
+
+
+def _check_level_solve(tables, a, beta=0.0):
+    """`ritz` at degree 1 (by the chain of level groups) against a dense
+    `numpy.linalg.solve` of the same free operator and load: their gap in
+    the operator's norm within 1e-10 of the solution's; and the factor of
+    that operator by itself (`_check_grouped_factor`).  Returns the number
+    of levels and of groups of that factor."""
+    free, matrix, A, b = _free_system(tables, a, beta)
     x = ritz(tables, a, beta)[1]
     assert not x[~free].any()
     gap = x[free] - np.linalg.solve(A, b)
     assert gap @ A @ gap <= 1e-20 * (x[free] @ A @ x[free])
-    return _check_grouped_factor(matrix, space.node_levels[free], A, b)
+    return _check_grouped_factor(matrix, tables.space.node_levels[free], A, b)
 
 
 def _check_grouped_factor(matrix, levels, A, b):
-    """`LevelFactor` of `matrix` (dense: A) against `numpy.linalg.solve` of
-    b: their gap in the operator's norm within 1e-12 of the solution's.  Its
-    groups, the slices of its order, hold whole consecutive levels, none
-    wider than the widest level, and each closes only where the next level
-    would make it wider; every entry lies within one group or between
-    adjacent groups.  Returns the number of levels and of groups."""
-    factor = LevelFactor(matrix, levels)
+    """`FrontFactor` over `level_fronts` of `matrix` (dense: A) against
+    `numpy.linalg.solve` of b: their gap in the operator's norm within
+    1e-12 of the solution's; and bit for bit the block tridiagonal factor
+    it generalises (`ritz_reference.LevelFactor`).  Its fronts, the groups,
+    are a chain, each with the whole next group as its boundary; they hold
+    whole consecutive levels, none wider than the widest level, and each
+    closes only where the next level would make it wider; every entry lies
+    within one group or between adjacent groups.  Returns the number of
+    levels and of groups."""
+    fronts = level_fronts(levels)
+    factor = FrontFactor(matrix, fronts)
     ref = np.linalg.solve(A, b)
     gap = factor.solve(b) - ref
     assert gap @ A @ gap <= 1e-24 * (ref @ A @ ref)
-    slices = factor._slices
-    bounds = [0] + [s.stop for s in slices]
-    assert [s.start for s in slices] == bounds[:-1] and bounds[-1] == len(levels)
+    assert np.array_equal(factor.solve(b), LevelFactor(matrix, levels).solve(b))
+    _check_fronts(fronts, len(levels))
+    sizes = fronts.sizes
+    ends = np.cumsum(sizes)
+    assert fronts.parent.tolist() == list(range(1, len(sizes))) + [-1] * bool(len(sizes))
+    for B, e, w in zip(fronts.boundary, ends, np.append(sizes[1:], 0)):
+        assert B.tolist() == list(range(e, e + w))
     if not len(levels):
         return 0, 0
     group = np.empty(len(levels), dtype=int)
-    for g, s in enumerate(slices):
-        group[factor._order[s]] = g
+    group[fronts.order] = np.repeat(np.arange(len(sizes)), sizes)
     distinct, widths = np.unique(levels, return_counts=True)
     of_level = []
     for level in distinct:
@@ -761,13 +798,43 @@ def _check_grouped_factor(matrix, levels, A, b):
         of_level.append(g)
     steps = np.diff(of_level)
     assert of_level[0] == 0 and np.isin(steps, [0, 1]).all()  # consecutive levels
-    sizes = np.array([s.stop - s.start for s in slices])
     assert sizes.max() <= widths.max()
     opens = np.flatnonzero(steps) + 1  # the first level of every group but the first
     assert (sizes[:-1] + widths[opens] > widths.max()).all()
     rows, cols, _ = matrix.entries()
     assert (np.abs(group[rows] - group[cols]) <= 1).all()
-    return len(distinct), len(slices)
+    return len(distinct), len(sizes)
+
+
+def _check_fronts(fronts, n):
+    """The structure of an elimination tree of n unknowns: every unknown in
+    exactly one front, the fronts in post-order (each parent after its
+    children, each subtree contiguous), and each boundary ascending, after
+    its front's own nodes and within the nodes of its ancestors."""
+    sizes, parent = fronts.sizes, fronts.parent
+    assert np.array_equal(np.sort(fronts.order), np.arange(n))
+    assert sizes.sum() == n and (sizes > 0).all() and len(parent) == len(sizes)
+    ends = np.cumsum(sizes)
+    first = list(range(len(sizes)))  # the first front of each subtree
+    for f, p in enumerate(parent.tolist()):
+        assert p == -1 or p > f
+        if p >= 0:
+            first[p] = min(first[p], first[f])
+    for f in range(len(sizes)):
+        inside = [g for g in range(len(sizes)) if g <= f and _is_below(g, f, parent)]
+        assert inside == list(range(first[f], f + 1))
+        above, p = [], parent[f]
+        while p >= 0:
+            above.extend(range(ends[p] - sizes[p], ends[p]))
+            p = parent[p]
+        B = fronts.boundary[f]
+        assert (np.diff(B) > 0).all() and np.isin(B, above).all()
+
+
+def _is_below(g, f, parent):
+    while g >= 0 and g != f:
+        g = parent[g]
+    return g == f
 
 
 def _hexagon_refined(times):
@@ -848,21 +915,104 @@ def test_level_factor_across_parts_split_by_dirichlet_nodes():
     _check_level_solve(tables, np.ones(two.n_elements), 1.0)
 
 
+def _check_dissection_solve(tables, a, beta=0.0):
+    """`ritz` at degree 2 to 4 (by nested dissection) and the factor of its
+    operator by itself against a dense `numpy.linalg.solve`: their gaps in
+    the operator's norm within 1e-10 of the solution's.  The fronts have
+    the structure of `_check_fronts`, leaves of at most 64 nodes, and a
+    second build gives the same tree."""
+    free, matrix, A, b = _free_system(tables, a, beta)
+    ref = np.linalg.solve(A, b)
+    x = ritz(tables, a, beta)[1]
+    assert not x[~free].any()
+    fronts = dissection_fronts(tables.space, free)
+    for got in (x[free], FrontFactor(matrix, fronts).solve(b)):
+        gap = got - ref
+        assert gap @ A @ gap <= 1e-20 * (ref @ A @ ref)
+    _check_fronts(fronts, len(b))
+    leaves = np.setdiff1d(np.arange(len(fronts.sizes)), fronts.parent)
+    assert (fronts.sizes[leaves] <= 64).all()
+    again = dissection_fronts(tables.space, free)
+    for f in ("order", "sizes", "parent"):
+        assert np.array_equal(getattr(fronts, f), getattr(again, f))
+    assert all(np.array_equal(x, y) for x, y in zip(fronts.boundary, again.boundary))
+    return fronts
+
+
+@pytest.mark.parametrize("refines, degree", [(r, 2) for r in (1, 2, 3, 4)]
+                         + [(r, d) for d in (3, 4) for r in (1, 2, 3)])
+def test_dissection_factor_matches_a_dense_solve_on_fig1(refines, degree):
+    """alpha = 1e-6, with the pinned node (beta = 0) and at beta = 1 and 1e4;
+    past refines 1 the tree has more than one front.  Refines 4 only at P2:
+    the dense oracle of P4 there would hold 8,300 squared doubles."""
+    tri, coeff = fig1_left_pattern(1e-6, refines=refines)
+    tables, _, _ = tables_of(sine_target(), tri, degree, 2 * degree + 2)
+    for beta in (0.0, 1.0, 1e4):
+        fronts = _check_dissection_solve(tables, coeff.values, beta)
+        assert len(fronts.sizes) > 1 or refines == 1
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_dissection_factor_matches_a_dense_solve_on_the_hexagon(degree):
+    tri, a = _hexagon_refined(2)
+    tables, _, _ = tables_of(sine_target(), tri, degree, 2 * degree + 2, dirichlet=True)
+    _check_dissection_solve(tables, a)
+    _check_dissection_solve(tables, a, 1.0)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("N", range(2, 7))
+def test_dissection_factor_matches_a_dense_solve_on_the_checkerboard(N, degree):
+    tri, coeff = checkerboard_mesh(N)
+    tables, _, _ = tables_of(sine_target(), tri, degree, 2 * degree + 2, dirichlet=True)
+    _check_dissection_solve(tables, coeff.values)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), degree=st.integers(2, 4),
+       dirichlet=st.booleans(), beta=st.sampled_from([0.0, 1e-3, 1.0, 1e6]))
+@example(seed=0, n=1, degree=2, dirichlet=True, beta=0.0)  # one free node
+def test_dissection_factor_matches_a_dense_solve_on_perturbed_grids(seed, n, degree, dirichlet,
+                                                                    beta):
+    rng = np.random.default_rng(seed)
+    tri = _perturbed_grid(n, rng)
+    tables, _, _ = tables_of(sine_target(), tri, degree, 2 * degree + 2, dirichlet)
+    _check_dissection_solve(tables, 10.0 ** rng.uniform(-6.0, 0.0, tri.n_elements), beta)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_stacked_factors_equal_per_operator_factors(degree):
+    """`FrontFactor.each` of T operators of one pattern, member by member,
+    against `FrontFactor` of each alone: bit for bit."""
+    tri, coeff = fig1_left_pattern(1e-4, refines=3)
+    tables, _, space = tables_of(sine_target(), tri, degree, 2 * degree + 2)
+    free = np.ones(space.n_nodes, dtype=bool)
+    matrices = [_free_operator(tables, coeff.values, beta, free) for beta in (1e-4, 1.0, 1e4)]
+    fronts = space_fronts(space, free)
+    b = np.random.default_rng(degree).standard_normal(len(fronts.order))
+    for A, member in zip(matrices, FrontFactor.each(matrices, fronts)):
+        alone = FrontFactor(A, fronts)
+        assert np.array_equal(member.solve(b), alone.solve(b))
+        for x, y in zip(member._steps, alone._steps):
+            assert np.array_equal(x[2], y[2]) and np.array_equal(x[3], y[3])
+
+
 def test_level_factor_refuses_what_is_not_positive_definite():
-    """The failing pivot block is named by its group.  Levels 1, 1, 2 wide
-    make two groups, levels 0 and 1, then level 2: the indefinite pair of
-    nodes 0 and 1 fails in block 0, that of nodes 2 and 3 in block 1.  The
-    adjacency of the entries is decided on the levels as given: entry (0, 3)
-    joins levels 0 and 2, which lie in adjacent groups when levels 1 and 2
-    share one."""
+    """The failing front is named by its group.  Levels 1, 1, 2 wide make
+    two groups, levels 0 and 1, then level 2: the indefinite pair of nodes
+    0 and 1 fails in front 0, that of nodes 2 and 3 in front 1.  The
+    entries are checked on the fronts: entry (0, 3) joins levels 0 and 2,
+    which lie in adjacent groups when levels 1 and 2 share one, and is
+    factored; an entry between groups that are not adjacent is refused."""
     indefinite = SparseMatrix([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 2.0, 2.0, 1.0], (2, 2))
-    with pytest.raises(SolverFailure, match="^pivot block 1 of the level factor is not "
-                                            "positive definite$"):
-        LevelFactor(indefinite, np.array([0, 1]))
-    with pytest.raises(SolverFailure, match="^pivot block 0 of the level factor is not "):
-        LevelFactor(indefinite, np.array([3, 3]))
-    with pytest.raises(ValueError, match="levels that are not adjacent"):
-        LevelFactor(indefinite, np.array([0, 2]))
+    with pytest.raises(SolverFailure, match="^front 1 of the factor is not positive definite$"):
+        FrontFactor(indefinite, level_fronts(np.array([0, 1])))
+    with pytest.raises(SolverFailure, match="^front 0 of the factor is not "):
+        FrontFactor(indefinite, level_fronts(np.array([3, 3])))
+    skip = SparseMatrix([0, 0, 1, 2, 2], [0, 2, 1, 0, 2], [2.0, 1.0, 2.0, 1.0, 2.0], (3, 3))
+    with pytest.raises(ValueError, match="^the matrix couples unknowns that its fronts keep "
+                                         "apart$"):
+        FrontFactor(skip, level_fronts(np.array([0, 1, 2])))
 
     def chain(first, second):
         """Nodes 0-1 and 2-3 as 2 x 2 blocks, coupled by (1, 2)."""
@@ -870,16 +1020,19 @@ def test_level_factor_refuses_what_is_not_positive_definite():
         (a, b, c), (d, e, f) = first, second
         return SparseMatrix(rows, cols, [a, b, b, c, 0.1, 0.1, d, e, e, f], (4, 4))
 
-    levels = np.array([0, 1, 2, 2])
+    fronts = level_fronts(np.array([0, 1, 2, 2]))
     for blocks, k in ((((1.0, 2.0, 1.0), (2.0, 1.0, 2.0)), 0),
                       (((2.0, 1.0, 2.0), (1.0, 2.0, 1.0)), 1)):
-        with pytest.raises(SolverFailure, match=f"^pivot block {k} of the level factor is not "
-                                                "positive definite$"):
-            LevelFactor(chain(*blocks), levels)
+        with pytest.raises(SolverFailure, match=f"^front {k} of the factor is not positive "
+                                                "definite$"):
+            FrontFactor(chain(*blocks), fronts)
     far = SparseMatrix([0, 0, 1, 2, 3, 3], [0, 3, 1, 2, 0, 3], [2.0, 1.0, 2.0, 2.0, 1.0, 2.0],
                        (4, 4))
-    with pytest.raises(ValueError, match="levels that are not adjacent"):
-        LevelFactor(far, np.array([0, 0, 1, 2]))
+    dense = np.zeros((4, 4))
+    dense[tuple(far.entries()[:2])] = far.entries()[2]
+    b = np.arange(1.0, 5.0)
+    x = FrontFactor(far, level_fronts(np.array([0, 0, 1, 2]))).solve(b)
+    assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-14, atol=0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -887,29 +1040,45 @@ def test_level_factor_refuses_what_is_not_finite():
     def matrix(values):
         return SparseMatrix([0, 0, 1, 1], [0, 1, 0, 1], values, (2, 2))
 
+    fronts = level_fronts(np.array([0, 1]))
     for values, level in (([np.inf, 0.0, 0.0, 1.0], 0), ([1e-300, 1e200, 1e200, 1.0], 1)):
-        with pytest.raises(SolverFailure, match=f"^pivot block {level} of the level factor "
-                                                "not finite; the system overflows$"):
-            LevelFactor(matrix(values), np.array([0, 1]))
+        with pytest.raises(SolverFailure, match=f"^front {level} of the factor not finite; "
+                                                "the system overflows$"):
+            FrontFactor(matrix(values), fronts)
     tiny = matrix([1e-300, 0.0, 0.0, 1e-300])
-    system = SpdSystem(matrix=tiny, rhs=np.array([1e10, 1e10]),
-                       factor=LevelFactor(tiny, np.array([0, 1])))
-    with pytest.raises(SolverFailure, match="^level factor solution not finite; "
+    system = SpdSystem(matrix=tiny, rhs=np.array([1e10, 1e10]), factor=FrontFactor(tiny, fronts))
+    with pytest.raises(SolverFailure, match="^front factor solution not finite; "
                                             "the system overflows$"):
         solve_spd(system)
 
 
-def _grouped_price(levels) -> int:
-    """8 bytes per entry of the diagonal and coupling blocks of the groups
-    of `levels`: the distinct levels in order, a group closed where the next
-    level would make it wider than the widest."""
+def _tree_price(sizes, bsizes, parent) -> int:
+    """8 bytes per entry of every front's G_f (k x k) and L_f (b x k), and
+    of the most that lives beside them at one front: its pivot's factor and
+    inverse 2 k^2, F_BB and update 2 b^2, and the b'^2 of each update of a
+    front before it whose parent comes at it or after it."""
+    stored = sum(k * k + b * k for k, b in zip(sizes, bsizes))
+    peak = max(2 * (k * k + b * b) + sum(bsizes[g] ** 2 for g in range(f) if parent[g] >= f)
+               for f, (k, b) in enumerate(zip(sizes, bsizes)))
+    return 8 * (stored + peak)
+
+
+def _grouped_price(levels):
+    """The price of the chain of the groups of `levels` (`_tree_price`): the
+    distinct levels in order, a group closed where the next level would
+    make it wider than the widest.  Returns the price, the number of groups
+    and the widest."""
     widths = np.unique(levels, return_counts=True)[1].tolist()
     groups = [0]
     for w in widths:
         if groups[-1] and groups[-1] + w > max(widths):
             groups.append(0)
         groups[-1] += w
-    return 8 * sum(g * (g + prev) for g, prev in zip(groups, [0] + groups))
+    return _chain_price(groups), len(groups), max(groups)
+
+
+def _chain_price(groups) -> int:
+    return _tree_price(groups, groups[1:] + [0], list(range(1, len(groups))) + [-1])
 
 
 def _unreadable(monkeypatch, matrix):
@@ -919,69 +1088,88 @@ def _unreadable(monkeypatch, matrix):
     monkeypatch.setattr(matrix, "_values", None)
 
 
+def _check_priced(monkeypatch, matrices, fronts, need, message):
+    """The factor of `matrices` over `fronts` is refused by the one-line
+    `message` one byte short of `need`, before any entry is read, factored
+    at `need`, and refused again when the process holds one byte."""
+    import qmloc.bestapprox
+
+    def factor():
+        return FrontFactor.each(matrices, fronts) if len(matrices) > 1 else [
+            FrontFactor(matrices[0], fronts)]
+
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
+    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need - 1)
+    with monkeypatch.context() as m:
+        for matrix in matrices:
+            _unreadable(m, matrix)
+        with pytest.raises(ParameterOutOfRange, match=(
+                f"^{message}, needs about {need / 2**30:.3g} GiB of {(need - 1) / 2**30:.3g} "
+                "GiB of memory$")):
+            factor()
+    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need)
+    assert len(factor()) == len(matrices)
+    # one byte held by the process tips it over
+    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 1)
+    with pytest.raises(ParameterOutOfRange, match=f"^{message}"):
+        factor()
+
+
 def test_level_factor_is_priced_before_it_is_built(monkeypatch):
     """The price is that of the factor's groups, not of its levels: on
     these 8 levels, 9 wide at most, the groups of the levels' price would
     not fit.  It is refused one byte short of the price, before any entry
     is read, and again when the process holds one byte."""
-    import qmloc.bestapprox
-
     tri, coeff = fig1_left_pattern(1e-2, refines=2)
     tables, _, space = tables_of(sine_target(), tri, 1, 4)
     free = np.ones(space.n_nodes, dtype=bool)
     free[0] = False
     A = _free_operator(tables, coeff.values, 0.0, free)
     levels = space.node_levels[free]  # without the level that held only node 0
-    need = _grouped_price(levels)
+    need, groups, widest = _grouped_price(levels)
     widths = np.unique(levels, return_counts=True)[1]
-    assert need > 8 * (widths @ widths + widths[1:] @ widths[:-1])
-    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
-    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need - 1)
-    _unreadable(monkeypatch, A)
-    with pytest.raises(ParameterOutOfRange, match=(
-            f"^a level factor of 40 unknowns, 8 levels up to 9 wide, needs about "
-            f"{need / 2**30:.3g} GiB of {(need - 1) / 2**30:.3g} GiB of memory$")):
-        LevelFactor(A, levels)
-    monkeypatch.undo()
-    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
-    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need)
-    LevelFactor(A, levels)
-    # one byte held by the process tips it over
-    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 1)
-    with pytest.raises(ParameterOutOfRange, match="^a level factor of 40 unknowns"):
-        LevelFactor(A, levels)
+    assert len(widths) == 8 and widths.max() == 9
+    assert need > _chain_price(widths.tolist())
+    _check_priced(monkeypatch, [A], level_fronts(levels), need,
+                  f"a front factor of 40 unknowns, {groups} fronts up to {widest} wide")
 
 
 def test_level_factor_stack_is_priced_before_it_is_built(monkeypatch):
     """T matrices of one pattern cost T times the bytes of one factor's
     groups, named as a stack, and are refused before any entry is read or
     the pattern compared."""
-    import qmloc.bestapprox
-
     tri, coeff = fig1_left_pattern(1e-2, refines=2)
     tables, _, space = tables_of(sine_target(), tri, 1, 4)
     free = np.ones(space.n_nodes, dtype=bool)
     matrices = [_free_operator(tables, coeff.values, beta, free) for beta in (1e-4, 1.0, 1e4)]
-    one = _grouped_price(space.node_levels)
-    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
-    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: 3 * one - 1)
-    for m in matrices:
-        _unreadable(monkeypatch, m)
-    with pytest.raises(ParameterOutOfRange, match=(
-            f"^a stack of 3 level factors of 41 unknowns, 9 levels up to 9 wide, needs about "
-            f"{3 * one / 2**30:.3g} GiB of {(3 * one - 1) / 2**30:.3g} GiB of memory$")):
-        LevelFactor.each(matrices, space.node_levels)
+    one, groups, widest = _grouped_price(space.node_levels)
+    _check_priced(monkeypatch, matrices, level_fronts(space.node_levels), 3 * one,
+                  f"a stack of 3 front factors of 41 unknowns, {groups} fronts up to {widest} "
+                  "wide")
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_dissection_factor_is_priced_before_it_is_built(monkeypatch, degree):
+    """At P >= 2 the price is that of the dissection's fronts, one factor
+    and a stack of two."""
+    tri, coeff = fig1_left_pattern(1e-2, refines=2)
+    tables, _, space = tables_of(sine_target(), tri, degree, 2 * degree + 2)
+    free = np.ones(space.n_nodes, dtype=bool)
+    matrices = [_free_operator(tables, coeff.values, beta, free) for beta in (1.0, 1e4)]
+    fronts = dissection_fronts(space, free)
+    sizes = fronts.sizes.tolist()
+    need = _tree_price(sizes, [len(B) for B in fronts.boundary], fronts.parent.tolist())
+    assert len(sizes) > 1
+    head = f"of {space.n_nodes} unknowns, {len(sizes)} fronts up to {max(sizes)} wide"
+    _check_priced(monkeypatch, matrices[:1], fronts, need, f"a front factor {head}")
     monkeypatch.undo()
-    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
-    monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: 3 * one)
-    assert len(LevelFactor.each(matrices, space.node_levels)) == 3
+    _check_priced(monkeypatch, matrices, fronts, 2 * need, f"a stack of 2 front factors {head}")
 
 
 @pytest.mark.parametrize("shape, levels, message", [
-    ((2, 2), [0, 1, 2], r"of 2 unknowns needs one level per unknown, not levels of shape \(3,\)"),
-    ((2, 2), [0], r"of 2 unknowns needs one level per unknown, not levels of shape \(1,\)"),
-    ((2, 2), [[0, 1]], r"of 2 unknowns needs one level per unknown, not levels of shape "
-                       r"\(1, 2\)"),
+    ((2, 2), [0, 1, 2], r"of 2 unknowns needs fronts of 2 unknowns, not 3"),
+    ((2, 2), [0], r"of 2 unknowns needs fronts of 2 unknowns, not 1"),
+    ((2, 2), [0, 0, 1, 1], r"of 2 unknowns needs fronts of 2 unknowns, not 4"),
     ((1, 2), [0], r"needs a square matrix, not one of shape \(1, 2\)"),
     ((3, 2), [0, 1, 2], r"needs a square matrix, not one of shape \(3, 2\)")])
 def test_level_factor_refuses_bad_input_in_one_line(monkeypatch, shape, levels, message):
@@ -991,63 +1179,35 @@ def test_level_factor_refuses_bad_input_in_one_line(monkeypatch, shape, levels, 
     monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: 0)
     k = min(shape)
     matrix = SparseMatrix(np.arange(k), np.arange(k), np.ones(k), shape)
-    with pytest.raises(ValueError, match=f"^a level factor {message}$"):
-        LevelFactor(matrix, np.array(levels))
-    with pytest.raises(ValueError, match=f"^a level factor {message}$"):
-        LevelFactor.each([matrix], np.array(levels))
+    fronts = level_fronts(np.array(levels))
+    with pytest.raises(ValueError, match=f"^a front factor {message}$"):
+        FrontFactor(matrix, fronts)
+    with pytest.raises(ValueError, match=f"^a front factor {message}$"):
+        FrontFactor.each([matrix], fronts)
 
 
 def test_level_factor_refuses_an_empty_stack_and_a_right_hand_side_of_another_shape():
-    with pytest.raises(ValueError, match="^a stack of level factors needs at least one matrix$"):
-        LevelFactor.each([], np.array([0, 1]))
-    factor = LevelFactor(SparseMatrix([0, 1], [0, 1], [4.0, 16.0], (2, 2)), np.array([0, 1]))
+    with pytest.raises(ValueError, match=r"^level fronts need one level per unknown, not levels "
+                                         r"of shape \(1, 2\)$"):
+        level_fronts(np.array([[0, 1]]))
+    with pytest.raises(ValueError, match="^a stack of front factors needs at least one matrix$"):
+        FrontFactor.each([], level_fronts(np.array([0, 1])))
+    factor = FrontFactor(SparseMatrix([0, 1], [0, 1], [4.0, 16.0], (2, 2)),
+                         level_fronts(np.array([0, 1])))
     assert np.array_equal(factor.solve(np.ones(2)), [0.25, 0.0625])
-    for b in (np.ones(3), np.ones(1), np.ones((2, 1)), np.float64(1.0)):
+    # a real 1-D array-like is read as float
+    for b in ([1.0, 1.0], [1, 1], np.array([1, 1]), np.array([1, 1], dtype=np.float32)):
+        assert np.array_equal(factor.solve(b), [0.25, 0.0625])
+    for b in (np.ones(3), np.ones(1), np.ones((2, 1)), np.float64(1.0), [[1.0, 1.0]]):
         with pytest.raises(ValueError, match=(
-                f"^a level factor of 2 unknowns cannot solve a right-hand side of shape "
+                f"^a front factor of 2 unknowns cannot solve a right-hand side of shape "
                 f"{re.escape(str(np.shape(b)))}$")):
             factor.solve(b)
-
-
-def test_p1_global_solve_builds_no_padded_layout(monkeypatch):
-    """At degree 1 `ritz_family` factors its operators from their sorted
-    keys: the padded layout of ``@`` and ``diagonal()`` is never built.  The
-    residual a tracer takes, ``matrix[free][:, free] @ x``, builds it once
-    per system; at degree 2 CG builds it once per operator."""
-    import qmloc.bestapprox
-
-    padded, built = qmloc.bestapprox._padded_rows, []
-    monkeypatch.setattr(qmloc.bestapprox, "_padded_rows",
-                        lambda *args: built.append(args) or padded(*args))
-    solve, systems = qmloc.bestapprox.solve_spd, []
-    monkeypatch.setattr(qmloc.bestapprox, "solve_spd",
-                        lambda system, *args: systems.append(system) or solve(system, *args))
-    tri, coeff = fig1_left_pattern(1e-4, refines=2)
-    targets = list(default_smooth_targets().values())
-    operators = [(coeff.values, 0.0), (coeff.values, 1.0), (np.zeros_like(coeff.values), 1.0)]
-    plan = make_quadrature_plan(tri, targets[0], 8)
-    ritz_family(element_tables_each(targets, plan, build_space(tri, 1)), operators)
-    assert not built and len(systems) == len(operators) * len(targets)
-    for system in systems:
-        free = system.free_mask()
-        residual = system.rhs - system.matrix[free][:, free] @ solve(system)
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(system.rhs)
-    assert len(built) == len(systems)
-    built.clear()
-    ritz_family(element_tables_each(targets, plan, build_space(tri, 2)), operators)
-    assert len(built) == len(operators)
-
-
-def test_solve_spd_by_a_factor_ignores_rtol():
-    tri, coeff = fig1_left_pattern(1e-6, refines=2)
-    tables, _, space = tables_of(sine_target(), tri, 1, 4)
-    free = np.ones(space.n_nodes, dtype=bool)
-    free[0] = False
-    A = _free_operator(tables, coeff.values, 0.0, free)
-    b = np.random.default_rng(0).standard_normal(A.shape[0])
-    system = SpdSystem(matrix=A, rhs=b, factor=LevelFactor(A, space.node_levels[free]))
-    assert np.array_equal(solve_spd(system), solve_spd(system, rtol=0.5))
-    assert np.linalg.norm(A @ solve_spd(system) - b) <= 1e-12 * np.linalg.norm(b)
+    for b in (np.ones(2, dtype=complex), ["1", "1"], np.ones(2, dtype=bool), [None, None]):
+        with pytest.raises(ValueError, match=(
+                f"^a front factor of 2 unknowns cannot solve a right-hand side of dtype "
+                f"{np.asarray(b).dtype}$")):
+            factor.solve(b)
 
 
 def test_singular_local_solve_raises_solver_failure():
@@ -1252,9 +1412,8 @@ def _kernel_errors(target, tri, coeff, plan, degree):
 @example(k=20, sign=-1.0, c=1e3)
 @example(k=-20, sign=1.0, c=1e-3)
 def test_errors_of_c_u_are_c_squared_times_those_of_u(problem, degree, k, sign, c):
-    """For c = +-2^k every step scales exactly and CG's stop test does not
-    see the scale: each error of c u is 4^k times that of u within 2 ulp.
-    For c in [1e-3, 1e3] each is c^2 times within 1e-12, plus the error
+    """For c = +-2^k every step scales exactly, the factor's solve too: each
+    error of c u is 4^k times that of u within 2 ulp.  For c in [1e-3, 1e3] each is c^2 times within 1e-12, plus the error
     form's floor 4 eps sqrt(E err) with E the energy of c u on the locus.
     Interpolation errors are held to 1e-11: the interpolant's node values
     (about |u|) round at eps relative, which moves a_K d^T S_K d to first

@@ -425,11 +425,11 @@ def test_stars_refuses_a_bad_n_before_building_any_mesh(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, memory, message", [
-    # N = 1000: 8M elements, about 35.5 GiB at P1, and 95.3 GiB of level factor
+    # N = 1000: 8M elements, about 35.5 GiB at P1, and 95.5 GiB of front factor
     (["stars", "--n", "2,1000"], 7.6 * 2**30,
      "N=1000 at degree 1 needs about 131 GiB of 7.6 GiB of memory"),
     (["stars", "--n", "2,128", "--ell", "2"], 2**30,
-     "N=128 at degree 2 needs about 1.65 GiB of 1 GiB of memory"),
+     "N=128 at degree 2 needs about 1.91 GiB of 1 GiB of memory"),
     # the range of N is checked before its memory
     (["stars", "--n", "1001"], 1, "target defined for eps = 1/N in [0.001, 0.5]; got N=1001"),
 ])
@@ -471,7 +471,7 @@ def test_sweeps_refuse_a_bad_alpha_or_beta_before_building_any_mesh(capsys, monk
     import qmloc.counterexamples
     import qmloc.harness
 
-    def no_mesh(vertices, triangles, parents=None):
+    def no_mesh(vertices, triangles):
         raise AssertionError("a mesh was built before every alpha, beta and eps was checked")
 
     def no_estimate():
@@ -502,7 +502,7 @@ def test_sweeps_refuse_a_bad_alpha_or_beta_before_building_any_mesh(capsys, monk
 def test_fig1_sweeps_refuse_a_tiling_too_large_before_building_it(capsys, monkeypatch, command):
     import qmloc.counterexamples
 
-    def no_mesh(vertices, triangles, parents=None):
+    def no_mesh(vertices, triangles):
         raise AssertionError("a mesh was built before its size was checked")
 
     monkeypatch.setattr(qmloc.counterexamples, "build_triangulation", no_mesh)
@@ -511,22 +511,6 @@ def test_fig1_sweeps_refuse_a_tiling_too_large_before_building_it(capsys, monkey
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: refines=40 at degree 1 needs about")
-
-
-def test_rd_overflowing_beta_is_a_solver_failure(capsys):
-    # at degree 2, Jacobi-CG: its first scalar overflows
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["rd", "--refines", "1", "--ell", "2", "--betas", "1e308"]) == EXIT_SOLVER
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("solver failure: CG scalar not finite at iteration 0; "
-                                "the system overflows\n")
-        assert main(["rd", "--refines", "1", "--betas", "1e200", "--format", "json"]) == EXIT_OK
-    reports = json.loads(capsys.readouterr().out)
-    assert len(reports) == 6
-    for rep in reports:
-        assert np.isfinite(rep["global_error_sq"]) and rep["global_error_sq"] > 0
 
 
 @pytest.mark.parametrize("command", ["alpha", "rd", "hexagon"])
@@ -538,7 +522,7 @@ def test_a_level_factor_too_large_is_refused_in_one_line(capsys, monkeypatch, co
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert re.fullmatch(r"error: a level factor of \d+ unknowns, \d+ levels up to \d+ wide, "
+    assert re.fullmatch(r"error: a front factor of \d+ unknowns, \d+ fronts up to \d+ wide, "
                         r"needs about \S+ GiB of 0 GiB of memory\n", captured.err)
 
 
@@ -559,13 +543,13 @@ def test_stars_refuses_a_factor_that_does_not_fit_beside_what_the_run_holds(caps
     assert main(["stars", "--n", "6", "--format", "json"]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error: a level factor of 121 unknowns, \d+ levels up to \d+ wide, "
+    assert re.fullmatch(r"error: a front factor of 121 unknowns, \d+ fronts up to \d+ wide, "
                         r"needs about 0.0625 GiB of 0.0625 GiB of memory\n", captured.err)
 
 
 def test_stars_prices_its_level_factor_before_any_mesh_is_built(capsys, monkeypatch):
     """At N = 100 and degree 1 the sweep estimate of its 80,000 elements
-    fits in memory, but not with the level factor over the checkerboard's
+    fits in memory, but not with the factor over the checkerboard's
     anti-diagonals beside it: exit 1 and one line before the first mesh.
     At degree 2, which runs no factor, the same memory passes the check."""
     import qmloc.harness
@@ -588,10 +572,11 @@ def test_stars_prices_its_level_factor_before_any_mesh_is_built(capsys, monkeypa
 
 def test_the_stars_factor_price_is_that_of_its_levels(monkeypatch):
     """`harness._star_factor_bytes(N)`, from N alone, is the price
-    `LevelFactor` takes from the levels of the P1 space's unknowns: with
-    nothing held, it factors in that many bytes and is refused one short."""
+    `FrontFactor` takes from the chain of level groups of the P1 space's
+    unknowns: with nothing held, it factors in that many bytes and is
+    refused one short."""
     import qmloc.bestapprox
-    from qmloc.bestapprox import LevelFactor, SparseMatrix
+    from qmloc.bestapprox import FrontFactor, SparseMatrix, level_fronts
     from qmloc.errors import ParameterOutOfRange
     from qmloc.fespace import build_space
     from qmloc.harness import _star_factor_bytes
@@ -599,15 +584,15 @@ def test_the_stars_factor_price_is_that_of_its_levels(monkeypatch):
     monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
     for N in (1, 2, 3, 6, 9):
         space = build_space(checkerboard_mesh(N)[0], 1, dirichlet_on_boundary=True)
-        levels = space.node_levels[~space.dirichlet]
-        n = len(levels)
+        fronts = level_fronts(space.node_levels[~space.dirichlet])
+        n = len(fronts.order)
         identity = SparseMatrix(np.arange(n), np.arange(n), np.ones(n), (n, n))
         price = _star_factor_bytes(N)
         monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: price)
-        LevelFactor(identity, levels)
+        FrontFactor(identity, fronts)
         monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: price - 1)
-        with pytest.raises(ParameterOutOfRange, match=f"^a level factor of {n} unknowns"):
-            LevelFactor(identity, levels)
+        with pytest.raises(ParameterOutOfRange, match=f"^a front factor of {n} unknowns"):
+            FrontFactor(identity, fronts)
 
 
 def test_held_memory_is_read_where_the_system_reports_it():
@@ -617,21 +602,53 @@ def test_held_memory_is_read_where_the_system_reports_it():
     assert held > 0 if os.path.exists("/proc/self/statm") else held == 0
 
 
-def test_rd_at_the_largest_betas_is_finite_at_degree_1(capsys):
-    # the level factor solves these systems: the best error tends to beta
-    # times the L2 best error as beta dominates the gradient term
+def _check_largest_betas(capsys, argv, count):
+    """`rd` at the largest betas, a warning an error: exit 0 and `count`
+    reports whose best errors are finite and tend to beta times the L2 best
+    error as beta dominates the gradient term."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["rd", "--refines", "1", "--betas", "1e308,1.7e308",
-                     "--format", "json"]) == EXIT_OK
+        assert main(["rd", "--refines", "1", *argv, "--format", "json"]) == EXIT_OK
     reports = json.loads(capsys.readouterr().out)
-    assert len(reports) == 12
+    assert len(reports) == count
     for rep in reports:
         meta = rep["metadata"]
         assert all(np.isfinite(v) for v in (rep["global_error_sq"], meta["l2_global_sq"],
                                             meta["splitting_ratio"]))
+        assert rep["global_error_sq"] > 0
         assert rep["global_error_sq"] == pytest.approx(meta["beta"] * meta["l2_global_sq"],
                                                        rel=1e-12)
+
+
+def test_rd_at_the_largest_betas_is_finite_at_degree_1(capsys):
+    # the front factor solves these systems
+    _check_largest_betas(capsys, ["--betas", "1e308,1.7e308"], 12)
+    _check_largest_betas(capsys, ["--betas", "1e200"], 6)
+
+
+def test_rd_at_the_largest_betas_is_finite_at_degree_2(capsys):
+    # the direct solve stays finite where conjugate gradients overflowed
+    _check_largest_betas(capsys, ["--ell", "2", "--betas", "1e308,1.7e308"], 12)
+
+
+@pytest.mark.parametrize("ell", ["1", "2"])
+def test_a_global_solve_that_overflows_exits_2_in_one_line(capsys, monkeypatch, ell):
+    """Operators whose entries are not finite fail in the factor's first
+    front: exit 2, one line on stderr and no report."""
+    import qmloc.bestapprox
+    from qmloc.bestapprox import SparseMatrix
+
+    operators = qmloc.bestapprox._operators
+    monkeypatch.setattr(qmloc.bestapprox, "_operators", lambda *args: [
+        SparseMatrix._of(m._keys, np.full_like(m._values, np.inf), m.shape)
+        for m in operators(*args)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["rd", "--refines", "1", "--ell", ell, "--format", "json"]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("solver failure: front 0 of the factor not finite; "
+                            "the system overflows\n")
 
 
 SWEEP_DEFAULTS = {

@@ -1,5 +1,6 @@
 """Quasi-monotonicity classifier, monotone paths, and derived selections."""
 import itertools
+import json
 import re
 
 import numpy as np
@@ -88,6 +89,12 @@ def test_classifier_matches_the_loop_oracle(seed, n, levels, degree):
     node_set = [loci[i] for i in rng.permutation(len(loci))[:rng.integers(len(loci) + 1)]]
     assert (check_quasi_monotonicity(tri, coeff, node_set=node_set)
             == coeff_reference.check_quasi_monotonicity(tri, coeff, node_set=node_set))
+    # numpy integer ids name the same loci, reported as plain ints
+    numpy_ids = [(kind, np.int64(i) if k % 2 else np.int32(i))
+                 for k, (kind, i) in enumerate(node_set)]
+    with_numpy = check_quasi_monotonicity(tri, coeff, node_set=numpy_ids)
+    assert with_numpy == check_quasi_monotonicity(tri, coeff, node_set=node_set)
+    assert all(type(i) is int for (_, i), _ in with_numpy.verdicts)
     if n <= 3:
         assert report.quasi_monotone is brute_force_quasi_monotone(tri, coeff)
 
@@ -122,6 +129,17 @@ def test_unknown_locus_rejected():
                            (("element", 6), "element 6")]:
         with pytest.raises(UnknownLocus, match=f"^{re.escape(message)}$"):
             check_quasi_monotonicity(tri, coeff, node_set=[("vertex", 0), locus])
+
+
+def test_numpy_integer_loci_are_reported_as_ints():
+    tri, coeff = hexagon_mesh(0.1)
+    report = check_quasi_monotonicity(tri, coeff, node_set=[("vertex", np.int64(4)),
+                                                            ("edge", np.uint8(2)),
+                                                            ("element", np.int32(3))])
+    assert report.verdicts == check_quasi_monotonicity(
+        tri, coeff, node_set=[("vertex", 4), ("edge", 2), ("element", 3)]).verdicts
+    assert [type(i) for (_, i), _ in report.verdicts] == [int, int, int]
+    assert json.loads(json.dumps(report.to_json_dict()))["verdicts"][0]["locus"] == ["vertex", 4]
 
 
 @pytest.mark.parametrize("locus, message", [

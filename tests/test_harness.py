@@ -343,7 +343,7 @@ def test_fig1_sweeps_match_the_per_target_loop(degree, refines):
 def test_fig1_sweeps_refuse_a_tiling_too_large_before_building_it(monkeypatch, sweep, refines):
     import qmloc.counterexamples
 
-    def no_mesh(vertices, triangles, parents=None):
+    def no_mesh(vertices, triangles):
         raise AssertionError("a mesh was built before its size was checked")
 
     monkeypatch.setattr(qmloc.counterexamples, "build_triangulation", no_mesh)

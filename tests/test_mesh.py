@@ -1,6 +1,7 @@
 """Triangulation construction, topology queries, refinement, and I/O."""
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,7 +252,7 @@ def _assert_refines_as_rebuilt(tri, times):
     for _ in range(times):
         fine = uniform_refine(tri)
         mesh_reference.assert_same_fields(
-            fine, build_triangulation(fine.vertices, fine.triangles, parents=fine.parents))
+            fine, replace(build_triangulation(fine.vertices, fine.triangles), parents=fine.parents))
         if fine.n_elements <= 4096:
             mesh_reference.assert_same_fields(fine, mesh_reference.uniform_refine(tri))
         tri = fine
