@@ -1,8 +1,8 @@
 """Best-approximation errors: one table of element matrices, target
 moments, norms and element fits, the global Ritz solve of several operators
-and targets at once (one block-elimination factor over an elimination tree
-of fronts, `FrontFactor`: a chain of level groups at degree 1, nested
-dissection above), and one batched local Ritz kernel (`local_ritz_each`)
+and targets at once (one block-elimination factor, `FrontFactor`, over the
+elimination tree of one nested dissection at every degree, built once per
+space and free set), and one batched local Ritz kernel (`local_ritz_each`)
 for every element, pair and star and every target.
 
 Every error, of a best approximation, an explicit candidate or an
@@ -197,13 +197,6 @@ class SparseMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self._keys, self._values = keys, values.astype(float, copy=False)  # bincount([]) is int64
 
-    def diagonal(self) -> np.ndarray:
-        """The diagonal entries, zero where none is stored."""
-        want = np.arange(min(self.shape)) * (max(self.shape[1], 1) + 1)
-        at = np.searchsorted(self._keys, want)
-        return np.where(np.append(self._keys, -1)[at] == want, np.append(self._values, 0.0)[at],
-                        0.0)
-
     def __matmul__(self, p):
         p = _vector(p, self.shape[1], f"SparseMatrix of shape {self.shape} cannot multiply an "
                                       "operand")
@@ -224,9 +217,13 @@ class SparseMatrix:
 
     def entries(self):
         """The stored (rows, cols, values), sorted by row and column."""
+        return (*self._pattern(), self._values.copy())
+
+    def _pattern(self):
+        """The stored (rows, cols), sorted by row and column."""
         nc = max(self.shape[1], 1)
         rows = self._keys // nc
-        return rows, self._keys - rows * nc, self._values.copy()
+        return rows, self._keys - rows * nc
 
     def _same_pattern(self, other) -> bool:
         """Whether `other` stores its entries at the same rows and columns."""
@@ -305,49 +302,12 @@ class Fronts:
     Front f eliminates its nodes E_f, ``order[s_f:s_f + sizes[f]]`` with s_f
     = sum(sizes[:f]), against its boundary B_f, ``boundary[f]``: ascending
     places in `order` of nodes of f's ancestors.  ``parent[f]`` is -1 for a
-    root.  Built by `level_fronts` or `dissection_fronts`."""
+    root.  Built by `dissection_fronts`."""
 
     order: np.ndarray
     sizes: np.ndarray
     boundary: tuple
     parent: np.ndarray
-
-
-def level_fronts(levels) -> Fronts:
-    """The chain of the groups of consecutive levels (`_level_groups`) of a
-    level structure, one level per unknown, each group eliminated against
-    all of the next.  Raises ValueError for `levels` that are not 1-D."""
-    levels = np.asarray(levels)
-    if levels.ndim != 1:
-        raise ValueError(f"level fronts need one level per unknown, not levels of shape "
-                         f"{levels.shape}")
-    distinct = _sorted_distinct(levels)
-    level = np.searchsorted(distinct, levels)
-    group, sizes = _level_groups(np.bincount(level, minlength=len(distinct)))
-    bsizes, parent = _chain(sizes)
-    return Fronts(np.argsort(group[level], kind="stable"), sizes,
-                  tuple(np.arange(e, e + b) for e, b in zip(np.cumsum(sizes), bsizes)), parent)
-
-
-def _level_groups(widths):
-    """Consecutive levels of these `widths` taken in groups greedily: a
-    group closes when the next level would make it wider than the widest
-    level.  Returns the group of each level and the width of each group."""
-    widths = widths.tolist()
-    widest, group, sizes = max(widths, default=0), [], []
-    for w in widths:
-        if not sizes or sizes[-1] + w > widest:
-            sizes.append(0)
-        sizes[-1] += w
-        group.append(len(sizes) - 1)
-    return np.array(group, dtype=np.intp), np.array(sizes, dtype=np.intp)
-
-
-def _chain(sizes):
-    """The boundary sizes and parents of a chain of fronts of these sizes."""
-    parent = np.arange(1, len(sizes) + 1)
-    parent[-1:] = -1
-    return np.append(sizes[1:], 0)[:len(sizes)], parent
 
 
 def dissection_fronts(space: LagrangeSpace, free) -> Fronts:
@@ -360,24 +320,29 @@ def dissection_fronts(space: LagrangeSpace, free) -> Fronts:
     node = _renumbered(free)[space.element_nodes]
     centroid = space.tri.vertices[space.tri.triangles].mean(axis=1)
     taken = np.zeros(int(np.count_nonzero(free)), dtype=bool)
+    seen = np.zeros_like(taken)
     nodes, bounds, parent = [], [], []
 
-    def split(elems) -> list:
-        """The roots of the fronts of `elems`."""
-        touched = _sorted_distinct(node[elems])
-        touched = touched[touched >= 0]
-        held = taken[touched]
+    def touched(elems) -> np.ndarray:
+        """The free nodes of `elems`, ascending."""
+        ids = _sorted_distinct(node[elems])
+        return ids[ids >= 0]
+
+    def split(elems, ids) -> list:
+        """The roots of the fronts of `elems`, whose free nodes are `ids`."""
+        held = taken[ids]
         if np.count_nonzero(~held) <= _LEAF:
-            own, roots, b = touched[~held], [], touched[held]
+            own, roots, b = ids[~held], [], ids[held]
         else:
             c = centroid[elems]
             half = np.argsort(c[:, int(np.ptp(c[:, 1]) > np.ptp(c[:, 0]))], kind="stable")
             halves = elems[half[:len(elems) // 2]], elems[half[len(elems) // 2:]]
-            both = np.sort(np.concatenate([_sorted_distinct(node[h]) for h in halves]))
-            own = both[1:][both[1:] == both[:-1]]
-            own = own[(own >= 0) & ~taken[own]]
+            first, second = touched(halves[0]), touched(halves[1])
+            seen[first] = True
+            own = second[seen[second] & ~taken[second]]
+            seen[first] = False
             taken[own] = True
-            roots = split(halves[0]) + split(halves[1])
+            roots = split(halves[0], first) + split(halves[1], second)
             b = _sorted_distinct(np.concatenate([own[:0]] + [bounds[r] for r in roots]))
             b = b[np.append(own, -1)[np.searchsorted(own, b)] != b]
         if not len(own):
@@ -390,7 +355,8 @@ def dissection_fronts(space: LagrangeSpace, free) -> Fronts:
             parent[r] = len(nodes) - 1
         return [len(nodes) - 1]
 
-    split(np.arange(space.tri.n_elements))
+    every = np.arange(space.tri.n_elements)
+    split(every, touched(every))
     order = np.concatenate([np.zeros(0, dtype=np.intp)] + nodes)
     place = np.argsort(order)
     return Fronts(order, np.array([len(e) for e in nodes], dtype=np.intp),
@@ -414,18 +380,18 @@ def _front_bytes(sizes, bsizes, parent) -> int:
 
 class FrontFactor:
     """Multifrontal block Cholesky factor of an SPD matrix over `Fronts`
-    (Liu, 1992); on a chain of level groups, block tridiagonal elimination.
-    In post-order, front f scatters the entries whose earlier-eliminated end
-    is in E_f into its frontal matrix F over E_f and B_f, subtracts its
-    children's updates, keeps G_f = cholesky(F_EE)^-1 and L_f = F_BE G_f^T,
-    and passes L_f L_f^T - F_BB up.  `FrontFactor.each` factors matrices of
+    (Liu, 1992).  In post-order, front f scatters the entries whose
+    earlier-eliminated end is in E_f into its frontal matrix F over E_f and
+    B_f, subtracts its children's updates, keeps G_f = cholesky(F_EE)^-1 and
+    L_f = F_BE G_f^T, and passes L_f L_f^T - F_BB up.  `FrontFactor.each` factors matrices of
     one pattern as one (T, ., .) stack, bit for bit as each alone.  Raises
     ValueError, before anything else, for a matrix that is not square,
     fronts of another size or an empty stack; ParameterOutOfRange, before
-    any front is allocated or entry read, when the factors (`_front_bytes`)
-    and what the process holds exceed physical memory; ValueError for
-    matrices of two patterns or an entry the fronts keep apart;
-    SolverFailure, naming it, for a front not finite or not definite."""
+    any front is allocated or value read, when the factors (`_front_bytes`),
+    the entries they keep and what the process holds exceed physical
+    memory; ValueError for matrices of two patterns or an entry the fronts
+    keep apart; SolverFailure, naming it, for a front not finite or not
+    definite."""
 
     def __init__(self, matrix: SparseMatrix, fronts: Fronts):
         self.fronts, self._steps = fronts, _factor_fronts([matrix], fronts)[0]
@@ -472,7 +438,14 @@ def _factor_fronts(matrices, fronts: Fronts):
         raise ValueError(f"a front factor of {n} unknowns needs fronts of {n} unknowns, not "
                          f"{len(fronts.order)}")
     bsizes = np.array([len(B) for B in fronts.boundary], dtype=np.intp)
-    need = T * _front_bytes(sizes, bsizes, parent) + _held_memory()
+    # by the front of their column, the entries whose row is eliminated with
+    # or after their column, as places in the order of elimination
+    of = np.repeat(np.arange(len(sizes)), sizes)
+    rows, cols = np.argsort(fronts.order)[list(first._pattern())]
+    lower = of[rows] >= of[cols]
+    # the fronts, and the row, column and T values of each entry kept
+    need = (T * _front_bytes(sizes, bsizes, parent) + int(np.count_nonzero(lower)) * (16 + 8 * T)
+            + _held_memory())
     have = _physical_memory()
     if need > have:
         stack = f"a stack of {T} front factors" if T > 1 else "a front factor"
@@ -481,12 +454,6 @@ def _factor_fronts(matrices, fronts: Fronts):
             f"wide, needs about {need / 2**30:.3g} GiB of {have / 2**30:.3g} GiB of memory")
     if not all(first._same_pattern(m) for m in matrices[1:]):
         raise ValueError("a stack of front factors needs matrices of one pattern")
-    # by the front of their column, the entries whose row is eliminated with
-    # or after their column, as places in the order of elimination
-    of = np.repeat(np.arange(len(sizes)), sizes)
-    rows, cols, _ = first.entries()
-    rows, cols = np.argsort(fronts.order)[[rows, cols]]
-    lower = of[rows] >= of[cols]
     by_front = np.argsort(of[cols[lower]], kind="stable")
     rows, cols = rows[lower][by_front], cols[lower][by_front]
     values = np.stack([m._values[lower] for m in matrices])[:, by_front]
@@ -508,9 +475,6 @@ def _factor_fronts(matrices, fronts: Fronts):
                 V = L @ L.transpose(0, 2, 1)  # L L^T - F_BB of the child
                 if bb_c is not None:
                     V -= bb_c
-                if len(Bc) == k and Bc[0] == s.start and Bc[-1] == s.stop - 1:  # E_f: a chain
-                    F[:, :k] -= V
-                    continue
                 i = ix.searchsorted(Bc)
                 c = int(i.searchsorted(k))  # i[:c] in E_f, i[c:] in B_f
                 F[:, i[:, None], i[:c]] -= V[:, :, :c]
@@ -578,9 +542,9 @@ def ritz_family(tables: list, operators) -> list:
     free set (all but the Dirichlet nodes; on a space without any, at
     beta = 0, all but the lowest-id node) share one free-entry pattern
     (`_operators`), each assembled over it by one `bincount`, and are
-    factored as one stack (`FrontFactor.each`) over the fronts of that set:
-    the chain of its level groups at degree 1, nested dissection above.
-    Each target takes one `solve_spd` per operator.  Returns, per operator,
+    factored as one stack (`FrontFactor.each`) over the nested dissection
+    of that set, built once per space and free set (`_space_fronts`).  Each
+    target takes one `solve_spd` per operator.  Returns, per operator,
     the list of (error_sq, x) per target.  Raises ValueError for tables of
     different spaces.
     """
@@ -609,9 +573,7 @@ def _ritz_free_set(tables: list, operators, free) -> list:
     space = tables[0].space
     en, m = space.element_nodes, space.n_nodes
     matrices = _operators(tables[0], operators, free)
-    fronts = (level_fronts(space.node_levels[free]) if space.degree == 1
-              else dissection_fronts(space, free))
-    factors = FrontFactor.each(matrices, fronts)
+    factors = FrontFactor.each(matrices, _space_fronts(space, free))
     out = []
     for (a, beta), A, factor in zip(operators, matrices, factors):
         out.append([])
@@ -624,6 +586,17 @@ def _ritz_free_set(tables: list, operators, free) -> list:
             # second order
             out[-1].append((float(_error(t, a, beta, slice(None), x[en]).sum()), x))
     return out
+
+
+def _space_fronts(space: LagrangeSpace, free) -> Fronts:
+    """`dissection_fronts` of `space` and `free`, built once per space and
+    free set: kept on the space, as `cached_property` keeps its value, by
+    the bytes of the mask."""
+    built = space.__dict__.setdefault("_fronts", {})
+    key = free.tobytes()
+    if key not in built:
+        built[key] = dissection_fronts(space, free)
+    return built[key]
 
 
 def _operators(tables: ElementTables, operators, free) -> list:
@@ -641,12 +614,6 @@ def _operators(tables: ElementTables, operators, free) -> list:
     return [SparseMatrix._of(keys, np.bincount(
         slot, _element_matrices(tables, a, beta, slice(None)).ravel()[kept],
         minlength=len(keys)), (n, n)) for a, beta in operators]
-
-
-def _free_operator(tables: ElementTables, a, beta: float, free) -> SparseMatrix:
-    """The operator of `_element_matrices` restricted to the `free` nodes,
-    renumbered, as `ritz_family` assembles it."""
-    return _operators(tables, [(a, beta)], free)[0]
 
 
 def _element_matrices(tables: ElementTables, a, beta: float, elems):

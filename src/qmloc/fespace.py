@@ -8,12 +8,12 @@ edge or element (see `build_space`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import UnsupportedDegree
-from .mesh import Triangulation, _ranges, _sorted_distinct
+from .mesh import Triangulation
 from .quadrature import _leggauss01, reference_triangle_rule
 
 
@@ -73,26 +73,6 @@ class LagrangeSpace:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    @cached_property
-    def node_levels(self) -> np.ndarray:
-        """(n,) breadth-first level of each node in the graph of nodes that
-        share an element, from a node of least degree (fewest elements; the
-        lowest id of those).  A node couples only to nodes of its own and the
-        adjacent levels; another component takes the levels after the last
-        of the one before, from its lowest id."""
-        offsets, elements = self.node_elements
-        level = np.full(self.n_nodes, -1)
-        front, i = np.array([np.argmin(np.diff(offsets))]), 0
-        while len(front):
-            level[front] = i
-            first = offsets[front]
-            near = self.element_nodes[elements[_ranges(first, offsets[front + 1] - first)]].ravel()
-            front = _sorted_distinct(near[level[near] < 0])
-            if not len(front):  # the next component, if any
-                front = np.flatnonzero(level < 0)[:1]
-            i += 1
-        return level
 
 
 def require_degree(degree: int) -> None:

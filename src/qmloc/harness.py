@@ -8,9 +8,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .bestapprox import (LocalizationReport, _chain, _front_bytes, _level_groups,
-                         _physical_memory, _region_errors, element_tables_each,
-                         local_element_errors, local_ritz, local_ritz_each, ritz, ritz_family)
+from .bestapprox import (LocalizationReport, _physical_memory, _region_errors,
+                         element_tables_each, local_element_errors, local_ritz, local_ritz_each,
+                         ritz, ritz_family)
 from .coeff import Coefficient, attach_coefficient, check_quasi_monotonicity
 from .counterexamples import (_checkerboard_eps, _hexagon_eps, analytic_energy_reference,
                               checkerboard_mesh, checkerboard_target, fig1_left_values,
@@ -174,13 +174,12 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
     vertex star errors, with patch classification and explicit candidate
     upper bounds."""
     # the degree, then every N, its range and the memory of its 8 N^2
-    # elements and of its P1 factor, before any target (N^2 singular
-    # points) or mesh is built
+    # elements, before any target (N^2 singular points) or mesh is built;
+    # the factor prices its own fronts when it is built
     require_degree(degree)
     for N in n_values:
         _checkerboard_eps(N)
-        _require_memory(f"N={N}", 8.0 * N**2, degree, _STAR_BYTES_PER_ELEMENT,
-                        _star_factor_bytes(N) if degree == 1 else 0)
+        _require_memory(f"N={N}", 8.0 * N**2, degree, _STAR_BYTES_PER_ELEMENT)
     reports = []
     for N in n_values:
         tri, coeff = checkerboard_mesh(N)
@@ -211,31 +210,19 @@ def run_star_sweep(n_values=DEFAULT_N, degree: int = 1) -> list:
 # (default alphas and betas; `rd` has the larger at every degree) between
 # --refines 4 and 5, by getrusage of a fresh process on 2 cores, Python 3.11,
 # numpy 2.4, with every target's tables held at once and the operators of
-# one free set factored as one stack (`FrontFactor`, by nested dissection
-# above degree 1).
+# one free set factored as one stack (`FrontFactor`) over one nested
+# dissection.
 _BYTES_PER_ELEMENT = {1: 22_540, 2: 28_485, 3: 56_344, 4: 103_720}
 # The same for `stars`: twice the peak-RSS slope between --n 16 and --n 32
 # (2,048 and 8,192 elements), measured the same way.
 _STAR_BYTES_PER_ELEMENT = {1: 4_762, 2: 15_640, 3: 37_633, 4: 87_312}
 
 
-def _star_factor_bytes(N: int) -> int:
-    """The bytes of the `stars` factor at degree 1 and N, as `FrontFactor`
-    prices the chain of its level groups (`_front_bytes`): its unknowns are
-    the (2N - 1)^2 interior vertices of the checkerboard, whose levels are
-    the anti-diagonals of their grid, 1, 2, ..., k, ..., 2, 1 wide with k =
-    2N - 1.  No group is wider than k, so the price grows like N^3."""
-    k = 2 * N - 1
-    sizes = _level_groups(np.r_[1:k, k:0:-1])[1]
-    return _front_bytes(sizes, *_chain(sizes))
-
-
-def _require_memory(what: str, n_elements: float, degree: int, per_element: dict,
-                    extra: int = 0) -> None:
+def _require_memory(what: str, n_elements: float, degree: int, per_element: dict) -> None:
     """Raises ParameterOutOfRange when `n_elements` elements at `degree`, at
-    the bytes per element of the table `per_element`, and `extra` bytes
-    more need more than the machine's physical memory."""
-    need = n_elements * per_element[degree] + extra
+    the bytes per element of the table `per_element`, need more than the
+    machine's physical memory."""
+    need = n_elements * per_element[degree]
     have = _physical_memory()
     if need > have:
         raise ParameterOutOfRange(f"{what} at degree {degree} needs about "

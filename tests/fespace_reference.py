@@ -4,8 +4,9 @@ element and edge by edge.
 The package evaluates bases only at reference points, once per quadrature
 class, and the face-dual moments as one gather over all edges; these are the
 per-element and per-edge forms that the oracles and the basis tests use.
-`pseudo_peripheral_levels` is the level structure of two breadth-first
-searches that `LagrangeSpace.node_levels` replaces by one.
+`node_levels` is the level structure of one breadth-first search that the
+chain of level groups (`ritz_reference.level_fronts`) orders by, and
+`pseudo_peripheral_levels` that of the two searches it replaced.
 """
 import numpy as np
 
@@ -70,6 +71,15 @@ def _levels_from(space, start):
             front = np.flatnonzero(level < 0)[:1]
         i += 1
     return level
+
+
+def node_levels(space):
+    """(n,) breadth-first level of each node in the graph of nodes that
+    share an element, from a node of least degree (fewest elements; the
+    lowest id of those).  A node couples only to nodes of its own and the
+    adjacent levels; another component takes the levels after the last of
+    the one before, from its lowest id."""
+    return _levels_from(space, int(np.argmin(np.diff(space.node_elements[0]))))
 
 
 def pseudo_peripheral_levels(space):

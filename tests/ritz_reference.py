@@ -10,17 +10,19 @@ difference u - V at the plan's nodes, and the expanded form uu - 2 b.x +
 x^T A x, whose rounding scales with the energy of u rather than with the
 error.  Tests compare the fast path against them.
 `masked_ritz` is the one-target global solve that the shared operator of
-`ritz_each` replaces.  `LevelFactor` is the block tridiagonal factor over
-level groups that `FrontFactor` generalises, the bit-for-bit oracle of its
-chain of level groups, and `cg_solve` the Jacobi-preconditioned conjugate
-gradients that solved above degree 1 before it.
+`ritz_each` replaces.  `level_fronts` is the chain of level groups that
+ordered the degree-1 factor before nested dissection ordered every degree,
+`LevelFactor` the block tridiagonal factor over those groups that
+`FrontFactor` generalises, the bit-for-bit oracle of `FrontFactor` over
+that chain, and `cg_solve` the Jacobi-preconditioned conjugate gradients
+that solved above degree 1 before it.
 """
 import math
 
 import numpy as np
 
-from qmloc.bestapprox import (ElementTables, FrontFactor, SparseMatrix, SpdSystem, _error,
-                              _level_groups, dissection_fronts, level_fronts, solve_spd)
+from qmloc.bestapprox import (ElementTables, FrontFactor, Fronts, SparseMatrix, SpdSystem,
+                              _error, dissection_fronts, solve_spd)
 from qmloc.errors import SolverFailure
 from qmloc.fespace import element_mass_matrix, reference_basis
 from qmloc.mesh import _sorted_distinct, element_affine
@@ -285,20 +287,12 @@ def interpolation_error_loop(target, interp, coeff, plan, region=None):
                             region)
 
 
-def space_fronts(space, free):
-    """The fronts `ritz_family` factors over: the chain of the level groups
-    of the `free` nodes at degree 1, their nested dissection above it."""
-    if space.degree == 1:
-        return level_fronts(space.node_levels[free])
-    return dissection_fronts(space, free)
-
-
 def masked_ritz(tables, a, beta=0.0):
     """The global best approximation of one table's target, its operator
     assembled for it alone on every node and then restricted to the free
     nodes, ``A[free][:, free]`` and ``b[free]`` (all but the Dirichlet nodes,
     else the lowest-id node at beta = 0), solved as `ritz_each` solves: by a
-    `FrontFactor` of that restriction over `space_fronts`.  Returns
+    `FrontFactor` of that restriction over `dissection_fronts`.  Returns
     (error_sq, x) as `ritz`."""
     w = np.asarray(a, dtype=float)
     en, m = tables.space.element_nodes, tables.space.n_nodes
@@ -312,10 +306,43 @@ def masked_ritz(tables, a, beta=0.0):
     cols = np.tile(en, (1, en.shape[1])).ravel()
     A = SparseMatrix(rows, cols, K.ravel(), (m, m))
     A = A[free][:, free]
-    factor = FrontFactor(A, space_fronts(tables.space, free))
+    factor = FrontFactor(A, dissection_fronts(tables.space, free))
     x = np.zeros(m)
     x[free] = solve_spd(SpdSystem(matrix=A, rhs=b[free], factor=factor))
     return float(_error(tables, w, beta, slice(None), x[en]).sum()), x
+
+
+def level_fronts(levels) -> Fronts:
+    """The chain of the groups of consecutive levels (`_level_groups`) of a
+    level structure, one level per unknown, each group eliminated against
+    all of the next.  Raises ValueError for `levels` that are not 1-D."""
+    levels = np.asarray(levels)
+    if levels.ndim != 1:
+        raise ValueError(f"level fronts need one level per unknown, not levels of shape "
+                         f"{levels.shape}")
+    distinct = _sorted_distinct(levels)
+    level = np.searchsorted(distinct, levels)
+    group, sizes = _level_groups(np.bincount(level, minlength=len(distinct)))
+    parent = np.arange(1, len(sizes) + 1)
+    parent[-1:] = -1
+    ends = np.cumsum(sizes)
+    return Fronts(np.argsort(group[level], kind="stable"), sizes,
+                  tuple(np.arange(e, e + b) for e, b in zip(ends, np.append(sizes[1:], 0))),
+                  parent)
+
+
+def _level_groups(widths):
+    """Consecutive levels of these `widths` taken in groups greedily: a
+    group closes when the next level would make it wider than the widest
+    level.  Returns the group of each level and the width of each group."""
+    widths = widths.tolist()
+    widest, group, sizes = max(widths, default=0), [], []
+    for w in widths:
+        if not sizes or sizes[-1] + w > widest:
+            sizes.append(0)
+        sizes[-1] += w
+        group.append(len(sizes) - 1)
+    return np.array(group, dtype=np.intp), np.array(sizes, dtype=np.intp)
 
 
 class LevelFactor:
@@ -392,7 +419,9 @@ def cg_solve(matrix, b, rtol=1e-12):
     finite, or no convergence in 50 n iterations."""
     n = matrix.shape[0]
     x = np.zeros(n)
-    d = matrix.diagonal()
+    rows, cols, values = matrix.entries()
+    on = rows == cols
+    d = np.bincount(rows[on], values[on], n)
     if np.any(d <= 0):
         raise SolverFailure("gauged system has a non-positive diagonal entry")
     minv = 1.0 / d

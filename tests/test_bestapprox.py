@@ -12,11 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmloc.bestapprox import (ElementTables, FrontFactor, LocalizationReport, SparseMatrix,
-                              SpdSystem, _element_loads, _element_matrices, _free_operator,
+                              SpdSystem, _element_loads, _element_matrices, _operators,
                               dissection_fronts, element_tables, element_tables_each,
-                              level_fronts, local_element_errors,
-                              local_ritz, local_ritz_each, ritz, ritz_each, ritz_family,
-                              solve_spd)
+                              local_element_errors, local_ritz, local_ritz_each, ritz, ritz_each,
+                              ritz_family, solve_spd)
 from qmloc.coeff import attach_coefficient
 from qmloc.counterexamples import (checkerboard_mesh, checkerboard_target,
                                    fig1_left_pattern, fig1_left_values, fig1_refined,
@@ -30,12 +29,13 @@ from qmloc.mesh import build_triangulation, edge_pair, region_rows, uniform_refi
 from qmloc.quadrature import make_quadrature_plan
 
 import report_reference
+from fespace_reference import node_levels
 from interp_reference import energy_norm_sq, l2_norm_sq
 from mesh_reference import csr
 from ritz_reference import (LevelFactor, QuadratureOracle, assemble, cg_solve, dense_ritz_error,
                             einsum_grad_moments, element_stiffness, element_tables_broadcast,
-                            energy_rhs, mass_rhs, masked_ritz, monomial_element_fit,
-                            space_fronts)
+                            energy_rhs, level_fronts, mass_rhs, masked_ritz,
+                            monomial_element_fit)
 
 
 def reference_element():
@@ -160,8 +160,8 @@ def _check_operator_against_scipy(space, K, free, rng):
     scipy.sparse, the oracle.  The assembled entries agree within 4 ulp of
     the sum of the magnitudes of their terms, which scipy adds in another
     order; on scipy's own entries the product is bit for bit scipy's, on the
-    whole matrix, its rows `free` and its restriction to `free`, and so are
-    the diagonal and the restriction itself."""
+    whole matrix, its rows `free` and its restriction to `free`, and so is
+    the restriction itself."""
     en, m = space.element_nodes, space.n_nodes
     rows = np.repeat(en, en.shape[1], axis=1).ravel()
     cols = np.tile(en, (1, en.shape[1])).ravel()
@@ -176,7 +176,6 @@ def _check_operator_against_scipy(space, K, free, rng):
     assert (np.abs(v - coo.data) <= 4 * np.spacing(size.data)).all()
     same = SparseMatrix(coo.row, coo.col, coo.data, (m, m))
     assert np.array_equal(same.entries()[2], coo.data)
-    assert np.array_equal(same.diagonal(), oracle.diagonal())
     p = rng.standard_normal(m)
     assert np.array_equal(same @ p, oracle @ p)
     assert np.array_equal(same[free] @ p, oracle[free] @ p)
@@ -185,7 +184,6 @@ def _check_operator_against_scipy(space, K, free, rng):
     r, c, v = sub.entries()
     assert np.array_equal(r, oracle_sub.row) and np.array_equal(c, oracle_sub.col)
     assert np.array_equal(v, oracle_sub.data)
-    assert np.array_equal(sub.diagonal(), oracle_sub.diagonal())
     q = p[free]
     assert np.array_equal(sub @ q, oracle_sub.tocsr() @ q)
 
@@ -215,7 +213,7 @@ def test_sparse_matrix_matches_scipy(mesh, degree):
         # `ritz_each` assembles the free entries alone: the same entries,
         # summed in the same order, as the restriction of the whole operator
         restricted = SparseMatrix(rows, cols, K.ravel(), (m, m))[free][:, free]
-        ours = _free_operator(tables, a, beta, free)
+        ours = _operators(tables, [(a, beta)], free)[0]
         assert ours.shape == restricted.shape
         for x, y in zip(ours.entries(), restricted.entries()):
             assert np.array_equal(x, y)
@@ -255,7 +253,6 @@ def test_sparse_matrix_sums_a_lone_wide_row_in_column_order():
 def test_sparse_matrix_of_no_rows():
     empty = SparseMatrix([0, 1], [0, 1], [1.0, 2.0], (2, 2))[np.zeros(2, dtype=bool)]
     assert empty.shape == (0, 2) and (empty @ np.ones(2)).shape == (0,)
-    assert empty.diagonal().shape == (0,)
 
 
 @pytest.mark.parametrize("key", [
@@ -742,7 +739,7 @@ def _free_system(tables, a, beta):
     free = ~space.dirichlet
     if free.all() and beta == 0.0:
         free[0] = False
-    matrix = _free_operator(tables, a, beta, free)
+    matrix = _operators(tables, [(a, beta)], free)[0]
     rows, cols, values = matrix.entries()
     A = np.zeros((np.count_nonzero(free),) * 2)
     A[rows, cols] = values
@@ -752,7 +749,7 @@ def _free_system(tables, a, beta):
 
 
 def _check_level_solve(tables, a, beta=0.0):
-    """`ritz` at degree 1 (by the chain of level groups) against a dense
+    """`ritz` at degree 1 (by nested dissection) against a dense
     `numpy.linalg.solve` of the same free operator and load: their gap in
     the operator's norm within 1e-10 of the solution's; and the factor of
     that operator by itself (`_check_grouped_factor`).  Returns the number
@@ -762,7 +759,7 @@ def _check_level_solve(tables, a, beta=0.0):
     assert not x[~free].any()
     gap = x[free] - np.linalg.solve(A, b)
     assert gap @ A @ gap <= 1e-20 * (x[free] @ A @ x[free])
-    return _check_grouped_factor(matrix, tables.space.node_levels[free], A, b)
+    return _check_grouped_factor(matrix, node_levels(tables.space)[free], A, b)
 
 
 def _check_grouped_factor(matrix, levels, A, b):
@@ -900,7 +897,7 @@ def test_level_factor_across_parts_split_by_dirichlet_nodes():
     exact; a mesh of two separate squares has two components."""
     tri = square_mesh(3)
     tables, _, space = tables_of(sine_target(), tri, 1, 4)
-    levels = space.node_levels
+    levels = node_levels(space)
     cut = replace(space, dirichlet=levels == levels.max() // 2)
     tables = replace(tables, space=cut)
     assert len(np.unique(levels[~cut.dirichlet])) == levels.max()
@@ -987,8 +984,8 @@ def test_stacked_factors_equal_per_operator_factors(degree):
     tri, coeff = fig1_left_pattern(1e-4, refines=3)
     tables, _, space = tables_of(sine_target(), tri, degree, 2 * degree + 2)
     free = np.ones(space.n_nodes, dtype=bool)
-    matrices = [_free_operator(tables, coeff.values, beta, free) for beta in (1e-4, 1.0, 1e4)]
-    fronts = space_fronts(space, free)
+    matrices = _operators(tables, [(coeff.values, beta) for beta in (1e-4, 1.0, 1e4)], free)
+    fronts = dissection_fronts(space, free)
     b = np.random.default_rng(degree).standard_normal(len(fronts.order))
     for A, member in zip(matrices, FrontFactor.each(matrices, fronts)):
         alone = FrontFactor(A, fronts)
@@ -1063,6 +1060,22 @@ def _tree_price(sizes, bsizes, parent) -> int:
     return 8 * (stored + peak)
 
 
+def _entry_price(matrices, fronts) -> int:
+    """The bytes of the entries a stack of `matrices` keeps while it factors
+    over `fronts`: the row, the column and the T values, 8 bytes each, of
+    every entry whose row is eliminated in its column's front or after it.
+    The pattern is symmetric, so those are every entry within one front and
+    half of those between two."""
+    front = np.empty(len(fronts.order), dtype=int)
+    front[fronts.order] = np.repeat(np.arange(len(fronts.sizes)), fronts.sizes)
+    rows, cols, _ = matrices[0].entries()
+    dense = np.zeros((len(front),) * 2, dtype=bool)
+    dense[rows, cols] = True
+    assert (dense == dense.T).all()
+    within = np.count_nonzero(front[rows] == front[cols])
+    return (len(rows) + within) // 2 * 8 * (2 + len(matrices))
+
+
 def _grouped_price(levels):
     """The price of the chain of the groups of `levels` (`_tree_price`): the
     distinct levels in order, a group closed where the next level would
@@ -1082,22 +1095,25 @@ def _chain_price(groups) -> int:
 
 
 def _unreadable(monkeypatch, matrix):
-    """Make every read of `matrix`'s entries fail."""
+    """Make every read of `matrix`'s values fail; its pattern stays readable."""
     monkeypatch.setattr(matrix, "entries", lambda: pytest.fail("entries read before the price"))
-    monkeypatch.setattr(matrix, "_keys", None)
     monkeypatch.setattr(matrix, "_values", None)
 
 
-def _check_priced(monkeypatch, matrices, fronts, need, message):
-    """The factor of `matrices` over `fronts` is refused by the one-line
-    `message` one byte short of `need`, before any entry is read, factored
-    at `need`, and refused again when the process holds one byte."""
+def _check_priced(monkeypatch, matrices, fronts, one, message):
+    """The factor of the T `matrices` over `fronts` costs T times the price
+    `one` of its fronts and the bytes of the entries it keeps
+    (`_entry_price`).  It is refused by the one-line `message` one byte
+    short of that, before any value is read (the pattern is read, to count
+    the entries), factored at that price, and refused again when the
+    process holds one byte."""
     import qmloc.bestapprox
 
     def factor():
         return FrontFactor.each(matrices, fronts) if len(matrices) > 1 else [
             FrontFactor(matrices[0], fronts)]
 
+    need = len(matrices) * one + _entry_price(matrices, fronts)
     monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
     monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: need - 1)
     with monkeypatch.context() as m:
@@ -1118,52 +1134,53 @@ def _check_priced(monkeypatch, matrices, fronts, need, message):
 def test_level_factor_is_priced_before_it_is_built(monkeypatch):
     """The price is that of the factor's groups, not of its levels: on
     these 8 levels, 9 wide at most, the groups of the levels' price would
-    not fit.  It is refused one byte short of the price, before any entry
+    not fit.  It is refused one byte short of the price, before any value
     is read, and again when the process holds one byte."""
     tri, coeff = fig1_left_pattern(1e-2, refines=2)
     tables, _, space = tables_of(sine_target(), tri, 1, 4)
     free = np.ones(space.n_nodes, dtype=bool)
     free[0] = False
-    A = _free_operator(tables, coeff.values, 0.0, free)
-    levels = space.node_levels[free]  # without the level that held only node 0
-    need, groups, widest = _grouped_price(levels)
+    A = _operators(tables, [(coeff.values, 0.0)], free)[0]
+    levels = node_levels(space)[free]  # without the level that held only node 0
+    one, groups, widest = _grouped_price(levels)
     widths = np.unique(levels, return_counts=True)[1]
     assert len(widths) == 8 and widths.max() == 9
-    assert need > _chain_price(widths.tolist())
-    _check_priced(monkeypatch, [A], level_fronts(levels), need,
+    assert one > _chain_price(widths.tolist())
+    _check_priced(monkeypatch, [A], level_fronts(levels), one,
                   f"a front factor of 40 unknowns, {groups} fronts up to {widest} wide")
 
 
 def test_level_factor_stack_is_priced_before_it_is_built(monkeypatch):
     """T matrices of one pattern cost T times the bytes of one factor's
-    groups, named as a stack, and are refused before any entry is read or
-    the pattern compared."""
+    groups and T values per kept entry, named as a stack, and are refused
+    before any value is read or the pattern compared."""
     tri, coeff = fig1_left_pattern(1e-2, refines=2)
     tables, _, space = tables_of(sine_target(), tri, 1, 4)
     free = np.ones(space.n_nodes, dtype=bool)
-    matrices = [_free_operator(tables, coeff.values, beta, free) for beta in (1e-4, 1.0, 1e4)]
-    one, groups, widest = _grouped_price(space.node_levels)
-    _check_priced(monkeypatch, matrices, level_fronts(space.node_levels), 3 * one,
+    matrices = _operators(tables, [(coeff.values, beta) for beta in (1e-4, 1.0, 1e4)], free)
+    levels = node_levels(space)
+    one, groups, widest = _grouped_price(levels)
+    _check_priced(monkeypatch, matrices, level_fronts(levels), one,
                   f"a stack of 3 front factors of 41 unknowns, {groups} fronts up to {widest} "
                   "wide")
 
 
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_dissection_factor_is_priced_before_it_is_built(monkeypatch, degree):
-    """At P >= 2 the price is that of the dissection's fronts, one factor
-    and a stack of two."""
+    """The price is that of the dissection's fronts and kept entries, one
+    factor and a stack of two."""
     tri, coeff = fig1_left_pattern(1e-2, refines=2)
     tables, _, space = tables_of(sine_target(), tri, degree, 2 * degree + 2)
     free = np.ones(space.n_nodes, dtype=bool)
-    matrices = [_free_operator(tables, coeff.values, beta, free) for beta in (1.0, 1e4)]
+    matrices = _operators(tables, [(coeff.values, beta) for beta in (1.0, 1e4)], free)
     fronts = dissection_fronts(space, free)
     sizes = fronts.sizes.tolist()
-    need = _tree_price(sizes, [len(B) for B in fronts.boundary], fronts.parent.tolist())
+    one = _tree_price(sizes, [len(B) for B in fronts.boundary], fronts.parent.tolist())
     assert len(sizes) > 1
     head = f"of {space.n_nodes} unknowns, {len(sizes)} fronts up to {max(sizes)} wide"
-    _check_priced(monkeypatch, matrices[:1], fronts, need, f"a front factor {head}")
+    _check_priced(monkeypatch, matrices[:1], fronts, one, f"a front factor {head}")
     monkeypatch.undo()
-    _check_priced(monkeypatch, matrices, fronts, 2 * need, f"a stack of 2 front factors {head}")
+    _check_priced(monkeypatch, matrices, fronts, one, f"a stack of 2 front factors {head}")
 
 
 @pytest.mark.parametrize("shape, levels, message", [

@@ -425,9 +425,9 @@ def test_stars_refuses_a_bad_n_before_building_any_mesh(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, memory, message", [
-    # N = 1000: 8M elements, about 35.5 GiB at P1, and 95.5 GiB of front factor
+    # N = 1000: 8M elements, about 35.5 GiB at P1
     (["stars", "--n", "2,1000"], 7.6 * 2**30,
-     "N=1000 at degree 1 needs about 131 GiB of 7.6 GiB of memory"),
+     "N=1000 at degree 1 needs about 35.5 GiB of 7.6 GiB of memory"),
     (["stars", "--n", "2,128", "--ell", "2"], 2**30,
      "N=128 at degree 2 needs about 1.91 GiB of 1 GiB of memory"),
     # the range of N is checked before its memory
@@ -527,11 +527,15 @@ def test_a_level_factor_too_large_is_refused_in_one_line(capsys, monkeypatch, co
 
 
 def test_stars_refuses_a_factor_that_does_not_fit_beside_what_the_run_holds(capsys, monkeypatch):
-    """At 64 MiB of memory the N = 6 sweep's estimate (1.4 MB) and its level
-    factor (about 14 kB) each fit, but not the factor beside what the run
-    holds once all but 4 KiB of it are: exit 1 and one line."""
+    """At 64 MiB of memory the N = 6 sweep's estimate (1.4 MB) and its
+    factor each fit, but not the factor beside what the run holds once all
+    but 4 KiB of it are: exit 1 and one line that names the price of the
+    real tree, its fronts (`_front_bytes`) and the row, column and value
+    of each entry it keeps."""
     import qmloc.bestapprox
     import qmloc.harness
+    from qmloc.bestapprox import _front_bytes, dissection_fronts
+    from qmloc.fespace import build_space
 
     memory = 2**26
     monkeypatch.setattr(qmloc.harness, "_physical_memory", lambda: memory)
@@ -543,56 +547,48 @@ def test_stars_refuses_a_factor_that_does_not_fit_beside_what_the_run_holds(caps
     assert main(["stars", "--n", "6", "--format", "json"]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error: a front factor of 121 unknowns, \d+ fronts up to \d+ wide, "
-                        r"needs about 0.0625 GiB of 0.0625 GiB of memory\n", captured.err)
+    # the price: the fronts, and the entries between free nodes of one
+    # element whose row is eliminated in its column's front or after it
+    space = build_space(checkerboard_mesh(6)[0], 1, dirichlet_on_boundary=True)
+    free = ~space.dirichlet
+    fronts = dissection_fronts(space, free)
+    front = np.empty(len(fronts.order), dtype=int)
+    front[fronts.order] = np.repeat(np.arange(len(fronts.sizes)), fronts.sizes)
+    place = np.cumsum(free) - 1
+    kept = {(place[i], place[j]) for nodes in space.element_nodes.tolist()
+            for i in nodes for j in nodes
+            if free[i] and free[j] and front[place[i]] >= front[place[j]]}
+    price = (_front_bytes(fronts.sizes, np.array([len(B) for B in fronts.boundary]),
+                          fronts.parent) + 24 * len(kept))
+    assert price > 4096
+    assert captured.err == (
+        f"error: a front factor of 121 unknowns, {len(fronts.sizes)} fronts up to "
+        f"{fronts.sizes.max()} wide, needs about {(memory - 4096 + price) / 2**30:.3g} GiB of "
+        "0.0625 GiB of memory\n")
 
 
-def test_stars_prices_its_level_factor_before_any_mesh_is_built(capsys, monkeypatch):
-    """At N = 100 and degree 1 the sweep estimate of its 80,000 elements
-    fits in memory, but not with the factor over the checkerboard's
-    anti-diagonals beside it: exit 1 and one line before the first mesh.
-    At degree 2, which runs no factor, the same memory passes the check."""
+def test_stars_prices_its_elements_before_any_mesh_is_built(capsys, monkeypatch):
+    """At N = 100 the sweep is priced by its 80,000 elements alone, at
+    degree 1 as at degree 2: one byte short of that estimate it is refused
+    with exit 1 and one line before the first mesh, and at the estimate it
+    passes the check.  The factor prices its own fronts when it is built."""
     import qmloc.harness
 
-    estimate = 8 * 100**2 * qmloc.harness._STAR_BYTES_PER_ELEMENT[1]
-    memory = estimate + qmloc.harness._star_factor_bytes(100) - 1
-    monkeypatch.setattr(qmloc.harness, "_physical_memory", lambda: memory)
     monkeypatch.setattr(qmloc.harness, "checkerboard_mesh",
                         lambda N: pytest.fail("a mesh built before the price"))
-    assert main(["stars", "--n", "2,100", "--format", "json"]) == EXIT_INVALID
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: N=100 at degree 1 needs about {(memory + 1) / 2**30:.3g} "
-                            f"GiB of {memory / 2**30:.3g} GiB of memory\n")
-    monkeypatch.setattr(qmloc.harness, "_STAR_BYTES_PER_ELEMENT",
-                        {**qmloc.harness._STAR_BYTES_PER_ELEMENT, 2: memory // 80_000})
-    with pytest.raises(pytest.fail.Exception, match="a mesh built before the price"):
-        main(["stars", "--n", "100", "--ell", "2", "--format", "json"])
-
-
-def test_the_stars_factor_price_is_that_of_its_levels(monkeypatch):
-    """`harness._star_factor_bytes(N)`, from N alone, is the price
-    `FrontFactor` takes from the chain of level groups of the P1 space's
-    unknowns: with nothing held, it factors in that many bytes and is
-    refused one short."""
-    import qmloc.bestapprox
-    from qmloc.bestapprox import FrontFactor, SparseMatrix, level_fronts
-    from qmloc.errors import ParameterOutOfRange
-    from qmloc.fespace import build_space
-    from qmloc.harness import _star_factor_bytes
-
-    monkeypatch.setattr(qmloc.bestapprox, "_held_memory", lambda: 0)
-    for N in (1, 2, 3, 6, 9):
-        space = build_space(checkerboard_mesh(N)[0], 1, dirichlet_on_boundary=True)
-        fronts = level_fronts(space.node_levels[~space.dirichlet])
-        n = len(fronts.order)
-        identity = SparseMatrix(np.arange(n), np.arange(n), np.ones(n), (n, n))
-        price = _star_factor_bytes(N)
-        monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: price)
-        FrontFactor(identity, fronts)
-        monkeypatch.setattr(qmloc.bestapprox, "_physical_memory", lambda: price - 1)
-        with pytest.raises(ParameterOutOfRange, match=f"^a front factor of {n} unknowns"):
-            FrontFactor(identity, fronts)
+    for degree in (1, 2):
+        argv = ["stars", "--n", "2,100", "--ell", str(degree), "--format", "json"]
+        estimate = 8 * 100**2 * qmloc.harness._STAR_BYTES_PER_ELEMENT[degree]
+        monkeypatch.setattr(qmloc.harness, "_physical_memory", lambda: estimate - 1)
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: N=100 at degree {degree} needs about "
+                                f"{estimate / 2**30:.3g} GiB of {(estimate - 1) / 2**30:.3g} "
+                                "GiB of memory\n")
+        monkeypatch.setattr(qmloc.harness, "_physical_memory", lambda: estimate)
+        with pytest.raises(pytest.fail.Exception, match="a mesh built before the price"):
+            main(argv)
 
 
 def test_held_memory_is_read_where_the_system_reports_it():

@@ -9,7 +9,7 @@ from qmloc.fespace import (_lattice, build_space, edge_basis_1d, element_dual_ba
 from qmloc.mesh import build_triangulation, uniform_refine
 
 import mesh_reference
-from fespace_reference import (element_basis, eval_basis, face_dual_basis,
+from fespace_reference import (element_basis, eval_basis, face_dual_basis, node_levels,
                                pseudo_peripheral_levels)
 
 V = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -219,16 +219,16 @@ def test_numbering_matches_rescan(mesh, degree):
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_node_levels_are_a_level_structure(degree):
-    """Every node has a level, the first level is one node, and the nodes of
-    each element lie in one level or two adjacent ones; a second component
-    continues the levels after the first."""
+    """The levels of `fespace_reference.node_levels`: every node has a
+    level, the first level is one node, and the nodes of each element lie
+    in one level or two adjacent ones; a second component continues the
+    levels after the first."""
     square = uniform_refine(uniform_refine(build_triangulation(V, T)))
     two = build_triangulation(np.vstack([square.vertices, square.vertices + 2.0]),
                               np.vstack([square.triangles, square.triangles + square.n_vertices]))
     for mesh in (square, two):
         space = build_space(mesh, degree)
-        levels = space.node_levels
-        assert space.node_levels is levels  # computed once per space
+        levels = node_levels(space)
         assert (np.bincount(levels) > 0).all() and np.count_nonzero(levels == 0) == 1
         spread = levels[space.element_nodes]
         assert (spread.max(axis=1) - spread.min(axis=1) <= 1).all()
@@ -250,15 +250,16 @@ _LEVEL_SPACES = ({f"fig1-{r}": (lambda r=r: build_space(fig1_left_pattern(1.0, r
 def test_one_search_prices_the_factor_as_the_pseudo_peripheral_levels(case):
     """On every free set `ritz_each` factors over (the unknowns; all nodes
     or all but node 0 on a space without Dirichlet nodes), the levels of
-    one search from a node of least degree have the widths of the
+    one search from a node of least degree, which the chain oracle
+    `ritz_reference.level_fronts` orders by, have the widths of the
     pseudo-peripheral levels, in the same or the reverse order, and so the
-    same factor price 8 (sum w_i^2 + sum w_i w_(i-1))."""
+    same chain price 8 (sum w_i^2 + sum w_i w_(i-1))."""
     space = _LEVEL_SPACES[case]()
     free = ~space.dirichlet
     pinned = free.copy()
     pinned[0] = False
     for unknowns in ([free] if space.dirichlet.any() else [free, pinned]):
-        got = np.bincount(space.node_levels[unknowns])
+        got = np.bincount(node_levels(space)[unknowns])
         want = np.bincount(pseudo_peripheral_levels(space)[unknowns])
         got, want = got[got > 0], want[want > 0]
         assert np.array_equal(got, want) or np.array_equal(got, want[::-1])

@@ -387,6 +387,37 @@ def test_reaction_diffusion_sweep():
         assert len(rep.loci["pair"]) == len(tri.interior_edges())
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_one_tree_per_space_and_free_set_in_a_sweep(monkeypatch, degree):
+    """`alpha` over 4 alphas asks for the fronts of its pinned free set 4
+    times and builds them once; `rd` over 2 alphas asks 4 times for the
+    fronts of two free sets, the pinned one and all nodes, and builds each
+    once.  The reports are those of a tree built for every call."""
+    import qmloc.bestapprox
+
+    build, builds, calls = qmloc.bestapprox.dissection_fronts, [], []
+
+    def counted(space, free):
+        builds.append((id(space), free.tobytes()))
+        return build(space, free)
+
+    def uncached(space, free):
+        calls.append((id(space), free.tobytes()))
+        return build(space, free)
+
+    for sweep, trees in ((run_alpha_robustness, 1), (run_reaction_diffusion, 2)):
+        with monkeypatch.context() as m:
+            m.setattr(qmloc.bestapprox, "dissection_fronts", counted)
+            builds.clear()
+            shared = render_report(sweep(degree=degree, refines=1), "json")
+        with monkeypatch.context() as m:
+            m.setattr(qmloc.bestapprox, "_space_fronts", uncached)
+            calls.clear()
+            assert render_report(sweep(degree=degree, refines=1), "json") == shared
+        assert len(builds) == len(set(builds)) == trees
+        assert len(calls) == 4 and len(set(calls)) == trees
+
+
 def test_rd_reports_share_the_pair_list_across_alpha():
     reports = run_reaction_diffusion(alpha_values=(1.0, 1e-4), refines=1)
     assert len(reports) == 18  # two alphas, each three targets by three betas
